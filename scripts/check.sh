@@ -184,4 +184,8 @@ python -m pytest -q benchmarks/bench_fig06_attest_breakdown.py \
     benchmarks/bench_sim_kernel.py
 
 echo
+echo "== end-to-end benchmark smoke (oracles of all seven workloads) =="
+python -m pytest benchmarks/e2e/test_smoke.py -q
+
+echo
 echo "all checks passed"

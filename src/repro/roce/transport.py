@@ -19,6 +19,7 @@ timer resends the oldest unacknowledged packet.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.core.attestation import AttestationError, AttestationKernel, AttestedMessage
@@ -108,7 +109,9 @@ class RoceKernel:
         self._tx_backlog: dict[int, list] = {}
         self.tables = StateTables(max_connections)
         self._queue_pairs: dict[int, QueuePair] = {}
-        self._send_completions: dict[tuple[int, int], "Event"] = {}
+        #: Per QP, ``(last PSN, completion)`` of every message on the
+        #: wire, in post order — so in PSN order: they leave at the front.
+        self._send_completions: dict[int, deque] = {}
         self._retransmit_running: set[int] = set()
         self._rx_lanes: dict[int, _RxLane] = {}
         #: Optional device hook invoked after each verified delivery;
@@ -126,6 +129,7 @@ class RoceKernel:
             raise ValueError(f"QP {qp.qp_number} already created")
         self.tables.create(qp.qp_number)
         self._queue_pairs[qp.qp_number] = qp
+        self._send_completions[qp.qp_number] = deque()
 
     def connect_qp(self, qp_number: int, remote_qp_number: int) -> None:
         """Bind the local QP to the peer's QP number (via ibv_sync)."""
@@ -210,7 +214,7 @@ class RoceKernel:
             gauge_set(self.sim, "roce.inflight", len(state.inflight),
                       node=self.ip, qp=qp_number)
             # The message completes when its final segment is acked.
-            self._send_completions[(qp_number, last_psn)] = completion
+            self._send_completions[qp_number].append((last_psn, completion))
             self._ensure_retransmit_timer(qp_number)
 
     def _segment(self, payload: bytes) -> list:
@@ -308,8 +312,11 @@ class RoceKernel:
         self._retransmit_running.discard(qp_number)
 
     def _fail_send(self, qp_number: int, psn: int, reason: str) -> None:
-        completion = self._send_completions.pop((qp_number, psn), None)
-        if completion is not None and not completion.triggered:
+        pending = self._send_completions[qp_number]
+        if not pending or pending[0][0] != psn:
+            return  # not the final segment of a message
+        _, completion = pending.popleft()
+        if not completion.triggered:
             completion.fail(TransportError(f"send psn={psn} failed: {reason}"))
 
     # ------------------------------------------------------------------
@@ -343,16 +350,16 @@ class RoceKernel:
                   node=self.ip, qp=qp_number)
         if self._tx_backlog.get(qp_number):
             self._pump_tx(qp_number)  # ACKs opened window space
-        for (qp_n, psn), completion in list(self._send_completions.items()):
-            if qp_n == qp_number and psn <= acked_psn and not completion.triggered:
-                entry = CompletionEntry(
+        pending = self._send_completions[qp_number]
+        while pending and pending[0][0] <= acked_psn:
+            psn, completion = pending.popleft()
+            if not completion.triggered:
+                completion.succeed(CompletionEntry(
                     qp_number=qp_number,
                     msn=packet.meta.get("msn", psn),
                     opcode="send",
                     ok=True,
-                )
-                completion.succeed(entry)
-                del self._send_completions[(qp_n, psn)]
+                ))
 
     def _handle_data(self, packet: Packet) -> None:
         qp_number = packet.bth.dest_qp

@@ -16,6 +16,7 @@ reduces to a periodic log replay.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.core.attestation import AttestedMessage
@@ -36,6 +37,9 @@ from repro.tee.providers import make_provider
 # Tamper-evident log
 # ---------------------------------------------------------------------------
 
+#: Authenticator every chain starts from (the "previous" of entry 0).
+GENESIS = b"\x00" * 32
+
 
 @dataclass(frozen=True)
 class LogRecord:
@@ -54,7 +58,7 @@ class TamperEvidentLog:
         self.records: list[LogRecord] = []
 
     def append(self, direction: str, data: bytes) -> LogRecord:
-        prev = self.records[-1].authenticator if self.records else b"\x00" * 32
+        prev = self.records[-1].authenticator if self.records else GENESIS
         record = LogRecord(
             index=len(self.records),
             direction=direction,
@@ -70,18 +74,25 @@ class TamperEvidentLog:
         self.records[index] = LogRecord(old.index, old.direction, data,
                                         old.authenticator)
 
+    def broken_links(self, start: int = 0,
+                     head: bytes = GENESIS) -> Iterator[int]:
+        """Yield the index of every entry from *start* on whose
+        authenticator does not chain from its predecessor's.
+
+        *head* is the authenticator the entry at *start* must chain
+        from: the genesis value for the whole log, or the authenticator
+        of entry ``start - 1`` as an auditor recorded it.
+        """
+        prev = head
+        for record in self.records[start:]:
+            if record.authenticator != sha256(prev, record.direction,
+                                              record.data):
+                yield record.index
+            prev = record.authenticator
+
     def verify_chain(self) -> int | None:
         """Return the index of the first broken link, or None if intact."""
-        prev = b"\x00" * 32
-        for record in self.records:
-            expected = sha256(prev, record.direction, record.data)
-            if record.authenticator != expected:
-                return record.index
-            prev = record.authenticator
-        return None
-
-    def since(self, index: int) -> list[LogRecord]:
-        return self.records[index:]
+        return next(self.broken_links(), None)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +287,12 @@ class Witness:
     faults" — the *role* determines which log direction carries stream
     chunks and which carries computed results: the source logs chunks
     as sends and results as recvs; a child logs the reverse.
+
+    Between audits the witness holds a checkpoint: its own copy of the
+    entries it has audited (references to the node's immutable
+    ``LogRecord``s, a pointer per entry) and the reference result of
+    every chunk replayed so far.  An audit first holds the node to that
+    prefix, then chain-verifies and replays only the entries beyond it.
     """
 
     def __init__(self, system: "PeerReviewSystem", role: str = "source") -> None:
@@ -283,24 +300,59 @@ class Witness:
             raise ValueError(f"unknown witness role {role!r}")
         self.system = system
         self.role = role
-        self.audited_until = 0
         self.audits_performed = 0
+        self._audited: list[LogRecord] = []
+        #: seq -> reference result of every chunk replayed so far.  No
+        #: entry is ever dropped: a node may log a result for an old
+        #: chunk arbitrarily late, and it must still be checked.
+        self._expected: dict[int, str] = {}
+        self._reported: set[str] = set()
+
+    @property
+    def audited_until(self) -> int:
+        """Number of log entries audited so far."""
+        return len(self._audited)
+
+    @property
+    def head(self) -> bytes:
+        """Authenticator the next unaudited entry must chain from."""
+        return self._audited[-1].authenticator if self._audited else GENESIS
 
     def audit(self, log: TamperEvidentLog):
         """log_audit(): replay new entries; returns a list of faults.
 
-        Checks the hash chain, then replays each logged chunk through
-        the reference implementation, verifying logged results match.
+        Every entry is chain-verified (from :attr:`head`) and replayed
+        through the reference implementation by exactly one audit — the
+        first one that sees it — so each fault is returned once, by the
+        audit that finds it, never again by a later one.
+
+        A log that no longer starts with the audited prefix (an audited
+        entry rewritten, or the log truncated below the checkpoint) is a
+        fault of its own.  The witness then drops the checkpoint and
+        audits the history the node now presents from the genesis value,
+        returning only the faults it has not returned before.
         """
         yield self.system.sim.timeout(PEER_REVIEW_AUDIT_US)
         self.audits_performed += 1
         chunk_direction = "send" if self.role == "source" else "recv"
-        faults: list[str] = []
-        broken = log.verify_chain()
-        if broken is not None:
-            faults.append(f"hash chain broken at entry {broken}")
-        expected_results: dict[int, str] = {}
-        for record in log.since(0):
+        # Kept apart from the per-entry faults: two rewrites below the
+        # same checkpoint read alike and must both be returned.
+        rewritten: list[str] = []
+        if log.records[:self.audited_until] != self._audited:
+            rewritten.append(
+                "log rewritten/truncated below audited entry "
+                f"{self.audited_until}"
+            )
+            self._audited = []
+            self._expected = {}
+        start = self.audited_until
+        faults = [
+            f"hash chain broken at entry {index}"
+            for index in log.broken_links(start, self.head)
+        ]
+        expected_results = self._expected
+        unaudited = log.records[start:]
+        for record in unaudited:
             seq, text = _decode(record.data)
             if record.direction == chunk_direction:
                 expected_results[seq] = reference_execute(text)
@@ -311,8 +363,10 @@ class Witness:
                         f"entry {record.index}: logged result {text!r} "
                         f"diverges from reference {expected!r}"
                     )
-        self.audited_until = len(log.records)
-        return faults
+        self._audited.extend(unaudited)
+        faults = [fault for fault in faults if fault not in self._reported]
+        self._reported.update(faults)
+        return rewritten + faults
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +426,6 @@ class PeerReviewSystem:
         for child in self.child_nodes.values():
             self.sim.process(child.run())
 
-    def witness_audit(self, log: TamperEvidentLog):
-        return self.witness.audit(log)
-
     def run_workload(self, chunks: int) -> SystemMetrics:
         contents = [f"chunk-{i}" for i in range(chunks)]
         done = self.sim.event()
@@ -383,6 +434,9 @@ class PeerReviewSystem:
         return self.metrics
 
     def detected_faults(self) -> list[str]:
+        """Every fault found so far, witness verdicts first; an audit
+        finding appears once however many audits followed it (see
+        :meth:`Witness.audit`)."""
         faults = list(self.witness_faults)
         faults.extend(self.source.detected_faults)
         for child in self.child_nodes.values():

@@ -47,8 +47,8 @@ def test_untrusted_device_rejects_trusted_operations():
         device.local_attest(1, b"x")
 
 
-def test_transport_gives_up_after_retry_limit():
-    """A fully dead link eventually fails the send completion."""
+def _sender_on_dead_link(max_retries):
+    """Device ``a`` with QP 1 connected over a link that drops everything."""
     sim = Simulator()
     arp = ArpServer()
     a = TnicDevice(sim, 1, "10.0.0.1", "m-a", arp)
@@ -56,16 +56,39 @@ def test_transport_gives_up_after_retry_limit():
     Link(sim, a.mac, b.mac, fault=NetworkFault(drop_probability=1.0))
     a.install_session(SESSION, KEY)
     b.install_session(SESSION, KEY)
-    a.roce.max_retries = 3
+    a.roce.max_retries = max_retries
     a.roce.retransmit_timeout_us = 50.0
     qp = QueuePair(qp_number=1, session_id=SESSION,
                    local_ip="10.0.0.1", remote_ip="10.0.0.2")
     a.create_qp(qp)
     a.connect_qp(1, 2)
+    return sim, a
+
+
+def test_transport_gives_up_after_retry_limit():
+    """A fully dead link eventually fails the send completion."""
+    sim, a = _sender_on_dead_link(max_retries=3)
     completion = a.send(1, b"into the void")
     with pytest.raises(TransportError, match="retry limit"):
         sim.run(completion)
     assert a.roce.tables.get(1).retransmissions >= 3
+
+
+def test_retry_limit_fails_every_message_in_post_order():
+    """A multi-segment message and the one queued behind it both fail,
+    oldest first, and nothing is left waiting for an ACK."""
+    sim, a = _sender_on_dead_link(max_retries=2)
+    failed = []
+    completions = [a.send(1, b"x" * (2 * a.roce.path_mtu + 1)),
+                   a.send(1, b"short")]
+    for index, completion in enumerate(completions):
+        completion.callbacks.append(lambda _event, index=index:
+                                    failed.append(index))
+    for completion in completions:
+        with pytest.raises(TransportError, match="retry limit"):
+            sim.run(completion)
+    assert failed == [0, 1]
+    assert not a.roce.tables.get(1).inflight
 
 
 def test_read_remote_without_host_memory_times_out():

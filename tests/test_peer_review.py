@@ -105,11 +105,19 @@ def test_log_tamper_detected_at_exact_index():
     assert log.verify_chain() == 2
 
 
-def test_log_since_slices():
+def test_log_broken_links_chain_from_held_head():
+    """Suffix verification: only entries from *start* are hashed, the
+    first of them against the head the auditor holds."""
     log = TamperEvidentLog()
-    for i in range(4):
+    for i in range(6):
         log.append("recv", f"m{i}".encode())
-    assert len(log.since(2)) == 2
+    head = log.records[2].authenticator
+    log.tamper(1, b"below the suffix")
+    log.tamper(4, b"inside the suffix")
+    assert list(log.broken_links(3, head)) == [4]
+    assert list(log.broken_links(3, b"\x01" * 32)) == [3, 4]
+    assert list(log.broken_links()) == [1, 4]
+    assert log.verify_chain() == 1
 
 
 def test_reference_execute_deterministic():
