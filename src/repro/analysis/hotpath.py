@@ -117,12 +117,10 @@ TNIC_MANIFEST = HotPathManifest(
         "Simulator.step",
         "Simulator.run",
         "Simulator._drain",
-        "Simulator._drain_fast",
         "Simulator.timeout",
         # Calendar-queue maintenance (ISSUE 9): the schedule primitive
-        # and the staging/overflow redistribution passes.
+        # and the overflow redistribution pass.
         "Simulator._push",
-        "Simulator._absorb",
         "Simulator._migrate",
         # Event trigger paths (callback-scheduled, hence declared).
         "Event.succeed",

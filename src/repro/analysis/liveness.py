@@ -1015,9 +1015,10 @@ def wait_graph(
 ) -> dict:
     """Per-system hold-while-wait graph plus leak-site inventory.
 
-    The committed artifact is the liveness contract: ``scripts/check.sh``
-    regenerates it and fails on any system whose ``deadlock_free``
-    verdict regresses or on growth in ``totals.leak_sites``.  Leak
+    The committed artifact is the liveness contract: tier-1
+    (``tests/test_liveness.py``) fails when it differs from a fresh
+    emission, so a regressed ``deadlock_free`` verdict or a new leak
+    site cannot land unseen.  Leak
     counts are pre-waiver — an inline ``# lint: ignore[LIV001]``
     silences the lint finding but the site still counts here.
     """

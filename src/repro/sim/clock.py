@@ -11,14 +11,11 @@ measurements are exactly reproducible.
 Time unit: **microseconds** throughout the repository, matching the
 paper's reporting unit (µs).
 
-Hot path: the calendar queue.  :meth:`Simulator.run` is the inner loop
-under every reproduced figure (§8), so the schedule/drain cycle avoids
-per-event heap churn:
+Hot path: the calendar queue.  Every reproduced figure (§8) comes out
+of the one loop in :meth:`Simulator._drain`, so the schedule/drain
+cycle avoids per-event heap churn:
 
-* Scheduling while the loop is *idle* is a bare ``list.append`` onto a
-  staging list; :meth:`run`/:meth:`step` distribute it into buckets in
-  one pass (:meth:`_absorb`).
-* Scheduling while the loop is *running* is an O(1) append onto a
+* Scheduling (:meth:`Simulator._push`) is an O(1) append onto a
   fixed-width time bucket (``bucket = int(when * inv_width)``, an
   exact, monotone map for non-negative times), plus one integer
   heappush when the bucket is new.  The bucket width defaults to
@@ -28,35 +25,34 @@ per-event heap churn:
   delivery wave of a protocol round lands in one or two buckets.
 * Draining pops the smallest active bucket id (a heap of *ints*),
   sorts that one bucket (Timsort is near-linear on the mostly-ordered
-  appends), and walks it with a plain ``for``.  Events scheduled
-  *during* the walk land either in a future bucket (O(1) append) or,
-  for the bucket being drained, in a small ``fresh`` heap interleaved
+  appends) and walks it by index.  Events scheduled *during* the walk
+  land either in a future bucket (O(1) append) or, for the bucket
+  being drained, in a small ``fresh`` heap that the walk interleaves
   by ``(time, tiebreak)``.
 * Events farther out than :data:`CALENDAR_HORIZON_BUCKETS` buckets go
   to an **overflow heap**; when the calendar runs dry the horizon
   advances and due overflow entries migrate into buckets
-  (:meth:`_migrate`), so a far-future retransmission timer costs two
-  heap ops total instead of a calendar full of empty buckets.
+  (:meth:`Simulator._migrate`), so a far-future retransmission timer
+  costs two heap ops total instead of a bucket list of its own.
 
 All of this is wall-clock-only: ``tests/test_golden_trace.py`` pins
-event ordering and virtual-time results against pre-fast-path goldens,
-and ``tests/test_calendar_queue.py`` pins the bucket-boundary edge
-cases.
+event ordering and virtual-time results, ``tests/test_calendar_queue.py``
+pins the bucket-boundary edge cases, and
+``tests/test_scheduler_oracle.py`` checks random programs against a
+single-``heapq`` reference scheduler.
 
-Scheduling invariant: every path into the calendar —
-:meth:`_schedule_at`, :meth:`_enqueue_triggered`, the
-:class:`Timeout` fast lane and the staging list — appends a
-``(when, tiebreak, event)`` entry drawing from the *single*
-``_tiebreak`` counter, and every bucket is sorted by the full
-``(when, tiebreak)`` key before it drains, so same-timestamp events
-always process in FIFO scheduling order no matter which path (or which
-bucket) scheduled them.
+Scheduling invariant: every entry is a ``(when, tiebreak, event)``
+tuple built by :meth:`Simulator._push` from the *single* ``_tiebreak``
+counter, and the loop processes entries in full ``(when, tiebreak)``
+order, so same-timestamp events always process in FIFO scheduling
+order no matter which primitive (or which bucket) scheduled them.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
+from math import inf
 from typing import Any, Callable, Generator, Iterable
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -64,8 +60,6 @@ from repro.sim.process import Process
 from repro.sim.rng import DeterministicRng
 
 _PROCESSED = Event.PROCESSED
-_TRIGGERED = Event.TRIGGERED
-_new_timeout = Timeout.__new__
 
 #: Calendar bucket width in µs.  Sized from the observed link delays:
 #: one wire hop is ``WIRE_PROPAGATION_US`` (1.0 µs) plus ~0.33 µs MTU
@@ -80,10 +74,6 @@ DEFAULT_BUCKET_WIDTH_US = 1.0
 #: protocol round trip in the repository; only long retransmission /
 #: client timeout timers overflow, and those cost two heap ops total.
 CALENDAR_HORIZON_BUCKETS = 4096
-
-#: End-of-bucket marker appended to each drain snapshot: its infinite
-#: timestamp flushes the fresh heap, then the identity check breaks out.
-_END: tuple[float, int, Any] = (float("inf"), 0, None)
 
 
 class EmptySchedule(Exception):
@@ -109,7 +99,7 @@ class Simulator:
     """Discrete-event simulation kernel with a microsecond virtual clock."""
 
     __slots__ = (
-        "_now", "_staged", "_buckets", "_active", "_overflow", "_fresh",
+        "_now", "_buckets", "_active", "_overflow", "_fresh",
         "_width", "_inv_width", "_limit", "_draining", "_tiebreak",
         "_tie_next", "_running",
         "tracer", "telemetry", "sanitizer", "profiler",
@@ -122,9 +112,6 @@ class Simulator:
         if bucket_width_us <= 0:
             raise ValueError(f"bucket width must be positive: {bucket_width_us}")
         self._now = 0.0
-        #: Entries appended while the loop is idle; distributed into
-        #: buckets by :meth:`_absorb` when `run`/`step` starts.
-        self._staged: list[tuple[float, int, Event]] = []
         #: bucket id -> its (when, tiebreak, event) entries, unsorted.
         self._buckets: dict[int, list[tuple[float, int, Event]]] = {}
         #: Min-heap of non-empty bucket ids (plain ints).
@@ -144,8 +131,8 @@ class Simulator:
         #: Bound ``__next__`` of the tiebreak source — one load+call on
         #: the schedule path instead of a global ``next`` dispatch.
         self._tie_next = self._tiebreak.__next__
-        #: True while :meth:`run` is draining — scheduling then goes
-        #: straight into the calendar instead of the staging list.
+        #: True while :meth:`_drain` is on the stack: the re-entrancy
+        #: guard for :meth:`run`, :meth:`step` and :meth:`perturb_ties`.
         self._running = False
         #: Optional structured tracer (see :mod:`repro.sim.trace`).
         self.tracer = None
@@ -181,44 +168,8 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers *delay* µs from now.
-
-        This is the single hottest allocation site in the repository
-        (every wire hop, DMA transfer and pipeline occupancy is one
-        timeout), so it builds the :class:`Timeout` inline via
-        ``__new__`` — one frame instead of ``timeout()`` →
-        ``type.__call__`` → ``Timeout.__init__`` — and inlines the
-        calendar push (:meth:`_push`) rather than paying a second
-        frame.  The stores below mirror :meth:`Timeout.__init__`.
-        """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        timeout = _new_timeout(Timeout)
-        timeout.sim = self
-        timeout.callbacks = []
-        timeout._state = _TRIGGERED
-        timeout._value = value
-        timeout._exception = None
-        timeout.delay = delay
-        when = self._now + delay
-        if self._running:
-            entry = (when, self._tie_next(), timeout)
-            bucket = int(when * self._inv_width)
-            if bucket == self._draining:
-                heappush(self._fresh, entry)
-            elif bucket < self._limit:
-                buckets = self._buckets
-                pending = buckets.get(bucket)
-                if pending is None:
-                    buckets[bucket] = [entry]
-                    heappush(self._active, bucket)
-                else:
-                    pending.append(entry)
-            else:
-                heappush(self._overflow, entry)
-        else:
-            self._staged.append((when, self._tie_next(), timeout))
-        return timeout
+        """Create an event that triggers *delay* µs from now."""
+        return Timeout(self, delay, value)
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a new process running *generator* in virtual time."""
@@ -246,10 +197,9 @@ class Simulator:
         same-timestamp events therefore process in a seed-determined
         shuffle (unique keys, reproducible run-to-run), while
         cross-timestamp order is untouched.  Entries already queued
-        (staged, bucketed or overflowed) are re-keyed so
-        construction-time ties are perturbed too.  The calendar is
-        collapsed back into the staging list; the next ``run``/``step``
-        redistributes with the new keys.
+        (bucketed or overflowed) are taken out and re-filed in their
+        current order, so they draw new keys too and construction-time
+        ties are perturbed as well.
 
         ``perturb_ties(None)`` restores exact FIFO.  The default path is
         untouched: no extra work, and golden traces stay byte-identical.
@@ -258,20 +208,15 @@ class Simulator:
             raise RuntimeError("cannot perturb ties while the loop is running")
         self._tiebreak = count() if seed is None else _perturbed_ties(seed)
         self._tie_next = self._tiebreak.__next__
-        entries = self._staged
-        if self._buckets or self._overflow:
-            for pending in self._buckets.values():
-                entries.extend(pending)
-            entries.extend(self._overflow)
-            self._buckets = {}
-            self._active = []
-            self._overflow = []
-        if entries:
-            entries.sort()  # current (when, tiebreak) FIFO order
-            self._staged = [
-                (when, self._tie_next(), event)
-                for when, _, event in entries
-            ]
+        entries = self._overflow[:]
+        for pending in self._buckets.values():
+            entries.extend(pending)
+        entries.sort()  # current (when, tiebreak) order
+        self._buckets.clear()
+        del self._active[:]
+        del self._overflow[:]
+        for when, _tie, event in entries:
+            self._push(when, event)
 
     # ------------------------------------------------------------------
     # Scheduling internals (used by Event/Timeout)
@@ -279,69 +224,35 @@ class Simulator:
     def _push(self, when: float, event: Event) -> None:
         """The one scheduling primitive: enqueue *event* at *when*.
 
-        Every entry shares this tuple shape and tiebreak counter (the
-        :meth:`timeout` fast lane replicates it verbatim); FIFO order
-        among same-timestamp events is therefore global.  While the
-        loop runs, the entry goes straight into the calendar: the
-        drained bucket's ``fresh`` heap, an O(1) bucket append, or the
-        overflow heap past the horizon.
+        Every entry gets its tuple shape and tiebreak here, so FIFO
+        order among same-timestamp events is global.  The entry goes to
+        the drained bucket's ``fresh`` heap (``_draining`` is -1 unless
+        a callback is scheduling), to its bucket with an O(1) append,
+        or to the overflow heap past the horizon.
         """
-        if self._running:
-            entry = (when, self._tie_next(), event)
-            bucket = int(when * self._inv_width)
-            if bucket == self._draining:
-                heappush(self._fresh, entry)
-            elif bucket < self._limit:
-                buckets = self._buckets
-                pending = buckets.get(bucket)
-                if pending is None:
-                    buckets[bucket] = [entry]
-                    heappush(self._active, bucket)
-                else:
-                    pending.append(entry)
+        entry = (when, self._tie_next(), event)
+        bucket = int(when * self._inv_width)
+        if bucket == self._draining:
+            heappush(self._fresh, entry)
+        elif bucket < self._limit:
+            buckets = self._buckets
+            pending = buckets.get(bucket)
+            if pending is None:
+                buckets[bucket] = [entry]
+                heappush(self._active, bucket)
             else:
-                heappush(self._overflow, entry)
+                pending.append(entry)
         else:
-            self._staged.append((when, self._tie_next(), event))
+            heappush(self._overflow, entry)
 
     def _schedule_at(self, when: float, event: Event) -> None:
         if when < self._now:
             raise ValueError(f"cannot schedule into the past: {when} < {self._now}")
         self._push(when, event)
 
-    def _enqueue_triggered(self, event: Event) -> None:
-        self._push(self._now, event)
-
     # ------------------------------------------------------------------
     # Calendar maintenance
     # ------------------------------------------------------------------
-    def _absorb(self) -> None:
-        """Distribute the idle-time staging list into calendar buckets.
-
-        Runs once at the top of :meth:`run`/:meth:`step`.  Entries keep
-        their construction-time tiebreaks, and every bucket is sorted
-        by the full ``(when, tiebreak)`` key before draining, so the
-        distribution order never affects processing order.
-        """
-        staged = self._staged
-        self._staged = []
-        inv_width = self._inv_width
-        limit = self._limit
-        buckets = self._buckets
-        active = self._active
-        overflow = self._overflow
-        for entry in staged:
-            bucket = int(entry[0] * inv_width)
-            if bucket >= limit:
-                heappush(overflow, entry)
-                continue
-            pending = buckets.get(bucket)
-            if pending is None:
-                buckets[bucket] = [entry]
-                heappush(active, bucket)
-            else:
-                pending.append(entry)
-
     def _migrate(self) -> None:
         """Advance the horizon and pull due overflow entries into buckets.
 
@@ -392,39 +303,19 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Process the single earliest scheduled event."""
-        if self._staged:
-            self._absorb()
-        active = self._active
-        if not active:
-            if not self._overflow:
-                raise EmptySchedule()
-            self._migrate()
-        bucket = active[0]
-        pending = self._buckets[bucket]
-        if len(pending) > 1:
-            pending.sort()
-        entry = pending.pop(0)
-        if not pending:
-            heappop(active)
-            del self._buckets[bucket]
-        when = entry[0]
-        event = entry[2]
-        self._now = when
-        event._state = _PROCESSED
-        callbacks = event.callbacks
-        profiler = self.profiler
-        if profiler is not None:
-            event.callbacks = []
-            started = profiler.clock()
-            for callback in callbacks:
-                callback(event)
-            profiler.account(event, callbacks, when,
-                             profiler.clock() - started)
-        elif callbacks:
-            event.callbacks = []
-            for callback in callbacks:
-                callback(event)
+        """Process the single earliest scheduled event.
+
+        Raises :class:`EmptySchedule` when nothing is scheduled.
+        """
+        if self._running:
+            raise RuntimeError("step() called from inside the event loop")
+        if self._active:
+            head = min(self._buckets[self._active[0]])
+        elif self._overflow:
+            head = self._overflow[0]
+        else:
+            raise EmptySchedule()
+        self._drain(head[2], inf)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the event loop.
@@ -435,7 +326,7 @@ class Simulator:
           its value (raising its exception if it failed).
         """
         sentinel: Event | None = None
-        deadline: float | None = None
+        deadline = inf
         if isinstance(until, Event):
             sentinel = until
             if sentinel._state == _PROCESSED:
@@ -447,16 +338,7 @@ class Simulator:
 
         if self._running:
             raise RuntimeError("run() called from inside the event loop")
-        if self._staged:
-            self._absorb()
-        self._running = True
-        try:
-            if sentinel is None and deadline is None:
-                self._drain_fast()
-            else:
-                self._drain(sentinel, deadline)
-        finally:
-            self._running = False
+        self._drain(sentinel, deadline)
 
         if sentinel is not None:
             if sentinel._state != _PROCESSED:
@@ -465,147 +347,54 @@ class Simulator:
                     "event triggered (deadlock?)"
                 )
             return sentinel.value
-        if deadline is not None:
+        if deadline != inf:
             self._now = deadline
         return None
 
-    def _drain_fast(self) -> None:
-        """Calendar drain for bare ``run()``: no sentinel, no deadline.
+    def _drain(self, sentinel: Event | None, deadline: float) -> None:
+        """The event loop: process entries in ``(when, tiebreak)`` order.
 
-        The dominant mode (every workload that runs to completion), so
-        it carries none of the per-event deadline/sentinel compares of
-        :meth:`_drain`.  Each pass pops the smallest active bucket id,
-        sorts that bucket once, and walks it with a plain ``for`` — the
-        ``_END`` marker's infinite timestamp flushes the fresh heap
-        before the walk concludes, so callback-scheduled same-bucket
-        events interleave exactly as the global (when, tie) order
-        demands.  On a callback exception the ``finally`` block puts
-        every unprocessed entry back (processed events are marked, so
-        membership is recoverable without tracking an index).
+        Stops when nothing is scheduled, once *sentinel* has been
+        processed, or before the first entry later than *deadline*
+        (``inf`` for none).  However it exits — a raising callback
+        included — the calendar holds exactly the unprocessed events:
+        the ``finally`` re-files the unwalked snapshot tail and the
+        fresh heap.
         """
         buckets = self._buckets
         active = self._active
         fresh = self._fresh
-        while True:
-            if not active:
-                if self._overflow:
+        bucket = index = 0
+        snapshot: list[tuple[float, int, Event]] = []
+        self._running = True
+        try:
+            while True:
+                if not active:
+                    if not self._overflow:
+                        return
                     self._migrate()
-                    continue
-                return
-            bucket = heappop(active)
-            snapshot = buckets.pop(bucket)
-            if len(snapshot) > 1:
-                snapshot.sort()
-            snapshot.append(_END)
-            self._draining = bucket
-            done = False
-            try:
-                # Tuple unpack in the for header: UNPACK_SEQUENCE on a
-                # 3-tuple is cheaper than two indexed loads per entry.
-                for when, _tie, event in snapshot:
-                    while fresh and fresh[0][0] < when:
-                        # A callback scheduled into this bucket, earlier
-                        # than the next snapshot entry: interleave it.
-                        # Ties go to the snapshot (its tiebreaks are
-                        # older).
-                        fwhen, _ftie, fevent = heappop(fresh)
-                        self._now = fwhen
-                        fevent._state = _PROCESSED
-                        callbacks = fevent.callbacks
-                        profiler = self.profiler
-                        if profiler is not None:
-                            fevent.callbacks = []
-                            started = profiler.clock()
-                            for callback in callbacks:
-                                callback(fevent)
-                            profiler.account(fevent, callbacks, fwhen,
-                                             profiler.clock() - started)
-                        elif callbacks:
-                            fevent.callbacks = []
-                            for callback in callbacks:
-                                callback(fevent)
-                    if event is None:
-                        break  # the _END marker: bucket fully drained
-                    self._now = when
-                    event._state = _PROCESSED
-                    callbacks = event.callbacks
-                    profiler = self.profiler
-                    if profiler is not None:
-                        # Profiled lane: bracket the callbacks with the
-                        # profiler's host clock and attribute the event.
-                        # The detached lane below is untouched — its
-                        # cost is the one attribute load + `is` check.
-                        event.callbacks = []
-                        started = profiler.clock()
-                        for callback in callbacks:
-                            callback(event)
-                        profiler.account(event, callbacks, when,
-                                         profiler.clock() - started)
-                    elif callbacks:
-                        event.callbacks = []
-                        for callback in callbacks:
-                            callback(event)
-                done = True
-            finally:
-                self._draining = -1
-                if not done:
-                    remaining = []
-                    for entry in snapshot:
-                        if entry is not _END and entry[2]._state != _PROCESSED:
-                            remaining.append(entry)
-                    self._restore(bucket, remaining)
-
-    def _drain(self, sentinel: Event | None, deadline: float | None) -> None:
-        """Calendar drain with sentinel/deadline early exit.
-
-        Exits with the calendar holding exactly the unprocessed events
-        — including when a callback raises (the ``finally`` restores
-        the unconsumed snapshot tail and the fresh heap).
-        """
-        buckets = self._buckets
-        active = self._active
-        fresh = self._fresh
-        width = self._width
-        while True:
-            if not active:
-                if self._overflow:
-                    self._migrate()
-                    continue
-                return
-            bucket = active[0]
-            if deadline is not None and bucket * width > deadline:
-                return  # whole bucket starts past the deadline
-            heappop(active)
-            snapshot = buckets.pop(bucket)
-            if len(snapshot) > 1:
-                snapshot.sort()
-            self._draining = bucket
-            index = 0
-            size = len(snapshot)
-            try:
+                bucket = active[0]
+                if bucket * self._width > deadline:
+                    return  # whole bucket starts past the deadline
+                heappop(active)
+                snapshot = buckets.pop(bucket)
+                if len(snapshot) > 1:
+                    snapshot.sort()
+                size = len(snapshot)
+                index = 0
+                self._draining = bucket
                 while True:
-                    if index < size:
-                        entry = snapshot[index]
-                        when = entry[0]
-                        if fresh and fresh[0][0] < when:
-                            # Interleave a callback-scheduled entry;
-                            # ties go to the snapshot (older tiebreaks).
-                            if deadline is not None and fresh[0][0] > deadline:
-                                return
-                            entry = heappop(fresh)
-                            when = entry[0]
-                            event = entry[2]
-                        else:
-                            if deadline is not None and when > deadline:
-                                return
-                            event = entry[2]
-                            index += 1
-                    elif fresh:
-                        if deadline is not None and fresh[0][0] > deadline:
+                    # Next entry: the snapshot's, unless a callback has
+                    # scheduled an earlier one into this bucket.
+                    if index < size and not (fresh and fresh[0] < snapshot[index]):
+                        when, _tie, event = snapshot[index]
+                        if when > deadline:
                             return
-                        entry = heappop(fresh)
-                        when = entry[0]
-                        event = entry[2]
+                        index += 1
+                    elif fresh:
+                        if fresh[0][0] > deadline:
+                            return
+                        when, _tie, event = heappop(fresh)
                     else:
                         break
                     self._now = when
@@ -613,6 +402,8 @@ class Simulator:
                     callbacks = event.callbacks
                     profiler = self.profiler
                     if profiler is not None:
+                        # Profiled lane: bracket the callbacks with the
+                        # profiler's host clock and attribute the event.
                         event.callbacks = []
                         started = profiler.clock()
                         for callback in callbacks:
@@ -625,10 +416,12 @@ class Simulator:
                             callback(event)
                     if event is sentinel:
                         return
-            finally:
                 self._draining = -1
-                if index < size or fresh:
-                    self._restore(bucket, snapshot[index:])
+        finally:
+            self._running = False
+            if self._draining != -1:
+                self._draining = -1
+                self._restore(bucket, snapshot[index:])
 
     # ------------------------------------------------------------------
     # Convenience

@@ -9,10 +9,9 @@ it).  This mirrors the SimPy programming model, which keeps protocol code
 Hot path: every message, DMA transfer and HMAC occupancy in the
 repository becomes at least one :class:`Timeout`, so this module is on
 the wall-clock critical path of every reproduced figure.  All event
-classes carry ``__slots__`` and :class:`Timeout` schedules itself
-directly onto the simulator's heap (the *fast lane*), bypassing the
-generic ``succeed``/``_schedule_at`` machinery — without changing when
-anything happens in virtual time.
+classes carry ``__slots__``, and every trigger path (``succeed``,
+``fail``, the :class:`Timeout` constructor) schedules through the
+simulator's one primitive, ``Simulator._push``.
 """
 
 from __future__ import annotations
@@ -92,8 +91,6 @@ class Event:
             # A trigger is a causality edge: whoever resumes on this
             # event happens-after everything the triggering context did.
             sanitizer.event_triggered(self)
-        # Inlined _enqueue_triggered: succeed() is the wake-up edge of
-        # every Resource/Store handoff, so skip the one-line hop.
         sim._push(sim._now, self)
         return self
 
@@ -113,9 +110,6 @@ class Event:
         sim._push(sim._now, self)
         return self
 
-    def _mark_processed(self) -> None:
-        self._state = Event.PROCESSED
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} state={self._state}>"
 
@@ -123,14 +117,11 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed virtual-time delay.
 
-    The constructor is the kernel's scheduling fast lane: a timeout is
-    born already TRIGGERED and schedules itself into the simulator's
-    calendar in one step, skipping ``Event.__init__`` + ``succeed()`` +
-    ``_schedule_at`` for the dominant plain-delay case.  It still draws
-    its tiebreak from the simulator's single counter (via ``_push``),
-    so FIFO ordering against every other scheduling path is preserved
-    exactly.  ``Simulator.timeout`` additionally inlines the calendar
-    push itself; this constructor serves direct ``Timeout(...)`` uses.
+    A timeout is born already TRIGGERED and schedules itself in the
+    constructor, skipping ``Event.__init__`` + ``succeed()`` for the
+    dominant plain-delay case.  It draws its tiebreak from the
+    simulator's single counter (via ``_push``), so FIFO ordering
+    against every other scheduling path is preserved exactly.
     """
 
     __slots__ = ("delay",)

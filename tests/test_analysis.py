@@ -19,7 +19,6 @@ from repro.analysis import (
     analyze_paths,
     collect_findings,
     collect_sources,
-    default_package_root,
     render_json,
     render_sarif,
     render_text,
@@ -441,9 +440,8 @@ def test_shipped_codebase_lints_clean_against_baseline():
 
 
 @pytest.mark.lint
-def test_tcb_accounting_measures_trusted_split_and_emits_artifact():
-    sources = collect_sources([default_package_root()])
-    report = TcbReport.from_sources(sources)
+def test_tcb_accounting_measures_trusted_split_and_emits_artifact(real_sources):
+    report = TcbReport.from_sources(real_sources)
     assert report.trusted_loc > 0
     assert report.untrusted_loc > report.trusted_loc
     payload = report.to_json()

@@ -1,8 +1,8 @@
 """Calendar-queue edge cases (ISSUE 9).
 
 The scheduler's correctness contract is ordering: global
-``(time, tiebreak)`` order regardless of which bucket, heap or staging
-list an entry travelled through.  These tests pin the boundaries where
+``(time, tiebreak)`` order regardless of which bucket or heap an entry
+travelled through.  These tests pin the boundaries where
 a calendar queue differs structurally from the old binary heap —
 bucket-boundary ties, scheduling into the bucket being drained, the
 overflow horizon, and the ``perturb_ties`` seam.
@@ -45,11 +45,11 @@ def test_same_timestamp_fifo_at_a_bucket_boundary():
     """Ties at an exact bucket-boundary instant keep scheduling order."""
     sim = Simulator()
     order: list[str] = []
-    # Staged while idle (the pre-run path)...
+    # Scheduled while idle...
     sim.delayed_call(4.0, lambda: order.append("a"))
     sim.delayed_call(4.0, lambda: order.append("b"))
     # ...then, during the run, an earlier event schedules two more onto
-    # the same boundary instant through the calendar path.
+    # the same boundary instant.
     def from_bucket_one() -> None:
         sim.delayed_call(3.0, lambda: order.append("c"))
         sim.delayed_call(3.0, lambda: order.append("d"))
@@ -224,7 +224,7 @@ def test_perturb_ties_rekeys_entries_already_in_the_calendar():
     for index in range(6):
         sim.delayed_call(5.0, lambda index=index: order.append(index))
     sim.delayed_call(horizon_us + 3.5, lambda: order.append("overflowed"))
-    sim.run(until=1.0)  # distributes staged entries into the calendar
+    sim.run(until=1.0)
     sim.perturb_ties(11)
     sim.run()
     assert sorted(order[:-1]) == list(range(6))

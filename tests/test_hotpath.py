@@ -28,7 +28,7 @@ from repro.analysis.hotpath import (
     hotpath_manifest,
 )
 from repro.analysis.rules import collect_findings, rule_catalog, run_rules
-from repro.analysis.walker import collect_sources, default_package_root
+from repro.analysis.walker import collect_sources
 
 FIXTURES = Path(__file__).parent / "fixtures" / "hotpath"
 
@@ -206,8 +206,8 @@ def test_perf_rules_carry_explanations():
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def real_sources():
-    return collect_sources([default_package_root()])
+def real_manifest(real_sources):
+    return hotpath_manifest(real_sources)
 
 
 @pytest.mark.lint
@@ -217,13 +217,13 @@ def test_real_tree_has_no_unwaived_perf_findings(real_sources):
 
 
 @pytest.mark.lint
-def test_real_tree_closure_covers_the_kernel_datapath(real_sources):
-    manifest = hotpath_manifest(real_sources)
-    drain = manifest["entry_points"]["repro.sim.clock.Simulator._drain"]
+def test_real_tree_closure_covers_the_kernel_datapath(real_manifest):
+    entry_points = real_manifest["entry_points"]
+    drain = entry_points["repro.sim.clock.Simulator._drain"]
     # The drain loop dispatches triggered events into their callbacks.
-    assert "repro.sim.events.Event.succeed" in manifest["entry_points"]
+    assert "repro.sim.events.Event.succeed" in entry_points
     assert "repro.sim.clock.Simulator._drain" in drain["reachable"]
-    tx = manifest["entry_points"]["repro.core.device.TnicDevice._tx_path"]
+    tx = entry_points["repro.core.device.TnicDevice._tx_path"]
     # Device tx reaches the RoCE segmentation path interprocedurally.
     assert any(
         q.endswith("RoceKernel._segment") for q in tx["reachable"]
@@ -231,7 +231,7 @@ def test_real_tree_closure_covers_the_kernel_datapath(real_sources):
 
 
 @pytest.mark.lint
-def test_real_tree_matches_the_committed_manifest(real_sources):
+def test_real_tree_matches_the_committed_manifest(real_manifest):
     import json
 
     committed_path = (
@@ -239,9 +239,22 @@ def test_real_tree_matches_the_committed_manifest(real_sources):
         / "benchmarks" / "results" / "hotpath_manifest.json"
     )
     committed = json.loads(committed_path.read_text())
-    fresh = hotpath_manifest(real_sources)
-    assert fresh["totals"] == committed["totals"], (
+
+    def costs(manifest):
+        return {
+            name: (stats["allocation_sites"], stats["emit_sites"]["ungated"])
+            for name, stats in manifest["functions"].items()
+        }
+
+    was, now = costs(committed), costs(real_manifest)
+    differing = [
+        f"{name}: (allocation sites, ungated emits) "
+        f"{was.get(name)} -> {now.get(name)}"
+        for name in sorted(was.keys() | now.keys())
+        if was.get(name) != now.get(name)
+    ]
+    assert real_manifest["totals"] == committed["totals"] and not differing, (
         "hot-path manifest drifted; regenerate with "
         "`python -m repro lint --hotpath-manifest "
-        "benchmarks/results/hotpath_manifest.json`"
+        "benchmarks/results/hotpath_manifest.json`\n" + "\n".join(differing)
     )

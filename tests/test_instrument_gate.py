@@ -12,7 +12,9 @@ tree — the gating must not be achieved by smuggling imports.
 
 import pytest
 
-from repro.analysis import analyze_paths
+from repro.analysis.boundaries import TrustedBoundaryRule
+from repro.analysis.observability import TelemetryWallClockRule
+from repro.analysis.rules import run_rules
 from repro.api import Cluster, auth_send
 from repro.net.packet import Packet
 from repro.sim import Simulator
@@ -102,7 +104,8 @@ def test_hub_not_invoked_when_telemetry_detached(monkeypatch):
     assert invoked == []
 
 
-def test_obs001_and_bnd001_stay_clean_on_real_tree():
-    findings = analyze_paths()
-    flagged = [f for f in findings if f.rule in ("OBS001", "BND001")]
+def test_obs001_and_bnd001_stay_clean_on_real_tree(real_sources):
+    flagged = run_rules(
+        real_sources, [TelemetryWallClockRule(), TrustedBoundaryRule()]
+    )
     assert flagged == [], [f.message for f in flagged]

@@ -28,6 +28,7 @@ from repro.analysis.rules import (
     Rule,
     collect_findings,
     rule_catalog,
+    run_rules,
 )
 from repro.sanitizer import Sanitizer, derive_seed, run_sanitize
 from repro.sanitizer.perturb import SCENARIOS
@@ -80,10 +81,8 @@ def test_clean_corpus_is_silent():
     assert _corpus_findings("clean") == []
 
 
-def test_real_tree_has_no_unwaived_race_findings():
-    from repro.analysis import analyze_paths
-
-    flagged = [f for f in analyze_paths() if f.rule.startswith("RACE")]
+def test_real_tree_has_no_unwaived_race_findings(real_sources):
+    flagged = run_rules(real_sources, [cls() for cls in INTERFERENCE_RULES])
     assert flagged == [], [f"{f.module}:{f.line} {f.rule}" for f in flagged]
 
 

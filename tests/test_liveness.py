@@ -34,7 +34,7 @@ from repro.analysis.liveness import (
     wait_graph,
 )
 from repro.analysis.rules import collect_findings, run_rules
-from repro.analysis.walker import collect_sources, default_package_root
+from repro.analysis.walker import collect_sources
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "liveness"
@@ -172,8 +172,8 @@ def test_engine_hits_are_deterministically_ordered():
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def real_sources():
-    return collect_sources([default_package_root()])
+def real_graph(real_sources):
+    return wait_graph(real_sources)
 
 
 @pytest.mark.lint
@@ -183,22 +183,20 @@ def test_real_tree_has_no_unwaived_liv_findings(real_sources):
 
 
 @pytest.mark.lint
-def test_real_tree_every_system_is_deadlock_free(real_sources):
-    graph = wait_graph(real_sources)
-    for name, system in graph["systems"].items():
+def test_real_tree_every_system_is_deadlock_free(real_graph):
+    for name, system in real_graph["systems"].items():
         assert system["deadlock_free"] is True, (
             f"{name} has wait-for cycles: {system['cycles']}"
         )
 
 
 @pytest.mark.lint
-def test_committed_wait_graph_matches_fresh_emission(real_sources):
-    # The artifact scripts/check.sh gates against must be regenerated
-    # whenever the liveness surface changes:
+def test_committed_wait_graph_matches_fresh_emission(real_graph):
+    # The artifact CI uploads must be regenerated whenever the liveness
+    # surface changes:
     #   python -m repro lint --wait-graph benchmarks/results/wait_graph.json
     committed = json.loads(ARTIFACT.read_text(encoding="utf-8"))
-    fresh = wait_graph(real_sources)
-    assert committed == fresh, (
+    assert committed == real_graph, (
         "benchmarks/results/wait_graph.json is stale — regenerate with "
         "`python -m repro lint --wait-graph benchmarks/results/"
         "wait_graph.json`"
@@ -206,12 +204,11 @@ def test_committed_wait_graph_matches_fresh_emission(real_sources):
 
 
 @pytest.mark.lint
-def test_real_tree_waived_leaks_still_counted(real_sources):
+def test_real_tree_waived_leaks_still_counted(real_graph):
     # Resource.locked is acquire-only by design: waived inline, but the
     # pre-waiver inventory must still carry the site.
-    graph = wait_graph(real_sources)
     locked = [
-        leak for leak in graph["leaks"]
+        leak for leak in real_graph["leaks"]
         if leak["module"] == "repro.sim.resources"
     ]
     assert len(locked) == 1

@@ -29,7 +29,7 @@ from repro.analysis.ownership import (
     partition_manifest,
 )
 from repro.analysis.rules import collect_findings, rule_catalog, run_rules
-from repro.analysis.walker import collect_sources, default_package_root
+from repro.analysis.walker import collect_sources
 from repro.sim.shard import CrossShard, cross_shard
 
 FIXTURES = Path(__file__).parent / "fixtures" / "ownership"
@@ -203,8 +203,8 @@ def test_shd_rules_carry_explanations():
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def real_sources():
-    return collect_sources([default_package_root()])
+def real_manifest(real_sources):
+    return partition_manifest(real_sources)
 
 
 @pytest.mark.lint
@@ -218,18 +218,18 @@ def test_real_tree_has_no_unwaived_shd_findings(real_sources):
 
 
 @pytest.mark.lint
-def test_manifest_chain_and_a2m_are_shardable(real_sources):
-    manifest = partition_manifest(real_sources)
-    assert set(manifest["systems"]) == set(SYSTEM_MODULES)
-    assert manifest["systems"]["chain"]["shardable"] is True
-    assert manifest["systems"]["a2m"]["shardable"] is True
-    assert manifest["systems"]["chain"]["blocking_findings"] == []
-    assert manifest["systems"]["a2m"]["blocking_findings"] == []
+def test_manifest_chain_and_a2m_are_shardable(real_manifest):
+    systems = real_manifest["systems"]
+    assert set(systems) == set(SYSTEM_MODULES)
+    assert systems["chain"]["shardable"] is True
+    assert systems["a2m"]["shardable"] is True
+    assert systems["chain"]["blocking_findings"] == []
+    assert systems["a2m"]["blocking_findings"] == []
 
 
 @pytest.mark.lint
-def test_manifest_peer_review_blocked_only_by_waived_findings(real_sources):
-    system = partition_manifest(real_sources)["systems"]["peer_review"]
+def test_manifest_peer_review_blocked_only_by_waived_findings(real_manifest):
+    system = real_manifest["systems"]["peer_review"]
     assert system["shardable"] is False
     assert system["blocking_findings"], "expected blocking findings"
     # Every blocker carries an inline rationale waiver: the lint gate is
@@ -238,9 +238,8 @@ def test_manifest_peer_review_blocked_only_by_waived_findings(real_sources):
 
 
 @pytest.mark.lint
-def test_manifest_edges_carry_endpoints_and_message_types(real_sources):
-    manifest = partition_manifest(real_sources)
-    chain_edges = manifest["systems"]["chain"]["cross_shard_edges"]
+def test_manifest_edges_carry_endpoints_and_message_types(real_manifest):
+    chain_edges = real_manifest["systems"]["chain"]["cross_shard_edges"]
     assert chain_edges, "chain should have channel edges"
     for edge in chain_edges:
         assert edge["kind"] in ("send", "broadcast", "put")
@@ -252,8 +251,8 @@ def test_manifest_edges_carry_endpoints_and_message_types(real_sources):
 
 
 @pytest.mark.lint
-def test_manifest_state_sets_partition_every_attribute(real_sources):
-    chain = partition_manifest(real_sources)["systems"]["chain"]
+def test_manifest_state_sets_partition_every_attribute(real_manifest):
+    chain = real_manifest["systems"]["chain"]
     state = chain["state"]
     assert "_ChainNode.store" in state["replica-local"]
     assert "_ChainNode.inbox" in state["link"]
@@ -268,9 +267,31 @@ def test_manifest_state_sets_partition_every_attribute(real_sources):
 
 
 @pytest.mark.lint
-def test_manifest_replica_roles_match_topology(real_sources):
-    systems = partition_manifest(real_sources)["systems"]
+def test_manifest_replica_roles_match_topology(real_manifest):
+    systems = real_manifest["systems"]
     assert systems["chain"]["classes"]["_ChainNode"]["role"] == "replica"
     assert systems["chain"]["classes"]["ChainReplication"]["role"] == "singleton"
     assert systems["bft"]["classes"]["_Replica"]["role"] == "replica"
     assert systems["peer_review"]["classes"]["Witness"]["role"] == "replica"
+
+
+@pytest.mark.lint
+def test_manifest_verdicts_match_the_committed_manifest(real_manifest):
+    import json
+
+    committed = json.loads(
+        (Path(__file__).parent.parent / "benchmarks" / "results"
+         / "partition_manifest.json").read_text()
+    )
+
+    def verdicts(manifest):
+        return {
+            name: (system["shardable"], system["blocking_findings"])
+            for name, system in manifest["systems"].items()
+        }
+
+    assert verdicts(real_manifest) == verdicts(committed), (
+        "partition manifest drifted; regenerate with "
+        "`python -m repro lint --partition-manifest "
+        "benchmarks/results/partition_manifest.json`"
+    )

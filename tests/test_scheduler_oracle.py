@@ -1,0 +1,194 @@
+"""Differential oracle for the calendar-queue scheduler.
+
+The scheduler's whole contract is *order*: events process in global
+``(when, tiebreak)`` order, whichever bucket, heap or restore path an
+entry travelled through.  ``HeapScheduler`` below states that contract
+as one binary heap; random programs must leave the identical
+``(now, label)`` trace on it and on :class:`repro.sim.Simulator`.
+"""
+
+from __future__ import annotations
+
+from heapq import heappop, heappush
+from itertools import count
+from math import inf
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.sim.clock import (
+    CALENDAR_HORIZON_BUCKETS as HORIZON,
+    EmptySchedule,
+    Simulator,
+    _perturbed_ties,
+)
+
+
+class HeapEvent:
+    def __init__(self, sched: "HeapScheduler") -> None:
+        self.sched, self.callbacks, self.processed = sched, [], False
+
+    def succeed(self) -> None:
+        self.sched._push(self.sched.now, self)
+
+
+class HeapScheduler:
+    """The reference: one heap of ``(when, tie, event)``."""
+
+    def __init__(self) -> None:
+        self.now, self._heap, self._ties = 0.0, [], count()
+
+    def _push(self, when: float, event: HeapEvent) -> None:
+        heappush(self._heap, (when, next(self._ties), event))
+
+    def event(self) -> HeapEvent:
+        return HeapEvent(self)
+
+    def timeout(self, delay: float) -> HeapEvent:
+        event = HeapEvent(self)
+        self._push(self.now + delay, event)
+        return event
+
+    def delayed_call(self, delay: float, fn) -> HeapEvent:
+        event = self.timeout(delay)
+        event.callbacks.append(lambda _event: fn())
+        return event
+
+    def perturb_ties(self, seed: int | None) -> None:
+        self._ties = count() if seed is None else _perturbed_ties(seed)
+        entries, self._heap = sorted(self._heap), []
+        for when, _tie, event in entries:
+            self._push(when, event)
+
+    def step(self) -> None:
+        if not self._heap:
+            raise EmptySchedule()
+        self.run(self._heap[0][2])
+
+    def run(self, until=None) -> None:
+        sentinel = until if isinstance(until, HeapEvent) else None
+        deadline = inf if isinstance(until, (HeapEvent, type(None))) else until
+        if sentinel is not None and sentinel.processed:
+            return
+        while self._heap and self._heap[0][0] <= deadline:
+            self.now, _tie, event = heappop(self._heap)
+            event.processed = True
+            callbacks, event.callbacks = event.callbacks, []
+            for callback in callbacks:
+                callback(event)
+            if event is sentinel:
+                return
+        if deadline != inf:
+            self.now = deadline
+
+
+class Boom(Exception):
+    """The injected callback failure."""
+
+
+# Delays on a 0.25 µs grid (exact floats, plenty of ties) reaching the
+# bucket being drained, the next bucket boundary, later buckets, and
+# past the overflow horizon.
+DELAYS = st.sampled_from(
+    [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.25, 7.0,
+     HORIZON - 0.25, HORIZON + 0.5, 2.0 * HORIZON + 0.25]
+)
+SEEDS = st.one_of(st.none(), st.integers(0, 7))
+
+# (kind, delay, children): schedule one event whose callback logs,
+# schedules its children and, for kind "raise", then raises.
+KINDS = st.sampled_from(["timeout", "call", "succeed", "raise"])
+ACTIONS = st.recursive(
+    st.tuples(KINDS, DELAYS, st.just(())),
+    lambda children: st.tuples(
+        KINDS, DELAYS, st.lists(children, min_size=1, max_size=3).map(tuple)),
+    max_leaves=8,
+)
+COMMANDS = st.one_of(
+    st.tuples(st.just("schedule"), ACTIONS),
+    st.tuples(st.just("step"), st.none()),
+    st.tuples(st.just("run"), st.none()),
+    st.tuples(st.just("run_for"), DELAYS),
+    st.tuples(st.just("run_event"), st.integers(0, 63)),
+    st.tuples(st.just("perturb"), SEEDS),
+)
+
+
+def trace_of(sched, program) -> list:
+    """Interpret *program* on *sched*; return everything observable."""
+    trace: list = []
+    created: list = []
+    labels = count()
+
+    def schedule(action) -> None:
+        kind, delay, children = action
+        label = next(labels)
+
+        def fire(_event=None) -> None:
+            trace.append((sched.now, label))
+            for child in children:
+                schedule(child)
+            if kind == "raise":
+                raise Boom(label)
+
+        if kind == "call":
+            created.append(sched.delayed_call(delay, fire))
+        else:
+            event = sched.event() if kind == "succeed" else sched.timeout(delay)
+            event.callbacks.append(fire)
+            if kind == "succeed":
+                event.succeed()
+            created.append(event)
+
+    def command(op, arg) -> None:
+        if op == "schedule":
+            schedule(arg)
+        elif op == "step":
+            sched.step()
+        elif op == "run":
+            sched.run()
+        elif op == "run_for":
+            sched.run(until=sched.now + arg)
+        elif op == "run_event" and created:
+            sched.run(until=created[arg % len(created)])
+        elif op == "perturb":
+            sched.perturb_ties(arg)
+
+    def attempt(op, arg) -> bool:
+        try:
+            command(op, arg)
+        except (Boom, EmptySchedule) as stop:
+            trace.append((sched.now, type(stop).__name__))
+            return False
+        finally:
+            trace.append(("now", sched.now))
+        return True
+
+    for op, arg in program:
+        attempt(op, arg)
+    while not attempt("run", None):
+        pass  # flush what the program left queued, one failure at a time
+    return trace
+
+
+T, C, S, R = "timeout", "call", "succeed", "raise"
+
+
+@given(st.lists(COMMANDS, max_size=24))
+@settings(max_examples=400, deadline=None)
+# Idle scheduling into a bucket that a deadline left half-drained, then
+# single steps through it and across the overflow horizon.
+@example([("schedule", (T, 0.25, ())), ("schedule", (T, 0.75, ())),
+          ("schedule", (C, HORIZON + 0.5, ((T, 0.25, ()),))),
+          ("run_for", 0.5), ("schedule", (S, 0.0, ((T, 0.0, ()),))),
+          ("schedule", (T, 0.25, ())), ("step", None), ("step", None),
+          ("step", None), ("step", None), ("step", None), ("step", None)])
+# A raising callback mid-bucket, idle scheduling into the restored
+# bucket, a mid-way re-key, and a sentinel that is a fresh-heap entry.
+@example([("schedule", (T, 1.25, ((C, 0.25, ()), (S, 0.0, ()), (R, 0.5, ())))),
+          ("schedule", (T, 1.75, ())), ("schedule", (T, 1.5, ())),
+          ("run", None), ("schedule", (T, 0.0, ())), ("perturb", 3),
+          ("schedule", (T, 0.0, ((T, 0.0, ()), (T, 0.0, ())))),
+          ("run_event", 1), ("perturb", None), ("run_for", 1.0)])
+def test_random_programs_trace_like_the_reference_heap(program):
+    assert trace_of(Simulator(), program) == trace_of(HeapScheduler(), program)

@@ -258,9 +258,8 @@ def test_same_timestamp_fifo_across_scheduling_paths():
     sim = Simulator()
     order = []
 
-    # Interleave the three scheduling paths at the same instant: the
-    # Timeout fast lane, succeed() (_enqueue_triggered) and
-    # delayed_call (Timeout + callback).
+    # Interleave the three scheduling paths at the same instant:
+    # timeout(), succeed() and delayed_call (Timeout + callback).
     t1 = sim.timeout(5.0)
     t1.callbacks.append(lambda _e: order.append("timeout-1"))
     e1 = sim.event()
@@ -312,3 +311,20 @@ def test_run_is_not_reentrant():
     trigger = sim.timeout(1.0)
     trigger.callbacks.append(nested)
     sim.run()
+
+
+def test_step_is_not_reentrant():
+    sim = Simulator()
+    processed = []
+
+    def nested(_event):
+        processed.append(sim.now)
+        with pytest.raises(RuntimeError, match="event loop"):
+            sim.step()
+
+    sim.timeout(1.0).callbacks.append(nested)
+    for delay in (1.5, 5.0):
+        sim.timeout(delay).callbacks.append(lambda _e: processed.append(sim.now))
+    sim.run()
+    # A nested step() would pop 5.0 out from under the walk of bucket 1.
+    assert processed == [1.0, 1.5, 5.0]

@@ -219,16 +219,13 @@ def test_clean_corpus_is_silent():
     assert _corpus_findings("clean") == []
 
 
-def test_real_tree_has_no_unwaived_taint_findings():
-    from repro.analysis import default_package_root
-
-    sources = collect_sources([default_package_root()])
-    findings = collect_findings(sources, [cls() for cls in TAINT_RULES])
+def test_real_tree_has_no_unwaived_taint_findings(real_sources):
+    findings = collect_findings(real_sources, [cls() for cls in TAINT_RULES])
     # The §3.2 manufacturer→vendor disclosure carries an inline waiver;
     # everything the taint rules flag must be waived there, not here.
     from repro.analysis.rules import run_rules
 
-    unwaived = run_rules(sources, [cls() for cls in TAINT_RULES])
+    unwaived = run_rules(real_sources, [cls() for cls in TAINT_RULES])
     assert unwaived == [], [f.render() for f in unwaived]
     # ...and the waiver is real: the raw pass does see the disclosure.
     assert any(

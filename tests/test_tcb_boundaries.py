@@ -14,15 +14,8 @@ from repro.analysis import (
     BOUNDARY_MANIFEST,
     TRUSTED_PACKAGES,
     check_boundaries,
-    collect_sources,
-    default_package_root,
     import_graph,
 )
-
-
-@pytest.fixture(scope="module")
-def sources():
-    return collect_sources([default_package_root()])
 
 
 @pytest.mark.lint
@@ -36,8 +29,8 @@ def test_manifest_covers_every_trusted_package():
 
 
 @pytest.mark.lint
-def test_trusted_packages_exist_in_tree(sources):
-    modules = {src.module for src in sources}
+def test_trusted_packages_exist_in_tree(real_sources):
+    modules = {src.module for src in real_sources}
     for package in BOUNDARY_MANIFEST:
         assert any(m == package or m.startswith(package + ".") for m in modules), (
             f"manifest names {package} but no such module exists"
@@ -45,16 +38,16 @@ def test_trusted_packages_exist_in_tree(sources):
 
 
 @pytest.mark.lint
-def test_no_trusted_boundary_violations(sources):
-    violations = check_boundaries(sources)
+def test_no_trusted_boundary_violations(real_sources):
+    violations = check_boundaries(real_sources)
     assert violations == [], "\n".join(v.render() for v in violations)
 
 
 @pytest.mark.lint
-def test_untrusted_world_never_reached_transitively(sources):
+def test_untrusted_world_never_reached_transitively(real_sources):
     """Closure check: from any trusted module, follow runtime imports —
     no path may reach a repro package outside the boundary manifest."""
-    graph = import_graph(sources)
+    graph = import_graph(real_sources)
     constrained = set(BOUNDARY_MANIFEST)
 
     def top(module: str) -> str:
