@@ -23,8 +23,21 @@ python -m repro lint --prune-baseline --dry-run
 
 echo
 echo "== schedule-perturbation harness (python -m repro sanitize) =="
-python -m repro sanitize --seeds 8 \
-    --output benchmarks/results/sanitize_report.json
+# Compare, don't overwrite: the committed report is the contract.
+python -m repro sanitize --seeds 8 --output /tmp/tnic-sanitize.json
+cmp /tmp/tnic-sanitize.json benchmarks/results/sanitize_report.json
+rm -f /tmp/tnic-sanitize.json
+echo "ok: sanitize report byte-identical to the committed one"
+
+echo
+echo "== virtual-time artifacts (committed BENCH_fig*/tab* must reproduce) =="
+# Every figure/table artifact is a pure function of the source tree;
+# BENCH_tab04 (the LoC table) moves with any source edit and is
+# regenerated by this same command.
+python benchmarks/run_all.py --figures > /dev/null
+git diff --exit-code -- 'benchmarks/results/BENCH_fig*.json' \
+    'benchmarks/results/BENCH_tab*.json'
+echo "ok: run_all.py --figures reproduces the committed artifacts"
 
 echo
 echo "== telemetry determinism (two seeded runs must match) =="

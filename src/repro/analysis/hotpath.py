@@ -129,7 +129,11 @@ TNIC_MANIFEST = HotPathManifest(
         "Process._resume",
         # Device datapath (tx/rx).
         "TnicDevice.send",
-        "TnicDevice._tx_path",
+        # The send's stages after the first: registered as callbacks on
+        # the DMA / HMAC / ACK events, hence declared.
+        "_Send._fetched",
+        "_Send._attested",
+        "_Send._acked",
         "TnicDevice.receive",
         "TnicDevice.poll",
         "TnicDevice.drain",

@@ -31,11 +31,12 @@ Lifecycle vocabulary (the declarative manifest the rules interpret):
   receiver chains are matched through local aliases, so ``lock =
   self.lock`` followed by ``lock.release()`` pairs with
   ``self.lock.acquire()``.
-* :data:`SELF_RELEASING` lists occupancy helpers whose *callee* both
-  acquires and releases the underlying resource
-  (:meth:`repro.crypto.hmac_engine.HmacEngine.occupy` spawns a worker
-  that owns the full acquire/release span), so their call sites carry
-  no release obligation.
+* :data:`SELF_RELEASING` lists occupancy helpers that leave the caller
+  nothing to release
+  (:meth:`repro.crypto.hmac_engine.HmacEngine.occupy` queues on an
+  analytic FIFO server, :class:`repro.sim.resources.SerialServer`: the
+  busy span is computed at submission and no lock is ever held), so
+  their call sites carry no release obligation.
 * :data:`TIMEOUT_MARKERS` are the spellings that count as a composed
   deadline; :data:`NETWORK_PACKAGES` scopes LIV005 to network-facing
   code (``repro.sim`` itself is excluded: the kernel's own waiter
@@ -74,9 +75,9 @@ ACQUIRE_VERBS: dict[str, str] = {
     "exclusive_regs": "release_regs",
 }
 
-#: Occupancy helpers whose callee owns the full acquire/release span
-#: (HmacEngine.occupy spawns _run, which acquires AND releases the
-#: pipeline), so call sites carry no release obligation of their own.
+#: Occupancy helpers that hold no lock (HmacEngine.occupy computes the
+#: busy span on a SerialServer at submission), so call sites carry no
+#: release obligation of their own.
 SELF_RELEASING = frozenset({"occupy"})
 
 #: Spellings that count as a composed deadline on a wait.
@@ -878,11 +879,11 @@ class ResourceLeakRule(_LivenessRule):
         "try/finally; a plain release after the yield is skipped when "
         "the yield raises, and a capacity-1 resource then starves every "
         "later waiter — the whole pipeline behind it stalls silently.  "
-        "Wrap the held span in try/finally (see HmacEngine._run), or "
+        "Wrap the held span in try/finally, or "
         "waive acquire-only helpers whose caller owns the release "
         "(Resource.locked) inline with a rationale comment.  Calls in "
-        "SELF_RELEASING (HmacEngine.occupy) carry no obligation: their "
-        "spawned worker owns the full acquire/release span."
+        "SELF_RELEASING (HmacEngine.occupy) carry no obligation: the "
+        "analytic server behind them holds no lock."
     )
 
 
@@ -900,8 +901,8 @@ class DoubleTriggerRule(_LivenessRule):
         "mutually exclusive (different if/else or try/except arms, or "
         "an early return between them), or when a trigger sits in a "
         "loop that outlives the event's creation.  Guard late triggers "
-        "with `if not ev.triggered:` (see TnicDevice._tx_path) or "
-        "restructure so exactly one path triggers."
+        "with `if not ev.triggered:` (see _TxStages._fail in "
+        "repro.core.device) or restructure so exactly one path triggers."
     )
 
 

@@ -239,17 +239,13 @@ class AttestationKernel:
         """As :meth:`attest`, but queued on the hardware HMAC pipeline.
 
         The MAC itself is produced synchronously by :meth:`attest`; the
-        pipeline event charges the hardware occupancy for the payload's
-        canonical encoding (its length plus the 8-byte length prefix) —
-        the same span the old redundant ``compute`` call occupied, with
-        no second MAC computed just to be discarded.
+        returned event is the pipeline occupancy for the payload's
+        canonical encoding (its length plus the 8-byte length prefix)
+        and carries the attested message.
         """
         engine = self._engine()
         message = self.attest(session_id, payload)
-        done = engine.sim.event()
-        occupancy = engine.occupy(len(payload) + 8)
-        occupancy.callbacks.append(lambda _e: done.succeed(message))  # lint: ignore[PERF001] one completion closure per pipelined attest is the async design
-        return done
+        return engine.occupy(len(payload) + 8, message)
 
     def verify_event(self, session_id: int, message: AttestedMessage) -> "Event":
         """As :meth:`verify`, but queued on the hardware HMAC pipeline.

@@ -19,7 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol
 
-from repro.core.attestation import AttestationKernel, AttestedMessage
+from repro.core.attestation import (
+    AttestationError,
+    AttestationKernel,
+    AttestedMessage,
+)
 from repro.core.dma import DmaEngine
 from repro.net.arp import ArpServer
 from repro.net.mac import EthernetMac
@@ -27,11 +31,17 @@ from repro.net.packet import RdmaOpcode
 from repro.roce.queue_pair import QueuePair
 from repro.roce.state_tables import CompletionEntry
 from repro.roce.transport import RoceKernel
-from repro.sim.instrument import count, span_begin, trace_extract, trace_inject
+from repro.sim.events import Event
+from repro.sim.instrument import (
+    NULL_SPAN,
+    count,
+    span_begin,
+    trace_extract,
+    trace_inject,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
-    from repro.sim.events import Event
 
 
 class ReadTimeout(Exception):
@@ -51,8 +61,165 @@ class HostMemoryPort(Protocol):
     def dma_read(self, address: int, length: int) -> bytes: ...
 
 
+class _TxStages:
+    """One request in flight on the device's transmit side.
+
+    Figure 2's TX datapath is a fixed pipeline per message, so it runs
+    as a chain of completion callbacks, not as a process: each stage is
+    a bound method registered on the event the previous stage waits for
+    (payload DMA → HMAC pipeline → wire), and this record carries the
+    request between them.  Subclasses pick the stages after the DMA:
+    ``_fetched``, and ``_attested`` when they attest.
+    """
+
+    __slots__ = ("device", "payload", "done", "session_id", "span", "stage")
+
+    def __init__(self, device: "TnicDevice", payload: bytes, done: "Event") -> None:
+        self.device = device
+        self.payload = payload
+        self.done = done
+        self.session_id = -1
+        self.span = self.stage = NULL_SPAN
+
+    def _fetch(self) -> None:
+        """Stage 1: DMA the payload from host (ibv) memory."""
+        self.stage = self.span.child("tnic.dma")
+        fetched = self.device.dma.transfer(len(self.payload))
+        fetched.callbacks.append(self._fetched)
+
+    def _attest(self) -> None:
+        """Stage 2: attest inline; ``_attested`` gets the occupancy
+        event, whose value is the attested message."""
+        self.stage = self.span.child("attest.hmac")
+        try:
+            attested = self.device.attestation.attest_event(
+                self.session_id, self.payload)
+        except AttestationError as exc:  # no key for the session
+            self._fail(exc)
+            return
+        attested.callbacks.append(self._attested)
+
+    def _fail(self, exc: BaseException) -> None:
+        self.span.end(status="error")
+        if not self.done.triggered:
+            self.done.fail(exc)
+
+
+class _Send(_TxStages):
+    """``TnicDevice.send``: DMA → attest (trusted devices) → RoCE → ACK."""
+
+    __slots__ = ("qp_number", "opcode", "meta")
+
+    def start_send(self, qp_number: int, opcode: RdmaOpcode, meta: dict[str, Any]) -> None:
+        device = self.device
+        sim = device.sim
+        self.qp_number = qp_number
+        self.opcode = opcode
+        self.meta = meta
+        # Continue the poster's trace (the carrier is the WR metadata)
+        # and replace the carried context with this span's own, so the
+        # packet that leaves the MAC points at tnic.tx and the remote
+        # rx-verify stage joins the tree right here.
+        span = self.span = span_begin(sim, "tnic.tx",
+                                      parent=trace_extract(sim, meta),
+                                      device=device.device_id,
+                                      qp=qp_number, bytes=len(self.payload))
+        if span:
+            trace_inject(sim, meta, span)
+        try:
+            self.session_id = device.roce._qp(qp_number).session_id
+        except KeyError as exc:
+            self._fail(exc)
+            return
+        self._fetch()
+
+    def _fetched(self, _event: "Event") -> None:
+        self.stage.end()
+        if self.device.attestation is not None:
+            self._attest()
+        else:
+            self._transmit(self.payload)
+
+    def _attested(self, event: "Event") -> None:
+        self.stage.end()
+        self._transmit(event._value)
+
+    def _transmit(self, message: AttestedMessage | bytes) -> None:
+        """Stage 3: hand the message to the RoCE kernel; wait for the ACK."""
+        self.stage = self.span.child("roce.tx")
+        try:
+            acked = self.device.roce.post_send(
+                self.qp_number, message, self.opcode, self.meta)
+        except Exception as exc:  # unconnected QP, no ARP entry, no link:
+            self._fail(exc)       # the completion event is the error channel
+            return
+        acked.callbacks.append(self._acked)
+
+    def _acked(self, event: "Event") -> None:
+        if event._exception is not None:  # transport gave up on the send
+            self._fail(event._exception)
+            return
+        self.stage.end()
+        self.span.end(status="ok")
+        self.done.succeed(event._value)
+
+
+class _LocalAttest(_TxStages):
+    """``TnicDevice.local_attest``: DMA → attest, nothing on the wire."""
+
+    __slots__ = ()
+
+    def start_attest(self, session_id: int) -> None:
+        device = self.device
+        self.session_id = session_id
+        self.span = span_begin(device.sim, "tnic.local_attest",
+                               device=device.device_id,
+                               bytes=len(self.payload))
+        self._fetch()
+
+    def _fetched(self, _event: "Event") -> None:
+        self.stage.end()
+        self._attest()
+
+    def _attested(self, event: "Event") -> None:
+        self.stage.end()
+        self.span.end()
+        self.done.succeed(event._value)
+
+
+class _LocalVerify(_TxStages):
+    """``TnicDevice.local_verify``: DMA → HMAC occupancy → α check."""
+
+    __slots__ = ("message",)
+
+    def start_verify(self, session_id: int, message: AttestedMessage) -> None:
+        self.session_id = session_id
+        self.message = message
+        self._fetch()
+
+    def _fetched(self, _event: "Event") -> None:
+        occupied = self.device.attestation.hmac_engine.occupy(len(self.payload))
+        occupied.callbacks.append(self._occupied)
+
+    def _occupied(self, _event: "Event") -> None:
+        try:
+            verdict = self.device.attestation.check_transferable(
+                self.session_id, self.message)
+        except AttestationError as exc:  # no key for the session
+            self._fail(exc)
+            return
+        self.done.succeed(verdict)
+
+
 class TnicDevice:
-    """One TNIC SmartNIC: attestation kernel + RoCE kernel + MAC."""
+    """One TNIC SmartNIC: attestation kernel + RoCE kernel + MAC.
+
+    The long-lived actors (rx pipeline, delivery lanes, retransmit
+    timers) are processes inside the RoCE kernel.  ``send``,
+    ``local_attest`` and ``local_verify`` start none: each request is a
+    chain of completion callbacks (:class:`_TxStages`) and its returned
+    event is the only way an error is reported.
+    """
 
     def __init__(
         self,
@@ -114,89 +281,28 @@ class TnicDevice:
 
         On a trusted device the payload is attested inline; an untrusted
         device (the RDMA-hw baseline) skips the attestation kernel.
+        Every failure along the way — unknown or unconnected QP, no
+        session key, transport retry limit — fails the returned event.
         """
-        done = self.sim.event()
-        self.sim.process(self._tx_path(qp_number, payload, opcode, meta or {}, done))
+        done = Event(self.sim)
+        _Send(self, payload, done).start_send(qp_number, opcode, meta or {})
         return done
-
-    def _tx_path(self, qp_number, payload, opcode, meta, done):
-        qp = self.roce._qp(qp_number)
-        # Continue the poster's trace (the carrier is the WR metadata)
-        # and replace the carried context with this span's own, so the
-        # packet that leaves the MAC points at tnic.tx and the remote
-        # rx-verify stage joins the tree right here.
-        span = span_begin(self.sim, "tnic.tx",
-                          parent=trace_extract(self.sim, meta),
-                          device=self.device_id,
-                          qp=qp_number, bytes=len(payload))
-        if span:
-            trace_inject(self.sim, meta, span)
-        try:
-            stage = span.child("tnic.dma")
-            yield self.dma.transfer(len(payload))
-            stage.end()
-            if self.attestation is not None:
-                stage = span.child("attest.hmac")
-                message = yield self.attestation.attest_event(qp.session_id, payload)
-                stage.end()
-                to_send: AttestedMessage | bytes = message
-            else:
-                to_send = payload
-            stage = span.child("roce.tx")
-            completion = yield self.roce.post_send(qp_number, to_send, opcode, meta)
-            stage.end()
-        except Exception as exc:  # propagate transport failures to caller
-            span.end(status="error")
-            if not done.triggered:
-                done.fail(exc)
-            return
-        span.end(status="ok")
-        if not done.triggered:
-            done.succeed(completion)
 
     def local_attest(self, session_id: int, payload: bytes) -> "Event":
         """local_send(): attest without transmitting (single-node use)."""
         if self.attestation is None:
             raise RuntimeError("untrusted device has no attestation kernel")
-        done = self.sim.event()
-        self.sim.process(self._local_attest(session_id, payload, done))
+        done = Event(self.sim)
+        _LocalAttest(self, payload, done).start_attest(session_id)
         return done
-
-    def _local_attest(self, session_id, payload, done):
-        span = span_begin(self.sim, "tnic.local_attest",
-                          device=self.device_id, bytes=len(payload))
-        try:
-            stage = span.child("tnic.dma")
-            yield self.dma.transfer(len(payload))
-            stage.end()
-            stage = span.child("attest.hmac")
-            message = yield self.attestation.attest_event(session_id, payload)
-            stage.end()
-        except Exception as exc:  # a stalled `done` would park the caller
-            span.end(status="error")
-            if not done.triggered:
-                done.fail(exc)
-            return
-        span.end()
-        done.succeed(message)
 
     def local_verify(self, session_id: int, message: AttestedMessage) -> "Event":
         """local_verify(): transferable-authentication check of α only."""
         if self.attestation is None:
             raise RuntimeError("untrusted device has no attestation kernel")
-        done = self.sim.event()
-        self.sim.process(self._local_verify(session_id, message, done))
+        done = Event(self.sim)
+        _LocalVerify(self, message.payload, done).start_verify(session_id, message)
         return done
-
-    def _local_verify(self, session_id, message, done):
-        try:
-            yield self.dma.transfer(len(message.payload))
-            yield self.attestation.hmac_engine.occupy(len(message.payload))
-        except Exception as exc:  # a stalled `done` would park the caller
-            if not done.triggered:
-                done.fail(exc)
-            return
-        done.succeed(self.attestation.check_transferable(session_id, message))
 
     # ------------------------------------------------------------------
     # Data path — reception

@@ -19,7 +19,8 @@ Three layers live here:
 * :class:`HmacEngine`, a model of the attestation kernel's hardware
   HMAC unit: one byte-serial pipeline whose occupancy creates queueing
   when many messages contend for it (the reason TNIC latency grows with
-  message size, §8.2).
+  message size, §8.2).  An analytic FIFO server: no process, one
+  scheduled completion per occupancy.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import hmac as _hmac
 import os as _os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.crypto.hashing import canonical_bytes
 from repro.sim.latency import tnic_hmac_pipeline_us
-from repro.sim.resources import Resource
+from repro.sim.resources import SerialServer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -262,13 +263,17 @@ class HmacEngine:
     """The attestation kernel's single HMAC pipeline (timing model).
 
     The real unit processes message bytes serially; concurrent
-    attest/verify requests queue.  :meth:`compute` returns a simulation
-    event that triggers, after pipeline occupancy, with the MAC bytes.
+    attest/verify requests queue.  It is modelled as an analytic FIFO
+    server (:class:`~repro.sim.resources.SerialServer`): the occupancy
+    of a message is a function of its size alone, so its completion
+    instant is known when it is submitted and each occupancy costs one
+    scheduled event.  ``operations`` and ``busy_us`` are charged at
+    submission, i.e. they count work accepted, not work finished.
     """
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self._pipeline = Resource(sim, capacity=1)
+        self._pipeline = SerialServer(sim)
         self.operations = 0
         self.busy_us = 0.0
 
@@ -276,30 +281,17 @@ class HmacEngine:
         """Pipeline time for a message of *size_bytes*."""
         return tnic_hmac_pipeline_us(size_bytes)
 
-    def occupy(self, size_bytes: int) -> "Event":
+    def occupy(self, size_bytes: int, value: Any = None) -> "Event":
         """Charge pipeline time for a *size_bytes* message without
         computing a MAC (used when the MAC was already produced and only
-        the hardware occupancy matters)."""
-        done = self.sim.event()
-        self.sim.process(self._run(size_bytes, b"", done))
-        return done
+        the hardware occupancy matters); the event triggers with *value*
+        when the message leaves the pipeline."""
+        delay = self.occupancy_us(size_bytes)
+        self.operations += 1
+        self.busy_us += delay
+        return self._pipeline.serve(delay, value)
 
     def compute(self, key: bytes, *parts) -> "Event":
         """Queue an HMAC computation; event value is the MAC bytes."""
         mac = hmac_sha256(key, *parts)
-        size = len(canonical_bytes(parts))
-        done = self.sim.event()
-        process = self._run(size, mac, done)
-        self.sim.process(process)
-        return done
-
-    def _run(self, size: int, mac: bytes, done):
-        yield self._pipeline.acquire()
-        delay = self.occupancy_us(size)
-        self.operations += 1
-        self.busy_us += delay
-        try:
-            yield self.sim.timeout(delay)
-        finally:
-            self._pipeline.release()
-        done.succeed(mac)
+        return self.occupy(len(canonical_bytes(parts)), mac)

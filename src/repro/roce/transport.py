@@ -106,7 +106,8 @@ class RoceKernel:
         #: RC flow control: at most this many unacknowledged packets per
         #: QP; further work requests queue until ACKs open the window.
         self.send_window = 128
-        self._tx_backlog: dict[int, list] = {}
+        #: Per QP (created with it): work requests waiting for window space.
+        self._tx_backlog: dict[int, deque] = {}
         self.tables = StateTables(max_connections)
         self._queue_pairs: dict[int, QueuePair] = {}
         #: Per QP, ``(last PSN, completion)`` of every message on the
@@ -130,6 +131,7 @@ class RoceKernel:
         self.tables.create(qp.qp_number)
         self._queue_pairs[qp.qp_number] = qp
         self._send_completions[qp.qp_number] = deque()
+        self._tx_backlog[qp.qp_number] = deque()
 
     def connect_qp(self, qp_number: int, remote_qp_number: int) -> None:
         """Bind the local QP to the peer's QP number (via ibv_sync)."""
@@ -166,8 +168,8 @@ class RoceKernel:
         )
         chunks = self._segment(payload)
         completion = self.sim.event()
-        backlog = self._tx_backlog.setdefault(qp_number, [])
-        backlog.append((message, opcode, dict(meta or {}), chunks, completion))
+        self._tx_backlog[qp_number].append(
+            (message, opcode, dict(meta or {}), chunks, completion))
         self._pump_tx(qp_number)
         return completion
 
@@ -179,13 +181,13 @@ class RoceKernel:
         still make progress)."""
         qp = self._qp(qp_number)
         state = self.tables.get(qp_number)
-        backlog = self._tx_backlog.get(qp_number, [])
+        backlog = self._tx_backlog[qp_number]
         while backlog:
             message, opcode, meta, chunks, completion = backlog[0]
             fits = len(state.inflight) + len(chunks) <= self.send_window
             if not fits and state.inflight:
                 break
-            backlog.pop(0)
+            backlog.popleft()
             last_psn = -1
             for index, chunk in enumerate(chunks):
                 is_last = index == len(chunks) - 1
@@ -294,7 +296,7 @@ class RoceKernel:
             if oldest.retries >= self.max_retries:
                 self._fail_send(qp_number, oldest.psn, "retry limit exceeded")
                 state.inflight.popleft()
-                if self._tx_backlog.get(qp_number):
+                if self._tx_backlog[qp_number]:
                     self._pump_tx(qp_number)
                 continue
             # Go-back-N: resend every unacknowledged packet in order.
@@ -348,7 +350,7 @@ class RoceKernel:
         state.ack_through(acked_psn)
         gauge_set(self.sim, "roce.inflight", len(state.inflight),
                   node=self.ip, qp=qp_number)
-        if self._tx_backlog.get(qp_number):
+        if self._tx_backlog[qp_number]:
             self._pump_tx(qp_number)  # ACKs opened window space
         pending = self._send_completions[qp_number]
         while pending and pending[0][0] <= acked_psn:

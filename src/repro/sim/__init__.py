@@ -10,7 +10,8 @@ process simulator in the style of SimPy:
   awaitable occurrences; processes ``yield`` them.
 * :class:`~repro.sim.process.Process` — a generator running in virtual
   time.
-* :mod:`~repro.sim.resources` — mutexes, FIFO stores and bandwidth pipes.
+* :mod:`~repro.sim.resources` — mutexes, FIFO stores, serial servers and
+  bandwidth pipes.
 * :mod:`~repro.sim.latency` — the single calibration table holding every
   measured constant from the paper's evaluation (§8).
 """
@@ -18,7 +19,7 @@ process simulator in the style of SimPy:
 from repro.sim.clock import Simulator
 from repro.sim.events import AnyOf, AllOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Pipe, Resource, Store
+from repro.sim.resources import Pipe, Resource, SerialServer, Store
 from repro.sim.rng import DeterministicRng
 from repro.sim.shard import CrossShard, cross_shard
 
@@ -32,6 +33,7 @@ __all__ = [
     "Pipe",
     "Process",
     "Resource",
+    "SerialServer",
     "Simulator",
     "Store",
     "Timeout",

@@ -1,8 +1,11 @@
 """Shared resources for simulation processes.
 
 * :class:`Resource` — a counted semaphore with FIFO queueing.  Used for
-  the TNIC-OS library's per-REG-page locks (§5.2) and for modelling the
-  single HMAC pipeline inside the attestation kernel.
+  the TNIC-OS library's per-REG-page locks (§5.2).
+* :class:`SerialServer` — one FIFO server whose service times are known
+  at submission, so completions are computed, not simulated.  Used for
+  the attestation kernel's HMAC pipeline and the stack models'
+  bottleneck stage.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``.
   Used for NIC RX/TX queues and host completion queues.
 * :class:`Pipe` — a bandwidth-limited, propagation-delayed byte channel.
@@ -49,10 +52,9 @@ class Resource:
         Lifecycle contract (LIV001): every acquire must be paired with a
         :meth:`release` on *every* path.  Exceptions are delivered into
         processes at yield points, so a holder that yields again before
-        releasing must release in a ``try/finally`` — see
-        ``HmacEngine._run`` for the canonical shape."""
-        # Direct construction: acquire() is on the HMAC-pipeline and
-        # REG-page-lock hot path, so skip the sim.event() frame.
+        releasing must release in a ``try/finally``."""
+        # Direct construction: acquire() is on the REG-page-lock hot
+        # path, so skip the sim.event() frame.
         event = Event(self.sim)
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
@@ -78,6 +80,47 @@ class Resource:
         carries the release obligation (the helper exists so process
         bodies read as ``yield from lock.locked()``)."""
         yield self.acquire()  # lint: ignore[LIV001] acquire-only helper: the caller owns the release obligation
+
+
+class SerialServer:
+    """One FIFO server with service times known at submission.
+
+    The analytic form of ``Resource(capacity=1)`` plus a worker process
+    per job: a job submitted at ``now`` starts at ``max(now,
+    busy_until)`` and the server is busy for ``service_us`` from there,
+    so its completion instant is known on submission and costs a single
+    scheduled event.  Jobs complete in submission order.
+    """
+
+    __slots__ = ("sim", "_busy_until")
+
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
+        self._busy_until = 0.0
+
+    def serve(self, service_us: float, value: Any = None,
+              tail_us: float = 0.0) -> Event:
+        """Queue a job; the event triggers with *value* once it has been
+        served, plus *tail_us* of latency that does not hold the server.
+
+        The event is filed at the absolute instant ``busy_until +
+        tail_us``.  A relative ``timeout(busy_until - now)`` would land
+        on ``now + (busy_until - now)``, which can differ from
+        ``busy_until`` in the last bit and drift every later timestamp.
+        """
+        if service_us < 0 or tail_us < 0:
+            raise ValueError(
+                f"negative service time: {service_us} (+{tail_us})")
+        sim = self.sim
+        now = sim._now
+        busy_until = self._busy_until
+        busy_until = (now if now > busy_until else busy_until) + service_us
+        self._busy_until = busy_until
+        done = Event(sim)
+        done._state = Event.TRIGGERED
+        done._value = value
+        sim._push(busy_until + tail_us, done)
+        return done
 
 
 class Store:

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.device import TnicDevice
 from repro.net.packet import RdmaOpcode
+from repro.sim.events import Event
 from repro.sim.instrument import count, span_begin, trace_extract, trace_inject
 from repro.stack.memory import IbvMemory, MemoryError_, RdmaKey
 from repro.stack.process import TnicProcess
@@ -29,7 +30,6 @@ from repro.stack.regs import RegField
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
-    from repro.sim.events import Event
 
 _OPCODE_CODES = {
     RdmaOpcode.SEND: 1,
@@ -79,8 +79,89 @@ class MemoryTable:
         return self.region_for(address, length).dma_read(address, length)
 
 
+class _Post:
+    """One posted work request: lock grant → REGs/doorbell → completion.
+
+    A post is a fixed sequence of stages, so it runs as callbacks on
+    the events it waits for (see ``repro.core.device._TxStages``), not
+    as a process.
+    """
+
+    __slots__ = ("lib", "request", "done", "span")
+
+    def __init__(self, lib: "RdmaLibrary", request: WorkRequest, done: Event) -> None:
+        self.lib = lib
+        self.request = request
+        self.done = done
+
+    def start(self) -> None:
+        # The "post" stage of the send breakdown: lock wait + REGs
+        # programming + doorbell, ending when the device owns the WR.
+        # Joins the caller's trace when the work request carries one
+        # (auth_send injects its root context into request.meta).
+        lib = self.lib
+        request = self.request
+        self.span = span_begin(lib.sim, "tnic.post",
+                               parent=trace_extract(lib.sim, request.meta),
+                               qp=request.qp_number, bytes=request.length)
+        lib.process.exclusive_regs().callbacks.append(self._locked)
+
+    def _locked(self, _grant: Event) -> None:
+        lib = self.lib
+        request = self.request
+        process = lib.process
+        span = self.span
+        try:
+            payload = lib.region_for_address(
+                request.local_addr, request.length
+            ).dma_read(request.local_addr, request.length)
+            regs = process.regs
+            regs.write_u64(RegField.CTRL_OPCODE, _OPCODE_CODES[request.opcode])
+            regs.write_u64(RegField.CTRL_QP_NUMBER, request.qp_number)
+            regs.write_u64(RegField.CTRL_LOCAL_ADDR, request.local_addr)
+            regs.write_u64(RegField.CTRL_REMOTE_ADDR, request.remote_addr)
+            regs.write_u64(RegField.CTRL_LENGTH, request.length)
+            regs.write_u64(
+                RegField.CTRL_RKEY, request.rkey.value if request.rkey else 0
+            )
+            regs.write_u64(RegField.CTRL_DOORBELL, 1)
+            meta = dict(request.meta)
+            if span:
+                # Hand the device *this* stage's context so tnic.tx
+                # nests under tnic.post in the causal tree.
+                trace_inject(lib.sim, meta, span)
+            if request.opcode is RdmaOpcode.WRITE:
+                meta["remote_addr"] = request.remote_addr
+                if request.rkey is not None:
+                    meta["rkey"] = request.rkey.value
+            sent = lib.device.send(
+                request.qp_number, payload, opcode=request.opcode, meta=meta
+            )
+        except Exception as exc:  # the completion event is the error channel
+            span.end(status="error")
+            self.done.fail(exc)
+            return
+        finally:
+            process.release_regs()
+        span.end(status="ok")
+        count(lib.sim, "rdma.posted", qp=request.qp_number)
+        lib.tx_posted[request.qp_number] = lib.tx_posted.get(request.qp_number, 0) + 1
+        sent.callbacks.append(self._completed)
+
+    def _completed(self, sent: Event) -> None:
+        if sent._exception is not None:
+            self.done.fail(sent._exception)
+            return
+        self.lib.process.regs.post_status(completions=1)
+        self.done.succeed(sent._value)
+
+
 class RdmaLibrary:
-    """Per-node RDMA software state and the request-posting path."""
+    """Per-node RDMA software state and the request-posting path.
+
+    ``post`` starts no process: the request runs as callbacks on the
+    REG-lock grant and on the device's completion (:class:`_Post`).
+    """
 
     def __init__(
         self,
@@ -113,62 +194,16 @@ class RdmaLibrary:
     # ------------------------------------------------------------------
     def post(self, request: WorkRequest) -> "Event":
         """Program the REGs page and ring the doorbell; returns the
-        completion event for the posted operation."""
-        done = self.sim.event()
-        self.sim.process(self._post_locked(request, done))
-        return done
+        completion event for the posted operation.
 
-    def _post_locked(self, request: WorkRequest, done: "Event"):
-        # The "post" stage of the send breakdown: lock wait + REGs
-        # programming + doorbell, ending when the device owns the WR.
-        # Joins the caller's trace when the work request carries one
-        # (auth_send injects its root context into request.meta).
-        span = span_begin(self.sim, "tnic.post",
-                          parent=trace_extract(self.sim, request.meta),
-                          qp=request.qp_number, bytes=request.length)
-        yield self.process.exclusive_regs()
-        try:
-            payload = self.region_for_address(
-                request.local_addr, request.length
-            ).dma_read(request.local_addr, request.length)
-            regs = self.process.regs
-            regs.write_u64(RegField.CTRL_OPCODE, _OPCODE_CODES[request.opcode])
-            regs.write_u64(RegField.CTRL_QP_NUMBER, request.qp_number)
-            regs.write_u64(RegField.CTRL_LOCAL_ADDR, request.local_addr)
-            regs.write_u64(RegField.CTRL_REMOTE_ADDR, request.remote_addr)
-            regs.write_u64(RegField.CTRL_LENGTH, request.length)
-            regs.write_u64(
-                RegField.CTRL_RKEY, request.rkey.value if request.rkey else 0
-            )
-            regs.write_u64(RegField.CTRL_DOORBELL, 1)
-            meta = dict(request.meta)
-            if span:
-                # Hand the device *this* stage's context so tnic.tx
-                # nests under tnic.post in the causal tree.
-                trace_inject(self.sim, meta, span)
-            if request.opcode is RdmaOpcode.WRITE:
-                meta["remote_addr"] = request.remote_addr
-                if request.rkey is not None:
-                    meta["rkey"] = request.rkey.value
-            completion_event = self.device.send(
-                request.qp_number, payload, opcode=request.opcode, meta=meta
-            )
-        except Exception as exc:
-            self.process.release_regs()
-            span.end(status="error")
-            done.fail(exc)
-            return
-        self.process.release_regs()
-        span.end(status="ok")
-        count(self.sim, "rdma.posted", qp=request.qp_number)
-        self.tx_posted[request.qp_number] = self.tx_posted.get(request.qp_number, 0) + 1
-        try:
-            completion = yield completion_event
-        except Exception as exc:
-            done.fail(exc)
-            return
-        self.process.regs.post_status(completions=1)
-        done.succeed(completion)
+        Nothing is programmed before the REG-page lock is granted; a
+        failure at any stage (unregistered address, unknown QP, device
+        or transport error) fails the returned event and leaves the
+        lock released.
+        """
+        done = Event(self.sim)
+        _Post(self, request, done).start()
+        return done
 
     # ------------------------------------------------------------------
     # Receiving

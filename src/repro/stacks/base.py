@@ -15,11 +15,12 @@ client/server simulation and report virtual-time results.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.sim.clock import Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import SerialServer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
@@ -34,7 +35,7 @@ class NetworkStack:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self._bottleneck = Resource(sim, capacity=1)
+        self._bottleneck = SerialServer(sim)
         self.messages_sent = 0
         self.bytes_sent = 0
 
@@ -53,25 +54,22 @@ class NetworkStack:
     # Simulation
     # ------------------------------------------------------------------
     def send(self, size_bytes: int) -> "Event":
-        """Issue one send; the event triggers at delivery time."""
+        """Issue one send; the event triggers at delivery time.
+
+        The bottleneck stage is held for ``occupancy_us``; the rest of
+        the one-way latency overlaps with the next message.
+        """
         if size_bytes < 0:
             raise ValueError("size must be >= 0")
-        done = self.sim.event()
-        self.sim.process(self._send_process(size_bytes, done))
+        occupancy = self.occupancy_us(size_bytes)
+        residual = max(self.send_latency_us(size_bytes) - occupancy, 0.0)
+        done = self._bottleneck.serve(occupancy, size_bytes, tail_us=residual)
+        done.callbacks.append(self._delivered)
         return done
 
-    def _send_process(self, size_bytes: int, done: "Event"):
-        yield self._bottleneck.acquire()
-        occupancy = self.occupancy_us(size_bytes)
-        try:
-            yield self.sim.timeout(occupancy)
-        finally:
-            self._bottleneck.release()
-        residual = max(self.send_latency_us(size_bytes) - occupancy, 0.0)
-        yield self.sim.timeout(residual)
+    def _delivered(self, done: "Event") -> None:
         self.messages_sent += 1
-        self.bytes_sent += size_bytes
-        done.succeed(size_bytes)
+        self.bytes_sent += done._value
 
 
 @dataclass(frozen=True)
@@ -99,13 +97,9 @@ def measure_latency(
     """Ping-pong latency: one operation at a time (Figure 9)."""
     sim = Simulator()
     stack = stack_cls(sim)
-
-    def client():
-        for _ in range(operations):
-            yield stack.send(size_bytes)
-
     start = sim.now
-    sim.run(sim.process(client()))
+    for _ in range(operations):
+        sim.run(stack.send(size_bytes))
     elapsed = sim.now - start
     latency = elapsed / operations
     return _measurement(stack, size_bytes, latency, operations, elapsed)
@@ -114,22 +108,20 @@ def measure_latency(
 def measure_throughput(
     stack_cls, size_bytes: int, operations: int = 2000, outstanding: int = 32
 ) -> StackMeasurement:
-    """Pipelined throughput: *outstanding* in-flight operations (Fig 8)."""
+    """Pipelined throughput: *outstanding* in-flight operations (Fig 8).
+
+    Closed loop: the next send is issued when the oldest completes.
+    """
     sim = Simulator()
     stack = stack_cls(sim)
-    remaining = {"to_issue": operations}
-
-    def client():
-        window: list = []
-        while remaining["to_issue"] > 0 or window:
-            while remaining["to_issue"] > 0 and len(window) < outstanding:
-                window.append(stack.send(size_bytes))
-                remaining["to_issue"] -= 1
-            first = window.pop(0)
-            yield first
-
+    window: deque = deque()
     start = sim.now
-    sim.run(sim.process(client()))
+    for _ in range(operations):
+        if len(window) == outstanding:
+            sim.run(window.popleft())
+        window.append(stack.send(size_bytes))
+    while window:
+        sim.run(window.popleft())
     elapsed = sim.now - start
     latency = elapsed / operations  # effective per-op time
     return _measurement(stack, size_bytes, latency, operations, elapsed)

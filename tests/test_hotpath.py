@@ -223,8 +223,9 @@ def test_real_tree_closure_covers_the_kernel_datapath(real_manifest):
     # The drain loop dispatches triggered events into their callbacks.
     assert "repro.sim.events.Event.succeed" in entry_points
     assert "repro.sim.clock.Simulator._drain" in drain["reachable"]
-    tx = entry_points["repro.core.device.TnicDevice._tx_path"]
-    # Device tx reaches the RoCE segmentation path interprocedurally.
+    tx = entry_points["repro.core.device._Send._attested"]
+    # The stage that calls post_send reaches the RoCE segmentation path
+    # interprocedurally.
     assert any(
         q.endswith("RoceKernel._segment") for q in tx["reachable"]
     )

@@ -1,0 +1,130 @@
+"""Differential test: the analytic serial server vs. the process it replaced.
+
+``HmacEngine`` and ``NetworkStack`` used to model their one-at-a-time
+stage as ``Resource(capacity=1)`` plus a worker process per job.  That
+pipeline survives here as the reference: for random arrival patterns the
+analytic :class:`~repro.sim.resources.SerialServer` must complete every
+job at the bit-identical instant, in the same order.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto.hmac_engine import HmacEngine
+from repro.sim import Resource, SerialServer, Simulator
+from repro.sim.latency import tnic_hmac_pipeline_us
+
+
+class _ReferenceEngine:
+    """The process-based HMAC pipeline as it was before the rewrite."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._pipeline = Resource(sim, capacity=1)
+        self.operations = 0
+        self.busy_us = 0.0
+
+    def occupy(self, size_bytes, value=None):
+        done = self.sim.event()
+        self.sim.process(self._run(size_bytes, value, done))
+        return done
+
+    def _run(self, size, value, done):
+        yield self._pipeline.acquire()
+        delay = tnic_hmac_pipeline_us(size)
+        self.operations += 1
+        self.busy_us += delay
+        try:
+            yield self.sim.timeout(delay)
+        finally:
+            self._pipeline.release()
+        done.succeed(value)
+
+
+def _reference_serve(sim, lock, service_us, value, tail_us):
+    """``NetworkStack._send_process`` as it was: hold, release, tail."""
+    done = sim.event()
+
+    def job():
+        yield lock.acquire()
+        try:
+            yield sim.timeout(service_us)
+        finally:
+            lock.release()
+        yield sim.timeout(tail_us)
+        done.succeed(value)
+
+    sim.process(job())
+    return done
+
+
+def _completions(submit_for, arrivals):
+    """Run one simulator: job *i* is submitted ``gap`` µs after job
+    *i-1* (0 = same instant); returns ``[(index, completion instant)]``
+    in completion order, plus whatever ``submit_for`` built."""
+    sim = Simulator()
+    submit, subject = submit_for(sim)
+    finished = []
+
+    def driver():
+        for index, (gap, *job) in enumerate(arrivals):
+            if gap:
+                yield sim.timeout(gap)
+            done = submit(index, *job)
+            done.callbacks.append(
+                lambda event: finished.append((event._value, sim.now)))
+
+    sim.process(driver())
+    sim.run()
+    return finished, subject
+
+
+# Same-instant bursts (gap 0), back-to-back arrivals inside one
+# occupancy (~7 µs at 64 B) and idle gaps that let the pipeline drain.
+_gaps = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.001, max_value=5.0),
+    st.floats(min_value=5.0, max_value=500.0),
+)
+_sizes = st.integers(min_value=0, max_value=64 * 1024)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_gaps, _sizes), min_size=1, max_size=40))
+def test_hmac_engine_matches_the_process_based_pipeline(arrivals):
+    def engine_of(cls):
+        def build(sim):
+            engine = cls(sim)
+            return (lambda index, size: engine.occupy(size, index)), engine
+        return build
+
+    expected, reference = _completions(engine_of(_ReferenceEngine), arrivals)
+    observed, engine = _completions(engine_of(HmacEngine), arrivals)
+    assert observed == expected  # bit-equal instants, same order
+    assert [index for index, _ in observed] == list(range(len(arrivals)))
+    assert engine.operations == reference.operations == len(arrivals)
+    assert engine.busy_us == reference.busy_us
+
+
+_times = st.floats(min_value=0.0, max_value=50.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_gaps, _times, _times), min_size=1, max_size=40))
+def test_serve_with_a_tail_matches_hold_release_then_wait(arrivals):
+    def reference(sim):
+        lock = Resource(sim, capacity=1)
+        return (lambda index, service, tail:
+                _reference_serve(sim, lock, service, index, tail)), None
+
+    def analytic(sim):
+        server = SerialServer(sim)
+        return (lambda index, service, tail:
+                server.serve(service, index, tail_us=tail)), None
+
+    expected, _ = _completions(reference, arrivals)
+    observed, _ = _completions(analytic, arrivals)
+    # Tails differ per job, so completion order is not submission order;
+    # what must agree is every job's completion instant.
+    assert sorted(observed) == sorted(expected)
+    assert [when for _, when in observed] == sorted(when for _, when in observed)
