@@ -6,11 +6,10 @@ latency is part of the developer loop; the acceptance budget is a full
 interprocedural taint engine dominates (project fixpoint + a final
 recording pass over every function), so its share is reported
 separately alongside the fixpoint pass count; the per-generator
-interference pass (RACE001–RACE003), the ownership pass (SHD001–003),
-the hot-path pass (PERF001–006, reachability closure plus the
-per-function walk) and the liveness pass (LIV001–005, lifecycle scans
-plus the wait-for graph) are timed too, to keep their cost honest as
-the tree grows.
+interference pass (RACE001–RACE003), the hot-path pass (PERF001–006,
+reachability closure plus the per-function walk) and the liveness pass
+(LIV lifecycle scans) are timed too, to keep their cost honest as the
+tree grows.
 """
 
 import time
@@ -21,7 +20,6 @@ from repro.analysis import (
     HOTPATH_RULES,
     INTERFERENCE_RULES,
     LIVENESS_RULES,
-    OWNERSHIP_RULES,
     TNIC_MANIFEST,
     TaintEngine,
     analyze_paths,
@@ -29,7 +27,6 @@ from repro.analysis import (
     collect_sources,
     default_package_root,
     hotpath_engine,
-    liveness_engine,
 )
 from repro.bench import Table
 
@@ -48,13 +45,6 @@ def test_lint_latency_within_budget(benchmark):
     collect_findings(sources, [cls() for cls in INTERFERENCE_RULES])
     interference_s = time.perf_counter() - start
 
-    # A cold engine build plus all three SHD rules (the engine cache is
-    # keyed on the source set, so rule 2 and 3 reuse rule 1's build —
-    # exactly what a real lint run pays).
-    start = time.perf_counter()
-    collect_findings(sources, [cls() for cls in OWNERSHIP_RULES])
-    ownership_s = time.perf_counter() - start
-
     # Cold hot-path engine (reachability closure + per-function walk)
     # plus all six PERF rules reading its cached findings.
     start = time.perf_counter()
@@ -63,11 +53,10 @@ def test_lint_latency_within_budget(benchmark):
     hot_set = len(hotpath_engine(sources).hot_functions)
 
     # Cold liveness engine (per-generator lifecycle scans, trigger-param
-    # fixpoint, wait-for graph) plus all five LIV rules from its cache.
+    # fixpoint) plus the LIV rules reading its cached hits.
     start = time.perf_counter()
     collect_findings(sources, [cls() for cls in LIVENESS_RULES])
     liveness_s = time.perf_counter() - start
-    wait_edges = len(liveness_engine(sources).edges)
 
     start = time.perf_counter()
     findings = analyze_paths()
@@ -88,10 +77,8 @@ def test_lint_latency_within_budget(benchmark):
     table.add_row("raw taint flows", str(len(flows)))
     table.add_row("taint engine (s)", f"{taint_s:.2f}")
     table.add_row("interference pass (s)", f"{interference_s:.2f}")
-    table.add_row("ownership pass (s)", f"{ownership_s:.2f}")
     table.add_row("hot functions", str(hot_set))
     table.add_row("hotpath pass (s)", f"{hotpath_s:.2f}")
-    table.add_row("wait-graph edges", str(wait_edges))
     table.add_row("liveness pass (s)", f"{liveness_s:.2f}")
     table.add_row("full lint (s)", f"{full_s:.2f}")
     table.add_row("budget (s)", f"{LINT_BUDGET_S:.1f}")
@@ -104,10 +91,8 @@ def test_lint_latency_within_budget(benchmark):
             "fixpoint_passes": engine.passes_run,
             "taint_engine_s": round(taint_s, 3),
             "interference_pass_s": round(interference_s, 3),
-            "ownership_pass_s": round(ownership_s, 3),
             "hot_functions": hot_set,
             "hotpath_pass_s": round(hotpath_s, 3),
-            "wait_graph_edges": wait_edges,
             "liveness_pass_s": round(liveness_s, 3),
             "full_lint_s": round(full_s, 3),
             "budget_s": LINT_BUDGET_S,

@@ -17,16 +17,12 @@ turns both into mechanically enforced, CI-gated properties:
   TNT001–TNT002 verified-ingress rules over the dataflow engine;
 * :mod:`repro.analysis.interference` — RACE001–RACE003 interference
   lint for simulator processes (the static half of ``repro.sanitizer``);
-* :mod:`repro.analysis.ownership`   — SHD001–SHD003 shard-safety lint
-  (ownership domains, cross-shard escapes) and the partition-manifest
-  emitter for ROADMAP item 1's parallel engine;
 * :mod:`repro.analysis.hotpath`     — PERF001–PERF006 hot-path cost
   lint (interprocedural reachability from the kernel entry points) and
-  the hot-path manifest emitter gated in ``scripts/check.sh``;
-* :mod:`repro.analysis.liveness`    — LIV001–LIV005 liveness and
-  resource-lifecycle lint (leaked acquires, double triggers, lost
-  wakeups, static deadlock cycles, unbounded network waits) and the
-  wait-graph emitter gated in ``scripts/check.sh``;
+  the hot-path manifest emitter (committed copy gated by tier-1);
+* :mod:`repro.analysis.liveness`    — LIV001–LIV003 and LIV005
+  liveness and resource-lifecycle lint (leaked acquires, double
+  triggers, lost wakeups, completions pending with no expiry);
 * :mod:`repro.analysis.report`      — text/JSON/SARIF rendering, TCB
   accounting.
 
@@ -80,19 +76,8 @@ from repro.analysis.liveness import (
     LivenessEngine,
     LostWakeupRule,
     ResourceLeakRule,
-    StaticDeadlockRule,
     UnboundedNetworkWaitRule,
     liveness_engine,
-    wait_graph,
-)
-from repro.analysis.ownership import (
-    OWNERSHIP_RULES,
-    CrossReplicaCallRule,
-    OwnershipEngine,
-    ReplicaEscapeRule,
-    SharedGlobalResidencyRule,
-    ownership_engine,
-    partition_manifest,
 )
 from repro.analysis.report import (
     TcbReport,
@@ -128,7 +113,6 @@ from repro.analysis.walker import (
 __all__ = [
     "BOUNDARY_MANIFEST",
     "Baseline",
-    "CrossReplicaCallRule",
     "DoubleTriggerRule",
     "Finding",
     "HOTPATH_RULES",
@@ -143,19 +127,14 @@ __all__ = [
     "LoopInvariantLookupRule",
     "LostWakeupRule",
     "ModuleMutableMutationRule",
-    "OWNERSHIP_RULES",
-    "OwnershipEngine",
     "ProjectRule",
     "RawCryptoRule",
-    "ReplicaEscapeRule",
     "ResourceLeakRule",
     "Rule",
-    "SharedGlobalResidencyRule",
     "SharedIterationYieldRule",
     "SinkSpec",
     "SourceFile",
     "SourceSpec",
-    "StaticDeadlockRule",
     "TNIC_MANIFEST",
     "TRUSTED_PACKAGES",
     "TaintEngine",
@@ -183,17 +162,14 @@ __all__ = [
     "is_trusted",
     "liveness_engine",
     "parse_file",
-    "partition_manifest",
     "pass_groups",
     "project_flows",
-    "ownership_engine",
     "render_json",
     "render_sarif",
     "render_text",
     "rule_by_id",
     "rule_catalog",
     "run_rules",
-    "wait_graph",
 ]
 
 

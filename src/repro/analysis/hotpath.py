@@ -4,8 +4,7 @@ The PR 4 kernel wins — ``__slots__`` everywhere, allocation-free drain
 loop, one-load-one-``is``-check instrumentation — are protected
 dynamically by the perf-smoke floor, but a floor only trips *after* the
 cost has been paid.  This pass makes hot-path cost a statically checked
-contract, the same way determinism, taint, races and ownership already
-are:
+contract, the same way determinism, taint and races already are:
 
 1. **Reachability.**  A declarative :class:`HotPathManifest` names the
    kernel entry points (the clock's step/drain loop, the event trigger
@@ -46,7 +45,8 @@ are:
    per-entry-point reachable sets, per-function allocation-site counts
    and gated/ungated emit tallies.  The committed copy
    (``benchmarks/results/hotpath_manifest.json``) is regression-gated
-   in ``scripts/check.sh`` exactly like ``partition_manifest.json``:
+   by the tier-1 committed==fresh test
+   ``tests/test_hotpath.py::test_real_tree_matches_the_committed_manifest``:
    counts are *pre-suppression*, so an inline waiver silences the lint
    finding but the site still counts — adding hot-path allocations
    fails the gate even if each one is individually blessed.
@@ -677,7 +677,7 @@ class HotPathEngine:
                 loop_stack[-1]["calls"].setdefault(name, []).append(node)
 
 
-#: Engine-per-source-set memo, keyed like the taint/ownership caches so
+#: Engine-per-source-set memo, keyed like the taint cache so
 #: one lint run shares a single reachability closure across the rules.
 _ENGINE_CACHE: dict[tuple, HotPathEngine] = {}
 _ENGINE_CACHE_MAX = 8

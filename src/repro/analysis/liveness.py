@@ -1,4 +1,4 @@
-"""Liveness pass: resource lifecycle, event lifecycle, wait-graph deadlock.
+"""Liveness pass: resource lifecycle and event lifecycle.
 
 TNIC's guarantees stop at the edge of the software around the trusted
 NIC: an attested send that never completes, a leaked HMAC-pipeline
@@ -17,13 +17,13 @@ two lifecycles that keep the simulation live:
   and an event that is yielded but has no reachable trigger site in the
   closed call graph is a lost wakeup (``LIV003``).
 
-On top of the per-process scan the pass builds a static **wait-for
-graph**: who holds which resource while waiting on which other resource
-(``LIV004`` flags cycles — the classic AB-BA deadlock shape), and which
-network-facing completions are waited on with no Timeout composed in
-scope (``LIV005`` — a dropped response must not stall a replica
-forever; ``repro.api.rpc.RpcEndpoint.call`` shows the sanctioned
-deadline idiom).
+On top of the per-process scan the pass flags network-facing
+completions that are registered in a pending map and handed to the
+caller with no Timeout composed in scope (``LIV005`` — a dropped
+response must not stall a replica forever;
+``repro.api.rpc.RpcEndpoint.call`` shows the sanctioned deadline
+idiom).  Rule ids are stable, not renumbered: the family has no fourth
+rule.
 
 Lifecycle vocabulary (the declarative manifest the rules interpret):
 
@@ -43,11 +43,8 @@ Lifecycle vocabulary (the declarative manifest the rules interpret):
   registration would be all false positives).
 
 Like the other project passes this is a lexical over-approximation:
-intentional infinite server loops and acquire-only helpers are waived
-inline with a rationale comment, never silently baselined.  The
-:func:`wait_graph` emitter turns the same analysis into the committed
-``benchmarks/results/wait_graph.json`` artifact gated by
-``scripts/check.sh`` — see ``docs/analysis.md`` for the schema.
+acquire-only helpers whose caller owns the release are waived inline
+with a rationale comment, never silently baselined.
 """
 
 from __future__ import annotations
@@ -64,9 +61,14 @@ from repro.analysis.dataflow import (
     module_under,
 )
 from repro.analysis.determinism import _exempt
-from repro.analysis.ownership import SYSTEM_MODULES, _chain_parts, local_aliases
-from repro.analysis.rules import Finding, ProjectRule, inline_ignores
-from repro.analysis.walker import SourceFile, is_generator, walk_own_body
+from repro.analysis.rules import Finding, ProjectRule
+from repro.analysis.walker import (
+    SourceFile,
+    chain_parts,
+    is_generator,
+    local_aliases,
+    walk_own_body,
+)
 
 #: acquire verb -> the release verb that discharges it (same receiver).
 ACQUIRE_VERBS: dict[str, str] = {
@@ -110,32 +112,17 @@ class Hit:
 
 
 @dataclass
-class WaitEdge:
-    """One hold-while-wait observation: *holder* holds *holds* while
-    waiting on *waits_on* (a resource id or an event wait site)."""
-
-    holder: str          # function qualname
-    holds: str           # resource id
-    waits_on: str        # resource id, or "event@<module>:<line>"
-    kind: str            # "resource" | "event"
-    line: int
-    path: str
-
-
-@dataclass
 class _FnScan:
     """Per-function precomputation shared by the rule scans."""
 
     fn: FunctionInfo
     aliases: dict[str, tuple[str, ...]]
     parents: dict[int, ast.AST] = field(default_factory=dict)
-    nodes: dict[int, ast.AST] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for parent in ast.walk(self.fn.node):
             for child in ast.iter_child_nodes(parent):
                 self.parents[id(child)] = parent
-                self.nodes[id(child)] = child
 
     def ancestors(self, node: ast.AST) -> list[ast.AST]:
         out: list[ast.AST] = []
@@ -154,7 +141,7 @@ def _receiver_chain(
     """Receiver of ``a.b.verb()`` as ``("a", "b")``, through aliases."""
     if not isinstance(call.func, ast.Attribute):
         return None
-    parts = _chain_parts(call.func.value)
+    parts = chain_parts(call.func.value)
     if parts is None:
         return None
     if parts[0] in aliases:
@@ -205,9 +192,6 @@ class LivenessEngine:
         for fn in self.functions:
             self.by_name.setdefault(fn.name, []).append(fn)
         self.hits: list[Hit] = []
-        #: resource id -> {"acquired_by": [qualname, ...]}
-        self.resources: dict[str, dict] = {}
-        self.edges: list[WaitEdge] = []
         self._trigger_params = self._solve_trigger_params()
         # Nested defs (sim.process(worker()) workers, completion closures)
         # are scan units too, but stay out of by_name: trailing-name call
@@ -221,24 +205,6 @@ class LivenessEngine:
             if is_generator(fn.node):
                 self._scan_resource_lifecycle(scan)
                 self._scan_lost_wakeup(scan)
-                self._scan_wait_graph(scan)
-                if module_under(fn.module, NETWORK_PACKAGES):
-                    self._scan_unbounded_recv_loop(scan)
-        self.cycles = self._detect_cycles(self.edges)
-        for cycle in self.cycles:
-            edge = cycle["edges"][0]
-            src = next(
-                (s for s in self.sources if str(s.path) == edge["path"]), None)
-            if src is None:  # pragma: no cover - edges come from sources
-                continue
-            ring = " -> ".join(cycle["resources"] + [cycle["resources"][0]])
-            holders = ", ".join(sorted({e["holder"] for e in cycle["edges"]}))
-            self.hits.append(Hit(
-                "LIV004", src, edge["line"], 0,
-                f"static deadlock cycle: {ring} (held-while-waiting by "
-                f"{holders}); impose a global acquisition order or release "
-                "before the second acquire",
-            ))
         self.hits.sort(key=lambda h: (str(h.src.path), h.line, h.col,
                                       h.rule_id, h.message))
 
@@ -267,13 +233,6 @@ class LivenessEngine:
     # ------------------------------------------------------------------
     # LIV001: resource leak / release-outside-finally
     # ------------------------------------------------------------------
-    def _resource_id(self, fn: FunctionInfo, chain: tuple[str, ...]) -> str:
-        if chain[0] in ("self", "cls") and fn.is_method:
-            owner = fn.qualname.rsplit(".", 1)[0]
-            rest = ".".join(chain[1:])
-            return f"{owner}.{rest}" if rest else owner
-        return f"{fn.qualname}.{'.'.join(chain)}"
-
     def _lifecycle_sites(self, scan: _FnScan):
         acquires: list[tuple[int, int, tuple[str, ...], str]] = []
         releases: list[tuple[int, tuple[str, ...], str]] = []
@@ -323,9 +282,6 @@ class LivenessEngine:
         fn = scan.fn
         acquires, releases, yields = self._lifecycle_sites(scan)
         for line, col, chain, verb in acquires:
-            rid = self._resource_id(fn, chain)
-            self.resources.setdefault(
-                rid, {"acquired_by": []})["acquired_by"].append(fn.qualname)
             release_verb = ACQUIRE_VERBS[verb]
             chain_str = ".".join(chain)
             matching = [
@@ -645,127 +601,6 @@ class LivenessEngine:
         return False
 
     # ------------------------------------------------------------------
-    # LIV004: hold-while-wait graph and cycle detection
-    # ------------------------------------------------------------------
-    def _scan_wait_graph(self, scan: _FnScan) -> None:
-        fn = scan.fn
-        yield_call_ids: set[int] = set()
-        ops: list[tuple[int, int, str, object]] = []
-        for node in walk_own_body(fn.node):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                val = node.value
-                acq = None
-                if (isinstance(val, ast.Call)
-                        and isinstance(val.func, ast.Attribute)
-                        and val.func.attr in ACQUIRE_VERBS):
-                    chain = _receiver_chain(val, scan.aliases)
-                    if chain is not None:
-                        acq = chain
-                        yield_call_ids.add(id(val))
-                if acq is not None:
-                    ops.append((node.lineno, node.col_offset, "acquire", acq))
-                elif val is not None and _has_timeout_marker(val):
-                    ops.append((node.lineno, node.col_offset, "bounded", None))
-                else:
-                    ops.append((node.lineno, node.col_offset, "wait", None))
-        for node in walk_own_body(fn.node):
-            if (isinstance(node, ast.Call) and id(node) not in yield_call_ids
-                    and isinstance(node.func, ast.Attribute)):
-                verb = node.func.attr
-                if verb in ACQUIRE_VERBS:
-                    chain = _receiver_chain(node, scan.aliases)
-                    if chain is not None:
-                        ops.append((node.lineno, node.col_offset,
-                                    "acquire-call", chain))
-                elif verb in _RELEASE_VERBS:
-                    chain = _receiver_chain(node, scan.aliases)
-                    if chain is not None:
-                        ops.append((node.lineno, node.col_offset,
-                                    "release", (chain, verb)))
-        ops.sort(key=lambda op: (op[0], op[1]))
-        held: dict[tuple[str, ...], str] = {}
-        for line, _col, kind, data in ops:
-            if kind in ("acquire", "acquire-call"):
-                chain = data  # type: ignore[assignment]
-                rid = self._resource_id(fn, chain)
-                for hrid in held.values():
-                    self.edges.append(WaitEdge(
-                        fn.qualname, hrid, rid, "resource", line,
-                        str(fn.src.path)))
-                held[chain] = rid
-            elif kind == "release":
-                chain, verb = data  # type: ignore[misc]
-                held.pop(chain, None)
-            elif kind == "wait":
-                for hrid in held.values():
-                    self.edges.append(WaitEdge(
-                        fn.qualname, hrid,
-                        f"event@{fn.module}:{line}", "event", line,
-                        str(fn.src.path)))
-        self.edges.sort(key=lambda e: (e.path, e.line, e.holds, e.waits_on))
-
-    @staticmethod
-    def _detect_cycles(edges: Sequence[WaitEdge]) -> list[dict]:
-        """SCCs of the resource->resource graph with a cycle, sorted."""
-        graph: dict[str, set[str]] = {}
-        by_pair: dict[tuple[str, str], WaitEdge] = {}
-        for edge in edges:
-            if edge.kind != "resource":
-                continue
-            graph.setdefault(edge.holds, set()).add(edge.waits_on)
-            graph.setdefault(edge.waits_on, set())
-            by_pair.setdefault((edge.holds, edge.waits_on), edge)
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        sccs: list[list[str]] = []
-        counter = [0]
-
-        def strongconnect(v: str) -> None:
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            for w in sorted(graph[v]):
-                if w not in index:
-                    strongconnect(w)
-                    low[v] = min(low[v], low[w])
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if low[v] == index[v]:
-                comp: list[str] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-
-        for v in sorted(graph):
-            if v not in index:
-                strongconnect(v)
-        cycles: list[dict] = []
-        for comp in sccs:
-            members = sorted(comp)
-            is_cycle = len(members) > 1 or members[0] in graph[members[0]]
-            if not is_cycle:
-                continue
-            cyc_edges = sorted(
-                (
-                    {"holder": e.holder, "holds": e.holds,
-                     "waits_on": e.waits_on, "line": e.line, "path": e.path}
-                    for (h, w), e in by_pair.items()
-                    if h in comp and w in comp
-                ),
-                key=lambda e: (e["path"], e["line"]),
-            )
-            cycles.append({"resources": members, "edges": cyc_edges})
-        cycles.sort(key=lambda c: c["resources"])
-        return cycles
-
-    # ------------------------------------------------------------------
     # LIV005: unbounded network-facing waits
     # ------------------------------------------------------------------
     def _scan_unbounded_completion(self, scan: _FnScan) -> None:
@@ -785,7 +620,7 @@ class LivenessEngine:
                         base = (target.value
                                 if isinstance(target, ast.Subscript)
                                 else target)
-                        parts = _chain_parts(base)
+                        parts = chain_parts(base)
                         if (parts and parts[0] in ("self", "cls")
                                 and _contains_name(node.value, name)):
                             stored_line = stored_line or node.lineno
@@ -803,38 +638,9 @@ class LivenessEngine:
                     "expiry (see repro.api.rpc.RpcEndpoint.call)",
                 ))
 
-    def _scan_unbounded_recv_loop(self, scan: _FnScan) -> None:
-        fn = scan.fn
-        for node in walk_own_body(fn.node):
-            if not isinstance(node, (ast.Yield, ast.YieldFrom)):
-                continue
-            val = node.value
-            if not (isinstance(val, ast.Call)
-                    and isinstance(val.func, ast.Attribute)
-                    and val.func.attr == "get"
-                    and not val.args and not val.keywords):
-                continue
-            in_forever_loop = any(
-                isinstance(anc, ast.While)
-                and isinstance(anc.test, ast.Constant)
-                and anc.test.value is True
-                for anc in scan.ancestors(node)
-            )
-            if in_forever_loop:
-                chain = _chain_parts(val.func.value)
-                what = ".".join(chain) if chain else "<queue>"
-                self.hits.append(Hit(
-                    "LIV005", fn.src, node.lineno, node.col_offset,
-                    f"in `{fn.display}`: unbounded `yield {what}.get()` "
-                    "inside `while True` — no Timeout composed, so a quiet "
-                    "peer parks this process forever; compose "
-                    "sim.any_of([get, sim.timeout(..)]) or waive as an "
-                    "intentional server loop",
-                ))
-
 
 # ----------------------------------------------------------------------
-# Engine cache (same shape as ownership_engine)
+# Engine cache (same shape as hotpath_engine)
 # ----------------------------------------------------------------------
 
 _ENGINE_CACHE: dict[tuple, LivenessEngine] = {}
@@ -924,26 +730,6 @@ class LostWakeupRule(_LivenessRule):
     )
 
 
-class StaticDeadlockRule(_LivenessRule):
-    rule_id = "LIV004"
-    description = (
-        "cross-process wait-for cycle: processes hold resources while "
-        "waiting on each other's resources (static deadlock)"
-    )
-    explanation = (
-        "The pass builds a wait-for graph over Resources: an edge A -> B "
-        "means some process holds A while yielding on an acquire of B "
-        "(timeout-composed waits are excluded — they are bounded).  A "
-        "cycle is the classic deadlock shape: with AB-BA acquisition "
-        "orders, two processes can each hold one resource and wait "
-        "forever for the other's.  Impose a single global acquisition "
-        "order, or release the held resource before the second acquire.  "
-        "The same graph is exported per system by `lint --wait-graph` "
-        "into benchmarks/results/wait_graph.json, which scripts/check.sh "
-        "gates against new cycles."
-    )
-
-
 class UnboundedNetworkWaitRule(_LivenessRule):
     rule_id = "LIV005"
     description = (
@@ -954,14 +740,10 @@ class UnboundedNetworkWaitRule(_LivenessRule):
         "Network-facing code (repro.roce/net/core/stack/api/systems) "
         "must never wait on a remote completion without a deadline: "
         "packets drop, peers crash, and TNIC's own retransmission "
-        "machinery exists precisely because the fabric is lossy.  Two "
-        "shapes are flagged: a completion event registered in a pending "
+        "machinery exists precisely because the fabric is lossy.  The "
+        "flagged shape is a completion event registered in a pending "
         "map and returned to the caller with no sim.delayed_call/timeout "
-        "expiry in scope (fix like RpcEndpoint.call), and a zero-arg "
-        "`yield queue.get()` inside `while True` (compose "
-        "sim.any_of([get, sim.timeout(..)])).  Intentional server loops "
-        "that must park until traffic arrives are waived inline with a "
-        "rationale comment."
+        "expiry in scope (fix like RpcEndpoint.call)."
     )
 
 
@@ -969,128 +751,6 @@ LIVENESS_RULES = (
     ResourceLeakRule,
     DoubleTriggerRule,
     LostWakeupRule,
-    StaticDeadlockRule,
     UnboundedNetworkWaitRule,
 )
 
-
-# ----------------------------------------------------------------------
-# Wait-graph artifact (the liveness contract for ROADMAP items 1-2)
-# ----------------------------------------------------------------------
-
-def _call_adjacency(engine: LivenessEngine) -> dict[str, set[str]]:
-    """qualname -> callee qualnames via trailing-name resolution."""
-    adjacency: dict[str, set[str]] = {}
-    for fn in engine.functions:
-        callees: set[str] = set()
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            tail = (call_name(node.func) or "").rsplit(".", 1)[-1]
-            candidates = engine.by_name.get(tail, [])
-            if candidates and len(candidates) <= MAX_CALL_CANDIDATES:
-                callees.update(c.qualname for c in candidates)
-        adjacency[fn.qualname] = callees
-    return adjacency
-
-
-def _reachable_functions(
-    engine: LivenessEngine, adjacency: dict[str, set[str]],
-    modules: Sequence[str],
-) -> set[str]:
-    seeds = [fn.qualname for fn in engine.functions if fn.module in modules]
-    seen: set[str] = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        qual = frontier.pop()
-        for callee in adjacency.get(qual, ()):
-            if callee not in seen:
-                seen.add(callee)
-                frontier.append(callee)
-    return seen
-
-
-def wait_graph(
-    sources: Sequence[SourceFile],
-    systems: dict[str, tuple[str, ...]] | None = None,
-) -> dict:
-    """Per-system hold-while-wait graph plus leak-site inventory.
-
-    The committed artifact is the liveness contract: tier-1
-    (``tests/test_liveness.py``) fails when it differs from a fresh
-    emission, so a regressed ``deadlock_free`` verdict or a new leak
-    site cannot land unseen.  Leak
-    counts are pre-waiver — an inline ``# lint: ignore[LIV001]``
-    silences the lint finding but the site still counts here.
-    """
-    engine = liveness_engine(sources)
-    if systems is None:
-        systems = SYSTEM_MODULES
-    adjacency = _call_adjacency(engine)
-    by_path = {str(src.path): src for src in engine.sources}
-
-    systems_out: dict[str, dict] = {}
-    for system, modules in sorted(systems.items()):
-        reachable = _reachable_functions(engine, adjacency, modules)
-        edges = [
-            {
-                "holder": e.holder, "holds": e.holds,
-                "waits_on": e.waits_on, "kind": e.kind, "line": e.line,
-            }
-            for e in engine.edges if e.holder in reachable
-        ]
-        nodes = sorted({
-            rid for rid, info in engine.resources.items()
-            if any(q in reachable for q in info["acquired_by"])
-        })
-        sub_edges = [e for e in engine.edges if e.holder in reachable]
-        cycles = LivenessEngine._detect_cycles(sub_edges)
-        systems_out[system] = {
-            "modules": list(modules),
-            "nodes": nodes,
-            "edges": edges,
-            "cycles": [
-                {"resources": c["resources"],
-                 "edges": [
-                     {k: v for k, v in e.items() if k != "path"}
-                     for e in c["edges"]
-                 ]}
-                for c in cycles
-            ],
-            "deadlock_free": not cycles,
-        }
-
-    leaks = []
-    for hit in engine.hits:
-        if hit.rule_id != "LIV001":
-            continue
-        src = by_path.get(str(hit.src.path))
-        waived = bool(
-            src is not None and "LIV001" in inline_ignores(src, hit.line))
-        leaks.append({
-            "rule": "LIV001",
-            "module": hit.src.module,
-            "line": hit.line,
-            "message": hit.message,
-            "waived": waived,
-        })
-
-    return {
-        "schema": 1,
-        "generated_by": "python -m repro lint --wait-graph",
-        "comment": (
-            "Static liveness contract: per-system hold-while-wait graphs "
-            "with deadlock verdicts, plus the pre-waiver LIV001 leak-site "
-            "inventory. scripts/check.sh fails on new cycles or leak "
-            "sites. Waived leaks still count."
-        ),
-        "systems": systems_out,
-        "leaks": leaks,
-        "totals": {
-            "systems": len(systems_out),
-            "nodes": len(engine.resources),
-            "edges": len(engine.edges),
-            "cycles": len(engine.cycles),
-            "leak_sites": len(leaks),
-        },
-    }

@@ -127,7 +127,6 @@ def pass_groups() -> dict[str, list[Rule]]:
     from repro.analysis.interference import INTERFERENCE_RULES
     from repro.analysis.liveness import LIVENESS_RULES
     from repro.analysis.observability import OBSERVABILITY_RULES
-    from repro.analysis.ownership import OWNERSHIP_RULES
     from repro.analysis.sim_safety import SIM_SAFETY_RULES
     from repro.analysis.taint import TAINT_RULES
 
@@ -139,7 +138,6 @@ def pass_groups() -> dict[str, list[Rule]]:
         "syntactic": syntactic,
         "taint": [cls() for cls in TAINT_RULES],
         "interference": [cls() for cls in INTERFERENCE_RULES],
-        "ownership": [cls() for cls in OWNERSHIP_RULES],
         "hotpath": [cls() for cls in HOTPATH_RULES],
         "liveness": [cls() for cls in LIVENESS_RULES],
     }

@@ -175,7 +175,7 @@ def import_graph(sources: Iterable[SourceFile]) -> dict[str, list[tuple[str, Imp
 
 
 # ----------------------------------------------------------------------
-# Function helpers shared by the determinism and sim-safety passes
+# Function and attribute-chain helpers shared by the passes
 # ----------------------------------------------------------------------
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -215,3 +215,48 @@ def dotted_name(node: ast.expr) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def chain_parts(expr: ast.expr) -> list[str] | None:
+    """``a.b[k].c`` → ``["a", "b", "c"]``; None if rooted elsewhere.
+
+    Subscripts are peeled (indexing into a container keeps the chain),
+    calls are not (a call result is a fresh value).
+    """
+    parts: list[str] = []
+    node = expr
+    while True:
+        if isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        elif isinstance(node, ast.Subscript):
+            node = node.value
+        elif isinstance(node, ast.Name):
+            parts.append(node.id)
+            return list(reversed(parts))
+        else:
+            return None
+
+
+def local_aliases(func: ast.FunctionDef) -> dict[str, tuple[str, ...]]:
+    """``name -> self-attr chain`` for locals aliased from ``self`` state.
+
+    ``system = self.system`` makes later ``system.x`` chains resolvable
+    as ``self.system.x`` — peer_review leans on this idiom heavily.
+    """
+    aliases: dict[str, tuple[str, ...]] = {}
+    stmts = sorted(
+        (n for n in walk_own_body(func) if isinstance(n, ast.Assign)),
+        key=lambda n: (n.lineno, n.col_offset),
+    )
+    for stmt in stmts:
+        if len(stmt.targets) != 1 or not isinstance(stmt.targets[0], ast.Name):
+            continue
+        parts = chain_parts(stmt.value)
+        if parts is None or len(parts) < 2:
+            continue
+        if parts[0] in ("self", "cls"):
+            aliases[stmt.targets[0].id] = tuple(parts[1:])
+        elif parts[0] in aliases:
+            aliases[stmt.targets[0].id] = aliases[parts[0]] + tuple(parts[1:])
+    return aliases

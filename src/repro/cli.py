@@ -260,25 +260,6 @@ def _run_lint(args: argparse.Namespace) -> int:
             return 2
     sources = collect_sources(targets)
 
-    if args.partition_manifest:
-        import json
-
-        from repro.analysis.ownership import partition_manifest
-
-        manifest = partition_manifest(sources)
-        out = Path(args.partition_manifest)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-        for name, system in sorted(manifest["systems"].items()):
-            verdict = "shardable" if system["shardable"] else "blocked"
-            print(
-                f"lint: {name:12s} {verdict:9s} "
-                f"edges={len(system['cross_shard_edges']):2d} "
-                f"blocking={len(system['blocking_findings'])}"
-            )
-        print(f"lint: partition manifest written to {out}")
-        return 0
-
     if args.hotpath_manifest:
         import json
 
@@ -296,35 +277,6 @@ def _run_lint(args: argparse.Namespace) -> int:
             f"{totals['ungated_emits']} ungated emit(s)"
         )
         print(f"lint: hotpath manifest written to {out}")
-        return 0
-
-    if args.wait_graph:
-        import json
-
-        from repro.analysis.liveness import wait_graph
-
-        graph = wait_graph(sources)
-        out = Path(args.wait_graph)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(graph, indent=2) + "\n", encoding="utf-8")
-        for name, system in sorted(graph["systems"].items()):
-            verdict = (
-                "deadlock-free" if system["deadlock_free"] else "DEADLOCK"
-            )
-            print(
-                f"lint: {name:12s} {verdict:13s} "
-                f"nodes={len(system['nodes']):2d} "
-                f"edges={len(system['edges']):2d} "
-                f"cycles={len(system['cycles'])}"
-            )
-        totals = graph["totals"]
-        print(
-            f"lint: wait graph: {totals['systems']} system(s), "
-            f"{totals['nodes']} node(s), {totals['edges']} edge(s), "
-            f"{totals['cycles']} cycle(s), "
-            f"{totals['leak_sites']} leak site(s)"
-        )
-        print(f"lint: wait graph written to {out}")
         return 0
 
     baseline_path = (
@@ -658,33 +610,22 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--only", default=None, metavar="RULE|PREFIX",
         help="report only findings whose rule id matches the selector "
-             "(exact id like LIV004, or a family prefix like LIV); "
+             "(exact id like LIV002, or a family prefix like LIV); "
              "unknown selectors exit 2 with the valid prefixes",
     )
     lint.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="run independent pass groups (syntactic/taint/interference/"
-             "ownership/hotpath/liveness) across N worker processes "
+             "hotpath/liveness) across N worker processes "
              "(default: auto from os.cpu_count(), capped at the group "
              "count; --jobs 1 forces the serial driver; output is byte-"
              "identical either way)",
-    )
-    lint.add_argument(
-        "--partition-manifest", default=None, metavar="FILE",
-        help="write the shard plan (per-system ownership domains, "
-             "cross-shard edges, shardable verdicts) to FILE and exit",
     )
     lint.add_argument(
         "--hotpath-manifest", default=None, metavar="FILE",
         help="write the hot-path cost contract (per-entry-point "
              "reachable functions, allocation-site counts, gated/"
              "ungated emit tallies) to FILE and exit",
-    )
-    lint.add_argument(
-        "--wait-graph", default=None, metavar="FILE",
-        help="write the cross-process wait-for graph (per-system "
-             "resource nodes, hold-while-wait edges, deadlock-cycle "
-             "verdicts, pre-waiver leak sites) to FILE and exit",
     )
 
     sanitize = sub.add_parser(

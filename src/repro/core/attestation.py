@@ -290,7 +290,7 @@ class AttestationKernel:
         """
         jobs = self._pending_verifies
         verdicts = batch_verify(
-            [(self._key(job[0]), job[1], job[2]) for job in jobs]  # lint: ignore[PERF001] one batch-input tuple per parked job, once per completion wave; keys resolved here so none sit parked
+            [(self._key(job[0]), job[1], job[2]) for job in jobs]
         )
         for job, verdict in zip(jobs, verdicts):
             job[3] = verdict

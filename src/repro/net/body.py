@@ -65,7 +65,7 @@ def segment(payload: Body, mtu: int) -> list:
     if size <= mtu:
         return [payload]
     view = as_view(payload)
-    return [  # lint: ignore[PERF001] multi-MTU path only; the <=MTU fast path above returns without allocating
+    return [
         view[offset : offset + mtu]
         for offset in range(0, size, mtu)
     ]

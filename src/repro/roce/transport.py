@@ -326,7 +326,7 @@ class RoceKernel:
     # ------------------------------------------------------------------
     def _rx_loop(self):
         while True:
-            packet: Packet = yield self.mac.rx_queue.get()  # lint: ignore[LIV005] intentional server loop: NIC rx pipeline parks until the wire delivers
+            packet: Packet = yield self.mac.rx_queue.get()
             if packet.ip.dst_ip != self.ip:
                 continue  # not ours (promiscuous fabric delivery)
             if packet.bth.opcode in (RdmaOpcode.ACK, RdmaOpcode.NAK):
@@ -408,7 +408,7 @@ class RoceKernel:
         qp = self._qp(qp_number)
         state = self.tables.get(qp_number)
         while True:
-            epoch, packet = yield lane.store.get()  # lint: ignore[LIV005] intentional server loop: in-order delivery lane parks until rx feeds it
+            epoch, packet = yield lane.store.get()
             if epoch != lane.epoch:
                 continue  # stale: accepted before a verification failure
             segments = packet.meta.get("segments", 1)

@@ -21,12 +21,10 @@ from repro.sim.events import AnyOf, AllOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Pipe, Resource, SerialServer, Store
 from repro.sim.rng import DeterministicRng
-from repro.sim.shard import CrossShard, cross_shard
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CrossShard",
     "DeterministicRng",
     "Event",
     "Interrupt",
@@ -37,5 +35,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "cross_shard",
 ]

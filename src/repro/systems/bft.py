@@ -145,7 +145,7 @@ class _Replica:
 
     def run_leader(self):
         while True:
-            item = yield self.inbox.get()  # lint: ignore[LIV005] intentional server loop: replica serves requests for the run's lifetime
+            item = yield self.inbox.get()
             request, trace_parent = unwrap(self.system.sim, item)
             if isinstance(request, ProofOfExecution):
                 yield from self._leader_handle_ack(request, trace_parent)
@@ -246,7 +246,7 @@ class _Replica:
     # ------------------------------------------------------------------
     def run_follower(self):
         while True:
-            item = yield self.inbox.get()  # lint: ignore[LIV005] intentional server loop: replica serves requests for the run's lifetime
+            item = yield self.inbox.get()
             message, trace_parent = unwrap(self.system.sim, item)
             if isinstance(message, ReadRequest):
                 yield from self._answer_read(message)

@@ -123,7 +123,7 @@ class _Replica:
     # ------------------------------------------------------------------
     def run(self):
         while True:
-            message = yield self.inbox.get()  # lint: ignore[LIV005] intentional server loop: replica serves requests for the run's lifetime
+            message = yield self.inbox.get()
             if self.silent:
                 continue
             if isinstance(message, ClientRequest):

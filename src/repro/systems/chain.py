@@ -159,7 +159,7 @@ class _ChainNode:
 
     def run_head(self):
         while True:
-            message = yield self.inbox.get()  # lint: ignore[LIV005] intentional server loop: chain node serves requests for the run's lifetime
+            message = yield self.inbox.get()
             if isinstance(message, QuorumRead):
                 yield from self._answer_quorum_read(message)
                 continue
@@ -190,7 +190,7 @@ class _ChainNode:
     # ------------------------------------------------------------------
     def run_middle_or_tail(self):
         while True:
-            message = yield self.inbox.get()  # lint: ignore[LIV005] intentional server loop: chain node serves requests for the run's lifetime
+            message = yield self.inbox.get()
             if isinstance(message, QuorumRead):
                 yield from self._answer_quorum_read(message)
                 continue

@@ -52,7 +52,7 @@ class _CftChainNode:
     def run(self):
         system = self.system
         while True:
-            message = yield self.inbox.get()  # lint: ignore[LIV005] intentional server loop: chain node serves requests for the run's lifetime
+            message = yield self.inbox.get()
             yield system.sim.timeout(TEE_IO_OVERHEAD_US)
             if not isinstance(message, ChainCommand):
                 continue
@@ -99,7 +99,7 @@ class TeeChainReplication:
             sent_at = self.sim.now
             self.network.send("head", ChainCommand(request_id, request))
             while True:
-                reply = yield self.client_inbox.get()  # lint: ignore[LIV005] intentional server loop: client loop ends when the workload completes
+                reply = yield self.client_inbox.get()
                 if (
                     isinstance(reply, TailReply)
                     and reply.request_id == request_id

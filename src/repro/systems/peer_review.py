@@ -23,7 +23,6 @@ from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.clock import Simulator
 from repro.sim.latency import PEER_REVIEW_AUDIT_US
-from repro.sim.shard import cross_shard
 from repro.systems.common import (
     BroadcastAuthenticator,
     EmulatedNetwork,
@@ -158,7 +157,7 @@ class _Child:
 
     def run(self):
         while True:
-            message = yield self.inbox.get()  # lint: ignore[LIV005] intentional server loop: child replica serves requests for the run's lifetime
+            message = yield self.inbox.get()
             if not isinstance(message, StreamChunk):
                 continue
             if self.silent:
@@ -203,9 +202,7 @@ class _Source:
     def stream(self, contents: list[str], done):
         """root(): multicast each chunk, await both children's acks."""
         system = self.system
-        # The stream process is the system's only metrics writer; a
-        # sharded engine would aggregate per-shard metrics at join.
-        system.metrics.started_at = system.sim.now  # lint: ignore[SHD003] single-writer telemetry, merged at shard join
+        system.metrics.started_at = system.sim.now
         for seq, content in enumerate(contents):
             sent_at = system.sim.now
             payload = _encode(seq, content)
@@ -227,7 +224,7 @@ class _Source:
                     # "expose non-responsive nodes": a witness treats a
                     # child that stops acknowledging as exposed.
                     for child in set(system.children) - acked:
-                        system.witness_faults.append(  # lint: ignore[SHD003] witness verdict sink; single writer, union-merged at shard join
+                        system.witness_faults.append(
                             f"{child}: non-responsive (no ack for chunk "
                             f"{seq} within {system.ack_timeout_us:.0f}us)"
                         )
@@ -260,23 +257,18 @@ class _Source:
             if system.audit_enabled:
                 # "the witness audits the log after every send operation
                 # in the source node"
-                # The log handoff is an explicit cross-shard transfer
-                # (audit replays a snapshot); the witness itself stays
-                # pinned to the source's shard in the partition plan.
-                faults = yield from system.witness.audit(  # lint: ignore[SHD003] source witness pinned to the source's shard
-                    cross_shard(self.log, "audit replays a log snapshot")
-                )
-                system.witness_faults.extend(faults)  # lint: ignore[SHD003] witness verdict sink; single writer, union-merged at shard join
+                faults = yield from system.witness.audit(self.log)
+                system.witness_faults.extend(faults)
                 if system.audit_children:
                     for child_name, child in system.child_nodes.items():
-                        child_faults = yield from system.child_witnesses[  # lint: ignore[SHD003] full-deployment audit reads child logs; sharded engine ships them via cross_shard
+                        child_faults = yield from system.child_witnesses[
                             child_name
                         ].audit(child.log)
-                        system.witness_faults.extend(  # lint: ignore[SHD003] witness verdict sink; single writer, union-merged at shard join
+                        system.witness_faults.extend(
                             f"{child_name}: {fault}" for fault in child_faults
                         )
             system.metrics.record(system.sim.now - sent_at)
-        system.metrics.finished_at = system.sim.now  # lint: ignore[SHD003] single-writer telemetry, merged at shard join
+        system.metrics.finished_at = system.sim.now
         done.succeed(system.metrics)
 
 

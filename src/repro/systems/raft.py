@@ -105,7 +105,7 @@ class _RaftNode:
         shipped: dict[str, int] = {f: 0 for f in system.followers}
         pending: dict[int, int] = {}  # log index -> request_id
         while True:
-            message = yield self.inbox.get()  # lint: ignore[LIV005] intentional server loop: leader serves requests for the run's lifetime
+            message = yield self.inbox.get()
             yield self._tee_cost()
             if isinstance(message, ClientCommand):
                 entry = LogEntry(
@@ -182,7 +182,7 @@ class _RaftNode:
     def run_follower(self):
         system = self.system
         while True:
-            message = yield self.inbox.get()  # lint: ignore[LIV005] intentional server loop: follower serves requests for the run's lifetime
+            message = yield self.inbox.get()
             yield self._tee_cost()
             if not isinstance(message, AppendEntries):
                 continue

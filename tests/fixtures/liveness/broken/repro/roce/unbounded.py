@@ -1,4 +1,4 @@
-"""LIV005 shapes: pending completion without a deadline, unbounded get."""
+"""LIV005 shape: a pending completion registered without a deadline."""
 
 
 class UnboundedEndpoint:
@@ -11,8 +11,3 @@ class UnboundedEndpoint:
         done = self.sim.event()  # line 11: no expiry composed
         self._pending[payload.psn] = done
         return done
-
-    def recv_loop(self):
-        while True:
-            frame = yield self.rx.get()  # line 17: parks forever when quiet
-            self._pending.pop(frame.psn, None)

@@ -1,4 +1,4 @@
-"""Clean LIV005 twin: deadline-composed completion and receive loop."""
+"""Clean LIV005 twin: deadline-composed completion, plain server loop."""
 
 
 class BoundedEndpoint:
@@ -20,10 +20,6 @@ class BoundedEndpoint:
         return done
 
     def recv_loop(self):
-        while True:
-            got = self.rx.get()
-            frame = yield self.sim.any_of([got, self.sim.timeout(50.0)])
-            if frame is None:
-                self.rx.cancel_get(got)
-                break
-            self._pending.pop(frame, None)
+        while True:  # server idiom: parks until traffic arrives
+            frame = yield self.rx.get()
+            self._pending.pop(frame.psn, None)

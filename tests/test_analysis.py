@@ -8,6 +8,7 @@ determinism and TCB promises hang on.
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -16,9 +17,9 @@ import pytest
 from repro.analysis import (
     Baseline,
     TcbReport,
-    analyze_paths,
+    apply_suppressions,
     collect_findings,
-    collect_sources,
+    default_baseline_path,
     render_json,
     render_sarif,
     render_text,
@@ -33,12 +34,13 @@ from repro.analysis.determinism import (
     UnseededRandomRule,
     WallClockRule,
 )
+from repro.analysis.rules import inline_ignores
 from repro.analysis.sim_safety import (
     BlockingCallInProcessRule,
     FileIoInProcessRule,
     SleepInProcessRule,
 )
-from repro.analysis.walker import parse_file
+from repro.analysis.walker import chain_parts, local_aliases, parse_file
 
 
 def _write_module(tmp_path: Path, relpath: str, source: str) -> Path:
@@ -340,8 +342,7 @@ def test_rule_catalog_lists_every_pass():
     assert {"DET001", "DET002", "DET003", "DET004", "DET005",
             "SIM001", "SIM002", "SIM003", "BND001",
             "SEC001", "SEC002", "SEC003", "TNT001", "TNT002",
-            "RACE001", "RACE002", "RACE003",
-            "SHD001", "SHD002", "SHD003"} <= set(catalog)
+            "RACE001", "RACE002", "RACE003"} <= set(catalog)
     assert all(catalog.values())
 
 
@@ -397,37 +398,58 @@ def test_render_sarif_matches_the_2_1_0_schema_shape(tmp_path):
         assert location["region"]["startColumn"] >= 1
 
 
-def test_render_sarif_indexes_shd_rules(tmp_path):
-    """The ownership pass's findings carry rule metadata like any other."""
-    root = tmp_path / "repro"
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "__init__.py").write_text("")
-    (root / "shard_bad.py").write_text(
-        "class System:\n"
-        "    def __init__(self, names):\n"
-        "        self.latest = None\n"
-        "        self.nodes = [Node(n, self) for n in names]\n"
-        "\n"
+def test_render_sarif_indexes_project_rules(tmp_path):
+    """A whole-project pass's findings carry rule metadata like any other."""
+    _findings, document = _sarif_document_for(
+        tmp_path, "repro/leaky.py",
         "class Node:\n"
-        "    def __init__(self, name, system):\n"
-        "        self.system = system\n"
-        "        self.log = []\n"
+        "    def __init__(self, lock):\n"
+        "        self.lock = lock\n"
         "\n"
         "    def run(self, sim):\n"
-        "        yield sim.timeout(1)\n"
-        "        self.system.latest = self.log\n"
+        "        yield self.lock.acquire()\n"
+        "        yield sim.timeout(1)\n",
     )
-    findings = run_rules(collect_sources([tmp_path]))
-    shd = [f for f in findings if f.rule.startswith("SHD")]
-    assert shd, "expected SHD findings from the fixture"
-    document = json.loads(render_sarif(findings))
     run = document["runs"][0]
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    shd_results = [r for r in run["results"]
-                   if r["ruleId"].startswith("SHD")]
-    assert shd_results
-    for result in shd_results:
+    liv_results = [r for r in run["results"]
+                   if r["ruleId"].startswith("LIV")]
+    assert liv_results, "expected LIV findings from the fixture"
+    for result in liv_results:
         assert rule_ids[result["ruleIndex"]] == result["ruleId"]
+
+
+# ----------------------------------------------------------------------
+# Attribute-chain helpers shared by the passes
+# ----------------------------------------------------------------------
+
+def _expr(source: str) -> ast.expr:
+    return ast.parse(source, mode="eval").body
+
+
+def test_chain_parts_peels_subscripts_and_rejects_call_roots():
+    assert chain_parts(_expr("a.b.c")) == ["a", "b", "c"]
+    assert chain_parts(_expr("a.b[k].c[0]")) == ["a", "b", "c"]
+    assert chain_parts(_expr("name")) == ["name"]
+    # A call result is a fresh value: a chain rooted in one is no chain.
+    assert chain_parts(_expr("make().b.c")) is None
+    assert chain_parts(_expr("a.b().c")) is None
+
+
+def test_local_aliases_resolve_transitively_through_self():
+    func = ast.parse(
+        "def run(self, other):\n"
+        "    system = self.system\n"
+        "    w = system.witness\n"
+        "    nodes = system.nodes[0].peers\n"
+        "    x = other.field\n"
+        "    y = self\n"
+    ).body[0]
+    assert local_aliases(func) == {
+        "system": ("system",),
+        "w": ("system", "witness"),
+        "nodes": ("system", "nodes", "peers"),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -435,8 +457,24 @@ def test_render_sarif_indexes_shd_rules(tmp_path):
 # ----------------------------------------------------------------------
 
 @pytest.mark.lint
-def test_shipped_codebase_lints_clean_against_baseline():
-    assert analyze_paths() == []
+def test_shipped_codebase_lints_clean_against_baseline(real_sources):
+    raw = collect_findings(real_sources)
+    baseline = Baseline.load(default_baseline_path())
+    unwaived = apply_suppressions(raw, real_sources, baseline)
+    assert unwaived == [], "\n".join(f.render() for f in unwaived)
+
+    # ... and every inline waiver still waives something.  (The analysis
+    # package is skipped: its docstrings quote the waiver syntax.)
+    hits = {(f.path, f.line, f.rule) for f in raw}
+    stale = [
+        f"{src.path}:{lineno}: stale `# lint: ignore[{rule}]`"
+        for src in real_sources
+        if not src.module.startswith("repro.analysis")
+        for lineno in range(1, len(src.lines) + 1)
+        for rule in sorted(inline_ignores(src, lineno))
+        if (str(src.path), lineno, rule) not in hits
+    ]
+    assert stale == [], "\n".join(stale)
 
 
 @pytest.mark.lint

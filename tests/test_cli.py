@@ -124,36 +124,31 @@ def test_lint_command_explain_known_and_unknown_rule(capsys):
     assert "SEC001" in out and "key" in out.lower()
     assert main(["lint", "--explain", "TNT001"]) == 0
     capsys.readouterr()
-    assert main(["lint", "--explain", "SHD001"]) == 0
-    assert "cross_shard" in capsys.readouterr().out
+    assert main(["lint", "--explain", "LIV001"]) == 0
+    assert "try/finally" in capsys.readouterr().out
     assert main(["lint", "--explain", "NOPE999"]) == 2
     err = capsys.readouterr().err
     assert "no such rule: NOPE999" in err
     # The usage hint lists every shipped rule-ID prefix.
-    for prefix in ("DET", "SIM", "BND", "SEC", "TNT", "RACE", "SHD"):
+    for prefix in ("DET", "SIM", "BND", "SEC", "TNT", "RACE", "LIV"):
         assert prefix in err
 
 
-def _write_shard_fixture(tmp_path):
+def _write_two_group_fixture(tmp_path):
+    """One module tripping a syntactic rule and a liveness (project) rule."""
     pkg = tmp_path / "repro"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
     (pkg / "leaky.py").write_text(
         "import time\n"
         "NOW = time.time()\n"
-        "class System:\n"
-        "    def __init__(self, names):\n"
-        "        self.latest = None\n"
-        "        self.nodes = [Node(n, self) for n in names]\n"
-        "\n"
         "class Node:\n"
-        "    def __init__(self, name, system):\n"
-        "        self.system = system\n"
-        "        self.log = []\n"
+        "    def __init__(self, lock):\n"
+        "        self.lock = lock\n"
         "\n"
         "    def run(self, sim):\n"
+        "        yield self.lock.acquire()\n"
         "        yield sim.timeout(1)\n"
-        "        self.system.latest = self.log\n"
     )
     return tmp_path
 
@@ -161,38 +156,19 @@ def _write_shard_fixture(tmp_path):
 def test_lint_command_jobs_matches_serial_output(tmp_path, capsys):
     import json
 
-    target = str(_write_shard_fixture(tmp_path))
+    target = str(_write_two_group_fixture(tmp_path))
     assert main(["lint", target, "--format", "json"]) == 1
     serial = json.loads(capsys.readouterr().out)
     assert main(["lint", target, "--format", "json", "--jobs", "4"]) == 1
     parallel = json.loads(capsys.readouterr().out)
     assert parallel == serial
     # Findings from two different pass groups survive the merge.
-    assert {f["rule"] for f in serial["findings"]} >= {"DET001", "SHD001"}
+    assert {f["rule"] for f in serial["findings"]} >= {"DET001", "LIV001"}
 
 
 def test_lint_command_jobs_on_clean_tree(capsys):
     assert main(["lint", "--jobs", "4"]) == 0
     assert "clean" in capsys.readouterr().out
-
-
-def test_lint_command_partition_manifest(tmp_path, capsys):
-    import json
-
-    out_path = tmp_path / "results" / "partition_manifest.json"
-    assert main(["lint", "--partition-manifest", str(out_path)]) == 0
-    printed = capsys.readouterr().out
-    assert "partition manifest written" in printed
-    manifest = json.loads(out_path.read_text())
-    systems = manifest["systems"]
-    assert set(systems) == {"bft", "chain", "a2m", "peer_review"}
-    assert systems["chain"]["shardable"] is True
-    assert systems["a2m"]["shardable"] is True
-    assert systems["peer_review"]["shardable"] is False
-    for system in systems.values():
-        assert set(system) >= {"modules", "classes", "state",
-                               "cross_shard_edges", "blocking_findings",
-                               "shardable"}
 
 
 def test_lint_command_prune_baseline_flow(tmp_path, capsys):
