@@ -19,7 +19,7 @@ process simulator in the style of SimPy:
 from repro.sim.clock import Simulator
 from repro.sim.events import AnyOf, AllOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Pipe, Resource, SerialServer, Store
+from repro.sim.resources import TIMED_OUT, Pipe, Resource, SerialServer, Store
 from repro.sim.rng import DeterministicRng
 
 __all__ = [
@@ -34,5 +34,6 @@ __all__ = [
     "SerialServer",
     "Simulator",
     "Store",
+    "TIMED_OUT",
     "Timeout",
 ]

@@ -6,8 +6,9 @@
   at submission, so completions are computed, not simulated.  Used for
   the attestation kernel's HMAC pipeline and the stack models'
   bottleneck stage.
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``.
-  Used for NIC RX/TX queues and host completion queues.
+* :class:`Store` — an unbounded FIFO of items with blocking ``get``
+  and the deadline receive ``get_until``.  Used for NIC RX/TX queues,
+  host completion queues and the systems' node inboxes.
 * :class:`Pipe` — a bandwidth-limited, propagation-delayed byte channel.
   Used for links (100 Gb wire) and the PCIe DMA engine.
 """
@@ -15,6 +16,7 @@
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.sim.events import Event
@@ -123,15 +125,38 @@ class SerialServer:
         return done
 
 
+class _TimedOut:
+    """Type of :data:`TIMED_OUT`, the one timeout sentinel."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "TIMED_OUT"
+
+
+#: What a :meth:`Store.get_until` event resolves with when its deadline
+#: passes first.  Compare by identity: ``if item is TIMED_OUT``.
+TIMED_OUT = _TimedOut()
+
+
+class _DeadlineGet(Event):
+    """A pending :meth:`Store.get_until`: a getter that may expire."""
+
+    __slots__ = ("deadline",)
+
+
 class Store:
     """Unbounded FIFO store with blocking retrieval."""
 
-    __slots__ = ("sim", "_items", "_getters")
+    __slots__ = ("sim", "_items", "_getters", "_timer_at")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
+        #: Instant of the expiry timer in flight for :meth:`get_until`
+        #: getters, ``inf`` when none is.
+        self._timer_at = inf
 
     def __len__(self) -> int:
         return len(self._items)
@@ -144,6 +169,13 @@ class Store:
         else:
             self._items.append(item)
 
+    def deliver(self, event: Event) -> None:
+        """Event callback form of :meth:`put`: deposit *event*'s value.
+
+        A message in flight is a :class:`~repro.sim.events.Timeout`
+        carrying the message, with this bound method as its callback."""
+        self.put(event._value)
+
     def get(self) -> Event:
         """Return an event that triggers with the next item."""
         event = Event(self.sim)
@@ -153,6 +185,65 @@ class Store:
             self._getters.append(event)
         return event
 
+    def get_until(self, deadline: float) -> Event:
+        """Receive with a deadline: the event triggers with the next
+        item, or with :data:`TIMED_OUT` once the clock reaches the
+        absolute instant *deadline* (at once if it already has).
+
+        A getter that is served schedules nothing for its deadline.
+        The store keeps at most one expiry timer in flight, filed at
+        the absolute deadline through ``Simulator._push`` (a relative
+        ``timeout(deadline - now)`` lands on ``now + (deadline - now)``,
+        which can differ from ``deadline`` in the last bit).  A served
+        getter leaves the timer behind; the next getter reuses it when
+        it fires no later than the new deadline, and a timer that fires
+        with nobody due re-arms for the earliest deadline still waiting
+        or lapses.  A consumer whose deadlines never move backwards
+        therefore has one scheduled entry however many items it gets.
+        """
+        event = _DeadlineGet(self.sim)
+        if deadline <= self.sim._now:
+            event.succeed(TIMED_OUT)
+        elif self._items:
+            event.succeed(self._items.popleft())
+        else:
+            event.deadline = deadline
+            self._getters.append(event)
+            if deadline < self._timer_at:
+                self._arm(deadline)
+        return event
+
+    def _arm(self, when: float) -> None:
+        """File the expiry timer at the absolute instant *when*."""
+        sim = self.sim
+        timer = Event(sim)
+        timer._state = Event.TRIGGERED
+        timer._value = when
+        timer.callbacks.append(self._expire)
+        self._timer_at = when
+        sim._push(when, timer)
+
+    def _expire(self, timer: Event) -> None:
+        """The expiry timer fired: time out every getter that is due,
+        then re-arm for the earliest deadline still waiting."""
+        if timer._value != self._timer_at:
+            return  # superseded by a timer armed for an earlier deadline
+        self._timer_at = inf
+        getters = self._getters
+        if not getters:
+            return
+        now = self.sim._now
+        earliest = inf
+        for getter in list(getters):
+            if type(getter) is _DeadlineGet:
+                if getter.deadline <= now:
+                    getters.remove(getter)
+                    getter.succeed(TIMED_OUT)
+                elif getter.deadline < earliest:
+                    earliest = getter.deadline
+        if earliest != inf:
+            self._arm(earliest)
+
     def try_get(self) -> Any | None:
         """Non-blocking retrieval; None if the store is empty."""
         if self._items:
@@ -161,8 +252,10 @@ class Store:
 
     def cancel_get(self, event: Event) -> None:
         """Withdraw a pending :meth:`get` so it can no longer consume an
-        item.  Call this for the losing ``get`` of a get-vs-timeout race
-        — an abandoned getter would otherwise swallow the next put."""
+        item.  Call this for the losing ``get`` of a race against
+        another event — an abandoned getter would otherwise swallow the
+        next put.  (A wait bounded by time is :meth:`get_until`, which
+        withdraws its own getter.)"""
         try:
             self._getters.remove(event)
         except ValueError:

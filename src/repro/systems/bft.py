@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from repro.core.attestation import AttestedMessage
 from repro.sim.clock import Simulator
 from repro.sim.instrument import span_begin
+from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
     BroadcastAuthenticator,
     EmulatedNetwork,
@@ -420,18 +421,14 @@ class BftCounter:
                     parent=root,
                 )
                 next_batch += 1
-            get_event = self.client_inbox.get()
-            winner = yield self.sim.any_of(
-                [get_event, self.sim.timeout(timeout_us)]
-            )
-            if get_event not in winner:
-                self.client_inbox.cancel_get(get_event)
+            item = yield self.client_inbox.get_until(self.sim.now + timeout_us)
+            if item is TIMED_OUT:
                 # `aborted` has exactly one writer (this client process);
                 # replicas only ever read it, so the check-then-act span
                 # cannot lose a concurrent update.
                 self.aborted = True  # lint: ignore[RACE002] single-writer flag
                 break
-            reply, _ = unwrap(self.sim, winner[get_event])
+            reply, _ = unwrap(self.sim, item)
             if not isinstance(reply, Reply) or reply.batch_id not in sent_at:
                 continue
             voters = votes[reply.batch_id].setdefault(reply.output, set())
@@ -467,19 +464,11 @@ class BftCounter:
         votes: dict[int, set[str]] = {}
         deadline = self.sim.now + timeout_us
         while True:
-            remaining = deadline - self.sim.now
-            if remaining <= 0:
+            item = yield self.client_inbox.get_until(deadline)
+            if item is TIMED_OUT:
                 done.fail(TimeoutError("no read quorum"))
                 return
-            get_event = self.client_inbox.get()
-            winner = yield self.sim.any_of(
-                [get_event, self.sim.timeout(remaining)]
-            )
-            if get_event not in winner:
-                self.client_inbox.cancel_get(get_event)
-                done.fail(TimeoutError("no read quorum"))
-                return
-            reply, _ = unwrap(self.sim, winner[get_event])
+            reply, _ = unwrap(self.sim, item)
             if (
                 not isinstance(reply, Reply)
                 or reply.batch_id != -read_id - 1

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.core.attestation import AttestedMessage
 from repro.sim.clock import Simulator
+from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
     BroadcastAuthenticator,
     EmulatedNetwork,
@@ -340,19 +341,10 @@ class ChainReplication:
             outputs: dict[str, set[str]] = {}
             committed = False
             while not committed:
-                remaining = deadline - self.sim.now
-                if remaining <= 0:
+                reply = yield self.client_inbox.get_until(deadline)
+                if reply is TIMED_OUT:
                     self.aborted = True
                     break
-                get_event = self.client_inbox.get()
-                winner = yield self.sim.any_of(
-                    [get_event, self.sim.timeout(remaining)]
-                )
-                if get_event not in winner:
-                    self.client_inbox.cancel_get(get_event)
-                    self.aborted = True
-                    break
-                reply = winner[get_event]
                 if not isinstance(reply, ChainReply):
                     continue
                 if reply.request_id != request_id:

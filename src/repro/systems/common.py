@@ -28,6 +28,7 @@ from repro.sim.instrument import (
     trace_extract,
     trace_inject,
 )
+from repro.sim.events import Timeout
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.resources import Store
 from repro.sim.trace import emit
@@ -51,6 +52,12 @@ class Envelope:
 
     message: Any
     carrier: dict
+    #: The ``system.net_hop`` span this envelope travels under.
+    span: Any
+
+    def arrived(self, _event: "Event") -> None:
+        """Hop callback: the envelope reached its inbox."""
+        self.span.end()
 
 
 def unwrap(sim: "Simulator", item: Any) -> tuple[Any, Any]:
@@ -120,14 +127,18 @@ class EmulatedNetwork:
         self._isolated.clear()
         held, self._held = self._held, []
         for dst, message in held:
-            inbox = self._inboxes[dst]
-            self.sim.delayed_call(
-                self.hop_latency_us, lambda i=inbox, m=message: i.put(m)
-            )
+            self._hop(self._inboxes[dst], message)
 
     @property
     def held_messages(self) -> int:
         return len(self._held)
+
+    def _hop(self, inbox: Store, item: Any) -> Timeout:
+        """Put *item* in flight: one hop-latency timeout that carries it
+        and hands it to *inbox* (:meth:`Store.deliver`) when it fires."""
+        hop = Timeout(self.sim, self.hop_latency_us, item)
+        hop.callbacks.append(inbox.deliver)
+        return hop
 
     def send(self, dst: str, message: Any, parent: Any = None) -> None:
         """Deliver *message* to *dst* after one hop latency.
@@ -161,15 +172,10 @@ class EmulatedNetwork:
                               parent=parent, dst=dst)
             carrier: dict = {}
             trace_inject(self.sim, carrier, span)
-            envelope = Envelope(message, carrier)
-
-            def _deliver() -> None:
-                inbox.put(envelope)
-                span.end()
-
-            self.sim.delayed_call(self.hop_latency_us, _deliver)
+            envelope = Envelope(message, carrier, span)
+            self._hop(inbox, envelope).callbacks.append(envelope.arrived)
             return
-        self.sim.delayed_call(self.hop_latency_us, lambda: inbox.put(message))
+        self._hop(inbox, message)
 
     def broadcast(
         self, destinations: list[str], message: Any, parent: Any = None
@@ -201,36 +207,45 @@ class BroadcastAuthenticator:
 
     def verify(self, message: AttestedMessage) -> "Event":
         """Event resolves with the payload, or fails with
-        :class:`EquivocationDetected`."""
-        sim = self.provider.sim
-        done = sim.event()
+        :class:`EquivocationDetected`.
+
+        The event is the provider's timed check itself: the message is
+        parked beside the check's MAC verdict and :meth:`_settle`, the
+        event's first callback, turns the pair into the outcome every
+        later callback (the waiting process) sees.
+        """
         check = self.provider.check_transferable(self.session_id, message)
+        check._value = (check._value, message)
+        check.callbacks.append(self._settle)
+        return check
 
-        def _finish(event) -> None:
-            if not event._value:
-                self.anomalies.append(f"bad-mac@{message.counter}")
-                done.fail(EquivocationDetected(
-                    f"attestation failed for counter {message.counter}"
-                ))
-                return
-            if message.counter != self.expected_counter:
-                self.anomalies.append(
-                    f"counter-gap expected={self.expected_counter} "
-                    f"got={message.counter}"
-                )
-                done.fail(EquivocationDetected(
-                    f"expected counter {self.expected_counter}, "
-                    f"got {message.counter}: equivocation or replay"
-                ))
-                return
-            self.expected_counter += 1
-            if sim.tracer is not None:
-                emit(sim, "system.auth_ok",
-                     f"session={self.session_id} cnt={message.counter}")
-            done.succeed(message.payload)
-
-        check.callbacks.append(_finish)
-        return done
+    def _settle(self, check: "Event") -> None:
+        """Set *check*'s outcome when it fires: the payload, or
+        :class:`EquivocationDetected` on a bad MAC or an unexpected
+        counter (judged against the counters seen by this instant)."""
+        mac_valid, message = check._value
+        if not mac_valid:
+            self.anomalies.append(f"bad-mac@{message.counter}")
+            check._exception = EquivocationDetected(
+                f"attestation failed for counter {message.counter}"
+            )
+            return
+        if message.counter != self.expected_counter:
+            self.anomalies.append(
+                f"counter-gap expected={self.expected_counter} "
+                f"got={message.counter}"
+            )
+            check._exception = EquivocationDetected(
+                f"expected counter {self.expected_counter}, "
+                f"got {message.counter}: equivocation or replay"
+            )
+            return
+        self.expected_counter += 1
+        sim = self.provider.sim
+        if sim.tracer is not None:
+            emit(sim, "system.auth_ok",
+                 f"session={self.session_id} cnt={message.counter}")
+        check._value = message.payload
 
 
 @dataclass

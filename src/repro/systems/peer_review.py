@@ -23,6 +23,7 @@ from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.clock import Simulator
 from repro.sim.latency import PEER_REVIEW_AUDIT_US
+from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
     BroadcastAuthenticator,
     EmulatedNetwork,
@@ -219,8 +220,8 @@ class _Source:
             acked: set[str] = set()
             deadline = system.sim.now + system.ack_timeout_us
             while acked < set(system.children):
-                remaining = deadline - system.sim.now
-                if remaining <= 0:
+                ack = yield self.inbox.get_until(deadline)
+                if ack is TIMED_OUT:
                     # "expose non-responsive nodes": a witness treats a
                     # child that stops acknowledging as exposed.
                     for child in set(system.children) - acked:
@@ -229,14 +230,6 @@ class _Source:
                             f"{seq} within {system.ack_timeout_us:.0f}us)"
                         )
                     break
-                get_event = self.inbox.get()
-                winner = yield system.sim.any_of(
-                    [get_event, system.sim.timeout(remaining)]
-                )
-                if get_event not in winner:
-                    self.inbox.cancel_get(get_event)
-                    continue  # loop re-checks the deadline
-                ack = winner[get_event]
                 if not isinstance(ack, ChunkAck):
                     continue
                 try:

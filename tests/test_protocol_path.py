@@ -1,0 +1,192 @@
+"""The protocol path pays for its stages, not its plumbing.
+
+Three contracts of the systems layer's per-message path:
+
+* ``Store.get_until`` is observably the ``get`` / ``any_of`` /
+  ``timeout`` / ``cancel_get`` idiom it replaced (kept below as the
+  reference), minus the timers that idiom left behind;
+* a fault-free run leaves at most one scheduled entry per client once
+  its stragglers have drained;
+* the exact scheduler-event budget of a BFT and a chain-KV request.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.bench.workload import kv_workload
+from repro.sim import TIMED_OUT, Simulator, Store
+from repro.sim.events import AnyOf
+from repro.systems.bft import BftCounter
+from repro.systems.chain import ChainReplication
+
+
+# ----------------------------------------------------------------------
+# Deadline receive vs. the idiom it replaced
+# ----------------------------------------------------------------------
+def _reference_receive(sim, store, deadline, deadlines):
+    """The receive-with-timeout idiom as the five call sites had it."""
+    deadlines.append(deadline)
+    remaining = deadline - sim.now
+    if remaining <= 0:
+        return TIMED_OUT
+    get_event = store.get()
+    winner = yield sim.any_of([get_event, sim.timeout(remaining)])
+    if get_event not in winner:
+        store.cancel_get(get_event)
+        return TIMED_OUT
+    return winner[get_event]
+
+
+def _deadline_receive(sim, store, deadline, deadlines):
+    return (yield store.get_until(deadline))
+
+
+def _run_schedule(receive, puts, consumers):
+    """One producer putting ``0, 1, 2...`` after each gap of *puts* and
+    one consumer process per entry of *consumers*, each a list of
+    ``(idle, patience)``: stay idle, then receive with the deadline
+    ``now + patience``.  Returns what every consumer saw as
+    ``[(instant, item | TIMED_OUT)]``, the put instants and the
+    deadlines asked for."""
+    sim = Simulator()
+    store = Store(sim)
+    put_instants, deadlines = [], []
+    seen = [[] for _ in consumers]
+
+    def producer():
+        for item, gap in enumerate(puts):
+            yield sim.timeout(gap)
+            put_instants.append(sim.now)
+            store.put(item)
+
+    def consumer(index, waits):
+        for idle, patience in waits:
+            yield sim.timeout(idle)
+            item = yield from receive(sim, store, sim.now + patience, deadlines)
+            seen[index].append((sim.now, item))
+
+    sim.process(producer())
+    for index, waits in enumerate(consumers):
+        sim.process(consumer(index, waits))
+    sim.run()
+    return seen, put_instants, deadlines, store
+
+
+# Durations on a 1/8 µs grid: every instant is exact, so the reference's
+# relative ``timeout(deadline - now)`` fires on the deadline itself.
+_ticks = st.integers(min_value=0, max_value=96).map(lambda n: n / 8)
+_waits = st.lists(st.tuples(_ticks, _ticks), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(puts=st.lists(_ticks, max_size=20),
+       consumers=st.lists(_waits, min_size=1, max_size=3))
+def test_get_until_matches_the_any_of_idiom(puts, consumers):
+    want, put_instants, deadlines, _ = _run_schedule(
+        _reference_receive, puts, consumers)
+    # A put landing exactly on a deadline goes to whichever of the two
+    # events was scheduled first; the lazily filed timer does not keep
+    # that order, and no caller may depend on it.
+    assume(not set(put_instants) & set(deadlines))
+    got, _, _, store = _run_schedule(_deadline_receive, puts, consumers)
+    assert got == want
+    assert not store._getters  # no getter left behind to swallow a put
+
+
+def test_served_getters_share_one_timer_and_expired_ones_leave():
+    sim = Simulator()
+    store = Store(sim)
+    timers = []
+    push = sim._push
+
+    def recording(when, event):
+        if event.callbacks == [store._expire]:
+            timers.append(when)
+        push(when, event)
+
+    sim._push = recording
+
+    def consumer():
+        for deadline in (100.0, 150.0, 150.0):
+            assert (yield store.get_until(deadline)) == "item"
+        assert (yield store.get_until(160.0)) is TIMED_OUT
+        assert sim.now == 160.0
+        assert (yield store.get_until(160.0)) is TIMED_OUT  # already past
+
+    def producer():
+        for _ in range(3):
+            yield sim.timeout(10.0)
+            store.put("item")
+
+    done = sim.process(consumer())
+    sim.process(producer())
+    sim.run(done)
+    # One timer at the first deadline, re-armed when it fires early.
+    assert timers == [100.0, 160.0]
+    assert not store._getters
+    store.put("late")
+    assert store.try_get() == "late"
+
+
+# ----------------------------------------------------------------------
+# No timer per reply is left behind
+# ----------------------------------------------------------------------
+def _scheduled_entries(sim):
+    return sum(map(len, sim._buckets.values())) + len(sim._overflow)
+
+
+def test_a_finished_run_holds_at_most_one_entry_per_client():
+    bft = BftCounter("tnic", f=1, seed=0)
+    bft.run_workload(200, pipeline_depth=4)
+    chain = ChainReplication("tnic", seed=0)
+    chain.run_workload(kv_workload(200, read_fraction=0.5, seed=0))
+    for system in (bft, chain):
+        assert not system.aborted
+        sim = system.sim
+        assert len(sim._overflow) <= 1
+        sim.run(until=sim.now + 1_000.0)  # straggler replies and forwards
+        assert _scheduled_entries(sim) <= 1
+
+
+# ----------------------------------------------------------------------
+# Event budget: exact and host-independent
+# ----------------------------------------------------------------------
+def _pushes_per_request(monkeypatch, run, requests):
+    pushes = [0]
+    push = Simulator._push
+
+    def counting(self, when, event):
+        pushes[0] += 1
+        push(self, when, event)
+
+    conditions = []
+    construct = AnyOf.__init__
+
+    def recording(self, sim, events):
+        conditions.append(self)
+        construct(self, sim, events)
+
+    monkeypatch.setattr(Simulator, "_push", counting)
+    monkeypatch.setattr(AnyOf, "__init__", recording)
+    run()
+    assert not conditions  # a wait with a deadline is one receive
+    return pushes[0] / requests
+
+
+def test_bft_request_costs_at_most_29_scheduler_events(monkeypatch):
+    # 10 hops x 2 (the hop, the woken receiver) + 6 checks + 3 attests.
+    system = BftCounter("tnic", f=1, seed=0)
+    per_request = _pushes_per_request(
+        monkeypatch, lambda: system.run_workload(200, pipeline_depth=4), 200)
+    assert system.metrics.committed == 200
+    assert per_request <= 29.1
+
+
+def test_chain_request_costs_at_most_18_scheduler_events(monkeypatch):
+    # 6 hops x 2 + 3 checks + 3 attests.
+    system = ChainReplication("tnic", seed=0)
+    requests = kv_workload(200, read_fraction=0.5, seed=0)
+    per_request = _pushes_per_request(
+        monkeypatch, lambda: system.run_workload(requests), len(requests))
+    assert system.metrics.committed == 200
+    assert per_request <= 18.1
