@@ -37,9 +37,10 @@ contract, the same way determinism, taint and races already are:
      a ``try`` whose body *yields* is a protocol wait (the verify loop
      catching :class:`AttestationError`), so both are exempt.
    * PERF006 — a raw ``hmac.new``/``hashlib.sha256`` call outside the
-     sanctioned batched/cached helpers (``hmac_sha256``,
-     ``hmac_verify``, ``key_id``, ``canonical_bytes``) — those carry
-     the memoization and key-hygiene the hot path relies on.
+     sanctioned batched/cached helpers (``mac_encoded``,
+     ``verify_encoded``, ``key_id``, ``canonical_bytes`` and their
+     encode-then-call forms) — those carry the verification cache and
+     key-hygiene the hot path relies on.
 
 3. **The manifest artifact.**  :func:`hotpath_manifest` emits
    per-entry-point reachable sets, per-function allocation-site counts
@@ -127,6 +128,11 @@ TNIC_MANIFEST = HotPathManifest(
         "Event.fail",
         "Timeout.__init__",
         "Process._resume",
+        # The systems path's per-message receive: the deadline get the
+        # client loops wait on, its expiry timer, and the hop callback.
+        "Store.get_until",
+        "Store._expire",
+        "Store.deliver",
         # Device datapath (tx/rx).
         "TnicDevice.send",
         # The send's stages after the first: registered as callbacks on
@@ -190,6 +196,9 @@ TNIC_MANIFEST = HotPathManifest(
         "vspan",
     ),
     hmac_helpers=(
+        "mac_encoded",
+        "verify_encoded",
+        "batch_verify_encoded",
         "hmac_sha256",
         "hmac_verify",
         "batch_verify",
@@ -654,7 +663,7 @@ class HotPathEngine:
                 node,
                 f"raw crypto call {name}() in hot function "
                 f"{info.qualname}; use the cached helpers in "
-                "repro.crypto (hmac_sha256/hmac_verify)",
+                "repro.crypto (mac_encoded/verify_encoded)",
             )
 
         # PERF002: instantiating a __dict__-carrying class per event.
@@ -803,12 +812,12 @@ class RawCryptoRule(_HotPathRule):
     explanation = (
         "Attestation makes crypto repetitive by design: the same "
         "attested message is re-verified at every receiver it is "
-        "forwarded to.  The sanctioned helpers (hmac_sha256, the "
-        "memoized hmac_verify, VerificationCache.key_id, "
-        "canonical_bytes) carry the typed-key encoding memo and the "
-        "verification LRU; a raw hmac.new()/hashlib.sha256() call in a "
-        "hot function bypasses both and recomputes a large-buffer MAC "
-        "per event."
+        "forwarded to.  The sanctioned helpers (mac_encoded, the "
+        "memoized verify_encoded, VerificationCache.key_id, "
+        "canonical_bytes, and hmac_sha256/hmac_verify over them) work "
+        "on the encoding a message carries and keep the verification "
+        "LRU; a raw hmac.new()/hashlib.sha256() call in a hot function "
+        "bypasses both and recomputes a large-buffer MAC per event."
     )
 
 

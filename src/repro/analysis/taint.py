@@ -99,10 +99,13 @@ TNIC_MANIFEST = TaintManifest(
     ),
     sanitizers=(
         # MAC/hash computation: outputs are safe to share by construction.
+        "mac_encoded",
         "hmac_sha256",
         "sha256",
         # Constant-time comparison and the attestation-verify family.
         "compare_digest",
+        "verify_encoded",
+        "batch_verify_encoded",
         "hmac_verify",
         "batch_verify",
         "verify",
@@ -121,6 +124,7 @@ TNIC_MANIFEST = TaintManifest(
 #:  boolean verifiers are the dangerous ones: discarding the bool means
 #:  the caller proceeds as if verification had happened.
 _DISCARD_CHECKED = (
+    "verify_encoded",
     "hmac_verify",
     "check_transferable",
     "local_verify",
@@ -187,8 +191,9 @@ class KeyToSinkRule(_FlowRule):
         "a telemetry hook (`emit`, `count`, ...), `json`/`pickle`\n"
         "serialization, a wire transmit (`transmit`, `post_send`), or a\n"
         "function defined outside the TCB packages.  Outputs of\n"
-        "`hmac_sha256`/`sha256` and the verify family are clean by\n"
-        "construction (one-way), so attestation certificates never fire."
+        "`mac_encoded`/`hmac_sha256`/`sha256` and the verify family are\n"
+        "clean by construction (one-way), so attestation certificates\n"
+        "never fire."
     )
     tag = "key"
     kinds = ("log", "telemetry", "serialize", "wire", "untrusted-call")
@@ -218,7 +223,7 @@ class KeyCompareRule(_FlowRule):
         "Comparing secrets with `==` short-circuits on the first\n"
         "differing byte, leaking the match length through timing.  Any\n"
         "comparison where either side carries key taint must go through\n"
-        "`hmac.compare_digest` (the repo's `hmac_verify` already does)."
+        "`hmac.compare_digest` (the repo's `verify_encoded` already does)."
     )
     tag = "key"
     kinds = ("compare",)
@@ -266,7 +271,7 @@ class UnverifiedIngressRule(_FlowRule):
         "This rule follows raw receive-queue bytes (`rx_queue.get`, the\n"
         "rx-lane store) and fires when they reach `advance_recv`,\n"
         "`next_send`, `install` or `install_session` without first\n"
-        "passing `verify`/`verify_event`/`hmac_verify`/\n"
+        "passing `verify`/`verify_event`/`verify_encoded`/`hmac_verify`/\n"
         "`check_transferable` (whose outputs are clean)."
     )
     tag = "wire"
@@ -287,10 +292,10 @@ class DiscardedVerifyRule(Rule):
     )
     explanation = (
         "A verification that nobody reads is a verification that never\n"
-        "happened: `hmac_verify`, `check_transferable`, `local_verify`\n"
-        "and `verify_event` report their outcome through the return\n"
-        "value (a bool or an event), so calling them as a bare statement\n"
-        "means the caller proceeds regardless of the result."
+        "happened: `verify_encoded`, `hmac_verify`, `check_transferable`,\n"
+        "`local_verify` and `verify_event` report their outcome through\n"
+        "the return value (a bool or an event), so calling them as a bare\n"
+        "statement means the caller proceeds regardless of the result."
     )
 
     def check(self, src: SourceFile) -> Iterator[Finding]:

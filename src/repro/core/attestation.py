@@ -23,16 +23,17 @@ HMAC pipeline and charge its virtual-time occupancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.counters import CounterStore
 from repro.core.keystore import Keystore, KeystoreError
+from repro.crypto.hashing import canonical_bytes
 from repro.crypto.hmac_engine import (
     HmacEngine,
-    batch_verify,
-    hmac_sha256,
-    hmac_verify,
+    batch_verify_encoded,
+    mac_encoded,
+    verify_encoded,
 )
 from repro.sim.instrument import count, flight_trigger, gauge_set
 from repro.sim.trace import emit
@@ -77,10 +78,27 @@ class AttestedMessage:
     session_id: int
     device_id: int
     counter: int
+    #: Memo of :meth:`encoded`.  Never a constructor argument and not
+    #: part of equality: whoever builds a message — the kernel, the
+    #: wire, a forger, ``dataclasses.replace`` — gets the encoding of
+    #: the fields that message actually has.
+    _encoded: bytes | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def mac_inputs(self) -> tuple:
         """The exact fields covered by α."""
         return (self.payload, self.counter, self.device_id, self.session_id)
+
+    def encoded(self) -> bytes:
+        """The canonical encoding of :meth:`mac_inputs` — the bytes α is
+        a MAC of.  Derived once per message object and carried with it,
+        so attest and every later check MAC (and look up) the same
+        bytes object."""
+        encoded = self._encoded
+        if encoded is None:
+            encoded = canonical_bytes(self.mac_inputs())
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
 
     @property
     def wire_bytes(self) -> int:
@@ -106,10 +124,10 @@ class AttestationKernel:
         self.reject_count = 0
         #: Pipelined verifications whose MAC check has not run yet; the
         #: first HMAC-pipeline completion flushes them in one
-        #: ``batch_verify`` call.  Each entry is ``[session_id, alpha,
-        #: mac_inputs, verdict]`` — slot 3 filled by the flush.  No key
-        #: material is parked here: keys are resolved from the Keystore
-        #: only inside the flush's verify call.
+        #: ``batch_verify_encoded`` call.  Each entry is ``[session_id,
+        #: alpha, encoded, verdict]`` — slot 3 filled by the flush.  No
+        #: key material is parked here: keys are resolved from the
+        #: Keystore only inside the flush's verify call.
         self._pending_verifies: list[list] = []
 
     # ------------------------------------------------------------------
@@ -126,9 +144,9 @@ class AttestationKernel:
         """Generate a unique, verifiable attestation for *payload*."""
         key = self._key(session_id)
         counter = self.counters.next_send(session_id)  # Algo 1: L2
-        alpha = hmac_sha256(
-            key, payload, counter, self.device_id, session_id
-        )  # Algo 1: L4
+        encoded = canonical_bytes(
+            (payload, counter, self.device_id, session_id))
+        alpha = mac_encoded(key, encoded)  # Algo 1: L4
         self.attest_count += 1
         if self.sim is not None:
             if self.sim.tracer is not None:
@@ -139,13 +157,16 @@ class AttestationKernel:
             count(self.sim, "attest.generate", device=self.device_id)
             gauge_set(self.sim, "attest.send_cnt", counter + 1,
                       device=self.device_id, session=session_id)
-        return AttestedMessage(
+        message = AttestedMessage(
             payload=payload,
             alpha=alpha,
             session_id=session_id,
             device_id=self.device_id,
             counter=counter,
         )
+        # The bytes just MACed are the message's encoding by construction.
+        object.__setattr__(message, "_encoded", encoded)
+        return message
 
     def verify(
         self,
@@ -168,13 +189,11 @@ class AttestationKernel:
         """
         key = self._key(session_id)
         if mac_valid is None:
-            mac_valid = hmac_verify(
+            mac_valid = verify_encoded(
                 key,
+                self.keystore.key_id_for(session_id),
                 message.alpha,
-                message.payload,
-                message.counter,
-                message.device_id,
-                message.session_id,
+                message.encoded(),
             )
         if not mac_valid:
             self.reject_count += 1
@@ -222,14 +241,11 @@ class AttestationKernel:
         for a forwarded message — the transferable-authentication check
         ``verify(m, σ(p_i))`` of §2.1.
         """
-        key = self._key(session_id)
-        return hmac_verify(
-            key,
+        return verify_encoded(
+            self._key(session_id),
+            self.keystore.key_id_for(session_id),
             message.alpha,
-            message.payload,
-            message.counter,
-            message.device_id,
-            message.session_id,
+            message.encoded(),
         )
 
     # ------------------------------------------------------------------
@@ -253,8 +269,8 @@ class AttestationKernel:
         MAC checks are *batched*: the job is parked on
         ``_pending_verifies`` and the first pipeline completion flushes
         every parked job through one
-        :func:`~repro.crypto.hmac_engine.batch_verify` call (one key
-        fingerprint per batch, worker pool for large messages).
+        :func:`~repro.crypto.hmac_engine.batch_verify_encoded` call
+        (worker pool for large messages).
         Virtual time is untouched — each verification still occupies
         the pipeline for its own message span and resolves at its own
         completion instant, in completion order, where the continuity
@@ -263,7 +279,7 @@ class AttestationKernel:
         engine = self._engine()
         done = engine.sim.event()
         self._key(session_id)  # fail fast on unknown sessions, as before
-        job = [session_id, message.alpha, message.mac_inputs(), None]
+        job = [session_id, message.alpha, message.encoded(), None]
         pending = self._pending_verifies
         pending.append(job)
         occupancy = engine.occupy(len(message.payload) + 8)
@@ -289,8 +305,10 @@ class AttestationKernel:
         (their verdict already filled in).
         """
         jobs = self._pending_verifies
-        verdicts = batch_verify(
-            [(self._key(job[0]), job[1], job[2]) for job in jobs]
+        key_id_for = self.keystore.key_id_for
+        verdicts = batch_verify_encoded(
+            [(self._key(job[0]), key_id_for(job[0]), job[1], job[2])
+             for job in jobs]
         )
         for job, verdict in zip(jobs, verdicts):
             job[3] = verdict

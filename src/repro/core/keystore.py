@@ -12,6 +12,8 @@ software never sees key material through any public API.
 
 from __future__ import annotations
 
+from repro.crypto.hmac_engine import VerificationCache
+
 
 class KeystoreError(Exception):
     """Raised on invalid keystore operations."""
@@ -25,6 +27,10 @@ class Keystore:
             raise ValueError("device_id must be >= 0")
         self.device_id = device_id
         self._session_keys: dict[int, bytes] = {}
+        #: session -> one-way fingerprint of its key, the form in which
+        #: the verification cache may hold it; derived once, here,
+        #: because the key never changes.
+        self._key_ids: dict[int, bytes] = {}
 
     def install(self, session_id: int, key: bytes) -> None:
         """Burn a session key; rewriting an existing session is refused."""
@@ -38,11 +44,19 @@ class Keystore:
                 "keys are static memory and cannot be replaced"
             )
         self._session_keys[session_id] = key
+        self._key_ids[session_id] = VerificationCache.key_id(key)
 
     def key_for(self, session_id: int) -> bytes:
         """Fetch the key for *session_id* (attestation kernel only)."""
         try:
             return self._session_keys[session_id]
+        except KeyError:
+            raise KeystoreError(f"no key installed for session {session_id}") from None
+
+    def key_id_for(self, session_id: int) -> bytes:
+        """The installed key's :meth:`VerificationCache.key_id`."""
+        try:
+            return self._key_ids[session_id]
         except KeyError:
             raise KeystoreError(f"no key installed for session {session_id}") from None
 

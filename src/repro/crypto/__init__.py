@@ -21,12 +21,15 @@ from repro.crypto.hmac_engine import (
     HmacEngine,
     VerificationCache,
     batch_verify,
+    batch_verify_encoded,
     hmac_sha256,
     hmac_verify,
+    mac_encoded,
     reset_verification_cache,
     reset_verification_cache_counters,
     verification_cache,
     verification_cache_stats,
+    verify_encoded,
 )
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
 
@@ -38,13 +41,16 @@ __all__ = [
     "RsaPublicKey",
     "VerificationCache",
     "batch_verify",
+    "batch_verify_encoded",
     "generate_keypair",
     "hmac_sha256",
     "hmac_verify",
+    "mac_encoded",
     "reset_verification_cache",
     "reset_verification_cache_counters",
     "sha256",
     "sha256_hex",
     "verification_cache",
     "verification_cache_stats",
+    "verify_encoded",
 ]

@@ -3,16 +3,7 @@
 A single canonical encoding keeps hashes stable across modules: byte
 strings pass through, text is UTF-8 encoded, integers are rendered in
 decimal, and sequences are length-prefixed to prevent concatenation
-ambiguity (so ``hash(["ab", "c"]) != hash(["a", "bc"])``).
-
-:func:`canonical_bytes` memoizes tuple inputs: attestation verification
-re-encodes the same ``(payload, counter, device, session)`` tuple at
-every receiver of a forwarded message, and the encoding is pure.  The
-memo key must be *typed* — ``True == 1`` and ``hash(True) == hash(1)``
-in Python, but they encode differently (``b"\\x01"`` vs ``b"1"``), so a
-plain value-keyed cache would silently return the wrong encoding.  Type
-keys are built recursively so the same collision cannot hide inside a
-nested tuple."""
+ambiguity (so ``hash(["ab", "c"]) != hash(["a", "bc"])``)."""
 
 from __future__ import annotations
 
@@ -20,11 +11,6 @@ import hashlib
 from typing import Any, Iterable
 
 DIGEST_SIZE = 32
-
-#: Bounded memo for tuple-shaped canonical encodings.  Cleared wholesale
-#: when full (the working set — live attestation tuples — is tiny).
-_CANON_CACHE: dict[tuple, bytes] = {}
-_CANON_CACHE_MAX = 4096
 
 
 def _encode(part: Any) -> bytes:
@@ -45,44 +31,24 @@ def _encode(part: Any) -> bytes:
     if isinstance(part, int):
         return str(part).encode("ascii")
     if isinstance(part, (list, tuple)):
-        return _canonical_uncached(part)
+        return canonical_bytes(part)
     raise TypeError(f"cannot hash value of type {type(part).__name__}")
-
-
-def _type_key(parts: tuple) -> tuple:
-    """Recursive type fingerprint distinguishing e.g. ``True`` from ``1``
-    (equal, equal-hash values with *different* canonical encodings)."""
-    return tuple(  # lint: ignore[PERF001] memo-key construction; runs once per distinct tuple shape, result cached in _CANONICAL_MEMO
-        _type_key(part) if type(part) is tuple else type(part)
-        for part in parts
-    )
-
-
-def _canonical_uncached(parts: Iterable[Any]) -> bytes:
-    chunks: list[bytes] = []
-    for part in parts:
-        encoded = _encode(part)
-        chunks.append(len(encoded).to_bytes(8, "big"))
-        chunks.append(encoded)
-    return b"".join(chunks)
 
 
 def canonical_bytes(parts: Iterable[Any]) -> bytes:
     """Length-prefixed canonical encoding of a sequence of parts."""
-    if type(parts) is tuple:
-        try:
-            key = (parts, _type_key(parts))
-            cached = _CANON_CACHE.get(key)
-        except TypeError:  # unhashable member (e.g. a nested list)
-            return _canonical_uncached(parts)
-        if cached is not None:
-            return cached
-        encoded = _canonical_uncached(parts)
-        if len(_CANON_CACHE) >= _CANON_CACHE_MAX:
-            _CANON_CACHE.clear()
-        _CANON_CACHE[key] = encoded
-        return encoded
-    return _canonical_uncached(parts)
+    chunks: list[bytes] = []
+    for part in parts:
+        # The two part types a MAC input is made of are encoded in
+        # line; `type(True) is bool`, so booleans still reach _encode.
+        kind = type(part)
+        if kind is int:
+            part = b"%d" % part
+        elif kind is not bytes:
+            part = _encode(part)
+        chunks.append(len(part).to_bytes(8, "big"))
+        chunks.append(part)
+    return b"".join(chunks)
 
 
 def sha256(*parts: Any) -> bytes:

@@ -2,11 +2,16 @@
 
 Three layers live here:
 
-* Plain functions :func:`hmac_sha256` / :func:`hmac_verify` computing
-  real MACs (used everywhere an attestation α is produced or checked),
-  plus :func:`batch_verify`, the wall-clock batched form used by the
-  RoCE rx pipeline: one key fingerprint per batch and a GIL-releasing
-  worker pool for large cache-missed messages on multi-core hosts.
+* Plain functions computing real MACs (used everywhere an attestation
+  α is produced or checked).  The implementation takes a message that
+  is *already canonically encoded* — :func:`mac_encoded`,
+  :func:`verify_encoded` and :func:`batch_verify_encoded`, the
+  wall-clock batched form used by the RoCE rx pipeline (a
+  GIL-releasing worker pool for large cache-missed messages on
+  multi-core hosts) — because an attested message carries its encoding
+  from attest to every check.  :func:`hmac_sha256`,
+  :func:`hmac_verify` and :func:`batch_verify` encode their parts and
+  call those.
 * :class:`VerificationCache`, a wall-clock-only memo of verification
   *outcomes*: transferable authentication means the same attested
   message is re-verified by every receiver it is forwarded to (e.g.
@@ -43,11 +48,20 @@ if TYPE_CHECKING:  # pragma: no cover
 MAC_SIZE = 32
 
 
-def hmac_sha256(key: bytes, *parts) -> bytes:
-    """HMAC-SHA256 of the canonical encoding of *parts* under *key*."""
+def _require_key(key: bytes) -> None:
     if not isinstance(key, bytes) or not key:
         raise ValueError("HMAC key must be non-empty bytes")
-    return _hmac.new(key, canonical_bytes(parts), "sha256").digest()
+
+
+def mac_encoded(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256 of the canonically encoded *message* under *key*."""
+    _require_key(key)
+    return _hmac.new(key, message, "sha256").digest()
+
+
+def hmac_sha256(key: bytes, *parts) -> bytes:
+    """HMAC-SHA256 of the canonical encoding of *parts* under *key*."""
+    return mac_encoded(key, canonical_bytes(parts))
 
 
 class VerificationCache:
@@ -146,7 +160,7 @@ def verification_cache_stats() -> dict:
 #: CPython's hashlib releases the GIL only while hashing buffers larger
 #: than 2047 bytes; below that, handing a digest to another thread is
 #: pure overhead.  Messages at or past this size are eligible for the
-#: worker pool in :func:`batch_verify`.
+#: worker pool in :func:`batch_verify_encoded`.
 GIL_RELEASE_BYTES = 2048
 
 #: Rx-pipeline verification batch size at which the batched path is
@@ -172,23 +186,20 @@ def _worker_pool() -> ThreadPoolExecutor:
 
 
 def _digest_for(job: tuple) -> bytes:
-    """Worker-side MAC for one pending ``batch_verify`` job."""
+    """Worker-side MAC for one pending ``batch_verify_encoded`` job."""
     return _hmac.new(job[1], job[2], "sha256").digest()
 
 
-def batch_verify(jobs: Sequence[tuple]) -> list[bool]:
-    """Verify many ``(key, mac, parts)`` MACs in one wall-clock pass.
+def batch_verify_encoded(jobs: Sequence[tuple]) -> list[bool]:
+    """Verify many ``(key, key_id, mac, message)`` MACs in one
+    wall-clock pass; *message* is canonically encoded and *key_id* is
+    :meth:`VerificationCache.key_id` of *key*.
 
-    Semantically identical to calling :func:`hmac_verify(key, mac,
-    *parts)` per job — same cache lookups, same stored outcomes, same
-    booleans — but the per-call overhead is amortised across the batch:
-
-    * the cache's one-way key fingerprint is computed once per distinct
-      key (the rx pipeline verifies a whole window under one session
-      key, so this is the dominant saving on small payloads), and
-    * cache-missed digests for messages of :data:`GIL_RELEASE_BYTES` or
-      more are dispatched to a thread pool on multi-core hosts, where
-      hashlib's GIL release lets them overlap.
+    Semantically identical to calling :func:`verify_encoded` per job —
+    same cache lookups, same stored outcomes, same booleans — but
+    cache-missed digests for messages of :data:`GIL_RELEASE_BYTES` or
+    more are dispatched to a thread pool on multi-core hosts, where
+    hashlib's GIL release lets them overlap.
 
     Results are positional.  Wall-clock-only: virtual time is charged
     separately (the callers queue :meth:`HmacEngine.occupy` spans), and
@@ -198,23 +209,15 @@ def batch_verify(jobs: Sequence[tuple]) -> list[bool]:
     second), because lookups happen before any batch store.
     """
     results = [False] * len(jobs)
-    fingerprints: dict[bytes, bytes] = {}
     pending: list[tuple] = []
     lookup = verification_cache.lookup
-    key_id = VerificationCache.key_id
     index = 0
     any_large = False
-    for key, mac, parts in jobs:
-        if not isinstance(key, bytes) or not key:
-            raise ValueError("HMAC key must be non-empty bytes")
-        message = canonical_bytes(parts)
-        fingerprint = fingerprints.get(key)
-        if fingerprint is None:
-            fingerprint = key_id(key)
-            fingerprints[key] = fingerprint
-        cache_key = (fingerprint, message, mac)
+    for key, key_id, mac, message in jobs:
+        cache_key = (key_id, message, mac)
         cached = lookup(cache_key)
         if cached is None:
+            _require_key(key)
             pending.append((index, key, message, mac, cache_key))
             if len(message) >= GIL_RELEASE_BYTES:
                 any_large = True
@@ -239,24 +242,44 @@ def batch_verify(jobs: Sequence[tuple]) -> list[bool]:
     return results
 
 
-def hmac_verify(key: bytes, mac: bytes, *parts) -> bool:
-    """Constant-time comparison of *mac* against the expected MAC.
+def batch_verify(jobs: Sequence[tuple]) -> list[bool]:
+    """Verify many ``(key, mac, parts)`` MACs in one wall-clock pass:
+    :func:`batch_verify_encoded` over the canonical encoding of each
+    job's *parts*, with one key fingerprint per distinct key."""
+    key_ids: dict[bytes, bytes] = {}
+    encoded = []
+    for key, mac, parts in jobs:
+        _require_key(key)
+        key_id = key_ids.get(key)
+        if key_id is None:
+            key_id = key_ids[key] = VerificationCache.key_id(key)
+        encoded.append((key, key_id, mac, canonical_bytes(parts)))
+    return batch_verify_encoded(encoded)
+
+
+def verify_encoded(key: bytes, key_id: bytes, mac: bytes, message: bytes) -> bool:
+    """Constant-time comparison of *mac* against the expected MAC of the
+    canonically encoded *message*; *key_id* is
+    :meth:`VerificationCache.key_id` of *key*.
 
     Results are memoized in :data:`verification_cache`; the counter and
     every other MAC input is part of the cached message encoding, so no
     distinct input can ever hit another input's entry.
     """
-    if not isinstance(key, bytes) or not key:
-        raise ValueError("HMAC key must be non-empty bytes")
-    message = canonical_bytes(parts)
-    cache_key = (VerificationCache.key_id(key), message, mac)
+    cache_key = (key_id, message, mac)
     cached = verification_cache.lookup(cache_key)
     if cached is not None:
         return cached
-    expected = _hmac.new(key, message, "sha256").digest()
-    result = _hmac.compare_digest(expected, mac)
+    result = _hmac.compare_digest(mac_encoded(key, message), mac)
     verification_cache.store(cache_key, result)
     return result
+
+
+def hmac_verify(key: bytes, mac: bytes, *parts) -> bool:
+    """:func:`verify_encoded` of the canonical encoding of *parts*."""
+    _require_key(key)
+    return verify_encoded(
+        key, VerificationCache.key_id(key), mac, canonical_bytes(parts))
 
 
 class HmacEngine:
@@ -293,5 +316,5 @@ class HmacEngine:
 
     def compute(self, key: bytes, *parts) -> "Event":
         """Queue an HMAC computation; event value is the MAC bytes."""
-        mac = hmac_sha256(key, *parts)
-        return self.occupy(len(canonical_bytes(parts)), mac)
+        message = canonical_bytes(parts)
+        return self.occupy(len(message), mac_encoded(key, message))

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from math import exp, log, sqrt
+
+#: The constant of ``random.normalvariate``'s Kinderman-Monahan
+#: ratio-of-uniforms sampler (``random.NV_MAGICCONST``).
+_NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)
 
 
 class DeterministicRng:
@@ -38,8 +43,23 @@ class DeterministicRng:
         return self._random.gauss(mean, stddev)
 
     def lognormal_jitter(self, scale: float, sigma: float = 0.25) -> float:
-        """A positive, right-skewed jitter around *scale*."""
-        return scale * self._random.lognormvariate(0.0, sigma)
+        """A positive, right-skewed jitter around *scale*:
+        ``scale * lognormvariate(0.0, sigma)``.
+
+        The sampler of ``random.normalvariate`` (Kinderman & Monahan's
+        ratio of uniforms) is written out here: the same ``random()``
+        draws in the same order and the same float operations, so the
+        results are bit-identical to the library call — and stay so
+        whichever ``random.py`` is installed — without its three
+        frames per sample on the once-per-attestation path.
+        """
+        uniform = self._random.random
+        while True:
+            u1 = uniform()
+            u2 = 1.0 - uniform()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                return scale * exp(z * sigma)
 
     def randint(self, low: int, high: int) -> int:
         return self._random.randint(low, high)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.core.attestation import AttestedMessage
+from repro.sim.events import Timeout
 from repro.sim.instrument import (
     count,
     gauge_set,
@@ -28,7 +29,6 @@ from repro.sim.instrument import (
     trace_extract,
     trace_inject,
 )
-from repro.sim.events import Timeout
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.resources import Store
 from repro.sim.trace import emit

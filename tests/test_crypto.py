@@ -52,6 +52,13 @@ def test_canonical_encoding_types():
     assert isinstance(data, bytes)
     with pytest.raises(TypeError):
         canonical_bytes([3.14])
+    # Integers are decimal text whatever their size or sign; booleans,
+    # though ints, are one raw byte.
+    def prefixed(encoded):
+        return len(encoded).to_bytes(8, "big") + encoded
+
+    assert canonical_bytes([-12, 2**70, True, b""]) == b"".join(
+        map(prefixed, [b"-12", b"1180591620717411303424", b"\x01", b""]))
 
 
 def test_hmac_engine_charges_pipeline_time():

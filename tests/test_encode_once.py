@@ -1,0 +1,134 @@
+"""An attested message carries its canonical encoding — and only its own.
+
+The encoding α is a MAC of is derived once per message and carried from
+attest to every check.  These tests pin the half of the argument in
+docs/performance.md ("Why caching cannot mask equivocation") that the
+carried encoding adds: it is a pure function of the message's *own*
+fields, so no way of building a message out of a genuine one — a
+constructor, ``dataclasses.replace``, a wire decode — inherits the
+genuine one's encoding or its cached verdict.
+"""
+
+import dataclasses
+
+import pytest
+
+import repro.core.attestation as attestation
+from repro.api import Cluster, auth_send
+from repro.api.multicast import decode_attested, encode_attested
+from repro.api.ops import recv
+from repro.byzantine.adversary import forge_attack, impersonation_attack
+from repro.cli import main
+from repro.core.attestation import (
+    AttestationError,
+    AttestationKernel,
+    AttestedMessage,
+)
+from repro.crypto import reset_verification_cache
+from repro.crypto.hashing import canonical_bytes
+from repro.systems.bft import BftCounter
+
+KEY = b"session-key-of-32-bytes-length!!"
+
+
+def _pair():
+    sender, receiver = AttestationKernel(1), AttestationKernel(2)
+    for kernel in (sender, receiver):
+        kernel.install_session(5, KEY)
+        kernel.install_session(6, KEY)
+    return sender, receiver
+
+
+def test_attest_seeds_the_encoding_with_the_bytes_it_maced():
+    sender, receiver = _pair()
+    message = sender.attest(5, b"payload")
+    assert message._encoded == canonical_bytes(message.mac_inputs())
+    assert message.encoded() is message._encoded  # carried, not re-derived
+    assert receiver.check_transferable(5, message)
+    # Not part of the value: an equal message built by hand is equal,
+    # and the encoding cannot be handed to the constructor.
+    rebuilt = AttestedMessage(message.payload, message.alpha,
+                              message.session_id, message.device_id,
+                              message.counter)
+    assert rebuilt == message and rebuilt._encoded is None
+    assert "_encoded" not in repr(message)
+    with pytest.raises(TypeError):
+        AttestedMessage(b"p", b"a", 5, 1, 0, b"chosen encoding")
+
+
+@pytest.mark.parametrize("change", [
+    {"payload": b"another payload"},
+    {"counter": 1},
+    {"device_id": 9},
+    {"session_id": 6},
+    {"alpha": b"\x00" * 32},
+])
+def test_replace_drops_the_encoding_and_the_copy_fails_verification(change):
+    reset_verification_cache()
+    sender, receiver = _pair()
+    genuine = sender.attest(5, b"payload")
+    assert receiver.check_transferable(5, genuine)  # verdict now cached
+    mutated = dataclasses.replace(genuine, **change)
+    assert mutated._encoded is None
+    assert mutated.encoded() == canonical_bytes(mutated.mac_inputs())
+    assert mutated.encoded() is not genuine.encoded()
+    assert not receiver.check_transferable(5, mutated)
+    with pytest.raises(AttestationError):
+        receiver.verify(5, mutated)
+    assert receiver.verify(5, genuine) == b"payload"
+    with pytest.raises(ValueError):
+        dataclasses.replace(genuine, _encoded=b"chosen encoding")
+
+
+def test_every_forging_constructor_site_is_still_rejected(capsys):
+    reset_verification_cache()
+    sender, receiver = _pair()
+    genuine = sender.attest(5, b"genuine")
+    assert receiver.check_transferable(5, genuine)
+    # byzantine/adversary.py: random-alpha forgeries and relabelled
+    # messages MACed under the attacker's own key.
+    assert forge_attack(receiver, 5).defended
+    assert impersonation_attack(receiver, 5).defended
+    # api/multicast.py: a frame decoded off the wire derives its own
+    # encoding, genuine or tampered.
+    frame = encode_attested(genuine)
+    decoded = decode_attested(frame)
+    assert decoded == genuine and decoded._encoded is None
+    assert receiver.check_transferable(5, decoded)
+    tampered = decode_attested(frame[:-1] + bytes([frame[-1] ^ 1]))
+    assert tampered.alpha == genuine.alpha
+    assert not receiver.check_transferable(5, tampered)
+    # cli.py: a genuine alpha under a forged payload.
+    assert main(["demo"]) == 0
+    assert "forged message accepted: False" in capsys.readouterr().out
+
+
+def test_a_message_rebuilt_from_the_wire_derives_its_own_encoding():
+    cluster = Cluster(["a", "b"])
+    conn_a, conn_b = cluster.connect("a", "b")
+    cluster.run(auth_send(conn_a, b"over the wire"))
+    cluster.run()
+    received = recv(conn_b)["message"]
+    assert received.payload == b"over the wire"
+    assert received.encoded() == canonical_bytes(received.mac_inputs())
+
+
+def test_bft_run_derives_one_encoding_per_attested_message(monkeypatch):
+    derivations = []
+
+    def counting(parts):
+        derivations.append(parts)
+        return canonical_bytes(parts)
+
+    monkeypatch.setattr(attestation, "canonical_bytes", counting)
+    system = BftCounter("tnic", f=1, seed=0)
+    system.run_workload(50, pipeline_depth=4)
+    system.sim.run(until=system.sim.now + 1_000.0)  # straggler checks
+    kernels = [provider.kernel for provider in system.providers.values()]
+    assert sum(kernel.attest_count for kernel in kernels) == 150
+    # 3 attests and 6 checks per request: every check reuses the bytes
+    # the attest derived.
+    assert len(derivations) == 150
+    assert sum(auth.expected_counter
+               for replica in system.replicas.values()
+               for auth in replica.authenticators.values()) == 300
