@@ -34,8 +34,8 @@ contract, the same way determinism, taint and races already are:
      ``a.b`` assigned in the loop): hoist it.
    * PERF005 — ``try``/``except`` inside a loop in a hot function.
      ``try``/``finally`` is free on the no-exception path (3.11+), and
-     a ``try`` whose body *yields* is a protocol wait (the verify loop
-     catching :class:`AttestationError`), so both are exempt.
+     a ``try`` whose body *yields* is a protocol wait (a replica loop
+     catching the failure of the check it waits on), so both are exempt.
    * PERF006 — a raw ``hmac.new``/``hashlib.sha256`` call outside the
      sanctioned batched/cached helpers (``mac_encoded``,
      ``verify_encoded``, ``key_id``, ``canonical_bytes`` and their
@@ -119,6 +119,7 @@ TNIC_MANIFEST = HotPathManifest(
         "Simulator.run",
         "Simulator._drain",
         "Simulator.timeout",
+        "Simulator.delayed_call",
         # Calendar-queue maintenance (ISSUE 9): the schedule primitive
         # and the overflow redistribution pass.
         "Simulator._push",
@@ -144,13 +145,17 @@ TNIC_MANIFEST = HotPathManifest(
         "TnicDevice.poll",
         "TnicDevice.drain",
         "TnicDevice._on_deliver",
-        # RoCE transport: tx pump, rx decode, verify-then-deliver.
+        # RoCE transport: tx pump, rx decode (the MAC's ingress handler)
+        # and the lane's verify-then-deliver, which continues from the
+        # verification event's callbacks.
         "RoceKernel._pump_tx",
-        "RoceKernel._rx_loop",
+        "RoceKernel.ingress",
         "RoceKernel._handle_ack",
         "RoceKernel._handle_data",
-        "RoceKernel._delivery_loop",
+        "AttestationKernel._settle",
+        "_RxLane._verified",
         # Link layer: per-hop callbacks the call graph cannot see.
+        "EthernetMac._serialised",
         "EthernetMac.deliver",
         "Link.carry",
         "Fabric.carry",
@@ -797,8 +802,8 @@ class HotTryExceptRule(_HotPathRule):
         "dispatch on the common path and defeat several interpreter "
         "fast paths.  try/finally is free on the no-exception path in "
         "3.11+ and stays allowed (the drain loop uses it), as does a "
-        "try whose body yields — that is a protocol wait (the verify "
-        "loop catching AttestationError), not per-event control flow.  "
+        "try whose body yields — that is a protocol wait (a replica "
+        "loop catching a failed check), not per-event control flow.  "
         "Move other handlers out of the loop or pre-validate instead."
     )
 

@@ -18,17 +18,17 @@ turns into lint rules on top of :mod:`repro.analysis.dataflow`:
 2. **Verified ingress** — every untrusted wire input passes attestation
    verification before it can mutate trusted state:
 
-   * ``TNT001`` — bytes from a receive queue reach a counter advance or
+   * ``TNT001`` — a received packet reaches a counter advance or
      keystore mutation without passing a verify sanitizer;
    * ``TNT002`` — a verification result is discarded (a bare-statement
      call to a verify-family function).
 
 :data:`TNIC_MANIFEST` is the declarative policy: where taint is born
 (``key_for`` returns, ``_session_keys`` / ``_hw_keys`` reads, ``key``
-parameters of TCB modules, ``rx_queue.get`` wire receives), where it
-must never arrive, and which calls launder it (HMAC computation and the
-attestation-verify family — their outputs are safe to share by
-construction).
+parameters of TCB modules, the ``packet`` parameter of the ingress
+handlers), where it must never arrive, and which calls launder it (HMAC
+computation and the attestation-verify family — their outputs are safe
+to share by construction).
 """
 
 from __future__ import annotations
@@ -66,10 +66,11 @@ TNIC_MANIFEST = TaintManifest(
         SourceSpec(tag="key", param="key", packages=_TCB),
         SourceSpec(tag="key", param="session_key", packages=_TCB),
         SourceSpec(tag="key", param="hw_key", packages=_TCB),
-        # Raw wire ingress: the MAC receive queue and the per-QP
-        # reception lane feeding the verification pipeline.
-        SourceSpec(tag="wire", call="rx_queue.get"),
-        SourceSpec(tag="wire", call="lane.store.get"),
+        # Raw wire ingress: the MAC hands every received packet to its
+        # ingress handler (``RoceKernel.ingress``), so untrusted bytes
+        # are the ``packet`` parameter of the link and transport layers.
+        SourceSpec(tag="wire", param="packet",
+                   packages=("repro.net", "repro.roce")),
     ),
     sinks=(
         # Logging.
@@ -268,11 +269,11 @@ class UnverifiedIngressRule(_FlowRule):
     explanation = (
         "Algorithm 1 only advances `recv_cnt` after a fully successful\n"
         "verification; the formal lemmas (§6) lean on that ordering.\n"
-        "This rule follows raw receive-queue bytes (`rx_queue.get`, the\n"
-        "rx-lane store) and fires when they reach `advance_recv`,\n"
-        "`next_send`, `install` or `install_session` without first\n"
-        "passing `verify`/`verify_event`/`verify_encoded`/`hmac_verify`/\n"
-        "`check_transferable` (whose outputs are clean)."
+        "This rule follows received packets (the `packet` parameter of\n"
+        "the MAC and RoCE ingress handlers) and fires when they reach\n"
+        "`advance_recv`, `next_send`, `install` or `install_session`\n"
+        "without first passing `verify`/`verify_event`/`verify_encoded`/\n"
+        "`hmac_verify`/`check_transferable` (whose outputs are clean)."
     )
     tag = "wire"
     kinds = ("trusted-state",)

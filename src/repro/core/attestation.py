@@ -125,7 +125,7 @@ class AttestationKernel:
         #: Pipelined verifications whose MAC check has not run yet; the
         #: first HMAC-pipeline completion flushes them in one
         #: ``batch_verify_encoded`` call.  Each entry is ``[session_id,
-        #: alpha, encoded, verdict]`` — slot 3 filled by the flush.  No
+        #: message, verdict]`` — the verdict filled by the flush.  No
         #: key material is parked here: keys are resolved from the
         #: Keystore only inside the flush's verify call.
         self._pending_verifies: list[list] = []
@@ -275,43 +275,44 @@ class AttestationKernel:
         the pipeline for its own message span and resolves at its own
         completion instant, in completion order, where the continuity
         check and counter advance run exactly as in the serial path.
+
+        The event is the pipeline occupancy itself, carrying the parked
+        job; :meth:`_settle`, its first callback, sets the outcome — the
+        payload, or the :class:`AttestationError` as its exception.
         """
         engine = self._engine()
-        done = engine.sim.event()
-        self._key(session_id)  # fail fast on unknown sessions, as before
-        job = [session_id, message.alpha, message.encoded(), None]
-        pending = self._pending_verifies
-        pending.append(job)
-        occupancy = engine.occupy(len(message.payload) + 8)
+        self._key(session_id)  # fail fast on unknown sessions
+        job = [session_id, message, None]
+        self._pending_verifies.append(job)
+        check = engine.occupy(len(message.payload) + 8, job)
+        check.callbacks.append(self._settle)
+        return check
 
-        def _finish(_event) -> None:  # lint: ignore[PERF001] per-verify completion closure carries the fail/succeed branch; one per pipelined op
-            if pending:
-                self._flush_pending_verifies()
-            try:
-                payload = self.verify(session_id, message, mac_valid=job[3])
-            except AttestationError as exc:
-                done.fail(exc)
-            else:
-                done.succeed(payload)
-
-        occupancy.callbacks.append(_finish)
-        return done
+    def _settle(self, check: "Event") -> None:
+        """Set *check*'s outcome as it leaves the pipeline."""
+        session_id, message, _ = job = check._value
+        if self._pending_verifies:
+            self._flush_pending_verifies()  # fills job[2] if still parked
+        try:
+            check._value = self.verify(session_id, message, mac_valid=job[2])
+        except AttestationError as exc:
+            check._exception = exc
 
     def _flush_pending_verifies(self) -> None:
         """Run every parked MAC check in one batched wall-clock pass.
 
-        Drains the list in place: completion closures share it, so the
-        first completion does the batch and later ones find it empty
-        (their verdict already filled in).
+        Drains the list in place: the first completion does the batch
+        and later ones find it empty (their verdict already filled in).
         """
         jobs = self._pending_verifies
+        key_for = self._key
         key_id_for = self.keystore.key_id_for
-        verdicts = batch_verify_encoded(
-            [(self._key(job[0]), key_id_for(job[0]), job[1], job[2])
-             for job in jobs]
-        )
-        for job, verdict in zip(jobs, verdicts):
-            job[3] = verdict
+        checks: list = [None] * len(jobs)
+        for index, (session_id, message, _) in enumerate(jobs):
+            checks[index] = (key_for(session_id), key_id_for(session_id),
+                             message.alpha, message.encoded())
+        for job, verdict in zip(jobs, batch_verify_encoded(checks)):
+            job[2] = verdict
         del jobs[:]
 
     # ------------------------------------------------------------------

@@ -69,7 +69,8 @@ class _TxStages:
     a bound method registered on the event the previous stage waits for
     (payload DMA → HMAC pipeline → wire), and this record carries the
     request between them.  Subclasses pick the stages after the DMA:
-    ``_fetched``, and ``_attested`` when they attest.
+    ``_fetched``, and ``_attested`` when they attest.  ``done`` is the
+    request's one completion event; every failure fails it.
     """
 
     __slots__ = ("device", "payload", "done", "session_id", "span", "stage")
@@ -145,23 +146,22 @@ class _Send(_TxStages):
         self._transmit(event._value)
 
     def _transmit(self, message: AttestedMessage | bytes) -> None:
-        """Stage 3: hand the message to the RoCE kernel; wait for the ACK."""
+        """Stage 3: the RoCE kernel triggers ``done`` on the ACK;
+        ``_acked`` goes ahead of the layers above, already registered."""
         self.stage = self.span.child("roce.tx")
+        self.done.callbacks.insert(0, self._acked)
         try:
-            acked = self.device.roce.post_send(
-                self.qp_number, message, self.opcode, self.meta)
+            self.device.roce.post_send(
+                self.qp_number, message, self.opcode, self.meta, self.done)
         except Exception as exc:  # unconnected QP, no ARP entry, no link:
             self._fail(exc)       # the completion event is the error channel
-            return
-        acked.callbacks.append(self._acked)
 
-    def _acked(self, event: "Event") -> None:
-        if event._exception is not None:  # transport gave up on the send
-            self._fail(event._exception)
+    def _acked(self, done: "Event") -> None:
+        if done._exception is not None:  # transport gave up on the send
+            self.span.end(status="error")
             return
         self.stage.end()
         self.span.end(status="ok")
-        self.done.succeed(event._value)
 
 
 class _LocalAttest(_TxStages):
@@ -214,8 +214,8 @@ class _LocalVerify(_TxStages):
 class TnicDevice:
     """One TNIC SmartNIC: attestation kernel + RoCE kernel + MAC.
 
-    The long-lived actors (rx pipeline, delivery lanes, retransmit
-    timers) are processes inside the RoCE kernel.  ``send``,
+    The one long-lived actor of the datapath, the retransmission
+    timer, is a process inside the RoCE kernel.  ``send``,
     ``local_attest`` and ``local_verify`` start none: each request is a
     chain of completion callbacks (:class:`_TxStages`) and its returned
     event is the only way an error is reported.
@@ -276,6 +276,7 @@ class TnicDevice:
         payload: bytes,
         opcode: RdmaOpcode = RdmaOpcode.SEND,
         meta: dict[str, Any] | None = None,
+        completion: "Event | None" = None,
     ) -> "Event":
         """Full TX datapath; the event triggers when the peer ACKs.
 
@@ -283,8 +284,11 @@ class TnicDevice:
         device (the RDMA-hw baseline) skips the attestation kernel.
         Every failure along the way — unknown or unconnected QP, no
         session key, transport retry limit — fails the returned event.
+  A caller that already made the
+        send's one completion event (``RdmaLibrary.post``) passes it as
+        *completion*; the RoCE kernel triggers it.
         """
-        done = Event(self.sim)
+        done = Event(self.sim) if completion is None else completion
         _Send(self, payload, done).start_send(qp_number, opcode, meta or {})
         return done
 

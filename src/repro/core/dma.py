@@ -37,7 +37,8 @@ class DmaEngine:
     ) -> None:
         self.sim = sim
         self.synchronous = synchronous
-        self._pipe = Pipe(sim, bandwidth_bytes_per_us)
+        self._pipe = Pipe(sim, bandwidth_bytes_per_us,
+                          setup_us=self.setup_cost_us())
         self.transfers = 0
 
     def setup_cost_us(self) -> float:
@@ -52,22 +53,15 @@ class DmaEngine:
         return max(TNIC_ATTEST_ASYNC_US - 5.5, 0.5)  # doorbell + fetch
 
     def transfer(self, size_bytes: int) -> "Event":
-        """Move *size_bytes* across PCIe; event triggers at completion."""
+        """Move *size_bytes* across PCIe; the event (set-up, occupancy
+        and completion in one) triggers when the transfer is done."""
         if size_bytes < 0:
             raise ValueError("size must be >= 0")
         self.transfers += 1
         count(self.sim, "dma.transfers")
         count(self.sim, "dma.bytes", size_bytes)
         observe(self.sim, "dma.size_bytes", size_bytes)
-        setup = self.setup_cost_us()
-        done = self.sim.event()
-
-        def _start() -> None:  # lint: ignore[PERF001] per-transfer completion chain (setup delay -> pipe -> done); one closure per DMA
-            move = self._pipe.transfer(size_bytes)
-            move.callbacks.append(lambda _e: done.succeed(size_bytes))
-
-        self.sim.delayed_call(setup, _start)
-        return done
+        return self._pipe.transfer(size_bytes)
 
     @property
     def bytes_moved(self) -> int:

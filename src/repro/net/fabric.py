@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.net.mac import EthernetMac
 from repro.net.packet import Packet
+from repro.sim.events import Timeout
 from repro.sim.instrument import count
 from repro.sim.latency import WIRE_PROPAGATION_US
 from repro.sim.rng import DeterministicRng
@@ -155,7 +156,9 @@ class Link:
         self, delay: float, receiver: EthernetMac, packet: Packet
     ) -> None:
         self.stats.delivered += 1
-        self.sim.delayed_call(delay, lambda: receiver.deliver(packet))  # lint: ignore[PERF001] per-hop delivery closure binds (receiver, packet); the wire model is callback-shaped
+        # The packet in flight is a timeout carrying it, with the
+        # receiving MAC's bound ``deliver`` as callback: no closure.
+        Timeout(self.sim, delay, packet).callbacks.append(receiver.deliver)
 
 
 class Fabric:
@@ -226,7 +229,7 @@ class Fabric:
             count(self.sim, "fabric.reordered")
             delay += self.fault.reorder_extra_delay_us
         self.stats.delivered += 1
-        self.sim.delayed_call(delay, lambda: receiver.deliver(packet))  # lint: ignore[PERF001] per-hop delivery closure binds (receiver, packet); the wire model is callback-shaped
+        Timeout(self.sim, delay, packet).callbacks.append(receiver.deliver)
 
     def addresses(self) -> list[str]:
         return sorted(self._macs)

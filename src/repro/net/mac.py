@@ -6,8 +6,8 @@ two interfaces for transmitting (Tx) and receiving (Rx) network
 packets."
 
 The model serialises outgoing packets at wire bandwidth onto the
-attached link and deposits incoming packets into an Rx queue consumed
-by the RoCE protocol kernel.
+attached link and hands incoming packets to its ``ingress`` handler:
+the RoCE protocol kernel's request decoder, or an Rx queue without one.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.net.packet import Packet
+from repro.sim.events import Event, Timeout
 from repro.sim.latency import WIRE_BANDWIDTH_BYTES_PER_US
 from repro.sim.resources import Store
 
@@ -36,6 +37,8 @@ class EthernetMac:
         self.address = address
         self.bandwidth = bandwidth_bytes_per_us
         self.rx_queue: Store = Store(sim)
+        #: Where :meth:`deliver` hands every packet; a RoCE kernel sets it.
+        self.ingress: Callable[[Packet], None] = self.rx_queue.put
         self._link: "Link | None" = None
         self._tx_busy_until = 0.0
         self.tx_packets = 0
@@ -58,18 +61,24 @@ class EthernetMac:
         if self._link is None:
             raise RuntimeError(f"MAC {self.address} is not attached to a link")
         size = packet.wire_size()
-        start = max(self.sim.now, self._tx_busy_until)
+        now = self.sim._now
+        start = now if now > self._tx_busy_until else self._tx_busy_until
         self._tx_busy_until = start + size / self.bandwidth
         self.tx_packets += 1
         self.tx_bytes += size
-        ready_in = self._tx_busy_until - self.sim.now
-        link = self._link
-        self.sim.delayed_call(ready_in, lambda: link.carry(self, packet))  # lint: ignore[PERF001] serialization-delay closure binds the packet until the Tx port frees; one per transmit
+        # The packet rides the serialisation delay as the timeout's value.
+        Timeout(self.sim, self._tx_busy_until - now, packet).callbacks.append(
+            self._serialised)
 
-    def deliver(self, packet: Packet) -> None:
-        """Called by the link when a packet arrives at this MAC."""
+    def _serialised(self, leaving: Event) -> None:
+        """The packet is on the wire: the link draws its fate."""
+        self._link.carry(self, leaving._value)
+
+    def deliver(self, hop: Event) -> None:
+        """Hop callback: the packet *hop* carries reached this MAC."""
+        packet = hop._value
         self.rx_packets += 1
         self.rx_bytes += packet.wire_size()
         if self.rx_tap is not None:
             self.rx_tap(packet)
-        self.rx_queue.put(packet)
+        self.ingress(packet)

@@ -38,7 +38,8 @@ from repro.net.packet import (
     UdpHeader,
 )
 from repro.roce.queue_pair import QueuePair
-from repro.roce.state_tables import CompletionEntry, StateTables
+from repro.roce.state_tables import CompletionEntry, QueuePairState, StateTables
+from repro.sim.events import Event
 from repro.sim.instrument import (
     count,
     flight_trigger,
@@ -46,12 +47,10 @@ from repro.sim.instrument import (
     span_begin,
     trace_extract,
 )
-from repro.sim.resources import Store
 from repro.sim.trace import emit
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
-    from repro.sim.events import Event
 
 
 class TransportError(Exception):
@@ -59,20 +58,121 @@ class TransportError(Exception):
 
 
 class _RxLane:
-    """Per-QP in-order reception lane feeding the verification pipeline."""
+    """Per-QP in-order reception lane feeding the verification pipeline.
 
-    __slots__ = ("store", "next_arrival_psn", "epoch", "partial")
+    A state machine, not an actor: accepted packets wait in a FIFO, at
+    most one verification is in flight, and the lane advances only from
+    :meth:`accept` (while idle) and from that verification's completion
+    (:meth:`_verified`).
+    """
 
-    def __init__(self, store: Store) -> None:
-        self.store = store
+    __slots__ = ("kernel", "qp", "state", "queue", "verifying",
+                 "next_arrival_psn", "partial")
+
+    def __init__(self, kernel: "RoceKernel", qp: QueuePair,
+                 state: QueuePairState) -> None:
+        self.kernel = kernel
+        self.qp = qp
+        self.state = state
+        #: Accepted packets not yet processed; emptied by a rejection.
+        self.queue: deque = deque()
+        #: ``(packet, message, psn_span, span)`` of the verification in
+        #: flight; ``None`` while the lane is idle.
+        self.verifying: tuple | None = None
         #: Next PSN accepted off the wire (may run ahead of the
         #: delivered watermark while verification is in flight).
         self.next_arrival_psn = 0
-        #: Bumped on verification failure to invalidate queued packets.
-        self.epoch = 0
         #: Payload chunks of a partially received multi-packet message
         #: (memoryview slices of the sender's buffer until reassembly).
         self.partial: list = []
+
+    def accept(self, packet: Packet) -> None:
+        """Take the next in-order *packet* off the wire."""
+        self.next_arrival_psn += 1
+        self.queue.append(packet)
+        if self.verifying is None:
+            self._advance()
+
+    def _advance(self) -> None:
+        """Process queued packets in order until one has to be verified
+        (:meth:`_verified` continues from there) or none is left.
+
+        Multi-packet messages (SEND First/Middle/Last) are reassembled
+        here: non-final segments accumulate in the lane, and PSN-window
+        advancement, verification, ACK and host delivery all happen at
+        the final segment, covering the whole message — so a failed
+        verification rewinds to the message's *first* PSN and go-back-N
+        re-supplies the entire message.
+        """
+        kernel = self.kernel
+        queue = self.queue
+        while queue:
+            packet = queue.popleft()
+            segments = packet.meta.get("segments", 1)
+            if segments > 1:
+                seg_index = packet.meta["seg_index"]
+                if seg_index != len(self.partial):
+                    # Mid-message corruption of the segment sequence.
+                    kernel._reject(self)
+                    continue
+                self.partial.append(packet.payload)
+                if seg_index < segments - 1:
+                    continue  # await the remaining segments
+                # Reassembly is the digest boundary: one join over the
+                # view segments produces the only receiver-side copy.
+                payload = join_body(self.partial)
+                self.partial = []
+            else:
+                if self.partial:
+                    # A single-packet message arrived mid-reassembly.
+                    kernel._reject(self)
+                    continue
+                payload = materialize(packet.payload)
+            if packet.trailer is None or kernel.attestation is None:
+                kernel._deliver(self, packet, payload, psn_span=segments)
+            elif self._verify(packet, payload, segments):
+                return
+
+    def _verify(self, packet: Packet, payload: bytes, segments: int) -> bool:
+        """Queue the reassembled message on the attestation kernel;
+        False if it was refused on the spot (no key for the session)."""
+        kernel = self.kernel
+        trailer = packet.trailer
+        message = AttestedMessage(
+            payload=payload,
+            alpha=trailer.alpha,
+            session_id=trailer.session_id,
+            device_id=trailer.device_id,
+            counter=trailer.send_cnt,
+        )
+        # The packet metadata carries the sender's tnic.tx context
+        # (injected on the transmitting device), so the receiving
+        # replica's verification joins the same causal trace.
+        vspan = span_begin(kernel.sim, "roce.rx_verify",
+                           parent=trace_extract(kernel.sim, packet.meta),
+                           node=kernel.ip, qp=self.qp.qp_number)
+        try:
+            check = kernel.attestation.verify_event(self.qp.session_id, message)
+        except AttestationError:
+            kernel._verification_failed(self, vspan)
+            return False
+        self.verifying = (packet, message, segments, vspan)
+        check.callbacks.append(self._verified)
+        return True
+
+    def _verified(self, check: Event) -> None:
+        """The verification in flight left the HMAC pipeline: deliver or
+        reject its message, then take up the packets queued behind it."""
+        packet, message, segments, vspan = self.verifying
+        self.verifying = None
+        if check._exception is not None:
+            # Forged/tampered/replayed: do not advance the window.
+            self.kernel._verification_failed(self, vspan)
+        else:
+            vspan.end(status="ok")
+            self.kernel._deliver(self, packet, check._value,
+                                 message=message, psn_span=segments)
+        self._advance()
 
 
 class RoceKernel:
@@ -115,11 +215,13 @@ class RoceKernel:
         self._send_completions: dict[int, deque] = {}
         self._retransmit_running: set[int] = set()
         self._rx_lanes: dict[int, _RxLane] = {}
+        #: Per QP, the immutable Ethernet/IP/UDP headers toward its peer.
+        self._peer_headers: dict[int, tuple] = {}
         #: Optional device hook invoked after each verified delivery;
         #: lets the device service one-sided READs without host help.
         self.deliver_hook = None
         self.verification_failures = 0
-        sim.process(self._rx_loop())
+        mac.ingress = self.ingress
 
     # ------------------------------------------------------------------
     # Connection management
@@ -153,12 +255,15 @@ class RoceKernel:
         message: AttestedMessage | bytes,
         opcode: RdmaOpcode = RdmaOpcode.SEND,
         meta: dict[str, Any] | None = None,
-    ) -> "Event":
+        completion: Event | None = None,
+    ) -> Event:
         """Queue a reliable send; the event triggers on ACK (or fails).
 
         *message* is either an :class:`AttestedMessage` (trusted path)
         or raw bytes (the untrusted RDMA-hw baseline uses the same
-        kernel without an attestation kernel attached).
+        kernel without an attestation kernel attached).  *completion*
+        is the send's completion event when a layer above already made
+        it (``TnicDevice.send``): it is triggered instead of a fresh one.
         """
         qp = self._qp(qp_number)
         if not qp.connected():
@@ -167,7 +272,8 @@ class RoceKernel:
             message.payload if isinstance(message, AttestedMessage) else message
         )
         chunks = self._segment(payload)
-        completion = self.sim.event()
+        if completion is None:
+            completion = Event(self.sim)
         self._tx_backlog[qp_number].append(
             (message, opcode, dict(meta or {}), chunks, completion))
         self._pump_tx(qp_number)
@@ -189,22 +295,31 @@ class RoceKernel:
                 break
             backlog.popleft()
             last_psn = -1
+            trailer = None
+            if isinstance(message, AttestedMessage):
+                trailer = AttestationTrailer(
+                    alpha=message.alpha,
+                    session_id=message.session_id,
+                    device_id=message.device_id,
+                    send_cnt=message.counter,
+                )
+            segments = len(chunks)
             for index, chunk in enumerate(chunks):
-                is_last = index == len(chunks) - 1
                 seg_meta = dict(meta)
-                if len(chunks) > 1:
-                    seg_meta["segments"] = len(chunks)
+                if segments > 1:
+                    seg_meta["segments"] = segments
                     seg_meta["seg_index"] = index
-                packet = self._build_packet(
-                    qp,
-                    message if is_last else chunk,  # α rides the LAST segment
-                    opcode,
-                    seg_meta,
-                    chunk_payload=chunk,
+                seg_meta["src_qp"] = qp_number
+                packet = Packet(
+                    *self._headers(qp),
+                    IbTransportHeader(opcode, qp.remote_qp_number,
+                                      psn=state.next_send_psn),
+                    payload=chunk,
+                    # α rides the LAST segment.
+                    trailer=trailer if index == segments - 1 else None,
+                    meta=seg_meta,
                 )
                 psn = state.record_send(packet, self.sim.now)
-                packet = self._with_psn(packet, psn, qp.remote_qp_number)
-                state.inflight[-1].packet = packet
                 if self.sim.tracer is not None:
                     # Gate at the call site: packet.describe() is too
                     # expensive to build for a discarded record.
@@ -229,50 +344,19 @@ class RoceKernel:
         (:func:`repro.net.body.join`)."""
         return segment_body(payload, self.path_mtu)
 
-    def _build_packet(
-        self,
-        qp: QueuePair,
-        message: AttestedMessage | bytes,
-        opcode: RdmaOpcode,
-        meta: dict[str, Any],
-        chunk_payload: bytes | None = None,
-    ) -> Packet:
+    def _headers(self, qp: QueuePair) -> tuple:
+        """``(eth, ip, udp)`` of a packet toward *qp*'s peer.  ARP is
+        consulted per packet, as the Request generation module does; the
+        headers are rebuilt only when it names a different MAC."""
         dst_mac = self.arp.lookup(qp.remote_ip)
-        trailer = None
-        if isinstance(message, AttestedMessage):
-            payload = message.payload if chunk_payload is None else chunk_payload
-            trailer = AttestationTrailer(
-                alpha=message.alpha,
-                session_id=message.session_id,
-                device_id=message.device_id,
-                send_cnt=message.counter,
+        headers = self._peer_headers.get(qp.qp_number)
+        if headers is None or headers[0].dst_mac != dst_mac:
+            headers = self._peer_headers[qp.qp_number] = (
+                EthernetHeader(src_mac=self.mac.address, dst_mac=dst_mac),
+                Ipv4Header(src_ip=qp.local_ip, dst_ip=qp.remote_ip),
+                UdpHeader(src_port=qp.local_port, dst_port=qp.remote_port),
             )
-        else:
-            payload = message if chunk_payload is None else chunk_payload
-        return Packet(
-            eth=EthernetHeader(src_mac=self.mac.address, dst_mac=dst_mac),
-            ip=Ipv4Header(src_ip=qp.local_ip, dst_ip=qp.remote_ip),
-            udp=UdpHeader(src_port=qp.local_port, dst_port=qp.remote_port),
-            bth=IbTransportHeader(opcode=opcode, dest_qp=qp.remote_qp_number, psn=0),
-            payload=payload,
-            trailer=trailer,
-            meta=dict(meta, src_qp=qp.qp_number),
-        )
-
-    @staticmethod
-    def _with_psn(packet: Packet, psn: int, dest_qp: int) -> Packet:
-        bth = IbTransportHeader(
-            opcode=packet.bth.opcode, dest_qp=dest_qp, psn=psn, ack_req=True
-        )
-        return Packet(
-            eth=packet.eth,
-            ip=packet.ip,
-            udp=packet.udp,
-            bth=bth,
-            payload=packet.payload,
-            trailer=packet.trailer,
-            meta=packet.meta,
-        )
+        return headers
 
     # ------------------------------------------------------------------
     # Retransmission timer
@@ -324,15 +408,15 @@ class RoceKernel:
     # ------------------------------------------------------------------
     # Reception path
     # ------------------------------------------------------------------
-    def _rx_loop(self):
-        while True:
-            packet: Packet = yield self.mac.rx_queue.get()
-            if packet.ip.dst_ip != self.ip:
-                continue  # not ours (promiscuous fabric delivery)
-            if packet.bth.opcode in (RdmaOpcode.ACK, RdmaOpcode.NAK):
-                self._handle_ack(packet)
-            else:
-                self._handle_data(packet)
+    def ingress(self, packet: Packet) -> None:
+        """The Request decoder, installed as ``EthernetMac.ingress``:
+        untrusted bytes enter the kernel through this parameter."""
+        if packet.ip.dst_ip != self.ip:
+            return  # not ours (promiscuous fabric delivery)
+        if packet.bth.opcode in (RdmaOpcode.ACK, RdmaOpcode.NAK):
+            self._handle_ack(packet)
+        else:
+            self._handle_data(packet)
 
     def _handle_ack(self, packet: Packet) -> None:
         qp_number = packet.bth.dest_qp
@@ -370,7 +454,9 @@ class RoceKernel:
         qp = self._qp(qp_number)
         state = self.tables.get(qp_number)
         psn = packet.bth.psn
-        lane = self._rx_lane(qp_number)
+        lane = self._rx_lanes.get(qp_number)
+        if lane is None:
+            lane = self._rx_lanes[qp_number] = _RxLane(self, qp, state)
 
         if psn < lane.next_arrival_psn:
             # Duplicate of an already-accepted packet: re-ACK, drop.
@@ -383,111 +469,41 @@ class RoceKernel:
             state.out_of_order_dropped += 1
             self._send_nak(qp)
             return
+        lane.accept(packet)
 
-        lane.next_arrival_psn += 1
-        lane.store.put((lane.epoch, packet))
+    def _verification_failed(self, lane: _RxLane, vspan) -> None:
+        vspan.end(status="rejected")
+        self.verification_failures += 1
+        self._reject(lane)
 
-    def _rx_lane(self, qp_number: int) -> "_RxLane":
-        lane = self._rx_lanes.get(qp_number)
-        if lane is None:
-            lane = _RxLane(store=Store(self.sim))
-            self._rx_lanes[qp_number] = lane
-            self.sim.process(self._delivery_loop(qp_number, lane))
-        return lane
-
-    def _delivery_loop(self, qp_number: int, lane: "_RxLane"):
-        """Verify accepted packets sequentially and deliver in order.
-
-        Multi-packet messages (SEND First/Middle/Last) are reassembled
-        here: non-final segments accumulate in the lane, and PSN-window
-        advancement, verification, ACK and host delivery all happen at
-        the final segment, covering the whole message — so a failed
-        verification rewinds to the message's *first* PSN and go-back-N
-        re-supplies the entire message.
-        """
-        qp = self._qp(qp_number)
-        state = self.tables.get(qp_number)
-        while True:
-            epoch, packet = yield lane.store.get()
-            if epoch != lane.epoch:
-                continue  # stale: accepted before a verification failure
-            segments = packet.meta.get("segments", 1)
-            if segments > 1:
-                seg_index = packet.meta["seg_index"]
-                if seg_index != len(lane.partial):
-                    # Mid-message corruption of the segment sequence.
-                    self._reject(qp, state, lane)
-                    continue
-                lane.partial.append(packet.payload)
-                if seg_index < segments - 1:
-                    continue  # await the remaining segments
-                # Reassembly is the digest boundary: one join over the
-                # view segments produces the only receiver-side copy.
-                payload = join_body(lane.partial)
-                lane.partial = []
-            else:
-                if lane.partial:
-                    # A single-packet message arrived mid-reassembly.
-                    self._reject(qp, state, lane)
-                    continue
-                payload = materialize(packet.payload)
-            if packet.trailer is None or self.attestation is None:
-                self._deliver(qp, state, packet, payload=payload,
-                              psn_span=segments)
-                continue
-            trailer = packet.trailer
-            message = AttestedMessage(
-                payload=payload,
-                alpha=trailer.alpha,
-                session_id=trailer.session_id,
-                device_id=trailer.device_id,
-                counter=trailer.send_cnt,
-            )
-            # The packet metadata carries the sender's tnic.tx context
-            # (injected on the transmitting device), so the receiving
-            # replica's verification joins the same causal trace.
-            vspan = span_begin(self.sim, "roce.rx_verify",
-                               parent=trace_extract(self.sim, packet.meta),
-                               node=self.ip, qp=qp_number)
-            try:
-                verified = yield self.attestation.verify_event(
-                    qp.session_id, message
-                )
-            except AttestationError:
-                # Forged/tampered/replayed: do not advance the window.
-                vspan.end(status="rejected")
-                self.verification_failures += 1
-                self._reject(qp, state, lane)
-                continue
-            vspan.end(status="ok")
-            self._deliver(qp, state, packet, payload=verified,
-                          message=message, psn_span=segments)
-
-    def _reject(self, qp: QueuePair, state, lane: "_RxLane") -> None:
+    def _reject(self, lane: _RxLane) -> None:
         """Rewind the arrival cursor to the delivered watermark and
-        invalidate queued packets; a correct sender's go-back-N
+        discard the queued packets; a correct sender's go-back-N
         retransmission will re-supply the genuine sequence."""
+        qp = lane.qp
+        rewind_to = lane.state.expected_recv_psn
         if self.sim.tracer is not None:
             emit(self.sim, "roce.reject",
-                 f"qp={qp.qp_number} rewind to psn={state.expected_recv_psn}",
+                 f"qp={qp.qp_number} rewind to psn={rewind_to}",
                  node=self.ip)
         count(self.sim, "roce.reject", node=self.ip)
         flight_trigger(self.sim, "roce.reject", node=self.ip,
-                       qp=qp.qp_number, rewind_to=state.expected_recv_psn)
-        lane.epoch += 1
+                       qp=qp.qp_number, rewind_to=rewind_to)
+        lane.queue.clear()
         lane.partial = []
-        lane.next_arrival_psn = state.expected_recv_psn
+        lane.next_arrival_psn = rewind_to
         self._send_nak(qp)
 
     def _deliver(
         self,
-        qp: QueuePair,
-        state,
+        lane: _RxLane,
         packet: Packet,
         payload: bytes,
         message: AttestedMessage | None = None,
         psn_span: int = 1,
     ) -> None:
+        qp = lane.qp
+        state = lane.state
         state.expected_recv_psn += psn_span
         msn = state.next_recv_msn
         state.next_recv_msn += 1
@@ -521,14 +537,9 @@ class RoceKernel:
     # Control packets
     # ------------------------------------------------------------------
     def _control_packet(self, qp: QueuePair, opcode: RdmaOpcode, psn: int, msn: int) -> Packet:
-        dst_mac = self.arp.lookup(qp.remote_ip)
         return Packet(
-            eth=EthernetHeader(src_mac=self.mac.address, dst_mac=dst_mac),
-            ip=Ipv4Header(src_ip=qp.local_ip, dst_ip=qp.remote_ip),
-            udp=UdpHeader(src_port=qp.local_port, dst_port=qp.remote_port),
-            bth=IbTransportHeader(
-                opcode=opcode, dest_qp=qp.remote_qp_number, psn=psn, ack_req=False
-            ),
+            *self._headers(qp),
+            IbTransportHeader(opcode, qp.remote_qp_number, psn, ack_req=False),
             meta={"msn": msn},
         )
 

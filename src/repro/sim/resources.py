@@ -9,8 +9,8 @@
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``
   and the deadline receive ``get_until``.  Used for NIC RX/TX queues,
   host completion queues and the systems' node inboxes.
-* :class:`Pipe` — a bandwidth-limited, propagation-delayed byte channel.
-  Used for links (100 Gb wire) and the PCIe DMA engine.
+* :class:`Pipe` — a bandwidth-limited byte channel with fixed set-up
+  and propagation delays.  Used for the PCIe DMA engine.
 """
 
 from __future__ import annotations
@@ -269,13 +269,15 @@ class Store:
 class Pipe:
     """A serialised byte channel with bandwidth and propagation delay.
 
-    Transfers are serialised: a transfer occupies the channel for
-    ``size / bandwidth`` (the *serialisation* time) and arrives
-    ``propagation`` later.  This models both network wires and the PCIe
-    DMA engine, whose occupancy is what creates queueing under load.
+    Transfers are serialised: after a fixed ``setup`` a transfer
+    occupies the channel for ``size / bandwidth`` (the *serialisation*
+    time) and arrives ``propagation`` later.  This models the PCIe DMA
+    engine, whose occupancy is what creates queueing under load.  One
+    set-up constant per pipe keeps entry FIFO, so a delivery instant is
+    known at submission and costs one scheduled event.
     """
 
-    __slots__ = ("sim", "bandwidth", "propagation", "_busy_until",
+    __slots__ = ("sim", "bandwidth", "propagation", "setup", "_busy_until",
                  "bytes_transferred")
 
     def __init__(
@@ -283,29 +285,34 @@ class Pipe:
         sim: "Simulator",
         bandwidth_bytes_per_us: float,
         propagation_us: float = 0.0,
+        setup_us: float = 0.0,
     ) -> None:
         if bandwidth_bytes_per_us <= 0:
             raise ValueError("bandwidth must be positive")
-        if propagation_us < 0:
-            raise ValueError("propagation delay must be >= 0")
+        if propagation_us < 0 or setup_us < 0:
+            raise ValueError("propagation and set-up delays must be >= 0")
         self.sim = sim
         self.bandwidth = bandwidth_bytes_per_us
         self.propagation = propagation_us
+        self.setup = setup_us
         self._busy_until = 0.0
         self.bytes_transferred = 0
 
-    def serialisation_time(self, size_bytes: int) -> float:
-        """Time the channel is occupied by a *size_bytes* transfer."""
-        return size_bytes / self.bandwidth
-
     def transfer(self, size_bytes: int) -> Event:
-        """Send *size_bytes*; the event triggers at delivery time."""
+        """Send *size_bytes*; the event triggers at delivery time:
+        ``arrive + (busy_until + propagation - arrive)``, the float a
+        timeout started on entry lands on.  The shorter ``busy_until +
+        propagation`` can differ in the last bit."""
         if size_bytes < 0:
             raise ValueError("transfer size must be >= 0")
         sim = self.sim
-        now = sim._now  # one direct load instead of two property frames
-        start = now if now > self._busy_until else self._busy_until
+        arrive = sim._now + self.setup
+        start = arrive if arrive > self._busy_until else self._busy_until
         busy_until = start + size_bytes / self.bandwidth
         self._busy_until = busy_until
         self.bytes_transferred += size_bytes
-        return sim.timeout(busy_until + self.propagation - now, size_bytes)
+        done = Event(sim)
+        done._state = Event.TRIGGERED
+        done._value = size_bytes
+        sim._push(arrive + (busy_until + self.propagation - arrive), done)
+        return done

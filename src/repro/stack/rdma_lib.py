@@ -84,7 +84,8 @@ class _Post:
 
     A post is a fixed sequence of stages, so it runs as callbacks on
     the events it waits for (see ``repro.core.device._TxStages``), not
-    as a process.
+    as a process.  ``done``, the request's one completion event, is
+    handed down to the device; ``_completed`` is a callback on it.
     """
 
     __slots__ = ("lib", "request", "done", "span")
@@ -104,6 +105,7 @@ class _Post:
         self.span = span_begin(lib.sim, "tnic.post",
                                parent=trace_extract(lib.sim, request.meta),
                                qp=request.qp_number, bytes=request.length)
+        self.done.callbacks.append(self._completed)
         lib.process.exclusive_regs().callbacks.append(self._locked)
 
     def _locked(self, _grant: Event) -> None:
@@ -134,9 +136,8 @@ class _Post:
                 meta["remote_addr"] = request.remote_addr
                 if request.rkey is not None:
                     meta["rkey"] = request.rkey.value
-            sent = lib.device.send(
-                request.qp_number, payload, opcode=request.opcode, meta=meta
-            )
+            lib.device.send(request.qp_number, payload, opcode=request.opcode,
+                            meta=meta, completion=self.done)
         except Exception as exc:  # the completion event is the error channel
             span.end(status="error")
             self.done.fail(exc)
@@ -146,14 +147,10 @@ class _Post:
         span.end(status="ok")
         count(lib.sim, "rdma.posted", qp=request.qp_number)
         lib.tx_posted[request.qp_number] = lib.tx_posted.get(request.qp_number, 0) + 1
-        sent.callbacks.append(self._completed)
 
-    def _completed(self, sent: Event) -> None:
-        if sent._exception is not None:
-            self.done.fail(sent._exception)
-            return
-        self.lib.process.regs.post_status(completions=1)
-        self.done.succeed(sent._value)
+    def _completed(self, done: Event) -> None:
+        if done._exception is None:
+            self.lib.process.regs.post_status(completions=1)
 
 
 class RdmaLibrary:

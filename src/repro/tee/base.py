@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.attestation import AttestationError, AttestationKernel, AttestedMessage
+from repro.sim.events import Timeout
 from repro.sim.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,22 +82,22 @@ class AttestationProvider:
         """Verify continuity + authenticity, charging the latency.
 
         The event value is the payload; verification failures fail the
-        event with the underlying :class:`AttestationError`.
+        event with the underlying :class:`AttestationError`: the event
+        is the latency timeout, its outcome set by :meth:`_settle`.
         """
         self.verify_count += 1
-        delay = self.verify_latency_us(len(message.payload))
-        done = self.sim.event()
+        check = Timeout(self.sim, self.verify_latency_us(len(message.payload)),
+                        (session_id, message))
+        check.callbacks.append(self._settle)
+        return check
 
-        def _finish() -> None:
-            try:
-                payload = self.kernel.verify(session_id, message)
-            except AttestationError as exc:
-                done.fail(exc)
-            else:
-                done.succeed(payload)
-
-        self.sim.delayed_call(delay, _finish)
-        return done
+    def _settle(self, check: "Event") -> None:
+        """First callback of a :meth:`verify` event: set its outcome."""
+        session_id, message = check._value
+        try:
+            check._value = self.kernel.verify(session_id, message)
+        except AttestationError as exc:
+            check._exception = exc
 
     def check_transferable(self, session_id: int, message: AttestedMessage) -> "Event":
         """Transferable-authentication check (no counter mutation)."""

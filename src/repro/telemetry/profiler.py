@@ -49,7 +49,8 @@ def _callsite(event: Any, callbacks: list) -> str:
 
     Process resumptions are attributed to the generator the process
     runs (the interesting frame), everything else to the callback's
-    qualified name; events nobody waits on fall back to ``<idle>``.
+    qualified name (``Owner.method`` for a bound method: each stage of
+    a callback chain has its key); no callbacks fall back to ``<idle>``.
     """
     if not callbacks:
         return "<idle>"
@@ -63,7 +64,7 @@ def _callsite(event: Any, callbacks: list) -> str:
                 code = getattr(generator, "gi_code", None)
                 qualname = code.co_qualname if code is not None else repr(owner)
             return qualname
-        return type(owner).__name__
+        return f"{type(owner).__name__}.{callback.__name__}"
     return getattr(callback, "__qualname__", repr(callback))
 
 

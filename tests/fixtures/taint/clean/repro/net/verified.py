@@ -6,8 +6,6 @@ counter mutation below consumes verified data, not raw wire bytes.
 
 
 class GoodReceiver:
-    def pump(self):
-        while True:
-            packet = yield self.rx_queue.get()
-            event = self.attestation.verify_event(packet.session_id, packet)
-            self.counters.advance_recv(event.session_id)
+    def ingress(self, packet):
+        event = self.attestation.verify_event(packet.session_id, packet)
+        self.counters.advance_recv(event.session_id)

@@ -93,6 +93,13 @@ def test_callsite_attribution_names_process_generators():
     assert all(":" in key for key in keys)
     assert any(key.startswith("Completion:") or key.startswith("Event:")
                for key in keys)
+    # A bound-method callback is keyed Owner.method, so every stage of
+    # the callback-chained datapath has a row of its own.
+    assert {"Event:_Send._fetched", "Event:_Send._attested",
+            "Event:_Send._acked", "Event:_Post._locked",
+            "Event:AttestationKernel._settle",
+            "Timeout:EthernetMac._serialised",
+            "Timeout:EthernetMac.deliver"} <= keys
 
 
 def test_callsite_fallbacks():
@@ -104,6 +111,12 @@ def test_callsite_fallbacks():
     assert _callsite(object(), [plain]) == (
         "test_callsite_fallbacks.<locals>.plain"
     )
+
+    class Stage:
+        def fired(self, event):
+            pass
+
+    assert _callsite(object(), [Stage().fired]) == "Stage.fired"
 
 
 def test_host_ledger_stays_out_of_the_metrics_document():

@@ -5,6 +5,8 @@ Three contracts of the chain in ``repro.core.device`` (``_Send``) and
 
 * every failure fails the returned event — nothing raises out of
   ``sim.run()``, nothing deadlocks, and the REG lock is released;
+* a posted send has one completion event, handed down post → device →
+  RoCE kernel; every layer's part in the completion is a callback on it;
 * a send costs a bounded, host-independent number of scheduler events
   and starts no process;
 * the Fig. 6 stage spans open and close at the instants they always did.
@@ -17,13 +19,15 @@ import pytest
 from repro.api import Cluster, auth_send
 from repro.api.ops import recv
 from repro.core.attestation import UnknownSessionError
+from repro.net.fabric import NetworkFault
 from repro.net.packet import RdmaOpcode
 from repro.roce.transport import TransportError
 from repro.sim.clock import Simulator
+from repro.sim.events import Event
 from repro.stack.memory import MemoryError_
 from repro.stack.rdma_lib import WorkRequest
+from repro.stack.regs import RegField
 from repro.telemetry import Telemetry
-from repro.telemetry.profiler import Profiler
 
 
 def _pair():
@@ -67,25 +71,94 @@ def _request_unregistered_address(cluster, conn):
     return WorkRequest(RdmaOpcode.SEND, conn.qp_number, 0x10, 64)
 
 
+def _completions_counted(node) -> int:
+    """The stack layer's part in a completion: the status register."""
+    return node.process.regs.read_u64(RegField.STATUS_COMPLETIONS)
+
+
+def _count_failures(monkeypatch):
+    """``{event: times fail() was called on it}`` from here on."""
+    failures: dict = {}
+    fail = Event.fail
+
+    def counting(self, exception):
+        failures[self] = failures.get(self, 0) + 1
+        return fail(self, exception)
+
+    monkeypatch.setattr(Event, "fail", counting)
+    return failures
+
+
 @pytest.mark.parametrize("build, error", [
     (_request_unknown_qp, KeyError),
     (_request_unconnected_qp, TransportError),
     (_request_uninstalled_session, UnknownSessionError),
     (_request_unregistered_address, MemoryError_),
 ])
-def test_failed_post_fails_its_event_and_releases_the_reg_lock(build, error):
+def test_failed_post_fails_its_event_and_releases_the_reg_lock(
+        build, error, monkeypatch):
     cluster, conn_a, conn_b = _pair()
     rdma = conn_a.node.rdma
+    completions_before = _completions_counted(conn_a.node)
+    failures = _count_failures(monkeypatch)
     failed = rdma.post(build(cluster, conn_a))
+    seen = []
+    failed.callbacks.append(lambda event: seen.append(event._exception))
     cluster.run()  # nothing raises out of the loop
     assert failed.processed and not failed.ok
     with pytest.raises(error):
         failed.value
+    # One event, failed exactly once, by whichever layer refused the
+    # request; the caller's callback saw it and the stack's did not
+    # count a completion.
+    assert failures == {failed: 1}
+    assert len(seen) == 1 and isinstance(seen[0], error)
+    assert _completions_counted(conn_a.node) == completions_before
     assert not conn_a.node.process.contended
     # A following post goes through: the lock was released.
     cluster.run(auth_send(conn_a, b"after the failure"))
     cluster.run()
     assert recv(conn_b)["payload"] == b"after the failure"
+
+
+def test_the_posted_event_is_the_one_the_roce_kernel_completes():
+    cluster, conn_a, conn_b = _pair()
+    roce = conn_a.node.device.roce
+    completion = auth_send(conn_a, b"x" * 64)
+    cluster.run(until=cluster.sim.now + 8.0)  # past DMA and HMAC: on the wire
+    [(last_psn, held)] = roce._send_completions[conn_a.qp_number]
+    assert held is completion and not completion.triggered
+    entry = cluster.run(completion)
+    assert entry.ok and entry.qp_number == conn_a.qp_number
+    # A caller that brings no event gets a fresh one at every layer.
+    assert cluster.run(conn_a.node.device.send(conn_a.qp_number, b"y")).ok
+
+
+def test_retry_limit_fails_the_one_event_and_every_layer_sees_it(monkeypatch):
+    fault = NetworkFault(drop_probability=1.0)
+    cluster = Cluster(["a", "b"], fault=fault, seed=0)
+    conn_a, conn_b = cluster.connect("a", "b")
+    hub = Telemetry.attach(cluster.sim)
+    failures = _count_failures(monkeypatch)
+    completion = auth_send(conn_a, b"into the void")
+    cluster.run()  # 25 retransmission rounds, then the transport gives up
+    assert failures == {completion: 1}
+    with pytest.raises(TransportError, match="retry limit exceeded"):
+        completion.value
+    status = {span.name: span.labels.get("status") for span in hub.spans.finished}
+    assert status["tnic.tx"] == "error"          # device: span closed as failed
+    assert _completions_counted(conn_a.node) == 0  # stack: nothing counted
+    assert "request.auth_send" in status         # api: root span closed
+    assert not conn_a.node.process.contended
+    # The next post goes through — on a fresh connection: the peer
+    # never saw PSN 0, so this one stays broken (an RC QP in error).
+    fault.drop_probability = 0.0
+    fresh_a, fresh_b = cluster.connect("a", "b")
+    assert cluster.run(auth_send(fresh_a, b"healed")).ok
+    cluster.run()
+    assert _completions_counted(conn_a.node) == 1
+    assert recv(fresh_b)["payload"] == b"healed"
+    assert recv(conn_b) is None
 
 
 def test_local_verify_with_unknown_session_fails_its_completion():
@@ -100,41 +173,67 @@ def test_local_verify_with_unknown_session_fails_its_completion():
 # ----------------------------------------------------------------------
 # Event budget: exact and host-independent
 # ----------------------------------------------------------------------
-def test_send_costs_at_most_18_events_and_starts_no_process(monkeypatch):
-    messages, window = 200, 16
+def _budget(monkeypatch, payload_bytes, messages, window=16):
+    """Post *messages* of *payload_bytes* a → b, *window* outstanding;
+    returns ``Simulator._push`` calls per message and the processes
+    started, as ``[(node ip, generator)]``."""
     cluster, conn_a, conn_b = _pair()
-    sim = cluster.sim
-    # The first data packet of a connection starts its delivery lane.
+    # The first data packet of a connection creates its delivery lane.
     cluster.run(auth_send(conn_a, b"connection set-up"))
     cluster.run()
     assert recv(conn_b)["message"].counter == 0
-    started: list[str] = []
+    started: list[tuple[str, str]] = []
     start_process = Simulator.process
 
     def recording(self, generator):
-        started.append(generator.__qualname__)
+        started.append((generator.gi_frame.f_locals["self"].ip,
+                        generator.__qualname__))
         return start_process(self, generator)
 
+    pushes = [0]
+    push = Simulator._push
+
+    def counting(self, when, event):
+        pushes[0] += 1
+        push(self, when, event)
+
     monkeypatch.setattr(Simulator, "process", recording)
-    profiler = Profiler.attach(sim)
+    monkeypatch.setattr(Simulator, "_push", counting)
     pending: deque = deque()
     for index in range(messages):
         if len(pending) == window:
             cluster.run(pending.popleft())
-        pending.append(auth_send(conn_a, index.to_bytes(8, "big") + b"x" * 56))
+        pending.append(auth_send(
+            conn_a, index.to_bytes(8, "big") + b"x" * (payload_bytes - 8)))
     while pending:
         cluster.run(pending.popleft())
     cluster.run()
-
-    events = sum(row["events"] for row in profiler.sim_report().values())
-    assert events / messages <= 18.1
-    # Per-message stages are scheduled completions; only actors are
-    # processes, and the one actor that restarts is the retransmit timer.
-    assert set(started) <= {"RoceKernel._retransmit_loop"}
     received = []
     while (item := recv(conn_b)) is not None:
         received.append(item["message"].counter)
     assert received == list(range(1, messages + 1))
+    return pushes[0] / messages, started, cluster
+
+
+def _assert_only_the_retransmit_timer_is_a_process(started, cluster):
+    # Per-message stages are scheduled completions on both nodes; the
+    # one actor that restarts is the sender's retransmission timer.
+    assert {ip for ip, _ in started} <= {cluster["a"].ip}
+    assert {name for _, name in started} <= {"RoceKernel._retransmit_loop"}
+
+
+def test_send_costs_at_most_18_events_and_starts_no_process(monkeypatch):
+    """(Named for PR 14's budget; the receive pipeline halved it.)
+    Wire 4, DMA 1, REG-lock grant 1, HMAC 2, completion 1."""
+    per_message, started, cluster = _budget(monkeypatch, 64, messages=200)
+    assert per_message <= 9.1
+    _assert_only_the_retransmit_timer_is_a_process(started, cluster)
+
+
+def test_a_16_kib_send_costs_at_most_29_5_events(monkeypatch):
+    per_message, started, cluster = _budget(monkeypatch, 16 * 1024, messages=100)
+    assert per_message <= 29.5
+    _assert_only_the_retransmit_timer_is_a_process(started, cluster)
 
 
 # ----------------------------------------------------------------------

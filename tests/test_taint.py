@@ -234,6 +234,34 @@ def test_real_tree_has_no_unwaived_taint_findings(real_sources):
     )
 
 
+def test_real_transport_whose_lane_skips_verification_raises_tnt001(tmp_path):
+    """The TNT family's mutation of the real tree (ROADMAP item 5): a
+    copy of ``roce/transport.py`` whose delivery lane trusts the trailer
+    — advances the session's receive counter itself and delivers —
+    instead of queueing the message on ``verify_event``."""
+    import repro.roce.transport as transport
+
+    real = Path(transport.__file__).read_text()
+    gate = "check = kernel.attestation.verify_event(self.qp.session_id, message)"
+    assert real.count(gate) == 1, "the lane's verification call moved"
+    bypass = (
+        "kernel.attestation.counters.advance_recv(message.session_id)\n"
+        "            kernel._deliver(self, packet, payload, message=message,\n"
+        "                            psn_span=segments)\n"
+        "            return False"
+    )
+
+    def findings(source: str, name: str):
+        path = _write_module(tmp_path / name, "repro/roce/transport.py", source)
+        return collect_findings([parse_file(path)], [cls() for cls in TAINT_RULES])
+
+    assert findings(real, "real") == []
+    hits = findings(real.replace(gate, bypass), "mutated")
+    assert [f.rule for f in hits] == ["TNT001"]
+    assert "advance_recv" in hits[0].message
+    assert hits[0].snippet.strip().startswith("kernel.attestation.counters")
+
+
 def test_full_lint_meets_latency_budget():
     import time
 
