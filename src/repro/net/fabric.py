@@ -61,7 +61,95 @@ class LinkStats:
     tampered: int = 0
 
 
-class Link:
+class _Wire:
+    """What :class:`Link` and :class:`Fabric` share — the fault policy
+    applied to one packet bound for one receiver; they differ only in
+    how they find the receiver."""
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        propagation_us: float,
+        fault: NetworkFault | None,
+        rng: DeterministicRng,
+    ) -> None:
+        if propagation_us < 0:
+            raise ValueError("propagation delay must be >= 0")
+        self.sim = sim
+        self.propagation_us = propagation_us
+        self.fault = fault or NetworkFault()
+        self.fault.validate()
+        self.rng = rng
+        self.stats = LinkStats()
+        self._replay_buffer: list[tuple[EthernetMac, Packet]] = []
+
+    def _carry_to(self, receiver: EthernetMac, packet: Packet) -> None:
+        """Apply the fault policy to *packet* on its way to *receiver*:
+        one draw per configured fault, in the order tamper, drop,
+        reorder, duplicate, replay — a seed names one fault schedule."""
+        fault = self.fault
+        rng = self.rng
+        outcome = packet
+        # One gate for the whole hop: packet.describe() is only built
+        # when a tracer is attached.
+        traced = self.sim.tracer is not None
+
+        if fault.tamper is not None:
+            modified = fault.tamper(packet)
+            if modified is not None and modified is not packet:
+                self.stats.tampered += 1
+                if traced:
+                    emit(self.sim, "fabric.tamper", packet.describe())
+                count(self.sim, "fabric.tampered")
+                outcome = modified
+
+        if fault.drop_probability and rng.chance(fault.drop_probability):
+            self.stats.dropped += 1
+            if traced:
+                emit(self.sim, "fabric.drop", packet.describe())
+            count(self.sim, "fabric.dropped")
+            return
+
+        delay = self.propagation_us
+        if fault.reorder_probability and rng.chance(fault.reorder_probability):
+            self.stats.reordered += 1
+            if traced:
+                emit(self.sim, "fabric.reorder", packet.describe(),
+                     extra_delay_us=fault.reorder_extra_delay_us)
+            count(self.sim, "fabric.reordered")
+            delay += fault.reorder_extra_delay_us
+
+        self._deliver_after(delay, receiver, outcome)
+
+        if fault.duplicate_probability and rng.chance(fault.duplicate_probability):
+            self.stats.duplicated += 1
+            if traced:
+                emit(self.sim, "fabric.duplicate", packet.describe())
+            count(self.sim, "fabric.duplicated")
+            self._deliver_after(delay + 1.0, receiver, outcome)
+
+        if fault.replay_probability:
+            self._replay_buffer.append((receiver, outcome))
+            if len(self._replay_buffer) > 64:
+                self._replay_buffer.pop(0)
+            if rng.chance(fault.replay_probability):
+                victim_receiver, stale = rng.choice(self._replay_buffer)
+                self.stats.replayed += 1
+                if traced:
+                    emit(self.sim, "fabric.replay", stale.describe())
+                count(self.sim, "fabric.replayed")
+                self._deliver_after(delay + 5.0, victim_receiver, stale)
+
+    def _deliver_after(
+        self, delay: float, receiver: EthernetMac, packet: Packet
+    ) -> None:
+        self.stats.delivered += 1
+        # In flight, the packet is the value of a timeout whose callback
+        # is the receiving MAC's bound ``deliver``.
+        Timeout(self.sim, delay, packet).callbacks.append(receiver.deliver)
+
+
+class Link(_Wire):
     """A bidirectional point-to-point wire between two MACs."""
 
     def __init__(
@@ -73,100 +161,23 @@ class Link:
         fault: NetworkFault | None = None,
         rng: DeterministicRng | None = None,
     ) -> None:
-        if propagation_us < 0:
-            raise ValueError("propagation delay must be >= 0")
-        self.sim = sim
-        self.propagation_us = propagation_us
-        self.fault = fault or NetworkFault()
-        self.fault.validate()
-        self.rng = rng or DeterministicRng(0, "link")
-        self.stats = LinkStats()
-        self._ends = {mac_a.address: mac_a, mac_b.address: mac_b}
-        self._replay_buffer: list[tuple[EthernetMac, Packet]] = []
+        super().__init__(sim, propagation_us, fault,
+                         rng or DeterministicRng(0, "link"))
+        self._peer = {mac_a.address: mac_b, mac_b.address: mac_a}
         mac_a.attach(self)
         mac_b.attach(self)
 
-    def _peer(self, sender: EthernetMac) -> EthernetMac:
-        for address, mac in self._ends.items():
-            if address != sender.address:
-                return mac
-        raise RuntimeError("link has no peer for sender")
-
     def carry(self, sender: EthernetMac, packet: Packet) -> None:
         """Move *packet* from *sender* toward the opposite end."""
-        receiver = self._peer(sender)
-        outcome = packet
-        # One gate for the whole hop: packet.describe() is only built
-        # when a tracer is attached.
-        traced = self.sim.tracer is not None
-
-        if self.fault.tamper is not None:
-            modified = self.fault.tamper(packet)
-            if modified is not None and modified is not packet:
-                self.stats.tampered += 1
-                if traced:
-                    emit(self.sim, "fabric.tamper", packet.describe())
-                count(self.sim, "fabric.tampered")
-                outcome = modified
-
-        if self.fault.drop_probability and self.rng.chance(
-            self.fault.drop_probability
-        ):
-            self.stats.dropped += 1
-            if traced:
-                emit(self.sim, "fabric.drop", packet.describe())
-            count(self.sim, "fabric.dropped")
-            return
-
-        delay = self.propagation_us
-        if self.fault.reorder_probability and self.rng.chance(
-            self.fault.reorder_probability
-        ):
-            self.stats.reordered += 1
-            if traced:
-                emit(self.sim, "fabric.reorder", packet.describe(),
-                     extra_delay_us=self.fault.reorder_extra_delay_us)
-            count(self.sim, "fabric.reordered")
-            delay += self.fault.reorder_extra_delay_us
-
-        self._deliver_after(delay, receiver, outcome)
-
-        if self.fault.duplicate_probability and self.rng.chance(
-            self.fault.duplicate_probability
-        ):
-            self.stats.duplicated += 1
-            if traced:
-                emit(self.sim, "fabric.duplicate", packet.describe())
-            count(self.sim, "fabric.duplicated")
-            self._deliver_after(delay + 1.0, receiver, outcome)
-
-        if self.fault.replay_probability:
-            self._replay_buffer.append((receiver, outcome))
-            if len(self._replay_buffer) > 64:
-                self._replay_buffer.pop(0)
-            if self.rng.chance(self.fault.replay_probability):
-                victim_receiver, stale = self.rng.choice(self._replay_buffer)
-                self.stats.replayed += 1
-                if traced:
-                    emit(self.sim, "fabric.replay", stale.describe())
-                count(self.sim, "fabric.replayed")
-                self._deliver_after(delay + 5.0, victim_receiver, stale)
-
-    def _deliver_after(
-        self, delay: float, receiver: EthernetMac, packet: Packet
-    ) -> None:
-        self.stats.delivered += 1
-        # The packet in flight is a timeout carrying it, with the
-        # receiving MAC's bound ``deliver`` as callback: no closure.
-        Timeout(self.sim, delay, packet).callbacks.append(receiver.deliver)
+        self._carry_to(self._peer[sender.address], packet)
 
 
-class Fabric:
+class Fabric(_Wire):
     """A star topology: every registered MAC reaches every other.
 
     Used by the multi-node distributed-system experiments, where three
-    servers sit behind one switch.  Per-destination links keep the
-    fault-injection API identical to :class:`Link`.
+    servers sit behind one switch.  The fault-injection API is
+    :class:`Link`'s: one policy and one fault stream for the switch.
     """
 
     def __init__(
@@ -176,12 +187,8 @@ class Fabric:
         fault: NetworkFault | None = None,
         rng: DeterministicRng | None = None,
     ) -> None:
-        self.sim = sim
-        self.propagation_us = propagation_us
-        self.fault = fault or NetworkFault()
-        self.fault.validate()
-        self.rng = rng or DeterministicRng(0, "fabric")
-        self.stats = LinkStats()
+        super().__init__(sim, propagation_us, fault,
+                         rng or DeterministicRng(0, "fabric"))
         self._macs: dict[str, EthernetMac] = {}
 
     def register(self, mac: EthernetMac) -> None:
@@ -193,43 +200,15 @@ class Fabric:
 
     def carry(self, sender: EthernetMac, packet: Packet) -> None:
         """Switch *packet* to the MAC named in its Ethernet header."""
-        traced = self.sim.tracer is not None
         receiver = self._macs.get(packet.eth.dst_mac)
         if receiver is None:
             self.stats.dropped += 1
-            if traced:
+            if self.sim.tracer is not None:
                 emit(self.sim, "fabric.drop",
                      f"no port for {packet.eth.dst_mac}")
             count(self.sim, "fabric.dropped")
             return
-        if self.fault.tamper is not None:
-            modified = self.fault.tamper(packet)
-            if modified is not None and modified is not packet:
-                self.stats.tampered += 1
-                if traced:
-                    emit(self.sim, "fabric.tamper", packet.describe())
-                count(self.sim, "fabric.tampered")
-                packet = modified
-        if self.fault.drop_probability and self.rng.chance(
-            self.fault.drop_probability
-        ):
-            self.stats.dropped += 1
-            if traced:
-                emit(self.sim, "fabric.drop", packet.describe())
-            count(self.sim, "fabric.dropped")
-            return
-        delay = self.propagation_us
-        if self.fault.reorder_probability and self.rng.chance(
-            self.fault.reorder_probability
-        ):
-            self.stats.reordered += 1
-            if traced:
-                emit(self.sim, "fabric.reorder", packet.describe(),
-                     extra_delay_us=self.fault.reorder_extra_delay_us)
-            count(self.sim, "fabric.reordered")
-            delay += self.fault.reorder_extra_delay_us
-        self.stats.delivered += 1
-        Timeout(self.sim, delay, packet).callbacks.append(receiver.deliver)
+        self._carry_to(receiver, packet)
 
     def addresses(self) -> list[str]:
         return sorted(self._macs)

@@ -188,3 +188,56 @@ def test_link_reorder_fault_delays_packet():
     sim.run()
     assert link.stats.reordered == 1
     assert sim.now > 50.0
+
+
+def test_fabric_applies_duplicate_and_replay_faults():
+    # Fabric.carry used to implement tamper, drop and reorder only: a
+    # switched cluster asked for duplicates or replays and got none.
+    sim = Simulator()
+    fabric = Fabric(sim, fault=NetworkFault(duplicate_probability=1.0,
+                                            replay_probability=1.0))
+    a, b = EthernetMac(sim, "m-a"), EthernetMac(sim, "m-b")
+    fabric.register(a)
+    fabric.register(b)
+    a.transmit(make_packet())
+    sim.run()
+    assert fabric.stats.duplicated == 1 and fabric.stats.replayed == 1
+    assert fabric.stats.delivered == 3 and len(b.rx_queue) == 3
+
+
+def test_link_and_fabric_apply_one_fault_schedule():
+    # Same policy, same seed, same traffic: the two wires differ only in
+    # how they find the receiver.
+    def run(wire_up):
+        sim = Simulator()
+        a, b = EthernetMac(sim, "m-a"), EthernetMac(sim, "m-b")
+        fault = NetworkFault(
+            drop_probability=0.2, duplicate_probability=0.2,
+            reorder_probability=0.2, replay_probability=0.2,
+            tamper=lambda p: p.with_payload(b"evil") if p.bth.psn % 7 == 0 else None)
+        wire = wire_up(sim, a, b, fault, DeterministicRng(11, "wire"))
+        arrivals = []
+        b.rx_tap = lambda packet: arrivals.append(
+            (sim.now, packet.bth.psn, packet.payload))
+        for psn in range(200):
+            a.transmit(Packet(
+                eth=EthernetHeader(src_mac="m-a", dst_mac="m-b"),
+                ip=Ipv4Header(src_ip="10.0.0.1", dst_ip="10.0.0.2"),
+                udp=UdpHeader(src_port=4791),
+                bth=IbTransportHeader(opcode=RdmaOpcode.SEND, dest_qp=1, psn=psn),
+                payload=b"x" * 100))
+        sim.run()
+        return arrivals, wire.stats
+
+    def switched(sim, a, b, fault, rng):
+        fabric = Fabric(sim, fault=fault, rng=rng)
+        fabric.register(a)
+        fabric.register(b)
+        return fabric
+
+    on_link = run(lambda sim, a, b, fault, rng: Link(sim, a, b, fault=fault, rng=rng))
+    on_fabric = run(switched)
+    assert on_link == on_fabric
+    stats = on_link[1]
+    assert min(stats.dropped, stats.duplicated, stats.reordered,
+               stats.replayed, stats.tampered) > 0
