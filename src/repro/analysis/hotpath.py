@@ -145,9 +145,8 @@ TNIC_MANIFEST = HotPathManifest(
         "TnicDevice.poll",
         "TnicDevice.drain",
         "TnicDevice._on_deliver",
-        # RoCE transport: tx pump, rx decode (the MAC's ingress handler)
-        # and the lane's verify-then-deliver, which continues from the
-        # verification event's callbacks.
+        # RoCE transport: tx pump, rx decode (the MAC's ingress handler),
+        # verify-then-deliver (continued from the check's callbacks).
         "RoceKernel._pump_tx",
         "RoceKernel.ingress",
         "RoceKernel._handle_ack",

@@ -140,12 +140,9 @@ class _Wire:
                 count(self.sim, "fabric.replayed")
                 self._deliver_after(delay + 5.0, victim_receiver, stale)
 
-    def _deliver_after(
-        self, delay: float, receiver: EthernetMac, packet: Packet
-    ) -> None:
+    def _deliver_after(self, delay: float, receiver: EthernetMac, packet: Packet) -> None:
         self.stats.delivered += 1
-        # In flight, the packet is the value of a timeout whose callback
-        # is the receiving MAC's bound ``deliver``.
+        # In flight the packet is a timeout's value; the callback is the MAC's.
         Timeout(self.sim, delay, packet).callbacks.append(receiver.deliver)
 
 

@@ -52,10 +52,6 @@ class EthernetMac:
         """Connect this MAC to a fabric link."""
         self._link = link
 
-    @property
-    def attached(self) -> bool:
-        return self._link is not None
-
     def transmit(self, packet: Packet) -> None:
         """Serialise *packet* onto the wire after the Tx port frees up."""
         if self._link is None:

@@ -69,8 +69,7 @@ class _RxLane:
     __slots__ = ("kernel", "qp", "state", "queue", "verifying",
                  "next_arrival_psn", "partial")
 
-    def __init__(self, kernel: "RoceKernel", qp: QueuePair,
-                 state: QueuePairState) -> None:
+    def __init__(self, kernel: "RoceKernel", qp: QueuePair, state: QueuePairState) -> None:
         self.kernel = kernel
         self.qp = qp
         self.state = state
@@ -114,7 +113,7 @@ class _RxLane:
                 if seg_index != len(self.partial):
                     # Mid-message corruption of the segment sequence.
                     kernel._reject(self)
-                    continue
+                    return
                 self.partial.append(packet.payload)
                 if seg_index < segments - 1:
                     continue  # await the remaining segments
@@ -126,7 +125,7 @@ class _RxLane:
                 if self.partial:
                     # A single-packet message arrived mid-reassembly.
                     kernel._reject(self)
-                    continue
+                    return
                 payload = materialize(packet.payload)
             if packet.trailer is None or kernel.attestation is None:
                 kernel._deliver(self, packet, payload, psn_span=segments)
@@ -297,12 +296,8 @@ class RoceKernel:
             last_psn = -1
             trailer = None
             if isinstance(message, AttestedMessage):
-                trailer = AttestationTrailer(
-                    alpha=message.alpha,
-                    session_id=message.session_id,
-                    device_id=message.device_id,
-                    send_cnt=message.counter,
-                )
+                trailer = AttestationTrailer(message.alpha, message.session_id,
+                                             message.device_id, message.counter)
             segments = len(chunks)
             for index, chunk in enumerate(chunks):
                 seg_meta = dict(meta)
@@ -451,25 +446,24 @@ class RoceKernel:
         qp_number = packet.bth.dest_qp
         if qp_number not in self.tables:
             return
-        qp = self._qp(qp_number)
         state = self.tables.get(qp_number)
-        psn = packet.bth.psn
         lane = self._rx_lanes.get(qp_number)
         if lane is None:
-            lane = self._rx_lanes[qp_number] = _RxLane(self, qp, state)
-
-        if psn < lane.next_arrival_psn:
+            lane = self._rx_lanes[qp_number] = _RxLane(
+                self, self._qp(qp_number), state)
+        psn = packet.bth.psn
+        if psn == lane.next_arrival_psn:
+            lane.accept(packet)
+        elif psn < lane.next_arrival_psn:
             # Duplicate of an already-accepted packet: re-ACK, drop.
             state.duplicates_dropped += 1
             if state.expected_recv_psn > 0:
-                self._send_ack(qp, state.expected_recv_psn - 1, state.next_recv_msn)
-            return
-        if psn > lane.next_arrival_psn:
+                self._send_ack(self._qp(qp_number),
+                               state.expected_recv_psn - 1, state.next_recv_msn)
+        else:
             # Gap: go-back-N, ask the sender to rewind.
             state.out_of_order_dropped += 1
-            self._send_nak(qp)
-            return
-        lane.accept(packet)
+            self._send_nak(self._qp(qp_number))
 
     def _verification_failed(self, lane: _RxLane, vspan) -> None:
         vspan.end(status="rejected")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.attestation import AttestationError, AttestationKernel, AttestedMessage
-from repro.sim.events import Timeout
 from repro.sim.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,8 +85,8 @@ class AttestationProvider:
         is the latency timeout, its outcome set by :meth:`_settle`.
         """
         self.verify_count += 1
-        check = Timeout(self.sim, self.verify_latency_us(len(message.payload)),
-                        (session_id, message))
+        check = self.sim.timeout(self.verify_latency_us(len(message.payload)),
+                                 (session_id, message))
         check.callbacks.append(self._settle)
         return check
 
