@@ -7,38 +7,15 @@ parallelisable MAC (e.g. a Carter-Wegman/GMAC-style engine with k
 lanes) would buy: the per-byte term divides by the lane count while the
 RoCE datapath cost is unchanged, flattening the TNIC curve toward
 RDMA-hw at large packets.
-
-A second, *measured* part benchmarks the repository's own wall-clock
-batched verification (:func:`repro.crypto.hmac_engine.batch_verify`)
-against per-call :func:`~repro.crypto.hmac_engine.hmac_verify` and
-reports the crossover batch size — the smallest batch at which the
-batched path wins.  On single-core hosts the win comes from amortising
-the cache's key fingerprint and call overhead; on multi-core hosts the
-GIL-releasing worker pool adds to it for >=2 KiB messages.
 """
-
-import time
 
 from conftest import register_artefact
 
 from repro.bench import PACKET_SIZE_SWEEP, Series
 from repro.bench.report import render_figure
-from repro.crypto.hmac_engine import (
-    DEFAULT_VERIFY_BATCH,
-    batch_verify,
-    hmac_sha256,
-    hmac_verify,
-    reset_verification_cache,
-)
 from repro.sim import latency as cal
 
 LANES = [1, 4, 16]
-
-#: Payload sizes for the measured batch-verify crossover sweep.
-BATCH_PAYLOAD_SIZES = [64, 1024, 4096]
-
-#: Batch sizes swept for the crossover measurement.
-BATCH_SIZES = [1, 2, 4, 8, 16, 32, 64]
 
 
 def tnic_send_with_lanes(size: int, lanes: int) -> float:
@@ -52,91 +29,6 @@ def measure():
                 for size in PACKET_SIZE_SWEEP}
         for lanes in LANES
     }
-
-
-def _verify_jobs(size: int, batch: int) -> list[tuple]:
-    """Distinct valid (key, mac, parts) verification jobs."""
-    key = b"\x11" * 32
-    jobs = []
-    for index in range(batch):
-        parts = (bytes([index % 251]) * size, index, 7, 1)
-        jobs.append((key, hmac_sha256(key, *parts), parts))
-    return jobs
-
-
-def _time_pair(size: int, batch: int, rounds: int = 20) -> tuple[float, float]:
-    """Best-of-rounds per-op µs for (serial, batched) verification.
-
-    The verification cache is reset each round so every op pays the
-    full MAC (the cached path is the PR-4 ablation, not this one).
-    """
-    jobs = _verify_jobs(size, batch)
-    serial_best = batched_best = float("inf")
-    for _ in range(rounds):
-        reset_verification_cache()
-        started = time.perf_counter()
-        for key, mac, parts in jobs:
-            hmac_verify(key, mac, *parts)
-        serial_best = min(serial_best, time.perf_counter() - started)
-        reset_verification_cache()
-        started = time.perf_counter()
-        outcomes = batch_verify(jobs)
-        batched_best = min(batched_best, time.perf_counter() - started)
-        assert all(outcomes)
-    reset_verification_cache()
-    return serial_best / batch * 1e6, batched_best / batch * 1e6
-
-
-def measure_batch_crossover() -> dict:
-    """Sweep batch sizes; report per-op timings and the crossover."""
-    sweep: dict[int, dict[int, tuple[float, float]]] = {}
-    crossover: dict[int, int | None] = {}
-    for size in BATCH_PAYLOAD_SIZES:
-        sweep[size] = {}
-        crossover[size] = None
-        for batch in BATCH_SIZES:
-            serial_us, batched_us = _time_pair(size, batch)
-            sweep[size][batch] = (serial_us, batched_us)
-            if crossover[size] is None and batched_us < serial_us:
-                crossover[size] = batch
-    return {"sweep": sweep, "crossover": crossover}
-
-
-def test_batch_verify_crossover():
-    results = measure_batch_crossover()
-    crossover = results["crossover"]
-    sweep = results["sweep"]
-    for size in BATCH_PAYLOAD_SIZES:
-        # The batched path must win by the default rx batch at every
-        # payload size from 64 B up (the ISSUE-9 acceptance bar).
-        serial_us, batched_us = sweep[size][DEFAULT_VERIFY_BATCH]
-        assert batched_us < serial_us, (
-            f"batch_verify slower than serial at {size} B payloads, "
-            f"batch {DEFAULT_VERIFY_BATCH}: {batched_us:.2f} vs "
-            f"{serial_us:.2f} us/op"
-        )
-        assert crossover[size] is not None
-        assert crossover[size] <= DEFAULT_VERIFY_BATCH
-
-    series = []
-    for size in BATCH_PAYLOAD_SIZES:
-        serial_line = Series(f"serial {size}B")
-        batched_line = Series(f"batched {size}B")
-        for batch in BATCH_SIZES:
-            serial_us, batched_us = sweep[size][batch]
-            serial_line.add(batch, serial_us)
-            batched_line.add(batch, batched_us)
-        series.append(serial_line)
-        series.append(batched_line)
-    lines = ["crossover batch size by payload:"]
-    for size in BATCH_PAYLOAD_SIZES:
-        lines.append(f"  {size} B -> batch {crossover[size]}")
-    register_artefact(
-        "Ablation: batched verification crossover",
-        render_figure("Measured: batch_verify vs hmac_verify",
-                      "batch size", "per-op latency (us)", series)
-        + "\n" + "\n".join(lines) + "\n",
-    )
 
 
 def test_ablation_parallel_hmac(benchmark):

@@ -13,10 +13,9 @@ Usage::
     PYTHONPATH=src python benchmarks/run_all.py --compare OLD.json NEW.json
 
 ``--check-regression`` exits non-zero when the timeout-storm rate falls
-below :data:`REGRESSION_FLOOR_EVENTS_PER_S` — set ~25% under the
-slowest observed fast-path run, well above the seed kernel's 364,852
-events/s, so losing even half of the PR 4 fast-path win fails loudly.
-CI runs this as the perf-smoke job.
+below :data:`REGRESSION_FLOOR_EVENTS_PER_S` (the rule and the runs it
+came from are written beside the constant).  CI runs this as the
+perf-smoke job.
 
 ``--figures`` runs each named figure/table's ``measure()`` (no names:
 every registered one) and writes a canonical
@@ -53,14 +52,17 @@ from repro.crypto import (
 )
 from repro.systems.chain import ChainReplication
 
-#: Timeout-storm floor for the CI perf smoke.  The seed (pre-fast-path)
-#: kernel measured 364,852 events/s; the calendar-queue scheduler
-#: (ISSUE 9) sustains ~700k-1.07M depending on machine class and load.
-#: The floor keeps a ~25% margin below the slowest observed
-#: calendar-queue run while still tripping on any regression that claws
-#: back most of the scheduler win.  This is the only place the value is
+#: Timeout-storm floor for the CI perf smoke.  ``timeout_storm`` holds
+#: 20,000 timers pending, a depth no paper workload comes near (they
+#: stay under 30, docs/performance.md), so it times the binary heap at
+#: its most expensive, not at its usual.  Rule: 25 % under the slowest
+#: of >= 10 ``measure_all(rounds=5)`` runs.  PR 18, 12 fresh-process
+#: runs: 441,079-534,369 events/s (median 476,470) on Intel Xeon @
+#: 2.10 GHz, 2 cores, CPython 3.11.7, Linux 6.18.44 -> 330,000.  (The
+#: calendar queue read 789k-883k in the same session; the seed's kernel
+#: 364,852 on its own host.)  This is the only place the value is
 #: written; scripts, CI and docs refer to the constant by name.
-REGRESSION_FLOOR_EVENTS_PER_S = 525_000
+REGRESSION_FLOOR_EVENTS_PER_S = 330_000
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 RESULTS_PATH = RESULTS_DIR / "BENCH_sim_kernel.json"
@@ -273,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check-regression", action="store_true",
-        help="exit 1 if timeout_storm falls below the fast-path floor",
+        help="exit 1 if timeout_storm falls below the regression floor",
     )
     parser.add_argument(
         "--rounds", type=int, default=5,
@@ -323,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         if storm < REGRESSION_FLOOR_EVENTS_PER_S:
             print(
                 f"PERF REGRESSION: timeout_storm {storm:,} events/s is "
-                f"below the fast-path floor "
+                f"below the regression floor "
                 f"{REGRESSION_FLOOR_EVENTS_PER_S:,}",
                 file=sys.stderr,
             )

@@ -93,10 +93,8 @@ from repro.analysis.rules import (
     Rule,
     apply_suppressions,
     collect_findings,
-    collect_findings_parallel,
     default_baseline_path,
     default_rules,
-    pass_groups,
     rule_by_id,
     rule_catalog,
     run_rules,
@@ -150,7 +148,6 @@ __all__ = [
     "apply_suppressions",
     "check_boundaries",
     "collect_findings",
-    "collect_findings_parallel",
     "collect_sources",
     "default_baseline_path",
     "default_package_root",
@@ -162,7 +159,6 @@ __all__ = [
     "is_trusted",
     "liveness_engine",
     "parse_file",
-    "pass_groups",
     "project_flows",
     "render_json",
     "render_sarif",

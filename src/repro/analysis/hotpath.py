@@ -120,10 +120,8 @@ TNIC_MANIFEST = HotPathManifest(
         "Simulator._drain",
         "Simulator.timeout",
         "Simulator.delayed_call",
-        # Calendar-queue maintenance (ISSUE 9): the schedule primitive
-        # and the overflow redistribution pass.
+        # The one scheduling primitive (called from Event/Timeout).
         "Simulator._push",
-        "Simulator._migrate",
         # Event trigger paths (callback-scheduled, hence declared).
         "Event.succeed",
         "Event.fail",
@@ -202,11 +200,8 @@ TNIC_MANIFEST = HotPathManifest(
     hmac_helpers=(
         "mac_encoded",
         "verify_encoded",
-        "batch_verify_encoded",
         "hmac_sha256",
         "hmac_verify",
-        "batch_verify",
-        "_digest_for",
         "VerificationCache.key_id",
         "canonical_bytes",
         "sha256",

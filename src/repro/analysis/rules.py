@@ -113,14 +113,8 @@ class ProjectRule(Rule):
         return iter(())
 
 
-def pass_groups() -> dict[str, list[Rule]]:
-    """Independent pass groups, instantiated fresh.
-
-    Each group is self-contained (no shared engine cache across groups),
-    so ``lint --jobs N`` can run them in separate worker processes and
-    merge the findings; the serial driver concatenates them in this
-    fixed order.
-    """
+def default_rules() -> list[Rule]:
+    """Every shipped pass, instantiated fresh, in reporting order."""
     from repro.analysis.boundaries import TrustedBoundaryRule
     from repro.analysis.determinism import DETERMINISM_RULES
     from repro.analysis.hotpath import HOTPATH_RULES
@@ -130,62 +124,12 @@ def pass_groups() -> dict[str, list[Rule]]:
     from repro.analysis.sim_safety import SIM_SAFETY_RULES
     from repro.analysis.taint import TAINT_RULES
 
-    syntactic: list[Rule] = [cls() for cls in DETERMINISM_RULES]
-    syntactic.extend(cls() for cls in SIM_SAFETY_RULES)
-    syntactic.extend(cls() for cls in OBSERVABILITY_RULES)
-    syntactic.append(TrustedBoundaryRule())
-    return {
-        "syntactic": syntactic,
-        "taint": [cls() for cls in TAINT_RULES],
-        "interference": [cls() for cls in INTERFERENCE_RULES],
-        "hotpath": [cls() for cls in HOTPATH_RULES],
-        "liveness": [cls() for cls in LIVENESS_RULES],
-    }
-
-
-def default_rules() -> list[Rule]:
-    """Every shipped pass, instantiated fresh."""
-    rules: list[Rule] = []
-    for group in pass_groups().values():
-        rules.extend(group)
-    return rules
-
-
-def _collect_group_worker(paths: tuple[str, ...], group: str) -> list[Finding]:
-    """Process-pool entry point for one pass group (must be picklable)."""
-    from repro.analysis.walker import collect_sources
-
-    sources = collect_sources(Path(p) for p in paths)
-    return collect_findings(sources, pass_groups()[group])
-
-
-def collect_findings_parallel(
-    paths: Sequence[Path], sources: Sequence[SourceFile], jobs: int,
-) -> list[Finding]:
-    """Run the pass groups across *jobs* worker processes.
-
-    Occurrence numbering stays identical to the serial driver because
-    groups own disjoint rule sets and occurrences are keyed per rule.
-    Falls back to the serial path on any pool failure — lint must never
-    die because multiprocessing is unavailable.
-    """
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        groups = sorted(pass_groups())
-        path_args = tuple(str(p) for p in paths)
-        findings: list[Finding] = []
-        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            futures = [
-                pool.submit(_collect_group_worker, path_args, group)
-                for group in groups
-            ]
-            for future in futures:
-                findings.extend(future.result())
-    except Exception:
-        return collect_findings(sources)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-    return findings
+    families = (
+        DETERMINISM_RULES, SIM_SAFETY_RULES, OBSERVABILITY_RULES,
+        (TrustedBoundaryRule,), TAINT_RULES, INTERFERENCE_RULES,
+        HOTPATH_RULES, LIVENESS_RULES,
+    )
+    return [cls() for family in families for cls in family]
 
 
 def rule_catalog() -> dict[str, str]:

@@ -106,7 +106,6 @@ TNIC_MANIFEST = TaintManifest(
         # Constant-time comparison and the attestation-verify family.
         "compare_digest",
         "verify_encoded",
-        "batch_verify_encoded",
         "hmac_verify",
         "batch_verify",
         "verify",

@@ -2,13 +2,12 @@
 
 Three microworkloads exercise the kernel's distinct hot paths:
 
-* ``timeout_storm`` — pure scheduling: pre-loads N timeouts while the
-  loop is idle (exercising the append-then-sort lane) and drains them
-  (the sorted-batch walk).
+* ``timeout_storm`` — pure scheduling at a depth no paper workload
+  reaches: pre-loads N timeouts while the loop is idle, then drains
+  them (every push and pop pays the full heap height).
 * ``process_chains`` — generator resumption: many processes each
   yielding a chain of timeouts, so every event dispatch re-enters a
-  coroutine (exercising the callback path and the fresh-heap
-  interleave).
+  coroutine that schedules into the same instant as its peers.
 * ``contended_resource`` — wake-up chains through a capacity-1
   :class:`~repro.sim.resources.Resource`, the pattern behind the HMAC
   pipeline and per-REG-page locks.

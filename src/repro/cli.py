@@ -309,31 +309,8 @@ def _run_lint(args: argparse.Namespace) -> int:
         print(f"lint: pruned {len(removed)} stale entr(y/ies) from {baseline_path}")
         return 0
 
-    jobs = getattr(args, "jobs", 1)
-    if jobs is None:
-        # Auto: one worker per pass group, bounded by the machine.  More
-        # workers than groups is waste; --jobs 1 stays the explicit
-        # serial escape hatch and output is byte-identical either way.
-        import os
-
-        from repro.analysis import pass_groups
-
-        jobs = min(len(pass_groups()), os.cpu_count() or 1)
-    if jobs > 1:
-        from repro.analysis.rules import (
-            apply_suppressions,
-            collect_findings_parallel,
-        )
-
-        raw = collect_findings_parallel(targets, sources, jobs)
-        findings = apply_suppressions(
-            raw, sources, Baseline.load(baseline_path)
-        )
-    else:
-        findings = run_rules(sources, baseline=Baseline.load(baseline_path))
+    findings = run_rules(sources, baseline=Baseline.load(baseline_path))
     if only:
-        # Post-merge filter: applied identically after the serial and
-        # parallel paths so --only composes with --jobs byte-for-byte.
         findings = [f for f in findings if f.rule.startswith(only)]
     if args.format == "json":
         print(render_json(findings))
@@ -612,14 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report only findings whose rule id matches the selector "
              "(exact id like LIV002, or a family prefix like LIV); "
              "unknown selectors exit 2 with the valid prefixes",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="run independent pass groups (syntactic/taint/interference/"
-             "hotpath/liveness) across N worker processes "
-             "(default: auto from os.cpu_count(), capped at the group "
-             "count; --jobs 1 forces the serial driver; output is byte-"
-             "identical either way)",
     )
     lint.add_argument(
         "--hotpath-manifest", default=None, metavar="FILE",

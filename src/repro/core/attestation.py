@@ -29,12 +29,7 @@ from typing import TYPE_CHECKING
 from repro.core.counters import CounterStore
 from repro.core.keystore import Keystore, KeystoreError
 from repro.crypto.hashing import canonical_bytes
-from repro.crypto.hmac_engine import (
-    HmacEngine,
-    batch_verify_encoded,
-    mac_encoded,
-    verify_encoded,
-)
+from repro.crypto.hmac_engine import HmacEngine, mac_encoded, verify_encoded
 from repro.sim.instrument import count, flight_trigger, gauge_set
 from repro.sim.trace import emit
 
@@ -122,13 +117,6 @@ class AttestationKernel:
         self.attest_count = 0
         self.verify_count = 0
         self.reject_count = 0
-        #: Pipelined verifications whose MAC check has not run yet; the
-        #: first HMAC-pipeline completion flushes them in one
-        #: ``batch_verify_encoded`` call.  Each entry is ``[session_id,
-        #: message, verdict]`` — the verdict filled by the flush.  No
-        #: key material is parked here: keys are resolved from the
-        #: Keystore only inside the flush's verify call.
-        self._pending_verifies: list[list] = []
 
     # ------------------------------------------------------------------
     # Bootstrapping interface (used by the driver / attestation protocol)
@@ -168,34 +156,20 @@ class AttestationKernel:
         object.__setattr__(message, "_encoded", encoded)
         return message
 
-    def verify(
-        self,
-        session_id: int,
-        message: AttestedMessage,
-        mac_valid: bool | None = None,
-    ) -> bytes:
+    def verify(self, session_id: int, message: AttestedMessage) -> bytes:
         """Verify authenticity, integrity and continuity; return payload.
 
         Raises :class:`MacMismatchError` on a bad α (Algo 1: L7-8) and
         :class:`ContinuityError` when the counter is not the expected
         one for the session (Algo 1: L8).  Only a fully successful
         verification advances ``recv_cnt``.
-
-        *mac_valid* carries a MAC verdict already computed by the
-        batched pipeline (:meth:`verify_event`); the MAC check is a
-        pure function of the message, so precomputing it never changes
-        the outcome — only where the wall-clock work happens.  ``None``
-        (every direct caller) verifies here.
         """
-        key = self._key(session_id)
-        if mac_valid is None:
-            mac_valid = verify_encoded(
-                key,
-                self.keystore.key_id_for(session_id),
-                message.alpha,
-                message.encoded(),
-            )
-        if not mac_valid:
+        if not verify_encoded(
+            self._key(session_id),
+            self.keystore.key_id_for(session_id),
+            message.alpha,
+            message.encoded(),
+        ):
             self.reject_count += 1
             if self.sim is not None:
                 if self.sim.tracer is not None:
@@ -266,54 +240,29 @@ class AttestationKernel:
     def verify_event(self, session_id: int, message: AttestedMessage) -> "Event":
         """As :meth:`verify`, but queued on the hardware HMAC pipeline.
 
-        MAC checks are *batched*: the job is parked on
-        ``_pending_verifies`` and the first pipeline completion flushes
-        every parked job through one
-        :func:`~repro.crypto.hmac_engine.batch_verify_encoded` call
-        (worker pool for large messages).
-        Virtual time is untouched — each verification still occupies
-        the pipeline for its own message span and resolves at its own
-        completion instant, in completion order, where the continuity
-        check and counter advance run exactly as in the serial path.
+        Each verification occupies the pipeline for its own message
+        span and resolves at its own completion instant, in completion
+        order, where :meth:`verify` runs — MAC check, continuity check
+        and counter advance — exactly as in the immediate path.
 
-        The event is the pipeline occupancy itself, carrying the parked
-        job; :meth:`_settle`, its first callback, sets the outcome — the
-        payload, or the :class:`AttestationError` as its exception.
+        The event is the pipeline occupancy itself, carrying
+        ``(session_id, message)``; :meth:`_settle`, its first callback,
+        sets the outcome — the payload, or the
+        :class:`AttestationError` as its exception.
         """
         engine = self._engine()
         self._key(session_id)  # fail fast on unknown sessions
-        job = [session_id, message, None]
-        self._pending_verifies.append(job)
-        check = engine.occupy(len(message.payload) + 8, job)
+        check = engine.occupy(len(message.payload) + 8, (session_id, message))
         check.callbacks.append(self._settle)
         return check
 
     def _settle(self, check: "Event") -> None:
-        """Set *check*'s outcome as it leaves the pipeline."""
-        session_id, message, _ = job = check._value
-        if self._pending_verifies:
-            self._flush_pending_verifies()  # fills job[2] if still parked
+        """First callback of a :meth:`verify_event` event: set its outcome."""
+        session_id, message = check._value
         try:
-            check._value = self.verify(session_id, message, mac_valid=job[2])
+            check._value = self.verify(session_id, message)
         except AttestationError as exc:
             check._exception = exc
-
-    def _flush_pending_verifies(self) -> None:
-        """Run every parked MAC check in one batched wall-clock pass.
-
-        Drains the list in place: the first completion does the batch
-        and later ones find it empty (their verdict already filled in).
-        """
-        jobs = self._pending_verifies
-        key_for = self._key
-        key_id_for = self.keystore.key_id_for
-        checks: list = [None] * len(jobs)
-        for index, (session_id, message, _) in enumerate(jobs):
-            checks[index] = (key_for(session_id), key_id_for(session_id),
-                             message.alpha, message.encoded())
-        for job, verdict in zip(jobs, batch_verify_encoded(checks)):
-            job[2] = verdict
-        del jobs[:]
 
     # ------------------------------------------------------------------
     def _key(self, session_id: int) -> bytes:

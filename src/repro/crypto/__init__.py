@@ -21,7 +21,6 @@ from repro.crypto.hmac_engine import (
     HmacEngine,
     VerificationCache,
     batch_verify,
-    batch_verify_encoded,
     hmac_sha256,
     hmac_verify,
     mac_encoded,
@@ -41,7 +40,6 @@ __all__ = [
     "RsaPublicKey",
     "VerificationCache",
     "batch_verify",
-    "batch_verify_encoded",
     "generate_keypair",
     "hmac_sha256",
     "hmac_verify",

@@ -4,12 +4,9 @@ Three layers live here:
 
 * Plain functions computing real MACs (used everywhere an attestation
   α is produced or checked).  The implementation takes a message that
-  is *already canonically encoded* — :func:`mac_encoded`,
-  :func:`verify_encoded` and :func:`batch_verify_encoded`, the
-  wall-clock batched form used by the RoCE rx pipeline (a
-  GIL-releasing worker pool for large cache-missed messages on
-  multi-core hosts) — because an attested message carries its encoding
-  from attest to every check.  :func:`hmac_sha256`,
+  is *already canonically encoded* — :func:`mac_encoded` and
+  :func:`verify_encoded` — because an attested message carries its
+  encoding from attest to every check.  :func:`hmac_sha256`,
   :func:`hmac_verify` and :func:`batch_verify` encode their parts and
   call those.
 * :class:`VerificationCache`, a wall-clock-only memo of verification
@@ -32,9 +29,7 @@ from __future__ import annotations
 
 import hashlib as _hashlib
 import hmac as _hmac
-import os as _os
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.crypto.hashing import canonical_bytes
@@ -157,106 +152,6 @@ def verification_cache_stats() -> dict:
     return verification_cache.stats()
 
 
-#: CPython's hashlib releases the GIL only while hashing buffers larger
-#: than 2047 bytes; below that, handing a digest to another thread is
-#: pure overhead.  Messages at or past this size are eligible for the
-#: worker pool in :func:`batch_verify_encoded`.
-GIL_RELEASE_BYTES = 2048
-
-#: Rx-pipeline verification batch size at which the batched path is
-#: comfortably past its crossover vs. per-call :func:`hmac_verify` —
-#: measured by ``benchmarks/bench_ablation_parallel_hmac.py`` (the
-#: crossover lands at a handful of jobs; 32 is one rx window).
-DEFAULT_VERIFY_BATCH = 32
-
-#: Lazily-built worker pool for GIL-releasing digests.  Wall-clock-only:
-#: results are collected in submission order, so virtual-time behaviour
-#: and determinism are untouched by thread scheduling.
-_POOL: ThreadPoolExecutor | None = None
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    global _POOL
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(
-            max_workers=min(8, _os.cpu_count() or 1),
-            thread_name_prefix="hmac-batch",
-        )
-    return _POOL
-
-
-def _digest_for(job: tuple) -> bytes:
-    """Worker-side MAC for one pending ``batch_verify_encoded`` job."""
-    return _hmac.new(job[1], job[2], "sha256").digest()
-
-
-def batch_verify_encoded(jobs: Sequence[tuple]) -> list[bool]:
-    """Verify many ``(key, key_id, mac, message)`` MACs in one
-    wall-clock pass; *message* is canonically encoded and *key_id* is
-    :meth:`VerificationCache.key_id` of *key*.
-
-    Semantically identical to calling :func:`verify_encoded` per job —
-    same cache lookups, same stored outcomes, same booleans — but
-    cache-missed digests for messages of :data:`GIL_RELEASE_BYTES` or
-    more are dispatched to a thread pool on multi-core hosts, where
-    hashlib's GIL release lets them overlap.
-
-    Results are positional.  Wall-clock-only: virtual time is charged
-    separately (the callers queue :meth:`HmacEngine.occupy` spans), and
-    pool results are consumed in submission order, so outcomes are
-    deterministic.  One observable cache-stat nuance: two *identical*
-    jobs in one batch both miss (the serial path would hit on the
-    second), because lookups happen before any batch store.
-    """
-    results = [False] * len(jobs)
-    pending: list[tuple] = []
-    lookup = verification_cache.lookup
-    index = 0
-    any_large = False
-    for key, key_id, mac, message in jobs:
-        cache_key = (key_id, message, mac)
-        cached = lookup(cache_key)
-        if cached is None:
-            _require_key(key)
-            pending.append((index, key, message, mac, cache_key))
-            if len(message) >= GIL_RELEASE_BYTES:
-                any_large = True
-        else:
-            results[index] = cached
-        index += 1
-    if not pending:
-        return results
-    if any_large and len(pending) > 1 and (_os.cpu_count() or 1) > 1:
-        digests = list(_worker_pool().map(_digest_for, pending))
-    else:
-        digests = []
-        new = _hmac.new
-        for job in pending:
-            digests.append(new(job[1], job[2], "sha256").digest())
-    compare = _hmac.compare_digest
-    store = verification_cache.store
-    for job, expected in zip(pending, digests):
-        result = compare(expected, job[3])
-        store(job[4], result)
-        results[job[0]] = result
-    return results
-
-
-def batch_verify(jobs: Sequence[tuple]) -> list[bool]:
-    """Verify many ``(key, mac, parts)`` MACs in one wall-clock pass:
-    :func:`batch_verify_encoded` over the canonical encoding of each
-    job's *parts*, with one key fingerprint per distinct key."""
-    key_ids: dict[bytes, bytes] = {}
-    encoded = []
-    for key, mac, parts in jobs:
-        _require_key(key)
-        key_id = key_ids.get(key)
-        if key_id is None:
-            key_id = key_ids[key] = VerificationCache.key_id(key)
-        encoded.append((key, key_id, mac, canonical_bytes(parts)))
-    return batch_verify_encoded(encoded)
-
-
 def verify_encoded(key: bytes, key_id: bytes, mac: bytes, message: bytes) -> bool:
     """Constant-time comparison of *mac* against the expected MAC of the
     canonically encoded *message*; *key_id* is
@@ -280,6 +175,11 @@ def hmac_verify(key: bytes, mac: bytes, *parts) -> bool:
     _require_key(key)
     return verify_encoded(
         key, VerificationCache.key_id(key), mac, canonical_bytes(parts))
+
+
+def batch_verify(jobs: Sequence[tuple]) -> list[bool]:
+    """:func:`hmac_verify` of each ``(key, mac, parts)`` job, in order."""
+    return [hmac_verify(key, mac, *parts) for key, mac, parts in jobs]
 
 
 class HmacEngine:

@@ -127,8 +127,15 @@ class _RxLane:
                     kernel._reject(self)
                     return
                 payload = materialize(packet.payload)
-            if packet.trailer is None or kernel.attestation is None:
+            if kernel.attestation is None:
+                # The untrusted RDMA-hw baseline: raw bytes, no check.
                 kernel._deliver(self, packet, payload, psn_span=segments)
+            elif packet.trailer is None:
+                # A trusted device accepts only attested messages: a
+                # stripped trailer is rejected exactly like a bad MAC.
+                kernel.verification_failures += 1
+                kernel._reject(self)
+                return
             elif self._verify(packet, payload, segments):
                 return
 

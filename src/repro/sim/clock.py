@@ -1,8 +1,8 @@
 """The virtual clock and event loop.
 
-:class:`Simulator` owns a **calendar queue** of `(time, tiebreak,
-event)` entries and advances virtual time by draining the earliest
-time bucket and running each event's callbacks.  All timing in this
+:class:`Simulator` owns one binary min-heap of ``(time, tiebreak,
+event)`` entries and advances virtual time by popping the earliest
+entry and running its event's callbacks.  All timing in this
 repository — HMAC pipeline delays, PCIe DMA transfers, wire
 propagation, TEE call overheads — is expressed as
 :class:`~repro.sim.events.Timeout` events on one simulator, so
@@ -11,41 +11,21 @@ measurements are exactly reproducible.
 Time unit: **microseconds** throughout the repository, matching the
 paper's reporting unit (µs).
 
-Hot path: the calendar queue.  Every reproduced figure (§8) comes out
-of the one loop in :meth:`Simulator._drain`, so the schedule/drain
-cycle avoids per-event heap churn:
-
-* Scheduling (:meth:`Simulator._push`) is an O(1) append onto a
-  fixed-width time bucket (``bucket = int(when * inv_width)``, an
-  exact, monotone map for non-negative times), plus one integer
-  heappush when the bucket is new.  The bucket width defaults to
-  :data:`DEFAULT_BUCKET_WIDTH_US` = 1.0 µs — sized from the observed
-  link delays (``WIRE_PROPAGATION_US`` is 1.0 µs, MTU serialisation at
-  100 Gb/s ~0.33 µs, DMA and HMAC occupancies a few µs), so one
-  delivery wave of a protocol round lands in one or two buckets.
-* Draining pops the smallest active bucket id (a heap of *ints*),
-  sorts that one bucket (Timsort is near-linear on the mostly-ordered
-  appends) and walks it by index.  Events scheduled *during* the walk
-  land either in a future bucket (O(1) append) or, for the bucket
-  being drained, in a small ``fresh`` heap that the walk interleaves
-  by ``(time, tiebreak)``.
-* Events farther out than :data:`CALENDAR_HORIZON_BUCKETS` buckets go
-  to an **overflow heap**; when the calendar runs dry the horizon
-  advances and due overflow entries migrate into buckets
-  (:meth:`Simulator._migrate`), so a far-future retransmission timer
-  costs two heap ops total instead of a bucket list of its own.
-
-All of this is wall-clock-only: ``tests/test_golden_trace.py`` pins
-event ordering and virtual-time results, ``tests/test_calendar_queue.py``
-pins the bucket-boundary edge cases, and
-``tests/test_scheduler_oracle.py`` checks random programs against a
-single-``heapq`` reference scheduler.
+Why a plain heap: the paper's systems (§8.3) are closed-loop — a
+client keeps 1-16 requests in flight — so the pending set stays at a
+few dozen entries on every ``benchmarks/e2e`` workload
+(``tests/test_protocol_path.py`` pins it), and at that depth one
+``heappush`` + one ``heappop`` per event is the cheapest schedule
+there is (docs/performance.md "Layer 1").
 
 Scheduling invariant: every entry is a ``(when, tiebreak, event)``
-tuple built by :meth:`Simulator._push` from the *single* ``_tiebreak``
-counter, and the loop processes entries in full ``(when, tiebreak)``
-order, so same-timestamp events always process in FIFO scheduling
-order no matter which primitive (or which bucket) scheduled them.
+tuple built by :meth:`Simulator._push` from the *single* tiebreak
+counter, and the loop pops entries in full ``(when, tiebreak)`` order,
+so same-timestamp events always process in FIFO scheduling order no
+matter which primitive scheduled them.  ``tests/test_golden_trace.py``
+pins event ordering and virtual-time results;
+``tests/test_scheduler_oracle.py`` checks random programs against an
+independently written reference scheduler.
 """
 
 from __future__ import annotations
@@ -60,20 +40,6 @@ from repro.sim.process import Process
 from repro.sim.rng import DeterministicRng
 
 _PROCESSED = Event.PROCESSED
-
-#: Calendar bucket width in µs.  Sized from the observed link delays:
-#: one wire hop is ``WIRE_PROPAGATION_US`` (1.0 µs) plus ~0.33 µs MTU
-#: serialisation, and the DMA/HMAC occupancies are single-digit µs, so
-#: a 1.0 µs bucket holds one delivery wave without degenerating into a
-#: per-event bucket.  Any positive width is correct (the bucket map is
-#: monotone); powers of two keep the float multiply exact.
-DEFAULT_BUCKET_WIDTH_US = 1.0
-
-#: How many buckets the calendar spans ahead of its base before events
-#: spill into the overflow heap.  4096 × 1.0 µs covers every in-flight
-#: protocol round trip in the repository; only long retransmission /
-#: client timeout timers overflow, and those cost two heap ops total.
-CALENDAR_HORIZON_BUCKETS = 4096
 
 
 class EmptySchedule(Exception):
@@ -99,38 +65,18 @@ class Simulator:
     """Discrete-event simulation kernel with a microsecond virtual clock."""
 
     __slots__ = (
-        "_now", "_buckets", "_active", "_overflow", "_fresh",
-        "_width", "_inv_width", "_limit", "_draining", "_tiebreak",
-        "_tie_next", "_running",
+        "_now", "_heap", "_tie_next", "_running",
         "tracer", "telemetry", "sanitizer", "profiler",
-        # Escape hatch for tests/tools that attach ad-hoc attributes;
-        # the slotted names above keep the kernel's own loads fast.
-        "__dict__",
+        "__dict__",  # escape hatch: tests/tools attach ad-hoc attributes
     )
 
-    def __init__(self, bucket_width_us: float = DEFAULT_BUCKET_WIDTH_US) -> None:
-        if bucket_width_us <= 0:
-            raise ValueError(f"bucket width must be positive: {bucket_width_us}")
+    def __init__(self) -> None:
         self._now = 0.0
-        #: bucket id -> its (when, tiebreak, event) entries, unsorted.
-        self._buckets: dict[int, list[tuple[float, int, Event]]] = {}
-        #: Min-heap of non-empty bucket ids (plain ints).
-        self._active: list[int] = []
-        #: Min-heap of entries beyond the calendar horizon.
-        self._overflow: list[tuple[float, int, Event]] = []
-        #: Min-heap of entries scheduled *into the bucket being
-        #: drained* by its own callbacks; interleaved by (when, tie).
-        self._fresh: list[tuple[float, int, Event]] = []
-        self._width = bucket_width_us
-        self._inv_width = 1.0 / bucket_width_us
-        #: First bucket id past the calendar horizon (overflow beyond).
-        self._limit = CALENDAR_HORIZON_BUCKETS
-        #: Bucket id currently being drained, -1 between buckets.
-        self._draining = -1
-        self._tiebreak = count()
-        #: Bound ``__next__`` of the tiebreak source — one load+call on
-        #: the schedule path instead of a global ``next`` dispatch.
-        self._tie_next = self._tiebreak.__next__
+        #: Min-heap of every pending (when, tiebreak, event) entry.
+        self._heap: list[tuple[float, int, Event]] = []
+        #: Bound ``__next__`` of the one tiebreak counter — one
+        #: load+call on the schedule path, no global ``next`` dispatch.
+        self._tie_next = count().__next__
         #: True while :meth:`_drain` is on the stack: the re-entrancy
         #: guard for :meth:`run`, :meth:`step` and :meth:`perturb_ties`.
         self._running = False
@@ -143,13 +89,12 @@ class Simulator:
         #: the Process/Event hooks and ``instrument.note_read/note_write``
         #: dispatch through it, same zero-cost-when-detached contract.
         self.sanitizer = None
-        #: Optional deterministic profiler (see
-        #: :mod:`repro.telemetry.profiler`), attached with
-        #: ``Profiler.attach(sim)``.  The drain loop dispatches each
-        #: processed event through it; detached, the cost is one
+        #: Optional deterministic profiler (``Profiler.attach(sim)``,
+        #: :mod:`repro.telemetry.profiler`).  The drain loop dispatches
+        #: each processed event through it; detached, the cost is one
         #: attribute load and one ``is`` check per event.  The kernel
-        #: never reads a clock itself — the profiler owns its own
-        #: host-time source — so this file stays DET001-clean.
+        #: never reads a clock itself — the profiler owns its host-time
+        #: source — so this file stays DET001-clean.
         self.profiler = None
 
     # ------------------------------------------------------------------
@@ -192,29 +137,23 @@ class Simulator:
         FIFO order among same-timestamp events is a *policy*, not a
         semantic guarantee: correct protocol code must produce the same
         final state under any tie order.  This seam swaps the monotonic
-        ``_tiebreak`` counter for a seeded generator whose values are
+        tiebreak counter for a seeded generator whose values are
         random in their high bits and monotonic in their low bits —
         same-timestamp events therefore process in a seed-determined
         shuffle (unique keys, reproducible run-to-run), while
-        cross-timestamp order is untouched.  Entries already queued
-        (bucketed or overflowed) are taken out and re-filed in their
-        current order, so they draw new keys too and construction-time
-        ties are perturbed as well.
+        cross-timestamp order is untouched.  Entries already queued are
+        re-keyed in their current order, so construction-time ties are
+        perturbed as well.
 
         ``perturb_ties(None)`` restores exact FIFO.  The default path is
         untouched: no extra work, and golden traces stay byte-identical.
         """
         if self._running:
             raise RuntimeError("cannot perturb ties while the loop is running")
-        self._tiebreak = count() if seed is None else _perturbed_ties(seed)
-        self._tie_next = self._tiebreak.__next__
-        entries = self._overflow[:]
-        for pending in self._buckets.values():
-            entries.extend(pending)
-        entries.sort()  # current (when, tiebreak) order
-        self._buckets.clear()
-        del self._active[:]
-        del self._overflow[:]
+        ties = count() if seed is None else _perturbed_ties(seed)
+        self._tie_next = ties.__next__
+        entries = sorted(self._heap)  # current (when, tiebreak) order
+        del self._heap[:]
         for when, _tie, event in entries:
             self._push(when, event)
 
@@ -222,82 +161,9 @@ class Simulator:
     # Scheduling internals (used by Event/Timeout)
     # ------------------------------------------------------------------
     def _push(self, when: float, event: Event) -> None:
-        """The one scheduling primitive: enqueue *event* at *when*.
-
-        Every entry gets its tuple shape and tiebreak here, so FIFO
-        order among same-timestamp events is global.  The entry goes to
-        the drained bucket's ``fresh`` heap (``_draining`` is -1 unless
-        a callback is scheduling), to its bucket with an O(1) append,
-        or to the overflow heap past the horizon.
-        """
-        entry = (when, self._tie_next(), event)
-        bucket = int(when * self._inv_width)
-        if bucket == self._draining:
-            heappush(self._fresh, entry)
-        elif bucket < self._limit:
-            buckets = self._buckets
-            pending = buckets.get(bucket)
-            if pending is None:
-                buckets[bucket] = [entry]
-                heappush(self._active, bucket)
-            else:
-                pending.append(entry)
-        else:
-            heappush(self._overflow, entry)
-
-    def _schedule_at(self, when: float, event: Event) -> None:
-        if when < self._now:
-            raise ValueError(f"cannot schedule into the past: {when} < {self._now}")
-        self._push(when, event)
-
-    # ------------------------------------------------------------------
-    # Calendar maintenance
-    # ------------------------------------------------------------------
-    def _migrate(self) -> None:
-        """Advance the horizon and pull due overflow entries into buckets.
-
-        Called only when the calendar is empty, so the new base is the
-        earliest overflow entry's bucket.  Entries pop in full
-        ``(when, tiebreak)`` order, so per-bucket append order stays
-        sorted and FIFO-correct.
-        """
-        overflow = self._overflow
-        inv_width = self._inv_width
-        limit = int(overflow[0][0] * inv_width) + CALENDAR_HORIZON_BUCKETS
-        self._limit = limit
-        buckets = self._buckets
-        active = self._active
-        while overflow:
-            entry = overflow[0]
-            bucket = int(entry[0] * inv_width)
-            if bucket >= limit:
-                break
-            heappop(overflow)
-            pending = buckets.get(bucket)
-            if pending is None:
-                buckets[bucket] = [entry]
-                heappush(active, bucket)
-            else:
-                pending.append(entry)
-
-    def _restore(self, bucket: int, entries: list) -> None:
-        """Return unprocessed *entries* (plus fresh leftovers) to *bucket*.
-
-        Early-exit path (deadline, sentinel, callback exception): the
-        calendar must hold exactly the unprocessed events afterwards.
-        List order is irrelevant — buckets sort on drain.
-        """
-        fresh = self._fresh
-        if fresh:
-            entries.extend(fresh)
-            del fresh[:]
-        if entries:
-            pending = self._buckets.get(bucket)
-            if pending is None:
-                self._buckets[bucket] = entries
-                heappush(self._active, bucket)
-            else:
-                pending.extend(entries)
+        """The one scheduling primitive: every entry gets its tuple
+        shape and tiebreak here, so same-timestamp FIFO is global."""
+        heappush(self._heap, (when, self._tie_next(), event))
 
     # ------------------------------------------------------------------
     # Execution
@@ -309,13 +175,9 @@ class Simulator:
         """
         if self._running:
             raise RuntimeError("step() called from inside the event loop")
-        if self._active:
-            head = min(self._buckets[self._active[0]])
-        elif self._overflow:
-            head = self._overflow[0]
-        else:
+        if not self._heap:
             raise EmptySchedule()
-        self._drain(head[2], inf)
+        self._drain(self._heap[0][2], inf)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the event loop.
@@ -356,72 +218,36 @@ class Simulator:
 
         Stops when nothing is scheduled, once *sentinel* has been
         processed, or before the first entry later than *deadline*
-        (``inf`` for none).  However it exits — a raising callback
-        included — the calendar holds exactly the unprocessed events:
-        the ``finally`` re-files the unwalked snapshot tail and the
-        fresh heap.
+        (``inf`` for none).  An entry leaves the heap only to be
+        processed, so however the loop exits — a raising callback
+        included — the heap holds exactly the unprocessed events.
         """
-        buckets = self._buckets
-        active = self._active
-        fresh = self._fresh
-        bucket = index = 0
-        snapshot: list[tuple[float, int, Event]] = []
+        heap = self._heap
         self._running = True
         try:
-            while True:
-                if not active:
-                    if not self._overflow:
-                        return
-                    self._migrate()
-                bucket = active[0]
-                if bucket * self._width > deadline:
-                    return  # whole bucket starts past the deadline
-                heappop(active)
-                snapshot = buckets.pop(bucket)
-                if len(snapshot) > 1:
-                    snapshot.sort()
-                size = len(snapshot)
-                index = 0
-                self._draining = bucket
-                while True:
-                    # Next entry: the snapshot's, unless a callback has
-                    # scheduled an earlier one into this bucket.
-                    if index < size and not (fresh and fresh[0] < snapshot[index]):
-                        when, _tie, event = snapshot[index]
-                        if when > deadline:
-                            return
-                        index += 1
-                    elif fresh:
-                        if fresh[0][0] > deadline:
-                            return
-                        when, _tie, event = heappop(fresh)
-                    else:
-                        break
-                    self._now = when
-                    event._state = _PROCESSED
-                    callbacks = event.callbacks
-                    profiler = self.profiler
-                    if profiler is not None:
-                        # Profiled lane: bracket the callbacks with the
-                        # profiler's host clock and attribute the event.
-                        event.callbacks = []
-                        started = profiler.clock()
-                        for callback in callbacks:
-                            callback(event)
-                        profiler.account(event, callbacks, when,
-                                         profiler.clock() - started)
-                    elif callbacks:
-                        event.callbacks = []
-                        for callback in callbacks:
-                            callback(event)
-                    if event is sentinel:
-                        return
-                self._draining = -1
+            while heap and heap[0][0] <= deadline:
+                when, _tie, event = heappop(heap)
+                self._now = when
+                event._state = _PROCESSED
+                callbacks = event.callbacks
+                profiler = self.profiler
+                if profiler is not None:
+                    # Profiled lane: bracket the callbacks with the
+                    # profiler's host clock and attribute the event.
+                    event.callbacks = []
+                    started = profiler.clock()
+                    for callback in callbacks:
+                        callback(event)
+                    profiler.account(event, callbacks, when,
+                                     profiler.clock() - started)
+                elif callbacks:
+                    event.callbacks = []
+                    for callback in callbacks:
+                        callback(event)
+                if event is sentinel:
+                    return
         finally:
             self._running = False
-            if self._draining != -1:
-                self._draining = -1
-                self._restore(bucket, snapshot[index:])
 
     # ------------------------------------------------------------------
     # Convenience

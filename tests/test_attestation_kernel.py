@@ -1,7 +1,12 @@
 """Unit tests for the attestation kernel (Algorithm 1)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core import (
     AttestationKernel,
     AttestedMessage,
@@ -9,6 +14,7 @@ from repro.core import (
     MacMismatchError,
     UnknownSessionError,
 )
+from repro.core import attestation
 from repro.core.counters import CounterStore
 from repro.core.keystore import Keystore, KeystoreError
 from repro.sim import Simulator
@@ -224,6 +230,46 @@ def test_pipelined_verify_failure_propagates():
         return "accepted"
 
     assert sim.run(sim.process(run())) == "rejected"
+
+
+def test_pipelined_verify_runs_one_mac_check_per_message(monkeypatch):
+    """Nothing is parked or batched: each ``verify_event`` settles with
+    exactly one ``verify_encoded`` call, at its own completion, even
+    with several checks queued on the pipeline at once."""
+    sim = Simulator()
+    sender = AttestationKernel(10, sim)
+    receiver = AttestationKernel(20, sim)
+    sender.install_session(1, KEY)
+    receiver.install_session(1, KEY)
+    checked = []
+    verify_encoded = attestation.verify_encoded
+
+    def counting(key, key_id, mac, message):
+        checked.append(sim.now)
+        return verify_encoded(key, key_id, mac, message)
+
+    monkeypatch.setattr(attestation, "verify_encoded", counting)
+    messages = [sender.attest(1, bytes([index]) * 64) for index in range(4)]
+    checks = [receiver.verify_event(1, message) for message in messages]
+    assert checked == []  # queued, not yet checked
+    sim.run()
+    assert [check.value for check in checks] == [m.payload for m in messages]
+    assert len(checked) == 4 and checked == sorted(set(checked))
+    with pytest.raises(UnknownSessionError):
+        receiver.verify_event(2, messages[0])  # still fails fast
+
+
+def test_importing_repro_starts_no_executor_machinery():
+    """The worker pool is gone, and with it the import that cost every
+    run ~1 MiB of peak RSS (run in a fresh interpreter: the test
+    session itself imports hypothesis, which imports it anyway)."""
+    probe = ("import sys, repro, repro.api, repro.systems; "
+             "print('concurrent.futures' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_pipelined_requires_simulator():

@@ -134,43 +134,6 @@ def test_lint_command_explain_known_and_unknown_rule(capsys):
         assert prefix in err
 
 
-def _write_two_group_fixture(tmp_path):
-    """One module tripping a syntactic rule and a liveness (project) rule."""
-    pkg = tmp_path / "repro"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("")
-    (pkg / "leaky.py").write_text(
-        "import time\n"
-        "NOW = time.time()\n"
-        "class Node:\n"
-        "    def __init__(self, lock):\n"
-        "        self.lock = lock\n"
-        "\n"
-        "    def run(self, sim):\n"
-        "        yield self.lock.acquire()\n"
-        "        yield sim.timeout(1)\n"
-    )
-    return tmp_path
-
-
-def test_lint_command_jobs_matches_serial_output(tmp_path, capsys):
-    import json
-
-    target = str(_write_two_group_fixture(tmp_path))
-    assert main(["lint", target, "--format", "json"]) == 1
-    serial = json.loads(capsys.readouterr().out)
-    assert main(["lint", target, "--format", "json", "--jobs", "4"]) == 1
-    parallel = json.loads(capsys.readouterr().out)
-    assert parallel == serial
-    # Findings from two different pass groups survive the merge.
-    assert {f["rule"] for f in serial["findings"]} >= {"DET001", "LIV001"}
-
-
-def test_lint_command_jobs_on_clean_tree(capsys):
-    assert main(["lint", "--jobs", "4"]) == 0
-    assert "clean" in capsys.readouterr().out
-
-
 def test_lint_command_prune_baseline_flow(tmp_path, capsys):
     import json
 

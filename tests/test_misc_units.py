@@ -8,7 +8,6 @@ from repro.api.ops import local_verify, rem_read, rem_write
 from repro.core.resources import FpgaModel, ResourceUsage, U280
 from repro.sim import Simulator
 from repro.sim import latency as cal
-from repro.sim.events import Event
 from repro.systems.common import SystemMetrics
 
 
@@ -66,14 +65,6 @@ def test_interrupt_finished_process_rejected():
     sim.run(proc)
     with pytest.raises(RuntimeError):
         proc.interrupt()
-
-
-def test_schedule_into_past_rejected():
-    sim = Simulator()
-    sim.timeout(10.0)
-    sim.run(until=5.0)
-    with pytest.raises(ValueError):
-        sim._schedule_at(1.0, Event(sim))
 
 
 # ---------------------------------------------------------------------------

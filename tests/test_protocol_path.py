@@ -7,17 +7,23 @@ Three contracts of the systems layer's per-message path:
   reference), minus the timers that idiom left behind;
 * a fault-free run leaves at most one scheduled entry per client once
   its stragglers have drained;
-* the exact scheduler-event budget of a BFT and a chain-KV request.
+* the exact scheduler-event budget of a BFT and a chain-KV request;
+* the scheduler's pending set stays a few dozen entries deep on the
+  shapes the paper's systems run.
 """
+
+from collections import deque
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Cluster, auth_send
 from repro.bench.workload import kv_workload
 from repro.sim import TIMED_OUT, Simulator, Store
 from repro.sim.events import AnyOf
 from repro.systems.bft import BftCounter
 from repro.systems.chain import ChainReplication
+from repro.systems.raft import TeeRaft
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +138,7 @@ def test_served_getters_share_one_timer_and_expired_ones_leave():
 # No timer per reply is left behind
 # ----------------------------------------------------------------------
 def _scheduled_entries(sim):
-    return sum(map(len, sim._buckets.values())) + len(sim._overflow)
+    return len(sim._heap)
 
 
 def test_a_finished_run_holds_at_most_one_entry_per_client():
@@ -143,7 +149,6 @@ def test_a_finished_run_holds_at_most_one_entry_per_client():
     for system in (bft, chain):
         assert not system.aborted
         sim = system.sim
-        assert len(sim._overflow) <= 1
         sim.run(until=sim.now + 1_000.0)  # straggler replies and forwards
         assert _scheduled_entries(sim) <= 1
 
@@ -190,3 +195,39 @@ def test_chain_request_costs_at_most_18_scheduler_events(monkeypatch):
         monkeypatch, lambda: system.run_workload(requests), len(requests))
     assert system.metrics.committed == 200
     assert per_request <= 18.1
+
+
+# ----------------------------------------------------------------------
+# Traffic shape: the pending set is shallow
+# ----------------------------------------------------------------------
+def _window_16_send(messages, payload):
+    """The e2e ``send_*`` driver: 16 sends outstanding, oldest first."""
+    cluster = Cluster(["a", "b"], seed=0)
+    conn_a, _conn_b = cluster.connect("a", "b")
+    pending = deque()
+    for _ in range(messages):
+        if len(pending) == 16:
+            cluster.run(pending.popleft())
+        pending.append(auth_send(conn_a, payload))
+    cluster.run()
+
+
+def test_the_pending_set_stays_shallow_on_the_paper_workloads(monkeypatch):
+    """The scheduler is one binary heap because closed-loop clients keep
+    the pending set tiny (measured max 27, on 16 KiB sends).  If a
+    workload ever goes deep, this trips and the heap-vs-calendar
+    question reopens with data (docs/performance.md "Layer 1")."""
+    deepest = [0]
+    push = Simulator._push
+
+    def sampling(self, when, event):
+        push(self, when, event)
+        deepest[0] = max(deepest[0], len(self._heap))
+
+    monkeypatch.setattr(Simulator, "_push", sampling)
+    BftCounter("tnic", f=1, seed=0).run_workload(100, pipeline_depth=4)
+    ChainReplication("tnic", seed=0).run_workload(
+        kv_workload(100, read_fraction=0.5, seed=0))
+    TeeRaft(nodes=3).run_workload(100)
+    _window_16_send(48, b"x" * 16384)
+    assert 0 < deepest[0] <= 64

@@ -127,8 +127,12 @@ class _ReferenceKernel(RoceKernel):
                     self._reject(lane)
                     continue
                 payload = materialize(packet.payload)
-            if packet.trailer is None or self.attestation is None:
+            if self.attestation is None:
                 self._deliver(lane, packet, payload, psn_span=segments)
+                continue
+            if packet.trailer is None:
+                self.verification_failures += 1
+                self._reject(lane)
                 continue
             trailer = packet.trailer
             message = AttestedMessage(
@@ -155,9 +159,11 @@ class _ReferenceKernel(RoceKernel):
 class _Tamperer:
     """Corrupts the chosen data packets, counted in carry order.
 
-    ``"payload"`` flips a byte (the MAC check fails), ``"segment"``
-    breaks the segment sequence, ``"single"`` makes a later segment pose
-    as a single-packet message in the middle of its own reassembly."""
+    ``"payload"`` flips a byte (the MAC check fails), ``"strip"``
+    forges the payload and removes the attestation trailer,
+    ``"segment"`` breaks the segment sequence, ``"single"`` makes a
+    later segment pose as a single-packet message in the middle of its
+    own reassembly."""
 
     def __init__(self, actions):
         self.actions = actions
@@ -172,6 +178,9 @@ class _Tamperer:
             body = bytearray(bytes(packet.payload))
             body[0] ^= 0xFF
             return packet.with_payload(bytes(body))
+        if action == "strip" and packet.trailer is not None:
+            return replace(packet, trailer=None,
+                           payload=b"evil" * (len(packet.payload) // 4))
         if action == "segment" and "seg_index" in packet.meta:
             return replace(packet, meta=dict(
                 packet.meta, seg_index=packet.meta["seg_index"] + 1))
@@ -247,7 +256,7 @@ _sizes = st.lists(st.sampled_from([64, 1024, 4096, 6000, 16384 + 64]),
                   min_size=1, max_size=10)
 _actions = st.dictionaries(
     st.integers(min_value=0, max_value=30),
-    st.sampled_from(["payload", "segment", "single"]), max_size=4)
+    st.sampled_from(["payload", "strip", "segment", "single"]), max_size=4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,6 +321,34 @@ def test_failed_verification_discards_the_packets_queued_behind_it():
     assert receiver.stats().verifications == 3
 
 
+def test_a_trusted_device_rejects_a_message_whose_trailer_was_stripped():
+    # The first attempt crosses the wire with a forged payload and no
+    # attestation trailer.  A device with an attestation kernel accepts
+    # only attested messages: rejected like a bad MAC (counted, NAKed,
+    # window not advanced), and go-back-N re-supplies the genuine one.
+    cluster, conn_a, conn_b = _pair(
+        NetworkFault(tamper=_Tamperer({0: "strip"})))
+    payload = b"genuine " * 8
+    cluster.run(auth_send(conn_a, payload))
+    cluster.run()
+    receiver = conn_b.node.device
+    assert receiver.roce.verification_failures == 1
+    assert _drain(conn_b) == [payload]
+    # The forgery never reached the kernel; the genuine resend did.
+    assert receiver.stats().verifications == 1
+    assert receiver.stats().rejections == 0
+
+
+def test_an_untrusted_device_still_delivers_raw_bytes():
+    # The RDMA-hw baseline has no attestation kernel: nothing rides a
+    # trailer, and whatever arrives in order is delivered.
+    cluster = Cluster(["a", "b"], trusted=False, seed=0)
+    conn_a, conn_b = cluster.connect("a", "b")
+    cluster.run(auth_send(conn_a, b"raw" * 20))
+    assert _drain(conn_b) == [b"raw" * 20]
+    assert conn_b.node.device.roce.verification_failures == 0
+
+
 def test_single_packet_message_in_the_middle_of_a_reassembly_rewinds():
     cluster, conn_a, conn_b = _pair(
         NetworkFault(tamper=_Tamperer({1: "single"})))
@@ -354,7 +391,7 @@ def test_an_error_that_is_no_attestation_error_surfaces_and_delivers_nothing(
     cluster, conn_a, conn_b = _pair()
     kernel = conn_b.node.device.attestation
 
-    def broken(session_id, message, mac_valid=None):
+    def broken(session_id, message):
         raise RuntimeError("keystore on fire")
 
     monkeypatch.setattr(kernel, "verify", broken)

@@ -16,7 +16,6 @@ import pytest
 
 from repro.analysis.rules import (
     default_rules,
-    pass_groups,
     rule_by_id,
     rule_catalog,
 )
@@ -96,13 +95,6 @@ def test_docs_do_not_promise_rules_that_no_longer_ship():
 def test_rule_ids_are_unique_across_passes():
     ids = [rule.rule_id for rule in default_rules()]
     assert len(ids) == len(set(ids)), "duplicate rule id registered"
-
-
-def test_pass_groups_partition_the_default_rules():
-    grouped = [
-        rule.rule_id for group in pass_groups().values() for rule in group
-    ]
-    assert sorted(grouped) == sorted(r.rule_id for r in default_rules())
 
 
 @pytest.mark.parametrize("family", sorted(EXPECTED_FAMILIES))

@@ -1,10 +1,11 @@
-"""Differential oracle for the calendar-queue scheduler.
+"""Differential oracle for the scheduler.
 
 The scheduler's whole contract is *order*: events process in global
-``(when, tiebreak)`` order, whichever bucket, heap or restore path an
-entry travelled through.  ``HeapScheduler`` below states that contract
-as one binary heap; random programs must leave the identical
-``(now, label)`` trace on it and on :class:`repro.sim.Simulator`.
+``(when, tiebreak)`` order, however an entry was scheduled and however
+the loop was last left.  ``HeapScheduler`` below is the independent
+statement of that contract — it shares nothing with
+:class:`repro.sim.Simulator` but the tie perturbation; random programs
+must leave the identical ``(now, label)`` trace on both.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from math import inf
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.clock import (
-    CALENDAR_HORIZON_BUCKETS as HORIZON,
-    EmptySchedule,
-    Simulator,
-    _perturbed_ties,
-)
+from repro.sim.clock import EmptySchedule, Simulator, _perturbed_ties
+
+#: A delay far beyond any round trip (the retransmission-timer range).
+HORIZON = 4096.0
 
 
 class HeapEvent:
@@ -86,9 +85,8 @@ class Boom(Exception):
     """The injected callback failure."""
 
 
-# Delays on a 0.25 µs grid (exact floats, plenty of ties) reaching the
-# bucket being drained, the next bucket boundary, later buckets, and
-# past the overflow horizon.
+# Delays on a 0.25 µs grid (exact floats, plenty of ties): the current
+# instant, the next few microseconds, and far-future timers.
 DELAYS = st.sampled_from(
     [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.25, 7.0,
      HORIZON - 0.25, HORIZON + 0.5, 2.0 * HORIZON + 0.25]
@@ -176,15 +174,15 @@ T, C, S, R = "timeout", "call", "succeed", "raise"
 
 @given(st.lists(COMMANDS, max_size=24))
 @settings(max_examples=400, deadline=None)
-# Idle scheduling into a bucket that a deadline left half-drained, then
-# single steps through it and across the overflow horizon.
+# Idle scheduling between entries that a deadline left queued, then
+# single steps through them and out to a far-future timer.
 @example([("schedule", (T, 0.25, ())), ("schedule", (T, 0.75, ())),
           ("schedule", (C, HORIZON + 0.5, ((T, 0.25, ()),))),
           ("run_for", 0.5), ("schedule", (S, 0.0, ((T, 0.0, ()),))),
           ("schedule", (T, 0.25, ())), ("step", None), ("step", None),
           ("step", None), ("step", None), ("step", None), ("step", None)])
-# A raising callback mid-bucket, idle scheduling into the restored
-# bucket, a mid-way re-key, and a sentinel that is a fresh-heap entry.
+# A raising callback with later entries queued, idle scheduling among
+# them, a mid-way re-key, and a sentinel scheduled by a callback.
 @example([("schedule", (T, 1.25, ((C, 0.25, ()), (S, 0.0, ()), (R, 0.5, ())))),
           ("schedule", (T, 1.75, ())), ("schedule", (T, 1.5, ())),
           ("run", None), ("schedule", (T, 0.0, ())), ("perturb", 3),

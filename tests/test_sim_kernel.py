@@ -317,6 +317,219 @@ def test_same_timestamp_fifo_for_events_scheduled_during_run():
     assert order == ["pending", "fresh-a", "fresh-b"]
 
 
+# ----------------------------------------------------------------------
+# Ordering and early exits: global (time, tiebreak) order whichever way
+# an entry was scheduled, and an interrupted loop leaves exactly the
+# unprocessed entries queued.
+# ----------------------------------------------------------------------
+#: A delay far beyond any round trip (the retransmission-timer range).
+FAR = 4096.0
+
+
+def test_reverse_scheduling_order_processes_in_time_order():
+    sim = Simulator()
+    fired: list[float] = []
+    for delay in [9.5, 3.25, 7.0, 0.5, FAR + 0.5, 1.75]:
+        sim.delayed_call(delay, lambda delay=delay: fired.append(delay))
+    sim.run()
+    assert fired == sorted(fired)
+    assert sim.now == FAR + 0.5
+
+
+def test_same_timestamp_fifo_idle_then_during_run():
+    """Ties keep scheduling order across idle and in-run scheduling."""
+    sim = Simulator()
+    order: list[str] = []
+    # Scheduled while idle...
+    sim.delayed_call(4.0, lambda: order.append("a"))
+    sim.delayed_call(4.0, lambda: order.append("b"))
+    # ...then, during the run, an earlier event schedules two more onto
+    # the same instant.
+    def from_an_earlier_event() -> None:
+        sim.delayed_call(3.0, lambda: order.append("c"))
+        sim.delayed_call(3.0, lambda: order.append("d"))
+
+    sim.delayed_call(1.0, from_an_earlier_event)
+    sim.run()
+    assert order == ["a", "b", "c", "d"]
+
+
+def test_same_timestamp_fifo_with_interleaved_instants():
+    """FIFO holds per instant when construction and time order disagree."""
+    sim = Simulator()
+    order: list[tuple[float, int]] = []
+    for rank in range(4):
+        for when in (0.5, 0.999, 1.0, 1.001, 2.0):
+            sim.delayed_call(
+                when, lambda when=when, rank=rank: order.append((when, rank))
+            )
+    sim.run()
+    assert order == sorted(order)  # time-major, construction-rank minor
+
+
+def test_callback_scheduled_events_interleave_with_pending():
+    """Callback-scheduled events land in (time, tie) order among the
+    entries that were already pending."""
+    sim = Simulator()
+    order: list[str] = []
+
+    def first() -> None:
+        order.append("first@5.2")
+        sim.delayed_call(0.3, lambda: order.append("mid@5.5"))
+        # A tie with the *current* instant — runs after this callback,
+        # before anything later:
+        sim.delayed_call(0.0, lambda: order.append("tie@5.2"))
+        # A tie with an already-pending entry: the older tiebreak wins.
+        sim.delayed_call(0.6, lambda: order.append("new-tie@5.8"))
+
+    sim.delayed_call(5.2, first)
+    sim.delayed_call(5.8, lambda: order.append("pending@5.8"))
+    sim.run()
+    assert order == [
+        "first@5.2",
+        "tie@5.2",
+        "mid@5.5",
+        "pending@5.8",
+        "new-tie@5.8",
+    ]
+
+
+def test_cascading_zero_delay_chain():
+    sim = Simulator()
+    order: list[int] = []
+
+    def chain(depth: int) -> None:
+        order.append(depth)
+        if depth < 20:
+            sim.delayed_call(0.0, lambda: chain(depth + 1))
+
+    sim.delayed_call(2.5, lambda: chain(0))
+    sim.run()
+    assert order == list(range(21))
+    assert sim.now == 2.5
+
+
+def test_far_future_timers_fire_in_order():
+    sim = Simulator()
+    order: list[str] = []
+    sim.delayed_call(10.0, lambda: order.append("near"))
+    sim.delayed_call(FAR + 100.5, lambda: order.append("far"))
+    sim.delayed_call(2 * FAR + 7.25, lambda: order.append("farther"))
+    sim.run()
+    assert order == ["near", "far", "farther"]
+    assert sim.now == 2 * FAR + 7.25
+
+
+def test_far_future_timer_scheduled_during_run():
+    sim = Simulator()
+    order: list[str] = []
+
+    def plant_far_timer() -> None:
+        order.append("near")
+        sim.delayed_call(3 * FAR, lambda: order.append("far"))
+
+    sim.delayed_call(1.0, plant_far_timer)
+    sim.run()
+    assert order == ["near", "far"]
+
+
+def test_step_reaches_a_lone_far_future_timer():
+    sim = Simulator()
+    fired: list[str] = []
+    sim.delayed_call(2 * FAR, lambda: fired.append("far"))
+    sim.step()
+    assert fired == ["far"]
+    with pytest.raises(EmptySchedule):
+        sim.step()
+
+
+def test_run_until_deadline_leaves_later_entries_queued():
+    sim = Simulator()
+    order: list[str] = []
+    sim.delayed_call(2.2, lambda: order.append("early"))
+    sim.delayed_call(2.6, lambda: order.append("late"))
+    sim.run(until=2.4)
+    assert order == ["early"]
+    assert sim.now == 2.4
+    assert len(sim._heap) == 1
+    sim.run()
+    assert order == ["early", "late"]
+    assert sim.now == 2.6
+
+
+def test_callback_exception_leaves_unprocessed_entries_queued():
+    sim = Simulator()
+    order: list[str] = []
+
+    def boom() -> None:
+        order.append("boom")
+        raise RuntimeError("injected")
+
+    sim.delayed_call(3.1, boom)
+    sim.delayed_call(3.2, lambda: order.append("survivor-soon"))
+    sim.delayed_call(9.0, lambda: order.append("survivor-later"))
+    with pytest.raises(RuntimeError, match="injected"):
+        sim.run()
+    assert len(sim._heap) == 2  # exactly the unprocessed events
+    sim.run()
+    assert order == ["boom", "survivor-soon", "survivor-later"]
+
+
+def test_perturb_ties_shuffles_ties_only_and_is_seeded():
+    orders: set[tuple] = set()
+    for seed in range(6):
+        sim = Simulator()
+        order: list = []
+        sim.delayed_call(1.0, lambda: order.append("early"))
+        for index in range(8):
+            sim.delayed_call(3.0, lambda index=index: order.append(index))
+        sim.perturb_ties(seed)
+        sim.run()
+        # Cross-timestamp order is untouched; ties are a permutation.
+        assert order[0] == "early"
+        assert sorted(order[1:]) == list(range(8))
+        orders.add(tuple(order))
+    assert len(orders) > 1  # seeds actually shuffle
+
+    # Same seed twice -> identical order (reproducibility).
+    def run_with_seed(seed: int) -> tuple:
+        sim = Simulator()
+        order: list = []
+        for index in range(8):
+            sim.delayed_call(3.0, lambda index=index: order.append(index))
+        sim.perturb_ties(seed)
+        sim.run()
+        return tuple(order)
+
+    assert run_with_seed(3) == run_with_seed(3)
+
+
+def test_perturb_ties_rekeys_queued_entries():
+    """Perturbing after a partial run re-keys what is queued; every
+    queued event still fires exactly once."""
+    sim = Simulator()
+    order: list = []
+    for index in range(6):
+        sim.delayed_call(5.0, lambda index=index: order.append(index))
+    sim.delayed_call(FAR + 3.5, lambda: order.append("far"))
+    sim.run(until=1.0)
+    sim.perturb_ties(11)
+    sim.run()
+    assert sorted(order[:-1]) == list(range(6))
+    assert order[-1] == "far"
+
+    # perturb_ties(None) restores the FIFO counter: events scheduled
+    # afterwards tie-break in construction order again.
+    sim = Simulator()
+    order = []
+    sim.perturb_ties(23)
+    sim.perturb_ties(None)
+    for index in range(6):
+        sim.delayed_call(5.0, lambda index=index: order.append(index))
+    sim.run()
+    assert order == list(range(6))
+
+
 def test_run_is_not_reentrant():
     sim = Simulator()
 
@@ -342,5 +555,5 @@ def test_step_is_not_reentrant():
     for delay in (1.5, 5.0):
         sim.timeout(delay).callbacks.append(lambda _e: processed.append(sim.now))
     sim.run()
-    # A nested step() would pop 5.0 out from under the walk of bucket 1.
+    # The refused nested step() processed nothing out of turn.
     assert processed == [1.0, 1.5, 5.0]
