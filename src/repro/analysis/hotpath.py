@@ -143,9 +143,11 @@ TNIC_MANIFEST = HotPathManifest(
         "TnicDevice.poll",
         "TnicDevice.drain",
         "TnicDevice._on_deliver",
-        # RoCE transport: tx pump, rx decode (the MAC's ingress handler),
-        # verify-then-deliver (continued from the check's callbacks).
+        # RoCE transport: tx pump, retransmission-timer callback, rx
+        # decode (the MAC's ingress handler), verify-then-deliver
+        # (continued from the check's callbacks).
         "RoceKernel._pump_tx",
+        "RoceKernel._timer_fired",
         "RoceKernel.ingress",
         "RoceKernel._handle_ack",
         "RoceKernel._handle_data",

@@ -24,6 +24,7 @@ HMAC pipeline and charge its virtual-time occupancy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from hmac import compare_digest
 from typing import TYPE_CHECKING
 
 from repro.core.counters import CounterStore
@@ -164,12 +165,12 @@ class AttestationKernel:
         one for the session (Algo 1: L8).  Only a fully successful
         verification advances ``recv_cnt``.
         """
-        if not verify_encoded(
-            self._key(session_id),
-            self.keystore.key_id_for(session_id),
-            message.alpha,
-            message.encoded(),
-        ):
+        # Compared directly, not through the outcome cache: success
+        # advances ``recv_cnt``, so a (session, counter) verifies at most
+        # once and a hit could only be a replay the counter check rejects.
+        if not compare_digest(
+                mac_encoded(self._key(session_id), message.encoded()),
+                message.alpha):
             self.reject_count += 1
             if self.sim is not None:
                 if self.sim.tracer is not None:

@@ -28,7 +28,11 @@ class CompletionEntry:
 class _InflightPacket:
     psn: int
     packet: Any
-    first_sent_at: float
+    #: Instant of the last (re)transmission.
+    sent_at: float
+    #: The responder's verification occupancy for the packet's message:
+    #: its ACK cannot leave before that has passed.
+    ack_delay_us: float = 0.0
     retries: int = 0
 
 
@@ -41,7 +45,7 @@ class QueuePairState:
     next_send_psn: int = 0
     #: PSN the receive side expects next (in-order delivery).
     expected_recv_psn: int = 0
-    #: MSN counters (one message == one packet in this model).
+    #: MSN counters: one per message, whose segments take one PSN each.
     next_send_msn: int = 0
     next_recv_msn: int = 0
     #: Unacknowledged transmitted packets, ordered by PSN.
@@ -54,13 +58,25 @@ class QueuePairState:
     duplicates_dropped: int = 0
     out_of_order_dropped: int = 0
     retransmissions: int = 0
+    #: Retransmission Timer: the instant of the last ACK that removed a
+    #: packet from ``inflight``, and whether its one entry is scheduled.
+    progress_at: float = 0.0
+    timer_filed: bool = False
 
-    def record_send(self, packet: Any, now: float) -> int:
+    def record_send(self, packet: Any, now: float, ack_delay_us: float = 0.0) -> int:
         """Allocate the next PSN and track the packet as in-flight."""
         psn = self.next_send_psn
         self.next_send_psn += 1
-        self.inflight.append(_InflightPacket(psn=psn, packet=packet, first_sent_at=now))
+        self.inflight.append(_InflightPacket(psn, packet, now, ack_delay_us))
         return psn
+
+    def timer_deadline(self, timeout_us: float) -> float:
+        """When the timer expires: *timeout_us* plus the responder's
+        verification after the oldest packet last left or, if later, the
+        last ACK made progress (the IB RC restart rule)."""
+        oldest = self.inflight[0]
+        return (max(oldest.sent_at, self.progress_at) + timeout_us
+                + oldest.ack_delay_us)
 
     def ack_through(self, acked_psn: int) -> int:
         """Cumulative ACK: drop all in-flight packets with PSN <= acked.
@@ -72,9 +88,6 @@ class QueuePairState:
             self.inflight.popleft()
             count += 1
         return count
-
-    def oldest_unacked(self) -> _InflightPacket | None:
-        return self.inflight[0] if self.inflight else None
 
 
 class StateTables:

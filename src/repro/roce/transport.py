@@ -13,8 +13,13 @@ not advance the PSN window, so the sender's retransmission of the
 genuine packet is still accepted.
 
 Reliability: "TNIC guarantees packet retransmission between two correct
-nodes until their successful reception" (§8.5); a per-QP retransmission
-timer resends the oldest unacknowledged packet.
+nodes until their successful reception" (§8.5).  A NAK, and the expiry
+of the per-QP retransmission timer, go back N: every unacknowledged
+packet is resent in order.  The timer runs while packets are in flight
+and expires ``retransmit_timeout_us`` plus the responder's verification
+of the oldest packet's message after that packet last left or, if
+later, after the last ACK that made progress (the IB RC rule); a
+message whose oldest packet is out of retries fails as a whole.
 """
 
 from __future__ import annotations
@@ -219,7 +224,6 @@ class RoceKernel:
         #: Per QP, ``(last PSN, completion)`` of every message on the
         #: wire, in post order — so in PSN order: they leave at the front.
         self._send_completions: dict[int, deque] = {}
-        self._retransmit_running: set[int] = set()
         self._rx_lanes: dict[int, _RxLane] = {}
         #: Per QP, the immutable Ethernet/IP/UDP headers toward its peer.
         self._peer_headers: dict[int, tuple] = {}
@@ -302,9 +306,14 @@ class RoceKernel:
             backlog.popleft()
             last_psn = -1
             trailer = None
+            ack_delay_us = 0.0
             if isinstance(message, AttestedMessage):
                 trailer = AttestationTrailer(message.alpha, message.session_id,
                                              message.device_id, message.counter)
+                # The peer ACKs once its identical hardware has verified
+                # the message: what verify_event will charge there.
+                ack_delay_us = self.attestation.hmac_engine.occupancy_us(
+                    len(message.payload) + 8)
             segments = len(chunks)
             for index, chunk in enumerate(chunks):
                 seg_meta = dict(meta)
@@ -321,7 +330,7 @@ class RoceKernel:
                     trailer=trailer if index == segments - 1 else None,
                     meta=seg_meta,
                 )
-                psn = state.record_send(packet, self.sim.now)
+                psn = state.record_send(packet, self.sim.now, ack_delay_us)
                 if self.sim.tracer is not None:
                     # Gate at the call site: packet.describe() is too
                     # expensive to build for a discarded record.
@@ -334,7 +343,8 @@ class RoceKernel:
                       node=self.ip, qp=qp_number)
             # The message completes when its final segment is acked.
             self._send_completions[qp_number].append((last_psn, completion))
-            self._ensure_retransmit_timer(qp_number)
+            if not state.timer_filed:
+                self._file_timer(state)
 
     def _segment(self, payload: bytes) -> list:
         """Split *payload* into path-MTU-sized chunks (>= one chunk).
@@ -363,49 +373,57 @@ class RoceKernel:
     # ------------------------------------------------------------------
     # Retransmission timer
     # ------------------------------------------------------------------
-    def _ensure_retransmit_timer(self, qp_number: int) -> None:
-        if qp_number in self._retransmit_running:
-            return
-        self._retransmit_running.add(qp_number)
-        self.sim.process(self._retransmit_loop(qp_number))
+    def _file_timer(self, state: QueuePairState) -> None:
+        """Schedule the QP's one timer entry at the deadline now in force
+        (the absolute instant: a relative timeout can land a bit off it)."""
+        timer = Event(self.sim)
+        timer._state = Event.TRIGGERED
+        timer._value = state.qp_number
+        timer.callbacks.append(self._timer_fired)
+        state.timer_filed = True
+        self.sim._push(
+            state.timer_deadline(self.retransmit_timeout_us), timer)
 
-    def _retransmit_loop(self, qp_number: int):
+    def _timer_fired(self, timer: Event) -> None:
+        """The timer entry came up: expire if the deadline stands, then
+        move to the deadline in force — or lapse with nothing in flight."""
+        qp_number = timer._value
         state = self.tables.get(qp_number)
-        while state.inflight:
-            yield self.sim.timeout(self.retransmit_timeout_us)
-            oldest = state.oldest_unacked()
-            if oldest is None:
-                break
-            age = self.sim.now - oldest.first_sent_at
-            if age + 1e-9 < self.retransmit_timeout_us:
-                continue
-            if oldest.retries >= self.max_retries:
-                self._fail_send(qp_number, oldest.psn, "retry limit exceeded")
-                state.inflight.popleft()
-                if self._tx_backlog[qp_number]:
-                    self._pump_tx(qp_number)
-                continue
-            # Go-back-N: resend every unacknowledged packet in order.
+        if state.inflight and state.timer_deadline(
+                self.retransmit_timeout_us) <= self.sim._now:
             if self.sim.tracer is not None:
                 emit(self.sim, "roce.retransmit",
                      f"timeout qp={qp_number}", inflight=len(state.inflight),
                      node=self.ip)
             count(self.sim, "roce.retransmit_timeouts",
                   node=self.ip, qp=qp_number)
-            for entry in list(state.inflight):
-                entry.retries += 1
-                state.retransmissions += 1
-                count(self.sim, "roce.retransmissions", node=self.ip)
-                self.mac.transmit(entry.packet)
-        self._retransmit_running.discard(qp_number)
+            self._go_back_n(state)
+        if state.inflight:
+            self._file_timer(state)
+        else:
+            state.timer_filed = False
 
-    def _fail_send(self, qp_number: int, psn: int, reason: str) -> None:
-        pending = self._send_completions[qp_number]
-        if not pending or pending[0][0] != psn:
-            return  # not the final segment of a message
-        _, completion = pending.popleft()
-        if not completion.triggered:
-            completion.fail(TransportError(f"send psn={psn} failed: {reason}"))
+    def _go_back_n(self, state: QueuePairState) -> None:
+        """Timer expiry or NAK: resend every unacknowledged packet in
+        order, which restarts the timer.  A message whose oldest packet
+        is out of retries fails instead, every segment at once."""
+        qp_number = state.qp_number
+        inflight = state.inflight
+        while inflight and inflight[0].retries >= self.max_retries:
+            last_psn, completion = self._send_completions[qp_number].popleft()
+            state.ack_through(last_psn)
+            if not completion.triggered:
+                completion.fail(TransportError(
+                    f"send psn={last_psn} failed: retry limit exceeded"))
+        now = self.sim._now
+        for entry in inflight:
+            entry.retries += 1
+            entry.sent_at = now
+            state.retransmissions += 1
+            count(self.sim, "roce.retransmissions", node=self.ip)
+            self.mac.transmit(entry.packet)
+        if self._tx_backlog[qp_number]:
+            self._pump_tx(qp_number)  # a failed message freed window space
 
     # ------------------------------------------------------------------
     # Reception path
@@ -427,13 +445,11 @@ class RoceKernel:
         state = self.tables.get(qp_number)
         if packet.bth.opcode is RdmaOpcode.NAK:
             # Receiver is missing packets: retransmit immediately.
-            for entry in list(state.inflight):
-                entry.retries += 1
-                state.retransmissions += 1
-                self.mac.transmit(entry.packet)
+            self._go_back_n(state)
             return
         acked_psn = packet.bth.psn
-        state.ack_through(acked_psn)
+        if state.ack_through(acked_psn):
+            state.progress_at = self.sim._now
         gauge_set(self.sim, "roce.inflight", len(state.inflight),
                   node=self.ip, qp=qp_number)
         if self._tx_backlog[qp_number]:

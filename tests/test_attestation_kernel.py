@@ -234,22 +234,22 @@ def test_pipelined_verify_failure_propagates():
 
 def test_pipelined_verify_runs_one_mac_check_per_message(monkeypatch):
     """Nothing is parked or batched: each ``verify_event`` settles with
-    exactly one ``verify_encoded`` call, at its own completion, even
+    exactly one ``mac_encoded`` call, at its own completion, even
     with several checks queued on the pipeline at once."""
     sim = Simulator()
     sender = AttestationKernel(10, sim)
     receiver = AttestationKernel(20, sim)
     sender.install_session(1, KEY)
     receiver.install_session(1, KEY)
-    checked = []
-    verify_encoded = attestation.verify_encoded
-
-    def counting(key, key_id, mac, message):
-        checked.append(sim.now)
-        return verify_encoded(key, key_id, mac, message)
-
-    monkeypatch.setattr(attestation, "verify_encoded", counting)
     messages = [sender.attest(1, bytes([index]) * 64) for index in range(4)]
+    checked = []
+    mac_encoded = attestation.mac_encoded
+
+    def counting(key, message):
+        checked.append(sim.now)
+        return mac_encoded(key, message)
+
+    monkeypatch.setattr(attestation, "mac_encoded", counting)
     checks = [receiver.verify_event(1, message) for message in messages]
     assert checked == []  # queued, not yet checked
     sim.run()

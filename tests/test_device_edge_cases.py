@@ -91,6 +91,27 @@ def test_retry_limit_fails_every_message_in_post_order():
     assert not a.roce.tables.get(1).inflight
 
 
+def test_retry_limit_fails_a_whole_message_one_deadline_after_its_last_resend():
+    """Retry exhaustion drops every segment of the message at once — not
+    one PSN per timeout — and the message queued behind it, resent in
+    the same rounds, fails at that instant too."""
+    sim, a = _sender_on_dead_link(max_retries=2)
+    resent_at = []
+    transmit = a.mac.transmit
+    a.mac.transmit = lambda packet: (resent_at.append(sim.now),
+                                     transmit(packet))
+    payload = b"x" * (2 * a.roce.path_mtu + 1)  # three segments
+    failed_at = []
+    for completion in (a.send(1, payload), a.send(1, b"short")):
+        completion.callbacks.append(lambda _event: failed_at.append(sim.now))
+    sim.run()
+    assert len(resent_at) == (3 + 1) * (1 + 2)  # sent once, resent twice
+    allowance = a.attestation.hmac_engine.occupancy_us(len(payload) + 8)
+    deadline = resent_at[-1] + a.roce.retransmit_timeout_us + allowance
+    assert failed_at == [deadline, deadline]
+    assert sim.now == deadline and not a.roce.tables.get(1).inflight
+
+
 def test_read_remote_without_host_memory_times_out():
     """READ against a target with no registered memory gets no response;
     the composed deadline fails the completion instead of parking the

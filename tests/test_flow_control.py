@@ -40,8 +40,8 @@ def test_window_never_exceeded():
 
     original_record = state.record_send
 
-    def spying_record(packet, now):
-        psn = original_record(packet, now)
+    def spying_record(*args):
+        psn = original_record(*args)
         max_inflight["n"] = max(max_inflight["n"], len(state.inflight))
         return psn
 

@@ -5,6 +5,8 @@ two correct nodes, the trusted transport delivers every message exactly
 once, in FIFO order, with genuine content — for *any* combination of
 drops, duplication, reordering, replay and seeds."""
 
+from collections import deque
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,11 @@ KEY = b"transport-prop-key-0123456789ab!"
 SESSION = 6
 
 
-def run_exchange(payloads, fault, seed, mtu=4096):
+def run_exchange(payloads, fault, seed, mtu=4096, window=1):
+    """Send *payloads* a → b, *window* outstanding, under *fault*; what
+    ``b`` delivered.  Every completion must trigger (``sim.run`` raises
+    otherwise), the loop must drain, and each kernel may hold one
+    retransmission-timer entry per QP on the heap at any instant."""
     sim = Simulator()
     arp = ArpServer()
     a = TnicDevice(sim, 1, "10.0.0.1", "mac-a", arp)
@@ -36,9 +42,26 @@ def run_exchange(payloads, fault, seed, mtu=4096):
     b.create_qp(qp_b)
     a.connect_qp(1, 2)
     b.connect_qp(2, 1)
+    file_timer = a.roce._file_timer
+
+    def filing(state):
+        # The entry that just fired is off the heap; no other may be on it.
+        assert not [event for _, _, event in sim._heap
+                    if a.roce._timer_fired in event.callbacks]
+        assert state.timer_deadline(a.roce.retransmit_timeout_us) >= sim.now
+        file_timer(state)
+
+    a.roce._file_timer = filing
+    pending = deque()
     for payload in payloads:
-        sim.run(a.send(1, payload))
+        if len(pending) == window:
+            sim.run(pending.popleft())
+        pending.append(a.send(1, payload))
+    while pending:
+        sim.run(pending.popleft())
     sim.run()
+    assert not a.roce.tables.get(1).inflight
+    assert not a.roce.tables.get(1).timer_filed
     return [item["payload"] for item in b.drain(2)]
 
 
@@ -73,6 +96,30 @@ def test_segmented_messages_survive_loss(sizes, seed):
     fault = NetworkFault(drop_probability=0.2)
     delivered = run_exchange(payloads, fault, seed, mtu=512)
     assert delivered == payloads
+
+
+_rate = st.sampled_from([0.0, 0.02, 0.1, 0.2])
+
+
+@given(
+    st.lists(st.sampled_from([64, 1024, 16 * 1024]), min_size=1, max_size=24),
+    st.sampled_from([1, 4, 16]),
+    _rate, _rate, _rate,
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_windowed_traffic_of_every_size_is_delivered_exactly_once_in_order(
+    sizes, window, drop, duplicate, reorder, seed
+):
+    """The deadline timer under every mix the datapath carries: small
+    messages whose ACK returns in microseconds, 16 KiB ones whose
+    verification outlasts the timeout, and several of them in flight."""
+    payloads = [index.to_bytes(2, "big") * (size // 2)
+                for index, size in enumerate(sizes)]
+    fault = NetworkFault(drop_probability=drop,
+                         duplicate_probability=duplicate,
+                         reorder_probability=reorder)
+    assert run_exchange(payloads, fault, seed, window=window) == payloads
 
 
 @given(st.integers(min_value=0, max_value=10**6))
