@@ -126,9 +126,14 @@ TNIC_MANIFEST = HotPathManifest(
         "Event.succeed",
         "Event.fail",
         "Timeout.__init__",
+        # A process wake (a callback) and the generator-advance loop
+        # it runs: one routine for the bare and the sanitized lane.
         "Process._resume",
-        # The systems path's per-message receive: the deadline get the
-        # client loops wait on, its expiry timer, and the hop callback.
+        "Process._advance",
+        # The systems path's per-message receive: the replicas' get, the
+        # deadline get the client loops wait on, its expiry timer, and
+        # the hop callback that resumes the receiver in the hop's entry.
+        "Store.get",
         "Store.get_until",
         "Store._expire",
         "Store.deliver",

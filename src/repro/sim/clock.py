@@ -244,8 +244,8 @@ class Simulator:
                     event.callbacks = []
                     for callback in callbacks:
                         callback(event)
-                if event is sentinel:
-                    return
+                if sentinel is not None and sentinel._state == _PROCESSED:
+                    return  # possibly inside another entry (Store.deliver)
         finally:
             self._running = False
 

@@ -6,11 +6,17 @@ until that event triggers and is then resumed with the event's value.
 A process is itself an event that triggers when the generator returns,
 so processes can wait on each other (fork/join).
 
-Hot path: :meth:`Process._resume` runs once per event dispatch in every
-process-driven workload, so the detached (no-sanitizer) lane is inlined
-flat — bound ``send``/``throw`` cached at construction, the event state
-compared directly instead of through the ``processed`` property — and
-the sanitizer bracketing lives in a separate cold lane."""
+A wait that is already over is not an event: when the generator yields
+an event that is already processed, :meth:`Process._advance` feeds its
+outcome straight back in, in a loop, and only an event still to happen
+gets the process as a callback.  A process that never blocks therefore
+runs to its next real wait inside one scheduler entry.
+
+Hot path: ``_advance`` runs once per wake in every process-driven
+workload (bound ``send``/``throw`` cached, the event state compared
+directly) and is the one copy of the advance logic:
+:meth:`Process._resume` calls it bare, or inside the sanitizer's
+bracket when one is attached."""
 
 from __future__ import annotations
 
@@ -37,8 +43,8 @@ class Process(Event):
                 "did you forget a 'yield' in the process function?"
             )
         self._generator = generator
-        # Bound methods cached once: _resume calls exactly one of them
-        # per dispatch, and the attribute chain costs more than the call.
+        # Bound methods cached once: _advance calls one of them per
+        # segment, and the attribute chain costs more than the call.
         self._send = generator.send
         self._throw = generator.throw
         self._target: Event | None = None
@@ -74,81 +80,40 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         self._target = None
         sanitizer = self.sim.sanitizer
-        if sanitizer is not None:
-            # Cold lane: bracket the generator segment so shared-state
-            # accesses inside it are attributed to this process and
-            # joined with the waking event's vector clock.
-            sanitizer.process_resumed(self, event)
-            try:
-                self._advance(event)
-            finally:
-                sanitizer.process_suspended(self)
+        if sanitizer is None:
+            self._advance(event)
             return
-        # Detached fast lane — identical logic, no bracketing frame.
+        # Cold lane: bracket the segments so shared-state accesses in them
+        # are attributed to this process and joined with the waker's clock.
+        sanitizer.process_resumed(self, event)
         try:
-            if event._exception is not None:
-                next_event = self._throw(event._exception)
-            else:
-                next_event = self._send(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupt as exc:
-            # An unhandled interrupt terminates the process with failure.
-            self.fail(exc)
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-        if not isinstance(next_event, Event):
-            self._reject_yield(next_event)
-            return
-        if next_event._state == _PROCESSED:
-            # Already done: resume on the next loop iteration with its value.
-            immediate = self.sim.timeout(0.0, next_event._value)
-            if next_event._exception is not None:
-                immediate = self.sim.event()
-                immediate.fail(next_event._exception)
-            immediate.callbacks.append(self._resume)
-            self._target = immediate
-        else:
-            next_event.callbacks.append(self._resume)
-            self._target = next_event
+            self._advance(event)
+        finally:
+            sanitizer.process_suspended(self)
 
     def _advance(self, event: Event) -> None:
-        """One generator segment (shared by the sanitized lane)."""
+        """Run the generator from *event*'s outcome until it yields an
+        event still to happen, and wait on that one; an event already
+        processed (an item was queued, a deadline had passed, a process
+        had finished) is fed straight back in."""
         try:
-            if event._exception is not None:
-                next_event = self._throw(event._exception)
-            else:
-                next_event = self._send(event._value)
+            while True:
+                if event._exception is not None:
+                    event = self._throw(event._exception)
+                else:
+                    event = self._send(event._value)
+                if not isinstance(event, Event):
+                    self._generator.close()
+                    raise TypeError(f"process yielded {type(event).__name__}, "
+                                    "expected an Event")
+                if event._state != _PROCESSED:
+                    break
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except Interrupt as exc:
-            self.fail(exc)
-            return
         except BaseException as exc:
+            # Interrupt included: unhandled, it fails the process.
             self.fail(exc)
             return
-        if not isinstance(next_event, Event):
-            self._reject_yield(next_event)
-            return
-        if next_event._state == _PROCESSED:
-            immediate = self.sim.timeout(0.0, next_event._value)
-            if next_event._exception is not None:
-                immediate = self.sim.event()
-                immediate.fail(next_event._exception)
-            immediate.callbacks.append(self._resume)
-            self._target = immediate
-        else:
-            next_event.callbacks.append(self._resume)
-            self._target = next_event
-
-    def _reject_yield(self, yielded: Any) -> None:
-        """Error path: the generator yielded a non-Event."""
-        error = TypeError(
-            f"process yielded {type(yielded).__name__}, expected an Event"
-        )
-        self._generator.close()
-        self.fail(error)
+        event.callbacks.append(self._resume)
+        self._target = event

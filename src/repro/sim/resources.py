@@ -6,9 +6,13 @@
   at submission, so completions are computed, not simulated.  Used for
   the attestation kernel's HMAC pipeline and the stack models'
   bottleneck stage.
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``
-  and the deadline receive ``get_until``.  Used for NIC RX/TX queues,
-  host completion queues and the systems' node inboxes.
+* :class:`Store` — an unbounded FIFO of items with blocking ``get``,
+  the deadline receive ``get_until`` and ``deliver``, the callback of
+  the hop that carries a message: a receive is not an event, the hop
+  resumes a blocked receiver inside its own scheduler entry, and a
+  receive whose outcome is already known returns a processed event.
+  Used for NIC RX/TX queues, host completion queues and the systems'
+  node inboxes.
 * :class:`Pipe` — a bandwidth-limited byte channel with fixed set-up
   and propagation delays.  Used for the PCIe DMA engine.
 """
@@ -23,6 +27,8 @@ from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
+
+_PROCESSED = Event.PROCESSED
 
 
 class Resource:
@@ -162,25 +168,45 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        """Deposit *item*; wakes the oldest blocked getter if present."""
+        """Deposit *item*; wakes the oldest blocked getter if present —
+        by a scheduled event, because ``put`` may be called from inside
+        a running generator and generators must not nest."""
         if self._getters:
             getter = self._getters.popleft()
             getter.succeed(item)
         else:
             self._items.append(item)
 
-    def deliver(self, event: Event) -> None:
-        """Event callback form of :meth:`put`: deposit *event*'s value.
-
-        A message in flight is a :class:`~repro.sim.events.Timeout`
-        carrying the message, with this bound method as its callback."""
-        self.put(event._value)
+    def deliver(self, hop: Event) -> None:
+        """Callback of the event that carries a message (a ``Timeout``
+        holding it as its value): deposit the message, or hand it to the
+        oldest blocked getter and run that getter's callbacks here,
+        inside the hop's own scheduler entry.  Only the event loop calls
+        this, so no generator is on the stack."""
+        if not self._getters:
+            self._items.append(hop._value)
+            return
+        getter = self._getters.popleft()
+        getter._state = _PROCESSED
+        getter._value = hop._value
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            # The causality edge a scheduled wake would have recorded.
+            sanitizer.event_triggered(getter)
+        # The hop adopts the callbacks it runs: the profiler books this
+        # entry to the receiver it resumed, not to ``Store.deliver``.
+        hop.callbacks = callbacks = getter.callbacks
+        getter.callbacks = []
+        for callback in callbacks:
+            callback(getter)
 
     def get(self) -> Event:
-        """Return an event that triggers with the next item."""
+        """Return an event that triggers with the next item; it is
+        already processed when an item is queued."""
         event = Event(self.sim)
         if self._items:
-            event.succeed(self._items.popleft())
+            event._state = _PROCESSED
+            event._value = self._items.popleft()
         else:
             self._getters.append(event)
         return event
@@ -188,7 +214,8 @@ class Store:
     def get_until(self, deadline: float) -> Event:
         """Receive with a deadline: the event triggers with the next
         item, or with :data:`TIMED_OUT` once the clock reaches the
-        absolute instant *deadline* (at once if it already has).
+        absolute instant *deadline*; it is already processed when the
+        deadline has passed or an item is queued.
 
         A getter that is served schedules nothing for its deadline.
         The store keeps at most one expiry timer in flight, filed at
@@ -203,9 +230,11 @@ class Store:
         """
         event = _DeadlineGet(self.sim)
         if deadline <= self.sim._now:
-            event.succeed(TIMED_OUT)
+            event._state = _PROCESSED
+            event._value = TIMED_OUT
         elif self._items:
-            event.succeed(self._items.popleft())
+            event._state = _PROCESSED
+            event._value = self._items.popleft()
         else:
             event.deadline = deadline
             self._getters.append(event)

@@ -64,6 +64,9 @@ class IbvMemory:
         self.lkey = lkey
         self.rkey = rkey
         self._buffer = bytearray(size)
+        #: Reads slice this view, so the returned ``bytes`` is the only
+        #: copy made (slicing the bytearray itself would be a second).
+        self._view = memoryview(self._buffer)
         self.registered = False
 
     # ------------------------------------------------------------------
@@ -82,7 +85,7 @@ class IbvMemory:
 
     def read(self, address: int, length: int) -> bytes:
         offset = self._offset(address, length)
-        return bytes(self._buffer[offset : offset + length])
+        return bytes(self._view[offset : offset + length])
 
     # ------------------------------------------------------------------
     # Device (DMA) port — requires registration

@@ -51,7 +51,11 @@ def _callsite(event: Any, callbacks: list) -> str:
     runs (the interesting frame), everything else to the callback's
     qualified name (``Owner.method`` for a bound method: each stage of
     a callback chain has its key); no callbacks fall back to ``<idle>``.
+    A hop that resumed its receiver inside its own entry adopted the
+    receiver's callbacks (``Store.deliver``) and is attributed to them:
+    the entry's work is the receiving generator's segment.
     """
+    callbacks = getattr(event, "callbacks", None) or callbacks
     if not callbacks:
         return "<idle>"
     callback = callbacks[0]

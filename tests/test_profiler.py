@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import Cluster, auth_send
 from repro.cli import _instrumented_workload
+from repro.systems.bft import BftCounter
 from repro.telemetry.exporters import metrics_document
 from repro.telemetry.profiler import Profiler, _callsite
 
@@ -100,6 +101,21 @@ def test_callsite_attribution_names_process_generators():
             "Event:AttestationKernel._settle",
             "Timeout:EthernetMac._serialised",
             "Timeout:EthernetMac.deliver"} <= keys
+
+
+def test_an_inline_receive_is_booked_to_the_receiving_generator():
+    system = BftCounter("tnic", f=1, seed=0)
+    profiler = Profiler.attach(system.sim, clock=FakeClock())
+    system.run_workload(20, pipeline_depth=4)
+    keys = set(profiler.events)
+    # The hop that carries a message runs the receiver's segment in its
+    # own entry: the entry is the receiver's, under the hop's type.
+    assert {"Timeout:_Replica.run_leader", "Timeout:_Replica.run_follower",
+            "Timeout:BftCounter._client"} <= keys
+    # No receiver is woken by an event of its own any more; a hop that
+    # found its receiver busy queued the message and is the store's.
+    assert not any(key.startswith("Event:_Replica.") for key in keys)
+    assert "Timeout:Store.deliver" in keys
 
 
 def test_callsite_fallbacks():

@@ -84,6 +84,20 @@ def test_memory_read_write_roundtrip():
     assert region.read(region.base + 10, 5) == b"hello"
 
 
+def test_memory_read_is_a_snapshot():
+    region = HugePageArea().allocate(1024)
+    region.register()
+    region.write(region.base, b"before")
+    read = region.read(region.base, 6)
+    dma = region.dma_read(region.base, 6)
+    region.write(region.base, b"after!")
+    # A send in flight holds what it fetched: a later write to the
+    # region (the application reusing its buffer) must not reach it.
+    assert type(read) is bytes and type(dma) is bytes
+    assert read == dma == b"before"
+    assert region.read(region.base, 6) == b"after!"
+
+
 def test_memory_bounds_checked():
     region = HugePageArea().allocate(1024)
     with pytest.raises(MemoryError_):
