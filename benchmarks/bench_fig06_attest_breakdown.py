@@ -46,17 +46,4 @@ def test_fig06_attest_breakdown(benchmark):
             f"{b.total_us:.1f}",
             f"{100 * b.share('transfer'):.0f}%",
         )
-    register_artefact(
-        "Figure 6",
-        table.render(),
-        data={
-            name: {
-                "transfer_us": round(b.transfer_us, 6),
-                "compute_us": round(b.compute_us, 6),
-                "other_us": round(b.other_us, 6),
-                "total_us": round(b.total_us, 6),
-                "transfer_share": round(b.share("transfer"), 6),
-            }
-            for name, b in breakdowns.items()
-        },
-    )
+    register_artefact("Figure 6", table.render())

@@ -82,19 +82,4 @@ def test_lint_latency_within_budget(benchmark):
     table.add_row("liveness pass (s)", f"{liveness_s:.2f}")
     table.add_row("full lint (s)", f"{full_s:.2f}")
     table.add_row("budget (s)", f"{LINT_BUDGET_S:.1f}")
-    register_artefact(
-        "Lint latency",
-        table.render(),
-        data={
-            "modules": len(sources),
-            "functions": len(engine.functions),
-            "fixpoint_passes": engine.passes_run,
-            "taint_engine_s": round(taint_s, 3),
-            "interference_pass_s": round(interference_s, 3),
-            "hot_functions": hot_set,
-            "hotpath_pass_s": round(hotpath_s, 3),
-            "liveness_pass_s": round(liveness_s, 3),
-            "full_lint_s": round(full_s, 3),
-            "budget_s": LINT_BUDGET_S,
-        },
-    )
+    register_artefact("Lint latency", table.render())

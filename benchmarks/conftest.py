@@ -7,53 +7,28 @@ every registered artefact at the end of the run, so
 ``pytest benchmarks/ --benchmark-only`` leaves the reproduced tables in
 its output (and in bench_output.txt when tee'd).
 
-Artefacts land under ``benchmarks/results/`` as ``<slug>.txt``; a bench
-that also passes structured ``data`` gets a machine-readable
-``<slug>.json`` next to it (stable key order, so reruns diff clean).
+Nothing is written to disk here: the committed rendering of a figure is
+its ``BENCH_<name>.json`` (``run_all.py --figures``), the one file per
+figure that ``scripts/check.sh`` compares.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-_ARTEFACTS: list[tuple[str, str, Any]] = []
+_ARTEFACTS: list[tuple[str, str]] = []
 
 
-def register_artefact(name: str, text: str, data: Any = None) -> None:
-    """Record a rendered table/figure for the end-of-run summary.
-
-    *data*, when given, must be JSON-serialisable; it is written as a
-    ``.json`` artefact beside the rendered ``.txt``.
-    """
-    _ARTEFACTS.append((name, text, data))
+def register_artefact(name: str, text: str) -> None:
+    """Record a rendered table/figure for the end-of-run summary."""
+    _ARTEFACTS.append((name, text))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ARTEFACTS:
         return
     terminalreporter.write_sep("=", "reproduced tables and figures")
-    for name, text, _data in _ARTEFACTS:
+    for name, text in _ARTEFACTS:
         terminalreporter.write_line("")
         terminalreporter.write_line(f"### {name}")
         for line in text.splitlines():
             terminalreporter.write_line(line)
     terminalreporter.write_line("")
-    _write_artefact_files()
-
-
-def _write_artefact_files() -> None:
-    """Persist each artefact under benchmarks/results/ for EXPERIMENTS.md."""
-    import json
-    import pathlib
-    import re
-
-    results = pathlib.Path(__file__).parent / "results"
-    results.mkdir(exist_ok=True)
-    for name, text, data in _ARTEFACTS:
-        slug = re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
-        (results / f"{slug}.txt").write_text(text + "\n")
-        if data is not None:
-            payload = {"name": name, "data": data}
-            (results / f"{slug}.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )

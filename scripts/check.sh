@@ -14,12 +14,7 @@ python -m pytest -q
 
 echo
 echo "== static analysis (python -m repro lint) =="
-mkdir -p benchmarks/results
-python -m repro lint --sarif benchmarks/results/lint.sarif
-
-echo
-echo "== stale baseline waivers =="
-python -m repro lint --prune-baseline --dry-run
+python -m repro lint
 
 echo
 echo "== schedule-perturbation harness (python -m repro sanitize) =="
@@ -31,9 +26,9 @@ echo "ok: sanitize report byte-identical to the committed one"
 
 echo
 echo "== virtual-time artifacts (committed BENCH_fig*/tab* must reproduce) =="
-# Every figure/table artifact is a pure function of the source tree;
-# BENCH_tab04 (the LoC table) moves with any source edit and is
-# regenerated by this same command.
+# Every figure/table artifact is a function of the model's virtual
+# time, not of the source text: an edit that moves no virtual number
+# regenerates nothing.
 python benchmarks/run_all.py --figures > /dev/null
 git diff --exit-code -- 'benchmarks/results/BENCH_fig*.json' \
     'benchmarks/results/BENCH_tab*.json'

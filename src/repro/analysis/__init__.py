@@ -1,4 +1,4 @@
-"""Static analysis for the reproduction: determinism, boundaries, sim-safety.
+"""Static analysis for the reproduction: determinism, boundaries, taint, cost.
 
 DESIGN.md promises two architectural invariants that nothing previously
 checked: the discrete-event simulation is deterministic (§2), and the
@@ -6,11 +6,9 @@ trusted packages mirror the paper's minimal TCB (Table 4).  This package
 turns both into mechanically enforced, CI-gated properties:
 
 * :mod:`repro.analysis.walker`      — source discovery, ASTs, import graph;
-* :mod:`repro.analysis.rules`       — findings, registry, baseline/ignores;
+* :mod:`repro.analysis.rules`       — findings, registry, inline waivers;
 * :mod:`repro.analysis.determinism` — DET001–DET005 determinism lint;
 * :mod:`repro.analysis.boundaries`  — BND001 trusted-boundary DAG checker;
-* :mod:`repro.analysis.sim_safety`  — SIM001–SIM003 virtual-time safety;
-* :mod:`repro.analysis.observability` — OBS001 clock-free telemetry;
 * :mod:`repro.analysis.dataflow`    — interprocedural taint engine
   (call graph, per-function summaries, fixpoint propagation);
 * :mod:`repro.analysis.taint`       — SEC001–SEC003 key secrecy and
@@ -18,8 +16,7 @@ turns both into mechanically enforced, CI-gated properties:
 * :mod:`repro.analysis.interference` — RACE001–RACE003 interference
   lint for simulator processes (the static half of ``repro.sanitizer``);
 * :mod:`repro.analysis.hotpath`     — PERF001–PERF006 hot-path cost
-  lint (interprocedural reachability from the kernel entry points) and
-  the hot-path manifest emitter (committed copy gated by tier-1);
+  lint (interprocedural reachability from the kernel entry points);
 * :mod:`repro.analysis.liveness`    — LIV001–LIV003 and LIV005
   liveness and resource-lifecycle lint (leaked acquires, double
   triggers, lost wakeups, completions pending with no expiry);
@@ -62,7 +59,6 @@ from repro.analysis.hotpath import (
     RawCryptoRule,
     UngatedEmitRule,
     hotpath_engine,
-    hotpath_manifest,
 )
 from repro.analysis.interference import (
     INTERFERENCE_RULES,
@@ -81,19 +77,16 @@ from repro.analysis.liveness import (
 )
 from repro.analysis.report import (
     TcbReport,
-    default_tcb_artifact_path,
     render_json,
     render_sarif,
     render_text,
 )
 from repro.analysis.rules import (
-    Baseline,
     Finding,
     ProjectRule,
     Rule,
     apply_suppressions,
     collect_findings,
-    default_baseline_path,
     default_rules,
     rule_by_id,
     rule_catalog,
@@ -110,7 +103,6 @@ from repro.analysis.walker import (
 
 __all__ = [
     "BOUNDARY_MANIFEST",
-    "Baseline",
     "DoubleTriggerRule",
     "Finding",
     "HOTPATH_RULES",
@@ -149,12 +141,9 @@ __all__ = [
     "check_boundaries",
     "collect_findings",
     "collect_sources",
-    "default_baseline_path",
     "default_package_root",
     "default_rules",
-    "default_tcb_artifact_path",
     "hotpath_engine",
-    "hotpath_manifest",
     "import_graph",
     "is_trusted",
     "liveness_engine",
@@ -169,18 +158,7 @@ __all__ = [
 ]
 
 
-def analyze_paths(
-    paths: Iterable[Path] | None = None,
-    baseline_path: Path | None = None,
-) -> list[Finding]:
-    """Run every pass over *paths* (default: the installed ``repro`` package).
-
-    *baseline_path* defaults to the baseline shipped with the package;
-    pass a non-existent path to disable suppression entirely.
-    """
+def analyze_paths(paths: Iterable[Path] | None = None) -> list[Finding]:
+    """Run every pass over *paths* (default: the installed ``repro`` package)."""
     targets = [Path(p) for p in paths] if paths else [default_package_root()]
-    sources = collect_sources(targets)
-    baseline = Baseline.load(
-        baseline_path if baseline_path is not None else default_baseline_path()
-    )
-    return run_rules(sources, baseline=baseline)
+    return run_rules(collect_sources(targets))

@@ -42,15 +42,14 @@ contract, the same way determinism, taint and races already are:
      encode-then-call forms) — those carry the verification cache and
      key-hygiene the hot path relies on.
 
-3. **The manifest artifact.**  :func:`hotpath_manifest` emits
-   per-entry-point reachable sets, per-function allocation-site counts
-   and gated/ungated emit tallies.  The committed copy
-   (``benchmarks/results/hotpath_manifest.json``) is regression-gated
-   by the tier-1 committed==fresh test
-   ``tests/test_hotpath.py::test_real_tree_matches_the_committed_manifest``:
-   counts are *pre-suppression*, so an inline waiver silences the lint
-   finding but the site still counts — adding hot-path allocations
-   fails the gate even if each one is individually blessed.
+The findings are the whole output: nothing is written down.  An
+allocation on the hot path is a PERF001 finding until it is fixed or
+waived inline with a rationale, and an ungated emit with cheap
+arguments is not debt at all — PERF003 *is* the contract (the hook
+self-gates: one load, one ``is`` check).  The one fact a committed
+listing used to guard, that every declared entry point still names a
+function of the tree, is a tier-1 test
+(``tests/test_hotpath.py::test_every_declared_entry_point_resolves_on_the_real_tree``).
 """
 
 from __future__ import annotations
@@ -286,8 +285,8 @@ class HotPathEngine:
     """Reachability closure + PERF checks over one source set.
 
     Built once per lint run (see :func:`hotpath_engine`); the rule
-    classes and the manifest emitter both read its precomputed
-    ``findings`` / ``function_stats`` / ``reachable`` tables.
+    classes read its precomputed ``findings``, the tests its
+    ``reachable`` table.
     """
 
     def __init__(
@@ -318,8 +317,6 @@ class HotPathEngine:
             sorted({q for reach in self.reachable.values() for q in reach})
         )
         self.findings: list[Finding] = []
-        #: qualname -> {"module", "line", "allocation_sites", "emit_sites"}
-        self.function_stats: dict[str, dict] = {}
         for qualname in self.hot_functions:
             self._check_function(self._by_qualname[qualname])
 
@@ -465,14 +462,10 @@ class HotPathEngine:
 
     # -- the per-function walk -----------------------------------------
     def _check_function(self, info: FunctionInfo) -> None:
-        manifest = self.manifest
         in_helper = any(
             pattern_matches(pattern, info.qualname)
-            for pattern in manifest.hmac_helpers
+            for pattern in self.manifest.hmac_helpers
         )
-        allocation_sites = 0
-        emit_gated = 0
-        emit_ungated = 0
         # One state record per lexically-enclosing loop:
         # {"calls": {dotted -> [nodes]}, "assigned": set[str]}.
         loop_stack: list[dict] = []
@@ -515,10 +508,7 @@ class HotPathEngine:
                 )
 
         def visit(node: ast.AST, gated: bool) -> None:
-            nonlocal allocation_sites, emit_gated, emit_ungated
-
             if isinstance(node, _CLOSURES):
-                allocation_sites += 1
                 kind = "lambda" if isinstance(node, ast.Lambda) else "closure"
                 self._finding(
                     "PERF001",
@@ -530,7 +520,6 @@ class HotPathEngine:
                 return  # do not descend into the nested scope
 
             if isinstance(node, _COMPREHENSIONS):
-                allocation_sites += 1
                 self._finding(
                     "PERF001",
                     info,
@@ -542,7 +531,6 @@ class HotPathEngine:
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and (
                 self._is_str_operand(node.left) or self._is_str_operand(node.right)
             ):
-                allocation_sites += 1
                 self._finding(
                     "PERF001",
                     info,
@@ -564,13 +552,6 @@ class HotPathEngine:
 
             if isinstance(node, ast.Call):
                 self._visit_call(node, info, gated, loop_stack, in_helper)
-                name = call_name(node.func)
-                tail = name.rsplit(".", 1)[-1] if name else ""
-                if tail in manifest.emit_hooks:
-                    if gated:
-                        emit_gated += 1
-                    else:
-                        emit_ungated += 1
 
             if isinstance(node, ast.If):
                 child_gated = gated or self._is_gate_test(node.test)
@@ -619,13 +600,6 @@ class HotPathEngine:
 
         for stmt in info.node.body:
             visit(stmt, False)
-
-        self.function_stats[info.qualname] = {
-            "module": info.module,
-            "line": info.node.lineno,
-            "allocation_sites": allocation_sites,
-            "emit_sites": {"gated": emit_gated, "ungated": emit_ungated},
-        }
 
     def _visit_call(
         self,
@@ -835,52 +809,3 @@ HOTPATH_RULES: tuple[type[_HotPathRule], ...] = (
     HotTryExceptRule,
     RawCryptoRule,
 )
-
-
-# ----------------------------------------------------------------------
-# The manifest artifact
-# ----------------------------------------------------------------------
-
-def hotpath_manifest(sources: Sequence[SourceFile]) -> dict:
-    """The committed hot-path contract (see scripts/check.sh).
-
-    Counts are pre-suppression: an inline waiver silences the lint
-    finding but the allocation site still counts here, so the gate
-    catches *growth* even when each new site is individually blessed.
-    """
-    engine = hotpath_engine(sources)
-    entry_points = {
-        entry: {"reachable": list(reachable)}
-        for entry, reachable in sorted(engine.reachable.items())
-    }
-    functions = {
-        qualname: dict(engine.function_stats[qualname])
-        for qualname in engine.hot_functions
-    }
-    totals = {
-        "entry_points": len(entry_points),
-        "functions": len(functions),
-        "allocation_sites": sum(
-            stats["allocation_sites"] for stats in functions.values()
-        ),
-        "gated_emits": sum(
-            stats["emit_sites"]["gated"] for stats in functions.values()
-        ),
-        "ungated_emits": sum(
-            stats["emit_sites"]["ungated"] for stats in functions.values()
-        ),
-    }
-    return {
-        "schema": 1,
-        "generated_by": "python -m repro lint --hotpath-manifest",
-        "comment": (
-            "Hot-path cost contract: per-entry-point reachable functions, "
-            "per-function allocation-site counts (pre-waiver) and "
-            "gated/ungated emit tallies.  scripts/check.sh fails when "
-            "allocation sites or ungated emits grow vs. the committed "
-            "copy."
-        ),
-        "entry_points": entry_points,
-        "functions": functions,
-        "totals": totals,
-    }

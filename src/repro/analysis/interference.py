@@ -20,9 +20,11 @@ Rules (applied only to functions that are themselves generators):
   loop body: any interleaved process may mutate the container
   mid-iteration; snapshot first (``list(...)``/``sorted(...)``).
 
-"Shared" is decided by the chain's root: ``self``/``cls`` and free
-variables (closure or module bindings) are shared between interleavings;
-locals and parameters are private to one activation.  The pass is a
+"Shared" is decided by the chain's root
+(:func:`repro.analysis.walker.shared_chain`, the one chain resolver the
+passes use): ``self``/``cls`` and free variables (closure or module
+bindings) are shared between interleavings; locals and parameters are
+private to one activation.  The pass is a
 lexical over-approximation — it cannot see whether another process
 really aliases the object — so justified hits are waived inline with a
 rationale comment, per the waiver workflow in ``docs/analysis.md``.
@@ -40,6 +42,7 @@ from repro.analysis.walker import (
     dotted_name,
     is_generator,
     iter_functions,
+    shared_chain,
     walk_own_body,
 )
 
@@ -121,14 +124,6 @@ def _local_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
                 if isinstance(target, ast.Name):
                     names.add(target.id)
     return names - _declared_globals(func)
-
-
-def _shared_chain(chain: str, local_names: set[str]) -> bool:
-    """True when the chain's root names state visible to other processes."""
-    root = chain.split(".", 1)[0]
-    if root in ("self", "cls"):
-        return True
-    return root not in local_names  # free variable: closure or module binding
 
 
 class _InterferenceRule(Rule):
@@ -243,12 +238,14 @@ class YieldSpanningRmwRule(_InterferenceRule):
                 not_value_reads.add(id(node.func))
                 not_value_reads.add(id(node.func.value))
 
-        def note_read(chain: str | None, line: int) -> None:
-            if chain and "." in chain and _shared_chain(chain, local_names):
+        def note_read(expr: ast.expr, line: int) -> None:
+            chain = shared_chain(expr, local_names)
+            if chain:
                 reads.setdefault(chain, []).append(line)
 
-        def note_write(chain: str | None, node: ast.AST) -> None:
-            if chain and "." in chain and _shared_chain(chain, local_names):
+        def note_write(expr: ast.expr, node: ast.AST) -> None:
+            chain = shared_chain(expr, local_names)
+            if chain:
                 writes.setdefault(chain, []).append(node)
 
         for node in walk_own_body(func):
@@ -257,22 +254,21 @@ class YieldSpanningRmwRule(_InterferenceRule):
             elif isinstance(node, ast.Attribute):
                 if id(node) in not_value_reads:
                     continue
-                chain = dotted_name(node)
                 if isinstance(node.ctx, ast.Load):
-                    note_read(chain, node.lineno)
+                    note_read(node, node.lineno)
                 else:
-                    note_write(chain, node)
+                    note_write(node, node)
             elif isinstance(node, ast.Subscript):
                 if isinstance(node.ctx, (ast.Store, ast.Del)):
-                    note_write(dotted_name(node.value), node)
+                    note_write(node.value, node)
             elif isinstance(node, ast.AugAssign):
                 target = node.target
                 if isinstance(target, ast.Attribute):
                     # An augmented assignment reads its target too.
-                    note_read(dotted_name(target), node.lineno)
+                    note_read(target, node.lineno)
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 if node.func.attr in _MUTATORS:
-                    note_write(dotted_name(node.func.value), node)
+                    note_write(node.func.value, node)
 
         if not yields:
             return
@@ -361,21 +357,17 @@ class SharedIterationYieldRule(_InterferenceRule):
                and iterable.args):
             iterable = iterable.args[0]
         if isinstance(iterable, ast.Attribute):
-            chain = dotted_name(iterable)
-            if chain and "." in chain and _shared_chain(chain, local_names):
-                return f"`{chain}`"
-            return None
+            chain = shared_chain(iterable, local_names)
+            return f"`{chain}`" if chain else None
         if (isinstance(iterable, ast.Call)
                 and isinstance(iterable.func, ast.Attribute)
                 and iterable.func.attr in _LIVE_VIEWS):
-            chain = dotted_name(iterable.func.value)
-            if chain is None:
-                return None
-            shared = (chain in mutables if "." not in chain
-                      else _shared_chain(chain, local_names))
-            if shared:
-                return f"`{chain}.{iterable.func.attr}()`"
-            return None
+            receiver = iterable.func.value
+            chain = shared_chain(receiver, local_names)
+            if (chain is None and isinstance(receiver, ast.Name)
+                    and receiver.id in mutables):
+                chain = receiver.id
+            return f"`{chain}.{iterable.func.attr}()`" if chain else None
         if isinstance(iterable, ast.Name) and iterable.id in mutables:
             return f"module-level `{iterable.id}`"
         return None

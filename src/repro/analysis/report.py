@@ -7,10 +7,13 @@ diffed across PRs exactly like the benchmark artefacts.
 The TCB accounting backs Table 4 with measurement: it counts executable
 LoC per module from the AST (blank lines, comments and docstrings
 excluded — the same convention as ``cloc``-style tools the paper's
-2,114-LoC figure comes from), splits the total along
-:data:`~repro.analysis.boundaries.TRUSTED_PACKAGES`, and emits an
-artifact under ``benchmarks/results/`` so the trusted-vs-untrusted split
-is a measured quantity, not only a hardcoded constant.
+2,114-LoC figure comes from) and splits the total along
+:data:`~repro.analysis.boundaries.TRUSTED_PACKAGES`, so the
+trusted-vs-untrusted split is a measured quantity, not only a hardcoded
+constant.  It is measured and bound-checked on every run
+(``tests/test_analysis.py``, ``benchmarks/bench_tab04_tcb_size.py``)
+and never written down: a number that moves with every source edit is
+not an artifact worth committing.
 """
 
 from __future__ import annotations
@@ -18,16 +21,11 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.boundaries import TRUSTED_PACKAGES, is_trusted
+from repro.analysis.boundaries import is_trusted
 from repro.analysis.rules import Finding
 from repro.analysis.walker import SourceFile
-
-#: Default artifact location relative to the repository root.
-TCB_ARTIFACT_NAME = "tcb_loc_report.json"
-
 
 # ----------------------------------------------------------------------
 # Findings rendering
@@ -56,7 +54,7 @@ def render_sarif(findings: Sequence[Finding]) -> str:
     (SARIF permits this, and it keeps the artifact small); every result
     carries a ``ruleIndex`` into that array, and fingerprints travel as
     ``partialFingerprints`` so SARIF viewers track findings across
-    commits the same way the baseline does.
+    commits by content, not by line number.
     """
     from repro.analysis.rules import rule_catalog
 
@@ -179,62 +177,20 @@ class TcbReport:
             totals[package] = totals.get(package, 0) + loc
         return totals
 
-    def to_json(self) -> dict:
+    def render(self) -> str:
         from repro.core.resources import PAPER_TCB_LOC
 
-        return {
-            "trusted_packages": list(TRUSTED_PACKAGES),
-            "trusted_loc": self.trusted_loc,
-            "untrusted_loc": self.untrusted_loc,
-            "tcb_fraction": round(
-                self.trusted_loc / max(1, self.trusted_loc + self.untrusted_loc), 4
-            ),
-            "paper_tnic_tcb_loc": PAPER_TCB_LOC["tnic"],
-            "paper_tee_hosted_total_loc": (
-                PAPER_TCB_LOC["tee_os"]
-                + PAPER_TCB_LOC["tee_attestation"]
-                + PAPER_TCB_LOC["tee_raft_app"]
-            ),
-            "per_package": dict(sorted(self.per_package().items())),
-            "per_module": dict(sorted(self.per_module.items())),
-        }
-
-    def render(self) -> str:
-        payload = self.to_json()
-        width = max(len(name) for name in payload["per_package"])
+        per_package = dict(sorted(self.per_package().items()))
+        width = max(len(name) for name in per_package)
         lines = ["TCB accounting (measured executable LoC)"]
-        for package, loc in payload["per_package"].items():
+        for package, loc in per_package.items():
             tag = "trusted" if is_trusted(package) else ""
             lines.append(f"  {package:<{width}}  {loc:6d}  {tag}")
         lines.append(
             f"  trusted total   {self.trusted_loc:6d} LoC "
-            f"(paper TNIC TCB: {payload['paper_tnic_tcb_loc']:,})"
+            f"(paper TNIC TCB: {PAPER_TCB_LOC['tnic']:,})"
         )
         lines.append(f"  untrusted total {self.untrusted_loc:6d} LoC")
-        lines.append(
-            f"  TCB fraction    {100 * payload['tcb_fraction']:5.1f}% of this repo"
-        )
+        fraction = self.trusted_loc / max(1, self.trusted_loc + self.untrusted_loc)
+        lines.append(f"  TCB fraction    {100 * fraction:5.1f}% of this repo")
         return "\n".join(lines)
-
-    def write(self, path: Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
-        return path
-
-
-def default_tcb_artifact_path(start: Path | None = None) -> Path:
-    """``benchmarks/results/tcb_loc_report.json`` near *start* (or cwd).
-
-    Walks up from *start* looking for a ``benchmarks`` directory so the
-    artifact lands with the other reproduced tables; falls back to the
-    current directory when run outside a checkout.
-    """
-    current = Path(start) if start is not None else Path.cwd()
-    for candidate in (current, *current.parents):
-        bench = candidate / "benchmarks"
-        if bench.is_dir():
-            return bench / "results" / TCB_ARTIFACT_NAME
-    return current / TCB_ARTIFACT_NAME

@@ -1,27 +1,22 @@
-"""Rule framework: findings, the rule registry, baselines, suppressions.
+"""Rule framework: findings, the rule registry, inline waivers.
 
 A *rule* inspects sources and yields :class:`Finding` records.  Two rule
-shapes exist: per-file rules (determinism, sim-safety) and project rules
-(trusted-boundary checking) that need the whole module set at once.
+shapes exist: per-file rules (determinism) and project rules
+(trusted-boundary checking, taint, hot path) that need the whole module
+set at once.
 
-Intentional exceptions are handled two ways, mirroring mature linters:
-
-* **inline** — a ``# lint: ignore[RULE-ID]`` comment on the offending
-  line suppresses that rule there, keeping the waiver next to the code;
-* **baseline** — a JSON file of fingerprinted findings accepted at some
-  point in time, so a new pass can be introduced without first fixing
-  (or blessing inline) every historical hit.  Fingerprints hash the
-  rule, the module, and the normalised source line — not the line
-  *number* — so unrelated edits above a waived line do not invalidate it.
+An intentional exception is waived in one way: a
+``# lint: ignore[RULE-ID]`` comment on the offending line, with the
+rationale beside it, so the waiver lives next to the code it excuses.
+A waiver that no longer sits on a raw finding fails tier-1
+(``tests/test_analysis.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.walker import SourceFile
@@ -36,8 +31,10 @@ class Finding:
     *occurrence* distinguishes repeated identical hits: when the same
     rule flags the same normalised line twice in one module, the second
     hit is occurrence 1, the third 2, and so on (assigned by
-    :func:`collect_findings`).  Without it the two hits shared one
-    fingerprint and a single baseline entry silently waived both.
+    :func:`collect_findings`), so each hit has its own fingerprint and
+    a SARIF viewer tracks them apart.  Fingerprints hash the rule, the
+    module and the normalised source line — not the line *number* — so
+    an edit above a finding does not change its identity.
     """
 
     rule: str
@@ -52,8 +49,6 @@ class Finding:
     def fingerprint(self) -> str:
         basis = f"{self.rule}|{self.module}|{' '.join(self.snippet.split())}"
         if self.occurrence:
-            # Occurrence 0 keeps the historical basis so existing
-            # baseline entries stay valid across the migration.
             basis += f"|{self.occurrence}"
         return hashlib.sha256(basis.encode()).hexdigest()[:16]
 
@@ -120,14 +115,11 @@ def default_rules() -> list[Rule]:
     from repro.analysis.hotpath import HOTPATH_RULES
     from repro.analysis.interference import INTERFERENCE_RULES
     from repro.analysis.liveness import LIVENESS_RULES
-    from repro.analysis.observability import OBSERVABILITY_RULES
-    from repro.analysis.sim_safety import SIM_SAFETY_RULES
     from repro.analysis.taint import TAINT_RULES
 
     families = (
-        DETERMINISM_RULES, SIM_SAFETY_RULES, OBSERVABILITY_RULES,
-        (TrustedBoundaryRule,), TAINT_RULES, INTERFERENCE_RULES,
-        HOTPATH_RULES, LIVENESS_RULES,
+        DETERMINISM_RULES, (TrustedBoundaryRule,), TAINT_RULES,
+        INTERFERENCE_RULES, HOTPATH_RULES, LIVENESS_RULES,
     )
     return [cls() for family in families for cls in family]
 
@@ -146,7 +138,7 @@ def rule_by_id(rule_id: str) -> Rule | None:
 
 
 # ----------------------------------------------------------------------
-# Suppression: inline ignores and the baseline file
+# Suppression: inline waivers
 # ----------------------------------------------------------------------
 
 def inline_ignores(src: SourceFile, line: int) -> set[str]:
@@ -155,98 +147,6 @@ def inline_ignores(src: SourceFile, line: int) -> set[str]:
     if not match:
         return set()
     return {part.strip() for part in match.group(1).split(",") if part.strip()}
-
-
-def _suppressed_inline(finding: Finding, sources_by_path: dict[str, SourceFile]) -> bool:
-    src = sources_by_path.get(finding.path)
-    if src is None:
-        return False
-    return finding.rule in inline_ignores(src, finding.line)
-
-
-@dataclass
-class Baseline:
-    """Accepted historical findings, keyed by fingerprint."""
-
-    fingerprints: set[str]
-    path: Path | None = None
-    entries: list[dict] = None  # raw file entries, for stale reporting
-
-    def __post_init__(self) -> None:
-        if self.entries is None:
-            self.entries = []
-
-    @classmethod
-    def load(cls, path: Path | None) -> "Baseline":
-        if path is None or not Path(path).exists():
-            return cls(set(), Path(path) if path else None)
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries = payload.get("findings", [])
-        return cls(
-            {entry["fingerprint"] for entry in entries}, Path(path), entries
-        )
-
-    def contains(self, finding: Finding) -> bool:
-        return finding.fingerprint() in self.fingerprints
-
-    def stale_entries(self, current: Iterable[Finding]) -> list[dict]:
-        """Baseline entries matching none of *current* (pre-suppression).
-
-        A stale entry means the offending line was fixed or rewritten:
-        the waiver no longer waives anything and should be removed
-        before it silently blesses a future, unrelated regression that
-        happens to hash the same.
-        """
-        live = {finding.fingerprint() for finding in current}
-        return [e for e in self.entries if e["fingerprint"] not in live]
-
-    def prune(self, current: Iterable[Finding]) -> list[dict]:
-        """Drop stale entries, rewrite the file, return what was removed."""
-        stale = self.stale_entries(current)
-        if not stale or self.path is None:
-            return stale
-        dead = {entry["fingerprint"] for entry in stale}
-        self.entries = [e for e in self.entries if e["fingerprint"] not in dead]
-        self.fingerprints -= dead
-        payload = {
-            "comment": (
-                "Accepted lint findings; regenerate with "
-                "`python -m repro lint --update-baseline`."
-            ),
-            "findings": self.entries,
-        }
-        self.path.write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        return stale
-
-    @staticmethod
-    def write(path: Path, findings: Sequence[Finding]) -> None:
-        payload = {
-            "comment": (
-                "Accepted lint findings; regenerate with "
-                "`python -m repro lint --update-baseline`."
-            ),
-            "findings": sorted(
-                (
-                    {
-                        "rule": f.rule,
-                        "module": f.module,
-                        "snippet": f.snippet,
-                        **({"occurrence": f.occurrence} if f.occurrence else {}),
-                        "fingerprint": f.fingerprint(),
-                    }
-                    for f in findings
-                ),
-                key=lambda entry: (entry["rule"], entry["module"], entry["fingerprint"]),
-            ),
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def default_baseline_path() -> Path:
-    """The baseline shipped inside the package (always present)."""
-    return Path(__file__).resolve().parent / "baseline.json"
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +161,7 @@ def collect_findings(
 
     Findings that share (rule, module, normalised snippet) are numbered
     0, 1, 2, ... in (path, line, col) order so each gets a distinct
-    fingerprint; occurrence 0 keeps the pre-migration fingerprint.
+    fingerprint.
     """
     rules = list(rules) if rules is not None else default_rules()
     findings: list[Finding] = []
@@ -285,15 +185,13 @@ def collect_findings(
 def apply_suppressions(
     findings: Iterable[Finding],
     sources: Sequence[SourceFile],
-    baseline: Baseline | None = None,
 ) -> list[Finding]:
-    """Drop findings waived inline or accepted in the baseline."""
+    """Drop findings waived by an inline ``# lint: ignore[...]``."""
     sources_by_path = {str(src.path): src for src in sources}
     kept = []
     for finding in findings:
-        if _suppressed_inline(finding, sources_by_path):
-            continue
-        if baseline is not None and baseline.contains(finding):
+        src = sources_by_path.get(finding.path)
+        if src is not None and finding.rule in inline_ignores(src, finding.line):
             continue
         kept.append(finding)
     return kept
@@ -302,7 +200,6 @@ def apply_suppressions(
 def run_rules(
     sources: Sequence[SourceFile],
     rules: Iterable[Rule] | None = None,
-    baseline: Baseline | None = None,
 ) -> list[Finding]:
-    """Run *rules* over *sources*, dropping suppressed findings."""
-    return apply_suppressions(collect_findings(sources, rules), sources, baseline)
+    """Run *rules* over *sources*, dropping waived findings."""
+    return apply_suppressions(collect_findings(sources, rules), sources)

@@ -238,6 +238,21 @@ def chain_parts(expr: ast.expr) -> list[str] | None:
             return None
 
 
+def shared_chain(expr: ast.expr, local_names: set[str]) -> str | None:
+    """``a.b.c`` when *expr* is an attribute chain other processes can see.
+
+    A chain is shared when its root is ``self``/``cls`` or a free
+    variable (closure or module binding); locals and parameters are
+    private to one activation.  A bare name is not a chain.
+    """
+    parts = chain_parts(expr)
+    if parts is None or len(parts) < 2:
+        return None
+    if parts[0] in ("self", "cls") or parts[0] not in local_names:
+        return ".".join(parts)
+    return None
+
+
 def local_aliases(func: ast.FunctionDef) -> dict[str, tuple[str, ...]]:
     """``name -> self-attr chain`` for locals aliased from ``self`` state.
 

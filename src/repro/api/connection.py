@@ -105,15 +105,13 @@ class TnicNode:
         device_id: int,
         arp: ArpServer,
         trusted: bool = True,
-        synchronous_dma: bool = False,
     ) -> None:
         self.sim = sim
         self.name = name
         self.ip = ip
         mac_address = f"02:00:00:00:00:{device_id:02x}"
         self.device = TnicDevice(
-            sim, device_id, ip, mac_address, arp,
-            trusted=trusted, synchronous_dma=synchronous_dma,
+            sim, device_id, ip, mac_address, arp, trusted=trusted
         )
         self.driver = TnicDriver(sim)
         regs = self.driver.initialise(
@@ -197,7 +195,6 @@ class Cluster:
         trusted: bool = True,
         fault: NetworkFault | None = None,
         seed: int = 0,
-        synchronous_dma: bool = False,
     ) -> None:
         if len(set(node_names)) != len(node_names):
             raise ValueError("node names must be unique")
@@ -217,7 +214,6 @@ class Cluster:
                 device_id=index + 1,
                 arp=self.arp,
                 trusted=trusted,
-                synchronous_dma=synchronous_dma,
             )
             self.fabric.register(node.device.mac)
             self.nodes[name] = node

@@ -10,8 +10,8 @@ capabilities without writing code:
 * ``attack``     — run the adversary campaigns and report the outcome.
 * ``resources``  — the Table-5 / Figure-13 FPGA resource analysis.
 * ``lint``       — the static-analysis passes (determinism, trusted
-  boundaries, sim-safety, key-secrecy/ingress taint, interference/RACE)
-  plus the measured-TCB accounting report.
+  boundaries, key-secrecy/ingress taint, interference/RACE, hot-path
+  cost, liveness).
 * ``sanitize``   — the schedule-perturbation harness: tier-1 protocol
   scenarios under N seeded tie shuffles; final-state digests must match.
 * ``metrics``    — run a seeded cluster workload with telemetry on and
@@ -190,8 +190,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Exit codes: 0 clean, 1 findings (or stale-baseline report),
-    2 usage / internal error."""
+    """Exit codes: 0 clean, 1 findings, 2 usage / internal error."""
     try:
         return _run_lint(args)
     except Exception as exc:  # lint must never die with a traceback in CI
@@ -203,13 +202,8 @@ def _run_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis import (
-        Baseline,
-        TcbReport,
-        collect_findings,
         collect_sources,
-        default_baseline_path,
         default_package_root,
-        default_tcb_artifact_path,
         render_json,
         render_sarif,
         render_text,
@@ -237,7 +231,7 @@ def _run_lint(args: argparse.Namespace) -> int:
             print(rule.explanation)
         return 0
 
-    only = getattr(args, "only", None)
+    only = args.only
     if only:
         from repro.analysis import rule_catalog
 
@@ -260,56 +254,7 @@ def _run_lint(args: argparse.Namespace) -> int:
             return 2
     sources = collect_sources(targets)
 
-    if args.hotpath_manifest:
-        import json
-
-        from repro.analysis.hotpath import hotpath_manifest
-
-        manifest = hotpath_manifest(sources)
-        out = Path(args.hotpath_manifest)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-        totals = manifest["totals"]
-        print(
-            f"lint: hot path: {totals['functions']} function(s) reachable "
-            f"from {totals['entry_points']} entry point(s), "
-            f"{totals['allocation_sites']} allocation site(s), "
-            f"{totals['ungated_emits']} ungated emit(s)"
-        )
-        print(f"lint: hotpath manifest written to {out}")
-        return 0
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline else default_baseline_path()
-    )
-    if args.update_baseline:
-        findings = run_rules(sources, baseline=None)
-        Baseline.write(baseline_path, findings)
-        print(f"lint: wrote {len(findings)} finding(s) to {baseline_path}")
-        return 0
-
-    if args.prune_baseline:
-        baseline = Baseline.load(baseline_path)
-        current = collect_findings(sources)
-        if args.dry_run:
-            stale = baseline.stale_entries(current)
-            for entry in stale:
-                print(
-                    f"lint: stale baseline entry {entry['fingerprint']} "
-                    f"({entry.get('rule', '?')} in {entry.get('module', '?')})"
-                )
-            print(f"lint: {len(stale)} stale baseline entr(y/ies)")
-            return 1 if stale else 0
-        removed = baseline.prune(current)
-        for entry in removed:
-            print(
-                f"lint: pruned {entry['fingerprint']} "
-                f"({entry.get('rule', '?')} in {entry.get('module', '?')})"
-            )
-        print(f"lint: pruned {len(removed)} stale entr(y/ies) from {baseline_path}")
-        return 0
-
-    findings = run_rules(sources, baseline=Baseline.load(baseline_path))
+    findings = run_rules(sources)
     if only:
         findings = [f for f in findings if f.rule.startswith(only)]
     if args.format == "json":
@@ -318,20 +263,6 @@ def _run_lint(args: argparse.Namespace) -> int:
         print(render_sarif(findings))
     else:
         print(render_text(findings))
-    if args.sarif:
-        Path(args.sarif).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.sarif).write_text(
-            render_sarif(findings) + "\n", encoding="utf-8"
-        )
-        print(f"lint: SARIF written to {args.sarif}")
-
-    if args.tcb_report:
-        report = TcbReport.from_sources(sources)
-        path = default_tcb_artifact_path()
-        report.write(path)
-        if args.format != "json":
-            print(report.render())
-        print(f"lint: TCB accounting written to {path}")
     return 1 if findings else 0
 
 
@@ -545,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static analysis: determinism, trusted boundaries, "
-             "sim-safety, key-secrecy/ingress taint, interference/RACE",
+             "key-secrecy/ingress taint, interference/RACE, hot-path "
+             "cost, liveness",
     )
     lint.add_argument(
         "paths", nargs="*",
@@ -554,47 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=["text", "json", "sarif"],
                       default="text")
     lint.add_argument(
-        "--sarif", default=None, metavar="FILE",
-        help="additionally write a SARIF 2.1.0 document to FILE",
-    )
-    lint.add_argument(
         "--explain", default=None, metavar="RULE",
         help="print the rationale for one rule (e.g. SEC001) and exit",
-    )
-    lint.add_argument(
-        "--baseline", default=None,
-        help="baseline JSON of accepted findings "
-             "(default: the one shipped in repro/analysis/)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to accept every current finding",
-    )
-    lint.add_argument(
-        "--prune-baseline", action="store_true",
-        help="remove baseline entries that no longer match any finding",
-    )
-    lint.add_argument(
-        "--dry-run", action="store_true",
-        help="with --prune-baseline: only report stale entries "
-             "(exit 1 if any), do not rewrite the baseline",
-    )
-    lint.add_argument(
-        "--tcb-report", action="store_true",
-        help="also emit the measured-TCB LoC artifact under "
-             "benchmarks/results/",
     )
     lint.add_argument(
         "--only", default=None, metavar="RULE|PREFIX",
         help="report only findings whose rule id matches the selector "
              "(exact id like LIV002, or a family prefix like LIV); "
              "unknown selectors exit 2 with the valid prefixes",
-    )
-    lint.add_argument(
-        "--hotpath-manifest", default=None, metavar="FILE",
-        help="write the hot-path cost contract (per-entry-point "
-             "reachable functions, allocation-site counts, gated/"
-             "ungated emit tallies) to FILE and exit",
     )
 
     sanitize = sub.add_parser(

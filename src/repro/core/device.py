@@ -228,7 +228,6 @@ class TnicDevice:
         ip: str,
         mac_address: str,
         arp: ArpServer,
-        synchronous_dma: bool = False,
         trusted: bool = True,
     ) -> None:
         self.sim = sim
@@ -236,7 +235,7 @@ class TnicDevice:
         self.ip = ip
         self.trusted = trusted
         self.attestation = AttestationKernel(device_id, sim) if trusted else None
-        self.dma = DmaEngine(sim, synchronous=synchronous_dma)
+        self.dma = DmaEngine(sim)
         self.mac = EthernetMac(sim, mac_address)
         self.roce = RoceKernel(
             sim, self.mac, arp, ip, attestation=self.attestation

@@ -14,7 +14,7 @@ Every hook costs one attribute load and one ``is`` check when telemetry
 is off (``Simulator.__init__`` guarantees the ``telemetry`` attribute),
 the same contract :func:`repro.sim.trace.emit` honours for tracing.
 All timestamps come from the simulator's virtual clock, never the wall
-clock, so instrumented runs stay deterministic (DET001/OBS001).
+clock, so instrumented runs stay deterministic (DET001).
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.device import TnicDevice
+from repro.crypto.hashing import sha256
 from repro.sim.instrument import count
 from repro.sim.trace import emit
 from repro.stack.regs import MappedRegsPage, RegField
@@ -82,15 +83,21 @@ class TnicDriver:
             raise KeyError(f"device {device_index} was never initialised") from None
 
 
+def _digest_int(text: str, nbytes: int) -> int:
+    """*nbytes* of the text's SHA-256: the same register value in every
+    interpreter (builtin ``hash`` of a ``str`` is salted per process)."""
+    return int.from_bytes(sha256(text)[:nbytes], "big")
+
+
 def _mac_to_int(mac: str) -> int:
-    """Accepts colon-separated hex MACs; other strings hash to 48 bits."""
+    """Accepts colon-separated hex MACs; other strings digest to 48 bits."""
     parts = mac.split(":")
     if len(parts) == 6 and all(len(p) == 2 for p in parts):
         try:
             return int("".join(parts), 16)
         except ValueError:
             pass
-    return abs(hash(mac)) & 0xFFFF_FFFF_FFFF
+    return _digest_int(mac, 6)
 
 
 def _ip_to_int(ip: str) -> int:
@@ -105,4 +112,4 @@ def _ip_to_int(ip: str) -> int:
                 return value
         except ValueError:
             pass
-    return abs(hash(ip)) & 0xFFFF_FFFF
+    return _digest_int(ip, 4)

@@ -16,6 +16,7 @@ Storage variants:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -303,5 +304,8 @@ class A2M:
         from repro.tee.sgx_memory import PAGE_BYTES
 
         stride = max(self.entry_bytes, PAGE_BYTES)
-        address = (hash(log_id) % 7) * (1 << 40) + index * stride
+        # Each log gets its own region, placed by the id's bytes: builtin
+        # hash() of a str is salted per interpreter, and the EPC model's
+        # hit/miss pattern (virtual time) must not depend on it.
+        address = (zlib.crc32(log_id.encode()) << 40) + index * stride
         return self._enclave.access(address, self.entry_bytes)

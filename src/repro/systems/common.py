@@ -76,11 +76,8 @@ def unwrap(sim: "Simulator", item: Any) -> tuple[Any, Any]:
 class EmulatedNetwork:
     """FIFO reliable message passing with per-hop latency."""
 
-    def __init__(
-        self, sim: "Simulator", hop_latency_us: float = SYSTEM_NET_HOP_US
-    ) -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.hop_latency_us = hop_latency_us
         self._inboxes: dict[str, Store] = {}
         self.messages_sent = 0
         self._isolated: set[str] = set()
@@ -136,7 +133,7 @@ class EmulatedNetwork:
     def _hop(self, inbox: Store, item: Any) -> Timeout:
         """Put *item* in flight: one hop-latency timeout that carries it
         and hands it to *inbox* (:meth:`Store.deliver`) when it fires."""
-        hop = Timeout(self.sim, self.hop_latency_us, item)
+        hop = Timeout(self.sim, SYSTEM_NET_HOP_US, item)
         hop.callbacks.append(inbox.deliver)
         return hop
 

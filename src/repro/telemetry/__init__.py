@@ -75,29 +75,26 @@ class Telemetry:
     def __init__(
         self,
         sim: "Simulator",
-        span_capacity: int = 4096,
         trace_tail: int = 256,
         max_snapshots: int = 32,
         sample_every: int = 1,
-        sampling_seed: int = 0,
     ) -> None:
         self.sim = sim
         self.registry = MetricsRegistry()
         self.spans = SpanTracker(
-            sim, self.registry, capacity=span_capacity,
-            sample_every=sample_every, sampling_seed=sampling_seed,
+            sim, self.registry, sample_every=sample_every
         )
         self.recorder = FlightRecorder(
             sim, self, trace_tail=trace_tail, max_snapshots=max_snapshots
         )
 
     @classmethod
-    def attach(cls, sim: "Simulator", ensure_tracer: bool = True, **options) -> "Telemetry":
+    def attach(cls, sim: "Simulator", **options) -> "Telemetry":
         """Install a hub on *sim* (and a tracer, so span/flight records
         have a ring to land in) and return it."""
         hub = cls(sim, **options)
         sim.telemetry = hub
-        if ensure_tracer and getattr(sim, "tracer", None) is None:
+        if getattr(sim, "tracer", None) is None:
             sim.tracer = Tracer()
         return hub
 

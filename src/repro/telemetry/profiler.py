@@ -25,13 +25,13 @@ Two ledgers per key, with very different determinism status:
   :meth:`Profiler.document`, which labels them as nondeterministic,
   destined for a separate profile artifact.
 
-The wall-clock import below is the single sanctioned exception to
-OBS001 in the observability layer, waived inline with this rationale.
+The wall-clock import below is the telemetry layer's only one:
+host-CPU attribution, kept out of the metrics document.
 """
 
 from __future__ import annotations
 
-import time  # lint: ignore[OBS001] host-CPU attribution only; kept out of the metrics document
+import time
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,9 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Default host-time source.  Referenced once so tests can swap in a
 #: deterministic fake clock without touching the ``time`` module.
-DEFAULT_CLOCK: Callable[[], int] = (
-    time.perf_counter_ns  # lint: ignore[OBS001] sanctioned host clock for the profile artifact
-)
+DEFAULT_CLOCK: Callable[[], int] = time.perf_counter_ns
 
 
 def _callsite(event: Any, callbacks: list) -> str:

@@ -111,7 +111,6 @@ class SpanTracker:
         registry: MetricsRegistry,
         capacity: int = 4096,
         sample_every: int = 1,
-        sampling_seed: int = 0,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -129,10 +128,12 @@ class SpanTracker:
         self.sampled_out = 0
         self.sample_every = sample_every
         # With sample_every == 1 the rng is never consulted, so existing
-        # seeded scenarios draw exactly the streams they always did.
+        # seeded scenarios draw exactly the streams they always did.  The
+        # stream is named, not seeded by the caller: which traces a rate
+        # keeps is part of the tracker, the same in every run.
         self._sampling_rng = (
             None if sample_every == 1
-            else DeterministicRng(sampling_seed, "trace-sampling")
+            else DeterministicRng(0, "trace-sampling")
         )
 
     def begin(

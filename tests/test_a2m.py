@@ -1,7 +1,12 @@
 """Tests for the TNIC Attested Append-Only Memory (Appendix C.2)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.sim import Simulator
 from repro.sim.latency import HOST_MEMORY_LOOKUP_US
 from repro.systems.a2m import A2M, A2MError, MANIFEST
@@ -147,6 +152,38 @@ def test_enclave_lookup_pays_epc_paging_on_large_logs():
     ]
     mean_cost = sum(miss_costs) / len(miss_costs)
     assert mean_cost > 10 * HOST_MEMORY_LOOKUP_US
+
+
+def test_enclave_costs_and_config_registers_ignore_the_str_hash_seed():
+    """Builtin ``hash()`` of a ``str`` is salted per interpreter; a log's
+    EPC region (virtual time, via the hit/miss pattern of three logs)
+    and the driver's fallback MAC/IP register values must come from the
+    bytes, so two interpreters agree."""
+    probe = (
+        "from repro.sim import Simulator\n"
+        "from repro.stack.driver import _ip_to_int, _mac_to_int\n"
+        "from repro.systems.a2m import A2M\n"
+        "from repro.tee import make_provider\n"
+        "provider = make_provider('sgx-lib', Simulator(), 1)\n"
+        f"provider.install_session({SESSION}, {KEY!r})\n"
+        f"a2m = A2M(provider, {SESSION}, storage='enclave')\n"
+        "cost = sum(a2m.lookup_cost_us(log, i)\n"
+        "           for i in range(50) for log in ('a', 'b', 'c'))\n"
+        "print(round(cost, 6), a2m._enclave.hits,\n"
+        "      _mac_to_int('not-a-mac'), _ip_to_int('fe80::1'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", probe], check=True, capture_output=True,
+            text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("1", "3")
+    ]
+    assert outputs[0] == outputs[1]
+    # Three logs live in three regions: no lookup hits another log's page.
+    assert outputs[0].split()[1] == "0"
 
 
 def test_append_latency_ordering_matches_table3():

@@ -1,9 +1,9 @@
 """Tests for the static-analysis subsystem (repro.analysis).
 
 Fixture snippets seed one violation of every rule (and a matching clean
-variant), and the shipped codebase itself must lint clean against the
-shipped baseline — that last test is the CI gate DESIGN.md's
-determinism and TCB promises hang on.
+variant), and the shipped codebase itself must lint clean with every
+inline waiver still waiving something — that last test is the CI gate
+DESIGN.md's determinism and TCB promises hang on.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
     TcbReport,
-    apply_suppressions,
     collect_findings,
-    default_baseline_path,
     render_json,
     render_sarif,
     render_text,
@@ -35,12 +32,12 @@ from repro.analysis.determinism import (
     WallClockRule,
 )
 from repro.analysis.rules import inline_ignores
-from repro.analysis.sim_safety import (
-    BlockingCallInProcessRule,
-    FileIoInProcessRule,
-    SleepInProcessRule,
+from repro.analysis.walker import (
+    chain_parts,
+    local_aliases,
+    parse_file,
+    shared_chain,
 )
-from repro.analysis.walker import chain_parts, local_aliases, parse_file
 
 
 def _write_module(tmp_path: Path, relpath: str, source: str) -> Path:
@@ -146,59 +143,6 @@ def test_det005_allows_sorted(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Sim-safety rules
-# ----------------------------------------------------------------------
-
-_BLOCKING_PROCESS = (
-    "import socket\n"
-    "import time\n\n"
-    "def proc(sim):\n"
-    "    time.sleep(0.1)\n"
-    "    handle = open('/tmp/x')\n"
-    "    socket.create_connection(('host', 80))\n"
-    "    yield sim.timeout(1.0)\n"
-)
-
-
-def test_sim001_flags_sleep_in_process(tmp_path):
-    hits = _rule_hits(SleepInProcessRule(), tmp_path, _BLOCKING_PROCESS)
-    assert [h.rule for h in hits] == ["SIM001"]
-    assert "proc" in hits[0].message
-
-
-def test_sim002_flags_file_io_in_process(tmp_path):
-    hits = _rule_hits(FileIoInProcessRule(), tmp_path, _BLOCKING_PROCESS)
-    assert [h.rule for h in hits] == ["SIM002"]
-
-
-def test_sim003_flags_socket_in_process(tmp_path):
-    hits = _rule_hits(BlockingCallInProcessRule(), tmp_path, _BLOCKING_PROCESS)
-    assert [h.rule for h in hits] == ["SIM003"]
-
-
-def test_sim_rules_ignore_non_generators(tmp_path):
-    source = (
-        "import time\n\n"
-        "def helper():\n"
-        "    time.sleep(0.1)\n"
-        "    return open('/tmp/x')\n"
-    )
-    assert _rule_hits(SleepInProcessRule(), tmp_path, source) == []
-    assert _rule_hits(FileIoInProcessRule(), tmp_path, source) == []
-
-
-def test_sim_rules_skip_nested_function_bodies(tmp_path):
-    source = (
-        "import time\n\n"
-        "def proc(sim):\n"
-        "    def sync_helper():\n"
-        "        time.sleep(0.1)\n"
-        "    yield sim.timeout(1.0)\n"
-    )
-    assert _rule_hits(SleepInProcessRule(), tmp_path, source) == []
-
-
-# ----------------------------------------------------------------------
 # Boundary rule (fixture-level; the real tree is covered by
 # tests/test_tcb_boundaries.py)
 # ----------------------------------------------------------------------
@@ -226,7 +170,7 @@ def test_bnd001_ignores_type_checking_imports(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Suppression: inline ignores and baseline
+# Suppression: inline waivers
 # ----------------------------------------------------------------------
 
 def test_inline_ignore_suppresses_finding(tmp_path):
@@ -240,26 +184,9 @@ def test_inline_ignore_suppresses_finding(tmp_path):
     assert all(f.rule != "DET001" for f in findings)
 
 
-def test_baseline_suppresses_and_survives_line_moves(tmp_path):
-    source = "import time\n\ndef now():\n    return time.time()\n"
-    path = _write_module(tmp_path, "repro/legacy.py", source)
-    findings = run_rules([parse_file(path)])
-    assert findings
-
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.write(baseline_path, findings)
-    assert run_rules([parse_file(path)],
-                     baseline=Baseline.load(baseline_path)) == []
-
-    # Unrelated edits above the waived line must not invalidate the waiver.
-    path.write_text("import time\n\nPAD = 1\n\n\ndef now():\n    return time.time()\n")
-    assert run_rules([parse_file(path)],
-                     baseline=Baseline.load(baseline_path)) == []
-
-
 def test_identical_lines_get_distinct_fingerprints(tmp_path):
-    # Two byte-identical offending lines used to hash to one fingerprint,
-    # so a single baseline entry silently waived both.
+    # Two byte-identical offending lines must not share a fingerprint,
+    # or a SARIF viewer tracks them as one finding.
     source = (
         "import time\n\n"
         "def a():\n"
@@ -273,49 +200,6 @@ def test_identical_lines_get_distinct_fingerprints(tmp_path):
     assert len(findings) == 2
     assert findings[0].occurrence == 0 and findings[1].occurrence == 1
     assert findings[0].fingerprint() != findings[1].fingerprint()
-
-    # Migration safety: occurrence 0 keeps the pre-index hash basis.
-    from dataclasses import replace
-
-    legacy = replace(findings[1], occurrence=0)
-    assert legacy.fingerprint() == findings[0].fingerprint()
-
-
-def test_baseline_waives_occurrences_individually(tmp_path):
-    source = (
-        "import time\n\n"
-        "def a():\n"
-        "    return time.time()\n\n"
-        "def b():\n"
-        "    return time.time()\n"
-    )
-    path = _write_module(tmp_path, "repro/twice.py", source)
-    findings = [f for f in collect_findings([parse_file(path)])
-                if f.rule == "DET001"]
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.write(baseline_path, findings[:1])  # waive only the first
-    kept = run_rules([parse_file(path)], baseline=Baseline.load(baseline_path))
-    assert [f.occurrence for f in kept if f.rule == "DET001"] == [1]
-
-
-def test_stale_baseline_entries_detected_and_pruned(tmp_path):
-    source = "import time\nNOW = time.time()\n"
-    path = _write_module(tmp_path, "repro/fixed.py", source)
-    src = parse_file(path)
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.write(baseline_path, collect_findings([src]))
-    assert Baseline.load(baseline_path).stale_entries(collect_findings([src])) == []
-
-    # Fix the offending line: every entry for it is now stale.
-    path.write_text("NOW = 0.0\n")
-    fixed = parse_file(path)
-    baseline = Baseline.load(baseline_path)
-    stale = baseline.stale_entries(collect_findings([fixed]))
-    assert [e["rule"] for e in stale] == ["DET001"]
-
-    removed = baseline.prune(collect_findings([fixed]))
-    assert len(removed) == 1
-    assert Baseline.load(baseline_path).entries == []
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +224,7 @@ def test_render_text_and_json(tmp_path):
 def test_rule_catalog_lists_every_pass():
     catalog = rule_catalog()
     assert {"DET001", "DET002", "DET003", "DET004", "DET005",
-            "SIM001", "SIM002", "SIM003", "BND001",
+            "BND001",
             "SEC001", "SEC002", "SEC003", "TNT001", "TNT002",
             "RACE001", "RACE002", "RACE003"} <= set(catalog)
     assert all(catalog.values())
@@ -436,6 +320,15 @@ def test_chain_parts_peels_subscripts_and_rejects_call_roots():
     assert chain_parts(_expr("a.b().c")) is None
 
 
+def test_shared_chain_is_decided_by_the_root():
+    local_names = {"entry", "k"}
+    assert shared_chain(_expr("self.table[k].count"), local_names) == "self.table.count"
+    assert shared_chain(_expr("registry.slots"), local_names) == "registry.slots"
+    assert shared_chain(_expr("entry.count"), local_names) is None  # a local
+    assert shared_chain(_expr("registry"), local_names) is None  # not a chain
+    assert shared_chain(_expr("make().count"), local_names) is None
+
+
 def test_local_aliases_resolve_transitively_through_self():
     func = ast.parse(
         "def run(self, other):\n"
@@ -457,10 +350,9 @@ def test_local_aliases_resolve_transitively_through_self():
 # ----------------------------------------------------------------------
 
 @pytest.mark.lint
-def test_shipped_codebase_lints_clean_against_baseline(real_sources):
-    raw = collect_findings(real_sources)
-    baseline = Baseline.load(default_baseline_path())
-    unwaived = apply_suppressions(raw, real_sources, baseline)
+def test_shipped_codebase_lints_clean_and_every_waiver_waives(
+        real_sources, real_findings, real_unwaived):
+    raw, unwaived = real_findings, real_unwaived
     assert unwaived == [], "\n".join(f.render() for f in unwaived)
 
     # ... and every inline waiver still waives something.  (The analysis
@@ -478,18 +370,15 @@ def test_shipped_codebase_lints_clean_against_baseline(real_sources):
 
 
 @pytest.mark.lint
-def test_tcb_accounting_measures_trusted_split_and_emits_artifact(real_sources):
+def test_tcb_accounting_measures_trusted_split(real_sources):
+    from repro.core.resources import PAPER_TCB_LOC
+
     report = TcbReport.from_sources(real_sources)
     assert report.trusted_loc > 0
     assert report.untrusted_loc > report.trusted_loc
-    payload = report.to_json()
-    assert payload["paper_tnic_tcb_loc"] == 2_114
+    assert PAPER_TCB_LOC["tnic"] == 2_114
     # Measured TCB must stay the same order of magnitude as the paper's
     # 2,114-LoC attestation kernel — a 10x blow-up means trusted code
     # sprawl that Table 4's argument no longer covers.
-    assert report.trusted_loc < 10 * payload["paper_tnic_tcb_loc"]
-
-    results = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
-    if results.parent.is_dir():  # running from a checkout: refresh artifact
-        written = report.write(results / "tcb_loc_report.json")
-        assert json.loads(written.read_text())["trusted_loc"] == report.trusted_loc
+    assert report.trusted_loc < 10 * PAPER_TCB_LOC["tnic"]
+    assert f"{report.trusted_loc:6d} LoC" in report.render()

@@ -1,7 +1,7 @@
-"""The hot-path cost pass: reachability, PERF rules, the manifest.
+"""The hot-path cost pass: reachability and the PERF rules.
 
-Three layers under test, mirroring the corpus under
-``tests/fixtures/hotpath/``:
+Two layers under test, mirroring the corpus under
+``tests/fixtures/hotpath/``, and the real tree:
 
 * the static PERF001–PERF006 rules — every seeded violation in
   ``broken/`` must be reported at exactly its line, and nothing in
@@ -10,9 +10,9 @@ Three layers under test, mirroring the corpus under
 * the interprocedural closure — the entry patterns must resolve to the
   fixture kernel, reach its callees, and stop at exempt functions and
   package boundaries;
-* the manifest — schema-1 totals, pre-suppression allocation counts
-  (a waiver silences the finding, never the count), and the real-tree
-  contract the ``scripts/check.sh`` gate regresses against.
+* the real tree — no unwaived PERF finding, and every entry point the
+  policy declares still names a function (a rename that orphans a
+  declared root would silently shrink the hot set).
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.dataflow import pattern_matches
 from repro.analysis.hotpath import (
     HOTPATH_RULES,
+    TNIC_MANIFEST,
     HotPathEngine,
     HotPathManifest,
-    hotpath_manifest,
+    hotpath_engine,
 )
 from repro.analysis.rules import collect_findings, rule_catalog, run_rules
 from repro.analysis.walker import collect_sources
@@ -126,64 +128,6 @@ def test_exempt_functions_are_cut_from_the_closure():
     )
 
 
-def test_allocation_stats_count_sites_per_function(broken_engine):
-    stats = broken_engine.function_stats[
-        "repro.sim.hotkernel.Simulator.step"
-    ]
-    assert stats["allocation_sites"] == 3
-    assert stats["emit_sites"] == {"gated": 0, "ungated": 1}
-
-
-def test_gated_and_ungated_emits_are_tallied_separately(clean_engine):
-    stats = clean_engine.function_stats[
-        "repro.sim.coolkernel.Simulator.step"
-    ]
-    # The gated f-string emit and the ungated-but-cheap counter bump.
-    assert stats["emit_sites"] == {"gated": 1, "ungated": 1}
-
-
-# ----------------------------------------------------------------------
-# The manifest artifact
-# ----------------------------------------------------------------------
-
-def test_manifest_schema_and_totals():
-    sources = collect_sources([FIXTURES / "broken"])
-    manifest = hotpath_manifest(sources)
-    assert manifest["schema"] == 1
-    assert set(manifest["entry_points"]) == {
-        "repro.sim.hotkernel.Simulator.step",
-        "repro.sim.hotkernel.Simulator._drain",
-    }
-    totals = manifest["totals"]
-    assert totals["entry_points"] == 2
-    assert totals["functions"] == 3
-    assert totals["allocation_sites"] == 3
-    assert totals["ungated_emits"] == 1
-
-
-def test_manifest_counts_are_pre_suppression(tmp_path):
-    # A waived allocation is silenced by lint but still counts in the
-    # manifest: the check.sh gate must see growth even when each new
-    # site is individually blessed.
-    pkg = tmp_path / "repro" / "sim"
-    pkg.mkdir(parents=True)
-    (tmp_path / "repro" / "__init__.py").write_text("")
-    (pkg / "__init__.py").write_text("")
-    (pkg / "kernel.py").write_text(
-        "class Simulator:\n"
-        "    def step(self):\n"
-        "        return [x for x in (1, 2)]"
-        "  # lint: ignore[PERF001] deliberate\n"
-    )
-    sources = collect_sources([tmp_path])
-    findings = run_rules(
-        sources, [cls() for cls in HOTPATH_RULES], baseline=None
-    )
-    assert findings == []  # the waiver silences the finding ...
-    manifest = hotpath_manifest(sources)
-    assert manifest["totals"]["allocation_sites"] == 1  # ... not the count
-
-
 # ----------------------------------------------------------------------
 # Rule registration
 # ----------------------------------------------------------------------
@@ -206,8 +150,8 @@ def test_perf_rules_carry_explanations():
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def real_manifest(real_sources):
-    return hotpath_manifest(real_sources)
+def real_engine(real_sources):
+    return hotpath_engine(real_sources)
 
 
 @pytest.mark.lint
@@ -217,45 +161,26 @@ def test_real_tree_has_no_unwaived_perf_findings(real_sources):
 
 
 @pytest.mark.lint
-def test_real_tree_closure_covers_the_kernel_datapath(real_manifest):
-    entry_points = real_manifest["entry_points"]
-    drain = entry_points["repro.sim.clock.Simulator._drain"]
+def test_real_tree_closure_covers_the_kernel_datapath(real_engine):
+    reachable = real_engine.reachable
+    drain = reachable["repro.sim.clock.Simulator._drain"]
     # The drain loop dispatches triggered events into their callbacks.
-    assert "repro.sim.events.Event.succeed" in entry_points
-    assert "repro.sim.clock.Simulator._drain" in drain["reachable"]
-    tx = entry_points["repro.core.device._Send._attested"]
+    assert "repro.sim.events.Event.succeed" in reachable
+    assert "repro.sim.clock.Simulator._drain" in drain
+    tx = reachable["repro.core.device._Send._attested"]
     # The stage that calls post_send reaches the RoCE segmentation path
     # interprocedurally.
-    assert any(
-        q.endswith("RoceKernel._segment") for q in tx["reachable"]
-    )
+    assert any(q.endswith("RoceKernel._segment") for q in tx)
 
 
 @pytest.mark.lint
-def test_real_tree_matches_the_committed_manifest(real_manifest):
-    import json
-
-    committed_path = (
-        Path(__file__).parent.parent
-        / "benchmarks" / "results" / "hotpath_manifest.json"
-    )
-    committed = json.loads(committed_path.read_text())
-
-    def costs(manifest):
-        return {
-            name: (stats["allocation_sites"], stats["emit_sites"]["ungated"])
-            for name, stats in manifest["functions"].items()
-        }
-
-    was, now = costs(committed), costs(real_manifest)
-    differing = [
-        f"{name}: (allocation sites, ungated emits) "
-        f"{was.get(name)} -> {now.get(name)}"
-        for name in sorted(was.keys() | now.keys())
-        if was.get(name) != now.get(name)
+def test_every_declared_entry_point_resolves_on_the_real_tree(real_engine):
+    # A callback-registered function is invisible to the call graph, so
+    # the policy names it; if a rename orphans the name, the function and
+    # everything only it reaches drop out of the hot set without a word.
+    orphaned = [
+        pattern
+        for pattern in TNIC_MANIFEST.entry_points
+        if not any(pattern_matches(pattern, root) for root in real_engine.reachable)
     ]
-    assert real_manifest["totals"] == committed["totals"] and not differing, (
-        "hot-path manifest drifted; regenerate with "
-        "`python -m repro lint --hotpath-manifest "
-        "benchmarks/results/hotpath_manifest.json`\n" + "\n".join(differing)
-    )
+    assert orphaned == []

@@ -4,10 +4,11 @@ Two layers: engine-level unit tests (summaries, sanitizers, fixpoint,
 call resolution) against synthetic modules, and corpus tests against
 ``tests/fixtures/taint/`` — every seeded violation in ``broken/`` must
 be detected (no false negatives) and ``clean/`` must stay silent (the
-false-positive guard).  The real tree's cleanliness modulo the shipped
-baseline is covered by
-``test_analysis.py::test_shipped_codebase_lints_clean_against_baseline``,
-which now runs the taint rules too.
+false-positive guard).  The real tree's cleanliness is covered by
+``test_analysis.py::test_shipped_codebase_lints_clean_and_every_waiver_waives``;
+here each SEC/TNT rule additionally proves it can fire on the real tree:
+one mutation of a shipped module per rule (ROADMAP item 5's admission
+price — a rule whose mutation cannot be made to fire is deleted).
 """
 
 from __future__ import annotations
@@ -219,13 +220,12 @@ def test_clean_corpus_is_silent():
     assert _corpus_findings("clean") == []
 
 
-def test_real_tree_has_no_unwaived_taint_findings(real_sources):
-    findings = collect_findings(real_sources, [cls() for cls in TAINT_RULES])
+def test_real_tree_has_no_unwaived_taint_findings(real_findings, real_unwaived):
+    taint_ids = {cls.rule_id for cls in TAINT_RULES}
+    findings = [f for f in real_findings if f.rule in taint_ids]
     # The §3.2 manufacturer→vendor disclosure carries an inline waiver;
     # everything the taint rules flag must be waived there, not here.
-    from repro.analysis.rules import run_rules
-
-    unwaived = run_rules(real_sources, [cls() for cls in TAINT_RULES])
+    unwaived = [f for f in real_unwaived if f.rule in taint_ids]
     assert unwaived == [], [f.render() for f in unwaived]
     # ...and the waiver is real: the raw pass does see the disclosure.
     assert any(
@@ -262,12 +262,55 @@ def test_real_transport_whose_lane_skips_verification_raises_tnt001(tmp_path):
     assert hits[0].snippet.strip().startswith("kernel.attestation.counters")
 
 
-def test_full_lint_meets_latency_budget():
-    import time
+#: rule -> (module file under src/repro, the one line the mutation
+#: rewrites, what it becomes, a word the finding's message must carry).
+_REAL_TREE_MUTATIONS = {
+    # §4.1 key secrecy: the attest tracepoint logs the session key.
+    "SEC001": (
+        "core/attestation.py",
+        'f"session={session_id} cnt={counter} {len(payload)}B",',
+        "key,",
+        "emit",
+    ),
+    # An "idempotent re-install" that compares the burnt key with `!=`.
+    "SEC002": (
+        "core/keystore.py",
+        "        if session_id in self._session_keys:\n",
+        "        if (session_id in self._session_keys\n"
+        "                and self._session_keys[session_id] != key):\n",
+        "compare_digest",
+    ),
+    # The §3.2 HW-key hand-off without the waiver that sanctions it.
+    "SEC003": (
+        "attest_protocol/actors.py",
+        "  # lint: ignore[SEC003]",
+        "",
+        "_hw_keys",
+    ),
+    # The lane starts the verification and never looks at the outcome.
+    "TNT002": (
+        "roce/transport.py",
+        "check = kernel.attestation.verify_event(self.qp.session_id, message)",
+        "kernel.attestation.verify_event(self.qp.session_id, message)",
+        "discarded",
+    ),
+}
 
-    from repro.analysis import analyze_paths
 
-    start = time.perf_counter()
-    analyze_paths()
-    elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"lint took {elapsed:.1f}s (budget 10s)"
+@pytest.mark.parametrize("rule", sorted(_REAL_TREE_MUTATIONS))
+def test_real_module_mutation_raises_its_rule(rule, tmp_path):
+    from repro.analysis.rules import run_rules
+    from repro.analysis.walker import default_package_root
+
+    relpath, gate, mutant, word = _REAL_TREE_MUTATIONS[rule]
+    real = (default_package_root() / relpath).read_text()
+    assert real.count(gate) == 1, f"the line {rule}'s mutation rewrites moved"
+
+    def findings(source: str, name: str):
+        path = _write_module(tmp_path / name, f"repro/{relpath}", source)
+        return run_rules([parse_file(path)], [cls() for cls in TAINT_RULES])
+
+    assert findings(real, "real") == []
+    hits = findings(real.replace(gate, mutant), "mutated")
+    assert [f.rule for f in hits] == [rule]
+    assert word in hits[0].message

@@ -276,89 +276,6 @@ def test_trace_command_tamper_shows_rejection(capsys):
 
 
 # ----------------------------------------------------------------------
-# OBS001: the observability layer itself must be clock-free
-# ----------------------------------------------------------------------
-def test_obs001_flags_time_import_in_telemetry(tmp_path):
-    from repro.analysis.observability import TelemetryWallClockRule
-    from repro.analysis.walker import parse_file
-
-    path = tmp_path / "repro" / "telemetry" / "bad.py"
-    path.parent.mkdir(parents=True)
-    for package in (tmp_path / "repro", path.parent):
-        (package / "__init__.py").write_text("")
-    path.write_text("import time\n\nSTAMP = time.time()\n")
-    findings = list(TelemetryWallClockRule().check(parse_file(path)))
-    assert {f.rule for f in findings} == {"OBS001"}
-    assert len(findings) == 2  # the import and the call
-
-
-def test_obs001_ignores_other_packages(tmp_path):
-    from repro.analysis.observability import TelemetryWallClockRule
-    from repro.analysis.walker import parse_file
-
-    path = tmp_path / "repro" / "bench" / "timed.py"
-    path.parent.mkdir(parents=True)
-    for package in (tmp_path / "repro", path.parent):
-        (package / "__init__.py").write_text("")
-    path.write_text("import time\n")
-    assert list(TelemetryWallClockRule().check(parse_file(path))) == []
-
-
-def test_obs001_flags_bare_wall_clock_reference(tmp_path):
-    from repro.analysis.observability import TelemetryWallClockRule
-    from repro.analysis.walker import parse_file
-
-    path = tmp_path / "repro" / "telemetry" / "sneaky.py"
-    path.parent.mkdir(parents=True)
-    for package in (tmp_path / "repro", path.parent):
-        (package / "__init__.py").write_text("")
-    # Storing the clock as a callable smuggles nondeterminism past a
-    # call-only check; the reference itself must be flagged.
-    path.write_text("import time\n\nCLOCK = time.perf_counter_ns\n")
-    findings = list(TelemetryWallClockRule().check(parse_file(path)))
-    assert len(findings) == 2  # the import and the bare reference
-    assert any("reference to" in f.message for f in findings)
-
-
-def test_obs001_does_not_double_report_calls(tmp_path):
-    from repro.analysis.observability import TelemetryWallClockRule
-    from repro.analysis.walker import parse_file
-
-    path = tmp_path / "repro" / "telemetry" / "called.py"
-    path.parent.mkdir(parents=True)
-    for package in (tmp_path / "repro", path.parent):
-        (package / "__init__.py").write_text("")
-    # A call site is one finding (the Call branch), not two: the
-    # Attribute node that is the call's func must not re-report.
-    path.write_text("import time\n\nSTAMP = time.monotonic()\n")
-    findings = list(TelemetryWallClockRule().check(parse_file(path)))
-    assert len(findings) == 2  # the import and the call — nothing more
-
-
-def test_obs001_scopes_include_instrument_layer(tmp_path):
-    from repro.analysis.observability import TelemetryWallClockRule
-    from repro.analysis.walker import parse_file
-
-    path = tmp_path / "repro" / "sim" / "instrument.py"
-    path.parent.mkdir(parents=True)
-    for package in (tmp_path / "repro", path.parent):
-        (package / "__init__.py").write_text("")
-    path.write_text("CLOCK = __import__('time').perf_counter_ns\n")
-    # dotted_name can't see through __import__, but a plain reference
-    # in the tracepoint layer is flagged just as in repro.telemetry.
-    path.write_text("import time\n\nCLOCK = time.perf_counter_ns\n")
-    findings = list(TelemetryWallClockRule().check(parse_file(path)))
-    assert len(findings) == 2
-
-
-def test_obs001_profiler_waivers_keep_real_tree_clean():
-    from repro.analysis import analyze_paths
-
-    findings = analyze_paths([Path("src/repro/telemetry")])
-    assert [f for f in findings if f.rule == "OBS001"] == []
-
-
-# ----------------------------------------------------------------------
 # Prometheus label escaping
 # ----------------------------------------------------------------------
 def test_prometheus_label_escaping():

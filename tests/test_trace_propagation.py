@@ -199,8 +199,7 @@ def test_sampling_drops_whole_traces_deterministically():
         from repro.api.ops import recv
 
         cluster = Cluster(["alice", "bob"], seed=0)
-        hub = Telemetry.attach(cluster.sim, sample_every=2,
-                               sampling_seed=9)
+        hub = Telemetry.attach(cluster.sim, sample_every=2)
         conn_a, conn_b = cluster.connect("alice", "bob")
         for i in range(8):
             cluster.run(auth_send(conn_a, b"x" * 64))
