@@ -67,7 +67,7 @@ class SourceSpec:
     Exactly one of *call* / *attribute* / *param* is set:
 
     * ``call`` — dotted-suffix pattern; a matching call's return value
-      carries *tag* (``"key_for"`` matches ``self.keystore.key_for``);
+      carries *tag* (``"read_key"`` matches ``self.store.read_key``);
     * ``attribute`` — attribute name; reading it taints the result;
     * ``param`` — parameter name; the parameter is born tainted, but
       only in modules under *packages* (empty = everywhere).

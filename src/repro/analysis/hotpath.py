@@ -36,10 +36,12 @@ contract, the same way determinism, taint and races already are:
      ``try``/``finally`` is free on the no-exception path (3.11+), and
      a ``try`` whose body *yields* is a protocol wait (a replica loop
      catching the failure of the check it waits on), so both are exempt.
-   * PERF006 — a raw ``hmac.new``/``hashlib.sha256`` call outside the
-     sanctioned batched/cached helpers (``mac_encoded``,
-     ``verify_encoded``, ``key_id``, ``canonical_bytes`` and their
-     encode-then-call forms) — those carry the verification cache and
+   * PERF006 — a raw ``hmac``/``hashlib.sha256`` call outside the
+     sanctioned helpers (``KeyedHmac``, which keys the one HMAC the
+     tree has — the only place a bare SHA-256 state is built —
+     ``mac_encoded``, ``verify_encoded``, ``key_id``,
+     ``canonical_bytes`` and their encode-then-call forms) — those
+     carry the per-session keyed state, the verification cache and the
      key-hygiene the hot path relies on.
 
 The findings are the whole output: nothing is written down.  An
@@ -204,6 +206,7 @@ TNIC_MANIFEST = HotPathManifest(
         "vspan",
     ),
     hmac_helpers=(
+        "KeyedHmac.__init__",
         "mac_encoded",
         "verify_encoded",
         "hmac_sha256",
@@ -642,8 +645,8 @@ class HotPathEngine:
                 info,
                 node,
                 f"raw crypto call {name}() in hot function "
-                f"{info.qualname}; use the cached helpers in "
-                "repro.crypto (mac_encoded/verify_encoded)",
+                f"{info.qualname}; use the keyed helpers in "
+                "repro.crypto (KeyedHmac.mac/verify_encoded)",
             )
 
         # PERF002: instantiating a __dict__-carrying class per event.
@@ -792,12 +795,15 @@ class RawCryptoRule(_HotPathRule):
     explanation = (
         "Attestation makes crypto repetitive by design: the same "
         "attested message is re-verified at every receiver it is "
-        "forwarded to.  The sanctioned helpers (mac_encoded, the "
-        "memoized verify_encoded, VerificationCache.key_id, "
-        "canonical_bytes, and hmac_sha256/hmac_verify over them) work "
-        "on the encoding a message carries and keep the verification "
-        "LRU; a raw hmac.new()/hashlib.sha256() call in a hot function "
-        "bypasses both and recomputes a large-buffer MAC per event."
+        "forwarded to.  The sanctioned helpers (KeyedHmac — a session "
+        "key absorbed once into two SHA-256 states, the only place a "
+        "bare hashlib.sha256 state is built — the memoized "
+        "verify_encoded, VerificationCache.key_id, canonical_bytes, and "
+        "mac_encoded/hmac_sha256/hmac_verify over them) work on the "
+        "encoding a message carries, MAC through the session's keyed "
+        "state and keep the verification LRU; a raw hmac.new()/"
+        "hashlib.sha256() call in a hot function bypasses all three: it "
+        "re-keys per call and recomputes a large-buffer MAC per event."
     )
 
 

@@ -24,9 +24,11 @@ turns into lint rules on top of :mod:`repro.analysis.dataflow`:
      call to a verify-family function).
 
 :data:`TNIC_MANIFEST` is the declarative policy: where taint is born
-(``key_for`` returns, ``_session_keys`` / ``_hw_keys`` reads, ``key``
-parameters of TCB modules, the ``packet`` parameter of the ingress
-handlers), where it must never arrive, and which calls launder it (HMAC
+(``_hw_keys`` reads, ``key`` parameters of TCB modules — a session key
+is written into the Keystore as a keyed HMAC state and nothing reads it
+back, so ``install``'s parameter is its only birth place — and the
+``packet`` parameter of the ingress handlers), where it must never
+arrive, and which calls launder it (keying an HMAC state, HMAC
 computation and the attestation-verify family — their outputs are safe
 to share by construction).
 """
@@ -54,11 +56,9 @@ _TCB = ("repro.core", "repro.crypto", "repro.roce")
 
 TNIC_MANIFEST = TaintManifest(
     sources=(
-        # Keystore reads: the only API handing out installed session keys.
-        SourceSpec(tag="key", call="key_for"),
-        # Direct reads of the underlying key stores (Keystore session
-        # memory, the manufacturer/vendor HW-key tables of §3.2).
-        SourceSpec(tag="key", attribute="_session_keys"),
+        # Direct reads of the underlying key stores (the
+        # manufacturer/vendor HW-key tables of §3.2; the Keystore holds
+        # keyed HMAC states and has no key to read).
         SourceSpec(tag="key", attribute="_hw_keys"),
         # Inside the TCB, parameters carrying key material are secrets
         # from birth (callers outside can only have obtained them from
@@ -100,6 +100,9 @@ TNIC_MANIFEST = TaintManifest(
     ),
     sanitizers=(
         # MAC/hash computation: outputs are safe to share by construction.
+        # ``KeyedHmac`` is the MAC boundary — a key goes in once, only
+        # MACs come out.
+        "KeyedHmac",
         "mac_encoded",
         "hmac_sha256",
         "sha256",
@@ -185,12 +188,13 @@ class KeyToSinkRule(_FlowRule):
         "TNIC's security argument needs session and HW key material to\n"
         "stay inside the attestation kernel's TCB (paper §4.1: keys are\n"
         "'unknown to the untrusted parties').  This rule follows key\n"
-        "material interprocedurally from the Keystore sources\n"
-        "(`key_for`, `_session_keys`/`_hw_keys` reads, TCB `key`\n"
-        "parameters) and fires when it can reach a `print`/logging call,\n"
-        "a telemetry hook (`emit`, `count`, ...), `json`/`pickle`\n"
-        "serialization, a wire transmit (`transmit`, `post_send`), or a\n"
-        "function defined outside the TCB packages.  Outputs of\n"
+        "material interprocedurally from its sources (`_hw_keys` reads,\n"
+        "TCB `key` parameters — `Keystore.install` absorbs a session key\n"
+        "into a `KeyedHmac` state and nothing reads it back) and fires\n"
+        "when it can reach a `print`/logging call, a telemetry hook\n"
+        "(`emit`, `count`, ...), `json`/`pickle` serialization, a wire\n"
+        "transmit (`transmit`, `post_send`), or a function defined\n"
+        "outside the TCB packages.  Outputs of `KeyedHmac`,\n"
         "`mac_encoded`/`hmac_sha256`/`sha256` and the verify family are\n"
         "clean by construction (one-way), so attestation certificates\n"
         "never fire."

@@ -81,7 +81,13 @@ class IbvConnection:
         return self.qp.session_id
 
     def stage(self, payload: bytes) -> int:
-        """Copy *payload* into the tx region; returns its address."""
+        """Copy *payload* into the tx region; returns its address.
+
+        The region is a ring and wraps without accounting: a staged
+        slot is free again once the request that names it has been
+        posted, because ``RdmaLibrary.post`` reads the bytes at the
+        post.  Stage, then post, before staging the next payload.
+        """
         if self.tx_region is None:
             raise RuntimeError("connection has no tx region (call alloc_mem)")
         if len(payload) > self.tx_region.size:

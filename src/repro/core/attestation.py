@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from repro.core.counters import CounterStore
 from repro.core.keystore import Keystore, KeystoreError
 from repro.crypto.hashing import canonical_bytes
-from repro.crypto.hmac_engine import HmacEngine, mac_encoded, verify_encoded
+from repro.crypto.hmac_engine import HmacEngine, KeyedHmac, verify_encoded
 from repro.sim.instrument import count, flight_trigger, gauge_set
 from repro.sim.trace import emit
 
@@ -131,11 +131,11 @@ class AttestationKernel:
     # ------------------------------------------------------------------
     def attest(self, session_id: int, payload: bytes) -> AttestedMessage:
         """Generate a unique, verifiable attestation for *payload*."""
-        key = self._key(session_id)
+        state = self._mac(session_id)
         counter = self.counters.next_send(session_id)  # Algo 1: L2
         encoded = canonical_bytes(
             (payload, counter, self.device_id, session_id))
-        alpha = mac_encoded(key, encoded)  # Algo 1: L4
+        alpha = state.mac(encoded)  # Algo 1: L4
         self.attest_count += 1
         if self.sim is not None:
             if self.sim.tracer is not None:
@@ -169,7 +169,7 @@ class AttestationKernel:
         # advances ``recv_cnt``, so a (session, counter) verifies at most
         # once and a hit could only be a replay the counter check rejects.
         if not compare_digest(
-                mac_encoded(self._key(session_id), message.encoded()),
+                self._mac(session_id).mac(message.encoded()),
                 message.alpha):
             self.reject_count += 1
             if self.sim is not None:
@@ -217,7 +217,7 @@ class AttestationKernel:
         ``verify(m, σ(p_i))`` of §2.1.
         """
         return verify_encoded(
-            self._key(session_id),
+            self._mac(session_id),
             self.keystore.key_id_for(session_id),
             message.alpha,
             message.encoded(),
@@ -252,7 +252,7 @@ class AttestationKernel:
         :class:`AttestationError` as its exception.
         """
         engine = self._engine()
-        self._key(session_id)  # fail fast on unknown sessions
+        self._mac(session_id)  # fail fast on unknown sessions
         check = engine.occupy(len(message.payload) + 8, (session_id, message))
         check.callbacks.append(self._settle)
         return check
@@ -266,9 +266,11 @@ class AttestationKernel:
             check._exception = exc
 
     # ------------------------------------------------------------------
-    def _key(self, session_id: int) -> bytes:
+    def _mac(self, session_id: int) -> KeyedHmac:
+        """The session's keyed HMAC state: all the kernel ever holds of
+        a session key."""
         try:
-            return self.keystore.key_for(session_id)
+            return self.keystore.mac_for(session_id)
         except KeystoreError as exc:
             raise UnknownSessionError(str(exc)) from exc
 

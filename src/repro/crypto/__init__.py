@@ -5,7 +5,8 @@ signatures actually fail to verify); only the *timing* of hardware
 crypto engines is modelled, in :mod:`repro.sim.latency`.
 
 * :mod:`~repro.crypto.hashing` — SHA-256 helpers.
-* :mod:`~repro.crypto.hmac_engine` — HMAC-SHA256 compute/verify, plus a
+* :mod:`~repro.crypto.hmac_engine` — HMAC-SHA256 keyed once per
+  session (:class:`KeyedHmac`), compute/verify over it, plus a
   hardware-pipeline cost model mirroring the attestation kernel's
   byte-serial HMAC unit.
 * :mod:`~repro.crypto.rsa` — a compact textbook RSA signature scheme
@@ -19,6 +20,7 @@ from repro.crypto.certificates import Certificate, CertificateError
 from repro.crypto.hashing import sha256, sha256_hex
 from repro.crypto.hmac_engine import (
     HmacEngine,
+    KeyedHmac,
     VerificationCache,
     batch_verify,
     hmac_sha256,
@@ -36,6 +38,7 @@ __all__ = [
     "Certificate",
     "CertificateError",
     "HmacEngine",
+    "KeyedHmac",
     "RsaKeyPair",
     "RsaPublicKey",
     "VerificationCache",

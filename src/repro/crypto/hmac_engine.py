@@ -1,14 +1,20 @@
 """HMAC-SHA256: the MAC behind TNIC attestation certificates.
 
-Three layers live here:
+Four layers live here:
 
-* Plain functions computing real MACs (used everywhere an attestation
-  α is produced or checked).  The implementation takes a message that
-  is *already canonically encoded* — :func:`mac_encoded` and
+* :class:`KeyedHmac`, the one HMAC-SHA256 implementation, built on the
+  hash core as the FPGA's unit is: a key is absorbed *once* into two
+  SHA-256 states (RFC 2104's K^ipad and K^opad blocks) and every MAC
+  under it costs two state copies plus the message blocks.  The
+  Keystore builds one per installed session, so the attestation
+  kernel's data path holds a MAC capability and never key bytes.
+* Plain functions over it.  The implementation takes a message that is
+  *already canonically encoded* — :meth:`KeyedHmac.mac` and
   :func:`verify_encoded` — because an attested message carries its
-  encoding from attest to every check.  :func:`hmac_sha256`,
-  :func:`hmac_verify` and :func:`batch_verify` encode their parts and
-  call those.
+  encoding from attest to every check.  Callers that hold only a key
+  (bootstrapping, the TLS model) use :func:`mac_encoded`, "key a state,
+  MAC once", and :func:`hmac_sha256`, :func:`hmac_verify` and
+  :func:`batch_verify`, which encode their parts and call those.
 * :class:`VerificationCache`, a wall-clock-only memo of verification
   *outcomes*: transferable authentication means the same attested
   message is re-verified by every receiver it is forwarded to (e.g.
@@ -28,8 +34,8 @@ Three layers live here:
 from __future__ import annotations
 
 import hashlib as _hashlib
-import hmac as _hmac
 from collections import OrderedDict
+from hmac import compare_digest
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.crypto.hashing import canonical_bytes
@@ -43,15 +49,46 @@ if TYPE_CHECKING:  # pragma: no cover
 MAC_SIZE = 32
 
 
-def _require_key(key: bytes) -> None:
-    if not isinstance(key, bytes) or not key:
-        raise ValueError("HMAC key must be non-empty bytes")
+_BLOCK_SIZE = 64  # SHA-256 block, bytes
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
+class KeyedHmac:
+    """HMAC-SHA256 under one key, keyed once (RFC 2104).
+
+    Construction absorbs the key: a key longer than the 64 B block is
+    hashed first, the result is zero-padded to the block, and two
+    SHA-256 states absorb ``K ^ ipad`` and ``K ^ opad``.  The key bytes
+    are not retained — the two states are all a MAC needs, and neither
+    gives the key back.  The states are only ever copied, never
+    updated, so one instance serves any number of messages.
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes) -> None:
+        if not isinstance(key, bytes) or not key:
+            raise ValueError("HMAC key must be non-empty bytes")
+        if len(key) > _BLOCK_SIZE:
+            key = _hashlib.sha256(key).digest()
+        block = key.ljust(_BLOCK_SIZE, b"\0")
+        self._inner = _hashlib.sha256(block.translate(_IPAD))
+        self._outer = _hashlib.sha256(block.translate(_OPAD))
+
+    def mac(self, encoded: bytes) -> bytes:
+        """HMAC-SHA256 of the canonically *encoded* message."""
+        inner = self._inner.copy()
+        inner.update(encoded)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 def mac_encoded(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256 of the canonically encoded *message* under *key*."""
-    _require_key(key)
-    return _hmac.new(key, message, "sha256").digest()
+    """HMAC-SHA256 of the canonically encoded *message* under *key*,
+    for a caller that holds a key and MACs once with it."""
+    return KeyedHmac(key).mac(message)
 
 
 def hmac_sha256(key: bytes, *parts) -> bytes:
@@ -152,10 +189,11 @@ def verification_cache_stats() -> dict:
     return verification_cache.stats()
 
 
-def verify_encoded(key: bytes, key_id: bytes, mac: bytes, message: bytes) -> bool:
+def verify_encoded(
+        state: KeyedHmac, key_id: bytes, mac: bytes, message: bytes) -> bool:
     """Constant-time comparison of *mac* against the expected MAC of the
-    canonically encoded *message*; *key_id* is
-    :meth:`VerificationCache.key_id` of *key*.
+    canonically encoded *message*; *state* and *key_id* are the
+    :class:`KeyedHmac` and :meth:`VerificationCache.key_id` of one key.
 
     Results are memoized in :data:`verification_cache`; the counter and
     every other MAC input is part of the cached message encoding, so no
@@ -165,16 +203,16 @@ def verify_encoded(key: bytes, key_id: bytes, mac: bytes, message: bytes) -> boo
     cached = verification_cache.lookup(cache_key)
     if cached is not None:
         return cached
-    result = _hmac.compare_digest(mac_encoded(key, message), mac)
+    result = compare_digest(state.mac(message), mac)
     verification_cache.store(cache_key, result)
     return result
 
 
 def hmac_verify(key: bytes, mac: bytes, *parts) -> bool:
     """:func:`verify_encoded` of the canonical encoding of *parts*."""
-    _require_key(key)
     return verify_encoded(
-        key, VerificationCache.key_id(key), mac, canonical_bytes(parts))
+        KeyedHmac(key), VerificationCache.key_id(key), mac,
+        canonical_bytes(parts))
 
 
 def batch_verify(jobs: Sequence[tuple]) -> list[bool]:

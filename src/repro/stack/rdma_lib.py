@@ -13,6 +13,10 @@ control registers of the TNIC hardware."
 The library holds the TNIC-process lock while programming the control
 registers, rings the doorbell, and the device picks the request up —
 zero payload copies: the hardware DMA-reads straight from ibv memory.
+That read is taken when the request is posted, not when the lock is
+granted: a caller may reuse the staging bytes as soon as ``post``
+returns (``IbvConnection.stage`` is a ring), and a request must carry
+the bytes it was posted with.
 """
 
 from __future__ import annotations
@@ -86,9 +90,11 @@ class _Post:
     the events it waits for (see ``repro.core.device._TxStages``), not
     as a process.  ``done``, the request's one completion event, is
     handed down to the device; ``_completed`` is a callback on it.
+    ``payload`` is the DMA snapshot of the request's bytes, taken at
+    the post.
     """
 
-    __slots__ = ("lib", "request", "done", "span")
+    __slots__ = ("lib", "request", "done", "span", "payload")
 
     def __init__(self, lib: "RdmaLibrary", request: WorkRequest, done: Event) -> None:
         self.lib = lib
@@ -106,6 +112,13 @@ class _Post:
                                parent=trace_extract(lib.sim, request.meta),
                                qp=request.qp_number, bytes=request.length)
         self.done.callbacks.append(self._completed)
+        try:
+            self.payload = lib.region_for_address(
+                request.local_addr, request.length
+            ).dma_read(request.local_addr, request.length)
+        except Exception as exc:
+            self._refused(exc)
+            return
         lib.process.exclusive_regs().callbacks.append(self._locked)
 
     def _locked(self, _grant: Event) -> None:
@@ -114,9 +127,6 @@ class _Post:
         process = lib.process
         span = self.span
         try:
-            payload = lib.region_for_address(
-                request.local_addr, request.length
-            ).dma_read(request.local_addr, request.length)
             regs = process.regs
             regs.write_u64(RegField.CTRL_OPCODE, _OPCODE_CODES[request.opcode])
             regs.write_u64(RegField.CTRL_QP_NUMBER, request.qp_number)
@@ -136,11 +146,11 @@ class _Post:
                 meta["remote_addr"] = request.remote_addr
                 if request.rkey is not None:
                     meta["rkey"] = request.rkey.value
-            lib.device.send(request.qp_number, payload, opcode=request.opcode,
+            lib.device.send(request.qp_number, self.payload,
+                            opcode=request.opcode,
                             meta=meta, completion=self.done)
-        except Exception as exc:  # the completion event is the error channel
-            span.end(status="error")
-            self.done.fail(exc)
+        except Exception as exc:
+            self._refused(exc)
             return
         finally:
             process.release_regs()
@@ -148,9 +158,17 @@ class _Post:
         count(lib.sim, "rdma.posted", qp=request.qp_number)
         lib.tx_posted[request.qp_number] = lib.tx_posted.get(request.qp_number, 0) + 1
 
+    def _refused(self, exc: Exception) -> None:
+        """The completion event is the error channel: nothing raises
+        into the caller or out of the event loop."""
+        self.span.end(status="error")
+        self.done.fail(exc)
+
     def _completed(self, done: Event) -> None:
         if done._exception is None:
             self.lib.process.regs.post_status(completions=1)
+        else:
+            self.lib.process.regs.post_status(errors=1)
 
 
 class RdmaLibrary:
@@ -193,9 +211,11 @@ class RdmaLibrary:
         """Program the REGs page and ring the doorbell; returns the
         completion event for the posted operation.
 
-        Nothing is programmed before the REG-page lock is granted; a
-        failure at any stage (unregistered address, unknown QP, device
-        or transport error) fails the returned event and leaves the
+        The request's bytes are read here, so the caller may overwrite
+        them once this returns.  Nothing is programmed before the
+        REG-page lock is granted; a failure at any stage (unregistered
+        address, unknown QP, device or transport error) fails the
+        returned event, counts one in ``STATUS_ERRORS`` and leaves the
         lock released.
         """
         done = Event(self.sim)

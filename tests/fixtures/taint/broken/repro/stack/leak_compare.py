@@ -2,6 +2,6 @@
 
 
 def authenticate(store, session_id, provided):
-    key = store.key_for(session_id)
+    key = store._hw_keys[session_id]
     # `==` short-circuits on the first differing byte: timing oracle.
     return key == provided

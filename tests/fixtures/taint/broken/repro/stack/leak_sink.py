@@ -7,7 +7,7 @@ catches it — a single-statement pattern matcher would miss it.
 
 
 def fetch_key(store, session_id):
-    return store.key_for(session_id)
+    return store._hw_keys[session_id]
 
 
 def debug_dump(store, session_id):
@@ -17,7 +17,7 @@ def debug_dump(store, session_id):
 
 def report(sim, store, session_id):
     # Leak 2 (telemetry): raw key attached to a metrics event.
-    key = store.key_for(session_id)
+    key = store._hw_keys[session_id]
     emit(sim, "stack.session_key", key)
 
 
@@ -28,4 +28,4 @@ def send_raw(mac, data):
 def exfiltrate(store, mac, session_id):
     # Leak 3 (wire, via-chain): the sink is inside send_raw(), so the
     # finding must be reported here with the hop recorded.
-    send_raw(mac, store.key_for(session_id))
+    send_raw(mac, store._hw_keys[session_id])

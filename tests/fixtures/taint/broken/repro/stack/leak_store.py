@@ -9,4 +9,4 @@ class KeyCache:
 
     def remember(self, store, session_id):
         # The copy outlives the call and silently widens the TCB.
-        self._cached[session_id] = store.key_for(session_id)
+        self._cached[session_id] = store._hw_keys[session_id]

@@ -2,5 +2,5 @@
 
 
 def authenticate(store, session_id, provided_mac, payload):
-    key = store.key_for(session_id)
+    key = store._hw_keys[session_id]
     return compare_digest(hmac_sha256(key, payload), provided_mac)

@@ -7,10 +7,10 @@ kernel does with certificates.
 
 
 def publish_mac(sim, store, session_id, payload):
-    key = store.key_for(session_id)
+    key = store._hw_keys[session_id]
     emit(sim, "stack.mac", hmac_sha256(key, payload))
 
 
 def send_attested(mac, store, session_id, payload):
-    certificate = hmac_sha256(store.key_for(session_id), payload)
+    certificate = hmac_sha256(store._hw_keys[session_id], payload)
     mac.transmit(certificate)

@@ -14,9 +14,9 @@ from repro.core import (
     MacMismatchError,
     UnknownSessionError,
 )
-from repro.core import attestation
 from repro.core.counters import CounterStore
 from repro.core.keystore import Keystore, KeystoreError
+from repro.crypto.hmac_engine import KeyedHmac
 from repro.sim import Simulator
 
 KEY = b"k" * 32
@@ -168,7 +168,7 @@ def test_keystore_rejects_key_rewrite_and_short_keys():
 def test_keystore_unknown_session():
     store = Keystore(device_id=1)
     with pytest.raises(KeystoreError):
-        store.key_for(5)
+        store.mac_for(5)
     assert not store.has_session(5)
 
 
@@ -234,7 +234,7 @@ def test_pipelined_verify_failure_propagates():
 
 def test_pipelined_verify_runs_one_mac_check_per_message(monkeypatch):
     """Nothing is parked or batched: each ``verify_event`` settles with
-    exactly one ``mac_encoded`` call, at its own completion, even
+    exactly one ``KeyedHmac.mac`` call, at its own completion, even
     with several checks queued on the pipeline at once."""
     sim = Simulator()
     sender = AttestationKernel(10, sim)
@@ -243,13 +243,13 @@ def test_pipelined_verify_runs_one_mac_check_per_message(monkeypatch):
     receiver.install_session(1, KEY)
     messages = [sender.attest(1, bytes([index]) * 64) for index in range(4)]
     checked = []
-    mac_encoded = attestation.mac_encoded
+    mac = KeyedHmac.mac
 
-    def counting(key, message):
+    def counting(state, encoded):
         checked.append(sim.now)
-        return mac_encoded(key, message)
+        return mac(state, encoded)
 
-    monkeypatch.setattr(attestation, "mac_encoded", counting)
+    monkeypatch.setattr(KeyedHmac, "mac", counting)
     checks = [receiver.verify_event(1, message) for message in messages]
     assert checked == []  # queued, not yet checked
     sim.run()

@@ -4,7 +4,10 @@ Three contracts of the chain in ``repro.core.device`` (``_Send``) and
 ``repro.stack.rdma_lib`` (``_Post``):
 
 * every failure fails the returned event — nothing raises out of
-  ``sim.run()``, nothing deadlocks, and the REG lock is released;
+  ``sim.run()``, nothing deadlocks, the REG lock is released and
+  ``STATUS_ERRORS`` counts it;
+* a request carries the bytes it was posted with, however many posts
+  share the staging ring before the simulator runs;
 * a posted send has one completion event, handed down post → device →
   RoCE kernel; every layer's part in the completion is a callback on it;
 * a send costs a bounded, host-independent number of scheduler events
@@ -17,7 +20,7 @@ from collections import deque
 import pytest
 
 from repro.api import Cluster, auth_send
-from repro.api.ops import recv
+from repro.api.ops import recv, rem_write
 from repro.core.attestation import UnknownSessionError
 from repro.net.fabric import NetworkFault
 from repro.net.packet import RdmaOpcode
@@ -35,6 +38,24 @@ def _pair():
     conn_a, conn_b = cluster.connect("a", "b")
     cluster.run()
     return cluster, conn_a, conn_b
+
+
+def _send_windowed(cluster, conn, messages, payload_bytes, window=16):
+    """Post *messages* of *payload_bytes*, *window* outstanding, each
+    starting with its index; returns the completion instants."""
+    pending: deque = deque()
+    instants = []
+    for index in range(messages):
+        if len(pending) == window:
+            cluster.run(pending.popleft())
+            instants.append(cluster.sim.now)
+        pending.append(auth_send(
+            conn, index.to_bytes(8, "big") + b"x" * (payload_bytes - 8)))
+    while pending:
+        cluster.run(pending.popleft())
+        instants.append(cluster.sim.now)
+    cluster.run()
+    return instants
 
 
 # ----------------------------------------------------------------------
@@ -76,6 +97,10 @@ def _completions_counted(node) -> int:
     return node.process.regs.read_u64(RegField.STATUS_COMPLETIONS)
 
 
+def _errors_counted(node) -> int:
+    return node.process.regs.read_u64(RegField.STATUS_ERRORS)
+
+
 def _count_failures(monkeypatch):
     """``{event: times fail() was called on it}`` from here on."""
     failures: dict = {}
@@ -100,6 +125,7 @@ def test_failed_post_fails_its_event_and_releases_the_reg_lock(
     cluster, conn_a, conn_b = _pair()
     rdma = conn_a.node.rdma
     completions_before = _completions_counted(conn_a.node)
+    errors_before = _errors_counted(conn_a.node)
     failures = _count_failures(monkeypatch)
     failed = rdma.post(build(cluster, conn_a))
     seen = []
@@ -109,16 +135,85 @@ def test_failed_post_fails_its_event_and_releases_the_reg_lock(
     with pytest.raises(error):
         failed.value
     # One event, failed exactly once, by whichever layer refused the
-    # request; the caller's callback saw it and the stack's did not
-    # count a completion.
+    # request; the caller's callback saw it and the stack's counted an
+    # error, not a completion.
     assert failures == {failed: 1}
     assert len(seen) == 1 and isinstance(seen[0], error)
     assert _completions_counted(conn_a.node) == completions_before
+    assert _errors_counted(conn_a.node) == errors_before + 1
     assert not conn_a.node.process.contended
     # A following post goes through: the lock was released.
     cluster.run(auth_send(conn_a, b"after the failure"))
     cluster.run()
     assert recv(conn_b)["payload"] == b"after the failure"
+    assert _completions_counted(conn_a.node) == completions_before + 1
+    assert _errors_counted(conn_a.node) == errors_before + 1
+
+
+def test_every_failed_post_moves_status_errors_by_exactly_one():
+    cluster, conn_a, _ = _pair()
+    node = conn_a.node
+    for failures in range(1, 4):
+        node.rdma.post(_request_unknown_qp(cluster, conn_a))
+        cluster.run()
+        assert (_errors_counted(node), _completions_counted(node)) == (failures, 0)
+
+
+# ----------------------------------------------------------------------
+# The staging ring: a request carries the bytes it was posted with
+# ----------------------------------------------------------------------
+def _distinct_payloads(count: int, size: int) -> list[bytes]:
+    return [index.to_bytes(8, "big") * (size // 8) for index in range(count)]
+
+
+def test_posts_that_wrap_the_staging_ring_deliver_the_posted_bytes():
+    """300 x 16 KiB is 4.7 MiB through a 4 MiB ring, all posted before
+    the simulator runs: the ring wraps onto slots whose requests are
+    still waiting for the REG lock.  Used to deliver 44 messages with
+    another message's bytes, attested and verified."""
+    cluster, conn_a, conn_b = _pair()
+    payloads = _distinct_payloads(300, 16 * 1024)
+    completions = [auth_send(conn_a, payload) for payload in payloads]
+    cluster.run()
+    assert all(completion.ok for completion in completions)
+    received = []
+    while (item := recv(conn_b)) is not None:
+        received.append(item["payload"])
+    assert received == payloads
+
+
+def test_rem_writes_that_wrap_the_staging_ring_write_the_posted_bytes():
+    cluster, conn_a, conn_b = _pair()
+    size = 16 * 1024
+    slots = conn_a.remote_size // size
+    payloads = _distinct_payloads(slots + 44, size)
+    # The first `slots` writes fill the peer's window; the rest come
+    # after the sender's ring has wrapped and rewrite the first 44.
+    completions = [rem_write(conn_a, (index % slots) * size, payload)
+                   for index, payload in enumerate(payloads)]
+    cluster.run()
+    assert all(completion.ok for completion in completions)
+    written = []
+    while (item := recv(conn_b)) is not None:  # places each WRITE
+        written.append(item["payload"])
+    assert written == payloads
+    window = conn_b.node.rdma.region_for_address(conn_a.remote_base, size)
+    expected = payloads[slots:] + payloads[44:slots]
+    assert [window.read(conn_a.remote_base + index * size, size)
+            for index in range(slots)] == expected
+
+
+def test_a_window_16_run_keeps_its_virtual_instants():
+    """Reading the payload at the post moved no event: completion
+    instants of 64 x 1 KiB, 16 outstanding, pinned at the parent of the
+    PR that moved the read."""
+    cluster, conn_a, _ = _pair()
+    instants = _send_windowed(cluster, conn_a, 64, 1024)
+    assert instants == sorted(instants)
+    assert (instants[0], instants[15], instants[16], instants[-1],
+            cluster.sim.now) == (
+        55.99493333333334, 455.8349333333334, 482.49093333333343,
+        1735.3229333333313, 1748.7309333333317)
 
 
 def test_the_posted_event_is_the_one_the_roce_kernel_completes():
@@ -147,7 +242,8 @@ def test_retry_limit_fails_the_one_event_and_every_layer_sees_it(monkeypatch):
         completion.value
     status = {span.name: span.labels.get("status") for span in hub.spans.finished}
     assert status["tnic.tx"] == "error"          # device: span closed as failed
-    assert _completions_counted(conn_a.node) == 0  # stack: nothing counted
+    assert _completions_counted(conn_a.node) == 0  # stack: no completion,
+    assert _errors_counted(conn_a.node) == 1       # one error
     assert "request.auth_send" in status         # api: root span closed
     assert not conn_a.node.process.contended
     # The next post goes through — on a fresh connection: the peer
@@ -198,15 +294,7 @@ def _budget(monkeypatch, payload_bytes, messages, window=16):
 
     monkeypatch.setattr(Simulator, "process", recording)
     monkeypatch.setattr(Simulator, "_push", counting)
-    pending: deque = deque()
-    for index in range(messages):
-        if len(pending) == window:
-            cluster.run(pending.popleft())
-        pending.append(auth_send(
-            conn_a, index.to_bytes(8, "big") + b"x" * (payload_bytes - 8)))
-    while pending:
-        cluster.run(pending.popleft())
-    cluster.run()
+    _send_windowed(cluster, conn_a, messages, payload_bytes, window)
     received = []
     while (item := recv(conn_b)) is not None:
         received.append(item["message"].counter)

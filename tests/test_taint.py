@@ -65,7 +65,7 @@ def test_pattern_matches_suffix_and_prefix_forms():
 def test_direct_source_to_sink_flow(tmp_path):
     flows = _flows(tmp_path, (
         "def leak(store, sid):\n"
-        "    print(store.key_for(sid))\n"
+        "    print(store._hw_keys[sid])\n"
     ))
     assert [(f.tag, f.kind, f.line) for f in flows] == [("key", "log", 2)]
 
@@ -73,7 +73,7 @@ def test_direct_source_to_sink_flow(tmp_path):
 def test_assignment_propagates_taint(tmp_path):
     flows = _flows(tmp_path, (
         "def leak(store, sid):\n"
-        "    key = store.key_for(sid)\n"
+        "    key = store._hw_keys[sid]\n"
         "    alias = key\n"
         "    print(alias)\n"
     ))
@@ -83,7 +83,7 @@ def test_assignment_propagates_taint(tmp_path):
 def test_sanitizer_launders_taint(tmp_path):
     flows = _flows(tmp_path, (
         "def safe(store, sid, payload):\n"
-        "    mac = hmac_sha256(store.key_for(sid), payload)\n"
+        "    mac = hmac_sha256(store._hw_keys[sid], payload)\n"
         "    print(mac)\n"
     ))
     assert flows == []
@@ -92,7 +92,7 @@ def test_sanitizer_launders_taint(tmp_path):
 def test_interprocedural_return_propagation(tmp_path):
     flows = _flows(tmp_path, (
         "def fetch(store, sid):\n"
-        "    return store.key_for(sid)\n"
+        "    return store._hw_keys[sid]\n"
         "def leak(store, sid):\n"
         "    print(fetch(store, sid))\n"
     ))
@@ -104,7 +104,7 @@ def test_interprocedural_param_sink_reports_at_callsite(tmp_path):
         "def helper(value):\n"
         "    print(value)\n"
         "def leak(store, sid):\n"
-        "    helper(store.key_for(sid))\n"
+        "    helper(store._hw_keys[sid])\n"
     ))
     assert len(flows) == 1
     flow = flows[0]
@@ -121,7 +121,7 @@ def test_three_hop_chain_converges(tmp_path):
         "def sink1(v):\n"
         "    sink2(v)\n"
         "def leak(store, sid):\n"
-        "    sink1(store.key_for(sid))\n"
+        "    sink1(store._hw_keys[sid])\n"
     ))
     assert any(f.line == 8 for f in flows)
 
@@ -131,7 +131,7 @@ def test_summaries_expose_passthrough_and_tags(tmp_path):
         "def ident(x):\n"
         "    return x\n"
         "def source(store, sid):\n"
-        "    return store.key_for(sid)\n"
+        "    return store._hw_keys[sid]\n"
     )))
     engine = TaintEngine([src], TNIC_MANIFEST)
     engine.run()
@@ -145,7 +145,7 @@ def test_compare_results_are_untainted(tmp_path):
     # (otherwise `has_key = sid == 1` style code drowns SEC001 in noise).
     flows = _flows(tmp_path, (
         "def check(store, sid, other):\n"
-        "    matches = store.key_for(sid) == other\n"
+        "    matches = store._hw_keys[sid] == other\n"
         "    print(matches)\n"
     ))
     assert [(f.tag, f.kind) for f in flows] == [("key", "compare")]
@@ -265,19 +265,20 @@ def test_real_transport_whose_lane_skips_verification_raises_tnt001(tmp_path):
 #: rule -> (module file under src/repro, the one line the mutation
 #: rewrites, what it becomes, a word the finding's message must carry).
 _REAL_TREE_MUTATIONS = {
-    # §4.1 key secrecy: the attest tracepoint logs the session key.
+    # §4.1 key secrecy: a tracepoint at install logs the session key.
     "SEC001": (
         "core/attestation.py",
-        'f"session={session_id} cnt={counter} {len(payload)}B",',
-        "key,",
+        "        self.keystore.install(session_id, key)\n",
+        "        self.keystore.install(session_id, key)\n"
+        "        emit(self.sim, \"attest.install\", key, device=self.device_id)\n",
         "emit",
     ),
-    # An "idempotent re-install" that compares the burnt key with `!=`.
+    # A weak-key check that compares the key being burnt with `==`.
     "SEC002": (
         "core/keystore.py",
-        "        if session_id in self._session_keys:\n",
-        "        if (session_id in self._session_keys\n"
-        "                and self._session_keys[session_id] != key):\n",
+        "        if not isinstance(key, bytes) or len(key) < 16:\n",
+        "        if (not isinstance(key, bytes) or len(key) < 16\n"
+        "                or key == bytes(len(key))):\n",
         "compare_digest",
     ),
     # The §3.2 HW-key hand-off without the waiver that sanctions it.
