@@ -67,7 +67,7 @@ class SourceSpec:
     Exactly one of *call* / *attribute* / *param* is set:
 
     * ``call`` — dotted-suffix pattern; a matching call's return value
-      carries *tag* (``"read_key"`` matches ``self.store.read_key``);
+      carries *tag* (``"mac_for"`` matches ``self.keystore.mac_for``);
     * ``attribute`` — attribute name; reading it taints the result;
     * ``param`` — parameter name; the parameter is born tainted, but
       only in modules under *packages* (empty = everywhere).

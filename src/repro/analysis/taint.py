@@ -24,13 +24,13 @@ turns into lint rules on top of :mod:`repro.analysis.dataflow`:
      call to a verify-family function).
 
 :data:`TNIC_MANIFEST` is the declarative policy: where taint is born
-(``_hw_keys`` reads, ``key`` parameters of TCB modules — a session key
-is written into the Keystore as a keyed HMAC state and nothing reads it
-back, so ``install``'s parameter is its only birth place — and the
-``packet`` parameter of the ingress handlers), where it must never
-arrive, and which calls launder it (keying an HMAC state, HMAC
+(``_hw_keys`` reads, ``key`` parameters of TCB modules, and the
+Keystore's ``mac_for`` / ``_session_macs`` — a session key is kept as a
+keyed HMAC state, which forges an α as well as the key it absorbed and
+so carries the same tag — and the ``packet`` parameter of the ingress
+handlers), where it must never arrive, and which calls launder it (HMAC
 computation and the attestation-verify family — their outputs are safe
-to share by construction).
+to share by construction; keying a state is not one of them).
 """
 
 from __future__ import annotations
@@ -56,9 +56,11 @@ _TCB = ("repro.core", "repro.crypto", "repro.roce")
 
 TNIC_MANIFEST = TaintManifest(
     sources=(
-        # Direct reads of the underlying key stores (the
-        # manufacturer/vendor HW-key tables of §3.2; the Keystore holds
-        # keyed HMAC states and has no key to read).
+        # Keystore reads: a session's keyed HMAC state is all the
+        # Keystore holds of its key, and all a forger needs of it.
+        SourceSpec(tag="key", call="mac_for"),
+        SourceSpec(tag="key", attribute="_session_macs"),
+        # Direct reads of the manufacturer/vendor HW-key tables of §3.2.
         SourceSpec(tag="key", attribute="_hw_keys"),
         # Inside the TCB, parameters carrying key material are secrets
         # from birth (callers outside can only have obtained them from
@@ -100,9 +102,9 @@ TNIC_MANIFEST = TaintManifest(
     ),
     sanitizers=(
         # MAC/hash computation: outputs are safe to share by construction.
-        # ``KeyedHmac`` is the MAC boundary — a key goes in once, only
-        # MACs come out.
-        "KeyedHmac",
+        # ``KeyedHmac.mac`` is the MAC boundary — what ``KeyedHmac(key)``
+        # returns is still the key, absorbed; only its MACs are clean.
+        "mac",
         "mac_encoded",
         "hmac_sha256",
         "sha256",
@@ -189,12 +191,13 @@ class KeyToSinkRule(_FlowRule):
         "stay inside the attestation kernel's TCB (paper §4.1: keys are\n"
         "'unknown to the untrusted parties').  This rule follows key\n"
         "material interprocedurally from its sources (`_hw_keys` reads,\n"
-        "TCB `key` parameters — `Keystore.install` absorbs a session key\n"
-        "into a `KeyedHmac` state and nothing reads it back) and fires\n"
+        "TCB `key` parameters, and the Keystore's `mac_for` /\n"
+        "`_session_macs` — a session key is kept as a `KeyedHmac` state,\n"
+        "which forges an attestation as well as the key would) and fires\n"
         "when it can reach a `print`/logging call, a telemetry hook\n"
         "(`emit`, `count`, ...), `json`/`pickle` serialization, a wire\n"
         "transmit (`transmit`, `post_send`), or a function defined\n"
-        "outside the TCB packages.  Outputs of `KeyedHmac`,\n"
+        "outside the TCB packages.  Outputs of `KeyedHmac.mac`,\n"
         "`mac_encoded`/`hmac_sha256`/`sha256` and the verify family are\n"
         "clean by construction (one-way), so attestation certificates\n"
         "never fire."

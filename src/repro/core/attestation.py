@@ -218,7 +218,6 @@ class AttestationKernel:
         """
         return verify_encoded(
             self._mac(session_id),
-            self.keystore.key_id_for(session_id),
             message.alpha,
             message.encoded(),
         )

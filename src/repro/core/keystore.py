@@ -10,15 +10,18 @@ connection setup) and read only by the attestation kernel; the host
 software never sees key material through any public API.
 
 Nor does the kernel, after the write: what the HMAC unit needs of a
-key is its two absorbed SHA-256 states
-(:class:`~repro.crypto.hmac_engine.KeyedHmac`), so ``install`` derives
-those once and keeps them — the static memory holds a MAC capability
-per session, no key bytes, and nothing here can hand a key back.
+key is its two absorbed SHA-256 states and, for the outcome cache, its
+one-way fingerprint (:class:`~repro.crypto.hmac_engine.KeyedHmac` holds
+both), so ``install`` derives those once and keeps them — the static
+memory holds a MAC capability per session, no key bytes, and nothing
+here can hand a key back.  The capability forges an α as well as the
+key would, so it is as confined as the key was: ``mac_for`` and
+``_session_macs`` are key-tagged taint sources (``analysis/taint.py``).
 """
 
 from __future__ import annotations
 
-from repro.crypto.hmac_engine import KeyedHmac, VerificationCache
+from repro.crypto.hmac_engine import KeyedHmac
 
 
 class KeystoreError(Exception):
@@ -33,12 +36,9 @@ class Keystore:
             raise ValueError("device_id must be >= 0")
         self.device_id = device_id
         #: session -> its key, absorbed: every Attest/Verify of the
-        #: session MACs through this one state.
-        self._macs: dict[int, KeyedHmac] = {}
-        #: session -> one-way fingerprint of its key, the form in which
-        #: the verification cache may hold it.  Both are derived once,
-        #: here, because the key never changes.
-        self._key_ids: dict[int, bytes] = {}
+        #: session MACs through this one state, derived once because
+        #: the key never changes.
+        self._session_macs: dict[int, KeyedHmac] = {}
 
     def install(self, session_id: int, key: bytes) -> None:
         """Burn a session key; rewriting an existing session is refused."""
@@ -46,34 +46,26 @@ class Keystore:
             raise KeystoreError(f"invalid session id {session_id}")
         if not isinstance(key, bytes) or len(key) < 16:
             raise KeystoreError("session keys must be >= 16 bytes")
-        if session_id in self._macs:
+        if session_id in self._session_macs:
             raise KeystoreError(
                 f"session {session_id} already has a key installed; "
                 "keys are static memory and cannot be replaced"
             )
-        self._macs[session_id] = KeyedHmac(key)
-        self._key_ids[session_id] = VerificationCache.key_id(key)
+        self._session_macs[session_id] = KeyedHmac(key)
 
     def mac_for(self, session_id: int) -> KeyedHmac:
         """The keyed HMAC state of *session_id* (attestation kernel only)."""
         try:
-            return self._macs[session_id]
-        except KeyError:
-            raise KeystoreError(f"no key installed for session {session_id}") from None
-
-    def key_id_for(self, session_id: int) -> bytes:
-        """The installed key's :meth:`VerificationCache.key_id`."""
-        try:
-            return self._key_ids[session_id]
+            return self._session_macs[session_id]
         except KeyError:
             raise KeystoreError(f"no key installed for session {session_id}") from None
 
     def has_session(self, session_id: int) -> bool:
-        return session_id in self._macs
+        return session_id in self._session_macs
 
     def sessions(self) -> list[int]:
         """Installed session ids (key material is never exposed)."""
-        return sorted(self._macs)
+        return sorted(self._session_macs)
 
     def __len__(self) -> int:
-        return len(self._macs)
+        return len(self._session_macs)

@@ -63,13 +63,18 @@ class KeyedHmac:
     are not retained — the two states are all a MAC needs, and neither
     gives the key back.  The states are only ever copied, never
     updated, so one instance serves any number of messages.
+
+    ``key_id`` is the key's :meth:`VerificationCache.key_id`, the form
+    in which the outcome cache may hold it: a key is represented by its
+    absorbed state plus its fingerprint, both derived here, once.
     """
 
-    __slots__ = ("_inner", "_outer")
+    __slots__ = ("_inner", "_outer", "key_id")
 
     def __init__(self, key: bytes) -> None:
         if not isinstance(key, bytes) or not key:
             raise ValueError("HMAC key must be non-empty bytes")
+        self.key_id = VerificationCache.key_id(key)
         if len(key) > _BLOCK_SIZE:
             key = _hashlib.sha256(key).digest()
         block = key.ljust(_BLOCK_SIZE, b"\0")
@@ -189,17 +194,15 @@ def verification_cache_stats() -> dict:
     return verification_cache.stats()
 
 
-def verify_encoded(
-        state: KeyedHmac, key_id: bytes, mac: bytes, message: bytes) -> bool:
+def verify_encoded(state: KeyedHmac, mac: bytes, message: bytes) -> bool:
     """Constant-time comparison of *mac* against the expected MAC of the
-    canonically encoded *message*; *state* and *key_id* are the
-    :class:`KeyedHmac` and :meth:`VerificationCache.key_id` of one key.
+    canonically encoded *message* under the key *state* absorbed.
 
     Results are memoized in :data:`verification_cache`; the counter and
     every other MAC input is part of the cached message encoding, so no
     distinct input can ever hit another input's entry.
     """
-    cache_key = (key_id, message, mac)
+    cache_key = (state.key_id, message, mac)
     cached = verification_cache.lookup(cache_key)
     if cached is not None:
         return cached
@@ -209,10 +212,14 @@ def verify_encoded(
 
 
 def hmac_verify(key: bytes, mac: bytes, *parts) -> bool:
-    """:func:`verify_encoded` of the canonical encoding of *parts*."""
-    return verify_encoded(
-        KeyedHmac(key), VerificationCache.key_id(key), mac,
-        canonical_bytes(parts))
+    """:func:`verify_encoded` of the canonical encoding of *parts*.
+
+    Cold path only (bootstrapping, the TLS model): the key is absorbed
+    before the outcome cache is asked, so even a hit pays for keying.
+    A caller that verifies more than once under a key holds a
+    :class:`KeyedHmac`, as the Keystore does.
+    """
+    return verify_encoded(KeyedHmac(key), mac, canonical_bytes(parts))
 
 
 def batch_verify(jobs: Sequence[tuple]) -> list[bool]:

@@ -14,3 +14,8 @@ def publish_mac(sim, store, session_id, payload):
 def send_attested(mac, store, session_id, payload):
     certificate = hmac_sha256(store._hw_keys[session_id], payload)
     mac.transmit(certificate)
+
+
+def send_session_attested(mac, store, session_id, encoded):
+    # The session's keyed state stays put; the MAC it computes travels.
+    mac.transmit(store.mac_for(session_id).mac(encoded))

@@ -12,24 +12,24 @@
 import ast
 import copy
 import hmac
-from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.api import Cluster, auth_send
 from repro.api.ops import recv
 from repro.core import AttestationKernel, MacMismatchError, UnknownSessionError
 from repro.core.keystore import Keystore
 from repro.crypto import reset_verification_cache
-from repro.crypto.hmac_engine import KeyedHmac, mac_encoded, verification_cache
+from repro.crypto.hmac_engine import (
+    KeyedHmac, VerificationCache, mac_encoded, verification_cache)
 from repro.sim import Simulator
 from repro.systems.bft import BftCounter
 from repro.tee import TnicProvider
+from tests.test_send_path import _pair, _send_windowed
 
 KEY = b"k" * 32
 
@@ -67,9 +67,13 @@ def test_rfc_4231_vectors(key, data, expected):
     messages=st.lists(st.binary(min_size=0, max_size=20_000),
                       min_size=1, max_size=6),
 )
+@example(key=bytes(range(63)), messages=[b"m"])  # around the block size
+@example(key=bytes(range(64)), messages=[b"m"])
+@example(key=bytes(range(65)), messages=[b"m"])
 @settings(max_examples=60, deadline=None)
 def test_keyed_state_agrees_with_the_standard_library(key, messages):
     state = KeyedHmac(key)
+    assert state.key_id == VerificationCache.key_id(key)  # of the key as given
     twin = None
     for index, message in enumerate(messages):
         expected = hmac.digest(key, message, "sha256")
@@ -78,12 +82,6 @@ def test_keyed_state_agrees_with_the_standard_library(key, messages):
         if index == 0:
             twin = copy.copy(state)  # copied mid-use
         assert twin.mac(message) == expected
-
-
-@pytest.mark.parametrize("size", [63, 64, 65])
-def test_keys_around_the_block_size(size):
-    key = bytes(range(size))
-    assert KeyedHmac(key).mac(b"m") == hmac.digest(key, b"m", "sha256")
 
 
 @pytest.mark.parametrize("key", [b"", "text", None, bytearray(b"k" * 32)])
@@ -123,10 +121,12 @@ def test_install_keys_exactly_one_state_per_session(monkeypatch):
     assert len({id(state) for state in states}) == 3
     assert [store.mac_for(session) for session in range(1, 4)] == states
     assert len(built) == 3
-    # Kept of a key: its state and the cache's fingerprint, not its bytes.
-    kept = [value for table in vars(store).values() if isinstance(table, dict)
-            for value in table.values()]
-    assert bytes([1]) * 32 not in kept
+    # Kept of a key: its state, which carries the cache's fingerprint of
+    # it — one table, and not the key's bytes.
+    [table] = [value for value in vars(store).values() if isinstance(value, dict)]
+    assert list(table.values()) == states
+    assert set(KeyedHmac.__slots__) == {"_inner", "_outer", "key_id"}
+    assert states[0].key_id != bytes([1]) * 32
     # No process-wide memo behind it: the same key on another device is
     # keyed again, there.
     Keystore(device_id=2).install(1, bytes([1]) * 32)
@@ -142,16 +142,9 @@ def test_a_bft_run_keys_no_state_after_set_up(monkeypatch):
 
 
 def test_a_window_16_send_keys_no_state_after_set_up(monkeypatch):
-    cluster = Cluster(["a", "b"], seed=0)
-    conn_a, conn_b = cluster.connect("a", "b")
-    cluster.run()
+    cluster, conn_a, conn_b = _pair()
     built = _spy_on_keying(monkeypatch)
-    pending: deque = deque()
-    for index in range(200):
-        if len(pending) == 16:
-            cluster.run(pending.popleft())
-        pending.append(auth_send(conn_a, index.to_bytes(8, "big") * 8))
-    cluster.run()
+    _send_windowed(cluster, conn_a, 200, 64)
     delivered = 0
     while recv(conn_b) is not None:
         delivered += 1

@@ -89,6 +89,19 @@ def test_sanitizer_launders_taint(tmp_path):
     assert flows == []
 
 
+def test_a_keyed_state_is_key_material_and_only_its_macs_are_clean(tmp_path):
+    flows = _flows(tmp_path, (
+        "def leak(store, sid):\n"
+        "    print(store.mac_for(sid))\n"
+        "def rekey(key):\n"
+        "    print(KeyedHmac(key))\n"
+        "def safe(store, sid, encoded):\n"
+        "    print(store.mac_for(sid).mac(encoded))\n"
+    ), name="repro/core/fixture.py")
+    assert [(f.tag, f.kind, f.line) for f in flows] == [
+        ("key", "log", 2), ("key", "log", 4)]
+
+
 def test_interprocedural_return_propagation(tmp_path):
     flows = _flows(tmp_path, (
         "def fetch(store, sid):\n"
@@ -202,6 +215,10 @@ def test_broken_corpus_detects_every_seeded_violation():
         ("SEC001", "repro.stack.leak_sink", 31),   # wire leak, via-chain
         ("SEC002", "repro.stack.leak_compare", 7),
         ("SEC003", "repro.stack.leak_store", 12),
+        # A session's keyed HMAC state is the key, absorbed.
+        ("SEC001", "repro.stack.leak_capability", 11),  # mac_for() pickled, sent
+        ("SEC001", "repro.stack.leak_capability", 16),  # _session_macs read
+        ("SEC003", "repro.stack.leak_capability", 27),
         ("TNT001", "repro.net.unverified", 12),
         ("TNT002", "repro.net.discard", 7),
         ("TNT002", "repro.net.discard", 12),
