@@ -36,7 +36,7 @@ contract, the same way determinism, taint and races already are:
      ``try``/``finally`` is free on the no-exception path (3.11+), and
      a ``try`` whose body *yields* is a protocol wait (a replica loop
      catching the failure of the check it waits on), so both are exempt.
-   * PERF006 — a raw ``hmac``/``hashlib.sha256`` call outside the
+   * PERF006 — a raw ``hashlib.sha256`` call outside the
      sanctioned helpers (``KeyedHmac``, which keys the one HMAC the
      tree has — the only place a bare SHA-256 state is built —
      ``mac_encoded``, ``verify_encoded``, ``key_id``,
@@ -217,10 +217,6 @@ TNIC_MANIFEST = HotPathManifest(
         "sha256_hex",
     ),
     raw_crypto=(
-        "hmac.new",
-        "_hmac.new",
-        "hmac.digest",
-        "_hmac.digest",
         "hashlib.sha256",
         "_hashlib.sha256",
         "hashlib.new",
@@ -789,7 +785,7 @@ class HotTryExceptRule(_HotPathRule):
 class RawCryptoRule(_HotPathRule):
     rule_id = "PERF006"
     description = (
-        "Raw hmac/hashlib call on the hot path outside the sanctioned "
+        "Raw hashlib call on the hot path outside the sanctioned "
         "cached helpers"
     )
     explanation = (
@@ -801,9 +797,11 @@ class RawCryptoRule(_HotPathRule):
         "verify_encoded, VerificationCache.key_id, canonical_bytes, and "
         "mac_encoded/hmac_sha256/hmac_verify over them) work on the "
         "encoding a message carries, MAC through the session's keyed "
-        "state and keep the verification LRU; a raw hmac.new()/"
+        "state and keep the verification LRU; a raw "
         "hashlib.sha256() call in a hot function bypasses all three: it "
-        "re-keys per call and recomputes a large-buffer MAC per event."
+        "re-keys per call and recomputes a large-buffer MAC per event.  "
+        "(The standard library's HMAC needs no entry here: nothing in "
+        "the tree may use it at all, tests/test_keyed_hmac.py.)"
     )
 
 
