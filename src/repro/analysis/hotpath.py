@@ -1,7 +1,7 @@
 """Hot-path cost analysis: interprocedural PERF lint (PERF001–PERF006).
 
-The PR 4 kernel wins — ``__slots__`` everywhere, allocation-free drain
-loop, one-load-one-``is``-check instrumentation — are protected
+The kernel's cost rules — ``__slots__`` everywhere, an allocation-free
+drain loop, instrumentation gated where it is called — are protected
 dynamically by the perf-smoke floor, but a floor only trips *after* the
 cost has been paid.  This pass makes hot-path cost a statically checked
 contract, the same way determinism, taint and races already are:
@@ -26,9 +26,10 @@ contract, the same way determinism, taint and races already are:
      are error-path-only and exempt.
    * PERF003 — an instrument/trace emit with an *expensive* argument
      (f-string, method call, comprehension) not gated by a
-     ``tracer``/``telemetry``-style ``is not None`` check.  The hooks
-     self-gate, so cheap-argument call sites are free; building
-     ``packet.describe()`` for a discarded record is not.
+     ``tracer``/``telemetry``-style ``is not None`` check or a held
+     span's identity test (``span is not NULL_SPAN``).  Building
+     ``packet.describe()`` for a discarded record is the cost this
+     rule sees; the call itself is the other (see below).
    * PERF004 — the same loop-invariant bound-method looked up twice or
      more inside one loop (``a.b.method(...)`` with no segment of
      ``a.b`` assigned in the loop): hoist it.
@@ -46,11 +47,16 @@ contract, the same way determinism, taint and races already are:
 
 The findings are the whole output: nothing is written down.  An
 allocation on the hot path is a PERF001 finding until it is fixed or
-waived inline with a rationale, and an ungated emit with cheap
-arguments is not debt at all — PERF003 *is* the contract (the hook
-self-gates: one load, one ``is`` check).  The one fact a committed
-listing used to guard, that every declared entry point still names a
-function of the tree, is a tier-1 test
+waived inline with a rationale.  A detached hook is not free even with
+cheap arguments — a Python call plus its keyword dict, ~120 ns against
+~10 ns for the gate — so per-message paths gate every hook at the call
+site, and the contract for that is a spy test, not a rule:
+``tests/test_instrument_gate.py`` runs every benchmarked workload shape
+detached and asserts zero hook calls.  A hook with cheap arguments stays
+allowed ungated in set-up and fault branches, where it keeps its own
+check.  The one fact a committed listing used to guard, that every
+declared entry point still names a function of the tree, is a tier-1
+test
 (``tests/test_hotpath.py::test_every_declared_entry_point_resolves_on_the_real_tree``).
 """
 
@@ -74,6 +80,9 @@ from repro.analysis.walker import SourceFile, walk_own_body
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _CLOSURES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
+#: The detached span handle: ``if span is not NULL_SPAN:`` gates like
+#: ``if telemetry is not None:``.
+_NULL_SPAN = "NULL_SPAN"
 
 
 # ----------------------------------------------------------------------
@@ -411,17 +420,23 @@ class HotPathEngine:
             return expr.id in self.manifest.gate_names
         return False
 
+    @staticmethod
+    def _is_null(expr: ast.expr) -> bool:
+        if isinstance(expr, ast.Constant):
+            return expr.value is None
+        name = call_name(expr)
+        return name is not None and name.rsplit(".", 1)[-1] == _NULL_SPAN
+
     def _is_gate_test(self, test: ast.expr) -> bool:
-        # `X is not None`, or a bare truthiness test on a gate name
-        # (`if traced:`, `if span:`).
+        # `X is not None`, `span is not NULL_SPAN`, or a bare truthiness
+        # test on a gate name (`if traced:`).
         if (
             isinstance(test, ast.Compare)
             and len(test.ops) == 1
             and isinstance(test.ops[0], ast.IsNot)
-            and isinstance(test.comparators[0], ast.Constant)
-            and test.comparators[0].value is None
         ):
-            return self._is_gate_expr(test.left)
+            return (self._is_null(test.comparators[0])
+                    and self._is_gate_expr(test.left))
         return self._is_gate_expr(test)
 
     @staticmethod
@@ -614,10 +629,9 @@ class HotPathEngine:
             return
         tail = name.rsplit(".", 1)[-1]
 
-        # PERF003: expensive argument to an ungated emit hook.  The
-        # hooks self-gate, so a cheap-argument call site costs one
-        # attribute load + `is` check; an f-string or describe() call
-        # is built *before* the hook can bail out.
+        # PERF003: expensive argument to an ungated emit hook: an
+        # f-string or describe() call is built *before* the hook can
+        # bail out.  (The call itself is the spy test's business.)
         if tail in manifest.emit_hooks and not gated:
             args: list[ast.expr] = list(node.args)
             args.extend(kw.value for kw in node.keywords)
@@ -739,13 +753,20 @@ class UngatedEmitRule(_HotPathRule):
         "tracer/telemetry gate on the hot path"
     )
     explanation = (
-        "The instrumentation hooks cost one attribute load and one `is` "
-        "check when detached — but their *arguments* are built by the "
-        "caller first.  An f-string or packet.describe() passed to an "
-        "emit hook is paid even with tracing off unless the call site "
-        "gates on `sim.tracer is not None` (or a telemetry/sanitizer "
-        "hub, or a span truthiness check) first.  This is the PR 4 "
-        "one-load-one-is-check contract, checked statically."
+        "A detached instrumentation hook still costs a Python call plus "
+        "its keyword dict (~120 ns for `count(sim, name, device=d)`, "
+        "against ~10 ns for an `if sim.telemetry is not None` gate), "
+        "and its *arguments* are built by the caller first.  Per-message "
+        "paths therefore gate every hook at the call site — on "
+        "`sim.tracer is not None`, `sim.telemetry is not None` (or a "
+        "sanitizer/profiler hub), or a held span tested by identity "
+        "(`span is not NULL_SPAN`) — and tests/test_instrument_gate.py "
+        "spies that a detached run of every benchmarked workload shape "
+        "calls none.  This rule guards expensive arguments everywhere "
+        "on the hot path, cold branches included: an ungated hook with "
+        "cheap arguments may stay in set-up or a fault branch, but an "
+        "f-string or packet.describe() passed to one is paid on every "
+        "pass, tracing or not."
     )
 
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from repro.api.connection import IbvConnection
 from repro.core.attestation import AttestedMessage
 from repro.net.packet import RdmaOpcode
-from repro.sim.instrument import span_begin, trace_inject
+from repro.sim.instrument import NULL_SPAN, span_begin, trace_inject
 from repro.stack.rdma_lib import WorkRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,13 +48,14 @@ def auth_send(conn: IbvConnection, payload: bytes) -> "Event":
         local_addr=address,
         length=len(payload),
     )
-    span = span_begin(sim, "request.auth_send",
-                      node=conn.node.name, qp=conn.qp_number,
-                      bytes=len(payload))
-    if span:
+    span = NULL_SPAN
+    if sim.telemetry is not None:
+        span = span_begin(sim, "request.auth_send",
+                          node=conn.node.name, qp=conn.qp_number,
+                          bytes=len(payload))
         trace_inject(sim, request.meta, span)
     completion = conn.node.rdma.post(request)
-    if span:
+    if span is not NULL_SPAN:
         completion.callbacks.append(lambda _event: span.end())
     return completion
 

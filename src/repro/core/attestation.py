@@ -137,15 +137,17 @@ class AttestationKernel:
             (payload, counter, self.device_id, session_id))
         alpha = state.mac(encoded)  # Algo 1: L4
         self.attest_count += 1
-        if self.sim is not None:
-            if self.sim.tracer is not None:
+        sim = self.sim
+        if sim is not None:
+            if sim.tracer is not None:
                 # Gate here so the f-string is never built untraced.
-                emit(self.sim, "attest.generate",
+                emit(sim, "attest.generate",
                      f"session={session_id} cnt={counter} {len(payload)}B",
                      device=self.device_id)
-            count(self.sim, "attest.generate", device=self.device_id)
-            gauge_set(self.sim, "attest.send_cnt", counter + 1,
-                      device=self.device_id, session=session_id)
+            if sim.telemetry is not None:
+                count(sim, "attest.generate", device=self.device_id)
+                gauge_set(sim, "attest.send_cnt", counter + 1,
+                          device=self.device_id, session=session_id)
         message = AttestedMessage(
             payload=payload,
             alpha=alpha,
@@ -203,9 +205,10 @@ class AttestationKernel:
             raise ContinuityError(expected, message.counter)
         self.counters.advance_recv(session_id)
         self.verify_count += 1
-        if self.sim is not None:
-            count(self.sim, "attest.verify_ok", device=self.device_id)
-            gauge_set(self.sim, "attest.recv_cnt", expected + 1,
+        sim = self.sim
+        if sim is not None and sim.telemetry is not None:
+            count(sim, "attest.verify_ok", device=self.device_id)
+            gauge_set(sim, "attest.recv_cnt", expected + 1,
                       device=self.device_id, session=session_id)
         return message.payload
 

@@ -71,6 +71,10 @@ class _TxStages:
     request between them.  Subclasses pick the stages after the DMA:
     ``_fetched``, and ``_attested`` when they attest.  ``done`` is the
     request's one completion event; every failure fails it.
+
+    ``span`` stays :data:`NULL_SPAN` unless telemetry was attached when
+    the request started; the stages touch it (and ``stage``) only behind
+    ``span is not NULL_SPAN``, so an untraced request calls no hook.
     """
 
     __slots__ = ("device", "payload", "done", "session_id", "span", "stage")
@@ -84,14 +88,16 @@ class _TxStages:
 
     def _fetch(self) -> None:
         """Stage 1: DMA the payload from host (ibv) memory."""
-        self.stage = self.span.child("tnic.dma")
+        if self.span is not NULL_SPAN:
+            self.stage = self.span.child("tnic.dma")
         fetched = self.device.dma.transfer(len(self.payload))
         fetched.callbacks.append(self._fetched)
 
     def _attest(self) -> None:
         """Stage 2: attest inline; ``_attested`` gets the occupancy
         event, whose value is the attested message."""
-        self.stage = self.span.child("attest.hmac")
+        if self.span is not NULL_SPAN:
+            self.stage = self.span.child("attest.hmac")
         try:
             attested = self.device.attestation.attest_event(
                 self.session_id, self.payload)
@@ -121,11 +127,11 @@ class _Send(_TxStages):
         # and replace the carried context with this span's own, so the
         # packet that leaves the MAC points at tnic.tx and the remote
         # rx-verify stage joins the tree right here.
-        span = self.span = span_begin(sim, "tnic.tx",
-                                      parent=trace_extract(sim, meta),
-                                      device=device.device_id,
-                                      qp=qp_number, bytes=len(self.payload))
-        if span:
+        if sim.telemetry is not None:
+            span = self.span = span_begin(sim, "tnic.tx",
+                                          parent=trace_extract(sim, meta),
+                                          device=device.device_id,
+                                          qp=qp_number, bytes=len(self.payload))
             trace_inject(sim, meta, span)
         try:
             self.session_id = device.roce._qp(qp_number).session_id
@@ -135,20 +141,23 @@ class _Send(_TxStages):
         self._fetch()
 
     def _fetched(self, _event: "Event") -> None:
-        self.stage.end()
+        if self.span is not NULL_SPAN:
+            self.stage.end()
         if self.device.attestation is not None:
             self._attest()
         else:
             self._transmit(self.payload)
 
     def _attested(self, event: "Event") -> None:
-        self.stage.end()
+        if self.span is not NULL_SPAN:
+            self.stage.end()
         self._transmit(event._value)
 
     def _transmit(self, message: AttestedMessage | bytes) -> None:
         """Stage 3: the RoCE kernel triggers ``done`` on the ACK;
         ``_acked`` goes ahead of the layers above, already registered."""
-        self.stage = self.span.child("roce.tx")
+        if self.span is not NULL_SPAN:
+            self.stage = self.span.child("roce.tx")
         self.done.callbacks.insert(0, self._acked)
         try:
             self.device.roce.post_send(
@@ -160,8 +169,9 @@ class _Send(_TxStages):
         if done._exception is not None:  # transport gave up on the send
             self.span.end(status="error")
             return
-        self.stage.end()
-        self.span.end(status="ok")
+        if self.span is not NULL_SPAN:
+            self.stage.end()
+            self.span.end(status="ok")
 
 
 class _LocalAttest(_TxStages):
@@ -172,18 +182,21 @@ class _LocalAttest(_TxStages):
     def start_attest(self, session_id: int) -> None:
         device = self.device
         self.session_id = session_id
-        self.span = span_begin(device.sim, "tnic.local_attest",
-                               device=device.device_id,
-                               bytes=len(self.payload))
+        if device.sim.telemetry is not None:
+            self.span = span_begin(device.sim, "tnic.local_attest",
+                                   device=device.device_id,
+                                   bytes=len(self.payload))
         self._fetch()
 
     def _fetched(self, _event: "Event") -> None:
-        self.stage.end()
+        if self.span is not NULL_SPAN:
+            self.stage.end()
         self._attest()
 
     def _attested(self, event: "Event") -> None:
-        self.stage.end()
-        self.span.end()
+        if self.span is not NULL_SPAN:
+            self.stage.end()
+            self.span.end()
         self.done.succeed(event._value)
 
 
@@ -332,7 +345,8 @@ class TnicDevice:
         if not state.receive_queue:
             return None
         item = state.receive_queue.popleft()
-        count(self.sim, "device.host_rx", device=self.device_id)
+        if self.sim.telemetry is not None:
+            count(self.sim, "device.host_rx", device=self.device_id)
         if (
             item["opcode"] is RdmaOpcode.WRITE
             and self._host_memory is not None

@@ -58,9 +58,11 @@ class DmaEngine:
         if size_bytes < 0:
             raise ValueError("size must be >= 0")
         self.transfers += 1
-        count(self.sim, "dma.transfers")
-        count(self.sim, "dma.bytes", size_bytes)
-        observe(self.sim, "dma.size_bytes", size_bytes)
+        sim = self.sim
+        if sim.telemetry is not None:
+            count(sim, "dma.transfers")
+            count(sim, "dma.bytes", size_bytes)
+            observe(sim, "dma.size_bytes", size_bytes)
         return self._pipe.transfer(size_bytes)
 
     @property

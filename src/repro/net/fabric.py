@@ -100,14 +100,16 @@ class _Wire:
                 self.stats.tampered += 1
                 if traced:
                     emit(self.sim, "fabric.tamper", packet.describe())
-                count(self.sim, "fabric.tampered")
+                if self.sim.telemetry is not None:
+                    count(self.sim, "fabric.tampered")
                 outcome = modified
 
         if fault.drop_probability and rng.chance(fault.drop_probability):
             self.stats.dropped += 1
             if traced:
                 emit(self.sim, "fabric.drop", packet.describe())
-            count(self.sim, "fabric.dropped")
+            if self.sim.telemetry is not None:
+                count(self.sim, "fabric.dropped")
             return
 
         delay = self.propagation_us
@@ -116,7 +118,8 @@ class _Wire:
             if traced:
                 emit(self.sim, "fabric.reorder", packet.describe(),
                      extra_delay_us=fault.reorder_extra_delay_us)
-            count(self.sim, "fabric.reordered")
+            if self.sim.telemetry is not None:
+                count(self.sim, "fabric.reordered")
             delay += fault.reorder_extra_delay_us
 
         self._deliver_after(delay, receiver, outcome)
@@ -125,7 +128,8 @@ class _Wire:
             self.stats.duplicated += 1
             if traced:
                 emit(self.sim, "fabric.duplicate", packet.describe())
-            count(self.sim, "fabric.duplicated")
+            if self.sim.telemetry is not None:
+                count(self.sim, "fabric.duplicated")
             self._deliver_after(delay + 1.0, receiver, outcome)
 
         if fault.replay_probability:
@@ -137,7 +141,8 @@ class _Wire:
                 self.stats.replayed += 1
                 if traced:
                     emit(self.sim, "fabric.replay", stale.describe())
-                count(self.sim, "fabric.replayed")
+                if self.sim.telemetry is not None:
+                    count(self.sim, "fabric.replayed")
                 self._deliver_after(delay + 5.0, victim_receiver, stale)
 
     def _deliver_after(self, delay: float, receiver: EthernetMac, packet: Packet) -> None:

@@ -46,6 +46,7 @@ from repro.roce.queue_pair import QueuePair
 from repro.roce.state_tables import CompletionEntry, QueuePairState, StateTables
 from repro.sim.events import Event
 from repro.sim.instrument import (
+    NULL_SPAN,
     count,
     flight_trigger,
     gauge_set,
@@ -159,9 +160,11 @@ class _RxLane:
         # The packet metadata carries the sender's tnic.tx context
         # (injected on the transmitting device), so the receiving
         # replica's verification joins the same causal trace.
-        vspan = span_begin(kernel.sim, "roce.rx_verify",
-                           parent=trace_extract(kernel.sim, packet.meta),
-                           node=kernel.ip, qp=self.qp.qp_number)
+        vspan = NULL_SPAN
+        if kernel.sim.telemetry is not None:
+            vspan = span_begin(kernel.sim, "roce.rx_verify",
+                               parent=trace_extract(kernel.sim, packet.meta),
+                               node=kernel.ip, qp=self.qp.qp_number)
         try:
             check = kernel.attestation.verify_event(self.qp.session_id, message)
         except AttestationError:
@@ -180,7 +183,8 @@ class _RxLane:
             # Forged/tampered/replayed: do not advance the window.
             self.kernel._verification_failed(self, vspan)
         else:
-            vspan.end(status="ok")
+            if vspan is not NULL_SPAN:
+                vspan.end(status="ok")
             self.kernel._deliver(self, packet, check._value,
                                  message=message, psn_span=segments)
         self._advance()
@@ -335,12 +339,14 @@ class RoceKernel:
                     # Gate at the call site: packet.describe() is too
                     # expensive to build for a discarded record.
                     emit(self.sim, "roce.tx", packet.describe(), node=self.ip)
-                count(self.sim, "roce.tx_packets", node=self.ip)
+                if self.sim.telemetry is not None:
+                    count(self.sim, "roce.tx_packets", node=self.ip)
                 self.mac.transmit(packet)
                 last_psn = psn
             state.next_send_msn += 1
-            gauge_set(self.sim, "roce.inflight", len(state.inflight),
-                      node=self.ip, qp=qp_number)
+            if self.sim.telemetry is not None:
+                gauge_set(self.sim, "roce.inflight", len(state.inflight),
+                          node=self.ip, qp=qp_number)
             # The message completes when its final segment is acked.
             self._send_completions[qp_number].append((last_psn, completion))
             if not state.timer_filed:
@@ -395,8 +401,9 @@ class RoceKernel:
                 emit(self.sim, "roce.retransmit",
                      f"timeout qp={qp_number}", inflight=len(state.inflight),
                      node=self.ip)
-            count(self.sim, "roce.retransmit_timeouts",
-                  node=self.ip, qp=qp_number)
+            if self.sim.telemetry is not None:
+                count(self.sim, "roce.retransmit_timeouts",
+                      node=self.ip, qp=qp_number)
             self._go_back_n(state)
         if state.inflight:
             self._file_timer(state)
@@ -416,11 +423,13 @@ class RoceKernel:
                 completion.fail(TransportError(
                     f"send psn={last_psn} failed: retry limit exceeded"))
         now = self.sim._now
+        telemetry = self.sim.telemetry
         for entry in inflight:
             entry.retries += 1
             entry.sent_at = now
             state.retransmissions += 1
-            count(self.sim, "roce.retransmissions", node=self.ip)
+            if telemetry is not None:
+                count(self.sim, "roce.retransmissions", node=self.ip)
             self.mac.transmit(entry.packet)
         if self._tx_backlog[qp_number]:
             self._pump_tx(qp_number)  # a failed message freed window space
@@ -450,8 +459,9 @@ class RoceKernel:
         acked_psn = packet.bth.psn
         if state.ack_through(acked_psn):
             state.progress_at = self.sim._now
-        gauge_set(self.sim, "roce.inflight", len(state.inflight),
-                  node=self.ip, qp=qp_number)
+        if self.sim.telemetry is not None:
+            gauge_set(self.sim, "roce.inflight", len(state.inflight),
+                      node=self.ip, qp=qp_number)
         if self._tx_backlog[qp_number]:
             self._pump_tx(qp_number)  # ACKs opened window space
         pending = self._send_completions[qp_number]
@@ -545,7 +555,8 @@ class RoceKernel:
             emit(self.sim, "roce.rx",
                  f"delivered qp={qp.qp_number} msn={msn} {len(payload)}B",
                  node=self.ip)
-        count(self.sim, "roce.rx_delivered", node=self.ip)
+        if self.sim.telemetry is not None:
+            count(self.sim, "roce.rx_delivered", node=self.ip)
         self._send_ack(qp, packet.bth.psn, msn)
         if self.deliver_hook is not None:
             self.deliver_hook(qp, state)

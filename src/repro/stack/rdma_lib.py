@@ -27,7 +27,13 @@ from typing import TYPE_CHECKING, Any
 from repro.core.device import TnicDevice
 from repro.net.packet import RdmaOpcode
 from repro.sim.events import Event
-from repro.sim.instrument import count, span_begin, trace_extract, trace_inject
+from repro.sim.instrument import (
+    NULL_SPAN,
+    count,
+    span_begin,
+    trace_extract,
+    trace_inject,
+)
 from repro.stack.memory import IbvMemory, MemoryError_, RdmaKey
 from repro.stack.process import TnicProcess
 from repro.stack.regs import RegField
@@ -108,9 +114,12 @@ class _Post:
         # (auth_send injects its root context into request.meta).
         lib = self.lib
         request = self.request
-        self.span = span_begin(lib.sim, "tnic.post",
-                               parent=trace_extract(lib.sim, request.meta),
-                               qp=request.qp_number, bytes=request.length)
+        span = NULL_SPAN
+        if lib.sim.telemetry is not None:
+            span = span_begin(lib.sim, "tnic.post",
+                              parent=trace_extract(lib.sim, request.meta),
+                              qp=request.qp_number, bytes=request.length)
+        self.span = span
         self.done.callbacks.append(self._completed)
         try:
             self.payload = lib.region_for_address(
@@ -138,7 +147,7 @@ class _Post:
             )
             regs.write_u64(RegField.CTRL_DOORBELL, 1)
             meta = dict(request.meta)
-            if span:
+            if span is not NULL_SPAN:
                 # Hand the device *this* stage's context so tnic.tx
                 # nests under tnic.post in the causal tree.
                 trace_inject(lib.sim, meta, span)
@@ -154,8 +163,10 @@ class _Post:
             return
         finally:
             process.release_regs()
-        span.end(status="ok")
-        count(lib.sim, "rdma.posted", qp=request.qp_number)
+        if span is not NULL_SPAN:
+            span.end(status="ok")
+        if lib.sim.telemetry is not None:
+            count(lib.sim, "rdma.posted", qp=request.qp_number)
         lib.tx_posted[request.qp_number] = lib.tx_posted.get(request.qp_number, 0) + 1
 
     def _refused(self, exc: Exception) -> None:

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 from repro.core.attestation import AttestedMessage
 from repro.sim.clock import Simulator
-from repro.sim.instrument import span_begin
+from repro.sim.instrument import NULL_SPAN, span_begin
 from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
     BroadcastAuthenticator,
     EmulatedNetwork,
+    Envelope,
     EquivocationDetected,
     SystemMetrics,
     install_shared_sessions,
@@ -145,9 +146,12 @@ class _Replica:
         )
 
     def run_leader(self):
+        sim = self.system.sim
         while True:
-            item = yield self.inbox.get()
-            request, trace_parent = unwrap(self.system.sim, item)
+            request = yield self.inbox.get()
+            trace_parent = None
+            if type(request) is Envelope:
+                request, trace_parent = unwrap(sim, request)
             if isinstance(request, ProofOfExecution):
                 yield from self._leader_handle_ack(request, trace_parent)
                 continue
@@ -156,9 +160,10 @@ class _Replica:
                 continue
             if not isinstance(request, ClientRequest):
                 continue
-            span = span_begin(self.system.sim, "bft.leader",
-                              parent=trace_parent, node=self.name,
-                              batch=request.batch_id)
+            span = NULL_SPAN
+            if sim.telemetry is not None:
+                span = span_begin(sim, "bft.leader", parent=trace_parent,
+                                  node=self.name, batch=request.batch_id)
             output = self.counter + request.increments
             if not self.behaviour.wrong_output:
                 self.counter = output
@@ -191,26 +196,32 @@ class _Replica:
                     )
                 span.end(status="equivocate")
                 continue
-            stage = span.child("attest.hmac")
+            if span is not NULL_SPAN:
+                stage = span.child("attest.hmac")
             attested = yield self.provider.attest(
                 self.system.session_ids[self.name], payload
             )
-            stage.end()
+            if span is not NULL_SPAN:
+                stage.end()
             # The pre-yield read of _last_attested is in the replay
             # branch, which `continue`s before any yield runs — the
             # flagged span crosses mutually exclusive branches, and the
             # field is private to this replica's single leader process.
             self._last_attested = attested  # lint: ignore[RACE002] exclusive branches
             self.system.broadcast_poe(self.name, attested, parent=span)
-            span.end(status="ok")
+            if span is not NULL_SPAN:
+                span.end(status="ok")
 
     def _leader_handle_ack(self, message: ProofOfExecution, trace_parent=None):
         """validate_follower(): verify the follower's PoE and output,
         then reply to the client (once per batch)."""
-        span = span_begin(self.system.sim, "bft.leader_ack",
-                          parent=trace_parent, node=self.name)
+        sim = self.system.sim
+        span = stage = NULL_SPAN
+        if sim.telemetry is not None:
+            span = span_begin(sim, "bft.leader_ack",
+                              parent=trace_parent, node=self.name)
+            stage = span.child("bft.rx_verify")
         auth = self.authenticator_for(message.sender)
-        stage = span.child("bft.rx_verify")
         try:
             payload = yield auth.verify(message.attested)
         except EquivocationDetected as exc:
@@ -218,7 +229,8 @@ class _Replica:
             span.end(status="rejected")
             self.detected_faults.append(str(exc))
             return
-        stage.end()
+        if span is not NULL_SPAN:
+            stage.end()
         batch_id, increments, output = _decode_poe(payload)
         expected = self.simulated.get(message.sender, 0) + increments
         if output != expected:
@@ -240,24 +252,30 @@ class _Replica:
                 Reply(self.name, batch_id, self.counter),
                 parent=span,
             )
-        span.end(status="ok")
+        if span is not NULL_SPAN:
+            span.end(status="ok")
 
     # ------------------------------------------------------------------
     # Follower role (Algorithm 3, follower())
     # ------------------------------------------------------------------
     def run_follower(self):
+        sim = self.system.sim
         while True:
-            item = yield self.inbox.get()
-            message, trace_parent = unwrap(self.system.sim, item)
+            message = yield self.inbox.get()
+            trace_parent = None
+            if type(message) is Envelope:
+                message, trace_parent = unwrap(sim, message)
             if isinstance(message, ReadRequest):
                 yield from self._answer_read(message)
                 continue
             if not isinstance(message, ProofOfExecution):
                 continue
-            span = span_begin(self.system.sim, "bft.follower",
-                              parent=trace_parent, node=self.name)
+            span = stage = NULL_SPAN
+            if sim.telemetry is not None:
+                span = span_begin(sim, "bft.follower",
+                                  parent=trace_parent, node=self.name)
+                stage = span.child("bft.rx_verify")
             auth = self.authenticator_for(message.sender)
-            stage = span.child("bft.rx_verify")
             try:
                 payload = yield auth.verify(message.attested)
             except EquivocationDetected as exc:
@@ -265,7 +283,8 @@ class _Replica:
                 span.end(status="rejected")
                 self.detected_faults.append(str(exc))
                 continue
-            stage.end()
+            if span is not NULL_SPAN:
+                stage.end()
             batch_id, increments, output = _decode_poe(payload)
             # validate_sender: simulate the sender's state transition.
             expected = self.simulated.get(message.sender, 0) + increments
@@ -278,16 +297,21 @@ class _Replica:
                 continue
             self.simulated[message.sender] = expected
             if batch_id in self.applied_batches:
-                span.end(status="duplicate")
+                # Not a fault: every batch reaches a follower twice, from
+                # the leader and forwarded by a peer.
+                if span is not NULL_SPAN:
+                    span.end(status="duplicate")
                 continue  # in_order_not_applied()
             self.applied_batches.add(batch_id)
             self.counter += increments
             own_payload = _encode_poe(batch_id, increments, self.counter)
-            stage = span.child("attest.hmac")
+            if span is not NULL_SPAN:
+                stage = span.child("attest.hmac")
             attested = yield self.provider.attest(
                 self.system.session_ids[self.name], own_payload
             )
-            stage.end()
+            if span is not NULL_SPAN:
+                stage.end()
             poe = ProofOfExecution(self.name, attested)
             self.system.network.send(self.system.leader_name, poe, parent=span)
             # "it forwards the leader's request to every other replica to
@@ -301,7 +325,8 @@ class _Replica:
                 Reply(self.name, batch_id, self.counter),
                 parent=span,
             )
-            span.end(status="ok")
+            if span is not NULL_SPAN:
+                span.end(status="ok")
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +438,10 @@ class BftCounter:
             while next_batch < batches and len(sent_at) < depth:
                 sent_at[next_batch] = self.sim.now
                 votes[next_batch] = {}
-                root = span_begin(self.sim, "bft.request",
-                                  batch=next_batch, system="bft")
+                root = NULL_SPAN
+                if self.sim.telemetry is not None:
+                    root = span_begin(self.sim, "bft.request",
+                                      batch=next_batch, system="bft")
                 roots[next_batch] = root
                 self.network.send(
                     self.leader_name, ClientRequest(next_batch, self.batch),
@@ -428,7 +455,9 @@ class BftCounter:
                 # cannot lose a concurrent update.
                 self.aborted = True  # lint: ignore[RACE002] single-writer flag
                 break
-            reply, _ = unwrap(self.sim, item)
+            reply = item
+            if type(item) is Envelope:
+                reply, _ = unwrap(self.sim, item)
             if not isinstance(reply, Reply) or reply.batch_id not in sent_at:
                 continue
             voters = votes[reply.batch_id].setdefault(reply.output, set())
@@ -436,7 +465,9 @@ class BftCounter:
             if len(voters) >= quorum:
                 latency = self.sim.now - sent_at.pop(reply.batch_id)
                 committed.add(reply.batch_id)
-                roots.pop(reply.batch_id).end(status="committed")
+                root = roots.pop(reply.batch_id)
+                if root is not NULL_SPAN:
+                    root.end(status="committed")
                 for _ in range(self.batch):
                     self.metrics.record(latency)
         for root in roots.values():
@@ -468,7 +499,9 @@ class BftCounter:
             if item is TIMED_OUT:
                 done.fail(TimeoutError("no read quorum"))
                 return
-            reply, _ = unwrap(self.sim, item)
+            reply = item
+            if type(item) is Envelope:
+                reply, _ = unwrap(self.sim, item)
             if (
                 not isinstance(reply, Reply)
                 or reply.batch_id != -read_id - 1

@@ -46,8 +46,9 @@ class Envelope:
     :meth:`EmulatedNetwork.send` wraps the message only when the caller
     supplied a live trace parent *and* telemetry is attached, so
     untraced runs (including the golden-trace scenarios) move the bare
-    message objects they always did.  Receivers split an inbox item
-    back apart with :func:`unwrap`.
+    message objects they always did.  Receivers test ``type(item) is
+    Envelope`` and split only an envelope back apart with
+    :func:`unwrap`.
     """
 
     message: Any
@@ -150,11 +151,13 @@ class EmulatedNetwork:
         if dst not in self._inboxes:
             raise KeyError(f"unknown destination {dst!r}")
         self.messages_sent += 1
-        count(self.sim, "system.net_sent")
-        if self.sim.tracer is not None:  # keep the off-path free of the
+        sim = self.sim
+        telemetry = sim.telemetry
+        if telemetry is not None:
+            count(sim, "system.net_sent")
+        if sim.tracer is not None:  # keep the off-path free of the
             # describe cost: type(...).__name__ only runs when tracing.
-            emit(self.sim, "system.net_send", dst,
-                 kind=type(message).__name__)
+            emit(sim, "system.net_send", dst, kind=type(message).__name__)
         if dst in self._isolated:
             if self._drop_mode:
                 self.dropped_messages += 1
@@ -164,11 +167,10 @@ class EmulatedNetwork:
                 gauge_set(self.sim, "system.net_held", len(self._held))
             return
         inbox = self._inboxes[dst]
-        if parent and self.sim.telemetry is not None:
-            span = span_begin(self.sim, "system.net_hop",
-                              parent=parent, dst=dst)
+        if telemetry is not None and parent:
+            span = span_begin(sim, "system.net_hop", parent=parent, dst=dst)
             carrier: dict = {}
-            trace_inject(self.sim, carrier, span)
+            trace_inject(sim, carrier, span)
             envelope = Envelope(message, carrier, span)
             self._hop(inbox, envelope).callbacks.append(envelope.arrived)
             return
@@ -265,10 +267,10 @@ class SystemMetrics:
     def record(self, latency_us: float) -> None:
         self.committed += 1
         self.latencies_us.append(latency_us)
-        if self.sim is not None:
-            observe(self.sim, "system.commit_us", latency_us,
-                    system=self.system)
-            count(self.sim, "system.committed", system=self.system)
+        sim = self.sim
+        if sim is not None and sim.telemetry is not None:
+            observe(sim, "system.commit_us", latency_us, system=self.system)
+            count(sim, "system.committed", system=self.system)
 
     @property
     def elapsed_us(self) -> float:

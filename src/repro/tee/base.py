@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.attestation import AttestationError, AttestationKernel, AttestedMessage
+from repro.sim.events import Timeout
 from repro.sim.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,12 +62,14 @@ class AttestationProvider:
     # Latency model — overridden per provider
     # ------------------------------------------------------------------
     def attest_latency_us(self, size_bytes: int) -> float:
-        """One sampled Attest() latency for a *size_bytes* message."""
-        raise NotImplementedError
+        """One sampled Attest() latency for a *size_bytes* message.
 
-    def verify_latency_us(self, size_bytes: int) -> float:
-        """Verify() latency ("The latency of Verify() is similar")."""
-        return self.attest_latency_us(size_bytes)
+        Verify() and the transferable check charge a sample of the same
+        distribution ("The latency of Verify() is similar", §8.1): every
+        timed operation below draws exactly one sample from the
+        provider's stream.
+        """
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Operations
@@ -75,7 +78,7 @@ class AttestationProvider:
         """Generate an attested message, charging the sampled latency."""
         self.attest_count += 1
         message = self.kernel.attest(session_id, payload)
-        return self.sim.timeout(self.attest_latency_us(len(payload)), message)
+        return Timeout(self.sim, self.attest_latency_us(len(payload)), message)
 
     def verify(self, session_id: int, message: AttestedMessage) -> "Event":
         """Verify continuity + authenticity, charging the latency.
@@ -85,8 +88,8 @@ class AttestationProvider:
         is the latency timeout, its outcome set by :meth:`_settle`.
         """
         self.verify_count += 1
-        check = self.sim.timeout(self.verify_latency_us(len(message.payload)),
-                                 (session_id, message))
+        check = Timeout(self.sim, self.attest_latency_us(len(message.payload)),
+                        (session_id, message))
         check.callbacks.append(self._settle)
         return check
 
@@ -100,6 +103,6 @@ class AttestationProvider:
 
     def check_transferable(self, session_id: int, message: AttestedMessage) -> "Event":
         """Transferable-authentication check (no counter mutation)."""
-        delay = self.verify_latency_us(len(message.payload))
+        delay = self.attest_latency_us(len(message.payload))
         ok = self.kernel.check_transferable(session_id, message)
-        return self.sim.timeout(delay, ok)
+        return Timeout(self.sim, delay, ok)

@@ -131,14 +131,19 @@ class TnicProvider(AttestationProvider):
     def __init__(self, sim, device_id, rng=None, synchronous: bool = False) -> None:
         super().__init__(sim, device_id, rng)
         self.synchronous = synchronous
+        #: The size-independent term, added to the HMAC term per sample
+        #: in this association so every sample is bit-identical to
+        #: ``fixed + (base + per_byte * size)`` computed in one line.
+        if synchronous:
+            self._fixed_us = cal.TNIC_PCIE_TRANSFER_US + cal.TNIC_GLUE_US
+        else:
+            self._fixed_us = max(cal.TNIC_ATTEST_ASYNC_US - cal.TNIC_HMAC_BASE_US, 0.5)
 
     def attest_latency_us(self, size_bytes: int) -> float:
-        hmac_us = cal.TNIC_HMAC_BASE_US + cal.TNIC_HMAC_PER_BYTE_US * size_bytes
-        if self.synchronous:
-            base = cal.TNIC_PCIE_TRANSFER_US + cal.TNIC_GLUE_US + hmac_us
-        else:
-            base = max(cal.TNIC_ATTEST_ASYNC_US - cal.TNIC_HMAC_BASE_US, 0.5) + hmac_us
-        return self.rng.lognormal_jitter(base, sigma=0.02)
+        return self.rng.lognormal_jitter(
+            self._fixed_us
+            + (cal.TNIC_HMAC_BASE_US + cal.TNIC_HMAC_PER_BYTE_US * size_bytes),
+            0.02)
 
 
 PROVIDER_FACTORIES = {

@@ -20,9 +20,9 @@ produce byte-identical output:
 Layering: the trusted packages never import this one (BND001).  They
 call the hook functions in :mod:`repro.sim.instrument`, which dispatch
 to the :class:`Telemetry` hub installed on the simulator by
-``Telemetry.attach(sim)`` — detached, every hook is one attribute
-check, mirroring how :mod:`repro.sim.trace` keeps tracing free when
-off.
+``Telemetry.attach(sim)``.  Per-message call sites gate on
+``sim.telemetry is not None`` first, as they do on ``sim.tracer``, so
+a detached run calls no hook at all (``tests/test_instrument_gate.py``).
 
 Usage::
 

@@ -2,13 +2,16 @@
 
 Every seeded PERF violation in ``broken/`` has its idiomatic fix here:
 ``__slots__`` on the per-event record, a gated f-string emit next to an
-ungated-but-cheap counter bump, a hoisted bound method in the drain
+ungated-but-cheap counter bump, an f-string emit gated on a held span's
+identity (``span is not NULL_SPAN``), a hoisted bound method in the drain
 loop, ``try``/``finally`` instead of ``try``/``except``, a yielding
 ``try``/``except`` (a protocol wait, exempt by design), and the raw
 hash call confined to the sanctioned ``sha256`` helper.
 """
 
 import hashlib
+
+NULL_SPAN = object()
 
 
 class EventRecord:
@@ -23,6 +26,7 @@ class Simulator:
         self.queue = [3, 2, 1]
         self.telemetry = None
         self.mac = None
+        self.span = NULL_SPAN
 
     def step(self):
         record = EventRecord(len(self.queue))
@@ -30,6 +34,8 @@ class Simulator:
         if telemetry is not None:
             emit(self, "sim.step", f"depth={len(self.queue)}")
         count(self, "sim.steps")
+        if self.span is not NULL_SPAN:
+            emit(self, "sim.span", f"open={self.span}")
         pump = self.wait_loop()
         self._drain()
         return record, pump

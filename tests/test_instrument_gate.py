@@ -1,21 +1,52 @@
-"""The zero-cost-when-off contract of the instrumentation layer.
+"""Detached instrumentation is not called at all on a per-message path.
 
-The fast path never pays for observability it is not using: with no
-tracer attached, ``Tracer.record`` is never invoked and no expensive
-trace *arguments* (``Packet.describe()``, f-strings) are built; with no
-telemetry hub attached, the hub is never invoked and ``span_begin``
-hands back the shared :data:`NULL_SPAN` singleton.  (That the gating
-is not achieved by smuggling imports into the trusted packages is
-BND001's job: ``tests/test_tcb_boundaries.py``.)
+What is tested here:
+
+* With no telemetry hub and no tracer attached, a run of each of the
+  seven benchmarked workload shapes — the BFT counter, the chain, the
+  CFT Raft control, the PeerReview audit, 64 B and 16 KiB window-16
+  ``auth_send`` and 1 KiB ``auth_send`` over a lossy fabric — makes
+  *zero* calls into the instrument hooks, the :class:`NullSpan`
+  methods, :func:`repro.sim.trace.emit` and
+  :func:`repro.systems.common.unwrap`.  A detached hook is not free (a
+  Python call plus its keyword dict, ~100 ns), so per-message call
+  sites gate on ``sim.telemetry`` / ``sim.tracer`` / a held span's
+  identity before they call one.  Set-up and the fault branches
+  (rejection, mismatch, replay, equivocation) may still call a hook,
+  which keeps its own check.  The spies wrap every ``repro.*`` global
+  that *is* one of those functions, as the benchmark's span patcher
+  finds the functions it times.
+* Attached, the same paths still open every span (and the spies see
+  the calls, so the zero counts above are not vacuous).
+* No trace *arguments* (``Packet.describe()``, f-strings) are built
+  and the hub is never invoked while detached, and ``span_begin``
+  hands back the shared :data:`NULL_SPAN` singleton.
+
+(That the gating is not achieved by smuggling imports into the trusted
+packages is BND001's job: ``tests/test_tcb_boundaries.py``.)
 """
+
+import inspect
+import sys
+from collections import Counter
 
 import pytest
 
-from repro.api import Cluster, auth_send
+from repro.api import Cluster, auth_send, ops
+from repro.bench.workload import kv_workload
+from repro.net import NetworkFault
 from repro.net.packet import Packet
 from repro.sim import Simulator
-from repro.sim.instrument import NULL_SPAN, count, span_begin
+from repro.sim import instrument, trace
+from repro.sim.instrument import NULL_SPAN, NullSpan, count, span_begin
 from repro.sim.trace import Tracer, tracing
+from repro.systems import common
+from repro.systems.bft import BftCounter
+from repro.systems.chain import ChainReplication
+from repro.systems.peer_review import PeerReviewSystem
+from repro.systems.raft import TeeRaft
+from repro.telemetry import Telemetry
+from tests.test_send_path import _pair, _send_windowed
 
 
 def _run_auth_round(cluster: Cluster) -> None:
@@ -81,8 +112,6 @@ def test_span_begin_returns_null_span_singleton_when_detached():
 
 
 def test_hub_not_invoked_when_telemetry_detached(monkeypatch):
-    from repro.telemetry import Telemetry
-
     invoked = []
     for name in ("count", "gauge_set", "observe", "span_begin"):
         real = getattr(Telemetry, name)
@@ -98,3 +127,156 @@ def test_hub_not_invoked_when_telemetry_detached(monkeypatch):
     _run_auth_round(cluster)
     count(cluster.sim, "extra.counter")
     assert invoked == []
+
+
+# ----------------------------------------------------------------------
+# The per-message contract, one workload shape at a time
+# ----------------------------------------------------------------------
+def _spied_functions() -> list:
+    """Every instrument hook, ``trace.emit`` and ``unwrap``."""
+    hooks = [value for value in vars(instrument).values()
+             if inspect.isfunction(value)
+             and value.__module__ == instrument.__name__]
+    return hooks + [trace.emit, common.unwrap]
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Returns a function that installs the spies and hands back their
+    tally; shapes call it after set-up, so only the run is counted."""
+
+    def install() -> Counter:
+        tally: Counter = Counter()
+        modules = [module for name, module in sorted(sys.modules.items())
+                   if module is not None
+                   and (name == "repro" or name.startswith("repro."))]
+        for original in _spied_functions():
+            def wrapper(*args, _original=original,
+                        _name=original.__name__, **kwargs):
+                tally[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for attribute, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attribute, wrapper)
+        for method in ("child", "end", "annotate", "__bool__"):
+            def null_method(self, *args, _original=getattr(NullSpan, method),
+                            _name=f"NullSpan.{method}", **kwargs):
+                tally[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(NullSpan, method, null_method)
+        return tally
+
+    return install
+
+
+def _bft():
+    system = BftCounter("tnic", f=1, seed=0)
+
+    def run():
+        system.run_workload(12, pipeline_depth=4)
+        assert system.metrics.committed == 12
+        assert not system.detected_faults()
+
+    return system.sim, run
+
+
+def _chain():
+    system = ChainReplication("tnic", seed=0)
+    requests = kv_workload(20, read_fraction=0.5, seed=0)
+
+    def run():
+        assert system.run_workload(requests).committed == 20
+        assert not system.detected_faults()
+
+    return system.sim, run
+
+
+def _raft():
+    system = TeeRaft(nodes=3)
+
+    def run():
+        assert system.run_workload(20).committed == 20
+        assert system.logs_consistent()
+
+    return system.sim, run
+
+
+def _peer_review():
+    system = PeerReviewSystem("tnic", audit=True, seed=0)
+
+    def run():
+        assert system.run_workload(6).committed == 6
+        assert not system.detected_faults()
+
+    return system.sim, run
+
+
+def _send(payload_bytes: int, messages: int, fault: NetworkFault | None = None):
+    def shape():
+        cluster = Cluster(["a", "b"], fault=fault, seed=0)
+        conn_a, conn_b = cluster.connect("a", "b")
+        cluster.run()
+
+        def run():
+            _send_windowed(cluster, conn_a, messages, payload_bytes)
+            received = 0
+            while ops.recv(conn_b) is not None:
+                received += 1
+            assert received == messages
+            if fault is not None:
+                # The lossy branches really ran: drop, duplicate,
+                # reorder and go-back-N.
+                stats = cluster.fabric.stats
+                assert stats.dropped and stats.duplicated and stats.reordered
+                assert sum(s.retransmissions for s in
+                           cluster["a"].device.roce.tables.all_states())
+
+        return cluster.sim, run
+
+    return shape
+
+
+SHAPES = {
+    "bft_counter": _bft,
+    "chain_kv": _chain,
+    "raft_cft": _raft,
+    "peer_review_audit": _peer_review,
+    "send_small": _send(64, 40),
+    "send_large": _send(16 * 1024, 20),
+    "send_lossy": _send(1024, 60, NetworkFault(
+        drop_probability=0.1, duplicate_probability=0.1,
+        reorder_probability=0.1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_a_detached_run_calls_no_hook(shape, spy):
+    sim, run = SHAPES[shape]()
+    assert sim.telemetry is None and sim.tracer is None
+    calls = spy()
+    run()
+    assert calls == Counter(), f"{shape} called detached hooks: {dict(calls)}"
+
+
+def test_an_attached_run_still_opens_every_span(spy):
+    bft = BftCounter("tnic", f=1, seed=0)
+    bft_hub = Telemetry.attach(bft.sim)
+    cluster, conn_a, _ = _pair()
+    send_hub = Telemetry.attach(cluster.sim)
+    calls = spy()
+    bft.run_workload(2)
+    _send_windowed(cluster, conn_a, 2, 64)
+    names = {span.name for hub in (bft_hub, send_hub)
+             for span in hub.spans.finished}
+    assert {
+        "bft.request", "bft.leader", "bft.follower", "bft.leader_ack",
+        "bft.rx_verify", "attest.hmac", "system.net_hop",
+        "request.auth_send", "tnic.post", "tnic.tx", "tnic.dma", "roce.tx",
+        "roce.rx_verify",
+    } <= names
+    for hook in ("span_begin", "trace_inject", "trace_extract", "count",
+                 "gauge_set", "observe", "emit", "unwrap"):
+        assert calls[hook] > 0, hook

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.attestation import AttestedMessage, ContinuityError, MacMismatchError
-from repro.sim import Simulator
+from repro.sim import DeterministicRng, Simulator
 from repro.sim import latency as cal
 from repro.tee import EnclaveMemoryModel, make_provider
 from repro.tee.providers import PROVIDER_FACTORIES
@@ -123,6 +123,56 @@ def test_tnic_async_attest_is_about_6us():
     tnic = make_provider("tnic", sim, 1, seed=0)
     mean = sum(tnic.attest_latency_us(64) for _ in range(200)) / 200
     assert mean == pytest.approx(cal.TNIC_ATTEST_ASYNC_US, rel=0.35)
+
+
+def _one_line_tnic_sample(rng, synchronous, size_bytes):
+    """A TNIC latency sample computed the way the provider always did,
+    the whole base rebuilt in one expression per call."""
+    hmac_us = cal.TNIC_HMAC_BASE_US + cal.TNIC_HMAC_PER_BYTE_US * size_bytes
+    if synchronous:
+        base = cal.TNIC_PCIE_TRANSFER_US + cal.TNIC_GLUE_US + hmac_us
+    else:
+        base = max(cal.TNIC_ATTEST_ASYNC_US - cal.TNIC_HMAC_BASE_US, 0.5) + hmac_us
+    return rng.lognormal_jitter(base, sigma=0.02)
+
+
+@pytest.mark.parametrize("synchronous", [False, True])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_tnic_samples_are_bit_identical_to_the_one_line_formula(seed, synchronous):
+    """The fixed term precomputed at construction keeps the float
+    association, so every sample — hence every virtual instant — is
+    the same bits."""
+    tnic = make_provider("tnic", Simulator(), 1, seed=seed,
+                         synchronous=synchronous)
+    reference = DeterministicRng(seed, "provider/tnic/1")
+    for size in [0, 64, 1024, 16 * 1024] * 3:
+        got = tnic.attest_latency_us(size)
+        want = _one_line_tnic_sample(reference, synchronous, size)
+        assert got.hex() == want.hex(), (size, got, want)
+
+
+def test_each_timed_tee_call_draws_exactly_one_sample():
+    """``attest``, ``verify`` and ``check_transferable`` each charge one
+    sample and advance the provider's stream by exactly that one: the
+    stream order is what keeps every ``model.*`` number fixed."""
+    sim, a, b = paired("tnic", seed=4)
+    stream = DeterministicRng(4, "provider/tnic/2")
+    payload = b"p" * 100
+
+    def charged(event):
+        want = _one_line_tnic_sample(stream, False, len(payload))
+        assert event.delay == want
+        assert b.rng._random.getstate() == stream._random.getstate()
+        return sim.run(event)
+
+    sender_stream = DeterministicRng(4, "provider/tnic/1")
+    message = a.attest(1, payload)
+    assert message.delay == _one_line_tnic_sample(sender_stream, False, len(payload))
+    assert a.rng._random.getstate() == sender_stream._random.getstate()
+    message = sim.run(message)
+    assert charged(b.check_transferable(1, message)) is True
+    assert charged(b.verify(1, message)) == payload
+    assert charged(b.attest(1, payload)).counter == 0
 
 
 def test_unknown_provider_rejected():

@@ -7,12 +7,14 @@ drops, duplication, reordering, replay and seeds."""
 
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TnicDevice
 from repro.net import ArpServer, Link, NetworkFault
 from repro.roce import QueuePair
+from repro.roce.transport import TransportError
 from repro.sim import DeterministicRng, Simulator
 
 KEY = b"transport-prop-key-0123456789ab!"
@@ -120,6 +122,24 @@ def test_windowed_traffic_of_every_size_is_delivered_exactly_once_in_order(
                          duplicate_probability=duplicate,
                          reorder_probability=reorder)
     assert run_exchange(payloads, fault, seed, window=window) == payloads
+
+
+@pytest.mark.xfail(
+    strict=True, raises=TransportError,
+    reason="open defect: the responder NAKs every out-of-order packet and "
+           "each NAK's go-back-N round charges every in-flight packet a "
+           "retry, so one reordered burst exhausts the 25-retry budget")
+def test_a_nak_burst_does_not_exhaust_the_retry_budget():
+    """An input of the property above that fails: 35 NAKs, 33 go-back-N
+    rounds, ``send psn=23 failed: retry limit exceeded`` at a 20 % loss
+    rate that cannot explain 25 consecutive losses of one packet.
+    Whoever fixes the transport removes the marker."""
+    sizes = [16384, 64, 16384, 1024, 16384, 64, 64, 16384, 16384, 16384]
+    payloads = [index.to_bytes(2, "big") * (size // 2)
+                for index, size in enumerate(sizes)]
+    fault = NetworkFault(drop_probability=0.2, duplicate_probability=0.2,
+                         reorder_probability=0.2)
+    assert run_exchange(payloads, fault, 336, window=4) == payloads
 
 
 @given(st.integers(min_value=0, max_value=10**6))
