@@ -8,8 +8,9 @@ contract, the same way determinism, taint and races already are:
 
 1. **Reachability.**  A declarative :class:`HotPathManifest` names the
    kernel entry points (the clock's step/drain loop, the event trigger
-   paths, the device tx/rx datapath, the RoCE verify path) plus the
-   callback-invoked functions a static call graph cannot reach (the
+   paths, the host stack's post, the device tx/rx datapath, the RoCE
+   verify path) plus the callback-invoked functions a static call
+   graph cannot reach (the
    fabric ``carry`` hops, ``Process._resume``).  The PR 3 call graph
    (:func:`repro.analysis.dataflow.index_functions`, trailing-name call
    resolution) closes those entries into the *hot set*, never leaving
@@ -147,6 +148,13 @@ TNIC_MANIFEST = HotPathManifest(
         "Store.get_until",
         "Store._expire",
         "Store.deliver",
+        # Host stack: the post, its REG-lock grant and completion
+        # callbacks (callback-registered, hence declared), and the
+        # control-block burst they program.
+        "RdmaLibrary.post",
+        "_Post._locked",
+        "_Post._completed",
+        "MappedRegsPage.write_request",
         # Device datapath (tx/rx).
         "TnicDevice.send",
         # The send's stages after the first: registered as callbacks on
@@ -177,6 +185,7 @@ TNIC_MANIFEST = HotPathManifest(
     hot_packages=(
         "repro.sim",
         "repro.core",
+        "repro.stack",
         "repro.roce",
         "repro.net",
         "repro.crypto",

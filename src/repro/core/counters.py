@@ -34,9 +34,12 @@ class CounterStore:
     _sessions: dict[int, _SessionCounters] = field(default_factory=dict)
 
     def _session(self, session_id: int) -> _SessionCounters:
-        if session_id < 0:
-            raise ValueError(f"invalid session id {session_id}")
-        return self._sessions.setdefault(session_id, _SessionCounters())
+        counters = self._sessions.get(session_id)
+        if counters is None:
+            if session_id < 0:
+                raise ValueError(f"invalid session id {session_id}")
+            counters = self._sessions[session_id] = _SessionCounters()
+        return counters
 
     # ------------------------------------------------------------------
     # Send side

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro.sim.instrument import count, observe
 from repro.sim.latency import (
     PCIE_BANDWIDTH_BYTES_PER_US,
-    TNIC_ATTEST_ASYNC_US,
+    TNIC_ASYNC_FIXED_US,
     TNIC_PCIE_TRANSFER_US,
 )
 from repro.sim.resources import Pipe
@@ -50,7 +50,7 @@ class DmaEngine:
         """
         if self.synchronous:
             return TNIC_PCIE_TRANSFER_US
-        return max(TNIC_ATTEST_ASYNC_US - 5.5, 0.5)  # doorbell + fetch
+        return TNIC_ASYNC_FIXED_US
 
     def transfer(self, size_bytes: int) -> "Event":
         """Move *size_bytes* across PCIe; the event (set-up, occupancy

@@ -6,8 +6,9 @@ with a 64 B attestation α plus metadata — a 4 B session id, a 4 B device
 id and the sender's ``send_cnt`` ("the attestation kernel extends the
 payload by appending a 64B attestation and the metadata").
 
-Headers are plain dataclasses; :meth:`Packet.wire_size` accounts for
-every header byte so the bandwidth models see realistic sizes.
+Headers are plain dataclasses with a fixed ``size_bytes`` each;
+:meth:`Packet.wire_size` accounts for every header and trailer byte so
+the bandwidth models see realistic sizes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ ATTESTATION_BYTES = 64
 #: "a 4B id for the session id of the sender, a 4B ID for the device id
 #:  (unique per device), and the appropriate send_cnt" (8 B counter).
 ATTESTATION_METADATA_BYTES = 4 + 4 + 8
+
+#: Every packet carries the same four headers (58 B) ...
+HEADERS_BYTES = (
+    ETHERNET_HEADER_BYTES + IPV4_HEADER_BYTES + UDP_HEADER_BYTES + BTH_BYTES
+)
+#: ... and an attested one the same trailer (80 B).
+TRAILER_BYTES = ATTESTATION_BYTES + ATTESTATION_METADATA_BYTES
 
 
 class RdmaOpcode(enum.Enum):
@@ -85,9 +93,7 @@ class AttestationTrailer:
     device_id: int
     send_cnt: int
 
-    @property
-    def size_bytes(self) -> int:
-        return ATTESTATION_BYTES + ATTESTATION_METADATA_BYTES
+    size_bytes = TRAILER_BYTES
 
     def __post_init__(self) -> None:
         if self.send_cnt < 0:
@@ -111,16 +117,9 @@ class Packet:
 
     def wire_size(self) -> int:
         """Total bytes the packet occupies on the wire."""
-        size = (
-            self.eth.size_bytes
-            + self.ip.size_bytes
-            + self.udp.size_bytes
-            + self.bth.size_bytes
-            + len(self.payload)
-        )
-        if self.trailer is not None:
-            size += self.trailer.size_bytes
-        return size
+        if self.trailer is None:
+            return HEADERS_BYTES + len(self.payload)
+        return HEADERS_BYTES + len(self.payload) + TRAILER_BYTES
 
     def with_payload(self, payload: bytes) -> "Packet":
         """Copy of this packet carrying a different payload (tampering)."""

@@ -40,6 +40,10 @@ TNIC_HMAC_PER_BYTE_US = 0.0205
 #: (user-space) DMA data transfers").  §8.3 system emulation uses the
 #: async figure; Table 3 reports TNIC A2M append at 6.34 us.
 TNIC_ATTEST_ASYNC_US = 6.0
+#: What the async figure leaves once the HMAC pipeline's start-up is
+#: paid: the doorbell and descriptor fetch (0.5 us).  The DMA engine's
+#: per-transfer set-up and the async TNIC provider's fixed term.
+TNIC_ASYNC_FIXED_US = max(TNIC_ATTEST_ASYNC_US - TNIC_HMAC_BASE_US, 0.5)
 
 #: Native OpenSSL HMAC as an in-process library call (SSL-lib).  Table 3
 #: reports 1.26 us for an SSL-lib A2M append (attest + list append).

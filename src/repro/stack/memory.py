@@ -132,8 +132,6 @@ class IbvMemory:
         return offset
 
     def contains(self, address: int, length: int = 1) -> bool:
-        try:
-            self._offset(address, length)
-        except MemoryError_:
-            return False
-        return True
+        """True exactly when ``_offset(address, length)`` would not raise."""
+        offset = address - self.base
+        return length >= 0 and offset >= 0 and offset + length <= self.size

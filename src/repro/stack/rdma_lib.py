@@ -36,7 +36,6 @@ from repro.sim.instrument import (
 )
 from repro.stack.memory import IbvMemory, MemoryError_, RdmaKey
 from repro.stack.process import TnicProcess
-from repro.stack.regs import RegField
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -136,16 +135,11 @@ class _Post:
         process = lib.process
         span = self.span
         try:
-            regs = process.regs
-            regs.write_u64(RegField.CTRL_OPCODE, _OPCODE_CODES[request.opcode])
-            regs.write_u64(RegField.CTRL_QP_NUMBER, request.qp_number)
-            regs.write_u64(RegField.CTRL_LOCAL_ADDR, request.local_addr)
-            regs.write_u64(RegField.CTRL_REMOTE_ADDR, request.remote_addr)
-            regs.write_u64(RegField.CTRL_LENGTH, request.length)
-            regs.write_u64(
-                RegField.CTRL_RKEY, request.rkey.value if request.rkey else 0
+            process.regs.write_request(
+                _OPCODE_CODES[request.opcode], request.qp_number,
+                request.local_addr, request.remote_addr, request.length,
+                request.rkey.value if request.rkey else 0,
             )
-            regs.write_u64(RegField.CTRL_DOORBELL, 1)
             meta = dict(request.meta)
             if span is not NULL_SPAN:
                 # Hand the device *this* stage's context so tnic.tx

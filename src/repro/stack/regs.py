@@ -9,12 +9,16 @@ control and status registers of the FPGA."
 
 The model is a 4 KiB byte array with a fixed register layout; writing
 the doorbell register hands the currently staged work request to the
-device, exactly like ringing a doorbell over BAR space.
+device, exactly like ringing a doorbell over BAR space.  The library
+posts a request as one burst over the contiguous control block
+(:meth:`MappedRegsPage.write_request`), doorbell last, the way a NIC
+driver writes a work-queue entry by MMIO.
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from typing import Callable
 
 PAGE_SIZE = 4096
@@ -39,6 +43,14 @@ class RegField(enum.IntEnum):
     CONFIG_QSFP_PORT = 0x78
 
 
+#: CTRL_OPCODE (0x00) .. CTRL_DOORBELL (0x30) are contiguous: the six
+#: request fields and the doorbell, stored as one block.
+_CONTROL_BLOCK = struct.Struct("<7Q")
+_U64 = struct.Struct("<Q")
+_STATUS_COMPLETIONS = int(RegField.STATUS_COMPLETIONS)
+_STATUS_ERRORS = int(RegField.STATUS_ERRORS)
+
+
 class MappedRegsPage:
     """One user-space-mapped page of FPGA control/status registers."""
 
@@ -48,6 +60,9 @@ class MappedRegsPage:
         self.device_index = device_index
         self.pseudo_device_path = f"/dev/fpga{device_index}"
         self._page = bytearray(PAGE_SIZE)
+        #: A burst is packed here first: ``pack_into`` writes field by
+        #: field, so a bad value must not reach the page half-written.
+        self._burst = bytearray(_CONTROL_BLOCK.size)
         self._doorbell_handler: Callable[[], None] | None = None
         self.doorbell_rings = 0
 
@@ -64,6 +79,32 @@ class MappedRegsPage:
             self.doorbell_rings += 1
             if self._doorbell_handler is not None:
                 self._doorbell_handler()
+
+    def write_request(
+        self,
+        opcode: int,
+        qp_number: int,
+        local_addr: int,
+        remote_addr: int,
+        length: int,
+        rkey: int,
+    ) -> None:
+        """Program the whole control block and ring the doorbell.
+
+        The same page bytes and doorbell as ``write_u64`` over
+        CTRL_OPCODE..CTRL_DOORBELL in order, in one store.  A value
+        outside [0, 2**64) raises ``ValueError`` and writes nothing.
+        """
+        burst = self._burst
+        try:
+            _CONTROL_BLOCK.pack_into(burst, 0, opcode, qp_number, local_addr,
+                                     remote_addr, length, rkey, 1)
+        except struct.error as exc:
+            raise ValueError(f"register value out of range: {exc}") from None
+        self._page[: _CONTROL_BLOCK.size] = burst
+        self.doorbell_rings += 1
+        if self._doorbell_handler is not None:
+            self._doorbell_handler()
 
     def read_u64(self, offset: int) -> int:
         self._check_offset(offset)
@@ -96,9 +137,10 @@ class MappedRegsPage:
 
     def post_status(self, completions: int = 0, errors: int = 0) -> None:
         """Device publishes progress into the status registers."""
+        page = self._page
         if completions:
-            current = self.read_u64(RegField.STATUS_COMPLETIONS)
-            self.write_u64(RegField.STATUS_COMPLETIONS, current + completions)
+            (current,) = _U64.unpack_from(page, _STATUS_COMPLETIONS)
+            _U64.pack_into(page, _STATUS_COMPLETIONS, current + completions)
         if errors:
-            current = self.read_u64(RegField.STATUS_ERRORS)
-            self.write_u64(RegField.STATUS_ERRORS, current + errors)
+            (current,) = _U64.unpack_from(page, _STATUS_ERRORS)
+            _U64.pack_into(page, _STATUS_ERRORS, current + errors)

@@ -137,7 +137,7 @@ class TnicProvider(AttestationProvider):
         if synchronous:
             self._fixed_us = cal.TNIC_PCIE_TRANSFER_US + cal.TNIC_GLUE_US
         else:
-            self._fixed_us = max(cal.TNIC_ATTEST_ASYNC_US - cal.TNIC_HMAC_BASE_US, 0.5)
+            self._fixed_us = cal.TNIC_ASYNC_FIXED_US
 
     def attest_latency_us(self, size_bytes: int) -> float:
         return self.rng.lognormal_jitter(

@@ -14,6 +14,7 @@ from repro.core import (
     MacMismatchError,
     UnknownSessionError,
 )
+from repro.core import counters as counters_module
 from repro.core.counters import CounterStore
 from repro.core.keystore import Keystore, KeystoreError
 from repro.crypto.hmac_engine import KeyedHmac
@@ -187,6 +188,27 @@ def test_counter_store_rejects_negative_session():
     counters = CounterStore()
     with pytest.raises(ValueError):
         counters.next_send(-1)
+    assert counters.snapshot() == {}
+
+
+def test_counter_store_builds_one_record_per_session(monkeypatch):
+    built = []
+    record = counters_module._SessionCounters
+
+    def counting():
+        built.append(record())
+        return built[-1]
+
+    monkeypatch.setattr(counters_module, "_SessionCounters", counting)
+    counters = CounterStore()
+    for _ in range(3):
+        for session in (1, 2):
+            counters.next_send(session)
+            counters.peek_send(session)
+            counters.expected_recv(session)
+            counters.advance_recv(session)
+    assert len(built) == 2
+    assert counters.snapshot() == {1: (3, 3), 2: (3, 3)}
 
 
 def test_pipelined_attest_verify_charges_time():

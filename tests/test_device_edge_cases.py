@@ -9,7 +9,8 @@ from repro.net import ArpServer, Link, NetworkFault
 from repro.roce import QueuePair
 from repro.roce.transport import TransportError
 from repro.sim import Simulator
-from repro.sim.latency import TNIC_PCIE_TRANSFER_US
+from repro.sim.latency import TNIC_ASYNC_FIXED_US, TNIC_PCIE_TRANSFER_US
+from repro.tee.providers import TnicProvider
 
 KEY = b"edge-case-key-0123456789abcdef!!"
 SESSION = 3
@@ -21,6 +22,10 @@ def test_dma_sync_vs_async_setup_cost():
     fast = DmaEngine(sim, synchronous=False)
     assert sync.setup_cost_us() == TNIC_PCIE_TRANSFER_US
     assert fast.setup_cost_us() < sync.setup_cost_us()
+    # The async set-up is the async attest's fixed term: one constant,
+    # still the 0.5 us doorbell + descriptor fetch.
+    provider = TnicProvider(sim, 1)
+    assert fast.setup_cost_us() == provider._fixed_us == TNIC_ASYNC_FIXED_US == 0.5
 
 
 def test_dma_transfer_charges_time_and_counts_bytes():

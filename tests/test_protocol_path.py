@@ -1,6 +1,6 @@
 """The protocol path pays for its stages, not its plumbing.
 
-Three contracts of the systems layer's per-message path:
+Five contracts of the per-message path:
 
 * ``Store.get_until`` is observably the ``get`` / ``any_of`` /
   ``timeout`` / ``cancel_get`` idiom it replaced (kept below as the
@@ -9,6 +9,8 @@ Three contracts of the systems layer's per-message path:
   its stragglers have drained;
 * the exact scheduler-event budget of a BFT, a chain-KV, a Raft and a
   PeerReview request: hops, timed checks and attests, nothing else;
+* a 64 B trusted send keeps its scheduler budget and posts with one
+  REG burst, no raised lookup and no per-message counter record;
 * the scheduler's pending set stays a few dozen entries deep on the
   shapes the paper's systems run.
 """
@@ -20,8 +22,11 @@ from hypothesis import strategies as st
 
 from repro.api import Cluster, auth_send
 from repro.bench.workload import kv_workload
+from repro.core import counters as counters_module
 from repro.sim import TIMED_OUT, Simulator, Store
 from repro.sim.events import AnyOf
+from repro.stack.memory import MemoryError_
+from repro.stack.regs import MappedRegsPage
 from repro.systems.bft import BftCounter
 from repro.systems.chain import ChainReplication
 from repro.systems.peer_review import PeerReviewSystem
@@ -224,18 +229,70 @@ def test_peer_review_chunk_costs_at_most_12_scheduler_events(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Traffic shape: the pending set is shallow
+# The trusted send: stages, and no host plumbing per message
 # ----------------------------------------------------------------------
-def _window_16_send(messages, payload):
-    """The e2e ``send_*`` driver: 16 sends outstanding, oldest first."""
+def _send_pair():
     cluster = Cluster(["a", "b"], seed=0)
     conn_a, _conn_b = cluster.connect("a", "b")
+    return cluster, conn_a
+
+
+def _window_16_send(cluster, conn_a, messages, payload):
+    """The e2e ``send_*`` driver: 16 sends outstanding, oldest first."""
     pending = deque()
     for _ in range(messages):
         if len(pending) == 16:
             cluster.run(pending.popleft())
         pending.append(auth_send(conn_a, payload))
     cluster.run()
+
+
+def test_a_64b_send_pays_for_its_stages_not_host_plumbing(monkeypatch):
+    """Per message of the ``send_small`` shape: the scheduler entries of
+    its physical stages, one REG burst (no single-register store), a
+    lookup that raises nothing and no counter record after a session's
+    first."""
+    messages = 200
+    cluster, conn_a = _send_pair()  # set-up's register stores go uncounted
+    built = {"MemoryError_": 0, "write_u64": 0, "_SessionCounters": 0}
+
+    raise_init = MemoryError_.__init__
+
+    def counting_error(self, *args):
+        built["MemoryError_"] += 1
+        raise_init(self, *args)
+
+    store = MappedRegsPage.write_u64
+
+    def counting_store(self, offset, value):
+        built["write_u64"] += 1
+        store(self, offset, value)
+
+    record = counters_module._SessionCounters
+
+    def counting_record():
+        built["_SessionCounters"] += 1
+        return record()
+
+    monkeypatch.setattr(MemoryError_, "__init__", counting_error)
+    monkeypatch.setattr(MappedRegsPage, "write_u64", counting_store)
+    monkeypatch.setattr(counters_module, "_SessionCounters", counting_record)
+    per_message = _pushes_per_request(
+        monkeypatch,
+        lambda: _window_16_send(cluster, conn_a, messages, b"x" * 64),
+        messages)
+    sessions = sum(len(node.device.attestation.counters._sessions)
+                   for node in cluster.nodes.values())
+    assert cluster["b"].device.attestation.verify_count == messages
+    assert per_message <= 9.1  # measured 9.035
+    assert built["MemoryError_"] == 0
+    assert built["write_u64"] == 0
+    assert built["_SessionCounters"] == sessions == 2
+
+
+# ----------------------------------------------------------------------
+# Traffic shape: the pending set is shallow
+# ----------------------------------------------------------------------
 
 
 def test_the_pending_set_stays_shallow_on_the_paper_workloads(monkeypatch):
@@ -255,5 +312,5 @@ def test_the_pending_set_stays_shallow_on_the_paper_workloads(monkeypatch):
     ChainReplication("tnic", seed=0).run_workload(
         kv_workload(100, read_fraction=0.5, seed=0))
     TeeRaft(nodes=3).run_workload(100)
-    _window_16_send(48, b"x" * 16384)
+    _window_16_send(*_send_pair(), 48, b"x" * 16384)
     assert 0 < deepest[0] <= 64

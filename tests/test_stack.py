@@ -1,6 +1,8 @@
 """Unit tests for the TNIC network stack (§5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TnicDevice
 from repro.net import ArpServer
@@ -14,7 +16,8 @@ from repro.stack import (
     TnicOsLibrary,
 )
 from repro.stack.driver import StaticConfig
-from repro.stack.memory import HUGE_PAGE_BYTES
+from repro.stack.memory import HUGE_PAGE_BYTES, RdmaKey
+from repro.stack.rdma_lib import MemoryTable
 from repro.stack.regs import PAGE_SIZE, RegField
 
 
@@ -57,6 +60,75 @@ def test_regs_status_accumulates():
     regs.post_status(completions=3, errors=1)
     assert regs.read_u64(RegField.STATUS_COMPLETIONS) == 5
     assert regs.read_u64(RegField.STATUS_ERRORS) == 1
+
+
+_REQUEST_FIELDS = (
+    ("opcode", RegField.CTRL_OPCODE),
+    ("qp_number", RegField.CTRL_QP_NUMBER),
+    ("local_addr", RegField.CTRL_LOCAL_ADDR),
+    ("remote_addr", RegField.CTRL_REMOTE_ADDR),
+    ("length", RegField.CTRL_LENGTH),
+    ("rkey", RegField.CTRL_RKEY),
+)
+_u64 = st.integers(min_value=0, max_value=2**64 - 1)
+_request = st.tuples(_u64, _u64, _u64, _u64, _u64, _u64)
+
+
+def _post_by_register(regs, fields):
+    """A post as seven single-register stores, doorbell last."""
+    for (_name, offset), value in zip(_REQUEST_FIELDS, fields):
+        regs.write_u64(offset, value)
+    regs.write_u64(RegField.CTRL_DOORBELL, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(previous=_request, fields=_request)
+def test_a_request_burst_is_the_seven_register_stores(previous, fields):
+    reference = MappedRegsPage(0)
+    regs = MappedRegsPage(0)
+    for page in (reference, regs):
+        page.write_u64(RegField.STATUS_READY, 1)
+        page.post_status(completions=3, errors=1)
+        _post_by_register(page, previous)
+    _post_by_register(reference, fields)
+    staged = []
+    regs.on_doorbell(lambda: staged.append(regs.staged_request()))
+    regs.write_request(*fields)
+    assert bytes(regs._page) == bytes(reference._page)
+    assert staged == [{name: value
+                       for (name, _offset), value in zip(_REQUEST_FIELDS, fields)}]
+    assert regs.doorbell_rings == reference.doorbell_rings == 2
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+@pytest.mark.parametrize("position", range(6))
+def test_a_burst_with_a_bad_value_writes_nothing(bad, position):
+    regs = MappedRegsPage(0)
+    rings = []
+    regs.on_doorbell(lambda: rings.append(regs.staged_request()))
+    regs.write_request(1, 2, 3, 4, 5, 6)
+    before = bytes(regs._page)
+    fields = [7, 8, 9, 10, 11, 12]
+    fields[position] = bad
+    with pytest.raises(ValueError):
+        regs.write_request(*fields)
+    assert bytes(regs._page) == before
+    assert regs.doorbell_rings == len(rings) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)),
+                max_size=12))
+def test_post_status_is_the_read_then_write(updates):
+    regs = MappedRegsPage(0)
+    reference = MappedRegsPage(0)
+    for completions, errors in updates:
+        regs.post_status(completions=completions, errors=errors)
+        for offset, increment in ((RegField.STATUS_COMPLETIONS, completions),
+                                  (RegField.STATUS_ERRORS, errors)):
+            if increment:
+                reference.write_u64(offset, reference.read_u64(offset) + increment)
+    assert bytes(regs._page) == bytes(reference._page)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +178,51 @@ def test_memory_bounds_checked():
         region.write(region.base + region.size - 2, b"xxxx")
     assert not region.contains(region.base - 1)
     assert region.contains(region.base, region.size)
+
+
+def _offset_accepts(region, address, length):
+    try:
+        region._offset(address, length)
+    except MemoryError_:
+        return False
+    return True
+
+
+def test_contains_is_exactly_where_offset_does_not_raise():
+    region = IbvMemory(base=0x1000, size=64,
+                       lkey=RdmaKey(1, 0x1000), rkey=RdmaKey(2, 0x1000))
+    end = region.base + region.size
+    addresses = (0, region.base - 1, region.base, region.base + 1,
+                 end - 1, end, end + 1)
+    for address in addresses:
+        room = end - address
+        for length in (-1, 0, 1, 8, room - 1, room, room + 1,
+                       region.size, region.size + 1):
+            assert region.contains(address, length) == _offset_accepts(
+                region, address, length), (address, length)
+    assert region.contains(end, 0)  # an empty access at one-past-end
+    assert not region.contains(region.base, -1)
+
+
+def test_region_for_routes_across_adjacent_regions():
+    area = HugePageArea()
+    regions = [area.allocate(1) for _ in range(3)]
+    assert regions[1].base == regions[0].base + regions[0].size
+    assert regions[2].base == regions[1].base + regions[1].size
+    table = MemoryTable()
+    for region in regions:
+        table.add(region)
+    for region in regions:
+        last = region.base + region.size
+        assert table.region_for(region.base, 1) is region
+        assert table.region_for(last - 8, 8) is region
+        assert table.region_for(region.base, region.size) is region
+    for address, length in ((regions[0].base - 1, 1),
+                            (regions[2].base + regions[2].size, 1),
+                            (regions[1].base - 4, 8),  # straddles two
+                            (regions[1].base, -1)):
+        with pytest.raises(MemoryError_, match="not in registered"):
+            table.region_for(address, length)
 
 
 def test_dma_requires_registration():
