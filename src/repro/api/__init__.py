@@ -12,7 +12,7 @@
 """
 
 from repro.api.connection import Cluster, IbvConnection, SessionDirectory, TnicNode
-from repro.api.multicast import MulticastGroup, MulticastReceiver, MulticastViolation
+from repro.api.multicast import EquivocationDetected, MulticastGroup, MulticastReceiver
 from repro.api.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.api.ops import (
     auth_send,
@@ -31,10 +31,10 @@ from repro.api.transform import (
 __all__ = [
     "BftTransform",
     "Cluster",
+    "EquivocationDetected",
     "IbvConnection",
     "MulticastGroup",
     "MulticastReceiver",
-    "MulticastViolation",
     "RpcEndpoint",
     "RpcError",
     "RpcTimeout",

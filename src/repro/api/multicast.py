@@ -11,11 +11,15 @@ its reliable pairwise connections.  Each receiver re-verifies the
 broadcast attestation and enforces gap-free counter continuity — so a
 sender that tries to tell different receivers different things is
 forced onto different counters and exposed.
+
+:class:`ContinuityCheck` is that receiver rule, written once: the
+multicast receiver here and the systems' per-sender
+:class:`~repro.systems.common.BroadcastAuthenticator` both judge every
+attested message with :meth:`ContinuityCheck.admit`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.api.connection import Cluster, IbvConnection
@@ -27,8 +31,49 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
 
 
-class MulticastViolation(Exception):
-    """A receiver observed equivocation or forgery on the group."""
+class EquivocationDetected(Exception):
+    """A receiver observed a forged attestation, a counter gap or a
+    replay: equivocation, forgery or a dropped message."""
+
+
+class ContinuityCheck:
+    """The §6.1 receiver rule for one sender's attested stream.
+
+    α must verify, and the sender's counters must arrive gap-free and
+    in order.  A sender that equivocates (different messages to
+    different peers) is forced by the attestation kernel to bind them
+    to different counters, which this check exposes.
+    """
+
+    def __init__(self) -> None:
+        self.expected_counter = 0
+        self.anomalies: list[str] = []
+
+    def admit(
+        self, mac_valid: bool, message: AttestedMessage
+    ) -> EquivocationDetected | None:
+        """Judge *message* given its MAC verdict.
+
+        None when it is the next message in order (the expected counter
+        advances); otherwise the violation to raise, with its anomaly
+        recorded in :attr:`anomalies`.
+        """
+        if not mac_valid:
+            self.anomalies.append(f"bad-mac@{message.counter}")
+            return EquivocationDetected(
+                f"attestation failed for counter {message.counter}"
+            )
+        if message.counter != self.expected_counter:
+            self.anomalies.append(
+                f"counter-gap expected={self.expected_counter} "
+                f"got={message.counter}"
+            )
+            return EquivocationDetected(
+                f"expected counter {self.expected_counter}, "
+                f"got {message.counter}: equivocation or replay"
+            )
+        self.expected_counter += 1
+        return None
 
 
 def encode_attested(message: AttestedMessage) -> bytes:
@@ -44,14 +89,14 @@ def encode_attested(message: AttestedMessage) -> bytes:
 
 def decode_attested(data: bytes) -> AttestedMessage:
     if len(data) < 18:
-        raise MulticastViolation("truncated multicast frame")
+        raise EquivocationDetected("truncated multicast frame")
     counter = int.from_bytes(data[0:8], "big")
     device_id = int.from_bytes(data[8:12], "big")
     session_id = int.from_bytes(data[12:16], "big")
     alpha_len = int.from_bytes(data[16:18], "big")
     alpha = data[18 : 18 + alpha_len]
     if len(alpha) != alpha_len:
-        raise MulticastViolation("truncated attestation")
+        raise EquivocationDetected("truncated attestation")
     return AttestedMessage(
         payload=data[18 + alpha_len :],
         alpha=alpha,
@@ -61,46 +106,36 @@ def decode_attested(data: bytes) -> AttestedMessage:
     )
 
 
-@dataclass
-class MulticastReceiver:
+class MulticastReceiver(ContinuityCheck):
     """Receiver-side endpoint: verification + counter continuity."""
 
-    conn: IbvConnection
-    broadcast_session: int
-    expected_counter: int = 0
+    def __init__(self, conn: IbvConnection, broadcast_session: int) -> None:
+        super().__init__()
+        self.conn = conn
+        self.broadcast_session = broadcast_session
 
     def deliver(self) -> "Event | None":
         """Pop, verify and order the next multicast payload.
 
         Returns None when nothing is pending; otherwise an event that
         resolves with the payload or fails with
-        :class:`MulticastViolation`.
+        :class:`EquivocationDetected`.
         """
         item = recv(self.conn)
         if item is None:
             return None
         message = decode_attested(item["payload"])
-        sim = self.conn.node.sim
-        done = sim.event()
+        done = self.conn.node.sim.event()
         check = self.conn.node.device.local_verify(
             self.broadcast_session, message
         )
 
         def _finish(event) -> None:
-            if not event._value:
-                done.fail(MulticastViolation(
-                    f"broadcast attestation failed at counter "
-                    f"{message.counter}"
-                ))
-                return
-            if message.counter != self.expected_counter:
-                done.fail(MulticastViolation(
-                    f"expected broadcast counter {self.expected_counter}, "
-                    f"got {message.counter}: equivocation or replay"
-                ))
-                return
-            self.expected_counter += 1
-            done.succeed(message.payload)
+            violation = self.admit(event._value, message)
+            if violation is None:
+                done.succeed(message.payload)
+            else:
+                done.fail(violation)
 
         check.callbacks.append(_finish)
         return done

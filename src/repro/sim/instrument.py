@@ -61,11 +61,6 @@ class NullSpan:
 NULL_SPAN = NullSpan()
 
 
-def hub(sim) -> Any | None:
-    """The telemetry hub attached to *sim*, if any."""
-    return getattr(sim, "telemetry", None)
-
-
 def count(sim, name: str, value: float = 1, **labels: Any) -> None:
     """Add *value* to counter *name* (no-op without a hub)."""
     telemetry = sim.telemetry

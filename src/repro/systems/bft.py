@@ -21,16 +21,15 @@ from repro.sim.clock import Simulator
 from repro.sim.instrument import NULL_SPAN, span_begin
 from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
-    BroadcastAuthenticator,
     EmulatedNetwork,
     Envelope,
     EquivocationDetected,
     SystemMetrics,
-    install_shared_sessions,
+    authenticators,
+    provision,
     unwrap,
 )
 from repro.tee.base import AttestationProvider
-from repro.tee.providers import make_provider
 
 # ---------------------------------------------------------------------------
 # Wire messages
@@ -120,17 +119,10 @@ class _Replica:
         #: represent the expected counter values for all other nodes").
         self.simulated: dict[str, int] = {}
         self.detected_faults: list[str] = []
-        self.authenticators: dict[str, BroadcastAuthenticator] = {}
+        self.authenticators = authenticators(provider, system.session_ids)
         self.inbox = system.network.register(name)
         self.acks_per_batch: dict[int, set[str]] = {}
         self._last_attested: AttestedMessage | None = None
-
-    def authenticator_for(self, sender: str) -> BroadcastAuthenticator:
-        if sender not in self.authenticators:
-            self.authenticators[sender] = BroadcastAuthenticator(
-                self.provider, self.system.session_ids[sender]
-            )
-        return self.authenticators[sender]
 
     # ------------------------------------------------------------------
     # Leader role (Algorithm 3, leader())
@@ -221,7 +213,7 @@ class _Replica:
             span = span_begin(sim, "bft.leader_ack",
                               parent=trace_parent, node=self.name)
             stage = span.child("bft.rx_verify")
-        auth = self.authenticator_for(message.sender)
+        auth = self.authenticators[message.sender]
         try:
             payload = yield auth.verify(message.attested)
         except EquivocationDetected as exc:
@@ -275,7 +267,7 @@ class _Replica:
                 span = span_begin(sim, "bft.follower",
                                   parent=trace_parent, node=self.name)
                 stage = span.child("bft.rx_verify")
-            auth = self.authenticator_for(message.sender)
+            auth = self.authenticators[message.sender]
             try:
                 payload = yield auth.verify(message.attested)
             except EquivocationDetected as exc:
@@ -364,14 +356,9 @@ class BftCounter:
         self.leader_name = names[0]
         self.followers = names[1:]
         self.client_name = "client"
-        kwargs = provider_kwargs or {}
-        if provider_name == "amd-sev":
-            kwargs.setdefault("lower_bound", True)  # §8.3 uses the 30us bound
-        self.providers: dict[str, AttestationProvider] = {
-            name: make_provider(provider_name, self.sim, i + 1, seed=seed, **kwargs)
-            for i, name in enumerate(names)
-        }
-        self.session_ids = install_shared_sessions(self.providers)
+        self.providers, self.session_ids = provision(
+            self.sim, provider_name, names, seed, provider_kwargs
+        )
         behaviours = behaviours or {}
         self.replicas = {
             name: _Replica(name, self, self.providers[name],
@@ -416,13 +403,12 @@ class BftCounter:
         """
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
-        done = self.sim.event()
         self.aborted = False
-        self.sim.process(self._client(batches, timeout_us, pipeline_depth, done))
-        self.sim.run(done)
-        return self.metrics
+        return self.sim.run(self.sim.process(
+            self._client(batches, timeout_us, pipeline_depth)
+        ))
 
-    def _client(self, batches: int, timeout_us: float, depth: int, done):
+    def _client(self, batches: int, timeout_us: float, depth: int):
         self.metrics.started_at = self.sim.now
         quorum = self.f + 1
         sent_at: dict[int, float] = {}
@@ -473,7 +459,7 @@ class BftCounter:
         for root in roots.values():
             root.end(status="uncommitted")
         self.metrics.finished_at = self.sim.now
-        done.succeed(self.metrics)
+        return self.metrics
 
     # ------------------------------------------------------------------
     # Quorum reads
@@ -481,11 +467,9 @@ class BftCounter:
     def read_counter(self, timeout_us: float = 100_000.0) -> int:
         """Read the replicated counter: broadcast, trust f+1 identical
         replies.  Raises TimeoutError when no quorum forms."""
-        done = self.sim.event()
-        self.sim.process(self._read_client(timeout_us, done))
-        return self.sim.run(done)
+        return self.sim.run(self.sim.process(self._read_client(timeout_us)))
 
-    def _read_client(self, timeout_us: float, done):
+    def _read_client(self, timeout_us: float):
         read_id = getattr(self, "_next_read_id", 0)
         self._next_read_id = read_id + 1
         request = ReadRequest(read_id)
@@ -497,8 +481,7 @@ class BftCounter:
         while True:
             item = yield self.client_inbox.get_until(deadline)
             if item is TIMED_OUT:
-                done.fail(TimeoutError("no read quorum"))
-                return
+                raise TimeoutError("no read quorum")
             reply = item
             if type(item) is Envelope:
                 reply, _ = unwrap(self.sim, item)
@@ -510,8 +493,7 @@ class BftCounter:
             voters = votes.setdefault(reply.output, set())
             voters.add(reply.sender)
             if len(voters) >= quorum:
-                done.succeed(reply.output)
-                return
+                return reply.output
 
     def detected_faults(self) -> dict[str, list[str]]:
         return {

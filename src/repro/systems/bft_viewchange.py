@@ -26,24 +26,17 @@ from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.clock import Simulator
 from repro.sim.resources import TIMED_OUT
+from repro.systems.bft import ClientRequest, Reply, _decode_poe, _encode_poe
 from repro.systems.common import (
-    BroadcastAuthenticator,
     EmulatedNetwork,
     EquivocationDetected,
     SystemMetrics,
+    authenticators,
+    provision,
 )
 from repro.tee.base import AttestationProvider
-from repro.tee.providers import make_provider
 
 MAX_VIEWS = 8
-REQUEST_BYTES = 32
-
-
-@dataclass(frozen=True)
-class ClientRequest:
-    kind = "request"
-    batch_id: int
-    increments: int
 
 
 @dataclass(frozen=True)
@@ -63,28 +56,10 @@ class ViewChangeVote:
 
 
 @dataclass(frozen=True)
-class Reply:
-    kind = "reply"
-    sender: str
-    batch_id: int
-    output: int
-
-
-@dataclass(frozen=True)
 class _WatchdogFired:
     kind = "watchdog"
     batch_id: int
     view: int
-
-
-def _encode(batch_id: int, increments: int, output: int) -> bytes:
-    header = f"{batch_id}|{increments}|{output}|"
-    return header.encode() + b"R" * (increments * REQUEST_BYTES)
-
-
-def _decode(payload: bytes) -> tuple[int, int, int]:
-    batch_id, increments, output = payload.decode().split("|")[:3]
-    return int(batch_id), int(increments), int(output)
 
 
 class _Replica:
@@ -107,17 +82,10 @@ class _Replica:
         self.detected_faults: list[str] = []
         self.view_changes_seen = 0
         self.inbox = system.network.register(name)
-        self.authenticators: dict[tuple[str, int], BroadcastAuthenticator] = {}
+        #: One check table entry per (sender, view) session.
+        self.authenticators = authenticators(provider, system.session_ids)
 
     # ------------------------------------------------------------------
-    def _auth(self, sender: str, view: int) -> BroadcastAuthenticator:
-        key = (sender, view)
-        if key not in self.authenticators:
-            self.authenticators[key] = BroadcastAuthenticator(
-                self.provider, self.system.session_id(sender, view)
-            )
-        return self.authenticators[key]
-
     def is_leader(self) -> bool:
         return self.system.leader_of(self.view) == self.name
 
@@ -153,8 +121,8 @@ class _Replica:
         self.counter = output
         self.applied.add(request.batch_id)
         attested = yield self.provider.attest(
-            self.system.session_id(self.name, self.view),
-            _encode(request.batch_id, request.increments, output),
+            self.system.session_ids[self.name, self.view],
+            _encode_poe(request.batch_id, request.increments, output),
         )
         poe = ViewPoe(self.view, self.name, attested)
         for peer in self.system.replica_names:
@@ -180,7 +148,7 @@ class _Replica:
             return
         self.voted_for.add(new_view)
         attested = yield self.provider.attest(
-            self.system.session_id(self.name, self.view),
+            self.system.session_ids[self.name, self.view],
             f"VIEW-CHANGE|{new_view}".encode(),
         )
         vote = ViewChangeVote(new_view, self.name, attested)
@@ -200,11 +168,13 @@ class _Replica:
             )
             return
         try:
-            payload = yield self._auth(poe.sender, poe.view).verify(poe.attested)
+            payload = yield self.authenticators[poe.sender, poe.view].verify(
+                poe.attested
+            )
         except EquivocationDetected as exc:
             self.detected_faults.append(str(exc))
             return
-        batch_id, increments, output = _decode(payload)
+        batch_id, increments, output = _decode_poe(payload)
         expected = self.simulated.get((poe.sender, poe.view), self.counter)
         expected += increments
         if output != expected:
@@ -226,9 +196,9 @@ class _Replica:
         if vote.new_view <= self.view:
             return
         try:
-            payload = yield self._auth(
+            payload = yield self.authenticators[
                 vote.sender, vote.new_view - 1
-            ).verify(vote.attested)
+            ].verify(vote.attested)
         except EquivocationDetected as exc:
             self.detected_faults.append(str(exc))
             return
@@ -280,12 +250,15 @@ class ViewChangeBftCounter:
         self.watchdog_us = watchdog_us
         self.replica_names = [f"r{i}" for i in range(2 * f + 1)]
         self.client_name = "client"
-        self.providers = {
-            name: make_provider(provider_name, self.sim, i + 1, seed=seed)
-            for i, name in enumerate(self.replica_names)
-        }
-        self._sessions: dict[tuple[str, int], int] = {}
-        self._install_view_sessions()
+        # One session per (replica, view): the "new connections with new
+        # identifiers" of §8.5.
+        self.providers, self.session_ids = provision(
+            self.sim, provider_name, self.replica_names, seed,
+            session_keys={
+                (name, view): sha256("view-session", name, view)
+                for view in range(MAX_VIEWS) for name in self.replica_names
+            },
+        )
         silent = silent_replicas or set()
         self.replicas = {
             name: _Replica(name, self, self.providers[name],
@@ -299,22 +272,6 @@ class ViewChangeBftCounter:
             self.sim.process(replica.run())
 
     # ------------------------------------------------------------------
-    def _install_view_sessions(self) -> None:
-        """Pre-provision one session per (replica, view): the "new
-        connections with new identifiers" of §8.5."""
-        next_id = 1
-        for view in range(MAX_VIEWS):
-            for name in self.replica_names:
-                session_id = next_id
-                next_id += 1
-                self._sessions[(name, view)] = session_id
-                key = sha256("view-session", name, view)
-                for provider in self.providers.values():
-                    provider.install_session(session_id, key)
-
-    def session_id(self, name: str, view: int) -> int:
-        return self._sessions[(name, view)]
-
     def leader_of(self, view: int) -> str:
         return self.replica_names[view % len(self.replica_names)]
 
@@ -322,12 +279,9 @@ class ViewChangeBftCounter:
     def run_workload(
         self, batches: int, timeout_us: float = 50_000.0
     ) -> SystemMetrics:
-        done = self.sim.event()
-        self.sim.process(self._client(batches, timeout_us, done))
-        self.sim.run(done)
-        return self.metrics
+        return self.sim.run(self.sim.process(self._client(batches, timeout_us)))
 
-    def _client(self, batches: int, timeout_us: float, done):
+    def _client(self, batches: int, timeout_us: float):
         self.metrics.started_at = self.sim.now
         quorum = self.f + 1
         for batch_id in range(batches):
@@ -353,7 +307,7 @@ class ViewChangeBftCounter:
                 break
             self.metrics.record(self.sim.now - sent_at)
         self.metrics.finished_at = self.sim.now
-        done.succeed(self.metrics)
+        return self.metrics
 
     # ------------------------------------------------------------------
     def current_views(self) -> dict[str, int]:

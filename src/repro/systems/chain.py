@@ -19,14 +19,13 @@ from repro.core.attestation import AttestedMessage
 from repro.sim.clock import Simulator
 from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
-    BroadcastAuthenticator,
     EmulatedNetwork,
     EquivocationDetected,
     SystemMetrics,
-    install_shared_sessions,
+    authenticators,
+    provision,
 )
 from repro.tee.base import AttestationProvider
-from repro.tee.providers import make_provider
 
 # ---------------------------------------------------------------------------
 # Requests: the paper's CR experiment uses 60B context + 4B op type +
@@ -117,14 +116,7 @@ class _ChainNode:
         self.commit_index = 0
         self.detected_faults: list[str] = []
         self.inbox = system.network.register(name)
-        self.authenticators: dict[str, BroadcastAuthenticator] = {}
-
-    def authenticator_for(self, sender: str) -> BroadcastAuthenticator:
-        if sender not in self.authenticators:
-            self.authenticators[sender] = BroadcastAuthenticator(
-                self.provider, self.system.session_ids[sender]
-            )
-        return self.authenticators[sender]
+        self.authenticators = authenticators(provider, system.session_ids)
 
     def execute(self, request: KvRequest) -> str:
         """Deterministic KV application."""
@@ -230,9 +222,8 @@ class _ChainNode:
         expected_output = self._expected_output(message.request)
         expected_commit = self.commit_index + 1
         for sender, attested in message.poes:
-            auth = self.authenticator_for(sender)
             try:
-                payload = yield auth.verify(attested)
+                payload = yield self.authenticators[sender].verify(attested)
             except EquivocationDetected as exc:
                 self.detected_faults.append(f"{sender}: {exc}")
                 return False
@@ -282,14 +273,9 @@ class ChainReplication:
         names = ["head"] + [f"mid{i}" for i in range(chain_length - 2)] + ["tail"]
         self.names = names
         self.client_name = "client"
-        kwargs = provider_kwargs or {}
-        if provider_name == "amd-sev":
-            kwargs.setdefault("lower_bound", True)
-        self.providers = {
-            name: make_provider(provider_name, self.sim, i + 1, seed=seed, **kwargs)
-            for i, name in enumerate(names)
-        }
-        self.session_ids = install_shared_sessions(self.providers)
+        self.providers, self.session_ids = provision(
+            self.sim, provider_name, names, seed, provider_kwargs
+        )
         behaviours = behaviours or {}
         self.nodes: dict[str, _ChainNode] = {}
         for i, name in enumerate(names):
@@ -321,12 +307,11 @@ class ChainReplication:
         """
         if read_mode not in ("chain", "quorum"):
             raise ValueError(f"unknown read_mode {read_mode!r}")
-        done = self.sim.event()
-        self.sim.process(self._client(requests, timeout_us, read_mode, done))
-        self.sim.run(done)
-        return self.metrics
+        return self.sim.run(self.sim.process(
+            self._client(requests, timeout_us, read_mode)
+        ))
 
-    def _client(self, requests, timeout_us, read_mode, done):
+    def _client(self, requests, timeout_us, read_mode):
         self.metrics.started_at = self.sim.now
         needed = len(self.names)
         for request_id, request in enumerate(requests):
@@ -356,7 +341,7 @@ class ChainReplication:
                 break
             self.metrics.record(self.sim.now - sent_at)
         self.metrics.finished_at = self.sim.now
-        done.succeed(self.metrics)
+        return self.metrics
 
     def detected_faults(self) -> dict[str, list[str]]:
         return {

@@ -1,17 +1,26 @@
-"""Shared substrate for the §8.3 distributed-system evaluation.
+"""Shared scaffold of the replicated systems (§7, §8.3).
 
-The paper evaluates the four systems on the Intel cluster over the
-DRCT-IO stack, injecting busy-waits that emulate each attestation
-provider's latency.  :class:`EmulatedNetwork` is that substrate: FIFO
-reliable channels with the DRCT-IO per-hop latency, carrying Python
-message objects between named nodes.
+The paper evaluates the systems on the Intel cluster over the DRCT-IO
+stack, injecting busy-waits that emulate each attestation provider's
+latency.  Every system here is built from the same four pieces:
 
-:class:`BroadcastAuthenticator` implements the equivocation-free
-multicast pattern of §6.1: the sender attests a message *once*
-(``local_send``) and unicasts the identical attested message; every
-receiver checks transferable authentication and tracks the expected
-counter per sender, exactly like the per-sender counter copies the
-paper's BFT protocol keeps.
+* :func:`provision` — one attestation provider per node (device ids
+  1..n in node order, the §8.3 30 µs ``lower_bound`` for AMD-sev) and
+  one session per sender, installed on every provider so any node can
+  check any other's attestations.
+* :func:`authenticators` — a node's per-sender check table, built once
+  at construction.
+* :class:`EmulatedNetwork` — FIFO reliable channels with the DRCT-IO
+  per-hop latency, carrying Python message objects between named nodes.
+* :class:`SystemMetrics` — commit latency and throughput in virtual
+  time, filled by the system's client process, whose return value
+  ``run_workload`` hands back.
+
+:class:`BroadcastAuthenticator` is the receiver side of the §6.1
+equivocation-free multicast: the sender attests a message *once* and
+unicasts the identical attested message; every receiver checks
+transferable authentication and gap-free counters per sender with the
+one continuity rule, :class:`~repro.api.multicast.ContinuityCheck`.
 """
 
 from __future__ import annotations
@@ -19,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.api.multicast import ContinuityCheck, EquivocationDetected
 from repro.core.attestation import AttestedMessage
+from repro.crypto.hashing import sha256
 from repro.sim.events import Timeout
 from repro.sim.instrument import (
     count,
@@ -33,6 +44,7 @@ from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.resources import Store
 from repro.sim.trace import emit
 from repro.tee.base import AttestationProvider
+from repro.tee.providers import make_provider
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -176,33 +188,19 @@ class EmulatedNetwork:
             return
         self._hop(inbox, message)
 
-    def broadcast(
-        self, destinations: list[str], message: Any, parent: Any = None
-    ) -> None:
-        for dst in destinations:
-            self.send(dst, message, parent=parent)
 
-
-class EquivocationDetected(Exception):
-    """A receiver observed a counter/authentication anomaly."""
-
-
-class BroadcastAuthenticator:
+class BroadcastAuthenticator(ContinuityCheck):
     """Receiver-side state for equivocation-free multicast.
 
-    One instance per (receiver, sender) pair: verifies transferable
-    authentication of each attested message and enforces that the
-    sender's counters arrive gap-free and in order.  A Byzantine sender
-    that equivocates (sends different messages to different peers) is
-    forced by the attestation kernel to bind them to different
-    counters, which this check exposes.
+    One instance per (receiver, sender) pair: the sender's attestations
+    are checked by the receiver's provider (transferable
+    authentication) and judged by the §6.1 continuity rule.
     """
 
     def __init__(self, provider: AttestationProvider, session_id: int) -> None:
+        super().__init__()
         self.provider = provider
         self.session_id = session_id
-        self.expected_counter = 0
-        self.anomalies: list[str] = []
 
     def verify(self, message: AttestedMessage) -> "Event":
         """Event resolves with the payload, or fails with
@@ -219,27 +217,14 @@ class BroadcastAuthenticator:
         return check
 
     def _settle(self, check: "Event") -> None:
-        """Set *check*'s outcome when it fires: the payload, or
-        :class:`EquivocationDetected` on a bad MAC or an unexpected
-        counter (judged against the counters seen by this instant)."""
+        """Set *check*'s outcome when it fires: the payload, or the
+        violation :meth:`admit` finds (judged against the counters seen
+        by this instant)."""
         mac_valid, message = check._value
-        if not mac_valid:
-            self.anomalies.append(f"bad-mac@{message.counter}")
-            check._exception = EquivocationDetected(
-                f"attestation failed for counter {message.counter}"
-            )
+        violation = self.admit(mac_valid, message)
+        if violation is not None:
+            check._exception = violation
             return
-        if message.counter != self.expected_counter:
-            self.anomalies.append(
-                f"counter-gap expected={self.expected_counter} "
-                f"got={message.counter}"
-            )
-            check._exception = EquivocationDetected(
-                f"expected counter {self.expected_counter}, "
-                f"got {message.counter}: equivocation or replay"
-            )
-            return
-        self.expected_counter += 1
         sim = self.provider.sim
         if sim.tracer is not None:
             emit(sim, "system.auth_ok",
@@ -312,19 +297,47 @@ class SystemMetrics:
         }
 
 
-def install_shared_sessions(
-    providers: dict[str, AttestationProvider], key_root: bytes = b"system-key"
-) -> dict[str, int]:
-    """Give every node a broadcast session keyed to its name.
+def provision(
+    sim: "Simulator",
+    provider_name: str,
+    names: list[str],
+    seed: int,
+    provider_kwargs: dict | None = None,
+    session_keys: dict[Any, bytes] | None = None,
+) -> tuple[dict[str, AttestationProvider], dict[Any, int]]:
+    """One provider per node and every session installed on all of them.
 
-    Returns ``{node_name: session_id}``; every provider installs every
-    session key so any node can verify any other's attestations
-    (transferable authentication requires shared session keys)."""
-    from repro.crypto.hashing import sha256
-
-    session_ids = {name: i + 1 for i, name in enumerate(sorted(providers))}
-    for name, session_id in session_ids.items():
-        key = sha256(key_root, name)
+    Node ``names[i]`` gets device id ``i + 1``.  *session_keys* maps a
+    session label to its key, numbered 1.. in order; the default gives
+    every node a broadcast session keyed to its name, labelled by the
+    name in sorted order.  Every provider installs every session key so
+    any node can verify any other's attestations (transferable
+    authentication requires shared session keys).  Returns
+    ``(providers, {label: session_id})``.
+    """
+    kwargs = dict(provider_kwargs or {})
+    if provider_name == "amd-sev":
+        kwargs.setdefault("lower_bound", True)  # §8.3 uses the 30us bound
+    providers = {
+        name: make_provider(provider_name, sim, i + 1, seed=seed, **kwargs)
+        for i, name in enumerate(names)
+    }
+    if session_keys is None:
+        session_keys = {name: sha256(b"system-key", name)
+                        for name in sorted(names)}
+    session_ids = {}
+    for session_id, (label, key) in enumerate(session_keys.items(), 1):
+        session_ids[label] = session_id
         for provider in providers.values():
             provider.install_session(session_id, key)
-    return session_ids
+    return providers, session_ids
+
+
+def authenticators(
+    provider: AttestationProvider, session_ids: dict[Any, int]
+) -> dict[Any, BroadcastAuthenticator]:
+    """A node's per-sender check table: one authenticator per session."""
+    return {
+        label: BroadcastAuthenticator(provider, session_id)
+        for label, session_id in session_ids.items()
+    }

@@ -88,12 +88,9 @@ class TeeChainReplication:
             self.sim.process(node.run())
 
     def run_workload(self, requests: list[KvRequest]) -> SystemMetrics:
-        done = self.sim.event()
-        self.sim.process(self._client(requests, done))
-        self.sim.run(done)
-        return self.metrics
+        return self.sim.run(self.sim.process(self._client(requests)))
 
-    def _client(self, requests, done):
+    def _client(self, requests):
         self.metrics.started_at = self.sim.now
         for request_id, request in enumerate(requests):
             sent_at = self.sim.now
@@ -107,7 +104,7 @@ class TeeChainReplication:
                     break
             self.metrics.record(self.sim.now - sent_at)
         self.metrics.finished_at = self.sim.now
-        done.succeed(self.metrics)
+        return self.metrics
 
     def stores_consistent(self) -> bool:
         stores = [node.store for node in self.nodes.values()]

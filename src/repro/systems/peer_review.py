@@ -29,9 +29,8 @@ from repro.systems.common import (
     EmulatedNetwork,
     EquivocationDetected,
     SystemMetrics,
-    install_shared_sessions,
+    provision,
 )
-from repro.tee.providers import make_provider
 
 # ---------------------------------------------------------------------------
 # Tamper-evident log
@@ -200,7 +199,7 @@ class _Source:
         }
         self.detected_faults: list[str] = []
 
-    def stream(self, contents: list[str], done):
+    def stream(self, contents: list[str]):
         """root(): multicast each chunk, await both children's acks."""
         system = self.system
         system.metrics.started_at = system.sim.now
@@ -262,7 +261,7 @@ class _Source:
                         )
             system.metrics.record(system.sim.now - sent_at)
         system.metrics.finished_at = system.sim.now
-        done.succeed(system.metrics)
+        return system.metrics
 
 
 class Witness:
@@ -385,15 +384,10 @@ class PeerReviewSystem:
         self.audit_children = audit_children
         self.source_name = "source"
         self.children = [f"child{i}" for i in range(children)]
-        kwargs = provider_kwargs or {}
-        if provider_name == "amd-sev":
-            kwargs.setdefault("lower_bound", True)
-        names = [self.source_name] + self.children
-        self.providers = {
-            name: make_provider(provider_name, self.sim, i + 1, seed=seed, **kwargs)
-            for i, name in enumerate(names)
-        }
-        self.session_ids = install_shared_sessions(self.providers)
+        self.providers, self.session_ids = provision(
+            self.sim, provider_name, [self.source_name] + self.children,
+            seed, provider_kwargs,
+        )
         self.metrics = SystemMetrics(sim=self.sim, system="peer_review")
         self.witness = Witness(self, role="source")
         self.child_witnesses = {
@@ -413,10 +407,7 @@ class PeerReviewSystem:
 
     def run_workload(self, chunks: int) -> SystemMetrics:
         contents = [f"chunk-{i}" for i in range(chunks)]
-        done = self.sim.event()
-        self.sim.process(self.source.stream(contents, done))
-        self.sim.run(done)
-        return self.metrics
+        return self.sim.run(self.sim.process(self.source.stream(contents)))
 
     def detected_faults(self) -> list[str]:
         """Every fault found so far, witness verdicts first; an audit

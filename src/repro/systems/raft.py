@@ -238,12 +238,9 @@ class TeeRaft:
             self.sim.process(self.nodes[name].run_follower())
 
     def run_workload(self, commands: int) -> SystemMetrics:
-        done = self.sim.event()
-        self.sim.process(self._client(commands, done))
-        self.sim.run(done)
-        return self.metrics
+        return self.sim.run(self.sim.process(self._client(commands)))
 
-    def _client(self, commands: int, done):
+    def _client(self, commands: int):
         self.metrics.started_at = self.sim.now
         sent_at: dict[int, float] = {}
         next_id = 0
@@ -263,7 +260,7 @@ class TeeRaft:
                 outstanding -= 1
                 completed += 1
         self.metrics.finished_at = self.sim.now
-        done.succeed(self.metrics)
+        return self.metrics
 
     # ------------------------------------------------------------------
     def logs_consistent(self) -> bool:

@@ -1,15 +1,21 @@
 """Tests for equivocation-free multicast (§6.1)."""
 
+import dataclasses
+
 import pytest
 
-from repro.api import Cluster
+from repro.api import Cluster, auth_send
 from repro.api.multicast import (
+    EquivocationDetected,
     MulticastGroup,
-    MulticastViolation,
     decode_attested,
     encode_attested,
 )
 from repro.core.attestation import AttestedMessage
+from repro.crypto.hashing import sha256
+from repro.sim.clock import Simulator
+from repro.systems.common import BroadcastAuthenticator
+from repro.tee.providers import make_provider
 
 
 def make_group(n_receivers=2):
@@ -42,11 +48,11 @@ def test_frame_roundtrip():
 
 
 def test_frame_truncation_rejected():
-    with pytest.raises(MulticastViolation):
+    with pytest.raises(EquivocationDetected):
         decode_attested(b"short")
     message = AttestedMessage(b"x", b"a" * 32, 1, 1, 0)
     frame = encode_attested(message)
-    with pytest.raises(MulticastViolation):
+    with pytest.raises(EquivocationDetected):
         decode_attested(frame[:20])
 
 
@@ -79,25 +85,56 @@ def test_single_attestation_per_multicast():
     assert second.counter == 1
 
 
-def test_receiver_detects_counter_gap():
-    """Dropping a multicast at one receiver surfaces as a counter gap
-    (no silent divergence between receivers)."""
-    cluster, group = make_group(2)
+@pytest.mark.parametrize("attack, anomaly, reason", [
+    # A dropped multicast surfaces as a counter gap (no silent
+    # divergence between receivers).
+    pytest.param("drop", "counter-gap expected=0 got=1",
+                 "equivocation or replay", id="drop"),
+    pytest.param("replay", "counter-gap expected=1 got=0",
+                 "equivocation or replay", id="replay"),
+    pytest.param("tamper-alpha", "bad-mac@1", "attestation failed",
+                 id="tamper-alpha"),
+])
+def test_receiver_rejects_broken_stream(attack, anomaly, reason):
+    """A broken stream raises the one exception at the multicast
+    receiver and leaves the anomaly a system's per-sender
+    BroadcastAuthenticator records for the same stream."""
+    cluster, group = make_group(1)
+    device = group.sender_conns[0].node.device
+    session = group.broadcast_session
 
     def run():
-        yield from group.send(b"m0")
-        yield from group.send(b"m1")
+        m0 = yield device.local_attest(session, b"m0")
+        m1 = yield device.local_attest(session, b"m1")
+        stream = {
+            "drop": [m1],
+            "replay": [m0, m0],
+            "tamper-alpha": [
+                m0, dataclasses.replace(m1, alpha=bytes(len(m1.alpha))),
+            ],
+        }[attack]
+        for message in stream:
+            yield auth_send(group.sender_conns[0], encode_attested(message))
+        return stream
 
-    cluster.run(cluster.sim.process(run()))
+    stream = cluster.run(cluster.sim.process(run()))
     cluster.run()
-    victim = group.receivers[0]
-    # Adversarial host drops m0 before the application sees it.
-    from repro.api.ops import recv
+    receiver = group.receivers[0]
+    for _ in stream[:-1]:
+        cluster.run(receiver.deliver())
+    with pytest.raises(EquivocationDetected, match=reason):
+        cluster.run(receiver.deliver())
+    assert receiver.anomalies == [anomaly]
 
-    recv(victim.conn)
-    event = victim.deliver()  # this is m1, counter 1, expected 0
-    with pytest.raises(MulticastViolation, match="equivocation or replay"):
-        cluster.run(event)
+    sim = Simulator()
+    provider = make_provider("tnic", sim, 99)
+    provider.install_session(session, sha256("broadcast", "leader", session))
+    auth = BroadcastAuthenticator(provider, session)
+    for message in stream[:-1]:
+        sim.run(auth.verify(message))
+    with pytest.raises(EquivocationDetected, match=reason):
+        sim.run(auth.verify(stream[-1]))
+    assert auth.anomalies == receiver.anomalies
 
 
 def test_forged_frame_rejected():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench import kv_workload
 from repro.systems.bft import BftCounter
+from repro.systems.bft_viewchange import ViewChangeBftCounter
 from repro.systems.chain import ChainReplication
 from repro.systems.peer_review import PeerReviewSystem
 
@@ -55,3 +56,12 @@ def test_provider_latency_ordering_consistent_across_systems():
             metrics = run(build(provider))
             latency[provider] = metrics.mean_latency_us
         assert latency["ssl-lib"] < latency["tnic"] < latency["sgx"]
+
+
+@pytest.mark.parametrize("build", [
+    BftCounter, ViewChangeBftCounter, ChainReplication, PeerReviewSystem,
+])
+def test_amd_sev_systems_use_the_30us_lower_bound(build):
+    """§8.3 runs every system on AMD-sev's deterministic 30 us bound."""
+    system = build("amd-sev")
+    assert all(p.lower_bound for p in system.providers.values())
