@@ -14,7 +14,8 @@ turns both into mechanically enforced, CI-gated properties:
 * :mod:`repro.analysis.taint`       — SEC001–SEC003 key secrecy and
   TNT001–TNT002 verified-ingress rules over the dataflow engine;
 * :mod:`repro.analysis.interference` — RACE001–RACE003 interference
-  lint for simulator processes (the static half of ``repro.sanitizer``);
+  lint for simulator processes (``repro sanitize``'s schedule
+  perturbation is the run-time check);
 * :mod:`repro.analysis.hotpath`     — PERF001–PERF006 hot-path cost
   lint (interprocedural reachability from the kernel entry points);
 * :mod:`repro.analysis.liveness`    — LIV001–LIV003 and LIV005

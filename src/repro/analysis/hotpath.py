@@ -137,10 +137,8 @@ TNIC_MANIFEST = HotPathManifest(
         "Event.succeed",
         "Event.fail",
         "Timeout.__init__",
-        # A process wake (a callback) and the generator-advance loop
-        # it runs: one routine for the bare and the sanitized lane.
+        # A process wake: one callback that advances the generator.
         "Process._resume",
-        "Process._advance",
         # The systems path's per-message receive: the replicas' get, the
         # deadline get the client loops wait on, its expiry timer, and
         # the hop callback that resumes the receiver in the hop's entry.
@@ -211,13 +209,10 @@ TNIC_MANIFEST = HotPathManifest(
         "flight_trigger",
         "trace_inject",
         "trace_extract",
-        "note_read",
-        "note_write",
     ),
     gate_names=(
         "tracer",
         "telemetry",
-        "sanitizer",
         "profiler",
         "traced",
         "span",
@@ -287,7 +282,7 @@ def _class_is_exception(node: ast.ClassDef) -> bool:
     for base in node.bases:
         name = call_name(base) or ""
         tail = name.rsplit(".", 1)[-1]
-        if tail in ("BaseException", "Exception", "Interrupt") or tail.endswith(
+        if tail in ("BaseException", "Exception") or tail.endswith(
             ("Error", "Exception", "Warning")
         ):
             return True
@@ -767,8 +762,8 @@ class UngatedEmitRule(_HotPathRule):
         "against ~10 ns for an `if sim.telemetry is not None` gate), "
         "and its *arguments* are built by the caller first.  Per-message "
         "paths therefore gate every hook at the call site — on "
-        "`sim.tracer is not None`, `sim.telemetry is not None` (or a "
-        "sanitizer/profiler hub), or a held span tested by identity "
+        "`sim.tracer is not None`, `sim.telemetry is not None` (or the "
+        "profiler hub), or a held span tested by identity "
         "(`span is not NULL_SPAN`) — and tests/test_instrument_gate.py "
         "spies that a detached run of every benchmarked workload shape "
         "calls none.  This rule guards expensive arguments everywhere "

@@ -3,9 +3,10 @@
 The DET/SIM/SEC/TNT rules catch nondeterministic *inputs*; this pass
 catches racy *interleavings*.  A simulator process only loses control at
 a ``yield``, so every data race in the cooperative model is a
-shared-state access pattern spanning a yield point — the static analogue
-of the happens-before races the dynamic sanitizer
-(:mod:`repro.sanitizer`) detects at run time.
+shared-state access pattern spanning a yield point.  The run-time
+counterpart is ``python -m repro sanitize`` (:mod:`repro.sanitizer`),
+which reruns scenarios under shuffled same-timestamp order and diffs
+their final-state digests.
 
 Rules (applied only to functions that are themselves generators):
 

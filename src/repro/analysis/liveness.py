@@ -687,7 +687,7 @@ class ResourceLeakRule(_LivenessRule):
         "later waiter — the whole pipeline behind it stalls silently.  "
         "Wrap the held span in try/finally, or "
         "waive acquire-only helpers whose caller owns the release "
-        "(Resource.locked) inline with a rationale comment.  Calls in "
+        "inline with a rationale comment.  Calls in "
         "SELF_RELEASING (HmacEngine.occupy) carry no obligation: the "
         "analytic server behind them holds no lock."
     )

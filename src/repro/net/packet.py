@@ -125,10 +125,6 @@ class Packet:
         """Copy of this packet carrying a different payload (tampering)."""
         return replace(self, payload=payload)
 
-    def with_trailer(self, trailer: AttestationTrailer | None) -> "Packet":
-        """Copy of this packet with a different attestation trailer."""
-        return replace(self, trailer=trailer)
-
     def describe(self) -> str:
         """Short human-readable summary for traces."""
         att = (

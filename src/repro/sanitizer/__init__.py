@@ -1,23 +1,16 @@
-"""Dynamic interference sanitizer for the simulated systems.
+"""Dynamic interference check for the simulated systems.
 
-Three cooperating pieces (the run-time half of the interference
-tooling; the static half is :mod:`repro.analysis.interference`):
-
-* :mod:`repro.sanitizer.hb` — a vector-clock happens-before tracker
-  that attaches to a simulator (``Sanitizer.attach(sim)``) and reports
-  conflicting shared-state accesses with no happens-before path;
-* :mod:`repro.sanitizer.tracked` — :class:`SharedState`, the tracked
-  container protocol code uses to make its shared fields visible;
-* :mod:`repro.sanitizer.perturb` — the schedule-perturbation harness
-  behind ``python -m repro sanitize``: tier-1 scenarios under N seeded
-  tie shuffles, diffing final-state digests.
+:mod:`repro.sanitizer.perturb` is the schedule-perturbation harness
+behind ``python -m repro sanitize``: the tier-1 scenarios under N
+seeded tie shuffles, diffing final-state digests (the run-time half of
+the interference tooling; the static half is
+:mod:`repro.analysis.interference`).
 
 This package is untrusted host tooling: ``repro.sim`` never imports it
-(BND001); the hooks dispatch through the ``sim.sanitizer`` attribute,
-costing one attribute load and one ``is`` check when detached.
+(BND001); it reaches the kernel only through the public
+``Simulator.perturb_ties`` seam.
 """
 
-from repro.sanitizer.hb import Access, RaceFinding, Sanitizer
 from repro.sanitizer.perturb import (
     DEFAULT_SEEDS,
     SCENARIOS,
@@ -26,17 +19,12 @@ from repro.sanitizer.perturb import (
     derive_seed,
     run_sanitize,
 )
-from repro.sanitizer.tracked import SharedState
 
 __all__ = [
-    "Access",
     "DEFAULT_SEEDS",
-    "RaceFinding",
     "SCENARIOS",
-    "Sanitizer",
     "SanitizeReport",
     "ScenarioResult",
-    "SharedState",
     "derive_seed",
     "run_sanitize",
 ]

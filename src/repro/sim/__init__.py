@@ -17,7 +17,7 @@ process simulator in the style of SimPy:
 """
 
 from repro.sim.clock import Simulator
-from repro.sim.events import AnyOf, AllOf, Event, Interrupt, Timeout
+from repro.sim.events import AnyOf, AllOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import TIMED_OUT, Pipe, Resource, SerialServer, Store
 from repro.sim.rng import DeterministicRng
@@ -27,7 +27,6 @@ __all__ = [
     "AnyOf",
     "DeterministicRng",
     "Event",
-    "Interrupt",
     "Pipe",
     "Process",
     "Resource",

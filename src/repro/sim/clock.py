@@ -26,6 +26,11 @@ matter which primitive scheduled them.  ``tests/test_golden_trace.py``
 pins event ordering and virtual-time results;
 ``tests/test_scheduler_oracle.py`` checks random programs against an
 independently written reference scheduler.
+
+Observers: three optional hook slots hang off the simulator,
+``tracer``, ``telemetry`` and ``profiler``.  Each is ``None`` when
+detached and is tested with one ``is not None`` check where it is
+used, so a run with nothing attached pays one attribute load per gate.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class Simulator:
 
     __slots__ = (
         "_now", "_heap", "_tie_next", "_running",
-        "tracer", "telemetry", "sanitizer", "profiler",
+        "tracer", "telemetry", "profiler",
         "__dict__",  # escape hatch: tests/tools attach ad-hoc attributes
     )
 
@@ -85,10 +90,6 @@ class Simulator:
         #: Optional telemetry hub (see :mod:`repro.telemetry`); the
         #: hooks in :mod:`repro.sim.instrument` dispatch through it.
         self.telemetry = None
-        #: Optional happens-before sanitizer (see :mod:`repro.sanitizer`);
-        #: the Process/Event hooks and ``instrument.note_read/note_write``
-        #: dispatch through it, same zero-cost-when-detached contract.
-        self.sanitizer = None
         #: Optional deterministic profiler (``Profiler.attach(sim)``,
         #: :mod:`repro.telemetry.profiler`).  The drain loop dispatches
         #: each processed event through it; detached, the cost is one

@@ -86,11 +86,6 @@ class Event:
         self._state = Event.TRIGGERED
         self._value = value
         sim = self.sim
-        sanitizer = sim.sanitizer
-        if sanitizer is not None:
-            # A trigger is a causality edge: whoever resumes on this
-            # event happens-after everything the triggering context did.
-            sanitizer.event_triggered(self)
         sim._push(sim._now, self)
         return self
 
@@ -104,9 +99,6 @@ class Event:
         self._state = Event.TRIGGERED
         self._exception = exception
         sim = self.sim
-        sanitizer = sim.sanitizer
-        if sanitizer is not None:
-            sanitizer.event_triggered(self)
         sim._push(sim._now, self)
         return self
 
@@ -136,14 +128,6 @@ class Timeout(Event):
         self._exception = None
         self.delay = delay
         sim._push(sim._now + delay, self)
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class _Condition(Event):

@@ -14,7 +14,7 @@ Every hook checks for its hub itself, so calling one detached is safe
 — but not free: it is a Python call plus its keyword dict (~120 ns for
 ``count(sim, "x", device=d)``, against ~10 ns for the gate below).
 Per-message paths therefore gate at the call site, as they do for
-``sim.tracer``, ``sim.sanitizer`` and ``sim.profiler``::
+``sim.tracer`` and ``sim.profiler``::
 
     if sim.telemetry is not None:
         count(sim, "x", device=d)
@@ -124,28 +124,6 @@ def trace_extract(sim, carrier: dict) -> Any | None:
     if telemetry is not None:
         return telemetry.trace_extract(carrier)
     return None
-
-
-def note_read(sim, obj: Any, field: str) -> None:
-    """Record a read of ``obj.field`` with the happens-before sanitizer.
-
-    Dispatches to the hub attached as ``sim.sanitizer`` (installed with
-    ``repro.sanitizer.Sanitizer.attach(sim)``), mirroring how the
-    telemetry hooks above dispatch to ``sim.telemetry`` — this module
-    stays dependency-free so trusted code may call it without crossing
-    the BND001 boundary.  No-op when no sanitizer is attached.
-    """
-    sanitizer = sim.sanitizer
-    if sanitizer is not None:
-        sanitizer.note_read(obj, field)
-
-
-def note_write(sim, obj: Any, field: str) -> None:
-    """Record a write of ``obj.field`` with the happens-before sanitizer
-    (see :func:`note_read`)."""
-    sanitizer = sim.sanitizer
-    if sanitizer is not None:
-        sanitizer.note_write(obj, field)
 
 
 def flight_trigger(sim, event: str, **context: Any) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import inf
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Event
 
@@ -49,11 +49,6 @@ class Resource:
         """Number of currently held units."""
         return self._in_use
 
-    @property
-    def queued(self) -> int:
-        """Number of processes waiting to acquire."""
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Return an event that triggers once a unit is held.
 
@@ -80,14 +75,6 @@ class Resource:
             waiter.succeed(self)
         else:
             self._in_use -= 1
-
-    def locked(self) -> Generator[Event, Any, None]:
-        """Process helper: ``yield from resource.locked()`` is acquire.
-
-        Acquire-only by design: the caller owns the unit afterwards and
-        carries the release obligation (the helper exists so process
-        bodies read as ``yield from lock.locked()``)."""
-        yield self.acquire()  # lint: ignore[LIV001] acquire-only helper: the caller owns the release obligation
 
 
 class SerialServer:
@@ -189,10 +176,6 @@ class Store:
         getter = self._getters.popleft()
         getter._state = _PROCESSED
         getter._value = hop._value
-        sanitizer = self.sim.sanitizer
-        if sanitizer is not None:
-            # The causality edge a scheduled wake would have recorded.
-            sanitizer.event_triggered(getter)
         # The hop adopts the callbacks it runs: the profiler books this
         # entry to the receiver it resumed, not to ``Store.deliver``.
         hop.callbacks = callbacks = getter.callbacks

@@ -286,9 +286,6 @@ class A2M:
                 return
         done.succeed((0, self._log(log_id).tail))
 
-    def log_size_bytes(self, log_id: str) -> int:
-        return len(self._log(log_id).entries) * self.entry_bytes
-
     # ------------------------------------------------------------------
     def _storage_cost(self, log_id: str, index: int) -> float:
         """Memory-access cost for entry *index* of *log_id*.

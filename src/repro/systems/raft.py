@@ -83,9 +83,6 @@ class _RaftNode:
     def last_log_index(self) -> int:
         return len(self.log)
 
-    def last_log_term(self) -> int:
-        return self.log[-1].term if self.log else 0
-
     def _tee_cost(self):
         return self.system.sim.timeout(TEE_IO_OVERHEAD_US)
 

@@ -208,9 +208,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def kind_of(self, name: str) -> str | None:
-        return self._kinds.get(name)
-
     def snapshot(self) -> dict[str, Any]:
         """Nested, sorted, JSON-ready view of every metric."""
         counters: dict[str, float] = {}

@@ -229,8 +229,5 @@ class SpanTracker:
             render(root, 0)
         return "\n".join(lines)
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [span.to_dict() for span in self.finished]
-
 
 __all__ = ["Span", "SpanTracker"]

@@ -10,13 +10,16 @@ Two layers under test, mirroring the corpus under
 * the interprocedural closure — the entry patterns must resolve to the
   fixture kernel, reach its callees, and stop at exempt functions and
   package boundaries;
-* the real tree — no unwaived PERF finding, and every entry point the
+* the real tree — no unwaived PERF finding, every entry point the
   policy declares still names a function (a rename that orphans a
-  declared root would silently shrink the hot set).
+  declared root would silently shrink the hot set), and every emit
+  hook is a tracepoint defined in ``repro.sim.instrument`` or
+  ``repro.sim.trace``.
 """
 
 from __future__ import annotations
 
+import inspect
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,7 @@ from repro.analysis.hotpath import (
 )
 from repro.analysis.rules import collect_findings, rule_catalog, run_rules
 from repro.analysis.walker import collect_sources
+from repro.sim import instrument, trace
 
 FIXTURES = Path(__file__).parent / "fixtures" / "hotpath"
 
@@ -184,3 +188,12 @@ def test_every_declared_entry_point_resolves_on_the_real_tree(real_engine):
         if not any(pattern_matches(pattern, root) for root in real_engine.reachable)
     ]
     assert orphaned == []
+    # An emit hook names a tracepoint function; a name whose function is
+    # gone leaves PERF003 guarding calls that no code can make.
+    defined = {
+        name
+        for module in (instrument, trace)
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__
+    }
+    assert [name for name in TNIC_MANIFEST.emit_hooks if name not in defined] == []

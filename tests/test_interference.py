@@ -1,15 +1,10 @@
-"""The interference sanitizer: RACE lint, happens-before, perturbation.
+"""The interference checks: RACE lint and schedule perturbation.
 
-Three layers under test, mirroring the corpus under
-``tests/fixtures/race/``:
+Two layers under test:
 
 * the static RACE001–RACE003 rules — every seeded violation in
-  ``broken/`` must be reported at exactly its line, and nothing in
-  ``clean/`` may be flagged;
-* the dynamic happens-before sanitizer — the executable
-  ``dynamic_racy`` fixture must produce findings (and a visible lost
-  update), the lock-serialised ``dynamic_clean`` twin must not, and the
-  hooks must cost nothing while ``sim.sanitizer`` is ``None``;
+  ``tests/fixtures/race/broken/`` must be reported at exactly its
+  line, and nothing in ``clean/`` may be flagged;
 * the schedule-perturbation harness — the same seed must reproduce the
   same schedule byte-for-byte, the default FIFO tie-break must be
   untouched (the golden traces depend on it), and the tier-1 scenarios
@@ -18,7 +13,6 @@ Three layers under test, mirroring the corpus under
 
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -30,10 +24,9 @@ from repro.analysis.rules import (
     rule_catalog,
     run_rules,
 )
-from repro.sanitizer import Sanitizer, derive_seed, run_sanitize
+from repro.sanitizer import derive_seed, run_sanitize
 from repro.sanitizer.perturb import SCENARIOS
 from repro.sim import Simulator
-from repro.sim.instrument import note_read, note_write
 from repro.analysis.walker import collect_sources
 
 FIXTURES = Path(__file__).parent / "fixtures" / "race"
@@ -115,98 +108,6 @@ def test_rule_with_rule_id_registers_fine():
             return iter(())
 
     assert Complete().rule_id == "TST001"
-
-
-# ----------------------------------------------------------------------
-# Dynamic sanitizer: racy fixture flagged, clean twin silent
-# ----------------------------------------------------------------------
-
-def _load_fixture(stem: str):
-    spec = importlib.util.spec_from_file_location(
-        f"race_fixture_{stem}", FIXTURES / f"{stem}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_sanitizer_flags_the_racy_fixture():
-    racy = _load_fixture("dynamic_racy")
-    sim = Simulator()
-    sanitizer = Sanitizer.attach(sim)
-    _, state = racy.run(sim)
-    assert sanitizer.findings, "lost-update race not detected"
-    kinds = {f.kind for f in sanitizer.findings}
-    assert kinds <= {"write-write", "read-write", "write-read"}
-    assert all(f.var == "counter" and f.field == "total"
-               for f in sanitizer.findings)
-    # The race is real: updates were actually lost.
-    assert state.snapshot()["total"] < 10
-    assert sanitizer.report().startswith("sanitizer:")
-    assert len(sanitizer.to_json()["races"]) == len(sanitizer.findings)
-
-
-def test_sanitizer_silent_on_the_lock_serialised_twin():
-    clean = _load_fixture("dynamic_clean")
-    sim = Simulator()
-    sanitizer = Sanitizer.attach(sim)
-    _, state = clean.run(sim)
-    assert sanitizer.findings == []
-    assert sanitizer.report() == "sanitizer: no races detected"
-    # Serialisation also fixes the outcome: no update lost.
-    assert state.snapshot()["total"] == 10
-
-
-def test_sanitizer_report_is_run_to_run_deterministic():
-    racy = _load_fixture("dynamic_racy")
-
-    def one_report() -> str:
-        sim = Simulator()
-        sanitizer = Sanitizer.attach(sim)
-        racy.run(sim)
-        return sanitizer.report()
-
-    assert one_report() == one_report()
-
-
-def test_sanitizer_detached_by_default_and_hooks_gated(monkeypatch):
-    racy = _load_fixture("dynamic_racy")
-    calls = {"read": 0, "write": 0}
-    real_read, real_write = Sanitizer.note_read, Sanitizer.note_write
-    monkeypatch.setattr(
-        Sanitizer, "note_read",
-        lambda self, *a: (calls.__setitem__("read", calls["read"] + 1),
-                         real_read(self, *a)),
-    )
-    monkeypatch.setattr(
-        Sanitizer, "note_write",
-        lambda self, *a: (calls.__setitem__("write", calls["write"] + 1),
-                         real_write(self, *a)),
-    )
-
-    sim, _ = racy.run()  # no sanitizer attached
-    assert sim.sanitizer is None
-    assert calls == {"read": 0, "write": 0}
-
-    sim = Simulator()
-    Sanitizer.attach(sim)
-    racy.run(sim)
-    assert calls["read"] > 0 and calls["write"] > 0
-
-
-def test_note_hooks_are_noops_without_a_sanitizer():
-    sim = Simulator()
-    assert sim.sanitizer is None
-    note_read(sim, object(), "field")
-    note_write(sim, object(), "field")  # must not raise
-
-
-def test_detach_restores_the_null_gate():
-    sim = Simulator()
-    sanitizer = Sanitizer.attach(sim)
-    assert sim.sanitizer is sanitizer
-    sanitizer.detach()
-    assert sim.sanitizer is None
 
 
 # ----------------------------------------------------------------------

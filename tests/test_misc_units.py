@@ -55,18 +55,6 @@ def test_run_until_past_raises():
         sim.run(until=1.0)
 
 
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run(proc)
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
-
-
 # ---------------------------------------------------------------------------
 # Latency helpers
 # ---------------------------------------------------------------------------

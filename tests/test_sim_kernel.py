@@ -9,7 +9,6 @@ from repro.sim import (
     TIMED_OUT, DeterministicRng, Pipe, Resource, Simulator, Store,
 )
 from repro.sim.clock import EmptySchedule
-from repro.sim.events import Interrupt
 
 
 def test_timeout_advances_clock():
@@ -90,29 +89,6 @@ def test_process_exception_propagates_to_waiter():
     proc = sim.process(failing())
     with pytest.raises(RuntimeError, match="boom"):
         sim.run(proc)
-
-
-def test_process_interrupt():
-    sim = Simulator()
-    outcome = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as exc:
-            outcome.append(exc.cause)
-        return "woken"
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(5.0)
-        proc.interrupt("wake-up")
-
-    sim.process(interrupter())
-    assert sim.run(proc) == "woken"
-    assert outcome == ["wake-up"]
-    assert sim.now == pytest.approx(5.0)
 
 
 def test_yielding_non_event_fails_process():
