@@ -207,8 +207,6 @@ TNIC_MANIFEST = HotPathManifest(
         "observe",
         "span_begin",
         "flight_trigger",
-        "trace_inject",
-        "trace_extract",
     ),
     gate_names=(
         "tracer",

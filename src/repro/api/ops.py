@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from repro.api.connection import IbvConnection
 from repro.core.attestation import AttestedMessage
 from repro.net.packet import RdmaOpcode
-from repro.sim.instrument import NULL_SPAN, span_begin, trace_inject
+from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, span_begin
 from repro.stack.rdma_lib import WorkRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,9 +34,9 @@ def auth_send(conn: IbvConnection, payload: bytes) -> "Event":
 
     This is also where a *logical request* is born, so with telemetry
     attached it opens the ``request.auth_send`` root span — the apex of
-    the causal trace — and injects its context into the work request's
-    metadata.  Every downstream stage (post/DMA/HMAC/wire/rx-verify,
-    local and on the receiving replica) joins this trace; the root
+    the causal trace — and carries it in the work request's metadata.
+    Every downstream stage (post/DMA/HMAC/wire/rx-verify, local and on
+    the receiving replica) joins this trace; the root
     closes when the peer's ACK triggers the completion event.
     """
     _require_synced(conn)
@@ -53,7 +53,7 @@ def auth_send(conn: IbvConnection, payload: bytes) -> "Event":
         span = span_begin(sim, "request.auth_send",
                           node=conn.node.name, qp=conn.qp_number,
                           bytes=len(payload))
-        trace_inject(sim, request.meta, span)
+        request.meta[TRACE_PARENT] = span
     completion = conn.node.rdma.post(request)
     if span is not NULL_SPAN:
         completion.callbacks.append(lambda _event: span.end())

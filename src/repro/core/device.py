@@ -32,13 +32,7 @@ from repro.roce.queue_pair import QueuePair
 from repro.roce.state_tables import CompletionEntry
 from repro.roce.transport import RoceKernel
 from repro.sim.events import Event
-from repro.sim.instrument import (
-    NULL_SPAN,
-    count,
-    span_begin,
-    trace_extract,
-    trace_inject,
-)
+from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, count, span_begin
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -124,15 +118,15 @@ class _Send(_TxStages):
         self.opcode = opcode
         self.meta = meta
         # Continue the poster's trace (the carrier is the WR metadata)
-        # and replace the carried context with this span's own, so the
-        # packet that leaves the MAC points at tnic.tx and the remote
+        # and replace the carried span with this one, so the packet
+        # that leaves the MAC points at tnic.tx and the remote
         # rx-verify stage joins the tree right here.
         if sim.telemetry is not None:
             span = self.span = span_begin(sim, "tnic.tx",
-                                          parent=trace_extract(sim, meta),
+                                          parent=meta.get(TRACE_PARENT),
                                           device=device.device_id,
                                           qp=qp_number, bytes=len(self.payload))
-            trace_inject(sim, meta, span)
+            meta[TRACE_PARENT] = span
         try:
             self.session_id = device.roce._qp(qp_number).session_id
         except KeyError as exc:

@@ -47,11 +47,11 @@ from repro.roce.state_tables import CompletionEntry, QueuePairState, StateTables
 from repro.sim.events import Event
 from repro.sim.instrument import (
     NULL_SPAN,
+    TRACE_PARENT,
     count,
     flight_trigger,
     gauge_set,
     span_begin,
-    trace_extract,
 )
 from repro.sim.trace import emit
 
@@ -157,13 +157,13 @@ class _RxLane:
             device_id=trailer.device_id,
             counter=trailer.send_cnt,
         )
-        # The packet metadata carries the sender's tnic.tx context
-        # (injected on the transmitting device), so the receiving
+        # The packet metadata carries the sender's tnic.tx span
+        # (written on the transmitting device), so the receiving
         # replica's verification joins the same causal trace.
         vspan = NULL_SPAN
         if kernel.sim.telemetry is not None:
             vspan = span_begin(kernel.sim, "roce.rx_verify",
-                               parent=trace_extract(kernel.sim, packet.meta),
+                               parent=packet.meta.get(TRACE_PARENT),
                                node=kernel.ip, qp=self.qp.qp_number)
         try:
             check = kernel.attestation.verify_event(self.qp.session_id, message)

@@ -1,9 +1,9 @@
 """Schedule-perturbation harness: find schedule dependence by running.
 
-The static pass reasons about one process at a time and the
-happens-before tracker observes one schedule; this harness *changes*
-the schedule.  FIFO order among same-timestamp events is a kernel
-policy, not a semantic guarantee — the paper's CFT-to-BFT
+The static RACE pass reasons about one process at a time; this
+run-time harness *changes* the schedule.  FIFO order among
+same-timestamp events is a kernel policy, not a semantic guarantee —
+the paper's CFT-to-BFT
 transformation (§6, Listing 1) requires replica state machines to be
 deterministic functions of their ordered inputs, so their *final state*
 must not depend on how the kernel breaks ties.  Each tier-1 protocol

@@ -82,48 +82,27 @@ def observe(sim, name: str, value: float, **labels: Any) -> None:
         telemetry.observe(name, value, **labels)
 
 
+#: Key under which a stage's span rides in a metadata dict that travels
+#: with a work request or packet (``WorkRequest.meta``, ``Packet.meta``):
+#: the sender writes ``meta[TRACE_PARENT] = span`` and the next stage
+#: opens ``span_begin(..., parent=meta.get(TRACE_PARENT))``, so the
+#: receiving replica's spans join the sender's trace tree.  The trusted
+#: datapath stores and forwards the value without inspecting it.
+TRACE_PARENT = "trace_parent"
+
+
 def span_begin(sim, name: str, parent: Any = None, **labels: Any):
     """Open a span at the current virtual time.
 
     Returns a live :class:`repro.telemetry.spans.Span` when a hub is
     attached, else :data:`NULL_SPAN`.  Callers end it with
-    ``span.end()``; nesting uses ``span.child(...)``.
+    ``span.end()``; nesting uses ``span.child(...)``.  A *parent* that
+    is not a live span roots a fresh trace (the hub decides).
     """
     telemetry = sim.telemetry
     if telemetry is None:
         return NULL_SPAN
-    if isinstance(parent, NullSpan):
-        parent = None
     return telemetry.span_begin(name, parent=parent, **labels)
-
-
-def trace_inject(sim, carrier: dict, span: Any) -> None:
-    """Serialise *span*'s trace context into *carrier* (a metadata dict
-    that travels with a packet or system message).
-
-    The trusted datapath calls this with whatever ``span_begin`` handed
-    back and never interprets the result: with telemetry detached (or a
-    :data:`NULL_SPAN` in hand) the carrier is left untouched, and with a
-    live hub the context is written under an opaque key the receiver's
-    ``trace_extract`` understands.
-    """
-    telemetry = sim.telemetry
-    if telemetry is not None:
-        telemetry.trace_inject(carrier, span)
-
-
-def trace_extract(sim, carrier: dict) -> Any | None:
-    """Recover a propagated trace context from *carrier*, if any.
-
-    Returns an opaque parent handle suitable for ``span_begin(...,
-    parent=...)`` — the receiving replica's spans join the sender's
-    trace tree.  None when telemetry is detached or nothing rides in
-    the carrier (the span then roots a fresh trace).
-    """
-    telemetry = sim.telemetry
-    if telemetry is not None:
-        return telemetry.trace_extract(carrier)
-    return None
 
 
 def flight_trigger(sim, event: str, **context: Any) -> None:

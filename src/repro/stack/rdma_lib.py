@@ -27,13 +27,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.device import TnicDevice
 from repro.net.packet import RdmaOpcode
 from repro.sim.events import Event
-from repro.sim.instrument import (
-    NULL_SPAN,
-    count,
-    span_begin,
-    trace_extract,
-    trace_inject,
-)
+from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, count, span_begin
 from repro.stack.memory import IbvMemory, MemoryError_, RdmaKey
 from repro.stack.process import TnicProcess
 
@@ -110,13 +104,13 @@ class _Post:
         # The "post" stage of the send breakdown: lock wait + REGs
         # programming + doorbell, ending when the device owns the WR.
         # Joins the caller's trace when the work request carries one
-        # (auth_send injects its root context into request.meta).
+        # (auth_send carries its root span in request.meta).
         lib = self.lib
         request = self.request
         span = NULL_SPAN
         if lib.sim.telemetry is not None:
             span = span_begin(lib.sim, "tnic.post",
-                              parent=trace_extract(lib.sim, request.meta),
+                              parent=request.meta.get(TRACE_PARENT),
                               qp=request.qp_number, bytes=request.length)
         self.span = span
         self.done.callbacks.append(self._completed)
@@ -142,9 +136,9 @@ class _Post:
             )
             meta = dict(request.meta)
             if span is not NULL_SPAN:
-                # Hand the device *this* stage's context so tnic.tx
+                # Hand the device *this* stage's span so tnic.tx
                 # nests under tnic.post in the causal tree.
-                trace_inject(lib.sim, meta, span)
+                meta[TRACE_PARENT] = span
             if request.opcode is RdmaOpcode.WRITE:
                 meta["remote_addr"] = request.remote_addr
                 if request.rkey is not None:

@@ -27,7 +27,6 @@ from repro.systems.common import (
     SystemMetrics,
     authenticators,
     provision,
-    unwrap,
 )
 from repro.tee.base import AttestationProvider
 
@@ -143,7 +142,7 @@ class _Replica:
             request = yield self.inbox.get()
             trace_parent = None
             if type(request) is Envelope:
-                request, trace_parent = unwrap(sim, request)
+                request, trace_parent = request.message, request.span
             if isinstance(request, ProofOfExecution):
                 yield from self._leader_handle_ack(request, trace_parent)
                 continue
@@ -256,7 +255,7 @@ class _Replica:
             message = yield self.inbox.get()
             trace_parent = None
             if type(message) is Envelope:
-                message, trace_parent = unwrap(sim, message)
+                message, trace_parent = message.message, message.span
             if isinstance(message, ReadRequest):
                 yield from self._answer_read(message)
                 continue
@@ -443,7 +442,7 @@ class BftCounter:
                 break
             reply = item
             if type(item) is Envelope:
-                reply, _ = unwrap(self.sim, item)
+                reply = item.message
             if not isinstance(reply, Reply) or reply.batch_id not in sent_at:
                 continue
             voters = votes[reply.batch_id].setdefault(reply.output, set())
@@ -484,7 +483,7 @@ class BftCounter:
                 raise TimeoutError("no read quorum")
             reply = item
             if type(item) is Envelope:
-                reply, _ = unwrap(self.sim, item)
+                reply = item.message
             if (
                 not isinstance(reply, Reply)
                 or reply.batch_id != -read_id - 1

@@ -33,6 +33,15 @@ from repro.tee.base import AttestationProvider
 # ---------------------------------------------------------------------------
 
 
+def role_names(length: int) -> list[str]:
+    """Node names of a *length*-node chain in order: head, mid0.., tail.
+
+    Sessions are numbered from these names, so the spelling and order
+    are part of every chain's identifiers.
+    """
+    return ["head"] + [f"mid{i}" for i in range(length - 2)] + ["tail"]
+
+
 @dataclass(frozen=True)
 class KvRequest:
     op: str  # "put" | "get"
@@ -270,7 +279,7 @@ class ChainReplication:
         self.sim = Simulator()
         self.network = EmulatedNetwork(self.sim)
         self.provider_name = provider_name
-        names = ["head"] + [f"mid{i}" for i in range(chain_length - 2)] + ["tail"]
+        names = role_names(chain_length)
         self.names = names
         self.client_name = "client"
         self.providers, self.session_ids = provision(

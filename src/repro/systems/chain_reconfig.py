@@ -21,7 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.systems.chain import ChainBehaviour, ChainReplication, KvRequest
+from repro.systems.chain import (
+    ChainBehaviour,
+    ChainReplication,
+    KvRequest,
+    role_names,
+)
 from repro.systems.common import SystemMetrics
 
 
@@ -58,9 +63,7 @@ class ReconfigurableChain:
         self.seed = seed
         self.request_timeout_us = request_timeout_us
         self._behaviours = dict(behaviours or {})
-        self._all_names = (
-            ["head"] + [f"mid{i}" for i in range(chain_length - 2)] + ["tail"]
-        )
+        self._all_names = role_names(chain_length)
         self.configurations: list[ConfigurationRecord] = []
         self.exposed: list[str] = []
         self.metrics = SystemMetrics()
@@ -77,9 +80,10 @@ class ReconfigurableChain:
         # Positions are re-derived from the surviving members; the
         # underlying ChainReplication names nodes by role, so map the
         # role names onto the member identities.
+        member_map = dict(zip(role_names(len(members)), members))
         behaviours = {
             role: self._behaviours[member]
-            for role, member in zip(self._role_names(len(members)), members)
+            for role, member in member_map.items()
             if member in self._behaviours
         }
         system = ChainReplication(
@@ -88,7 +92,7 @@ class ReconfigurableChain:
             seed=self.seed + epoch,  # new identifiers per configuration
             behaviours=behaviours,
         )
-        self._member_map = dict(zip(self._role_names(len(members)), members))
+        self._member_map = member_map
         for node in system.nodes.values():
             node.store.update(store)  # state transfer
         self.configurations.append(
@@ -96,10 +100,6 @@ class ReconfigurableChain:
                                 excluded=list(self.exposed))
         )
         return system
-
-    @staticmethod
-    def _role_names(n: int) -> list[str]:
-        return ["head"] + [f"mid{i}" for i in range(n - 2)] + ["tail"]
 
     def _identify_accused(self) -> str:
         """Expose the faulty member from the replicas' evidence.
@@ -123,7 +123,7 @@ class ReconfigurableChain:
                 role: node.commit_index
                 for role, node in self.current.nodes.items()
             }
-            roles = self._role_names(len(progressed))
+            roles = role_names(len(progressed))
             for earlier, later in zip(roles, roles[1:]):
                 if progressed[later] < progressed[earlier]:
                     return self._member_map[earlier]

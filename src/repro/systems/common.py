@@ -32,14 +32,7 @@ from repro.api.multicast import ContinuityCheck, EquivocationDetected
 from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.events import Timeout
-from repro.sim.instrument import (
-    count,
-    gauge_set,
-    observe,
-    span_begin,
-    trace_extract,
-    trace_inject,
-)
+from repro.sim.instrument import count, gauge_set, observe, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.resources import Store
 from repro.sim.trace import emit
@@ -53,37 +46,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True, slots=True)
 class Envelope:
-    """A system message plus the trace carrier riding along with it.
+    """A system message plus the ``system.net_hop`` span it travels under.
 
     :meth:`EmulatedNetwork.send` wraps the message only when the caller
     supplied a live trace parent *and* telemetry is attached, so
     untraced runs (including the golden-trace scenarios) move the bare
     message objects they always did.  Receivers test ``type(item) is
-    Envelope`` and split only an envelope back apart with
-    :func:`unwrap`.
+    Envelope`` and read ``item.message, item.span``: the hop span is the
+    parent of the receiver's own, joining it to the sender's trace.
     """
 
     message: Any
-    carrier: dict
-    #: The ``system.net_hop`` span this envelope travels under.
     span: Any
 
     def arrived(self, _event: "Event") -> None:
         """Hop callback: the envelope reached its inbox."""
         self.span.end()
-
-
-def unwrap(sim: "Simulator", item: Any) -> tuple[Any, Any]:
-    """Split an inbound inbox item into ``(message, trace_parent)``.
-
-    Plain messages pass through with a ``None`` parent; an
-    :class:`Envelope` yields its message plus the propagated context
-    (suitable for ``span_begin(..., parent=...)``), joining the
-    receiver's spans to the sender's trace.
-    """
-    if isinstance(item, Envelope):
-        return item.message, trace_extract(sim, item.carrier)
-    return item, None
 
 
 class EmulatedNetwork:
@@ -153,12 +131,11 @@ class EmulatedNetwork:
     def send(self, dst: str, message: Any, parent: Any = None) -> None:
         """Deliver *message* to *dst* after one hop latency.
 
-        With a live trace *parent* (a span or extracted context) and
-        telemetry attached, the hop itself becomes a ``system.net_hop``
-        span under *parent* and the message travels inside an
-        :class:`Envelope` carrying that span's context — the receiver
-        unwraps it and continues the trace.  Messages toward isolated
-        nodes travel unwrapped (a partition outlives any hop span).
+        With a live trace *parent* span and telemetry attached, the hop
+        itself becomes a ``system.net_hop`` span under *parent* and the
+        message travels inside an :class:`Envelope` carrying that span —
+        the receiver continues the trace under it.  Messages toward
+        isolated nodes travel bare (a partition outlives any hop span).
         """
         if dst not in self._inboxes:
             raise KeyError(f"unknown destination {dst!r}")
@@ -181,9 +158,7 @@ class EmulatedNetwork:
         inbox = self._inboxes[dst]
         if telemetry is not None and parent:
             span = span_begin(sim, "system.net_hop", parent=parent, dst=dst)
-            carrier: dict = {}
-            trace_inject(sim, carrier, span)
-            envelope = Envelope(message, carrier, span)
+            envelope = Envelope(message, span)
             self._hop(inbox, envelope).callbacks.append(envelope.arrived)
             return
         self._hop(inbox, message)

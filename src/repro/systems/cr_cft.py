@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.clock import Simulator
-from repro.systems.chain import KvRequest
+from repro.systems.chain import KvRequest, role_names
 from repro.systems.common import EmulatedNetwork, SystemMetrics
 from repro.systems.raft import TEE_IO_OVERHEAD_US
 
@@ -75,7 +75,7 @@ class TeeChainReplication:
             raise ValueError("chain needs at least head and tail")
         self.sim = Simulator()
         self.network = EmulatedNetwork(self.sim)
-        names = ["head"] + [f"mid{i}" for i in range(chain_length - 2)] + ["tail"]
+        names = role_names(chain_length)
         self.names = names
         self.client_name = "client"
         self.nodes: dict[str, _CftChainNode] = {}

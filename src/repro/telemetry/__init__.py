@@ -56,7 +56,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.propagation import TRACEPARENT_KEY, TraceContext
 from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.spans import Span, SpanTracker
 
@@ -116,29 +115,20 @@ class Telemetry:
         )
         self.registry.histogram(name, bounds=bounds, **labels).observe(value)
 
-    def span_begin(
-        self,
-        name: str,
-        parent: Span | TraceContext | None = None,
-        **labels: Any,
-    ) -> Span:
+    def span_begin(self, name: str, parent: Any = None, **labels: Any) -> Span:
+        """Open a span under *parent*, the one place a parent is judged.
+
+        Anything that is not a live :class:`Span` — None, the detached
+        :data:`~repro.sim.instrument.NULL_SPAN`, or whatever a faulty
+        wire left under ``TRACE_PARENT`` in a carrier — roots a fresh
+        trace, so a corrupt carrier never fails the datapath.
+        """
+        if not isinstance(parent, Span):
+            parent = None
         return self.spans.begin(name, parent=parent, **labels)
 
     def flight_trigger(self, event: str, **context: Any) -> None:
         self.recorder.trigger(event, **context)
-
-    def trace_inject(self, carrier: dict, span: Any) -> None:
-        """Serialise *span*'s context into *carrier* (``trace_inject``
-        tracepoint).  Anything without a span identity — the detached
-        :class:`~repro.sim.instrument.NullSpan`, None — is ignored."""
-        if isinstance(span, Span):
-            carrier[TRACEPARENT_KEY] = span.context().traceparent()
-        elif isinstance(span, TraceContext):
-            carrier[TRACEPARENT_KEY] = span.traceparent()
-
-    def trace_extract(self, carrier: dict) -> TraceContext | None:
-        """Recover a propagated context (``trace_extract`` tracepoint)."""
-        return TraceContext.parse(carrier.get(TRACEPARENT_KEY))
 
     # ------------------------------------------------------------------
     # Convenience renderings
@@ -166,9 +156,7 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "SpanTracker",
-    "TRACEPARENT_KEY",
     "Telemetry",
-    "TraceContext",
     "metrics_document",
     "render_json",
     "render_prometheus",

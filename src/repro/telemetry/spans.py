@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Any
 from repro.sim.rng import DeterministicRng
 from repro.sim.trace import emit
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.propagation import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -42,8 +41,8 @@ class Span:
     labels: dict[str, Any] = field(default_factory=dict)
     end_us: float | None = None
     #: Logical-request identity: every span of one request — across
-    #: every replica it touches — shares one trace id.  Propagated
-    #: between nodes as a serialised :class:`TraceContext`.
+    #: every replica it touches — shares one trace id.  The span itself
+    #: travels between nodes as the next stage's parent.
     trace_id: int = 0
     #: Head-based sampling decision, made once at the trace root and
     #: inherited by every descendant (local children and remote
@@ -75,10 +74,6 @@ class Span:
         if labels:
             self.labels.update(labels)
         self.tracker.finish(self)
-
-    def context(self) -> TraceContext:
-        """This span's identity as a propagatable trace context."""
-        return TraceContext(self.trace_id, self.span_id, self.sampled)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -139,12 +134,11 @@ class SpanTracker:
     def begin(
         self,
         name: str,
-        parent: Span | TraceContext | None = None,
+        parent: Span | None = None,
         **labels: Any,
     ) -> Span:
-        """Open a span; *parent* may be a local :class:`Span`, a
-        :class:`TraceContext` extracted from an inbound carrier (the
-        cross-replica case), or None to root a new trace."""
+        """Open a span; *parent* is a :class:`Span` — local, or carried
+        in from another stage or replica — or None to root a new trace."""
         if parent is None:
             trace_id = next(self._trace_ids)
             sampled = (

@@ -7,8 +7,7 @@ What is tested here:
   CFT Raft control, the PeerReview audit, 64 B and 16 KiB window-16
   ``auth_send`` and 1 KiB ``auth_send`` over a lossy fabric — makes
   *zero* calls into the instrument hooks, the :class:`NullSpan`
-  methods, :func:`repro.sim.trace.emit` and
-  :func:`repro.systems.common.unwrap`.  A detached hook is not free (a
+  methods and :func:`repro.sim.trace.emit`.  A detached hook is not free (a
   Python call plus its keyword dict, ~100 ns), so per-message call
   sites gate on ``sim.telemetry`` / ``sim.tracer`` / a held span's
   identity before they call one.  Set-up and the fault branches
@@ -40,7 +39,6 @@ from repro.sim import Simulator
 from repro.sim import instrument, trace
 from repro.sim.instrument import NULL_SPAN, NullSpan, count, span_begin
 from repro.sim.trace import Tracer, tracing
-from repro.systems import common
 from repro.systems.bft import BftCounter
 from repro.systems.chain import ChainReplication
 from repro.systems.peer_review import PeerReviewSystem
@@ -133,11 +131,11 @@ def test_hub_not_invoked_when_telemetry_detached(monkeypatch):
 # The per-message contract, one workload shape at a time
 # ----------------------------------------------------------------------
 def _spied_functions() -> list:
-    """Every instrument hook, ``trace.emit`` and ``unwrap``."""
+    """Every instrument hook and ``trace.emit``."""
     hooks = [value for value in vars(instrument).values()
              if inspect.isfunction(value)
              and value.__module__ == instrument.__name__]
-    return hooks + [trace.emit, common.unwrap]
+    return hooks + [trace.emit]
 
 
 @pytest.fixture
@@ -277,6 +275,5 @@ def test_an_attached_run_still_opens_every_span(spy):
         "request.auth_send", "tnic.post", "tnic.tx", "tnic.dma", "roce.tx",
         "roce.rx_verify",
     } <= names
-    for hook in ("span_begin", "trace_inject", "trace_extract", "count",
-                 "gauge_set", "observe", "emit", "unwrap"):
+    for hook in ("span_begin", "count", "gauge_set", "observe", "emit"):
         assert calls[hook] > 0, hook

@@ -35,7 +35,7 @@ from repro.net.body import materialize
 from repro.net.fabric import NetworkFault
 from repro.net.packet import RdmaOpcode
 from repro.roce.transport import RoceKernel, TransportError
-from repro.sim.instrument import span_begin, trace_extract
+from repro.sim.instrument import TRACE_PARENT, span_begin
 from repro.sim.resources import Store
 from repro.telemetry import Telemetry
 from repro.telemetry.profiler import _callsite
@@ -140,7 +140,7 @@ class _ReferenceKernel(RoceKernel):
                 session_id=trailer.session_id, device_id=trailer.device_id,
                 counter=trailer.send_cnt)
             vspan = span_begin(self.sim, "roce.rx_verify",
-                               parent=trace_extract(self.sim, packet.meta),
+                               parent=packet.meta.get(TRACE_PARENT),
                                node=self.ip, qp=qp.qp_number)
             try:
                 verified = yield self.attestation.verify_event(

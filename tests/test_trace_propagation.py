@@ -1,14 +1,18 @@
-"""Causal cross-replica tracing: context propagation, trace trees,
+"""Causal cross-replica tracing: the carried span, trace trees,
 critical paths, and their determinism."""
 
 import json
 
 import pytest
 
+from repro.api import Cluster, auth_send
+from repro.api.ops import recv
 from repro.cli import _instrumented_bft, _instrumented_workload, main
 from repro.sim.clock import Simulator
-from repro.sim.instrument import NULL_SPAN, trace_extract, trace_inject
-from repro.telemetry import TRACEPARENT_KEY, Telemetry, TraceContext
+from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, span_begin
+from repro.systems.bft import BftCounter
+from repro.systems.common import EmulatedNetwork, Envelope
+from repro.telemetry import Telemetry
 from repro.telemetry.critical_path import (
     STAGE_ORDER,
     critical_paths,
@@ -18,74 +22,66 @@ from repro.telemetry.critical_path import (
 
 
 # ----------------------------------------------------------------------
-# TraceContext / traceparent wire format
+# The carried span: one metadata key, one parent rule
 # ----------------------------------------------------------------------
-def test_traceparent_roundtrip():
-    context = TraceContext(0xDEADBEEF, 42, True)
-    header = context.traceparent()
-    assert header == f"00-{0xDEADBEEF:032x}-{42:016x}-01"
-    parsed = TraceContext.parse(header)
-    assert parsed == context
-    assert parsed.sampled is True
-    unsampled = TraceContext(1, 2, False)
-    assert TraceContext.parse(unsampled.traceparent()) == unsampled
+def _send_one(attach: bool):
+    """One 64 B ``auth_send`` a -> b; the hub (or None) and what b
+    received."""
+    cluster = Cluster(["a", "b"], seed=0)
+    hub = Telemetry.attach(cluster.sim) if attach else None
+    conn_a, conn_b = cluster.connect("a", "b")
+    cluster.run(auth_send(conn_a, b"x" * 64))
+    cluster.run()
+    return hub, recv(conn_b)
 
 
-@pytest.mark.parametrize("garbage", [
-    None,
-    "",
-    "garbage",
-    "01-" + "0" * 32 + "-" + "0" * 16 + "-01",  # wrong version
-    "00-xyz-abc-01",
-    "00-" + "0" * 31 + "-" + "0" * 16 + "-01",  # short trace id
-    "00-" + "0" * 32 + "-" + "0" * 16 + "-02",  # bad flags
-    1234,
-])
-def test_traceparent_rejects_garbage(garbage):
-    assert TraceContext.parse(garbage) is None
+def test_detached_every_carrier_stays_untouched(monkeypatch):
+    """No hub: nothing rides in a work request, a packet or a system
+    message.  The delivered metadata is copied from the packet's, which
+    is copied from the device's and the work request's, so a write at
+    any stage of the send would show here."""
+    hops = []
+    real_hop = EmulatedNetwork._hop
+
+    def hop(self, inbox, item):
+        hops.append(item)
+        return real_hop(self, inbox, item)
+
+    monkeypatch.setattr(EmulatedNetwork, "_hop", hop)
+    BftCounter("tnic", f=1, seed=0).run_workload(2)
+    assert hops
+    assert not any(type(item) is Envelope for item in hops)
+    _, delivered = _send_one(attach=False)
+    assert TRACE_PARENT not in delivered["meta"]
 
 
-def test_trace_context_is_immutable():
-    context = TraceContext(1, 2, True)
-    with pytest.raises(AttributeError):
-        context.trace_id = 9
+class _Lookalike:
+    """A span's identity fields on something that is not a span."""
+
+    trace_id, span_id, sampled = 1, 1, True
 
 
-# ----------------------------------------------------------------------
-# Tracepoints: detached behaviour
-# ----------------------------------------------------------------------
-def test_inject_extract_are_noops_when_detached():
-    sim = Simulator()
-    carrier = {}
-    trace_inject(sim, carrier, NULL_SPAN)
-    assert carrier == {}
-    assert trace_extract(sim, {TRACEPARENT_KEY: "00-" + "0" * 31 + "1-"
-                               + "0" * 15 + "1-01"}) is None
-
-
-def test_inject_ignores_null_span_with_hub_attached():
+@pytest.mark.parametrize("carried", [
+    None, NULL_SPAN, "garbage", 1234, _Lookalike(),
+], ids=["None", "null_span", "garbage", "1234", "lookalike"])
+def test_a_carried_value_that_is_not_a_span_roots_a_fresh_trace(carried):
     sim = Simulator()
     Telemetry.attach(sim)
-    carrier = {}
-    trace_inject(sim, carrier, NULL_SPAN)
-    assert carrier == {}
-    trace_inject(sim, carrier, None)
-    assert carrier == {}
+    earlier = span_begin(sim, "request.auth_send")
+    meta = {TRACE_PARENT: carried}
+    span = span_begin(sim, "roce.rx_verify", parent=meta.get(TRACE_PARENT))
+    assert span.parent_id is None
+    assert span.trace_id != earlier.trace_id
+    assert span.sampled
 
 
-def test_inject_extract_roundtrip_through_hub():
-    sim = Simulator()
-    hub = Telemetry.attach(sim)
-    span = hub.span_begin("request.auth_send")
-    carrier = {}
-    trace_inject(sim, carrier, span)
-    assert TRACEPARENT_KEY in carrier
-    context = trace_extract(sim, carrier)
-    assert context.trace_id == span.trace_id
-    assert context.span_id == span.span_id
-    child = hub.span_begin("tnic.post", parent=context)
-    assert child.trace_id == span.trace_id
-    assert child.parent_id == span.span_id
+def test_a_carried_span_is_the_parent_of_the_next_stage():
+    hub, delivered = _send_one(attach=True)
+    carried = delivered["meta"][TRACE_PARENT]
+    assert carried.name == "tnic.tx"
+    verifies = [span for span in hub.spans.spans("roce.rx_verify")
+                if span.trace_id == carried.trace_id]
+    assert [span.parent_id for span in verifies] == [carried.span_id]
 
 
 # ----------------------------------------------------------------------
