@@ -43,7 +43,7 @@ rm -f /tmp/tnic-metrics-a.json /tmp/tnic-metrics-b.json
 echo "ok: metrics documents byte-identical"
 
 echo
-echo "== trace determinism (two seeded BFT critical-path runs must match) =="
+echo "== trace determinism (two seeded runs of each must match) =="
 python -m repro trace --scenario bft --ops 4 --seed 3 --critical-path \
     --output /tmp/tnic-trace-a.json > /dev/null
 python -m repro trace --scenario bft --ops 4 --seed 3 --critical-path \
@@ -51,6 +51,13 @@ python -m repro trace --scenario bft --ops 4 --seed 3 --critical-path \
 cmp /tmp/tnic-trace-a.json /tmp/tnic-trace-b.json
 rm -f /tmp/tnic-trace-a.json /tmp/tnic-trace-b.json
 echo "ok: critical-path analyses byte-identical"
+# The tamper run fills the trace ring through the rejection path that
+# triggers the flight recorder.
+python -m repro trace --tamper --seed 0 > /tmp/tnic-ring-a.txt
+python -m repro trace --tamper --seed 0 > /tmp/tnic-ring-b.txt
+cmp /tmp/tnic-ring-a.txt /tmp/tnic-ring-b.txt
+rm -f /tmp/tnic-ring-a.txt /tmp/tnic-ring-b.txt
+echo "ok: tamper-run trace rings byte-identical"
 
 echo
 echo "== benchmark smoke (Fig. 6 breakdown + sim kernel) =="

@@ -27,7 +27,7 @@ contract, the same way determinism, taint and races already are:
      are error-path-only and exempt.
    * PERF003 — an instrument/trace emit with an *expensive* argument
      (f-string, method call, comprehension) not gated by a
-     ``tracer``/``telemetry``-style ``is not None`` check or a held
+     ``telemetry``/``profiler``-style ``is not None`` check or a held
      span's identity test (``span is not NULL_SPAN``).  Building
      ``packet.describe()`` for a discarded record is the cost this
      rule sees; the call itself is the other (see below).
@@ -209,7 +209,6 @@ TNIC_MANIFEST = HotPathManifest(
         "flight_trigger",
     ),
     gate_names=(
-        "tracer",
         "telemetry",
         "profiler",
         "traced",
@@ -431,7 +430,10 @@ class HotPathEngine:
 
     def _is_gate_test(self, test: ast.expr) -> bool:
         # `X is not None`, `span is not NULL_SPAN`, or a bare truthiness
-        # test on a gate name (`if traced:`).
+        # test on a gate name (`if traced:`) — alone or as one operand
+        # of an `and`.
+        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+            return any(self._is_gate_test(value) for value in test.values)
         if (
             isinstance(test, ast.Compare)
             and len(test.ops) == 1
@@ -644,7 +646,7 @@ class HotPathEngine:
                     node,
                     f"emit hook {tail}() called with an expensive argument "
                     f"in hot function {info.qualname} without a "
-                    "tracer/telemetry gate; wrap it in "
+                    "telemetry gate; wrap it in "
                     "`if <hub> is not None:`",
                 )
 
@@ -752,7 +754,7 @@ class UngatedEmitRule(_HotPathRule):
     rule_id = "PERF003"
     description = (
         "Instrument/trace emit with an expensive argument and no "
-        "tracer/telemetry gate on the hot path"
+        "telemetry gate on the hot path"
     )
     explanation = (
         "A detached instrumentation hook still costs a Python call plus "
@@ -760,8 +762,8 @@ class UngatedEmitRule(_HotPathRule):
         "against ~10 ns for an `if sim.telemetry is not None` gate), "
         "and its *arguments* are built by the caller first.  Per-message "
         "paths therefore gate every hook at the call site — on "
-        "`sim.tracer is not None`, `sim.telemetry is not None` (or the "
-        "profiler hub), or a held span tested by identity "
+        "`sim.telemetry is not None` (or `sim.profiler`), a `traced` "
+        "flag, or a held span tested by identity "
         "(`span is not NULL_SPAN`) — and tests/test_instrument_gate.py "
         "spies that a detached run of every benchmarked workload shape "
         "calls none.  This rule guards expensive arguments everywhere "

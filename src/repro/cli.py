@@ -438,13 +438,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(render_summary(summarize(paths)))
         return 0
 
-    tracer = sim.tracer
-    rendered = tracer.render(args.category)
+    trace = hub.trace
+    rendered = trace.render(args.category)
     if rendered:
         print(rendered)
     print(
-        f"trace: emitted={tracer.emitted} buffered={len(tracer)} "
-        f"dropped={tracer.dropped} evicted={tracer.evicted}"
+        f"trace: emitted={trace.emitted} buffered={len(trace)} "
+        f"evicted={trace.evicted}"
     )
     return 0
 

@@ -31,8 +31,7 @@ from repro.core.counters import CounterStore
 from repro.core.keystore import Keystore, KeystoreError
 from repro.crypto.hashing import canonical_bytes
 from repro.crypto.hmac_engine import HmacEngine, KeyedHmac, verify_encoded
-from repro.sim.instrument import count, flight_trigger, gauge_set
-from repro.sim.trace import emit
+from repro.sim.instrument import count, emit, flight_trigger, gauge_set
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -138,16 +137,14 @@ class AttestationKernel:
         alpha = state.mac(encoded)  # Algo 1: L4
         self.attest_count += 1
         sim = self.sim
-        if sim is not None:
-            if sim.tracer is not None:
-                # Gate here so the f-string is never built untraced.
-                emit(sim, "attest.generate",
-                     f"session={session_id} cnt={counter} {len(payload)}B",
-                     device=self.device_id)
-            if sim.telemetry is not None:
-                count(sim, "attest.generate", device=self.device_id)
-                gauge_set(sim, "attest.send_cnt", counter + 1,
-                          device=self.device_id, session=session_id)
+        if sim is not None and sim.telemetry is not None:
+            # Gate here so the f-string is never built untraced.
+            emit(sim, "attest.generate",
+                 f"session={session_id} cnt={counter} {len(payload)}B",
+                 device=self.device_id)
+            count(sim, "attest.generate", device=self.device_id)
+            gauge_set(sim, "attest.send_cnt", counter + 1,
+                      device=self.device_id, session=session_id)
         message = AttestedMessage(
             payload=payload,
             alpha=alpha,
@@ -174,14 +171,14 @@ class AttestationKernel:
                 self._mac(session_id).mac(message.encoded()),
                 message.alpha):
             self.reject_count += 1
-            if self.sim is not None:
-                if self.sim.tracer is not None:
-                    emit(self.sim, "attest.reject",
-                         f"bad MAC session={session_id} cnt={message.counter}",
-                         device=self.device_id)
-                count(self.sim, "attest.reject",
+            sim = self.sim
+            if sim is not None and sim.telemetry is not None:
+                emit(sim, "attest.reject",
+                     f"bad MAC session={session_id} cnt={message.counter}",
+                     device=self.device_id)
+                count(sim, "attest.reject",
                       device=self.device_id, reason="mac")
-                flight_trigger(self.sim, "attest.reject",
+                flight_trigger(sim, "attest.reject",
                                device=self.device_id, session=session_id,
                                counter=message.counter, reason="mac")
             raise MacMismatchError(
@@ -191,14 +188,14 @@ class AttestationKernel:
         expected = self.counters.expected_recv(session_id)
         if message.counter != expected:
             self.reject_count += 1
-            if self.sim is not None:
-                if self.sim.tracer is not None:
-                    emit(self.sim, "attest.reject",
-                         f"continuity session={session_id} expected={expected} "
-                         f"got={message.counter}", device=self.device_id)
-                count(self.sim, "attest.reject",
+            sim = self.sim
+            if sim is not None and sim.telemetry is not None:
+                emit(sim, "attest.reject",
+                     f"continuity session={session_id} expected={expected} "
+                     f"got={message.counter}", device=self.device_id)
+                count(sim, "attest.reject",
                       device=self.device_id, reason="continuity")
-                flight_trigger(self.sim, "attest.reject",
+                flight_trigger(sim, "attest.reject",
                                device=self.device_id, session=session_id,
                                counter=message.counter, expected=expected,
                                reason="continuity")

@@ -290,9 +290,9 @@ class TnicDevice:
         device (the RDMA-hw baseline) skips the attestation kernel.
         Every failure along the way — unknown or unconnected QP, no
         session key, transport retry limit — fails the returned event.
-  A caller that already made the
-        send's one completion event (``RdmaLibrary.post``) passes it as
-        *completion*; the RoCE kernel triggers it.
+        A caller that already made the send's one completion event
+        (``RdmaLibrary.post``) passes it as *completion*; the RoCE
+        kernel triggers it.
         """
         done = Event(self.sim) if completion is None else completion
         _Send(self, payload, done).start_send(qp_number, opcode, meta or {})

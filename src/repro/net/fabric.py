@@ -15,10 +15,9 @@ from typing import TYPE_CHECKING, Callable
 from repro.net.mac import EthernetMac
 from repro.net.packet import Packet
 from repro.sim.events import Timeout
-from repro.sim.instrument import count
+from repro.sim.instrument import count, emit
 from repro.sim.latency import WIRE_PROPAGATION_US
 from repro.sim.rng import DeterministicRng
-from repro.sim.trace import emit
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -91,8 +90,8 @@ class _Wire:
         rng = self.rng
         outcome = packet
         # One gate for the whole hop: packet.describe() is only built
-        # when a tracer is attached.
-        traced = self.sim.tracer is not None
+        # and the counters only bumped when telemetry is attached.
+        traced = self.sim.telemetry is not None
 
         if fault.tamper is not None:
             modified = fault.tamper(packet)
@@ -100,7 +99,6 @@ class _Wire:
                 self.stats.tampered += 1
                 if traced:
                     emit(self.sim, "fabric.tamper", packet.describe())
-                if self.sim.telemetry is not None:
                     count(self.sim, "fabric.tampered")
                 outcome = modified
 
@@ -108,7 +106,6 @@ class _Wire:
             self.stats.dropped += 1
             if traced:
                 emit(self.sim, "fabric.drop", packet.describe())
-            if self.sim.telemetry is not None:
                 count(self.sim, "fabric.dropped")
             return
 
@@ -118,7 +115,6 @@ class _Wire:
             if traced:
                 emit(self.sim, "fabric.reorder", packet.describe(),
                      extra_delay_us=fault.reorder_extra_delay_us)
-            if self.sim.telemetry is not None:
                 count(self.sim, "fabric.reordered")
             delay += fault.reorder_extra_delay_us
 
@@ -128,7 +124,6 @@ class _Wire:
             self.stats.duplicated += 1
             if traced:
                 emit(self.sim, "fabric.duplicate", packet.describe())
-            if self.sim.telemetry is not None:
                 count(self.sim, "fabric.duplicated")
             self._deliver_after(delay + 1.0, receiver, outcome)
 
@@ -141,7 +136,6 @@ class _Wire:
                 self.stats.replayed += 1
                 if traced:
                     emit(self.sim, "fabric.replay", stale.describe())
-                if self.sim.telemetry is not None:
                     count(self.sim, "fabric.replayed")
                 self._deliver_after(delay + 5.0, victim_receiver, stale)
 
@@ -205,10 +199,10 @@ class Fabric(_Wire):
         receiver = self._macs.get(packet.eth.dst_mac)
         if receiver is None:
             self.stats.dropped += 1
-            if self.sim.tracer is not None:
+            if self.sim.telemetry is not None:
                 emit(self.sim, "fabric.drop",
                      f"no port for {packet.eth.dst_mac}")
-            count(self.sim, "fabric.dropped")
+                count(self.sim, "fabric.dropped")
             return
         self._carry_to(receiver, packet)
 

@@ -49,11 +49,11 @@ from repro.sim.instrument import (
     NULL_SPAN,
     TRACE_PARENT,
     count,
+    emit,
     flight_trigger,
     gauge_set,
     span_begin,
 )
-from repro.sim.trace import emit
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -81,7 +81,7 @@ class _RxLane:
         self.state = state
         #: Accepted packets not yet processed; emptied by a rejection.
         self.queue: deque = deque()
-        #: ``(packet, message, psn_span, span)`` of the verification in
+        #: ``(packet, message, segments, vspan)`` of the verification in
         #: flight; ``None`` while the lane is idle.
         self.verifying: tuple | None = None
         #: Next PSN accepted off the wire (may run ahead of the
@@ -335,11 +335,10 @@ class RoceKernel:
                     meta=seg_meta,
                 )
                 psn = state.record_send(packet, self.sim.now, ack_delay_us)
-                if self.sim.tracer is not None:
+                if self.sim.telemetry is not None:
                     # Gate at the call site: packet.describe() is too
                     # expensive to build for a discarded record.
                     emit(self.sim, "roce.tx", packet.describe(), node=self.ip)
-                if self.sim.telemetry is not None:
                     count(self.sim, "roce.tx_packets", node=self.ip)
                 self.mac.transmit(packet)
                 last_psn = psn
@@ -397,11 +396,10 @@ class RoceKernel:
         state = self.tables.get(qp_number)
         if state.inflight and state.timer_deadline(
                 self.retransmit_timeout_us) <= self.sim._now:
-            if self.sim.tracer is not None:
+            if self.sim.telemetry is not None:
                 emit(self.sim, "roce.retransmit",
                      f"timeout qp={qp_number}", inflight=len(state.inflight),
                      node=self.ip)
-            if self.sim.telemetry is not None:
                 count(self.sim, "roce.retransmit_timeouts",
                       node=self.ip, qp=qp_number)
             self._go_back_n(state)
@@ -509,13 +507,13 @@ class RoceKernel:
         retransmission will re-supply the genuine sequence."""
         qp = lane.qp
         rewind_to = lane.state.expected_recv_psn
-        if self.sim.tracer is not None:
+        if self.sim.telemetry is not None:
             emit(self.sim, "roce.reject",
                  f"qp={qp.qp_number} rewind to psn={rewind_to}",
                  node=self.ip)
-        count(self.sim, "roce.reject", node=self.ip)
-        flight_trigger(self.sim, "roce.reject", node=self.ip,
-                       qp=qp.qp_number, rewind_to=rewind_to)
+            count(self.sim, "roce.reject", node=self.ip)
+            flight_trigger(self.sim, "roce.reject", node=self.ip,
+                           qp=qp.qp_number, rewind_to=rewind_to)
         lane.queue.clear()
         lane.partial = []
         lane.next_arrival_psn = rewind_to
@@ -551,11 +549,10 @@ class RoceKernel:
                 ok=True,
             )
         )
-        if self.sim.tracer is not None:
+        if self.sim.telemetry is not None:
             emit(self.sim, "roce.rx",
                  f"delivered qp={qp.qp_number} msn={msn} {len(payload)}B",
                  node=self.ip)
-        if self.sim.telemetry is not None:
             count(self.sim, "roce.rx_delivered", node=self.ip)
         self._send_ack(qp, packet.bth.psn, msn)
         if self.deliver_hook is not None:

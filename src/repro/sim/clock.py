@@ -27,8 +27,8 @@ pins event ordering and virtual-time results;
 ``tests/test_scheduler_oracle.py`` checks random programs against an
 independently written reference scheduler.
 
-Observers: three optional hook slots hang off the simulator,
-``tracer``, ``telemetry`` and ``profiler``.  Each is ``None`` when
+Observers: two optional hook slots hang off the simulator, the
+``telemetry`` hub and the ``profiler``.  Each is ``None`` when
 detached and is tested with one ``is not None`` check where it is
 used, so a run with nothing attached pays one attribute load per gate.
 """
@@ -71,7 +71,7 @@ class Simulator:
 
     __slots__ = (
         "_now", "_heap", "_tie_next", "_running",
-        "tracer", "telemetry", "profiler",
+        "telemetry", "profiler",
         "__dict__",  # escape hatch: tests/tools attach ad-hoc attributes
     )
 
@@ -85,8 +85,6 @@ class Simulator:
         #: True while :meth:`_drain` is on the stack: the re-entrancy
         #: guard for :meth:`run`, :meth:`step` and :meth:`perturb_ties`.
         self._running = False
-        #: Optional structured tracer (see :mod:`repro.sim.trace`).
-        self.tracer = None
         #: Optional telemetry hub (see :mod:`repro.telemetry`); the
         #: hooks in :mod:`repro.sim.instrument` dispatch through it.
         self.telemetry = None

@@ -8,16 +8,20 @@ is therefore the *tracepoint layer*: dependency-free functions that
 duck-dispatch to an optional hub object attached to the simulator as
 ``sim.telemetry`` (the hub lives in the untrusted
 :mod:`repro.telemetry` package and is installed with
-``Telemetry.attach(sim)``).
+``Telemetry.attach(sim)``).  It is the simulator's one instrumentation
+observer: metrics, spans, the trace ring and the flight recorder all
+hang off it; the only other slot is the kernel-level ``sim.profiler``.
 
 Every hook checks for its hub itself, so calling one detached is safe
 — but not free: it is a Python call plus its keyword dict (~120 ns for
 ``count(sim, "x", device=d)``, against ~10 ns for the gate below).
-Per-message paths therefore gate at the call site, as they do for
-``sim.tracer`` and ``sim.profiler``::
+Per-message paths therefore gate at the call site — which also skips
+building an expensive argument such as ``packet.describe()`` — as they
+do for ``sim.profiler``::
 
     if sim.telemetry is not None:
         count(sim, "x", device=d)
+        emit(sim, "roce.tx", packet.describe())
 
 and test a held span by identity, ``if span is not NULL_SPAN:``, never
 by truthiness (``NullSpan.__bool__`` is a Python-level call too).
@@ -80,6 +84,14 @@ def observe(sim, name: str, value: float, **labels: Any) -> None:
     telemetry = sim.telemetry
     if telemetry is not None:
         telemetry.observe(name, value, **labels)
+
+
+def emit(sim, category: str, message: str, **fields: Any) -> None:
+    """Append a record to the hub's trace ring at the current virtual
+    time (no-op without a hub)."""
+    telemetry = sim.telemetry
+    if telemetry is not None:
+        telemetry.emit(category, message, **fields)
 
 
 #: Key under which a stage's span rides in a metadata dict that travels

@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.device import TnicDevice
 from repro.crypto.hashing import sha256
-from repro.sim.instrument import count
-from repro.sim.trace import emit
+from repro.sim.instrument import count, emit
 from repro.stack.regs import MappedRegsPage, RegField
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -32,10 +32,9 @@ from repro.api.multicast import ContinuityCheck, EquivocationDetected
 from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.events import Timeout
-from repro.sim.instrument import count, gauge_set, observe, span_begin
+from repro.sim.instrument import count, emit, gauge_set, observe, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.resources import Store
-from repro.sim.trace import emit
 from repro.tee.base import AttestationProvider
 from repro.tee.providers import make_provider
 
@@ -144,8 +143,6 @@ class EmulatedNetwork:
         telemetry = sim.telemetry
         if telemetry is not None:
             count(sim, "system.net_sent")
-        if sim.tracer is not None:  # keep the off-path free of the
-            # describe cost: type(...).__name__ only runs when tracing.
             emit(sim, "system.net_send", dst, kind=type(message).__name__)
         if dst in self._isolated:
             if self._drop_mode:
@@ -201,7 +198,7 @@ class BroadcastAuthenticator(ContinuityCheck):
             check._exception = violation
             return
         sim = self.provider.sim
-        if sim.tracer is not None:
+        if sim.telemetry is not None:
             emit(sim, "system.auth_ok",
                  f"session={self.session_id} cnt={message.counter}")
         check._value = message.payload

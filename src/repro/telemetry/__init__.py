@@ -11,18 +11,20 @@ produce byte-identical output:
   histograms with p50/p90/p99/max, per-device/per-QP labels;
 * :mod:`~repro.telemetry.spans`     — span trees decomposing one send
   into post → DMA → HMAC → wire → rx-verify (the Fig. 6 stages);
-* :mod:`~repro.telemetry.recorder`  — a flight recorder snapshotting
-  trace tail + metric state whenever the attestation kernel rejects a
-  message or an invariant trips;
+* :mod:`~repro.telemetry.recorder`  — the bounded trace ring
+  (``hub.trace``) and a flight recorder snapshotting its tail + metric
+  state whenever the attestation kernel rejects a message or an
+  invariant trips;
 * :mod:`~repro.telemetry.exporters` — JSON / Prometheus-text / human
   renderings of the same state.
 
 Layering: the trusted packages never import this one (BND001).  They
 call the hook functions in :mod:`repro.sim.instrument`, which dispatch
 to the :class:`Telemetry` hub installed on the simulator by
-``Telemetry.attach(sim)``.  Per-message call sites gate on
-``sim.telemetry is not None`` first, as they do on ``sim.tracer``, so
-a detached run calls no hook at all (``tests/test_instrument_gate.py``).
+``Telemetry.attach(sim)`` — the simulator's one instrumentation
+observer, beside the kernel-level profiler.  Per-message call sites
+gate on ``sim.telemetry is not None`` first, so a detached run calls
+no hook at all (``tests/test_instrument_gate.py``).
 
 Usage::
 
@@ -34,6 +36,7 @@ Usage::
     ...
     print(hub.render_json())          # metrics + percentiles
     print(hub.spans.tree())           # the span forest
+    print(hub.trace.render())         # the trace ring
     print(hub.recorder.dumps())       # flight-recorder black box
 """
 
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.trace import Tracer
 from repro.telemetry.exporters import (
     metrics_document,
     render_json,
@@ -56,7 +58,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.recorder import FlightRecorder
+from repro.telemetry.recorder import FlightRecorder, Tracer, TraceRecord
 from repro.telemetry.spans import Span, SpanTracker
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,11 +66,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Telemetry:
-    """The hub: one registry + span tracker + flight recorder per sim.
+    """The hub: one registry + span tracker + trace ring + flight
+    recorder per sim.
 
     Implements the duck-typed protocol :mod:`repro.sim.instrument`
-    dispatches to (``count`` / ``gauge_set`` / ``observe`` /
-    ``span_begin`` / ``flight_trigger``).
+    dispatches to (``count`` / ``gauge_set`` / ``observe`` / ``emit``
+    / ``span_begin`` / ``flight_trigger``).
     """
 
     def __init__(
@@ -80,6 +83,7 @@ class Telemetry:
     ) -> None:
         self.sim = sim
         self.registry = MetricsRegistry()
+        self.trace = Tracer()
         self.spans = SpanTracker(
             sim, self.registry, sample_every=sample_every
         )
@@ -89,12 +93,9 @@ class Telemetry:
 
     @classmethod
     def attach(cls, sim: "Simulator", **options) -> "Telemetry":
-        """Install a hub on *sim* (and a tracer, so span/flight records
-        have a ring to land in) and return it."""
+        """Install a hub on *sim* and return it."""
         hub = cls(sim, **options)
         sim.telemetry = hub
-        if getattr(sim, "tracer", None) is None:
-            sim.tracer = Tracer()
         return hub
 
     # ------------------------------------------------------------------
@@ -114,6 +115,9 @@ class Telemetry:
             else DEFAULT_BUCKET_BOUNDS_US
         )
         self.registry.histogram(name, bounds=bounds, **labels).observe(value)
+
+    def emit(self, category: str, message: str, **fields: Any) -> None:
+        self.trace.record(self.sim.now, category, message, **fields)
 
     def span_begin(self, name: str, parent: Any = None, **labels: Any) -> Span:
         """Open a span under *parent*, the one place a parent is judged.
@@ -157,6 +161,8 @@ __all__ = [
     "Span",
     "SpanTracker",
     "Telemetry",
+    "TraceRecord",
+    "Tracer",
     "metrics_document",
     "render_json",
     "render_prometheus",

@@ -5,7 +5,7 @@ event types and callsites burn the host CPU, and which ones own the
 virtual time the simulation reports.  This profiler hangs off the
 drain loop in :mod:`repro.sim.clock` (attached as ``sim.profiler``,
 one attribute load + one ``is`` check per event when detached — the
-same contract as the tracer and telemetry hub) and
+same contract as the telemetry hub) and
 accounts every processed event under a stable key:
 
 ``EventType:callsite`` — the event's class plus the qualified name of
@@ -93,7 +93,7 @@ class Profiler:
         self._cursor = sim.now
 
     # ------------------------------------------------------------------
-    # Attachment (mirrors Tracer / Telemetry)
+    # Attachment (mirrors Telemetry)
     # ------------------------------------------------------------------
     @classmethod
     def attach(cls, sim: "Simulator", **options: Any) -> "Profiler":

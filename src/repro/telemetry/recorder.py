@@ -1,4 +1,4 @@
-"""The flight recorder: post-mortem state capture at anomaly points.
+"""The trace ring and the flight recorder: post-mortem state capture.
 
 Debugging a Byzantine scenario after the fact is miserable with only
 aggregate counters: by the time the run ends, the interesting state —
@@ -16,16 +16,77 @@ into a bounded in-memory list, dumpable as JSON.  Snapshots are pure
 functions of the simulation, so a seeded Byzantine scenario produces a
 byte-identical black box on every run — diffs between two dumps are
 real behavioural differences, never noise.
+
+The ring is a :class:`Tracer` the hub owns as ``hub.trace``:
+instrumented components append timestamped, categorised records
+(``roce.tx``, ``attest.reject``, ``span.*`` ...) through
+:func:`repro.sim.instrument.emit`.  It is bounded so long simulations
+cannot exhaust memory; ``evicted`` counts records pushed out of the
+full ring by newer ones.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
     from repro.telemetry import Telemetry
+
+
+@dataclass(frozen=True, slots=True)
+class TraceRecord:
+    """One traced event."""
+
+    time_us: float
+    category: str
+    message: str
+    fields: dict[str, Any] = field(default_factory=dict)
+
+    def render(self) -> str:
+        extra = " ".join(f"{k}={v}" for k, v in self.fields.items())
+        text = f"[{self.time_us:12.2f}us] {self.category:16s} {self.message}"
+        return f"{text} {extra}".rstrip()
+
+
+class Tracer:
+    """Bounded trace ring: the newest *capacity* records."""
+
+    def __init__(self, capacity: int = 10_000) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._records: deque[TraceRecord] = deque(maxlen=capacity)
+        #: Records buffered then pushed out of the full ring by newer ones.
+        self.evicted = 0
+        self.emitted = 0
+
+    def record(
+        self, time_us: float, category: str, message: str, **fields: Any
+    ) -> None:
+        self.emitted += 1
+        if len(self._records) == self.capacity:
+            self.evicted += 1
+        self._records.append(TraceRecord(time_us, category, message, fields))
+
+    def records(self, category_prefix: str | None = None) -> list[TraceRecord]:
+        if category_prefix is None:
+            return list(self._records)
+        return [
+            r for r in self._records if r.category.startswith(category_prefix)
+        ]
+
+    def render(self, category_prefix: str | None = None) -> str:
+        return "\n".join(r.render() for r in self.records(category_prefix))
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def clear(self) -> None:
+        self._records.clear()
 
 
 class FlightRecorder:
@@ -63,18 +124,15 @@ class FlightRecorder:
         if len(self.snapshots) >= self.max_snapshots:
             self.overflowed += 1
             return None
-        tracer = getattr(self.sim, "tracer", None)
-        tail = []
-        if tracer is not None:
-            tail = [
-                {
-                    "time_us": round(record.time_us, 6),
-                    "category": record.category,
-                    "message": record.message,
-                    "fields": {k: str(v) for k, v in sorted(record.fields.items())},
-                }
-                for record in tracer.records()[-self.trace_tail:]
-            ]
+        tail = [
+            {
+                "time_us": round(record.time_us, 6),
+                "category": record.category,
+                "message": record.message,
+                "fields": {k: str(v) for k, v in sorted(record.fields.items())},
+            }
+            for record in self.hub.trace.records()[-self.trace_tail:]
+        ]
         snapshot: dict[str, Any] = {
             "seq": len(self.snapshots),
             "time_us": round(self.sim.now, 6),

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from itertools import count as _counter
 from typing import TYPE_CHECKING, Any
 
+from repro.sim.instrument import emit
 from repro.sim.rng import DeterministicRng
-from repro.sim.trace import emit
 from repro.telemetry.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover

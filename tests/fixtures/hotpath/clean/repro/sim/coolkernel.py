@@ -2,7 +2,8 @@
 
 Every seeded PERF violation in ``broken/`` has its idiomatic fix here:
 ``__slots__`` on the per-event record, a gated f-string emit next to an
-ungated-but-cheap counter bump, an f-string emit gated on a held span's
+ungated-but-cheap counter bump, an f-string emit whose gate is one
+operand of an ``and``, an f-string emit gated on a held span's
 identity (``span is not NULL_SPAN``), a hoisted bound method in the drain
 loop, ``try``/``finally`` instead of ``try``/``except``, a yielding
 ``try``/``except`` (a protocol wait, exempt by design), and the raw
@@ -34,6 +35,8 @@ class Simulator:
         if telemetry is not None:
             emit(self, "sim.step", f"depth={len(self.queue)}")
         count(self, "sim.steps")
+        if self.queue and telemetry is not None:
+            emit(self, "sim.head", f"head={self.queue[-1]}")
         if self.span is not NULL_SPAN:
             emit(self, "sim.span", f"open={self.span}")
         pump = self.wait_loop()

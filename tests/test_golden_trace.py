@@ -3,8 +3,10 @@
 The fixtures under ``tests/fixtures/golden/`` were generated with the
 *pre-fast-path* simulator kernel (the seed of PR 4).  Each test re-runs
 the same seeded scenario — one BFT round-trip batch and one
-chain-replication workload — with tracing on and asserts the canonical
-trace dump is byte-identical to the recorded golden.  Any change to
+chain-replication workload — with the telemetry hub attached and
+asserts the canonical dump of its trace ring is byte-identical to the
+recorded golden.  The dump leaves out the hub's ``span.*`` records,
+which the goldens predate.  Any change to
 event ordering, same-timestamp tiebreaks, or virtual-time arithmetic
 shows up here as a diff; optimisations that only shave wall-clock time
 do not.
@@ -19,24 +21,24 @@ from __future__ import annotations
 import pathlib
 
 from repro.bench import kv_workload
-from repro.sim.trace import Tracer
 from repro.systems.bft import BftCounter
 from repro.systems.chain import ChainReplication
+from repro.telemetry import Telemetry, Tracer
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "fixtures" / "golden"
 
-#: Big enough that neither scenario ever evicts (eviction is
-#: deterministic too, but a full trace makes diffs readable).
-TRACE_CAPACITY = 500_000
 
-
-def canonical_dump(tracer: Tracer, final_now: float, committed: int) -> str:
+def canonical_dump(trace: Tracer, final_now: float, committed: int) -> str:
     """Byte-stable rendering of a trace: exact float repr, sorted fields."""
+    # The hub's default ring never evicts in these scenarios, so the
+    # record count is the whole trace.
+    assert trace.evicted == 0
+    records = [r for r in trace.records() if not r.category.startswith("span.")]
     lines = [
-        f"# records={tracer.emitted} final_now={final_now!r} "
+        f"# records={len(records)} final_now={final_now!r} "
         f"committed={committed}"
     ]
-    for index, record in enumerate(tracer.records()):
+    for index, record in enumerate(records):
         fields = ",".join(
             f"{key}={value!r}" for key, value in sorted(record.fields.items())
         )
@@ -49,19 +51,19 @@ def canonical_dump(tracer: Tracer, final_now: float, committed: int) -> str:
 
 def run_bft_round() -> str:
     system = BftCounter("tnic", f=1, batch=1, seed=3)
-    system.sim.tracer = Tracer(capacity=TRACE_CAPACITY)
+    hub = Telemetry.attach(system.sim)
     metrics = system.run_workload(3, pipeline_depth=1)
     assert not system.aborted
-    return canonical_dump(system.sim.tracer, system.sim.now, metrics.committed)
+    return canonical_dump(hub.trace, system.sim.now, metrics.committed)
 
 
 def run_chain_round() -> str:
     workload = kv_workload(6, read_fraction=0.3, value_bytes=60, seed=5)
     system = ChainReplication("tnic", chain_length=3, seed=5)
-    system.sim.tracer = Tracer(capacity=TRACE_CAPACITY)
+    hub = Telemetry.attach(system.sim)
     metrics = system.run_workload(workload)
     assert not system.aborted
-    return canonical_dump(system.sim.tracer, system.sim.now, metrics.committed)
+    return canonical_dump(hub.trace, system.sim.now, metrics.committed)
 
 
 SCENARIOS = {

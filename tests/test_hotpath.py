@@ -13,8 +13,7 @@ Two layers under test, mirroring the corpus under
 * the real tree — no unwaived PERF finding, every entry point the
   policy declares still names a function (a rename that orphans a
   declared root would silently shrink the hot set), and every emit
-  hook is a tracepoint defined in ``repro.sim.instrument`` or
-  ``repro.sim.trace``.
+  hook is a tracepoint defined in ``repro.sim.instrument``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.analysis.hotpath import (
 )
 from repro.analysis.rules import collect_findings, rule_catalog, run_rules
 from repro.analysis.walker import collect_sources
-from repro.sim import instrument, trace
+from repro.sim import instrument
 
 FIXTURES = Path(__file__).parent / "fixtures" / "hotpath"
 
@@ -192,8 +191,7 @@ def test_every_declared_entry_point_resolves_on_the_real_tree(real_engine):
     # gone leaves PERF003 guarding calls that no code can make.
     defined = {
         name
-        for module in (instrument, trace)
-        for name, obj in vars(module).items()
-        if inspect.isfunction(obj) and obj.__module__ == module.__name__
+        for name, obj in vars(instrument).items()
+        if inspect.isfunction(obj) and obj.__module__ == instrument.__name__
     }
     assert [name for name in TNIC_MANIFEST.emit_hooks if name not in defined] == []

@@ -2,15 +2,14 @@
 
 What is tested here:
 
-* With no telemetry hub and no tracer attached, a run of each of the
+* With no telemetry hub attached, a run of each of the
   seven benchmarked workload shapes — the BFT counter, the chain, the
   CFT Raft control, the PeerReview audit, 64 B and 16 KiB window-16
   ``auth_send`` and 1 KiB ``auth_send`` over a lossy fabric — makes
   *zero* calls into the instrument hooks, the :class:`NullSpan`
-  methods and :func:`repro.sim.trace.emit`.  A detached hook is not free (a
-  Python call plus its keyword dict, ~100 ns), so per-message call
-  sites gate on ``sim.telemetry`` / ``sim.tracer`` / a held span's
-  identity before they call one.  Set-up and the fault branches
+  methods.  A detached hook is not free (a Python call plus its keyword
+  dict, ~100 ns), so per-message call sites gate on ``sim.telemetry``
+  or a held span's identity before they call one.  Set-up and the fault branches
   (rejection, mismatch, replay, equivocation) may still call a hook,
   which keeps its own check.  The spies wrap every ``repro.*`` global
   that *is* one of those functions, as the benchmark's span patcher
@@ -36,14 +35,13 @@ from repro.bench.workload import kv_workload
 from repro.net import NetworkFault
 from repro.net.packet import Packet
 from repro.sim import Simulator
-from repro.sim import instrument, trace
+from repro.sim import instrument
 from repro.sim.instrument import NULL_SPAN, NullSpan, count, span_begin
-from repro.sim.trace import Tracer, tracing
 from repro.systems.bft import BftCounter
 from repro.systems.chain import ChainReplication
 from repro.systems.peer_review import PeerReviewSystem
 from repro.systems.raft import TeeRaft
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, Tracer
 from tests.test_send_path import _pair, _send_windowed
 
 
@@ -74,7 +72,7 @@ def spies(monkeypatch):
 
 def test_no_trace_work_when_tracer_detached(spies):
     cluster = Cluster(["a", "b"])
-    assert cluster.sim.tracer is None
+    assert cluster.sim.telemetry is None
     _run_auth_round(cluster)
     # Not merely "no records buffered": the record call and the message
     # construction never happened at all.
@@ -84,18 +82,11 @@ def test_no_trace_work_when_tracer_detached(spies):
 
 def test_trace_work_happens_when_tracer_attached(spies):
     cluster = Cluster(["a", "b"])
-    cluster.sim.tracer = Tracer()
+    hub = Telemetry.attach(cluster.sim)
     _run_auth_round(cluster)
     assert spies["record"] > 0
     assert spies["describe"] > 0
-    assert len(cluster.sim.tracer) > 0
-
-
-def test_tracing_gate_reflects_attachment():
-    sim = Simulator()
-    assert tracing(sim) is False
-    sim.tracer = Tracer()
-    assert tracing(sim) is True
+    assert len(hub.trace) > 0
 
 
 def test_span_begin_returns_null_span_singleton_when_detached():
@@ -111,7 +102,7 @@ def test_span_begin_returns_null_span_singleton_when_detached():
 
 def test_hub_not_invoked_when_telemetry_detached(monkeypatch):
     invoked = []
-    for name in ("count", "gauge_set", "observe", "span_begin"):
+    for name in ("count", "gauge_set", "observe", "emit", "span_begin"):
         real = getattr(Telemetry, name)
 
         def spy(self, *args, __real=real, __name=name, **kwargs):
@@ -131,11 +122,10 @@ def test_hub_not_invoked_when_telemetry_detached(monkeypatch):
 # The per-message contract, one workload shape at a time
 # ----------------------------------------------------------------------
 def _spied_functions() -> list:
-    """Every instrument hook and ``trace.emit``."""
-    hooks = [value for value in vars(instrument).values()
-             if inspect.isfunction(value)
-             and value.__module__ == instrument.__name__]
-    return hooks + [trace.emit]
+    """Every instrument hook."""
+    return [value for value in vars(instrument).values()
+            if inspect.isfunction(value)
+            and value.__module__ == instrument.__name__]
 
 
 @pytest.fixture
@@ -253,7 +243,7 @@ SHAPES = {
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_a_detached_run_calls_no_hook(shape, spy):
     sim, run = SHAPES[shape]()
-    assert sim.telemetry is None and sim.tracer is None
+    assert sim.telemetry is None
     calls = spy()
     run()
     assert calls == Counter(), f"{shape} called detached hooks: {dict(calls)}"

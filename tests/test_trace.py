@@ -1,10 +1,11 @@
-"""Tests for the structured tracing subsystem."""
+"""Tests for the telemetry hub's trace ring."""
 
 import pytest
 
 from repro.api import Cluster, auth_send
 from repro.net.fabric import NetworkFault
-from repro.sim.trace import Tracer, TraceRecord, emit
+from repro.sim.instrument import emit
+from repro.telemetry import Telemetry, Tracer, TraceRecord
 
 
 def test_record_render():
@@ -26,27 +27,9 @@ def test_tracer_eviction_accounted_separately_from_drops():
     tracer = Tracer(capacity=3)
     for i in range(10):
         tracer.record(float(i), "cat", f"m{i}")
-    # 7 records were buffered then pushed out; none were filter-refused.
+    # 7 records were buffered then pushed out of the full ring.
     assert tracer.evicted == 7
-    assert tracer.dropped == 0
-
-
-def test_tracer_filter_drops_do_not_count_as_evictions():
-    tracer = Tracer(capacity=2, categories=("roce.",))
-    for i in range(5):
-        tracer.record(float(i), "attest.generate", f"m{i}")
-    tracer.record(5.0, "roce.tx", "kept")
-    assert tracer.dropped == 5
-    assert tracer.evicted == 0
-    assert len(tracer) == 1
-
-
-def test_tracer_category_filter():
-    tracer = Tracer(categories=("roce.",))
-    tracer.record(0.0, "roce.tx", "yes")
-    tracer.record(0.0, "attest.generate", "no")
-    assert len(tracer) == 1
-    assert tracer.dropped == 1
+    assert tracer.emitted - tracer.evicted == len(tracer)
 
 
 def test_tracer_validation():
@@ -56,19 +39,17 @@ def test_tracer_validation():
 
 def test_emit_noop_without_tracer():
     # Simulator.__init__ guarantees the attribute; emit's off path is a
-    # plain attribute load, so a sim-alike needs tracer = None.
+    # plain attribute load, so a sim-alike needs telemetry = None.
     class FakeSim:
         now = 0.0
-        _now = 0.0
-        tracer = None
+        telemetry = None
 
     emit(FakeSim(), "cat", "message")  # must not raise
 
 
 def test_cluster_traffic_is_traceable():
     cluster = Cluster(["a", "b"])
-    tracer = Tracer()
-    cluster.sim.tracer = tracer
+    tracer = Telemetry.attach(cluster.sim).trace
     conn_a, _ = cluster.connect("a", "b")
     cluster.run(auth_send(conn_a, b"traced"))
     cluster.run()
@@ -91,8 +72,7 @@ def test_rejections_traced_under_attack():
         return None
 
     cluster = Cluster(["a", "b"], fault=NetworkFault(tamper=tamper_once))
-    tracer = Tracer()
-    cluster.sim.tracer = tracer
+    tracer = Telemetry.attach(cluster.sim).trace
     conn_a, _ = cluster.connect("a", "b")
     cluster.run(auth_send(conn_a, b"target"))
     cluster.run()
