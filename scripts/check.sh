@@ -17,6 +17,14 @@ echo "== static analysis (python -m repro lint) =="
 python -m repro lint
 
 echo
+echo "== examples (each must exit 0) =="
+# The only non-test callers of recv, RpcEndpoint and BftTransform.
+for example in examples/*.py; do
+    python "$example" > /dev/null || { echo "FAILED: $example"; exit 1; }
+done
+echo "ok: every example ran"
+
+echo
 echo "== schedule-perturbation harness (python -m repro sanitize) =="
 # Compare, don't overwrite: the committed report is the contract.
 python -m repro sanitize --seeds 8 --output /tmp/tnic-sanitize.json

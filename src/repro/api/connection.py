@@ -18,7 +18,7 @@ protocol of §4.3 — see :mod:`repro.attest_protocol`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.device import TnicDevice
@@ -70,7 +70,6 @@ class IbvConnection:
     tx_region: IbvMemory | None = None
     _tx_cursor: int = 0
     synced: bool = False
-    meta: dict[str, Any] = field(default_factory=dict)
 
     @property
     def qp_number(self) -> int:

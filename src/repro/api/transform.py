@@ -87,10 +87,10 @@ class BftTransform:
         peer's action on *body* and return the state digest the peer
         must now have.  ``None`` disables the integrity simulation (for
         channels whose messages carry no state transition).
-    check_view:
-        When True, a non-empty echoed receiver state must match one of
-        this node's recent digests ("the receiver also ensures that it
-        does not lag, and both nodes have the same view").
+
+    A non-empty echoed receiver state must match one of this node's
+    recent digests ("the receiver also ensures that it does not lag, and
+    both nodes have the same view").
     """
 
     HISTORY = 64
@@ -100,12 +100,10 @@ class BftTransform:
         conn: IbvConnection,
         state_digest: Callable[[], bytes],
         simulate_sender: Callable[[bytes], bytes] | None = None,
-        check_view: bool = True,
     ) -> None:
         self.conn = conn
         self.state_digest = state_digest
         self.simulate_sender = simulate_sender
-        self.check_view = check_view
         #: Latest peer-state digest observed (echoed back on sends).
         self.last_peer_state: bytes = b""
         #: Recent local digests accepted as a valid "system view".
@@ -159,7 +157,7 @@ class BftTransform:
                     "the peer deviated from the protocol specification"
                 )
 
-        if self.check_view and wrapped.receiver_state:
+        if wrapped.receiver_state:
             if wrapped.receiver_state not in self._own_history:
                 self.violations.append("system-view mismatch")
                 raise TransformViolation(

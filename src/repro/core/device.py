@@ -6,8 +6,10 @@ kernel produces α inline, and the RoCE kernel emits the packet through
 the 100Gb MAC.
 
 RX: the RoCE kernel enforces ordering and reliability, the attestation
-kernel verifies α, and only then is the message DMA'd into host memory
-and a completion made visible to ``poll()``.
+kernel verifies α, and only then is the message handed to the device
+(:meth:`TnicDevice._on_deliver`), which routes it exactly once: to the
+host's receive queue, read by ``recv()`` and ``poll()`` alike, or to a
+push callback.
 
 The device also services one-sided ``rem_read``/``rem_write``: a WRITE
 carries a remote ibv-memory address and is placed there by the *remote*
@@ -29,7 +31,7 @@ from repro.net.arp import ArpServer
 from repro.net.mac import EthernetMac
 from repro.net.packet import RdmaOpcode
 from repro.roce.queue_pair import QueuePair
-from repro.roce.state_tables import CompletionEntry
+from repro.roce.state_tables import QueuePairState
 from repro.roce.transport import RoceKernel
 from repro.sim.events import Event
 from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, count, span_begin
@@ -128,7 +130,7 @@ class _Send(_TxStages):
                                           qp=qp_number, bytes=len(self.payload))
             meta[TRACE_PARENT] = span
         try:
-            self.session_id = device.roce._qp(qp_number).session_id
+            self.session_id = device.roce.qp_state(qp_number).qp.session_id
         except KeyError as exc:
             self._fail(exc)
             return
@@ -317,37 +319,29 @@ class TnicDevice:
     # ------------------------------------------------------------------
     # Data path — reception
     # ------------------------------------------------------------------
-    def poll(self, qp_number: int, max_entries: int = 16) -> list[CompletionEntry]:
-        """Fetch completed (verified) receptions — the poll() API.
+    def poll(self, qp_number: int, max_entries: int = 16) -> list[dict[str, Any]]:
+        """Pop up to *max_entries* verified deliveries — the poll() API.
 
         "poll() is updated only when the message verification succeeds
-        at the TNIC hardware."
+        at the TNIC hardware."  The entries are the records ``receive``
+        pops: one queue, so each delivery is consumed once.
         """
-        state = self.roce.tables.get(qp_number)
-        entries: list[CompletionEntry] = []
-        while state.completion_queue and len(entries) < max_entries:
-            entries.append(state.completion_queue.popleft())
+        queue = self.roce.qp_state(qp_number).receive_queue
+        entries: list[dict[str, Any]] = []
+        while queue and len(entries) < max_entries:
+            entries.append(queue.popleft())
+        if entries and self.sim.telemetry is not None:
+            count(self.sim, "device.host_rx", len(entries), device=self.device_id)
         return entries
 
     def receive(self, qp_number: int) -> dict[str, Any] | None:
-        """Pop the next verified message for the host, if any.
-
-        WRITE payloads are additionally placed into host memory at the
-        address the sender named.
-        """
-        state = self.roce.tables.get(qp_number)
-        if not state.receive_queue:
+        """Pop the next verified delivery for the host, if any."""
+        queue = self.roce.qp_state(qp_number).receive_queue
+        if not queue:
             return None
-        item = state.receive_queue.popleft()
         if self.sim.telemetry is not None:
             count(self.sim, "device.host_rx", device=self.device_id)
-        if (
-            item["opcode"] is RdmaOpcode.WRITE
-            and self._host_memory is not None
-            and "remote_addr" in item["meta"]
-        ):
-            self._host_memory.dma_write(item["meta"]["remote_addr"], item["payload"])
-        return item
+        return queue.popleft()
 
     # ------------------------------------------------------------------
     # One-sided READ (serviced by the device, no host involvement)
@@ -393,38 +387,37 @@ class TnicDevice:
         self.sim.delayed_call(timeout_us, _expire)
         return result
 
-    def _on_deliver(self, qp, state) -> None:
-        """Device-side dispatch: intercept READ traffic before the host."""
-        item = state.receive_queue[-1]
+    def _on_deliver(self, state: QueuePairState, item: dict[str, Any]) -> None:
+        """Route one verified delivery exactly once: READ traffic is
+        serviced here, a WRITE is placed at its address, and the rest
+        (WRITEs included, as their notification) goes to the push
+        callback or else to the host's receive queue."""
         opcode = item["opcode"]
+        meta = item["meta"]
         if opcode is RdmaOpcode.READ_REQUEST:
-            state.receive_queue.pop()
-            state.completion_queue.pop()
-            if self._host_memory is None:
-                return
-            meta = item["meta"]
-            data = self._host_memory.dma_read(meta["remote_addr"], meta["read_len"])
-            self.send(
-                qp.qp_number,
-                data,
-                opcode=RdmaOpcode.READ_RESPONSE,
-                meta={"read_id": meta["read_id"]},
-            )
-        elif opcode is RdmaOpcode.READ_RESPONSE:
-            state.receive_queue.pop()
-            state.completion_queue.pop()
-            pending = self._pending_reads.pop(item["meta"]["read_id"], None)
+            if self._host_memory is not None:
+                data = self._host_memory.dma_read(meta["remote_addr"], meta["read_len"])
+                self.send(state.qp.qp_number, data,
+                          opcode=RdmaOpcode.READ_RESPONSE,
+                          meta={"read_id": meta["read_id"]})
+            return
+        if opcode is RdmaOpcode.READ_RESPONSE:
+            pending = self._pending_reads.pop(meta["read_id"], None)
             if pending is not None and not pending.triggered:
                 pending.succeed(item["payload"])
+            return
+        if (opcode is RdmaOpcode.WRITE and self._host_memory is not None
+                and "remote_addr" in meta):
+            self._host_memory.dma_write(meta["remote_addr"], item["payload"])
+        callback = self._rx_callbacks.get(state.qp.qp_number)
+        if callback is not None:
+            callback(item)
         else:
-            callback = self._rx_callbacks.get(qp.qp_number)
-            if callback is not None:
-                state.receive_queue.pop()
-                callback(item)
+            state.receive_queue.append(item)
 
     def set_receive_callback(self, qp_number: int, callback) -> None:
         """Push-style reception: *callback(item)* runs on each verified
-        delivery instead of queueing for ``receive()``/``drain()``.
+        delivery instead of queueing for ``receive()``/``poll()``.
 
         Used by the RPC layer; pass ``None`` to restore pull semantics.
         """
@@ -447,12 +440,9 @@ class TnicDevice:
     # ------------------------------------------------------------------
     def stats(self) -> "DeviceStats":
         """Aggregate device counters (NIC telemetry)."""
-        retransmissions = sum(
-            s.retransmissions for s in self.roce.tables.all_states()
-        )
-        duplicates = sum(
-            s.duplicates_dropped for s in self.roce.tables.all_states()
-        )
+        states = self.roce.tables.values()
+        retransmissions = sum(s.retransmissions for s in states)
+        duplicates = sum(s.duplicates_dropped for s in states)
         return DeviceStats(
             device_id=self.device_id,
             tx_packets=self.mac.tx_packets,

@@ -8,7 +8,7 @@ guarantee "no messages can be lost, re-ordered, or doubly executed".
 """
 
 from repro.roce.queue_pair import QueuePair
-from repro.roce.state_tables import CompletionEntry, QueuePairState, StateTables
+from repro.roce.state_tables import CompletionEntry, QueuePairState
 from repro.roce.transport import RoceKernel
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "QueuePair",
     "QueuePairState",
     "RoceKernel",
-    "StateTables",
 ]

@@ -3,7 +3,9 @@
 A queue pair (QP) names one reliable connection (RC) between two
 endpoints.  TNIC binds each QP to an attestation *session* so the
 Keystore and Counters store are indexed consistently with the transport
-state (§4.1: "one shared key for each session").
+state (§4.1: "one shared key for each session").  The QP's protocol
+state, the peer's QP number included, lives in its State-tables record
+(:class:`repro.roce.state_tables.QueuePairState`).
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ class QueuePair:
     remote_ip: str
     local_port: int = 4791
     remote_port: int = 4791
-    #: QP number of the peer's queue pair (filled in by ibv_sync()).
-    remote_qp_number: int = -1
 
     def __post_init__(self) -> None:
         if self.qp_number < 0:
@@ -31,21 +31,3 @@ class QueuePair:
             raise ValueError("session_id must be >= 0")
         if self.local_ip == self.remote_ip and self.local_port == self.remote_port:
             raise ValueError("queue pair endpoints must differ")
-
-    def connected(self) -> bool:
-        """True once ibv_sync() has exchanged the peer QP number."""
-        return self.remote_qp_number >= 0
-
-    def with_remote_qp(self, remote_qp_number: int) -> "QueuePair":
-        """Copy of this QP bound to the peer's QP number."""
-        if remote_qp_number < 0:
-            raise ValueError("remote_qp_number must be >= 0")
-        return QueuePair(
-            qp_number=self.qp_number,
-            session_id=self.session_id,
-            local_ip=self.local_ip,
-            remote_ip=self.remote_ip,
-            local_port=self.local_port,
-            remote_port=self.remote_port,
-            remote_qp_number=remote_qp_number,
-        )

@@ -4,6 +4,10 @@
 receive/send/completion queues) as well as important metadata, i.e.,
 packet sequence numbers (PSNs), message sequence numbers (MSNs), and a
 Retransmission Timer."
+
+The tables are one :class:`QueuePairState` record per QP
+(``RoceKernel.tables``, keyed by QP number): everything the kernel
+keeps about a connection lives in its record.
 """
 
 from __future__ import annotations
@@ -12,16 +16,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.roce.queue_pair import QueuePair
+
 
 @dataclass(frozen=True, slots=True)
 class CompletionEntry:
-    """One entry of a completion queue."""
+    """The value of a send's completion event: the peer ACKed it."""
 
     qp_number: int
     msn: int
     opcode: str
     ok: bool
-    detail: str = ""
 
 
 @dataclass(slots=True)
@@ -38,9 +43,11 @@ class _InflightPacket:
 
 @dataclass
 class QueuePairState:
-    """Per-QP protocol state."""
+    """Per-QP protocol state: the QP's one record in the State tables."""
 
-    qp_number: int
+    qp: QueuePair
+    #: The peer's QP number, bound by ``connect_qp`` (ibv_sync); -1 before.
+    remote_qp_number: int = -1
     #: PSN of the next packet this side will transmit.
     next_send_psn: int = 0
     #: PSN the receive side expects next (in-order delivery).
@@ -48,12 +55,19 @@ class QueuePairState:
     #: MSN counters: one per message, whose segments take one PSN each.
     next_send_msn: int = 0
     next_recv_msn: int = 0
+    #: Work requests waiting for send-window space.
+    tx_backlog: deque = field(default_factory=deque)
     #: Unacknowledged transmitted packets, ordered by PSN.
     inflight: deque[_InflightPacket] = field(default_factory=deque)
-    #: Messages verified and delivered, awaiting host consumption.
+    #: ``(last PSN, completion)`` of every message on the wire, in post
+    #: order — so in PSN order: they leave at the front.
+    completions: deque = field(default_factory=deque)
+    #: Verified deliveries awaiting the host (``recv``/``poll``).
     receive_queue: deque[Any] = field(default_factory=deque)
-    #: Completion entries awaiting poll().
-    completion_queue: deque[CompletionEntry] = field(default_factory=deque)
+    #: The in-order reception lane (``transport._RxLane``).
+    rx_lane: Any = None
+    #: The immutable Ethernet/IP/UDP headers toward the peer.
+    peer_headers: tuple | None = None
     #: Duplicate/out-of-window packets seen (diagnostics).
     duplicates_dropped: int = 0
     out_of_order_dropped: int = 0
@@ -88,38 +102,3 @@ class QueuePairState:
             self.inflight.popleft()
             count += 1
         return count
-
-
-class StateTables:
-    """All queue-pair state held by one RoCE kernel instance."""
-
-    def __init__(self, max_connections: int = 500) -> None:
-        # "the RoCE kernel is configured to hold up to 500 connections".
-        self.max_connections = max_connections
-        self._queue_pairs: dict[int, QueuePairState] = {}
-
-    def create(self, qp_number: int) -> QueuePairState:
-        if qp_number in self._queue_pairs:
-            raise ValueError(f"QP {qp_number} already exists")
-        if len(self._queue_pairs) >= self.max_connections:
-            raise RuntimeError(
-                f"RoCE kernel connection table full ({self.max_connections})"
-            )
-        state = QueuePairState(qp_number=qp_number)
-        self._queue_pairs[qp_number] = state
-        return state
-
-    def get(self, qp_number: int) -> QueuePairState:
-        try:
-            return self._queue_pairs[qp_number]
-        except KeyError:
-            raise KeyError(f"unknown QP {qp_number}") from None
-
-    def __contains__(self, qp_number: int) -> bool:
-        return qp_number in self._queue_pairs
-
-    def __len__(self) -> int:
-        return len(self._queue_pairs)
-
-    def all_states(self) -> list[QueuePairState]:
-        return list(self._queue_pairs.values())

@@ -43,7 +43,7 @@ from repro.net.packet import (
     UdpHeader,
 )
 from repro.roce.queue_pair import QueuePair
-from repro.roce.state_tables import CompletionEntry, QueuePairState, StateTables
+from repro.roce.state_tables import CompletionEntry, QueuePairState
 from repro.sim.events import Event
 from repro.sim.instrument import (
     NULL_SPAN,
@@ -72,12 +72,11 @@ class _RxLane:
     (:meth:`_verified`).
     """
 
-    __slots__ = ("kernel", "qp", "state", "queue", "verifying",
+    __slots__ = ("kernel", "state", "queue", "verifying",
                  "next_arrival_psn", "partial")
 
-    def __init__(self, kernel: "RoceKernel", qp: QueuePair, state: QueuePairState) -> None:
+    def __init__(self, kernel: "RoceKernel", state: QueuePairState) -> None:
         self.kernel = kernel
-        self.qp = qp
         self.state = state
         #: Accepted packets not yet processed; emptied by a rejection.
         self.queue: deque = deque()
@@ -164,9 +163,9 @@ class _RxLane:
         if kernel.sim.telemetry is not None:
             vspan = span_begin(kernel.sim, "roce.rx_verify",
                                parent=packet.meta.get(TRACE_PARENT),
-                               node=kernel.ip, qp=self.qp.qp_number)
+                               node=kernel.ip, qp=self.state.qp.qp_number)
         try:
-            check = kernel.attestation.verify_event(self.qp.session_id, message)
+            check = kernel.attestation.verify_event(self.state.qp.session_id, message)
         except AttestationError:
             kernel._verification_failed(self, vspan)
             return False
@@ -202,7 +201,6 @@ class RoceKernel:
         attestation: AttestationKernel | None = None,
         retransmit_timeout_us: float = 200.0,
         max_retries: int = 25,
-        max_connections: int = 500,
         path_mtu: int = 4096,
     ) -> None:
         self.sim = sim
@@ -221,18 +219,13 @@ class RoceKernel:
         #: RC flow control: at most this many unacknowledged packets per
         #: QP; further work requests queue until ACKs open the window.
         self.send_window = 128
-        #: Per QP (created with it): work requests waiting for window space.
-        self._tx_backlog: dict[int, deque] = {}
-        self.tables = StateTables(max_connections)
-        self._queue_pairs: dict[int, QueuePair] = {}
-        #: Per QP, ``(last PSN, completion)`` of every message on the
-        #: wire, in post order — so in PSN order: they leave at the front.
-        self._send_completions: dict[int, deque] = {}
-        self._rx_lanes: dict[int, _RxLane] = {}
-        #: Per QP, the immutable Ethernet/IP/UDP headers toward its peer.
-        self._peer_headers: dict[int, tuple] = {}
-        #: Optional device hook invoked after each verified delivery;
-        #: lets the device service one-sided READs without host help.
+        #: The State tables: one record per QP, by QP number.
+        self.tables: dict[int, QueuePairState] = {}
+        #: "the RoCE kernel is configured to hold up to 500 connections".
+        self.max_connections = 500
+        #: Optional device hook handed each verified delivery
+        #: (``hook(state, item)``) instead of the record's receive queue;
+        #: lets the device service one-sided operations without host help.
         self.deliver_hook = None
         self.verification_failures = 0
         mac.ingress = self.ingress
@@ -242,21 +235,24 @@ class RoceKernel:
     # ------------------------------------------------------------------
     def create_qp(self, qp: QueuePair) -> None:
         """Install a queue pair in the state tables."""
-        if qp.qp_number in self._queue_pairs:
+        if qp.qp_number in self.tables:
             raise ValueError(f"QP {qp.qp_number} already created")
-        self.tables.create(qp.qp_number)
-        self._queue_pairs[qp.qp_number] = qp
-        self._send_completions[qp.qp_number] = deque()
-        self._tx_backlog[qp.qp_number] = deque()
+        if len(self.tables) >= self.max_connections:
+            raise RuntimeError(
+                f"RoCE kernel connection table full ({self.max_connections})")
+        state = self.tables[qp.qp_number] = QueuePairState(qp)
+        state.rx_lane = _RxLane(self, state)
 
     def connect_qp(self, qp_number: int, remote_qp_number: int) -> None:
         """Bind the local QP to the peer's QP number (via ibv_sync)."""
-        qp = self._qp(qp_number)
-        self._queue_pairs[qp_number] = qp.with_remote_qp(remote_qp_number)
+        if remote_qp_number < 0:
+            raise ValueError("remote_qp_number must be >= 0")
+        self.qp_state(qp_number).remote_qp_number = remote_qp_number
 
-    def _qp(self, qp_number: int) -> QueuePair:
+    def qp_state(self, qp_number: int) -> QueuePairState:
+        """The State-tables record of QP *qp_number*."""
         try:
-            return self._queue_pairs[qp_number]
+            return self.tables[qp_number]
         except KeyError:
             raise KeyError(f"unknown QP {qp_number}") from None
 
@@ -279,8 +275,8 @@ class RoceKernel:
         is the send's completion event when a layer above already made
         it (``TnicDevice.send``): it is triggered instead of a fresh one.
         """
-        qp = self._qp(qp_number)
-        if not qp.connected():
+        state = self.qp_state(qp_number)
+        if state.remote_qp_number < 0:
             raise TransportError(f"QP {qp_number} is not connected (run ibv_sync)")
         payload = (
             message.payload if isinstance(message, AttestedMessage) else message
@@ -288,20 +284,19 @@ class RoceKernel:
         chunks = self._segment(payload)
         if completion is None:
             completion = Event(self.sim)
-        self._tx_backlog[qp_number].append(
+        state.tx_backlog.append(
             (message, opcode, dict(meta or {}), chunks, completion))
-        self._pump_tx(qp_number)
+        self._pump_tx(state)
         return completion
 
-    def _pump_tx(self, qp_number: int) -> None:
+    def _pump_tx(self, state: QueuePairState) -> None:
         """Transmit backlogged work requests while the window allows.
 
         A message enters the wire only when all its segments fit in the
         send window (or the window is empty, so oversized messages can
         still make progress)."""
-        qp = self._qp(qp_number)
-        state = self.tables.get(qp_number)
-        backlog = self._tx_backlog[qp_number]
+        qp_number = state.qp.qp_number
+        backlog = state.tx_backlog
         while backlog:
             message, opcode, meta, chunks, completion = backlog[0]
             fits = len(state.inflight) + len(chunks) <= self.send_window
@@ -326,8 +321,8 @@ class RoceKernel:
                     seg_meta["seg_index"] = index
                 seg_meta["src_qp"] = qp_number
                 packet = Packet(
-                    *self._headers(qp),
-                    IbTransportHeader(opcode, qp.remote_qp_number,
+                    *self._headers(state),
+                    IbTransportHeader(opcode, state.remote_qp_number,
                                       psn=state.next_send_psn),
                     payload=chunk,
                     # α rides the LAST segment.
@@ -347,7 +342,7 @@ class RoceKernel:
                 gauge_set(self.sim, "roce.inflight", len(state.inflight),
                           node=self.ip, qp=qp_number)
             # The message completes when its final segment is acked.
-            self._send_completions[qp_number].append((last_psn, completion))
+            state.completions.append((last_psn, completion))
             if not state.timer_filed:
                 self._file_timer(state)
 
@@ -361,14 +356,15 @@ class RoceKernel:
         (:func:`repro.net.body.join`)."""
         return segment_body(payload, self.path_mtu)
 
-    def _headers(self, qp: QueuePair) -> tuple:
-        """``(eth, ip, udp)`` of a packet toward *qp*'s peer.  ARP is
+    def _headers(self, state: QueuePairState) -> tuple:
+        """``(eth, ip, udp)`` of a packet toward the QP's peer.  ARP is
         consulted per packet, as the Request generation module does; the
         headers are rebuilt only when it names a different MAC."""
+        qp = state.qp
         dst_mac = self.arp.lookup(qp.remote_ip)
-        headers = self._peer_headers.get(qp.qp_number)
+        headers = state.peer_headers
         if headers is None or headers[0].dst_mac != dst_mac:
-            headers = self._peer_headers[qp.qp_number] = (
+            headers = state.peer_headers = (
                 EthernetHeader(src_mac=self.mac.address, dst_mac=dst_mac),
                 Ipv4Header(src_ip=qp.local_ip, dst_ip=qp.remote_ip),
                 UdpHeader(src_port=qp.local_port, dst_port=qp.remote_port),
@@ -383,7 +379,7 @@ class RoceKernel:
         (the absolute instant: a relative timeout can land a bit off it)."""
         timer = Event(self.sim)
         timer._state = Event.TRIGGERED
-        timer._value = state.qp_number
+        timer._value = state
         timer.callbacks.append(self._timer_fired)
         state.timer_filed = True
         self.sim._push(
@@ -392,11 +388,11 @@ class RoceKernel:
     def _timer_fired(self, timer: Event) -> None:
         """The timer entry came up: expire if the deadline stands, then
         move to the deadline in force — or lapse with nothing in flight."""
-        qp_number = timer._value
-        state = self.tables.get(qp_number)
+        state = timer._value
         if state.inflight and state.timer_deadline(
                 self.retransmit_timeout_us) <= self.sim._now:
             if self.sim.telemetry is not None:
+                qp_number = state.qp.qp_number
                 emit(self.sim, "roce.retransmit",
                      f"timeout qp={qp_number}", inflight=len(state.inflight),
                      node=self.ip)
@@ -412,10 +408,9 @@ class RoceKernel:
         """Timer expiry or NAK: resend every unacknowledged packet in
         order, which restarts the timer.  A message whose oldest packet
         is out of retries fails instead, every segment at once."""
-        qp_number = state.qp_number
         inflight = state.inflight
         while inflight and inflight[0].retries >= self.max_retries:
-            last_psn, completion = self._send_completions[qp_number].popleft()
+            last_psn, completion = state.completions.popleft()
             state.ack_through(last_psn)
             if not completion.triggered:
                 completion.fail(TransportError(
@@ -429,8 +424,8 @@ class RoceKernel:
             if telemetry is not None:
                 count(self.sim, "roce.retransmissions", node=self.ip)
             self.mac.transmit(entry.packet)
-        if self._tx_backlog[qp_number]:
-            self._pump_tx(qp_number)  # a failed message freed window space
+        if state.tx_backlog:
+            self._pump_tx(state)  # a failed message freed window space
 
     # ------------------------------------------------------------------
     # Reception path
@@ -446,10 +441,9 @@ class RoceKernel:
             self._handle_data(packet)
 
     def _handle_ack(self, packet: Packet) -> None:
-        qp_number = packet.bth.dest_qp
-        if qp_number not in self.tables:
+        state = self.tables.get(packet.bth.dest_qp)
+        if state is None:
             return
-        state = self.tables.get(qp_number)
         if packet.bth.opcode is RdmaOpcode.NAK:
             # Receiver is missing packets: retransmit immediately.
             self._go_back_n(state)
@@ -457,12 +451,13 @@ class RoceKernel:
         acked_psn = packet.bth.psn
         if state.ack_through(acked_psn):
             state.progress_at = self.sim._now
+        qp_number = state.qp.qp_number
         if self.sim.telemetry is not None:
             gauge_set(self.sim, "roce.inflight", len(state.inflight),
                       node=self.ip, qp=qp_number)
-        if self._tx_backlog[qp_number]:
-            self._pump_tx(qp_number)  # ACKs opened window space
-        pending = self._send_completions[qp_number]
+        if state.tx_backlog:
+            self._pump_tx(state)  # ACKs opened window space
+        pending = state.completions
         while pending and pending[0][0] <= acked_psn:
             psn, completion = pending.popleft()
             if not completion.triggered:
@@ -474,14 +469,10 @@ class RoceKernel:
                 ))
 
     def _handle_data(self, packet: Packet) -> None:
-        qp_number = packet.bth.dest_qp
-        if qp_number not in self.tables:
+        state = self.tables.get(packet.bth.dest_qp)
+        if state is None:
             return
-        state = self.tables.get(qp_number)
-        lane = self._rx_lanes.get(qp_number)
-        if lane is None:
-            lane = self._rx_lanes[qp_number] = _RxLane(
-                self, self._qp(qp_number), state)
+        lane = state.rx_lane
         psn = packet.bth.psn
         if psn == lane.next_arrival_psn:
             lane.accept(packet)
@@ -489,12 +480,12 @@ class RoceKernel:
             # Duplicate of an already-accepted packet: re-ACK, drop.
             state.duplicates_dropped += 1
             if state.expected_recv_psn > 0:
-                self._send_ack(self._qp(qp_number),
-                               state.expected_recv_psn - 1, state.next_recv_msn)
+                self._send_ack(state, state.expected_recv_psn - 1,
+                               state.next_recv_msn)
         else:
             # Gap: go-back-N, ask the sender to rewind.
             state.out_of_order_dropped += 1
-            self._send_nak(self._qp(qp_number))
+            self._send_nak(state)
 
     def _verification_failed(self, lane: _RxLane, vspan) -> None:
         vspan.end(status="rejected")
@@ -505,19 +496,20 @@ class RoceKernel:
         """Rewind the arrival cursor to the delivered watermark and
         discard the queued packets; a correct sender's go-back-N
         retransmission will re-supply the genuine sequence."""
-        qp = lane.qp
-        rewind_to = lane.state.expected_recv_psn
+        state = lane.state
+        rewind_to = state.expected_recv_psn
         if self.sim.telemetry is not None:
+            qp_number = state.qp.qp_number
             emit(self.sim, "roce.reject",
-                 f"qp={qp.qp_number} rewind to psn={rewind_to}",
+                 f"qp={qp_number} rewind to psn={rewind_to}",
                  node=self.ip)
             count(self.sim, "roce.reject", node=self.ip)
             flight_trigger(self.sim, "roce.reject", node=self.ip,
-                           qp=qp.qp_number, rewind_to=rewind_to)
+                           qp=qp_number, rewind_to=rewind_to)
         lane.queue.clear()
         lane.partial = []
         lane.next_arrival_psn = rewind_to
-        self._send_nak(qp)
+        self._send_nak(state)
 
     def _deliver(
         self,
@@ -527,52 +519,45 @@ class RoceKernel:
         message: AttestedMessage | None = None,
         psn_span: int = 1,
     ) -> None:
-        qp = lane.qp
+        """Advance the receive window over a verified message and hand it
+        on once: to the device hook, or, with no device attached, to the
+        record's receive queue."""
         state = lane.state
         state.expected_recv_psn += psn_span
         msn = state.next_recv_msn
         state.next_recv_msn += 1
-        state.receive_queue.append(
-            {
-                "payload": payload,
-                "message": message,
-                "opcode": packet.bth.opcode,
-                "meta": dict(packet.meta),
-                "msn": msn,
-            }
-        )
-        state.completion_queue.append(
-            CompletionEntry(
-                qp_number=qp.qp_number,
-                msn=msn,
-                opcode=packet.bth.opcode.value,
-                ok=True,
-            )
-        )
+        item = {
+            "payload": payload,
+            "message": message,
+            "opcode": packet.bth.opcode,
+            "meta": dict(packet.meta),
+            "msn": msn,
+        }
         if self.sim.telemetry is not None:
             emit(self.sim, "roce.rx",
-                 f"delivered qp={qp.qp_number} msn={msn} {len(payload)}B",
+                 f"delivered qp={state.qp.qp_number} msn={msn} {len(payload)}B",
                  node=self.ip)
             count(self.sim, "roce.rx_delivered", node=self.ip)
-        self._send_ack(qp, packet.bth.psn, msn)
+        self._send_ack(state, packet.bth.psn, msn)
         if self.deliver_hook is not None:
-            self.deliver_hook(qp, state)
+            self.deliver_hook(state, item)
+        else:
+            state.receive_queue.append(item)
 
     # ------------------------------------------------------------------
     # Control packets
     # ------------------------------------------------------------------
-    def _control_packet(self, qp: QueuePair, opcode: RdmaOpcode, psn: int, msn: int) -> Packet:
+    def _control_packet(self, state: QueuePairState, opcode: RdmaOpcode,
+                        psn: int, msn: int) -> Packet:
         return Packet(
-            *self._headers(qp),
-            IbTransportHeader(opcode, qp.remote_qp_number, psn, ack_req=False),
+            *self._headers(state),
+            IbTransportHeader(opcode, state.remote_qp_number, psn, ack_req=False),
             meta={"msn": msn},
         )
 
-    def _send_ack(self, qp: QueuePair, psn: int, msn: int) -> None:
-        self.mac.transmit(self._control_packet(qp, RdmaOpcode.ACK, psn, msn))
+    def _send_ack(self, state: QueuePairState, psn: int, msn: int) -> None:
+        self.mac.transmit(self._control_packet(state, RdmaOpcode.ACK, psn, msn))
 
-    def _send_nak(self, qp: QueuePair) -> None:
-        state = self.tables.get(qp.qp_number)
-        self.mac.transmit(
-            self._control_packet(qp, RdmaOpcode.NAK, state.expected_recv_psn, 0)
-        )
+    def _send_nak(self, state: QueuePairState) -> None:
+        self.mac.transmit(self._control_packet(
+            state, RdmaOpcode.NAK, state.expected_recv_psn, 0))

@@ -26,7 +26,6 @@ class TnicProcess:
         self.sim = sim
         self.regs = regs
         self._page_lock = Resource(sim, capacity=1)
-        self.requests_scheduled = 0
 
     def exclusive_regs(self):
         """Process helper: acquire the REG-page lock.
@@ -39,7 +38,6 @@ class TnicProcess:
             try: ... program registers, ring doorbell ...
             finally: process.release_regs()
         """
-        self.requests_scheduled += 1
         return self._page_lock.acquire()
 
     def release_regs(self) -> None:

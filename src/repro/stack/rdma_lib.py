@@ -155,7 +155,6 @@ class _Post:
             span.end(status="ok")
         if lib.sim.telemetry is not None:
             count(lib.sim, "rdma.posted", qp=request.qp_number)
-        lib.tx_posted[request.qp_number] = lib.tx_posted.get(request.qp_number, 0) + 1
 
     def _refused(self, exc: Exception) -> None:
         """The completion event is the error channel: nothing raises
@@ -188,9 +187,6 @@ class RdmaLibrary:
         self.process = process
         self.memory_table = MemoryTable()
         self.device.attach_host_memory(self.memory_table)
-        #: Tx/Rx bookkeeping per QP number.
-        self.tx_posted: dict[int, int] = {}
-        self.rx_delivered: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Memory registration (init_lqueue)
@@ -225,13 +221,8 @@ class RdmaLibrary:
     # Receiving
     # ------------------------------------------------------------------
     def poll(self, qp_number: int, max_entries: int = 16):
-        """Fetch verified completions for *qp_number* (the poll() API)."""
-        entries = self.device.poll(qp_number, max_entries)
-        if entries:
-            self.rx_delivered[qp_number] = (
-                self.rx_delivered.get(qp_number, 0) + len(entries)
-            )
-        return entries
+        """Pop up to *max_entries* verified deliveries (the poll() API)."""
+        return self.device.poll(qp_number, max_entries)
 
     def receive(self, qp_number: int):
         """Pop the next verified message body, if any."""

@@ -6,6 +6,7 @@ from repro.api import Cluster, auth_send, local_send, local_verify, poll, rem_re
 from repro.api.connection import SessionDirectory, ibv_sync
 from repro.api.ops import recv
 from repro.core.attestation import AttestedMessage
+from repro.net.packet import RdmaOpcode
 
 
 def make_cluster(names=("alice", "bob"), **kwargs):
@@ -38,7 +39,7 @@ def test_poll_counts_verified_receptions_only():
         cluster.run(auth_send(a_conn, f"m{i}".encode()))
     cluster.run()
     entries = poll(b_conn, max_entries=10)
-    assert len(entries) == 4
+    assert [e["msn"] for e in entries] == [0, 1, 2, 3]
     assert poll(b_conn) == []
 
 
@@ -51,6 +52,40 @@ def test_rem_write_lands_in_remote_window():
     recv(b_conn)  # consume the delivery notification
     region = cluster["bob"].rdma.region_for_address(a_conn.remote_base, 1)
     assert region.read(a_conn.remote_base + 128, 11) == b"remote-data"
+
+
+def test_rem_write_is_placed_without_a_receiver_call():
+    # One-sided: the remote device places the WRITE once it is verified;
+    # the receiving host does not have to recv() or poll() for it.
+    cluster = make_cluster()
+    a_conn, b_conn = cluster.connect("alice", "bob")
+    cluster.run(rem_write(a_conn, 256, b"one-sided"))
+    cluster.run()
+    region = cluster["bob"].rdma.region_for_address(a_conn.remote_base, 1)
+    assert region.read(a_conn.remote_base + 256, 9) == b"one-sided"
+    # The notification is still delivered, once.
+    [entry] = poll(b_conn)
+    assert entry["opcode"] is RdmaOpcode.WRITE
+    assert recv(b_conn) is None
+
+
+def test_each_delivery_is_consumed_once_by_recv_or_poll():
+    cluster = make_cluster()
+    a_conn, b_conn = cluster.connect("alice", "bob")
+    payloads = [f"m{i}".encode() for i in range(30)]
+    for payload in payloads:
+        auth_send(a_conn, payload)
+    cluster.run()
+    drained = [item["payload"] for item in iter(lambda: recv(b_conn), None)]
+    assert drained == payloads
+    assert poll(b_conn) == []  # recv left no completion behind
+    for payload in payloads[:4]:
+        auth_send(a_conn, payload)
+    cluster.run()
+    entries = poll(b_conn, max_entries=3) + poll(b_conn, max_entries=3)
+    assert [e["payload"] for e in entries] == payloads[:4]
+    assert [e["msn"] for e in entries] == [30, 31, 32, 33]
+    assert recv(b_conn) is None  # ... and poll left no message behind
 
 
 def test_rem_write_bounds_checked():

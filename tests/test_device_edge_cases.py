@@ -164,13 +164,18 @@ def test_queue_pair_validation():
     with pytest.raises(ValueError):
         QueuePair(qp_number=1, session_id=1,
                   local_ip="10.0.0.1", remote_ip="10.0.0.1")
-    qp = QueuePair(qp_number=1, session_id=1,
-                   local_ip="10.0.0.1", remote_ip="10.0.0.2")
-    assert not qp.connected()
-    bound = qp.with_remote_qp(5)
-    assert bound.connected()
-    with pytest.raises(ValueError):
-        qp.with_remote_qp(-2)
+
+
+def test_connect_qp_rejects_a_negative_peer_qp_number():
+    sim = Simulator()
+    device = TnicDevice(sim, 1, "10.0.0.1", "m-a", ArpServer())
+    device.create_qp(QueuePair(qp_number=1, session_id=1,
+                               local_ip="10.0.0.1", remote_ip="10.0.0.2"))
+    with pytest.raises(ValueError, match="remote_qp_number"):
+        device.connect_qp(1, -2)
+    assert device.roce.tables[1].remote_qp_number == -1
+    device.connect_qp(1, 5)
+    assert device.roce.tables[1].remote_qp_number == 5
 
 
 def test_poll_respects_max_entries():

@@ -220,7 +220,7 @@ def _send(payload_bytes: int, messages: int, fault: NetworkFault | None = None):
                 stats = cluster.fabric.stats
                 assert stats.dropped and stats.duplicated and stats.reordered
                 assert sum(s.retransmissions for s in
-                           cluster["a"].device.roce.tables.all_states())
+                           cluster["a"].device.roce.tables.values())
 
         return cluster.sim, run
 

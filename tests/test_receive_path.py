@@ -45,8 +45,7 @@ from repro.telemetry.profiler import _callsite
 # The reference: the receive side as the two actors it used to be
 # ----------------------------------------------------------------------
 class _ReferenceLane:
-    def __init__(self, qp, state, store):
-        self.qp = qp
+    def __init__(self, state, store):
         self.state = state
         self.store = store
         self.queue = deque()  # always empty; the kernel's _reject clears it
@@ -60,7 +59,8 @@ class _ReferenceLane:
 class _ReferenceKernel(RoceKernel):
     """``RoceKernel`` with ``_rx_loop``, ``_delivery_loop`` and the lane
     ``Store`` as they were; transmit side, ``_deliver`` and ``_reject``
-    are the kernel's own."""
+    are the kernel's own.  The lane replaces the QP record's callback
+    lane at the QP's first packet, when the actors used to start."""
 
     def __init__(self, sim, mac, *args, **kwargs):
         super().__init__(sim, mac, *args, **kwargs)
@@ -82,31 +82,29 @@ class _ReferenceKernel(RoceKernel):
                 self._handle_data(packet)
 
     def _handle_data(self, packet):
-        qp_number = packet.bth.dest_qp
-        if qp_number not in self.tables:
+        state = self.tables.get(packet.bth.dest_qp)
+        if state is None:
             return
-        qp = self._qp(qp_number)
-        state = self.tables.get(qp_number)
         psn = packet.bth.psn
-        lane = self._rx_lanes.get(qp_number)
-        if lane is None:
-            lane = self._rx_lanes[qp_number] = _ReferenceLane(
-                qp, state, Store(self.sim))
+        lane = state.rx_lane
+        if not isinstance(lane, _ReferenceLane):
+            lane = state.rx_lane = _ReferenceLane(state, Store(self.sim))
             self.sim.process(self._delivery_loop(lane))
         if psn < lane.next_arrival_psn:
             state.duplicates_dropped += 1
             if state.expected_recv_psn > 0:
-                self._send_ack(qp, state.expected_recv_psn - 1, state.next_recv_msn)
+                self._send_ack(state, state.expected_recv_psn - 1,
+                               state.next_recv_msn)
             return
         if psn > lane.next_arrival_psn:
             state.out_of_order_dropped += 1
-            self._send_nak(qp)
+            self._send_nak(state)
             return
         lane.next_arrival_psn += 1
         lane.store.put((lane.epoch, packet))
 
     def _delivery_loop(self, lane):
-        qp = lane.qp
+        qp = lane.state.qp
         while True:
             epoch, packet = yield lane.store.get()
             if epoch != lane.epoch:
@@ -297,7 +295,7 @@ def _drain(conn):
 
 
 def _lane(conn):
-    return conn.node.device.roce._rx_lanes[conn.qp_number]
+    return conn.node.device.roce.tables[conn.qp_number].rx_lane
 
 
 def test_failed_verification_discards_the_packets_queued_behind_it():
@@ -414,8 +412,7 @@ def test_segments_arriving_during_a_verification_wait_their_turn():
     backlog = []
 
     def tap(_packet):
-        lanes = conn_b.node.device.roce._rx_lanes
-        if conn_b.qp_number in lanes and _lane(conn_b).verifying is not None:
+        if _lane(conn_b).verifying is not None:
             backlog.append(len(_lane(conn_b).queue))
 
     conn_b.node.device.mac.rx_tap = tap

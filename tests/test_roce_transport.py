@@ -71,8 +71,8 @@ def test_poll_reports_completions_in_order():
         sim.run(a.send(1, f"m{i}".encode()))
     sim.run()
     entries = b.poll(2, max_entries=10)
-    assert [e.msn for e in entries] == [0, 1, 2]
-    assert all(e.ok for e in entries)
+    assert [e["msn"] for e in entries] == [0, 1, 2]
+    assert [e["payload"] for e in entries] == [b"m0", b"m1", b"m2"]
     assert b.poll(2) == []
 
 
@@ -208,7 +208,7 @@ def test_connection_limit_enforced():
     sim = Simulator()
     arp = ArpServer()
     a = TnicDevice(sim, 1, "10.0.0.1", "mac-a", arp)
-    a.roce.tables.max_connections = 2
+    a.roce.max_connections = 2
     for qp_num in (1, 2):
         a.create_qp(QueuePair(qp_number=qp_num, session_id=SESSION,
                               local_ip="10.0.0.1", remote_ip="10.0.0.2"))
@@ -381,7 +381,7 @@ def test_the_retransmission_counter_reaches_telemetry_from_both_paths():
     _closed_loop(cluster, conn_a, payloads[60:], window=16)
     nodes = [cluster[name] for name in ("a", "b")]
     from_state = sum(state.retransmissions for node in nodes
-                     for state in node.device.roce.tables.all_states())
+                     for state in node.device.roce.tables.values())
     from_metric = sum(
         hub.registry.counter("roce.retransmissions", node=node.ip).value
         for node in nodes)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Cluster
+from repro.api import Cluster, poll
 from repro.api.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.net.fabric import NetworkFault
 
@@ -30,6 +30,19 @@ def test_multiple_outstanding_calls_correlate():
     calls = [client.call(f"q{i}".encode()) for i in range(5)]
     responses = [cluster.run(call) for call in calls]
     assert responses == [f"r:q{i}".encode() for i in range(5)]
+
+
+def test_a_pushed_delivery_leaves_nothing_to_poll():
+    cluster, client, server = make_pair()
+    server.serve(lambda request: request)
+    calls = [client.call(bytes([index])) for index in range(50)]
+    assert [cluster.run(call) for call in calls] == [
+        bytes([index]) for index in range(50)]
+    cluster.run()
+    # The push callback consumed every request and reply: neither
+    # connection has a completion or a message left over.
+    assert poll(client.conn, max_entries=100) == []
+    assert poll(server.conn, max_entries=100) == []
 
 
 def test_bidirectional_rpc():

@@ -221,7 +221,7 @@ def test_the_posted_event_is_the_one_the_roce_kernel_completes():
     roce = conn_a.node.device.roce
     completion = auth_send(conn_a, b"x" * 64)
     cluster.run(until=cluster.sim.now + 8.0)  # past DMA and HMAC: on the wire
-    [(last_psn, held)] = roce._send_completions[conn_a.qp_number]
+    [(last_psn, held)] = roce.tables[conn_a.qp_number].completions
     assert held is completion and not completion.triggered
     entry = cluster.run(completion)
     assert entry.ok and entry.qp_number == conn_a.qp_number

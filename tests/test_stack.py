@@ -318,4 +318,3 @@ def test_tnic_process_lock_serialises_reg_access():
     sim.process(user("b"))
     sim.run()
     assert order == [("a", "in"), ("a", "out"), ("b", "in"), ("b", "out")]
-    assert process.requests_scheduled == 2

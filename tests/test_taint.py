@@ -259,7 +259,7 @@ def test_real_transport_whose_lane_skips_verification_raises_tnt001(tmp_path):
     import repro.roce.transport as transport
 
     real = Path(transport.__file__).read_text()
-    gate = "check = kernel.attestation.verify_event(self.qp.session_id, message)"
+    gate = "check = kernel.attestation.verify_event(self.state.qp.session_id, message)"
     assert real.count(gate) == 1, "the lane's verification call moved"
     bypass = (
         "kernel.attestation.counters.advance_recv(message.session_id)\n"
@@ -308,8 +308,8 @@ _REAL_TREE_MUTATIONS = {
     # The lane starts the verification and never looks at the outcome.
     "TNT002": (
         "roce/transport.py",
-        "check = kernel.attestation.verify_event(self.qp.session_id, message)",
-        "kernel.attestation.verify_event(self.qp.session_id, message)",
+        "check = kernel.attestation.verify_event(self.state.qp.session_id, message)",
+        "kernel.attestation.verify_event(self.state.qp.session_id, message)",
         "discarded",
     ),
 }
