@@ -243,7 +243,7 @@ class Cluster:
             node_b.device.install_session(session_id, key)
         conn_a = node_a.ibv_qp_conn(node_b.ip, session_id)
         conn_b = node_b.ibv_qp_conn(node_a.ip, session_id)
-        size = region_bytes or self.DEFAULT_REGION_BYTES
+        size = self.DEFAULT_REGION_BYTES if region_bytes is None else region_bytes
         region_a = node_a.alloc_mem(size)
         region_b = node_b.alloc_mem(size)
         node_a.init_lqueue(region_a)

@@ -87,8 +87,9 @@ class AttestedMessage:
     def encoded(self) -> bytes:
         """The canonical encoding of :meth:`mac_inputs` — the bytes α is
         a MAC of.  Derived once per message object and carried with it,
-        so attest and every later check MAC (and look up) the same
-        bytes object."""
+        so attest and every later transferable check MAC (and look up)
+        the same bytes object.  :meth:`AttestationKernel.verify` reads
+        the memo but never fills it."""
         encoded = self._encoded
         if encoded is None:
             encoded = canonical_bytes(self.mac_inputs())
@@ -167,9 +168,15 @@ class AttestationKernel:
         # Compared directly, not through the outcome cache: success
         # advances ``recv_cnt``, so a (session, counter) verifies at most
         # once and a hit could only be a replay the counter check rejects.
-        if not compare_digest(
-                self._mac(session_id).mac(message.encoded()),
-                message.alpha):
+        # For the same reason the encoding is not memoized here: a message
+        # that carries one (from ``attest``) is MACed over it, any other
+        # over a transient encoding, so a delivered message holds its
+        # payload once.
+        encoded = message._encoded
+        if encoded is None:
+            encoded = canonical_bytes(message.mac_inputs())
+        if not compare_digest(self._mac(session_id).mac(encoded),
+                              message.alpha):
             self.reject_count += 1
             sim = self.sim
             if sim is not None and sim.telemetry is not None:

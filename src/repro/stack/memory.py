@@ -9,11 +9,18 @@ with full read/write permissions and is eligible for DMA transfers."
 :class:`HugePageArea` hands out address ranges; :class:`IbvMemory` is
 one registered region with lkey/rkey access keys gating local and
 remote (one-sided RDMA) access, plus the DMA port the device uses.
+
+Ibv memory is demand-zero: a region is a private anonymous mapping, so
+registering it reserves address space only.  A page becomes resident
+when the application stages into it or the device DMAs or places into
+it, and a byte nobody wrote reads back as zero.  A connection therefore
+costs the bytes staged on it, not the size of its windows.
 """
 
 from __future__ import annotations
 
 import itertools
+import mmap
 from dataclasses import dataclass
 
 HUGE_PAGE_BYTES = 2 * 1024 * 1024
@@ -63,10 +70,9 @@ class IbvMemory:
         self.size = size
         self.lkey = lkey
         self.rkey = rkey
-        self._buffer = bytearray(size)
-        #: Reads slice this view, so the returned ``bytes`` is the only
-        #: copy made (slicing the bytearray itself would be a second).
-        self._view = memoryview(self._buffer)
+        #: Demand-zero backing: slicing it returns ``bytes`` directly,
+        #: the only copy a read makes.
+        self._buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self.registered = False
 
     # ------------------------------------------------------------------
@@ -85,7 +91,7 @@ class IbvMemory:
 
     def read(self, address: int, length: int) -> bytes:
         offset = self._offset(address, length)
-        return bytes(self._view[offset : offset + length])
+        return self._buffer[offset : offset + length]
 
     # ------------------------------------------------------------------
     # Device (DMA) port — requires registration

@@ -70,9 +70,9 @@ class EmulatedNetwork:
         self.sim = sim
         self._inboxes: dict[str, Store] = {}
         self.messages_sent = 0
-        self._isolated: set[str] = set()
+        #: Isolated node -> its mode ("hold" or "drop").
+        self._isolated: dict[str, str] = {}
         self._held: list[tuple[str, Any]] = []
-        self._drop_mode = False
         self.dropped_messages = 0
 
     def register(self, name: str) -> Store:
@@ -99,15 +99,16 @@ class EmulatedNetwork:
         substrate: inbound traffic is buffered and flushed on heal.
         ``mode="drop"`` models a crashed-and-restarted node whose
         in-flight traffic is lost — the case protocol-level repair
-        (e.g. Raft log catch-up) must handle.
+        (e.g. Raft log catch-up) must handle.  The mode is per node:
+        isolating other nodes later leaves an isolated node's mode as
+        it was.
         """
         if mode not in ("hold", "drop"):
             raise ValueError(f"unknown isolation mode {mode!r}")
         unknown = names - set(self._inboxes)
         if unknown:
             raise KeyError(f"unknown nodes: {sorted(unknown)}")
-        self._isolated |= names
-        self._drop_mode = mode == "drop"
+        self._isolated.update(dict.fromkeys(names, mode))
 
     def heal(self) -> None:
         """Restore connectivity and deliver every held message."""
@@ -145,7 +146,7 @@ class EmulatedNetwork:
             count(sim, "system.net_sent")
             emit(sim, "system.net_send", dst, kind=type(message).__name__)
         if dst in self._isolated:
-            if self._drop_mode:
+            if self._isolated[dst] == "drop":
                 self.dropped_messages += 1
                 count(self.sim, "system.net_dropped")
             else:

@@ -1,5 +1,7 @@
 """Integration tests for the TNIC programming APIs (Table 1)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.api import Cluster, auth_send, local_send, local_verify, poll, rem_read, rem_write
@@ -7,6 +9,7 @@ from repro.api.connection import SessionDirectory, ibv_sync
 from repro.api.ops import recv
 from repro.core.attestation import AttestedMessage
 from repro.net.packet import RdmaOpcode
+from repro.stack import MemoryError_
 
 
 def make_cluster(names=("alice", "bob"), **kwargs):
@@ -208,3 +211,33 @@ def test_bidirectional_auth_send():
     cluster.run()
     assert recv(b_conn)["payload"] == b"ping"
     assert recv(a_conn)["payload"] == b"pong"
+
+
+def _traced_bytes(build):
+    """Peak bytes the Python allocator traced while *build* ran."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_connection_does_not_zero_fill_its_regions():
+    # Four 4 MiB regions per connection: ibv memory is demand-zero, so
+    # none of it is allocated before a byte is staged.
+    cluster = Cluster(["a", "b"])
+    assert _traced_bytes(lambda: cluster.connect("a", "b")) < 1 << 20
+    names = [f"n{i}" for i in range(6)]
+    full_mesh = Cluster(names)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    assert len(pairs) == 15
+    assert _traced_bytes(
+        lambda: [full_mesh.connect(a, b) for a, b in pairs]) < 4 << 20
+
+
+@pytest.mark.parametrize("size", [0, -4096])
+def test_connect_rejects_a_nonpositive_region_size(size):
+    cluster = Cluster(["a", "b"])
+    with pytest.raises(MemoryError_, match="must be positive"):
+        cluster.connect("a", "b", region_bytes=size)

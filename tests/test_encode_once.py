@@ -110,6 +110,9 @@ def test_a_message_rebuilt_from_the_wire_derives_its_own_encoding():
     cluster.run()
     received = recv(conn_b)["message"]
     assert received.payload == b"over the wire"
+    # Verification MACed a transient encoding: the delivered message
+    # holds its payload once, and still derives its encoding on demand.
+    assert received._encoded is None
     assert received.encoded() == canonical_bytes(received.mac_inputs())
 
 

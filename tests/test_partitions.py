@@ -33,6 +33,25 @@ def test_isolate_holds_and_heal_flushes():
     assert inbox.try_get() == "held-2"
 
 
+def test_isolation_mode_is_per_node_and_heal_clears_it():
+    sim = Simulator()
+    net = EmulatedNetwork(sim)
+    inbox_a = net.register("a")
+    inbox_b = net.register("b")
+    net.isolate({"a"})
+    net.isolate({"b"}, mode="drop")  # must not turn a's hold into drop
+    net.send("a", "to-a")
+    net.send("b", "to-b")
+    sim.run()
+    assert (net.held_messages, net.dropped_messages) == (1, 1)
+    net.heal()
+    net.send("b", "after-heal")
+    sim.run()
+    assert inbox_a.try_get() == "to-a"
+    assert inbox_b.try_get() == "after-heal"
+    assert (net.held_messages, net.dropped_messages) == (0, 1)
+
+
 def test_isolate_unknown_node_rejected():
     net = EmulatedNetwork(Simulator())
     with pytest.raises(KeyError):

@@ -1,5 +1,7 @@
 """Unit tests for the TNIC network stack (§5)."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,6 +225,54 @@ def test_region_for_routes_across_adjacent_regions():
                             (regions[1].base, -1)):
         with pytest.raises(MemoryError_, match="not in registered"):
             table.region_for(address, length)
+
+
+# Offsets clustered on the 2 MiB huge-page boundary, plus anywhere in a
+# two-huge-page region.
+_offsets = st.one_of(st.integers(HUGE_PAGE_BYTES - 300, HUGE_PAGE_BYTES + 300),
+                     st.integers(0, 2 * HUGE_PAGE_BYTES - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(writes=st.lists(st.tuples(st.sampled_from(["app", "dma", "remote"]),
+                                 _offsets, st.binary(min_size=1, max_size=600)),
+                       max_size=8),
+       reads=st.lists(st.tuples(st.sampled_from(["app", "dma", "remote"]),
+                                _offsets, st.integers(0, 700)),
+                      max_size=8))
+def test_a_region_reads_zeros_where_unwritten_and_the_bytes_where_written(
+        writes, reads):
+    writes = [(port, offset, data[:2 * HUGE_PAGE_BYTES - offset])
+              for port, offset, data in writes]
+    # Demand-zero: allocating the 4 MiB region and staging into it
+    # allocates nothing near the region's size.
+    tracemalloc.start()
+    try:
+        region = HugePageArea().allocate(HUGE_PAGE_BYTES + 1)
+        region.register()
+        port_write = {
+            "app": region.write, "dma": region.dma_write,
+            "remote": lambda a, d: region.remote_write(region.rkey, a, d)}
+        for port, offset, data in writes:
+            port_write[port](region.base + offset, data)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert region.size == 2 * HUGE_PAGE_BYTES
+    shadow: dict[int, int] = {}
+    for _port, offset, data in writes:
+        shadow.update(zip(range(offset, offset + len(data)), data))
+    port_read = {"app": region.read, "dma": region.dma_read,
+                 "remote": lambda a, n: region.remote_read(region.rkey, a, n)}
+    # Every write read back whole, the boundary read across, and the
+    # drawn windows: each byte is the last one written there, else zero.
+    windows = [(port, offset, len(data)) for port, offset, data in writes]
+    windows += [("app", HUGE_PAGE_BYTES - 64, 128)] + reads
+    for port, offset, length in windows:
+        length = min(length, region.size - offset)
+        expected = bytes(shadow.get(i, 0)
+                         for i in range(offset, offset + length))
+        assert port_read[port](region.base + offset, length) == expected
 
 
 def test_dma_requires_registration():
