@@ -8,7 +8,7 @@ throughput gains flatten.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.systems.bft import BftCounter
 
 BATCHES = [1, 2, 4, 8, 16, 32, 64]

@@ -10,7 +10,7 @@ the DMA/wire pipeline, which is exactly the gap Figure 5 shows.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.sim import Simulator
 from repro.tee import make_provider
 

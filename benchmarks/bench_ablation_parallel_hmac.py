@@ -11,8 +11,8 @@ RDMA-hw at large packets.
 
 from conftest import register_artefact
 
-from repro.bench import PACKET_SIZE_SWEEP, Series
-from repro.bench.report import render_figure
+from repro.bench import PACKET_SIZE_SWEEP
+from repro.bench.report import Series, render_figure
 from repro.sim import latency as cal
 
 LANES = [1, 4, 16]

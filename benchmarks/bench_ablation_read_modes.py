@@ -11,7 +11,7 @@ broadcast round, so their advantage grows with the read share.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.systems.chain import ChainReplication, KvRequest
 
 READ_FRACTIONS = [0.0, 0.3, 0.6, 0.9]

@@ -9,7 +9,7 @@ verification and reply traffic for the same fault tolerance.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.systems.bft import BftCounter
 
 ROUNDS = 10

@@ -9,7 +9,7 @@ failover latency as a function of the watchdog timeout.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.systems.bft import BftCounter
 from repro.systems.bft_viewchange import ViewChangeBftCounter
 

@@ -7,7 +7,7 @@ SSL-server; SSL-lib (native library) fastest of all.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.sim import Simulator
 from repro.tee import make_provider
 

@@ -8,7 +8,7 @@ the in-TEE HMAC runs >30x slower than native.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.sim.latency import SSL_LIB_ATTEST_US, attest_breakdown
 
 SYSTEMS = ["ssl-lib", "ssl-server", "ssl-server-amd", "sgx", "amd-sev", "tnic"]

@@ -8,7 +8,7 @@ AMD systems spike in the same 200-500 us band.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.sim import Simulator
 from repro.tee import make_provider
 

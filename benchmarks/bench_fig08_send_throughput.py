@@ -7,8 +7,8 @@ its byte-serial HMAC pipeline, with the gap widening as packets grow.
 
 from conftest import register_artefact
 
-from repro.bench import PACKET_SIZE_SWEEP, Series
-from repro.bench.report import render_figure
+from repro.bench import PACKET_SIZE_SWEEP
+from repro.bench.report import Series, render_figure
 from repro.stacks import measure_throughput
 from repro.stacks.variants import DrctIoStack, RdmaHwStack, TnicStack
 

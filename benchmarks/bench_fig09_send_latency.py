@@ -12,8 +12,8 @@ Paper results reproduced here:
 
 from conftest import register_artefact
 
-from repro.bench import PACKET_SIZE_SWEEP, Series
-from repro.bench.report import render_figure
+from repro.bench import PACKET_SIZE_SWEEP
+from repro.bench.report import Series, render_figure
 from repro.stacks import measure_latency
 from repro.stacks.variants import (
     DrctIoAttStack,

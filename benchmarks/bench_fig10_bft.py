@@ -9,7 +9,7 @@ for all but SSL-lib.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.systems.bft import BftCounter
 
 PROVIDERS = ["ssl-lib", "ssl-server", "sgx", "amd-sev", "tnic"]

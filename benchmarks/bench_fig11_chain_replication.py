@@ -8,7 +8,8 @@ datapath.  Each request carries 60 B context + 4 B op + 32 B signature.
 
 from conftest import register_artefact
 
-from repro.bench import Table, kv_workload
+from repro.bench import kv_workload
+from repro.bench.report import Table
 from repro.crypto import reset_verification_cache, verification_cache_stats
 from repro.systems.chain import ChainReplication
 

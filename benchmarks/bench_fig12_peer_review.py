@@ -8,7 +8,7 @@ itself costs ~17 us (~25% of latency, a 1.33x slowdown).
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.systems.peer_review import PeerReviewSystem
 
 PROVIDERS = ["ssl-lib", "ssl-server", "sgx", "amd-sev", "tnic"]

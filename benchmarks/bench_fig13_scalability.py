@@ -8,8 +8,7 @@ connections** on a single U280.
 
 from conftest import register_artefact
 
-from repro.bench import Series
-from repro.bench.report import render_figure
+from repro.bench.report import Series, render_figure
 from repro.core.resources import FpgaModel
 
 SWEEP = [1, 2, 4, 8, 16, 24, 32]

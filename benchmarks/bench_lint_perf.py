@@ -28,7 +28,7 @@ from repro.analysis import (
     default_package_root,
     hotpath_engine,
 )
-from repro.bench import Table
+from repro.bench.report import Table
 
 LINT_BUDGET_S = 10.0
 

@@ -8,7 +8,7 @@ them to the raw one-way TNIC send latency of Figure 9.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.api import Cluster
 from repro.api.rpc import RpcEndpoint
 from repro.sim import latency as cal

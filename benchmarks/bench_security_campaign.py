@@ -9,7 +9,7 @@ the genuine stream is preserved.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.byzantine import (
     forge_attack,
     impersonation_attack,

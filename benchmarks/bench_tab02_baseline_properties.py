@@ -7,7 +7,7 @@ SGX/AMD-sev are tamper-proof but require a host TEE.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.tee.providers import PROVIDER_FACTORIES
 
 ROWS = ["ssl-lib", "ssl-server", "sgx", "amd-sev", "tnic"]

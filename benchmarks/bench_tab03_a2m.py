@@ -17,7 +17,7 @@ EPC-paging behaviour matches the paper's workload.
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.sim import Simulator
 from repro.systems.a2m import A2M
 from repro.tee import make_provider

@@ -17,7 +17,8 @@ ratios), so ``BENCH_tab04.json`` does not move with a source edit.
 from conftest import register_artefact
 
 from repro.analysis import TcbReport, collect_sources, default_package_root
-from repro.bench import Table, kv_workload
+from repro.bench import kv_workload
+from repro.bench.report import Table
 from repro.core.resources import (
     TEE_CR_APP_LOC,
     TEE_HOSTED_ATT_KERNEL_LOC,

@@ -7,7 +7,7 @@ flip-flops and 16.6% of RAMB36; the attestation kernel's utilisation
 
 from conftest import register_artefact
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.core.resources import (
     ATTESTATION_KERNEL,
     CMAC,

@@ -10,7 +10,8 @@ detected at the exact check Listing 1 performs.
 Run:  python examples/cft_to_bft_transform.py
 """
 
-from repro.api import BftTransform, Cluster, TransformViolation
+from repro.api import Cluster
+from repro.api.transform import BftTransform, TransformViolation
 from repro.crypto.hashing import sha256
 
 

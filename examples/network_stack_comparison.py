@@ -9,8 +9,8 @@ DRCT-IO-att collapsing past 521 B).
 Run:  python examples/network_stack_comparison.py
 """
 
-from repro.bench import PACKET_SIZE_SWEEP, Series
-from repro.bench.report import format_ratio, render_figure
+from repro.bench import PACKET_SIZE_SWEEP
+from repro.bench.report import Series, format_ratio, render_figure
 from repro.stacks import measure_latency, measure_throughput
 from repro.stacks.variants import (
     ALL_STACKS,

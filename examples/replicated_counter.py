@@ -9,7 +9,7 @@ wrong-output) to show the protocol exposing it.
 Run:  python examples/replicated_counter.py
 """
 
-from repro.bench import Table
+from repro.bench.report import Table
 from repro.systems.bft import BftCounter, ByzantineBehaviour
 
 PROVIDERS = ["ssl-lib", "ssl-server", "sgx", "amd-sev", "tnic"]

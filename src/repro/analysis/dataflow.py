@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.analysis.walker import SourceFile, dotted_name
+from repro.sim.record import Record, record
 
 #: Labels are either real tags ("key", "wire", ...) or parameter tokens
 #: ("@name") used while a function is summarised symbolically.
@@ -60,8 +61,8 @@ MAX_LOCAL_PASSES = 6
 # Manifest
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SourceSpec:
+@record
+class SourceSpec(Record):
     """One way taint enters the program.
 
     Exactly one of *call* / *attribute* / *param* is set:
@@ -80,8 +81,8 @@ class SourceSpec:
     packages: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SinkSpec:
+@record
+class SinkSpec(Record):
     """A call that must never receive an argument tainted with *tag*."""
 
     tag: str
@@ -89,8 +90,8 @@ class SinkSpec:
     call: str
 
 
-@dataclass(frozen=True)
-class TaintManifest:
+@record
+class TaintManifest(Record):
     """The complete source/sink/sanitizer policy for one analysis run."""
 
     sources: tuple[SourceSpec, ...] = ()
@@ -128,8 +129,8 @@ def module_under(module: str, packages: Iterable[str]) -> bool:
 # Function index
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SinkHit:
+@record
+class SinkHit(Record):
     """A sink reached by one of a function's parameters (transitively)."""
 
     tag: str
@@ -138,8 +139,8 @@ class SinkHit:
     via: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Summary:
+@record
+class Summary(Record):
     """What a function does with taint, as seen from a call site."""
 
     param_to_return: frozenset[str] = frozenset()
@@ -226,8 +227,8 @@ def call_name(func: ast.expr) -> str | None:
 # Flows (the engine's output)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TaintFlow:
+@record
+class TaintFlow(Record):
     """One tainted value reaching one sink, at one source location."""
 
     tag: str

@@ -23,8 +23,9 @@ contract, the same way determinism, taint and races already are:
      generator expressions, strings built with ``+``, closures (nested
      ``def`` / ``lambda``).
    * PERF002 — a class instantiated inside a hot function without
-     ``__slots__`` (or ``@dataclass(slots=True)``); exception classes
-     are error-path-only and exempt.
+     ``__slots__`` (or ``@dataclass(slots=True)``, or ``@record``,
+     which always makes a slotted class); exception classes are
+     error-path-only and exempt.
    * PERF003 — an instrument/trace emit with an *expensive* argument
      (f-string, method call, comprehension) not gated by a
      ``telemetry``/``profiler``-style ``is not None`` check or a held
@@ -77,6 +78,7 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.rules import Finding, ProjectRule
 from repro.analysis.walker import SourceFile, walk_own_body
+from repro.sim.record import Record, record
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _CLOSURES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -90,8 +92,8 @@ _NULL_SPAN = "NULL_SPAN"
 # Manifest
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HotPathManifest:
+@record
+class HotPathManifest(Record):
     """The declarative hot-path policy for one analysis run.
 
     *entry_points* are dotted-suffix patterns (``Simulator.step``
@@ -239,8 +241,8 @@ TNIC_MANIFEST = HotPathManifest(
 # Class index (PERF002)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassInfo:
+@record
+class ClassInfo(Record):
     """One class defined in a hot package."""
 
     qualname: str
@@ -262,6 +264,9 @@ def _class_has_slots(node: ast.ClassDef) -> bool:
             if isinstance(target, ast.Name) and target.id == "__slots__":
                 return True
     for deco in node.decorator_list:
+        name = call_name(deco)
+        if name and name.rsplit(".", 1)[-1] == "record":
+            return True
         if isinstance(deco, ast.Call):
             name = call_name(deco.func)
             if name and name.rsplit(".", 1)[-1] == "dataclass":

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.walker import SourceFile
+from repro.sim.record import Record, record
 
 _IGNORE_RE = re.compile(r"#\s*lint:\s*ignore\[([A-Z0-9, -]+)\]")
 
 
-@dataclass(frozen=True)
-class Finding:
+@record
+class Finding(Record):
     """One rule violation at a specific source location.
 
     *occurrence* distinguishes repeated identical hits: when the same

@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.sim.record import Record, record
 
-@dataclass(frozen=True)
-class ImportEdge:
+
+@record
+class ImportEdge(Record):
     """One ``import``/``from`` statement resolved to a dotted module."""
 
     module: str

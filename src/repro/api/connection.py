@@ -233,8 +233,11 @@ class Cluster:
 
         Performs ibv_qp_conn + alloc_mem + init_lqueue + ibv_sync and —
         acting as the System designer — installs the shared session key
-        in both devices' keystores.
+        in both devices' keystores.  A node cannot connect to itself:
+        that is refused before any key or session number is issued.
         """
+        if name_a == name_b:
+            raise ValueError(f"cannot connect node {name_a!r} to itself")
         node_a, node_b = self.nodes[name_a], self.nodes[name_b]
         session_id, key = self.sessions.new_session()
         if node_a.device.trusted:

@@ -84,10 +84,13 @@ def rem_read(conn: IbvConnection, remote_offset: int, length: int) -> "Event":
     _require_synced(conn)
     if conn.remote_rkey is None:
         raise RuntimeError("ibv_sync did not exchange a remote window")
+    if length < 0:
+        raise ValueError(f"negative read length {length}")
     if remote_offset < 0 or remote_offset + length > conn.remote_size:
         raise ValueError("remote read outside the peer's window")
     return conn.node.device.read_remote(
-        conn.qp_number, conn.remote_base + remote_offset, length
+        conn.qp_number, conn.remote_base + remote_offset, length,
+        rkey=conn.remote_rkey.value,
     )
 
 

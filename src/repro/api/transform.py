@@ -22,12 +22,12 @@ non-deterministic specifications cannot be transformed (§6.2), which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.api.connection import IbvConnection
 from repro.api.ops import auth_send, recv
 from repro.crypto.hashing import DIGEST_SIZE
+from repro.sim.record import Record, record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
@@ -37,8 +37,8 @@ class TransformViolation(Exception):
     """A Byzantine deviation detected by the transformation checks."""
 
 
-@dataclass(frozen=True)
-class WrappedMessage:
+@record
+class WrappedMessage(Record):
     """The wire format of Listing 1: msg ‖ sender_state ‖ receiver_state."""
 
     body: bytes

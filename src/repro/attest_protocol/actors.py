@@ -13,19 +13,18 @@ The division of knowledge follows the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.crypto.hashing import sha256
 from repro.crypto.hmac_engine import hmac_sha256, hmac_verify
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
+from repro.sim.record import Record, record
 
 
 class ProtocolError(Exception):
     """Raised when any attestation step fails verification."""
 
 
-@dataclass(frozen=True)
-class ControllerBinary:
+@record
+class ControllerBinary(Record):
     """The controller firmware image shipped by the vendor."""
 
     code: bytes
@@ -35,8 +34,8 @@ class ControllerBinary:
         return sha256("ctrl-bin", self.code, self.vendor_public_key.modulus)
 
 
-@dataclass(frozen=True)
-class MeasurementCertificate:
+@record
+class MeasurementCertificate(Record):
     """Ctrl_bin_cert: HW_key-MAC over the measurement and Ctrl_pub."""
 
     device_serial: str
@@ -45,8 +44,8 @@ class MeasurementCertificate:
     mac: bytes
 
 
-@dataclass(frozen=True)
-class AttestationReport:
+@record
+class AttestationReport(Record):
     """The signed report (step 2-3 of Figure 3)."""
 
     certificate: MeasurementCertificate

@@ -17,8 +17,6 @@ or :class:`~repro.attest_protocol.tls.TlsError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.attest_protocol.actors import (
     IpVendor,
     Manufacturer,
@@ -28,11 +26,12 @@ from repro.attest_protocol.actors import (
 from repro.attest_protocol.tls import SecureChannel
 from repro.crypto.hashing import sha256
 from repro.crypto.rsa import RsaPublicKey
+from repro.sim.record import Record, record
 from repro.sim.rng import DeterministicRng
 
 
-@dataclass(frozen=True)
-class ProvisionedDevice:
+@record
+class ProvisionedDevice(Record):
     """Outcome of a successful provisioning run."""
 
     device: TnicControllerDevice

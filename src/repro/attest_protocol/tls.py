@@ -10,17 +10,16 @@ the symbolic-model guarantees the paper verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.crypto.hmac_engine import hmac_sha256, hmac_verify
+from repro.sim.record import Record, record
 
 
 class TlsError(Exception):
     """Raised when a sealed record fails authentication."""
 
 
-@dataclass(frozen=True)
-class SealedRecord:
+@record
+class SealedRecord(Record):
     """One encrypted, authenticated message."""
 
     nonce: int

@@ -5,9 +5,10 @@
   benchmarks.
 * :mod:`~repro.bench.report` — plain-text table/series renderers that
   print benchmark results in the same rows/series the paper reports.
+  Imported from its module, not from here: only the per-figure
+  benchmarks and the CLI print tables.
 """
 
-from repro.bench.report import Series, Table, format_ratio
 from repro.bench.workload import (
     PACKET_SIZE_SWEEP,
     kv_workload,
@@ -17,9 +18,6 @@ from repro.bench.workload import (
 
 __all__ = [
     "PACKET_SIZE_SWEEP",
-    "Series",
-    "Table",
-    "format_ratio",
     "kv_workload",
     "packet_sweep",
     "zipfian_keys",

@@ -56,8 +56,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_stacks(args: argparse.Namespace) -> int:
-    from repro.bench import PACKET_SIZE_SWEEP, Series
-    from repro.bench.report import render_figure
+    from repro.bench import PACKET_SIZE_SWEEP
+    from repro.bench.report import Series, render_figure
     from repro.stacks import measure_latency
     from repro.stacks.variants import ALL_STACKS
 
@@ -73,7 +73,8 @@ def _cmd_stacks(args: argparse.Namespace) -> int:
 
 
 def _cmd_systems(args: argparse.Namespace) -> int:
-    from repro.bench import Table, kv_workload
+    from repro.bench import kv_workload
+    from repro.bench.report import Table
     from repro.systems.bft import BftCounter
     from repro.systems.chain import ChainReplication
     from repro.systems.peer_review import PeerReviewSystem

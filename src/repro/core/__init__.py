@@ -12,7 +12,8 @@
 * :mod:`~repro.core.device` — :class:`TnicDevice`, wiring the attestation
   kernel into the RoCE datapath per Figure 2.
 * :mod:`~repro.core.resources` — the FPGA resource-usage model behind
-  Table 5 and Figure 13.
+  Table 5 and Figure 13, imported from its module, not from here: no
+  simulated run uses it.
 """
 
 from repro.core.attestation import (
@@ -27,7 +28,6 @@ from repro.core.counters import CounterStore
 from repro.core.device import DeviceStats, TnicDevice
 from repro.core.dma import DmaEngine
 from repro.core.keystore import Keystore
-from repro.core.resources import FpgaModel, ResourceUsage, U280
 
 __all__ = [
     "AttestationError",
@@ -37,11 +37,8 @@ __all__ = [
     "CounterStore",
     "DeviceStats",
     "DmaEngine",
-    "FpgaModel",
     "Keystore",
     "MacMismatchError",
-    "ResourceUsage",
     "TnicDevice",
-    "U280",
     "UnknownSessionError",
 ]

@@ -23,7 +23,7 @@ HMAC pipeline and charge its virtual-time occupancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from hmac import compare_digest
 from typing import TYPE_CHECKING
 
@@ -32,6 +32,7 @@ from repro.core.keystore import Keystore, KeystoreError
 from repro.crypto.hashing import canonical_bytes
 from repro.crypto.hmac_engine import HmacEngine, KeyedHmac, verify_encoded
 from repro.sim.instrument import count, emit, flight_trigger, gauge_set
+from repro.sim.record import Record, record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -59,8 +60,8 @@ class UnknownSessionError(AttestationError):
     """No key installed for the session."""
 
 
-@dataclass(frozen=True, slots=True)
-class AttestedMessage:
+@record
+class AttestedMessage(Record):
     """A message plus its attestation certificate α and metadata.
 
     Instances are immutable and *self-contained*: any party holding the

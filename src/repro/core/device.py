@@ -12,13 +12,16 @@ host's receive queue, read by ``recv()`` and ``poll()`` alike, or to a
 push callback.
 
 The device also services one-sided ``rem_read``/``rem_write``: a WRITE
-carries a remote ibv-memory address and is placed there by the *remote*
-device after verification; a READ is a request/response exchange.
+carries a remote ibv-memory address and the rkey of the window it
+targets, and is placed there by the *remote* device after verification;
+a READ is a request/response exchange carrying the same two.  The
+responder places or reads nothing its host memory refuses (wrong rkey,
+outside the registered window): it counts the refusal, and a refused
+READ fails the requester's event with :class:`RemoteAccessError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.core.attestation import (
@@ -35,6 +38,7 @@ from repro.roce.state_tables import QueuePairState
 from repro.roce.transport import RoceKernel
 from repro.sim.events import Event
 from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, count, span_begin
+from repro.sim.record import Record, record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -49,12 +53,20 @@ class ReadTimeout(Exception):
     deadline)."""
 
 
+class RemoteAccessError(Exception):
+    """The responder's host memory refused a one-sided access: the rkey
+    is not the target window's, or the bytes lie outside it."""
+
+
 class HostMemoryPort(Protocol):
-    """What the device needs from host memory (implemented by IbvMemory)."""
+    """What the device needs from host memory (implemented by the
+    stack's ``MemoryTable``): the one-sided port, gated by the rkey the
+    peer presented.  Both methods raise :class:`RemoteAccessError` on a
+    refused access."""
 
-    def dma_write(self, address: int, data: bytes) -> None: ...
+    def dma_write(self, address: int, data: bytes, rkey: int | None) -> None: ...
 
-    def dma_read(self, address: int, length: int) -> bytes: ...
+    def dma_read(self, address: int, length: int, rkey: int | None) -> bytes: ...
 
 
 class _TxStages:
@@ -251,6 +263,8 @@ class TnicDevice:
         )
         arp.register(ip, mac_address)
         self._host_memory: HostMemoryPort | None = None
+        #: One-sided accesses this device refused as the responder.
+        self.remote_access_refusals = 0
         self._pending_reads: dict[int, "Event"] = {}
         self._next_read_id = 0
         self._rx_callbacks: dict[int, Any] = {}
@@ -348,10 +362,12 @@ class TnicDevice:
     # ------------------------------------------------------------------
     def read_remote(
         self, qp_number: int, remote_addr: int, length: int,
-        timeout_us: float = 100_000.0,
+        timeout_us: float = 100_000.0, rkey: int | None = None,
     ) -> "Event":
-        """Issue a one-sided READ; the event triggers with the bytes,
-        or fails with :class:`ReadTimeout` after *timeout_us*.
+        """Issue a one-sided READ of the peer's window *rkey*; the event
+        triggers with the bytes, fails with :class:`RemoteAccessError`
+        when the responder refuses the access (no *rkey* is refused), or
+        with :class:`ReadTimeout` after *timeout_us*.
 
         A READ is a request/response exchange over a lossy fabric: the
         target may never answer (no registered memory, dropped response
@@ -367,7 +383,7 @@ class TnicDevice:
             b"",
             opcode=RdmaOpcode.READ_REQUEST,
             meta={"remote_addr": remote_addr, "read_len": length,
-                  "read_id": read_id},
+                  "read_id": read_id, "rkey": rkey},
         )
 
         def _on_request_failure(event) -> None:
@@ -389,26 +405,42 @@ class TnicDevice:
 
     def _on_deliver(self, state: QueuePairState, item: dict[str, Any]) -> None:
         """Route one verified delivery exactly once: READ traffic is
-        serviced here, a WRITE is placed at its address, and the rest
-        (WRITEs included, as their notification) goes to the push
-        callback or else to the host's receive queue."""
+        serviced here, a WRITE is placed at its address through the
+        rkey-gated port, and the rest (placed WRITEs included, as their
+        notification) goes to the push callback or else to the host's
+        receive queue.  A refused WRITE is counted and dropped; telling
+        its requester needs a remote-access NAK the transport lacks."""
         opcode = item["opcode"]
         meta = item["meta"]
         if opcode is RdmaOpcode.READ_REQUEST:
             if self._host_memory is not None:
-                data = self._host_memory.dma_read(meta["remote_addr"], meta["read_len"])
+                response = {"read_id": meta["read_id"]}
+                try:
+                    data = self._host_memory.dma_read(
+                        meta["remote_addr"], meta["read_len"], meta.get("rkey"))
+                except RemoteAccessError as exc:
+                    self.remote_access_refusals += 1
+                    data = b""
+                    response["refused"] = str(exc)
                 self.send(state.qp.qp_number, data,
-                          opcode=RdmaOpcode.READ_RESPONSE,
-                          meta={"read_id": meta["read_id"]})
+                          opcode=RdmaOpcode.READ_RESPONSE, meta=response)
             return
         if opcode is RdmaOpcode.READ_RESPONSE:
             pending = self._pending_reads.pop(meta["read_id"], None)
             if pending is not None and not pending.triggered:
-                pending.succeed(item["payload"])
+                if "refused" in meta:
+                    pending.fail(RemoteAccessError(meta["refused"]))
+                else:
+                    pending.succeed(item["payload"])
             return
         if (opcode is RdmaOpcode.WRITE and self._host_memory is not None
                 and "remote_addr" in meta):
-            self._host_memory.dma_write(meta["remote_addr"], item["payload"])
+            try:
+                self._host_memory.dma_write(
+                    meta["remote_addr"], item["payload"], meta.get("rkey"))
+            except RemoteAccessError:
+                self.remote_access_refusals += 1
+                return
         callback = self._rx_callbacks.get(state.qp.qp_number)
         if callback is not None:
             callback(item)
@@ -463,11 +495,12 @@ class TnicDevice:
             duplicates_dropped=duplicates,
             dma_bytes=self.dma.bytes_moved,
             queue_pairs=len(self.roce.tables),
+            remote_access_refusals=self.remote_access_refusals,
         )
 
 
-@dataclass(frozen=True)
-class DeviceStats:
+@record
+class DeviceStats(Record):
     """Snapshot of one TNIC device's counters."""
 
     device_id: int
@@ -483,6 +516,7 @@ class DeviceStats:
     duplicates_dropped: int
     dma_bytes: int
     queue_pairs: int
+    remote_access_refusals: int
 
     def describe(self) -> str:
         return (

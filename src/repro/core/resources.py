@@ -12,11 +12,11 @@ connections on a single U280 FPGA."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.sim.record import Record, record
 
 
-@dataclass(frozen=True)
-class ResourceUsage:
+@record
+class ResourceUsage(Record):
     """LUT / flip-flop / RAMB36 consumption of one hardware component."""
 
     lut: int

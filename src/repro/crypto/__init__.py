@@ -14,9 +14,11 @@ crypto engines is modelled, in :mod:`repro.sim.latency`.
   controller / IP-vendor key pairs of the bootstrapping protocol (§4.3).
 * :mod:`~repro.crypto.certificates` — signed certificates and chain
   verification used by remote attestation.
+
+The last two serve only the bootstrapping protocol and the clients'
+signatures, so they are imported from their modules, not from here.
 """
 
-from repro.crypto.certificates import Certificate, CertificateError
 from repro.crypto.hashing import sha256, sha256_hex
 from repro.crypto.hmac_engine import (
     HmacEngine,
@@ -32,18 +34,12 @@ from repro.crypto.hmac_engine import (
     verification_cache_stats,
     verify_encoded,
 )
-from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
 
 __all__ = [
-    "Certificate",
-    "CertificateError",
     "HmacEngine",
     "KeyedHmac",
-    "RsaKeyPair",
-    "RsaPublicKey",
     "VerificationCache",
     "batch_verify",
-    "generate_keypair",
     "hmac_sha256",
     "hmac_verify",
     "mac_encoded",

@@ -8,19 +8,20 @@ controller binary runs on a genuine TNIC device (§4.3, steps 4-5)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Mapping
 
 from repro.crypto.hashing import canonical_bytes, sha256
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
+from repro.sim.record import Record, record
 
 
 class CertificateError(Exception):
     """Raised when a certificate or chain fails verification."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+@record
+class Certificate(Record):
     """An issuer-signed statement about a subject.
 
     ``payload`` holds protocol-specific claims (measurements, nonces,

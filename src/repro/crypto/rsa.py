@@ -19,9 +19,8 @@ simulated adversary (who only has the public key and the API).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.crypto.hashing import sha256
+from repro.sim.record import Record, record
 from repro.sim.rng import DeterministicRng
 
 _SMALL_PRIMES = [
@@ -66,8 +65,8 @@ def _random_prime(bits: int, rng: DeterministicRng) -> int:
             return candidate
 
 
-@dataclass(frozen=True)
-class RsaPublicKey:
+@record
+class RsaPublicKey(Record):
     """RSA public key; verifies signatures and identifies a principal."""
 
     modulus: int
@@ -85,8 +84,8 @@ class RsaPublicKey:
         return sha256(self.modulus, self.exponent).hex()[:16]
 
 
-@dataclass(frozen=True)
-class RsaKeyPair:
+@record
+class RsaKeyPair(Record):
     """RSA key pair; the private exponent never leaves this object."""
 
     public: RsaPublicKey

@@ -14,8 +14,10 @@ the bandwidth models see realistic sizes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Any
+
+from repro.sim.record import Record, record
 
 ETHERNET_HEADER_BYTES = 14 + 4  # header + FCS
 IPV4_HEADER_BYTES = 20
@@ -48,32 +50,32 @@ class RdmaOpcode(enum.Enum):
     NAK = "nak"
 
 
-@dataclass(frozen=True, slots=True)
-class EthernetHeader:
+@record
+class EthernetHeader(Record):
     src_mac: str
     dst_mac: str
 
     size_bytes = ETHERNET_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
-class Ipv4Header:
+@record
+class Ipv4Header(Record):
     src_ip: str
     dst_ip: str
 
     size_bytes = IPV4_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
-class UdpHeader:
+@record
+class UdpHeader(Record):
     src_port: int
     dst_port: int = ROCE_V2_UDP_PORT
 
     size_bytes = UDP_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
-class IbTransportHeader:
+@record
+class IbTransportHeader(Record):
     """InfiniBand Base Transport Header (the RoCE transport layer)."""
 
     opcode: RdmaOpcode
@@ -84,8 +86,8 @@ class IbTransportHeader:
     size_bytes = BTH_BYTES
 
 
-@dataclass(frozen=True, slots=True)
-class AttestationTrailer:
+@record
+class AttestationTrailer(Record):
     """The TNIC extension appended to every attested payload."""
 
     alpha: bytes
@@ -100,8 +102,8 @@ class AttestationTrailer:
             raise ValueError("send_cnt must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
+@record
+class Packet(Record):
     """One RoCE v2 packet on the simulated wire."""
 
     eth: EthernetHeader

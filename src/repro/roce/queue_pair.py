@@ -10,11 +10,11 @@ state, the peer's QP number included, lives in its State-tables record
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.sim.record import Record, record
 
 
-@dataclass(frozen=True)
-class QueuePair:
+@record
+class QueuePair(Record):
     """Identity of one reliable connection."""
 
     qp_number: int

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.roce.queue_pair import QueuePair
+from repro.sim.record import Record, record
 
 
-@dataclass(frozen=True, slots=True)
-class CompletionEntry:
+@record
+class CompletionEntry(Record):
     """The value of a send's completion event: the peer ACKed it."""
 
     qp_number: int

@@ -12,7 +12,7 @@ All times are **microseconds**, sizes are **bytes**.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.sim.record import Record, record
 
 # ---------------------------------------------------------------------------
 # §8.1 / Figure 5 — Attest() latency for 64 B inputs (synchronous path).
@@ -226,8 +226,8 @@ def drct_io_att_send_us(size_bytes: int) -> float:
     return drct_io_send_us(size_bytes) + DRCT_IO_ATT_EXTRA_US
 
 
-@dataclass(frozen=True)
-class AttestBreakdown:
+@record
+class AttestBreakdown(Record):
     """Components of one Attest() call (Figure 6)."""
 
     transfer_us: float

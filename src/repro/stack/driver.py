@@ -11,20 +11,20 @@ REGs page, establishing the kernel-bypass control path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.device import TnicDevice
 from repro.crypto.hashing import sha256
 from repro.sim.instrument import count, emit
+from repro.sim.record import Record, record
 from repro.stack.regs import MappedRegsPage, RegField
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
 
 
-@dataclass(frozen=True)
-class StaticConfig:
+@record
+class StaticConfig(Record):
     """The static device configuration pushed at initialisation."""
 
     mac_address: str

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import mmap
-from dataclasses import dataclass
+
+from repro.sim.record import Record, record
 
 HUGE_PAGE_BYTES = 2 * 1024 * 1024
 
@@ -30,8 +31,8 @@ class MemoryError_(Exception):
     """Raised on out-of-bounds or permission-violating memory access."""
 
 
-@dataclass(frozen=True)
-class RdmaKey:
+@record
+class RdmaKey(Record):
     """An RDMA access key: permission token for a registered region."""
 
     value: int
@@ -107,18 +108,19 @@ class IbvMemory:
         return self.read(address, length)
 
     # ------------------------------------------------------------------
-    # Remote (one-sided) port — gated by the rkey
+    # Remote (one-sided) port — gated by the rkey value the peer
+    # presents, as carried on the wire
     # ------------------------------------------------------------------
-    def remote_write(self, rkey: RdmaKey, address: int, data: bytes) -> None:
+    def remote_write(self, rkey: int | None, address: int, data: bytes) -> None:
         self._check_rkey(rkey, write=True)
         self.dma_write(address, data)
 
-    def remote_read(self, rkey: RdmaKey, address: int, length: int) -> bytes:
+    def remote_read(self, rkey: int | None, address: int, length: int) -> bytes:
         self._check_rkey(rkey, write=False)
         return self.dma_read(address, length)
 
-    def _check_rkey(self, rkey: RdmaKey, write: bool) -> None:
-        if rkey.value != self.rkey.value:
+    def _check_rkey(self, rkey: int | None, write: bool) -> None:
+        if rkey != self.rkey.value:
             raise MemoryError_("rkey does not match this region")
         if write and not self.rkey.remote_write:
             raise MemoryError_("region does not permit remote writes")

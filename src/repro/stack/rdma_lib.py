@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.core.device import TnicDevice
+from repro.core.device import RemoteAccessError, TnicDevice
 from repro.net.packet import RdmaOpcode
 from repro.sim.events import Event
 from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, count, span_begin
@@ -75,11 +75,19 @@ class MemoryTable:
             f"address {address:#x} (+{length}) is not in registered ibv memory"
         )
 
-    def dma_write(self, address: int, data: bytes) -> None:
-        self.region_for(address, len(data)).dma_write(address, data)
+    # The device's one-sided port: every access is gated by the rkey
+    # the peer presented, and a refusal is the device's exception.
+    def dma_write(self, address: int, data: bytes, rkey: int | None) -> None:
+        try:
+            self.region_for(address, len(data)).remote_write(rkey, address, data)
+        except MemoryError_ as exc:
+            raise RemoteAccessError(str(exc)) from None
 
-    def dma_read(self, address: int, length: int) -> bytes:
-        return self.region_for(address, length).dma_read(address, length)
+    def dma_read(self, address: int, length: int, rkey: int | None) -> bytes:
+        try:
+            return self.region_for(address, length).remote_read(rkey, address, length)
+        except MemoryError_ as exc:
+            raise RemoteAccessError(str(exc)) from None
 
 
 class _Post:

@@ -16,10 +16,10 @@ client/server simulation and report virtual-time results.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.sim.clock import Simulator
+from repro.sim.record import Record, record
 from repro.sim.resources import SerialServer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,8 +72,8 @@ class NetworkStack:
         self.bytes_sent += done._value
 
 
-@dataclass(frozen=True)
-class StackMeasurement:
+@record
+class StackMeasurement(Record):
     """Result of one latency or throughput experiment."""
 
     stack: str

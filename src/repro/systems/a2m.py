@@ -17,13 +17,13 @@ Storage variants:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.instrument import count
 from repro.sim.latency import A2M_APPEND_OVERHEAD_US, HOST_MEMORY_LOOKUP_US
+from repro.sim.record import Record, record
 from repro.tee.base import AttestationProvider
 from repro.tee.sgx_memory import EnclaveMemoryModel
 
@@ -40,8 +40,8 @@ class A2MError(Exception):
     """Raised on invalid log operations or failed verification."""
 
 
-@dataclass(frozen=True)
-class LogEntry:
+@record
+class LogEntry(Record):
     """One log entry: (α, i, ctx) plus the cumulative digest option."""
 
     alpha: AttestedMessage

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from repro.core.attestation import AttestedMessage
 from repro.sim.clock import Simulator
 from repro.sim.instrument import NULL_SPAN, span_begin
+from repro.sim.record import Record, record
 from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
     EmulatedNetwork,
@@ -35,15 +36,15 @@ from repro.tee.base import AttestationProvider
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClientRequest:
+@record
+class ClientRequest(Record):
     kind = "request"
     batch_id: int
     increments: int  # batching factor: increments carried per message
 
 
-@dataclass(frozen=True)
-class ReadRequest:
+@record
+class ReadRequest(Record):
     """A client read of the counter, answered by every replica; the
     client trusts the value on f+1 identical replies."""
 
@@ -51,15 +52,15 @@ class ReadRequest:
     read_id: int
 
 
-@dataclass(frozen=True)
-class ProofOfExecution:
+@record
+class ProofOfExecution(Record):
     kind = "poe"
     sender: str
     attested: AttestedMessage  # payload encodes (batch_id, increments, output)
 
 
-@dataclass(frozen=True)
-class Reply:
+@record
+class Reply(Record):
     kind = "reply"
     sender: str
     batch_id: int

@@ -20,11 +20,10 @@ This module implements that sketch on top of the Algorithm-3 protocol:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.clock import Simulator
+from repro.sim.record import Record, record
 from repro.sim.resources import TIMED_OUT
 from repro.systems.bft import ClientRequest, Reply, _decode_poe, _encode_poe
 from repro.systems.common import (
@@ -39,24 +38,24 @@ from repro.tee.base import AttestationProvider
 MAX_VIEWS = 8
 
 
-@dataclass(frozen=True)
-class ViewPoe:
+@record
+class ViewPoe(Record):
     kind = "poe"
     view: int
     sender: str
     attested: AttestedMessage
 
 
-@dataclass(frozen=True)
-class ViewChangeVote:
+@record
+class ViewChangeVote(Record):
     kind = "view-change"
     new_view: int
     sender: str
     attested: AttestedMessage
 
 
-@dataclass(frozen=True)
-class _WatchdogFired:
+@record
+class _WatchdogFired(Record):
     kind = "watchdog"
     batch_id: int
     view: int

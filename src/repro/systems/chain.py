@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.core.attestation import AttestedMessage
 from repro.sim.clock import Simulator
+from repro.sim.record import Record, record
 from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
     EmulatedNetwork,
@@ -42,8 +43,8 @@ def role_names(length: int) -> list[str]:
     return ["head"] + [f"mid{i}" for i in range(length - 2)] + ["tail"]
 
 
-@dataclass(frozen=True)
-class KvRequest:
+@record
+class KvRequest(Record):
     op: str  # "put" | "get"
     key: str
     value: str = ""
@@ -52,8 +53,8 @@ class KvRequest:
         return f"{self.op}:{self.key}:{self.value}"
 
 
-@dataclass(frozen=True)
-class ChainMessage:
+@record
+class ChainMessage(Record):
     """The chained PoE message travelling head → tail."""
 
     request_id: int
@@ -62,15 +63,15 @@ class ChainMessage:
     poes: tuple[tuple[str, AttestedMessage], ...]
 
 
-@dataclass(frozen=True)
-class ChainReply:
+@record
+class ChainReply(Record):
     sender: str
     request_id: int
     output: str
 
 
-@dataclass(frozen=True)
-class ChainSubmit:
+@record
+class ChainSubmit(Record):
     """A client write entering the chain at the head, tagged with the
     client's request id (decoupled from the head's commit index)."""
 
@@ -78,8 +79,8 @@ class ChainSubmit:
     request: "KvRequest"
 
 
-@dataclass(frozen=True)
-class QuorumRead:
+@record
+class QuorumRead(Record):
     """A read broadcast directly to replicas (Appendix C.4 alternative:
     'clients can consult the majority and broadcast the request to f+1
     replicas, including the tail')."""

@@ -19,19 +19,18 @@ signatures and binds replies to outstanding request nonces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.attestation import AttestationError, AttestationKernel, AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
+from repro.sim.record import Record, record
 
 
 class ClientAuthError(Exception):
     """A reply failed the client-side verification."""
 
 
-@dataclass(frozen=True)
-class SignedReply:
+@record
+class SignedReply(Record):
     """An attested message endorsed by the device's client key."""
 
     message: AttestedMessage

@@ -34,6 +34,7 @@ from repro.crypto.hashing import sha256
 from repro.sim.events import Timeout
 from repro.sim.instrument import count, emit, gauge_set, observe, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
+from repro.sim.record import Record, record
 from repro.sim.resources import Store
 from repro.tee.base import AttestationProvider
 from repro.tee.providers import make_provider
@@ -43,8 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
 
 
-@dataclass(frozen=True, slots=True)
-class Envelope:
+@record
+class Envelope(Record):
     """A system message plus the ``system.net_hop`` span it travels under.
 
     :meth:`EmulatedNetwork.send` wraps the message only when the caller

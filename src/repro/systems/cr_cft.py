@@ -11,23 +11,22 @@ about 2x the TNIC-based CR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.clock import Simulator
+from repro.sim.record import Record, record
 from repro.systems.chain import KvRequest, role_names
 from repro.systems.common import EmulatedNetwork, SystemMetrics
 from repro.systems.raft import TEE_IO_OVERHEAD_US
 
 
-@dataclass(frozen=True)
-class ChainCommand:
+@record
+class ChainCommand(Record):
     kind = "chain_command"
     request_id: int
     request: KvRequest
 
 
-@dataclass(frozen=True)
-class TailReply:
+@record
+class TailReply(Record):
     kind = "tail_reply"
     request_id: int
     output: str

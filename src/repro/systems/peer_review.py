@@ -23,6 +23,7 @@ from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.clock import Simulator
 from repro.sim.latency import PEER_REVIEW_AUDIT_US
+from repro.sim.record import Record, record
 from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
     BroadcastAuthenticator,
@@ -40,8 +41,8 @@ from repro.systems.common import (
 GENESIS = b"\x00" * 32
 
 
-@dataclass(frozen=True)
-class LogRecord:
+@record
+class LogRecord(Record):
     """One entry of the hash-chained log."""
 
     index: int
@@ -99,15 +100,15 @@ class TamperEvidentLog:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StreamChunk:
+@record
+class StreamChunk(Record):
     kind = "chunk"
     sender: str
     attested: AttestedMessage  # payload encodes (seq, content)
 
 
-@dataclass(frozen=True)
-class ChunkAck:
+@record
+class ChunkAck(Record):
     kind = "ack"
     sender: str
     attested: AttestedMessage  # payload encodes (seq, result)

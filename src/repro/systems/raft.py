@@ -15,9 +15,8 @@ behaviour, not just message counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.clock import Simulator
+from repro.sim.record import Record, record
 from repro.systems.common import EmulatedNetwork, SystemMetrics
 
 #: Extra cost a TEE-hosted process pays per network message (enclave
@@ -26,22 +25,22 @@ from repro.systems.common import EmulatedNetwork, SystemMetrics
 TEE_IO_OVERHEAD_US = 3.0
 
 
-@dataclass(frozen=True)
-class LogEntry:
+@record
+class LogEntry(Record):
     term: int
     index: int
     command: str
 
 
-@dataclass(frozen=True)
-class ClientCommand:
+@record
+class ClientCommand(Record):
     kind = "command"
     request_id: int
     command: str
 
 
-@dataclass(frozen=True)
-class AppendEntries:
+@record
+class AppendEntries(Record):
     kind = "append_entries"
     term: int
     leader: str
@@ -51,8 +50,8 @@ class AppendEntries:
     leader_commit: int
 
 
-@dataclass(frozen=True)
-class AppendReply:
+@record
+class AppendReply(Record):
     kind = "append_reply"
     term: int
     follower: str
@@ -60,8 +59,8 @@ class AppendReply:
     match_index: int
 
 
-@dataclass(frozen=True)
-class ClientReply:
+@record
+class ClientReply(Record):
     kind = "client_reply"
     request_id: int
     result: str

@@ -11,6 +11,8 @@ package provides.
 All providers perform *real* HMAC attestation (through a real
 :class:`~repro.core.attestation.AttestationKernel`), differing only in
 their calibrated latency profiles and security properties.
+:mod:`~repro.tee.sgx_memory`, the enclave page-cache model behind A2M's
+enclave logs, is imported from its module, not from here.
 """
 
 from repro.tee.base import AttestationProvider, ProviderProperties
@@ -24,11 +26,9 @@ from repro.tee.providers import (
     TnicProvider,
     make_provider,
 )
-from repro.tee.sgx_memory import EnclaveMemoryModel
 
 __all__ = [
     "AttestationProvider",
-    "EnclaveMemoryModel",
     "PROVIDER_FACTORIES",
     "ProviderProperties",
     "SevProvider",

@@ -10,11 +10,11 @@ interface and evaluated across all five providers — the methodology of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.attestation import AttestationError, AttestationKernel, AttestedMessage
 from repro.sim.events import Timeout
+from repro.sim.record import Record, record
 from repro.sim.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,8 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
 
 
-@dataclass(frozen=True)
-class ProviderProperties:
+@record
+class ProviderProperties(Record):
     """Security properties of a baseline (Table 2)."""
 
     name: str

@@ -29,16 +29,18 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Any, Callable
+
+from repro.sim.record import Record, record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
     from repro.telemetry import Telemetry
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+@record
+class TraceRecord(Record):
     """One traced event."""
 
     time_us: float

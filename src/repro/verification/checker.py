@@ -13,14 +13,14 @@ reachability checks confirming the protocol can actually execute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from repro.sim.record import Record, record
 from repro.verification.model import Event
 
 
-@dataclass(frozen=True)
-class CheckResult:
+@record
+class CheckResult(Record):
     """Outcome of checking one lemma."""
 
     lemma: str

@@ -15,16 +15,17 @@ diverging histories — which the checker exhibits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterator
 
+from repro.sim.record import Record, record
 from repro.verification.model import SESSION_KEY, AttestedMsg, Mac
 
 SENDER = "tnic_S"
 
 
-@dataclass(frozen=True)
-class TwoReceiverState:
+@record
+class TwoReceiverState(Record):
     """Global state: sender counter, per-receiver acceptance state."""
 
     send_cnt: int

@@ -17,8 +17,10 @@ facts ``S_e(m)`` and ``A_e(m)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterator
+
+from repro.sim.record import Record, record
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -30,8 +32,8 @@ SESSION_KEY = "k_session"
 ADV_KEY = "k_adv"
 
 
-@dataclass(frozen=True)
-class Mac:
+@record
+class Mac(Record):
     """An opaque MAC term mac(key, payload, counter, device)."""
 
     key: str
@@ -40,8 +42,8 @@ class Mac:
     device: str
 
 
-@dataclass(frozen=True)
-class AttestedMsg:
+@record
+class AttestedMsg(Record):
     """A message + attestation as it appears on the wire."""
 
     payload: str
@@ -50,8 +52,8 @@ class AttestedMsg:
     mac: Mac
 
 
-@dataclass(frozen=True)
-class Event:
+@record
+class Event(Record):
     """An action fact in the execution trace."""
 
     kind: str  # "send" | "accept" | "vendor_done" | "device_done"
@@ -65,8 +67,8 @@ class Event:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommState:
+@record
+class CommState(Record):
     """One global state of the communication model."""
 
     send_cnt: int
@@ -245,8 +247,8 @@ class BrokenNoMacModel(TnicCommunicationModel):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttState:
+@record
+class AttState(Record):
     """Global state of the remote-attestation model."""
 
     nonce_sent: bool

@@ -21,16 +21,17 @@ can confirm the engine finds real leaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from repro.sim.record import Record, record
 
 # ---------------------------------------------------------------------------
 # Term algebra
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
+@record
+class Atom(Record):
     """An atomic secret or public value."""
 
     name: str
@@ -39,8 +40,8 @@ class Atom:
         return self.name
 
 
-@dataclass(frozen=True)
-class Pair:
+@record
+class Pair(Record):
     left: "Term"
     right: "Term"
 
@@ -48,8 +49,8 @@ class Pair:
         return f"<{self.left!r},{self.right!r}>"
 
 
-@dataclass(frozen=True)
-class SEnc:
+@record
+class SEnc(Record):
     """Symmetric encryption senc(message, key)."""
 
     message: "Term"
@@ -59,8 +60,8 @@ class SEnc:
         return f"senc({self.message!r},{self.key!r})"
 
 
-@dataclass(frozen=True)
-class Mac:
+@record
+class Mac(Record):
     """mac(message, key): reveals neither message contents nor key."""
 
     message: "Term"
@@ -70,8 +71,8 @@ class Mac:
         return f"mac({self.message!r},{self.key!r})"
 
 
-@dataclass(frozen=True)
-class Kdf:
+@record
+class Kdf(Record):
     """Key derivation over an ordered input tuple."""
 
     inputs: tuple["Term", ...]
@@ -80,8 +81,8 @@ class Kdf:
         return f"kdf{self.inputs!r}"
 
 
-@dataclass(frozen=True)
-class Pub:
+@record
+class Pub(Record):
     """The public half of an asymmetric pair (always derivable)."""
 
     of: "Term"

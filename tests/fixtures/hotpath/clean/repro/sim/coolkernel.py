@@ -1,7 +1,8 @@
 """Clean twin of the hot-path corpus: the same kernel, allocation-free.
 
 Every seeded PERF violation in ``broken/`` has its idiomatic fix here:
-``__slots__`` on the per-event record, a gated f-string emit next to an
+``__slots__`` on the per-event record (or ``@record``, which makes a
+slotted class), a gated f-string emit next to an
 ungated-but-cheap counter bump, an f-string emit whose gate is one
 operand of an ``and``, an f-string emit gated on a held span's
 identity (``span is not NULL_SPAN``), a hoisted bound method in the drain
@@ -11,6 +12,8 @@ hash call confined to the sanctioned ``sha256`` helper.
 """
 
 import hashlib
+
+from repro.sim.record import Record, record
 
 NULL_SPAN = object()
 
@@ -22,6 +25,11 @@ class EventRecord:
         self.psn = psn
 
 
+@record
+class StepMark(Record):
+    depth: int
+
+
 class Simulator:
     def __init__(self):
         self.queue = [3, 2, 1]
@@ -31,6 +39,7 @@ class Simulator:
 
     def step(self):
         record = EventRecord(len(self.queue))
+        mark = StepMark(len(self.queue))
         telemetry = self.telemetry
         if telemetry is not None:
             emit(self, "sim.step", f"depth={len(self.queue)}")
@@ -41,7 +50,7 @@ class Simulator:
             emit(self, "sim.span", f"open={self.span}")
         pump = self.wait_loop()
         self._drain()
-        return record, pump
+        return record, mark, pump
 
     def _drain(self):
         transmit = self.mac.port.transmit

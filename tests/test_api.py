@@ -8,6 +8,7 @@ from repro.api import Cluster, auth_send, local_send, local_verify, poll, rem_re
 from repro.api.connection import SessionDirectory, ibv_sync
 from repro.api.ops import recv
 from repro.core.attestation import AttestedMessage
+from repro.core.device import RemoteAccessError
 from repro.net.packet import RdmaOpcode
 from repro.stack import MemoryError_
 
@@ -113,6 +114,65 @@ def test_rem_read_bounds_checked():
     a_conn, _ = cluster.connect("alice", "bob")
     with pytest.raises(ValueError):
         rem_read(a_conn, -1, 4)
+
+
+def test_rem_read_rejects_a_negative_length_before_posting():
+    cluster = make_cluster()
+    a_conn, _ = cluster.connect("alice", "bob")
+    with pytest.raises(ValueError, match="negative"):
+        rem_read(a_conn, 64, -1)
+    assert cluster["alice"].device.stats().tx_packets == 0
+
+
+def test_a_write_with_a_foreign_rkey_places_nothing():
+    # The window's peer forges a WRITE into the responder's private
+    # staging region, once with a made-up rkey and once with the rkey
+    # of the window it was granted: both are refused and counted.
+    cluster = Cluster(["a", "b"])
+    a, b = cluster.connect("a", "b")
+    target = b.tx_region.base
+    for rkey in (12345, a.remote_rkey.value):
+        done = a.node.device.send(a.qp_number, b"PWNED", opcode=RdmaOpcode.WRITE,
+                                  meta={"remote_addr": target, "rkey": rkey})
+        cluster.run(done)
+    cluster.run()
+    assert b.tx_region.read(target, 5) == bytes(5)
+    assert b.node.device.stats().remote_access_refusals == 2
+    assert recv(b) is None  # a refused WRITE notifies nobody
+    cluster.run(rem_write(a, 0, b"granted"))  # the window itself still opens
+    cluster.run()
+    assert b.node.rdma.region_for_address(a.remote_base, 7).read(
+        a.remote_base, 7) == b"granted"
+
+
+@pytest.mark.parametrize("rkey", [None, "window"])
+def test_a_refused_read_fails_the_requester_and_the_run_goes_on(rkey):
+    cluster = Cluster(["a", "b"])
+    a, b = cluster.connect("a", "b")
+    key = a.remote_rkey.value if rkey == "window" else rkey
+    read = a.node.device.read_remote(a.qp_number, 0xDEAD0000, 16, rkey=key)
+    with pytest.raises(RemoteAccessError, match="not in registered"):
+        cluster.run(read)
+    # No rkey at all is refused even inside the window.
+    unkeyed = a.node.device.read_remote(a.qp_number, a.remote_base, 4)
+    with pytest.raises(RemoteAccessError, match="rkey"):
+        cluster.run(unkeyed)
+    assert b.node.device.stats().remote_access_refusals == 2
+    assert cluster.run(rem_read(a, 0, 4)) == bytes(4)
+    cluster.run(auth_send(a, b"still up"))
+    cluster.run()
+    assert recv(b)["payload"] == b"still up"
+
+
+def test_a_self_connection_is_refused_before_any_state_changes():
+    cluster = Cluster(["a", "b"])
+    keystore = cluster["a"].device.attestation.keystore
+    with pytest.raises(ValueError, match="itself"):
+        cluster.connect("a", "a")
+    assert len(keystore) == 0
+    a_conn, _ = cluster.connect("a", "b")
+    assert a_conn.qp.session_id == 1
+    assert keystore.sessions() == [1]
 
 
 def test_local_send_and_verify_roundtrip():

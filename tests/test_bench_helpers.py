@@ -4,14 +4,11 @@ import pytest
 
 from repro.bench import (
     PACKET_SIZE_SWEEP,
-    Series,
-    Table,
-    format_ratio,
     kv_workload,
     packet_sweep,
     zipfian_keys,
 )
-from repro.bench.report import render_figure
+from repro.bench.report import Series, Table, format_ratio, render_figure
 
 
 def test_packet_sweep_doubles():

@@ -3,18 +3,16 @@
 import pytest
 
 from repro.crypto import (
-    Certificate,
-    CertificateError,
     HmacEngine,
     VerificationCache,
-    generate_keypair,
     hmac_sha256,
     hmac_verify,
     reset_verification_cache,
     sha256,
     verification_cache_stats,
 )
-from repro.crypto.certificates import verify_chain
+from repro.crypto.certificates import Certificate, CertificateError, verify_chain
+from repro.crypto.rsa import generate_keypair
 from repro.crypto.hashing import canonical_bytes
 from repro.sim import Simulator
 

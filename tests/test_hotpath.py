@@ -75,6 +75,22 @@ def test_clean_corpus_is_silent():
     assert _corpus_findings("clean") == []
 
 
+def test_a_record_class_counts_as_slotted(tmp_path):
+    # The clean kernel builds a ``@record`` per step; without the
+    # decorator the same class is the PERF002 shape.
+    tree = tmp_path / "repro"
+    (tree / "sim").mkdir(parents=True)
+    for name in ("__init__.py", "sim/__init__.py"):
+        (tree / name).write_text("")
+    source = (FIXTURES / "clean" / "repro" / "sim" / "coolkernel.py").read_text()
+    assert "@record\nclass StepMark(Record):" in source
+    (tree / "sim" / "coolkernel.py").write_text(
+        source.replace("@record\nclass StepMark", "class StepMark"))
+    findings = collect_findings(collect_sources([tmp_path]),
+                                [cls() for cls in HOTPATH_RULES])
+    assert [(f.rule, "StepMark" in f.message) for f in findings] == [("PERF002", True)]
+
+
 def test_perf004_names_the_chain_and_the_fix():
     finding = next(
         f for f in _corpus_findings("broken") if f.rule == "PERF004"

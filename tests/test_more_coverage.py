@@ -125,7 +125,7 @@ def test_provider_verify_failure_fails_event():
 # ---------------------------------------------------------------------------
 
 def test_transform_history_is_bounded():
-    from repro.api import BftTransform
+    from repro.api.transform import BftTransform
     from repro.crypto.hashing import sha256
 
     cluster = Cluster(["s", "r"])
@@ -143,7 +143,7 @@ def test_transform_history_is_bounded():
 
 
 def test_observe_peer_state_validates_length():
-    from repro.api import BftTransform
+    from repro.api.transform import BftTransform
     from repro.crypto.hashing import sha256
 
     cluster = Cluster(["s", "r"])

@@ -174,21 +174,21 @@ def test_rdma_write_places_payload_in_remote_memory():
         def __init__(self):
             self.writes = []
 
-        def dma_write(self, address, data):
-            self.writes.append((address, data))
+        def dma_write(self, address, data, rkey):
+            self.writes.append((address, data, rkey))
 
-        def dma_read(self, address, length):
+        def dma_read(self, address, length, rkey):
             return b""
 
     sim, a, b = build_pair()
     memory = FakeMemory()
     b.attach_host_memory(memory)
     completion = a.send(1, b"written", opcode=RdmaOpcode.WRITE,
-                        meta={"remote_addr": 0x1000})
+                        meta={"remote_addr": 0x1000, "rkey": 7})
     sim.run(completion)
     sim.run()
     b.drain(2)
-    assert memory.writes == [(0x1000, b"written")]
+    assert memory.writes == [(0x1000, b"written", 7)]
 
 
 def test_local_attest_and_verify():
@@ -325,6 +325,28 @@ def test_a_lost_last_segment_is_recovered_by_one_timer_go_back_n():
     assert [(when, psn) for when, _, psn in sent] == (
         [(first, psn) for psn in range(4)]
         + [(deadline, psn) for psn in range(4)])
+
+
+def test_a_go_back_n_resend_transmits_the_very_packet_first_sent():
+    """In-flight packets alias the sender's retransmission buffer: the
+    resend is the same immutable record, not a rebuilt copy."""
+    sim, a, b = build_pair()
+    link = a.mac._link
+    link.fault.drop_probability = 0.5  # decided by the scripted draws
+    link.rng = _DropNth({0})
+    sent = []
+    transmit = a.mac.transmit
+
+    def recording(packet):
+        sent.append(packet)
+        transmit(packet)
+
+    a.mac.transmit = recording
+    sim.run(a.send(1, b"resent as is"))
+    assert a.roce.tables.get(1).retransmissions == 1
+    first, resend = sent
+    assert resend is first
+    assert [item["payload"] for item in b.drain(2)] == [b"resent as is"]
 
 
 def _timer_entries(sim, kernel):

@@ -252,7 +252,7 @@ def test_a_region_reads_zeros_where_unwritten_and_the_bytes_where_written(
         region.register()
         port_write = {
             "app": region.write, "dma": region.dma_write,
-            "remote": lambda a, d: region.remote_write(region.rkey, a, d)}
+            "remote": lambda a, d: region.remote_write(region.rkey.value, a, d)}
         for port, offset, data in writes:
             port_write[port](region.base + offset, data)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
@@ -263,7 +263,7 @@ def test_a_region_reads_zeros_where_unwritten_and_the_bytes_where_written(
     for _port, offset, data in writes:
         shadow.update(zip(range(offset, offset + len(data)), data))
     port_read = {"app": region.read, "dma": region.dma_read,
-                 "remote": lambda a, n: region.remote_read(region.rkey, a, n)}
+                 "remote": lambda a, n: region.remote_read(region.rkey.value, a, n)}
     # Every write read back whole, the boundary read across, and the
     # drawn windows: each byte is the last one written there, else zero.
     windows = [(port, offset, len(data)) for port, offset, data in writes]
@@ -289,10 +289,10 @@ def test_remote_access_gated_by_rkey():
     region = area.allocate(1024)
     other = area.allocate(1024)
     region.register()
-    region.remote_write(region.rkey, region.base, b"ok")
+    region.remote_write(region.rkey.value, region.base, b"ok")
     with pytest.raises(MemoryError_, match="rkey"):
-        region.remote_write(other.rkey, region.base, b"no")
-    assert region.remote_read(region.rkey, region.base, 2) == b"ok"
+        region.remote_write(other.rkey.value, region.base, b"no")
+    assert region.remote_read(region.rkey.value, region.base, 2) == b"ok"
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 from repro.core.attestation import AttestedMessage, ContinuityError, MacMismatchError
 from repro.sim import DeterministicRng, Simulator
 from repro.sim import latency as cal
-from repro.tee import EnclaveMemoryModel, make_provider
+from repro.tee import make_provider
 from repro.tee.providers import PROVIDER_FACTORIES
+from repro.tee.sgx_memory import EnclaveMemoryModel
 
 KEY = b"k" * 32
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import Cluster, BftTransform, TransformViolation, WrappedMessage
+from repro.api import Cluster
+from repro.api.transform import BftTransform, TransformViolation, WrappedMessage
 from repro.crypto.hashing import sha256
 
 
