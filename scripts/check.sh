@@ -68,13 +68,14 @@ rm -f /tmp/tnic-ring-a.txt /tmp/tnic-ring-b.txt
 echo "ok: tamper-run trace rings byte-identical"
 
 echo
-echo "== benchmark smoke (Fig. 6 breakdown + sim kernel) =="
+echo "== benchmark smoke (Fig. 6 breakdown + sim kernel + lint latency) =="
 # The absolute throughput floor (REGRESSION_FLOOR_EVENTS_PER_S in
 # benchmarks/run_all.py) is enforced by the CI perf-smoke job via
 # `run_all.py --check-regression`; this local smoke asserts only the
-# weaker any-host sanity bound in bench_sim_kernel.
+# weaker any-host sanity bound in bench_sim_kernel, and the 10 s budget
+# of one cold full lint run in bench_lint_perf.
 python -m pytest -q benchmarks/bench_fig06_attest_breakdown.py \
-    benchmarks/bench_sim_kernel.py
+    benchmarks/bench_sim_kernel.py benchmarks/bench_lint_perf.py
 
 echo
 echo "== end-to-end benchmark smoke (oracles of all seven workloads) =="

@@ -6,11 +6,14 @@ trusted packages mirror the paper's minimal TCB (Table 4).  This package
 turns both into mechanically enforced, CI-gated properties:
 
 * :mod:`repro.analysis.walker`      — source discovery, ASTs, import graph;
-* :mod:`repro.analysis.rules`       — findings, registry, inline waivers;
+* :mod:`repro.analysis.rules`       — findings, registry, inline waivers,
+  and the driver that indexes the functions once per run and runs each
+  indexed family's pass once;
 * :mod:`repro.analysis.determinism` — DET001–DET005 determinism lint;
 * :mod:`repro.analysis.boundaries`  — BND001 trusted-boundary DAG checker;
-* :mod:`repro.analysis.dataflow`    — interprocedural taint engine
-  (call graph, per-function summaries, fixpoint propagation);
+* :mod:`repro.analysis.dataflow`    — the function index (the call
+  graph every indexed pass shares) and the interprocedural taint engine
+  (per-function summaries, fixpoint propagation);
 * :mod:`repro.analysis.taint`       — SEC001–SEC003 key secrecy and
   TNT001–TNT002 verified-ingress rules over the dataflow engine;
 * :mod:`repro.analysis.interference` — RACE001–RACE003 interference
@@ -18,9 +21,8 @@ turns both into mechanically enforced, CI-gated properties:
   perturbation is the run-time check);
 * :mod:`repro.analysis.hotpath`     — PERF001–PERF006 hot-path cost
   lint (interprocedural reachability from the kernel entry points);
-* :mod:`repro.analysis.liveness`    — LIV001–LIV003 and LIV005
-  liveness and resource-lifecycle lint (leaked acquires, double
-  triggers, lost wakeups, completions pending with no expiry);
+* :mod:`repro.analysis.liveness`    — LIV001 and LIV005 liveness
+  lint (leaked acquires, completions pending with no expiry);
 * :mod:`repro.analysis.report`      — text/JSON/SARIF rendering, TCB
   accounting.
 
@@ -59,7 +61,6 @@ from repro.analysis.hotpath import (
     LoopInvariantLookupRule,
     RawCryptoRule,
     UngatedEmitRule,
-    hotpath_engine,
 )
 from repro.analysis.interference import (
     INTERFERENCE_RULES,
@@ -69,12 +70,9 @@ from repro.analysis.interference import (
 )
 from repro.analysis.liveness import (
     LIVENESS_RULES,
-    DoubleTriggerRule,
     LivenessEngine,
-    LostWakeupRule,
     ResourceLeakRule,
     UnboundedNetworkWaitRule,
-    liveness_engine,
 )
 from repro.analysis.report import (
     TcbReport,
@@ -84,6 +82,7 @@ from repro.analysis.report import (
 )
 from repro.analysis.rules import (
     Finding,
+    IndexedRule,
     ProjectRule,
     Rule,
     apply_suppressions,
@@ -93,7 +92,7 @@ from repro.analysis.rules import (
     rule_catalog,
     run_rules,
 )
-from repro.analysis.taint import TNIC_MANIFEST, project_flows
+from repro.analysis.taint import TNIC_MANIFEST
 from repro.analysis.walker import (
     SourceFile,
     collect_sources,
@@ -104,7 +103,6 @@ from repro.analysis.walker import (
 
 __all__ = [
     "BOUNDARY_MANIFEST",
-    "DoubleTriggerRule",
     "Finding",
     "HOTPATH_RULES",
     "HotAllocationRule",
@@ -113,10 +111,10 @@ __all__ = [
     "HotSlotsRule",
     "HotTryExceptRule",
     "INTERFERENCE_RULES",
+    "IndexedRule",
     "LIVENESS_RULES",
     "LivenessEngine",
     "LoopInvariantLookupRule",
-    "LostWakeupRule",
     "ModuleMutableMutationRule",
     "ProjectRule",
     "RawCryptoRule",
@@ -144,12 +142,9 @@ __all__ = [
     "collect_sources",
     "default_package_root",
     "default_rules",
-    "hotpath_engine",
     "import_graph",
     "is_trusted",
-    "liveness_engine",
     "parse_file",
-    "project_flows",
     "render_json",
     "render_sarif",
     "render_text",

@@ -36,7 +36,7 @@ waiver away, a false negative is a leaked key.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.analysis.walker import SourceFile, dotted_name
@@ -606,16 +606,19 @@ class _FunctionPass:
 # ----------------------------------------------------------------------
 
 class TaintEngine:
-    """Project-wide taint analysis over a fixed manifest."""
+    """Project-wide taint analysis over a fixed manifest.
 
-    def __init__(self, sources: Sequence[SourceFile], manifest: TaintManifest) -> None:
-        self.sources = list(sources)
+    *functions* is the :func:`index_functions` index; the engine keeps
+    its summaries on those records and starts them empty.
+    """
+
+    def __init__(self, functions: list[FunctionInfo], manifest: TaintManifest) -> None:
         self.manifest = manifest
-        self.functions = index_functions(self.sources)
+        self.functions = functions
         self.by_name: dict[str, list[FunctionInfo]] = {}
-        for info in self.functions:
+        for info in functions:
+            info.summary = Summary()
             self.by_name.setdefault(info.name, []).append(info)
-        self.passes_run = 0
 
     def summaries(self) -> dict[str, Summary]:
         """``{qualname: summary}`` after the fixpoint (for tests/tools)."""
@@ -623,7 +626,6 @@ class TaintEngine:
 
     def run(self) -> list[TaintFlow]:
         for _ in range(MAX_FIXPOINT_PASSES):
-            self.passes_run += 1
             changed = False
             for fn in self.functions:
                 single = _FunctionPass(self, fn)
@@ -646,5 +648,5 @@ class TaintEngine:
 def analyze_dataflow(
     sources: Sequence[SourceFile], manifest: TaintManifest
 ) -> list[TaintFlow]:
-    """Convenience one-shot: build the engine and return its flows."""
-    return TaintEngine(sources, manifest).run()
+    """Convenience one-shot: index *sources*, run the engine, return its flows."""
+    return TaintEngine(index_functions(sources), manifest).run()

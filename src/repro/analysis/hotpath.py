@@ -11,11 +11,12 @@ contract, the same way determinism, taint and races already are:
    paths, the host stack's post, the device tx/rx datapath, the RoCE
    verify path) plus the callback-invoked functions a static call
    graph cannot reach (the
-   fabric ``carry`` hops, ``Process._resume``).  The PR 3 call graph
-   (:func:`repro.analysis.dataflow.index_functions`, trailing-name call
-   resolution) closes those entries into the *hot set*, never leaving
-   the manifest's ``hot_packages`` — so the untrusted telemetry /
-   sanitizer / systems layers are outside the contract by construction.
+   fabric ``carry`` hops, ``Process._resume``).  The lint run's one
+   function index (:func:`repro.analysis.dataflow.index_functions`,
+   trailing-name call resolution) closes those entries into the *hot
+   set*, never leaving the manifest's ``hot_packages`` — so the
+   untrusted telemetry / sanitizer / systems layers are outside the
+   contract by construction.
 
 2. **Rules over the hot set.**
 
@@ -65,18 +66,16 @@ test
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.analysis.dataflow import (
     MAX_CALL_CANDIDATES,
     FunctionInfo,
     call_name,
-    index_functions,
     module_under,
     pattern_matches,
 )
-from repro.analysis.rules import Finding, ProjectRule
+from repro.analysis.rules import Finding, IndexedRule, finding_at
 from repro.analysis.walker import SourceFile, walk_own_body
 from repro.sim.record import Record, record
 
@@ -298,21 +297,23 @@ def _class_is_exception(node: ast.ClassDef) -> bool:
 class HotPathEngine:
     """Reachability closure + PERF checks over one source set.
 
-    Built once per lint run (see :func:`hotpath_engine`); the rule
-    classes read its precomputed ``findings``, the tests its
-    ``reachable`` table.
+    *functions* is the source set's function index; only its functions
+    in the manifest's ``hot_packages`` are candidates.  The PERF family's
+    pass reports its ``findings``, the tests read its ``reachable``
+    table.
     """
 
     def __init__(
         self,
         sources: Sequence[SourceFile],
+        functions: list[FunctionInfo],
         manifest: HotPathManifest = TNIC_MANIFEST,
     ) -> None:
         self.sources = list(sources)
         self.manifest = manifest
         self.functions: list[FunctionInfo] = [
             info
-            for info in index_functions(self.sources)
+            for info in functions
             if module_under(info.module, manifest.hot_packages)
         ]
         self._by_name: dict[str, list[FunctionInfo]] = {}
@@ -407,17 +408,7 @@ class HotPathEngine:
     ) -> None:
         line = getattr(node, "lineno", info.node.lineno)
         col = getattr(node, "col_offset", 0)
-        self.findings.append(
-            Finding(
-                rule=rule,
-                module=info.module,
-                path=str(info.src.path),
-                line=line,
-                col=col,
-                message=message,
-                snippet=info.src.line_text(line),
-            )
-        )
+        self.findings.append(finding_at(rule, info.src, line, col, message))
 
     def _is_gate_expr(self, expr: ast.expr) -> bool:
         if isinstance(expr, ast.Attribute):
@@ -688,36 +679,19 @@ class HotPathEngine:
                 loop_stack[-1]["calls"].setdefault(name, []).append(node)
 
 
-#: Engine-per-source-set memo, keyed like the taint cache so
-#: one lint run shares a single reachability closure across the rules.
-_ENGINE_CACHE: dict[tuple, HotPathEngine] = {}
-_ENGINE_CACHE_MAX = 8
-
-
-def hotpath_engine(sources: Sequence[SourceFile]) -> HotPathEngine:
-    """The (cached) hot-path engine for *sources*."""
-    key = tuple((str(src.path), hash(src.source)) for src in sources)
-    engine = _ENGINE_CACHE.get(key)
-    if engine is None:
-        if len(_ENGINE_CACHE) >= _ENGINE_CACHE_MAX:
-            _ENGINE_CACHE.clear()
-        engine = HotPathEngine(sources)
-        _ENGINE_CACHE[key] = engine
-    return engine
+def hotpath_findings(
+    sources: Sequence[SourceFile], functions: list[FunctionInfo],
+) -> list[Finding]:
+    """The PERF family's one pass over *sources*."""
+    return HotPathEngine(sources, functions).findings
 
 
 # ----------------------------------------------------------------------
 # Rules
 # ----------------------------------------------------------------------
 
-class _HotPathRule(ProjectRule):
-    """Shared shape: run the engine once, report this rule's findings."""
-
-    def check_project(self, sources: Sequence[SourceFile]) -> Iterator[Finding]:
-        engine = hotpath_engine(sources)
-        for finding in engine.findings:
-            if finding.rule == self.rule_id:
-                yield finding
+class _HotPathRule(IndexedRule):
+    family_pass = staticmethod(hotpath_findings)
 
 
 class HotAllocationRule(_HotPathRule):

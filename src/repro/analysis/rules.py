@@ -1,9 +1,11 @@
 """Rule framework: findings, the rule registry, inline waivers.
 
-A *rule* inspects sources and yields :class:`Finding` records.  Two rule
-shapes exist: per-file rules (determinism) and project rules
-(trusted-boundary checking, taint, hot path) that need the whole module
-set at once.
+A *rule* inspects sources and yields :class:`Finding` records.  Three rule
+shapes exist: per-file rules (determinism, interference), project rules
+(trusted-boundary checking) that need the whole module set at once, and
+indexed rules (taint flows, hot path, liveness), whose family reports
+from one pass over the function index :func:`collect_findings` builds
+once per run.
 
 An intentional exception is waived in one way: a
 ``# lint: ignore[RULE-ID]`` comment on the offending line, with the
@@ -17,8 +19,9 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import asdict, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
+from repro.analysis.dataflow import FunctionInfo, index_functions
 from repro.analysis.walker import SourceFile
 from repro.sim.record import Record, record
 
@@ -88,15 +91,22 @@ class Rule:
         raise NotImplementedError
 
     def finding(self, src: SourceFile, line: int, col: int, message: str) -> Finding:
-        return Finding(
-            rule=self.rule_id,
-            module=src.module,
-            path=str(src.path),
-            line=line,
-            col=col,
-            message=message,
-            snippet=src.line_text(line),
-        )
+        return finding_at(self.rule_id, src, line, col, message)
+
+
+def finding_at(
+    rule_id: str, src: SourceFile, line: int, col: int, message: str,
+) -> Finding:
+    """A finding of *rule_id* at *line* of *src*, carrying its snippet."""
+    return Finding(
+        rule=rule_id,
+        module=src.module,
+        path=str(src.path),
+        line=line,
+        col=col,
+        message=message,
+        snippet=src.line_text(line),
+    )
 
 
 class ProjectRule(Rule):
@@ -107,6 +117,22 @@ class ProjectRule(Rule):
 
     def check(self, src: SourceFile) -> Iterator[Finding]:  # pragma: no cover
         return iter(())
+
+
+#: A family's one pass: every finding of the family on the sources,
+#: given the function index they share.
+FamilyPass = Callable[[Sequence[SourceFile], list[FunctionInfo]], Iterable[Finding]]
+
+
+class IndexedRule(Rule):
+    """A rule whose family reports from one pass over the function index.
+
+    The class carries only the catalog text and the id that selects its
+    findings: :func:`collect_findings` indexes the sources once and
+    runs each selected family's :attr:`family_pass` once.
+    """
+
+    family_pass: FamilyPass
 
 
 def default_rules() -> list[Rule]:
@@ -162,16 +188,25 @@ def collect_findings(
 
     Findings that share (rule, module, normalised snippet) are numbered
     0, 1, 2, ... in (path, line, col) order so each gets a distinct
-    fingerprint.
+    fingerprint.  The function index is built once, and each indexed
+    family's pass runs once, whatever number of its rules is selected.
     """
     rules = list(rules) if rules is not None else default_rules()
     findings: list[Finding] = []
+    families: dict[FamilyPass, set[str]] = {}
     for rule in rules:
-        if isinstance(rule, ProjectRule):
+        if isinstance(rule, IndexedRule):
+            families.setdefault(rule.family_pass, set()).add(rule.rule_id)
+        elif isinstance(rule, ProjectRule):
             findings.extend(rule.check_project(sources))
         else:
             for src in sources:
                 findings.extend(rule.check(src))
+    if families:
+        functions = index_functions(sources)
+        for family_pass, rule_ids in families.items():
+            findings.extend(
+                f for f in family_pass(sources, functions) if f.rule in rule_ids)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
     counts: dict[tuple[str, str, str], int] = {}
     numbered: list[Finding] = []

@@ -39,6 +39,7 @@ import ast
 from typing import Iterator, Sequence
 
 from repro.analysis.dataflow import (
+    FunctionInfo,
     SinkSpec,
     SourceSpec,
     TaintEngine,
@@ -47,7 +48,7 @@ from repro.analysis.dataflow import (
     call_name,
     pattern_matches,
 )
-from repro.analysis.rules import Finding, ProjectRule, Rule
+from repro.analysis.rules import Finding, IndexedRule, Rule
 from repro.analysis.walker import SourceFile
 
 #: The paper's TCB packages (mirrors boundaries.TRUSTED_PACKAGES; kept
@@ -137,47 +138,55 @@ _DISCARD_CHECKED = (
 )
 
 
-# ----------------------------------------------------------------------
-# Shared engine run (all flow rules consume one analysis)
-# ----------------------------------------------------------------------
-
-_FLOW_CACHE: dict[tuple, tuple[TaintFlow, ...]] = {}
-_FLOW_CACHE_LIMIT = 8
-
-
-def project_flows(sources: Sequence[SourceFile]) -> tuple[TaintFlow, ...]:
-    """Run (or reuse) the taint engine for this exact source set."""
-    key = tuple((str(src.path), hash(src.source)) for src in sources)
-    cached = _FLOW_CACHE.get(key)
-    if cached is None:
-        cached = tuple(TaintEngine(sources, TNIC_MANIFEST).run())
-        if len(_FLOW_CACHE) >= _FLOW_CACHE_LIMIT:
-            _FLOW_CACHE.pop(next(iter(_FLOW_CACHE)))
-        _FLOW_CACHE[key] = cached
-    return cached
+#: SEC001's sink kinds, as its message words them.
+_SINK_WORDS = {
+    "log": "log",
+    "telemetry": "telemetry",
+    "serialize": "serialization",
+    "wire": "wire-transmit",
+    "untrusted-call": "untrusted-layer",
+}
 
 
-class _FlowRule(ProjectRule):
-    """Shared shape: map engine flows with a given tag/kind to findings."""
+def _flow_rule(flow: TaintFlow) -> tuple[str, str] | None:
+    """``(rule id, message)`` for one engine flow, or None if no rule owns it."""
+    path = flow.describe_path()
+    if flow.tag == "key" and flow.kind in _SINK_WORDS:
+        return "SEC001", (
+            f"key material reaches {_SINK_WORDS[flow.kind]} sink "
+            f"`{flow.sink}`{path}")
+    if flow.tag == "key" and flow.kind == "compare":
+        return "SEC002", (
+            "key material compared with `==`/`!=` (timing side channel)"
+            f"{path}; use hmac.compare_digest")
+    if flow.tag == "key" and flow.kind == "store":
+        return "SEC003", f"key material stored outside the TCB: {flow.sink}{path}"
+    if flow.tag == "wire" and flow.kind == "trusted-state":
+        return "TNT001", (
+            f"unverified wire input reaches trusted state `{flow.sink}`"
+            f"{path}; verify before mutating")
+    return None
 
-    tag = ""
-    kinds: tuple[str, ...] = ()
 
-    def message(self, flow: TaintFlow) -> str:
-        raise NotImplementedError
+def flow_findings(
+    sources: Sequence[SourceFile], functions: list[FunctionInfo],
+) -> Iterator[Finding]:
+    """The flow rules' one pass: the taint engine's flows, as findings."""
+    by_path = {str(src.path): src for src in sources}
+    for flow in TaintEngine(functions, TNIC_MANIFEST).run():
+        owner = _flow_rule(flow)
+        if owner is None:
+            continue
+        src = by_path.get(flow.path)
+        yield Finding(
+            rule=owner[0], module=flow.module, path=flow.path,
+            line=flow.line, col=flow.col, message=owner[1],
+            snippet=src.line_text(flow.line) if src is not None else "",
+        )
 
-    def check_project(self, sources: Sequence[SourceFile]) -> Iterator[Finding]:
-        by_path = {str(src.path): src for src in sources}
-        for flow in project_flows(sources):
-            if flow.tag != self.tag or flow.kind not in self.kinds:
-                continue
-            src = by_path.get(flow.path)
-            snippet = src.line_text(flow.line) if src is not None else ""
-            yield Finding(
-                rule=self.rule_id, module=flow.module, path=flow.path,
-                line=flow.line, col=flow.col, message=self.message(flow),
-                snippet=snippet,
-            )
+
+class _FlowRule(IndexedRule):
+    family_pass = staticmethod(flow_findings)
 
 
 class KeyToSinkRule(_FlowRule):
@@ -202,22 +211,6 @@ class KeyToSinkRule(_FlowRule):
         "clean by construction (one-way), so attestation certificates\n"
         "never fire."
     )
-    tag = "key"
-    kinds = ("log", "telemetry", "serialize", "wire", "untrusted-call")
-
-    _KIND_WORDS = {
-        "log": "log",
-        "telemetry": "telemetry",
-        "serialize": "serialization",
-        "wire": "wire-transmit",
-        "untrusted-call": "untrusted-layer",
-    }
-
-    def message(self, flow: TaintFlow) -> str:
-        return (
-            f"key material reaches {self._KIND_WORDS[flow.kind]} sink "
-            f"`{flow.sink}`{flow.describe_path()}"
-        )
 
 
 class KeyCompareRule(_FlowRule):
@@ -232,14 +225,6 @@ class KeyCompareRule(_FlowRule):
         "comparison where either side carries key taint must go through\n"
         "`hmac.compare_digest` (the repo's `verify_encoded` already does)."
     )
-    tag = "key"
-    kinds = ("compare",)
-
-    def message(self, flow: TaintFlow) -> str:
-        return (
-            "key material compared with `==`/`!=` (timing side channel)"
-            f"{flow.describe_path()}; use hmac.compare_digest"
-        )
 
 
 class KeyEscrowRule(_FlowRule):
@@ -256,14 +241,6 @@ class KeyEscrowRule(_FlowRule):
         "exceptions (e.g. the §3.2 manufacturer→vendor HW-key\n"
         "disclosure) carry an inline `# lint: ignore[SEC003]` waiver."
     )
-    tag = "key"
-    kinds = ("store",)
-
-    def message(self, flow: TaintFlow) -> str:
-        return (
-            f"key material stored outside the TCB: {flow.sink}"
-            f"{flow.describe_path()}"
-        )
 
 
 class UnverifiedIngressRule(_FlowRule):
@@ -281,14 +258,6 @@ class UnverifiedIngressRule(_FlowRule):
         "without first passing `verify`/`verify_event`/`verify_encoded`/\n"
         "`hmac_verify`/`check_transferable` (whose outputs are clean)."
     )
-    tag = "wire"
-    kinds = ("trusted-state",)
-
-    def message(self, flow: TaintFlow) -> str:
-        return (
-            f"unverified wire input reaches trusted state `{flow.sink}`"
-            f"{flow.describe_path()}; verify before mutating"
-        )
 
 
 class DiscardedVerifyRule(Rule):

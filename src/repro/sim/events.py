@@ -76,7 +76,8 @@ class Event:
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with *value*.
 
-        Lifecycle contract (LIV002): triggers are one-shot.  Code with
+        Triggers are one-shot, and the kernel enforces it at run time: a
+        second ``succeed``/``fail`` raises "already triggered".  Code with
         racing trigger paths (completion vs. expiry) must guard the late
         path with ``if not event.triggered:`` or make the paths mutually
         exclusive — a second trigger raises inside whichever process
@@ -91,7 +92,7 @@ class Event:
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception (one-shot; see
-        :meth:`succeed` for the LIV002 contract)."""
+        :meth:`succeed` for the run-time contract)."""
         if self._state != Event.PENDING:
             raise RuntimeError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):

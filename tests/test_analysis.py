@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,20 @@ def test_shipped_codebase_lints_clean_and_every_waiver_waives(
         if (str(src.path), lineno, rule) not in hits
     ]
     assert stale == [], "\n".join(stale)
+
+
+@pytest.mark.lint
+def test_one_lint_run_indexes_the_tree_once(
+        real_sources, real_findings, real_index_builds):
+    # The session's real-tree lint ran every rule; the taint, hot-path
+    # and liveness families shared its one function index...
+    assert real_index_builds == [len(real_sources)]
+    # ...and no pass holds an index builder the spy could not see.
+    holders = sorted(
+        name for name, module in sys.modules.items()
+        if name.startswith("repro.analysis") and hasattr(module, "index_functions")
+    )
+    assert holders == ["repro.analysis.dataflow", "repro.analysis.rules"]
 
 
 @pytest.mark.lint

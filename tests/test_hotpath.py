@@ -23,15 +23,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.dataflow import pattern_matches
+from repro.analysis.dataflow import index_functions, pattern_matches
 from repro.analysis.hotpath import (
     HOTPATH_RULES,
     TNIC_MANIFEST,
     HotPathEngine,
     HotPathManifest,
-    hotpath_engine,
 )
-from repro.analysis.rules import collect_findings, rule_catalog, run_rules
+from repro.analysis.rules import collect_findings, rule_catalog
 from repro.analysis.walker import collect_sources
 from repro.sim import instrument
 
@@ -43,6 +42,11 @@ PERF_IDS = ("PERF001", "PERF002", "PERF003", "PERF004", "PERF005", "PERF006")
 def _corpus_findings(corpus: str):
     sources = collect_sources([FIXTURES / corpus])
     return collect_findings(sources, [cls() for cls in HOTPATH_RULES])
+
+
+def _engine(corpus: str, *manifest: HotPathManifest) -> HotPathEngine:
+    sources = collect_sources([FIXTURES / corpus])
+    return HotPathEngine(sources, index_functions(sources), *manifest)
 
 
 # ----------------------------------------------------------------------
@@ -105,12 +109,12 @@ def test_perf004_names_the_chain_and_the_fix():
 
 @pytest.fixture(scope="module")
 def broken_engine():
-    return HotPathEngine(collect_sources([FIXTURES / "broken"]))
+    return _engine("broken")
 
 
 @pytest.fixture(scope="module")
 def clean_engine():
-    return HotPathEngine(collect_sources([FIXTURES / "clean"]))
+    return _engine("clean")
 
 
 def test_entry_patterns_resolve_against_the_fixture_kernel(broken_engine):
@@ -137,8 +141,7 @@ def test_exempt_functions_are_cut_from_the_closure():
         hot_packages=("repro.sim",),
         exempt_functions=("_drain",),
     )
-    sources = collect_sources([FIXTURES / "broken"])
-    engine = HotPathEngine(sources, manifest)
+    engine = _engine("broken", manifest)
     reach = engine.reachable["repro.sim.hotkernel.Simulator.step"]
     assert "repro.sim.hotkernel.Simulator._drain" not in reach
     # With _drain exempt, its try/except and raw hash are unchecked.
@@ -169,13 +172,14 @@ def test_perf_rules_carry_explanations():
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def real_engine(real_sources):
-    return hotpath_engine(real_sources)
+def real_engine(real_sources, real_index):
+    return HotPathEngine(real_sources, real_index)
 
 
 @pytest.mark.lint
-def test_real_tree_has_no_unwaived_perf_findings(real_sources):
-    findings = run_rules(real_sources, [cls() for cls in HOTPATH_RULES])
+def test_real_tree_has_no_unwaived_perf_findings(real_unwaived):
+    perf_ids = {cls.rule_id for cls in HOTPATH_RULES}
+    findings = [f for f in real_unwaived if f.rule in perf_ids]
     assert findings == [], "\n".join(f.render() for f in findings)
 
 

@@ -30,6 +30,22 @@ def test_event_double_trigger_rejected():
         event.succeed(2)
     with pytest.raises(RuntimeError, match="already triggered"):
         event.fail(ValueError("x"))
+    # A trigger in a loop that outlives the event: the second pass raises.
+    tick = sim.event()
+    with pytest.raises(RuntimeError, match="already triggered"):
+        for batch in range(2):
+            tick.succeed(batch)
+    assert tick.value == 0
+
+
+def test_a_wait_nothing_triggers_ends_the_run_with_an_error():
+    sim = Simulator()
+
+    def forgotten():
+        yield sim.event()
+
+    with pytest.raises(RuntimeError, match="ran out of events"):
+        sim.run(sim.process(forgotten()))
 
 
 def test_event_fail_requires_exception():

@@ -25,7 +25,12 @@ from repro.analysis import (
     collect_findings,
     collect_sources,
 )
-from repro.analysis.dataflow import SinkSpec, SourceSpec, pattern_matches
+from repro.analysis.dataflow import (
+    SinkSpec,
+    SourceSpec,
+    index_functions,
+    pattern_matches,
+)
 from repro.analysis.taint import TAINT_RULES
 from repro.analysis.walker import parse_file
 
@@ -146,7 +151,7 @@ def test_summaries_expose_passthrough_and_tags(tmp_path):
         "def source(store, sid):\n"
         "    return store._hw_keys[sid]\n"
     )))
-    engine = TaintEngine([src], TNIC_MANIFEST)
+    engine = TaintEngine(index_functions([src]), TNIC_MANIFEST)
     engine.run()
     summaries = engine.summaries()
     assert "x" in summaries["repro.sample.ident"].param_to_return
