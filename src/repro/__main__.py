@@ -2,9 +2,9 @@
 
 Dispatches to :mod:`repro.cli`; see ``python -m repro --help`` for the
 demo/benchmark commands, ``python -m repro lint`` for the
-static-analysis gate (determinism, trusted boundaries, sim-safety,
-taint, interference), and ``python -m repro sanitize`` for the
-schedule-perturbation harness.
+static-analysis gate (determinism, trusted boundaries, taint, hot-path
+cost, liveness), and ``python -m repro sanitize`` for the
+schedule-perturbation harness, the one check of schedule independence.
 """
 
 import sys

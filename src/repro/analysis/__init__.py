@@ -16,9 +16,6 @@ turns both into mechanically enforced, CI-gated properties:
   (per-function summaries, fixpoint propagation);
 * :mod:`repro.analysis.taint`       — SEC001–SEC003 key secrecy and
   TNT001–TNT002 verified-ingress rules over the dataflow engine;
-* :mod:`repro.analysis.interference` — RACE001–RACE003 interference
-  lint for simulator processes (``repro sanitize``'s schedule
-  perturbation is the run-time check);
 * :mod:`repro.analysis.hotpath`     — PERF001–PERF006 hot-path cost
   lint (interprocedural reachability from the kernel entry points);
 * :mod:`repro.analysis.liveness`    — LIV001 and LIV005 liveness
@@ -62,12 +59,6 @@ from repro.analysis.hotpath import (
     RawCryptoRule,
     UngatedEmitRule,
 )
-from repro.analysis.interference import (
-    INTERFERENCE_RULES,
-    ModuleMutableMutationRule,
-    SharedIterationYieldRule,
-    YieldSpanningRmwRule,
-)
 from repro.analysis.liveness import (
     LIVENESS_RULES,
     LivenessEngine,
@@ -110,17 +101,14 @@ __all__ = [
     "HotPathManifest",
     "HotSlotsRule",
     "HotTryExceptRule",
-    "INTERFERENCE_RULES",
     "IndexedRule",
     "LIVENESS_RULES",
     "LivenessEngine",
     "LoopInvariantLookupRule",
-    "ModuleMutableMutationRule",
     "ProjectRule",
     "RawCryptoRule",
     "ResourceLeakRule",
     "Rule",
-    "SharedIterationYieldRule",
     "SinkSpec",
     "SourceFile",
     "SourceSpec",
@@ -133,7 +121,6 @@ __all__ = [
     "TrustedBoundaryRule",
     "UnboundedNetworkWaitRule",
     "UngatedEmitRule",
-    "YieldSpanningRmwRule",
     "analyze_dataflow",
     "analyze_paths",
     "apply_suppressions",

@@ -1,7 +1,7 @@
 """Rule framework: findings, the rule registry, inline waivers.
 
 A *rule* inspects sources and yields :class:`Finding` records.  Three rule
-shapes exist: per-file rules (determinism, interference), project rules
+shapes exist: per-file rules (determinism), project rules
 (trusted-boundary checking) that need the whole module set at once, and
 indexed rules (taint flows, hot path, liveness), whose family reports
 from one pass over the function index :func:`collect_findings` builds
@@ -140,13 +140,12 @@ def default_rules() -> list[Rule]:
     from repro.analysis.boundaries import TrustedBoundaryRule
     from repro.analysis.determinism import DETERMINISM_RULES
     from repro.analysis.hotpath import HOTPATH_RULES
-    from repro.analysis.interference import INTERFERENCE_RULES
     from repro.analysis.liveness import LIVENESS_RULES
     from repro.analysis.taint import TAINT_RULES
 
     families = (
         DETERMINISM_RULES, (TrustedBoundaryRule,), TAINT_RULES,
-        INTERFERENCE_RULES, HOTPATH_RULES, LIVENESS_RULES,
+        HOTPATH_RULES, LIVENESS_RULES,
     )
     return [cls() for family in families for cls in family]
 

@@ -1,7 +1,7 @@
 """Source discovery and AST plumbing for the analysis passes.
 
-The passes (determinism, boundaries, sim-safety, TCB accounting) all
-operate on the same parsed view of the project: a list of
+The passes (determinism, boundaries, taint, hot path, liveness, TCB
+accounting) all operate on the same parsed view of the project: a list of
 :class:`SourceFile` records carrying the file's dotted module name, its
 AST, and its raw lines.  This module builds that view — it walks a
 directory tree, derives module names from package ``__init__.py``
@@ -201,12 +201,6 @@ def is_generator(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     )
 
 
-def iter_functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def dotted_name(node: ast.expr) -> str | None:
     """Render an ``a.b.c`` attribute/name chain, or None for anything else."""
     parts: list[str] = []
@@ -238,21 +232,6 @@ def chain_parts(expr: ast.expr) -> list[str] | None:
             return list(reversed(parts))
         else:
             return None
-
-
-def shared_chain(expr: ast.expr, local_names: set[str]) -> str | None:
-    """``a.b.c`` when *expr* is an attribute chain other processes can see.
-
-    A chain is shared when its root is ``self``/``cls`` or a free
-    variable (closure or module binding); locals and parameters are
-    private to one activation.  A bare name is not a chain.
-    """
-    parts = chain_parts(expr)
-    if parts is None or len(parts) < 2:
-        return None
-    if parts[0] in ("self", "cls") or parts[0] not in local_names:
-        return ".".join(parts)
-    return None
 
 
 def local_aliases(func: ast.FunctionDef) -> dict[str, tuple[str, ...]]:

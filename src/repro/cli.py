@@ -10,10 +10,10 @@ capabilities without writing code:
 * ``attack``     — run the adversary campaigns and report the outcome.
 * ``resources``  — the Table-5 / Figure-13 FPGA resource analysis.
 * ``lint``       — the static-analysis passes (determinism, trusted
-  boundaries, key-secrecy/ingress taint, interference/RACE, hot-path
-  cost, liveness).
-* ``sanitize``   — the schedule-perturbation harness: tier-1 protocol
-  scenarios under N seeded tie shuffles; final-state digests must match.
+  boundaries, key-secrecy/ingress taint, hot-path cost, liveness).
+* ``sanitize``   — the one check of schedule independence: tier-1
+  protocol scenarios under N seeded tie shuffles; final-state digests
+  must match.
 * ``metrics``    — run a seeded cluster workload with telemetry on and
   print the metrics document (text, ``--json`` or ``--prom``).
 * ``trace``      — the same workload's trace buffer, filterable with
@@ -477,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static analysis: determinism, trusted boundaries, "
-             "key-secrecy/ingress taint, interference/RACE, hot-path "
-             "cost, liveness",
+             "key-secrecy/ingress taint, hot-path cost, liveness",
     )
     lint.add_argument(
         "paths", nargs="*",

@@ -1,22 +1,30 @@
 """Schedule-perturbation harness: find schedule dependence by running.
 
-The static RACE pass reasons about one process at a time; this
-run-time harness *changes* the schedule.  FIFO order among
-same-timestamp events is a kernel policy, not a semantic guarantee —
-the paper's CFT-to-BFT
-transformation (§6, Listing 1) requires replica state machines to be
-deterministic functions of their ordered inputs, so their *final state*
-must not depend on how the kernel breaks ties.  Each tier-1 protocol
-scenario (BFT counter, chain replication, A2M) therefore runs once
-under exact FIFO and N more times under seeded tie shuffles
-(:meth:`~repro.sim.clock.Simulator.perturb_ties`); the canonical digest
-of final replica state must be identical every time.  A divergent
-digest is a found schedule dependence — the dynamic analogue of a
-RACE002 finding, with the offending seed as the reproducer.
+This harness is the one check of schedule independence: it *changes*
+the schedule and compares outcomes.  FIFO order among same-timestamp
+events is a kernel policy, not a semantic guarantee — the paper's
+CFT-to-BFT transformation (§6, Listing 1) requires replica state
+machines to be deterministic functions of their ordered inputs, so
+their *final state* must not depend on how the kernel breaks ties.
+Each tier-1 protocol scenario (BFT counter, chain replication, A2M)
+therefore runs once under exact FIFO and N more times under seeded tie
+shuffles (:meth:`~repro.sim.clock.Simulator.perturb_ties`); the
+canonical digest of final replica state must be identical every time.
+A divergent digest is a found schedule dependence, with the offending
+seed as the reproducer.
 
 Digests cover semantic replica state (counters, stores, commit indexes,
 log entries, detected faults) and deliberately exclude latency metrics:
 timing legitimately varies with tie order; outcomes must not.
+
+The shuffle also reorders two messages that one
+:class:`~repro.systems.common.EmulatedNetwork` channel delivers at the
+same instant: each send is its own hop of the same latency, so the
+channel is FIFO only under the default tie order.  A scenario's digest
+must therefore not depend on the order of concurrently issued requests
+(a Raft leader fed three pipelined commands at once logs them in
+arrival order, which the shuffle permutes); it may depend on what each
+replica holds once all requests are ordered.
 
 Everything is derived from one root seed, so a report is reproducible
 byte-for-byte from its command line.

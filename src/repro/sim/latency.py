@@ -142,14 +142,6 @@ A2M_APPEND_OVERHEAD_US = 0.26
 # "we integrate into our codebases a library that accurately emulates
 #  all latencies (measured in §8.1) within the CPU."
 # ---------------------------------------------------------------------------
-EMULATED_ATTEST_US = {
-    "ssl-lib": 0.0,  # "We do not emulate the SSL-lib latency."
-    "ssl-server": SSL_SERVER_INTEL_ATTEST_US,
-    "sgx": SGX_ATTEST_US,
-    "amd-sev": AMD_SEV_ATTEST_LOWER_US,
-    "tnic": TNIC_ATTEST_ASYNC_US,
-}
-
 #: Per-hop latency of the DRCT-IO stack used for system emulation
 #: ("we build our codebase using the DRCT-IO stack").
 SYSTEM_NET_HOP_US = DRCT_IO_BASE_US

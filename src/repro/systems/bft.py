@@ -173,7 +173,7 @@ class _Replica:
             if self.behaviour.equivocate:
                 # Different statements to different followers: each gets
                 # its own attestation, hence its own counter value.
-                followers = list(self.system.followers)  # snapshot: RACE003
+                followers = list(self.system.followers)
                 for offset, follower in enumerate(followers, 1):
                     forked = _encode_poe(
                         request.batch_id, request.increments,
@@ -195,11 +195,7 @@ class _Replica:
             )
             if span is not NULL_SPAN:
                 stage.end()
-            # The pre-yield read of _last_attested is in the replay
-            # branch, which `continue`s before any yield runs — the
-            # flagged span crosses mutually exclusive branches, and the
-            # field is private to this replica's single leader process.
-            self._last_attested = attested  # lint: ignore[RACE002] exclusive branches
+            self._last_attested = attested
             self.system.broadcast_poe(self.name, attested, parent=span)
             if span is not NULL_SPAN:
                 span.end(status="ok")
@@ -436,10 +432,7 @@ class BftCounter:
                 next_batch += 1
             item = yield self.client_inbox.get_until(self.sim.now + timeout_us)
             if item is TIMED_OUT:
-                # `aborted` has exactly one writer (this client process);
-                # replicas only ever read it, so the check-then-act span
-                # cannot lose a concurrent update.
-                self.aborted = True  # lint: ignore[RACE002] single-writer flag
+                self.aborted = True
                 break
             reply = item
             if type(item) is Envelope:

@@ -242,10 +242,7 @@ class _Source:
                 ack_seq, _result = _decode(ack_payload)
                 if ack_seq != seq:
                     continue
-                # The witness's log is written only by this stream
-                # process; auditors get read-only access after the fact,
-                # so the pre-yield read cannot go stale under it.
-                self.log.append("recv", ack_payload)  # lint: ignore[RACE002] witness-private log
+                self.log.append("recv", ack_payload)
                 acked.add(ack.sender)
             if system.audit_enabled:
                 # "the witness audits the log after every send operation

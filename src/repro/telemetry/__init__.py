@@ -79,14 +79,11 @@ class Telemetry:
         sim: "Simulator",
         trace_tail: int = 256,
         max_snapshots: int = 32,
-        sample_every: int = 1,
     ) -> None:
         self.sim = sim
         self.registry = MetricsRegistry()
         self.trace = Tracer()
-        self.spans = SpanTracker(
-            sim, self.registry, sample_every=sample_every
-        )
+        self.spans = SpanTracker(sim, self.registry)
         self.recorder = FlightRecorder(
             sim, self, trace_tail=trace_tail, max_snapshots=max_snapshots
         )

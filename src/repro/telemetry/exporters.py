@@ -35,7 +35,6 @@ def metrics_document(hub: "Telemetry") -> dict[str, Any]:
             "finished": len(hub.spans.finished),
             "open": len(hub.spans.open_spans),
             "evicted": hub.spans.evicted,
-            "sampled_out": hub.spans.sampled_out,
         },
         "flight_recorder": {
             "snapshots": len(hub.recorder),

@@ -22,7 +22,6 @@ from itertools import count as _counter
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.instrument import emit
-from repro.sim.rng import DeterministicRng
 from repro.telemetry.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,10 +43,6 @@ class Span:
     #: every replica it touches — shares one trace id.  The span itself
     #: travels between nodes as the next stage's parent.
     trace_id: int = 0
-    #: Head-based sampling decision, made once at the trace root and
-    #: inherited by every descendant (local children and remote
-    #: continuations alike).  Unsampled spans are never retained.
-    sampled: bool = True
 
     @property
     def open(self) -> bool:
@@ -105,12 +100,9 @@ class SpanTracker:
         sim: "Simulator",
         registry: MetricsRegistry,
         capacity: int = 4096,
-        sample_every: int = 1,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self.sim = sim
         self.registry = registry
         self.capacity = capacity
@@ -119,17 +111,6 @@ class SpanTracker:
         self.finished: list[Span] = []
         self.open_spans: dict[int, Span] = {}
         self.evicted = 0
-        #: Finished spans discarded because their trace was unsampled.
-        self.sampled_out = 0
-        self.sample_every = sample_every
-        # With sample_every == 1 the rng is never consulted, so existing
-        # seeded scenarios draw exactly the streams they always did.  The
-        # stream is named, not seeded by the caller: which traces a rate
-        # keeps is part of the tracker, the same in every run.
-        self._sampling_rng = (
-            None if sample_every == 1
-            else DeterministicRng(0, "trace-sampling")
-        )
 
     def begin(
         self,
@@ -141,14 +122,9 @@ class SpanTracker:
         in from another stage or replica — or None to root a new trace."""
         if parent is None:
             trace_id = next(self._trace_ids)
-            sampled = (
-                self._sampling_rng is None
-                or self._sampling_rng.randrange(0, self.sample_every) == 0
-            )
             parent_id = None
         else:
             trace_id = parent.trace_id
-            sampled = parent.sampled
             parent_id = parent.span_id
         span = Span(
             tracker=self,
@@ -158,7 +134,6 @@ class SpanTracker:
             start_us=self.sim.now,
             labels=dict(labels),
             trace_id=trace_id,
-            sampled=sampled,
         )
         self.open_spans[span.span_id] = span
         return span
@@ -166,12 +141,6 @@ class SpanTracker:
     def finish(self, span: Span) -> None:
         span.end_us = self.sim.now
         self.open_spans.pop(span.span_id, None)
-        if not span.sampled:
-            # Head-based sampling: the whole tree was decided at the
-            # root, so an unsampled span is dropped wholesale — no
-            # retention, no histogram feed, no trace record.
-            self.sampled_out += 1
-            return
         if len(self.finished) >= self.capacity:
             del self.finished[0]
             self.evicted += 1

@@ -152,11 +152,8 @@ class TnicCommunicationModel:
 
     def _rule_inject(self, state: CommState) -> Iterator[tuple[str, CommState]]:
         """The adversary crafts messages with keys it knows."""
-        # Not a simulator process: rule generators yield (label, state)
-        # pairs to the state-space explorer, and the adversary term sets
-        # are immutable tuples fixed at construction.
-        for key in self.adversary_keys:  # lint: ignore[RACE003] model-checker rule, immutable tuple
-            for payload in self.adversary_payloads:  # lint: ignore[RACE003] immutable tuple
+        for key in self.adversary_keys:
+            for payload in self.adversary_payloads:
                 counter = state.recv_cnt  # best possible guess
                 message = AttestedMsg(
                     payload=payload,
@@ -174,9 +171,7 @@ class TnicCommunicationModel:
         check compares whole terms, so splicing can never verify — but
         the rule must exist so the checker explores the attempt."""
         for message in state.observed:
-            # Same shape as _rule_inject: a model-checker rule generator,
-            # not a sim process, iterating an immutable tuple.
-            for payload in self.adversary_payloads:  # lint: ignore[RACE003] immutable tuple
+            for payload in self.adversary_payloads:
                 spliced = AttestedMsg(
                     payload=payload,
                     counter=state.recv_cnt,

@@ -37,7 +37,6 @@ from repro.analysis.walker import (
     chain_parts,
     local_aliases,
     parse_file,
-    shared_chain,
 )
 
 
@@ -226,8 +225,7 @@ def test_rule_catalog_lists_every_pass():
     catalog = rule_catalog()
     assert {"DET001", "DET002", "DET003", "DET004", "DET005",
             "BND001",
-            "SEC001", "SEC002", "SEC003", "TNT001", "TNT002",
-            "RACE001", "RACE002", "RACE003"} <= set(catalog)
+            "SEC001", "SEC002", "SEC003", "TNT001", "TNT002"} <= set(catalog)
     assert all(catalog.values())
 
 
@@ -319,15 +317,6 @@ def test_chain_parts_peels_subscripts_and_rejects_call_roots():
     # A call result is a fresh value: a chain rooted in one is no chain.
     assert chain_parts(_expr("make().b.c")) is None
     assert chain_parts(_expr("a.b().c")) is None
-
-
-def test_shared_chain_is_decided_by_the_root():
-    local_names = {"entry", "k"}
-    assert shared_chain(_expr("self.table[k].count"), local_names) == "self.table.count"
-    assert shared_chain(_expr("registry.slots"), local_names) == "registry.slots"
-    assert shared_chain(_expr("entry.count"), local_names) is None  # a local
-    assert shared_chain(_expr("registry"), local_names) is None  # not a chain
-    assert shared_chain(_expr("make().count"), local_names) is None
 
 
 def test_local_aliases_resolve_transitively_through_self():

@@ -140,8 +140,10 @@ def test_lint_command_explain_known_and_unknown_rule(capsys):
     err = capsys.readouterr().err
     assert "no such rule: NOPE999" in err
     # The usage hint lists every shipped rule-ID prefix.
-    for prefix in ("DET", "BND", "SEC", "TNT", "RACE", "LIV"):
+    for prefix in ("DET", "BND", "SEC", "TNT", "LIV"):
         assert prefix in err
+    # A retired rule (RACE001-RACE003 went whole) no longer resolves.
+    assert main(["lint", "--explain", "RACE001"]) == 2
 
 
 def test_parser_rejects_unknown_command():

@@ -1,113 +1,19 @@
-"""The interference checks: RACE lint and schedule perturbation.
+"""The schedule-perturbation harness behind ``repro sanitize``.
 
-Two layers under test:
-
-* the static RACE001–RACE003 rules — every seeded violation in
-  ``tests/fixtures/race/broken/`` must be reported at exactly its
-  line, and nothing in ``clean/`` may be flagged;
-* the schedule-perturbation harness — the same seed must reproduce the
-  same schedule byte-for-byte, the default FIFO tie-break must be
-  untouched (the golden traces depend on it), and the tier-1 scenarios
-  must digest-stable across eight perturbed schedules.
+It is the one check of schedule independence.  The same seed must
+reproduce the same schedule byte-for-byte, the default FIFO tie-break
+must be untouched (the golden traces depend on it), the tier-1
+scenarios must be digest-stable across eight perturbed schedules, and
+a scenario whose outcome does depend on the tie order must be caught.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-from repro.analysis.interference import INTERFERENCE_RULES
-from repro.analysis.rules import (
-    Rule,
-    collect_findings,
-    rule_catalog,
-    run_rules,
-)
 from repro.sanitizer import derive_seed, run_sanitize
 from repro.sanitizer.perturb import SCENARIOS
 from repro.sim import Simulator
-from repro.analysis.walker import collect_sources
-
-FIXTURES = Path(__file__).parent / "fixtures" / "race"
-
-
-# ----------------------------------------------------------------------
-# Static corpus: no false negatives on broken/, no positives on clean/
-# ----------------------------------------------------------------------
-
-def _corpus_findings(corpus: str):
-    sources = collect_sources([FIXTURES / corpus])
-    return collect_findings(sources, [cls() for cls in INTERFERENCE_RULES])
-
-
-def test_broken_corpus_every_rule_fires():
-    fired = {f.rule for f in _corpus_findings("broken")}
-    assert fired == {"RACE001", "RACE002", "RACE003"}
-
-
-def test_broken_corpus_detects_exactly_the_seeded_violations():
-    expected = {
-        ("RACE001", "repro.shared_ledger", 12),   # LEDGER.append
-        ("RACE001", "repro.shared_ledger", 13),   # INDEX[...] = ...
-        ("RACE001", "repro.shared_ledger", 19),   # global TOTAL +=
-        ("RACE002", "repro.stale_counter", 15),   # self.value clobber
-        ("RACE002", "repro.stale_counter", 21),   # self.table.update
-        ("RACE003", "repro.live_iteration", 15),  # enumerate(self.peers)
-        ("RACE003", "repro.live_iteration", 20),  # self.inbox.items()
-        ("RACE003", "repro.live_iteration", 26),  # module-level PENDING
-    }
-    got = {(f.rule, f.module, f.line) for f in _corpus_findings("broken")}
-    assert got == expected, (
-        f"missed: {expected - got}; spurious: {got - expected}"
-    )
-
-
-def test_race002_message_names_the_read_and_yield_lines():
-    finding = next(f for f in _corpus_findings("broken")
-                   if f.rule == "RACE002" and f.line == 15)
-    assert "read at line 13" in finding.message
-    assert "yield at line 14" in finding.message
-
-
-def test_clean_corpus_is_silent():
-    assert _corpus_findings("clean") == []
-
-
-def test_real_tree_has_no_unwaived_race_findings(real_sources):
-    flagged = run_rules(real_sources, [cls() for cls in INTERFERENCE_RULES])
-    assert flagged == [], [f"{f.module}:{f.line} {f.rule}" for f in flagged]
-
-
-def test_rule_catalog_lists_the_interference_pass():
-    catalog = rule_catalog()
-    assert {"RACE001", "RACE002", "RACE003"} <= set(catalog)
-
-
-# ----------------------------------------------------------------------
-# Satellite: rules must declare their id at registration time
-# ----------------------------------------------------------------------
-
-def test_rule_without_rule_id_raises_at_registration():
-    class Incomplete(Rule):
-        description = "forgot the id"
-
-        def check(self, src):
-            return iter(())
-
-    with pytest.raises(TypeError, match="rule_id"):
-        Incomplete()
-
-
-def test_rule_with_rule_id_registers_fine():
-    class Complete(Rule):
-        rule_id = "TST001"
-        description = "declared"
-
-        def check(self, src):
-            return iter(())
-
-    assert Complete().rule_id == "TST001"
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +89,35 @@ def test_run_sanitize_eight_seeds_all_stable():
         assert len(result.runs) == 8
         assert result.divergent_seeds == []
     assert "schedule-independent" in report.render()
+
+
+def _claim_race(perturb_seed: int | None) -> str:
+    """Two followers wake at one instant; the first to run claims the slot."""
+    sim = Simulator()
+    claims: dict[str, str] = {}
+
+    def follower(name: str):
+        yield sim.timeout(10)
+        claims.setdefault("slot", name)
+
+    for name in ("f1", "f2"):
+        sim.process(follower(name))
+    if perturb_seed is not None:
+        sim.perturb_ties(perturb_seed)
+    sim.run()
+    return claims["slot"]
+
+
+def test_run_sanitize_catches_a_tie_order_race(monkeypatch):
+    monkeypatch.setitem(SCENARIOS, "race", _claim_race)
+    report = run_sanitize(scenario_names=["race"], seeds=8)
+    assert not report.ok
+    (result,) = report.results
+    assert result.divergent_seeds
+    rendered = report.render()
+    assert "schedule dependence detected" in rendered
+    assert f"seed {result.divergent_seeds[0]}:" in rendered
+    assert "reproduce with this seed" in rendered
 
 
 def test_run_sanitize_validates_arguments():

@@ -96,14 +96,6 @@ def test_breakdown_shares_sum_to_one():
         assert total_share == pytest.approx(1.0)
 
 
-def test_emulated_attest_table_covers_all_providers():
-    assert set(cal.EMULATED_ATTEST_US) == {
-        "ssl-lib", "ssl-server", "sgx", "amd-sev", "tnic"
-    }
-    assert cal.EMULATED_ATTEST_US["ssl-lib"] == 0.0
-    assert cal.EMULATED_ATTEST_US["amd-sev"] == 30.0
-
-
 # ---------------------------------------------------------------------------
 # FPGA model
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Catalog completeness: every shipped rule is explainable and documented.
 
-As rule families accumulated (DET, BND, SEC, TNT, RACE, PERF, LIV)
+As rule families accumulated (DET, BND, SEC, TNT, PERF, LIV)
 nothing verified that a newly registered rule actually lands in
 ``rule_catalog()`` with usable ``--explain`` text and a row in
 ``docs/analysis.md``.  This module closes that drift for every rule at
@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.rules import (
+    Rule,
     default_rules,
     rule_by_id,
     rule_catalog,
@@ -22,9 +23,9 @@ from repro.analysis.rules import (
 
 DOCS = Path(__file__).parent.parent / "docs" / "analysis.md"
 
-#: SIM (001-003) and OBS (001) were retired whole in PR 22; like a
-#: retired number, a retired family prefix is never reused.
-EXPECTED_FAMILIES = {"DET", "BND", "SEC", "TNT", "RACE", "PERF", "LIV"}
+#: SIM (001-003), OBS (001) and RACE (001-003) were retired whole;
+#: like a retired number, a retired family prefix is never reused.
+EXPECTED_FAMILIES = {"DET", "BND", "SEC", "TNT", "PERF", "LIV"}
 
 #: Numbers of retired rules.  Ids are never reused or renumbered —
 #: waivers and SARIF fingerprints key on them — so a family may have
@@ -90,6 +91,28 @@ def test_docs_do_not_promise_rules_that_no_longer_ship():
         f"rules documented in docs/analysis.md but not shipped: "
         f"{sorted(phantom)}"
     )
+
+
+def test_rule_without_rule_id_raises_at_registration():
+    class Incomplete(Rule):
+        description = "forgot the id"
+
+        def check(self, src):
+            return iter(())
+
+    with pytest.raises(TypeError, match="rule_id"):
+        Incomplete()
+
+
+def test_rule_with_rule_id_registers_fine():
+    class Complete(Rule):
+        rule_id = "TST001"
+        description = "declared"
+
+        def check(self, src):
+            return iter(())
+
+    assert Complete().rule_id == "TST001"
 
 
 def test_rule_ids_are_unique_across_passes():

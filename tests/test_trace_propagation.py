@@ -58,7 +58,7 @@ def test_detached_every_carrier_stays_untouched(monkeypatch):
 class _Lookalike:
     """A span's identity fields on something that is not a span."""
 
-    trace_id, span_id, sampled = 1, 1, True
+    trace_id, span_id = 1, 1
 
 
 @pytest.mark.parametrize("carried", [
@@ -72,7 +72,6 @@ def test_a_carried_value_that_is_not_a_span_roots_a_fresh_trace(carried):
     span = span_begin(sim, "roce.rx_verify", parent=meta.get(TRACE_PARENT))
     assert span.parent_id is None
     assert span.trace_id != earlier.trace_id
-    assert span.sampled
 
 
 def test_a_carried_span_is_the_parent_of_the_next_stage():
@@ -184,40 +183,6 @@ def test_sendrecv_trace_trees_byte_identical_across_runs():
         trees.append(hub.spans.tree())
     assert trees[0] == trees[1]
     assert "request.auth_send" in trees[0]
-
-
-# ----------------------------------------------------------------------
-# Deterministic head-based sampling
-# ----------------------------------------------------------------------
-def test_sampling_drops_whole_traces_deterministically():
-    def run():
-        from repro.api import Cluster, auth_send
-        from repro.api.ops import recv
-
-        cluster = Cluster(["alice", "bob"], seed=0)
-        hub = Telemetry.attach(cluster.sim, sample_every=2)
-        conn_a, conn_b = cluster.connect("alice", "bob")
-        for i in range(8):
-            cluster.run(auth_send(conn_a, b"x" * 64))
-            cluster.run()
-            recv(conn_b)
-        return hub
-
-    hub_a, hub_b = run(), run()
-    assert hub_a.spans.sampled_out > 0
-    kept = {s.trace_id for s in hub_a.spans.finished
-            if s.name == "request.auth_send"}
-    assert 0 < len(kept) < 8  # some kept, some dropped
-    # Unsampled traces vanish wholesale: no orphan descendants.
-    for span in hub_a.spans.finished:
-        assert span.sampled
-    assert hub_a.spans.tree() == hub_b.spans.tree()
-    assert hub_a.spans.sampled_out == hub_b.spans.sampled_out
-
-
-def test_default_sampling_keeps_everything():
-    _, hub = _instrumented_workload(2, seed=0, tamper=False)
-    assert hub.spans.sampled_out == 0
 
 
 # ----------------------------------------------------------------------
