@@ -8,8 +8,8 @@ A lint run keeps nothing between runs: every ``collect_findings`` builds
 the function index once and runs each indexed family's pass (taint
 flows, hot path, liveness) once with it, so every run is cold.  The
 table splits one such run by pass — the index, the three indexed
-families and every other family (per-file determinism rules, the
-boundary check, TNT002) — and the budget is asserted on the full run,
+families and every other family (the per-file determinism rules and
+the boundary check) — and the budget is asserted on the full run,
 source parsing included.
 """
 

@@ -12,10 +12,10 @@ turns both into mechanically enforced, CI-gated properties:
 * :mod:`repro.analysis.determinism` — DET001–DET005 determinism lint;
 * :mod:`repro.analysis.boundaries`  — BND001 trusted-boundary DAG checker;
 * :mod:`repro.analysis.dataflow`    — the function index (the call
-  graph every indexed pass shares) and the interprocedural taint engine
-  (per-function summaries, fixpoint propagation);
-* :mod:`repro.analysis.taint`       — SEC001–SEC003 key secrecy and
-  TNT001–TNT002 verified-ingress rules over the dataflow engine;
+  graph every indexed pass shares);
+* :mod:`repro.analysis.taint`       — SEC001–SEC003 key secrecy: the
+  policy and the interprocedural taint engine (per-function summaries,
+  fixpoint propagation) that checks it;
 * :mod:`repro.analysis.hotpath`     — PERF001–PERF006 hot-path cost
   lint (interprocedural reachability from the kernel entry points);
 * :mod:`repro.analysis.liveness`    — LIV001 and LIV005 liveness
@@ -39,14 +39,6 @@ from repro.analysis.boundaries import (
     TrustedBoundaryRule,
     check_boundaries,
     is_trusted,
-)
-from repro.analysis.dataflow import (
-    SinkSpec,
-    SourceSpec,
-    TaintEngine,
-    TaintFlow,
-    TaintManifest,
-    analyze_dataflow,
 )
 from repro.analysis.hotpath import (
     HOTPATH_RULES,
@@ -83,7 +75,7 @@ from repro.analysis.rules import (
     rule_catalog,
     run_rules,
 )
-from repro.analysis.taint import TNIC_MANIFEST
+from repro.analysis.taint import TaintEngine, TaintFlow
 from repro.analysis.walker import (
     SourceFile,
     collect_sources,
@@ -109,19 +101,14 @@ __all__ = [
     "RawCryptoRule",
     "ResourceLeakRule",
     "Rule",
-    "SinkSpec",
     "SourceFile",
-    "SourceSpec",
-    "TNIC_MANIFEST",
     "TRUSTED_PACKAGES",
     "TaintEngine",
     "TaintFlow",
-    "TaintManifest",
     "TcbReport",
     "TrustedBoundaryRule",
     "UnboundedNetworkWaitRule",
     "UngatedEmitRule",
-    "analyze_dataflow",
     "analyze_paths",
     "apply_suppressions",
     "check_boundaries",

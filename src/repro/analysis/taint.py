@@ -1,36 +1,48 @@
-"""Key-secrecy and untrusted-input taint rules (SEC001–003, TNT001–002).
+"""Key-secrecy taint rules (SEC001–SEC003) and the engine behind them.
 
-TNIC's security argument (§4, §6) makes two flow claims this module
-turns into lint rules on top of :mod:`repro.analysis.dataflow`:
+TNIC's security argument (§4) needs session/HW key material to live in
+the attestation kernel's Keystore and never leave the TCB.
+``tests/test_secrecy.py`` checks this dynamically for the modelled
+protocol runs; the SEC rules check it statically for *every* path in
+the code:
 
-1. **Key secrecy** — session/HW key material lives in the attestation
-   kernel's Keystore and never leaves the TCB.  ``tests/test_secrecy.py``
-   checks this dynamically for the modelled protocol runs; the SEC rules
-   check it statically for *every* path in the code:
+* ``SEC001`` — key material reaches a wire / log / telemetry /
+  serialization sink, or is passed to an untrusted layer;
+* ``SEC002`` — key material compared with ``==`` / ``!=`` (timing
+  side channel; use ``hmac.compare_digest``);
+* ``SEC003`` — key material stored in an attribute / container of a
+  module outside the TCB packages.
 
-   * ``SEC001`` — key material reaches a wire / log / telemetry /
-     serialization sink, or is passed to an untrusted layer;
-   * ``SEC002`` — key material compared with ``==`` / ``!=`` (timing
-     side channel; use ``hmac.compare_digest``);
-   * ``SEC003`` — key material stored in an attribute / container of a
-     module outside the TCB packages.
+The policy is the module constants below: where key material is born
+(:data:`KEY_CALLS`, :data:`KEY_ATTRIBUTES`, :data:`KEY_PARAMS` — the
+Keystore's ``mac_for`` / ``_session_macs``, since a session key is
+kept as a keyed HMAC state, which forges an α as well as the key it
+absorbed; ``_hw_keys`` reads; ``key`` parameters of TCB modules),
+where it must never arrive (:data:`SINKS`), and which calls launder it
+(:data:`SANITIZERS`: HMAC computation and the attestation-verify
+family — their outputs are safe to share by construction; keying a
+state is not one of them).
 
-2. **Verified ingress** — every untrusted wire input passes attestation
-   verification before it can mutate trusted state:
+The failures the argument worries about are *flow* failures — key
+material reaching a log sink through two or three calls — so the
+engine is interprocedural, over the function index of
+:mod:`repro.analysis.dataflow` (calls resolved by trailing dotted
+name, deliberately over-approximate):
 
-   * ``TNT001`` — a received packet reaches a counter advance or
-     keystore mutation without passing a verify sanitizer;
-   * ``TNT002`` — a verification result is discarded (a bare-statement
-     call to a verify-family function).
+* **per-function summaries** (:class:`Summary`): which parameters flow
+  to the return value, whether the return is key material
+  unconditionally, and which parameters reach a sink inside the
+  function or its callees;
+* a **fixpoint driver** that re-analyses functions until summaries
+  stabilise, so a secret that crosses three calls before hitting a sink
+  is still reported — at the call site where the tainted value entered
+  the offending chain, with the hop chain in the message.
 
-:data:`TNIC_MANIFEST` is the declarative policy: where taint is born
-(``_hw_keys`` reads, ``key`` parameters of TCB modules, and the
-Keystore's ``mac_for`` / ``_session_macs`` — a session key is kept as a
-keyed HMAC state, which forges an α as well as the key it absorbed and
-so carries the same tag — and the ``packet`` parameter of the ingress
-handlers), where it must never arrive, and which calls launder it (HMAC
-computation and the attestation-verify family — their outputs are safe
-to share by construction; keying a state is not one of them).
+The analysis is flow-insensitive inside a function (assignments are
+accumulated to a per-name fixpoint) and field-insensitive (an attribute
+read carries its object's taint).  Both choices over-approximate, which
+is the right failure mode for a secrecy lint: a false positive is a
+waiver away, a false negative is a leaked key.
 """
 
 from __future__ import annotations
@@ -38,149 +50,534 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Sequence
 
+from repro.analysis.boundaries import TRUSTED_PACKAGES
 from repro.analysis.dataflow import (
+    MAX_CALL_CANDIDATES,
     FunctionInfo,
-    SinkSpec,
-    SourceSpec,
-    TaintEngine,
-    TaintFlow,
-    TaintManifest,
     call_name,
+    module_under,
     pattern_matches,
 )
-from repro.analysis.rules import Finding, IndexedRule, Rule
+from repro.analysis.rules import Finding, IndexedRule
 from repro.analysis.walker import SourceFile
+from repro.sim.record import Record, record
 
-#: The paper's TCB packages (mirrors boundaries.TRUSTED_PACKAGES; kept
-#: literal here so the manifest is one self-contained declaration).
-_TCB = ("repro.core", "repro.crypto", "repro.roce")
+#: Keystore reads: a session's keyed HMAC state is all the Keystore
+#: holds of its key, and all a forger needs of it.  A matching call's
+#: return value is key material (``"mac_for"`` matches
+#: ``self.keystore.mac_for``).
+KEY_CALLS = ("mac_for",)
 
-TNIC_MANIFEST = TaintManifest(
-    sources=(
-        # Keystore reads: a session's keyed HMAC state is all the
-        # Keystore holds of its key, and all a forger needs of it.
-        SourceSpec(tag="key", call="mac_for"),
-        SourceSpec(tag="key", attribute="_session_macs"),
-        # Direct reads of the manufacturer/vendor HW-key tables of §3.2.
-        SourceSpec(tag="key", attribute="_hw_keys"),
-        # Inside the TCB, parameters carrying key material are secrets
-        # from birth (callers outside can only have obtained them from
-        # the sources above, which interprocedural propagation covers).
-        SourceSpec(tag="key", param="key", packages=_TCB),
-        SourceSpec(tag="key", param="session_key", packages=_TCB),
-        SourceSpec(tag="key", param="hw_key", packages=_TCB),
-        # Raw wire ingress: the MAC hands every received packet to its
-        # ingress handler (``RoceKernel.ingress``), so untrusted bytes
-        # are the ``packet`` parameter of the link and transport layers.
-        SourceSpec(tag="wire", param="packet",
-                   packages=("repro.net", "repro.roce")),
-    ),
-    sinks=(
-        # Logging.
-        SinkSpec("key", "log", "print"),
-        SinkSpec("key", "log", "logging.*"),
-        # Telemetry (repro.telemetry via the repro.sim.instrument hooks).
-        SinkSpec("key", "telemetry", "emit"),
-        SinkSpec("key", "telemetry", "count"),
-        SinkSpec("key", "telemetry", "gauge_set"),
-        SinkSpec("key", "telemetry", "observe"),
-        SinkSpec("key", "telemetry", "flight_trigger"),
-        SinkSpec("key", "telemetry", "span_begin"),
-        # Serialization.
-        SinkSpec("key", "serialize", "json.dumps"),
-        SinkSpec("key", "serialize", "json.dump"),
-        SinkSpec("key", "serialize", "pickle.dumps"),
-        SinkSpec("key", "serialize", "pickle.dump"),
-        # Wire transmit.
-        SinkSpec("key", "wire", "transmit"),
-        SinkSpec("key", "wire", "post_send"),
-        # Trusted-state mutation gated on verification (§6): counter
-        # advance and keystore writes must never consume raw wire bytes.
-        SinkSpec("wire", "trusted-state", "advance_recv"),
-        SinkSpec("wire", "trusted-state", "next_send"),
-        SinkSpec("wire", "trusted-state", "install"),
-        SinkSpec("wire", "trusted-state", "install_session"),
-    ),
-    sanitizers=(
-        # MAC/hash computation: outputs are safe to share by construction.
-        # ``KeyedHmac.mac`` is the MAC boundary — what ``KeyedHmac(key)``
-        # returns is still the key, absorbed; only its MACs are clean.
-        "mac",
-        "mac_encoded",
-        "hmac_sha256",
-        "sha256",
-        # Constant-time comparison and the attestation-verify family.
-        "compare_digest",
-        "verify_encoded",
-        "hmac_verify",
-        "batch_verify",
-        "verify",
-        "verify_event",
-        "check_transferable",
-        "local_verify",
-    ),
-    compare_tags=("key",),
-    store_tags=("key",),
-    store_outside_packages=_TCB,
-    untrusted_call_tags=("key",),
-    trusted_packages=_TCB,
+#: Attribute reads that yield key material: the Keystore's session
+#: states and the manufacturer/vendor HW-key tables of §3.2.
+KEY_ATTRIBUTES = ("_session_macs", "_hw_keys")
+
+#: Inside the TCB, parameters carrying key material are secrets from
+#: birth (callers outside can only have obtained them from the sources
+#: above, which interprocedural propagation covers).
+KEY_PARAMS = ("key", "session_key", "hw_key")
+
+#: ``(kind, call pattern)``: calls that must never receive key
+#: material.  The kind is the word SEC001's message names the sink by.
+SINKS = (
+    # Logging.
+    ("log", "print"),
+    ("log", "logging.*"),
+    # Telemetry (repro.telemetry via the repro.sim.instrument hooks).
+    ("telemetry", "emit"),
+    ("telemetry", "count"),
+    ("telemetry", "gauge_set"),
+    ("telemetry", "observe"),
+    ("telemetry", "flight_trigger"),
+    ("telemetry", "span_begin"),
+    # Serialization.
+    ("serialization", "json.dumps"),
+    ("serialization", "json.dump"),
+    ("serialization", "pickle.dumps"),
+    ("serialization", "pickle.dump"),
+    # Wire transmit.
+    ("wire-transmit", "transmit"),
+    ("wire-transmit", "post_send"),
 )
 
-#: Verify-family calls whose result must be consumed (TNT002).  The
-#:  boolean verifiers are the dangerous ones: discarding the bool means
-#:  the caller proceeds as if verification had happened.
-_DISCARD_CHECKED = (
+#: Dotted-suffix patterns; a matching call returns *clean* data and is
+#: never itself a sink (verification consumes secrets by design).
+SANITIZERS = (
+    # MAC/hash computation: outputs are safe to share by construction.
+    # ``KeyedHmac.mac`` is the MAC boundary — what ``KeyedHmac(key)``
+    # returns is still the key, absorbed; only its MACs are clean.
+    "mac",
+    "mac_encoded",
+    "hmac_sha256",
+    "sha256",
+    # Constant-time comparison and the attestation-verify family.
+    "compare_digest",
     "verify_encoded",
     "hmac_verify",
+    "batch_verify",
+    "verify",
+    "verify_event",
     "check_transferable",
     "local_verify",
-    "verify_event",
 )
 
+#: Labels are either the taint itself (``KEY``) or parameter tokens
+#: (``"@name"``) used while a function is summarised symbolically.
+KEY = "key"
+_PARAM_PREFIX = "@"
 
-#: SEC001's sink kinds, as its message words them.
-_SINK_WORDS = {
-    "log": "log",
-    "telemetry": "telemetry",
-    "serialize": "serialization",
-    "wire": "wire-transmit",
-    "untrusted-call": "untrusted-layer",
-}
+#: Project-wide summary iterations (call-graph cycles converge fast).
+MAX_FIXPOINT_PASSES = 10
+
+#: Per-function env-propagation iterations (loops converge fast too).
+MAX_LOCAL_PASSES = 6
 
 
-def _flow_rule(flow: TaintFlow) -> tuple[str, str] | None:
-    """``(rule id, message)`` for one engine flow, or None if no rule owns it."""
+@record
+class SinkHit(Record):
+    """A sink reached by one of a function's parameters (transitively)."""
+
+    kind: str
+    sink: str
+    via: tuple[str, ...] = ()
+
+
+@record
+class Summary(Record):
+    """What a function does with taint, as seen from a call site."""
+
+    param_to_return: frozenset[str] = frozenset()
+    returns_key: bool = False
+    param_sinks: tuple[tuple[str, tuple[SinkHit, ...]], ...] = ()
+
+    def sinks_for(self, param: str) -> tuple[SinkHit, ...]:
+        for name, hits in self.param_sinks:
+            if name == param:
+                return hits
+        return ()
+
+
+_NO_SUMMARY = Summary()
+
+
+@record
+class TaintFlow(Record):
+    """Key material reaching one sink, at one source location."""
+
+    kind: str
+    sink: str
+    module: str
+    path: str
+    line: int
+    col: int
+    via: tuple[str, ...] = ()
+
+    def describe_path(self) -> str:
+        if not self.via:
+            return ""
+        return " via " + " -> ".join(f"`{hop}`" for hop in self.via)
+
+
+# ----------------------------------------------------------------------
+# Per-function analysis
+# ----------------------------------------------------------------------
+
+class _FunctionPass:
+    """Analyse one function body against the current summaries."""
+
+    def __init__(self, engine: "TaintEngine", fn: FunctionInfo) -> None:
+        self.engine = engine
+        self.fn = fn
+        self.env: dict[str, set[str]] = {}
+        self.return_labels: set[str] = set()
+        self.param_sinks: dict[str, set[SinkHit]] = {}
+        self.flows: list[TaintFlow] = []
+        self._flow_keys: set[tuple] = set()
+        in_tcb = module_under(fn.module, TRUSTED_PACKAGES)
+        for name in (*fn.params, *( (fn.vararg,) if fn.vararg else () )):
+            labels = {_PARAM_PREFIX + name}
+            if in_tcb and name in KEY_PARAMS:
+                labels.add(KEY)
+            self.env[name] = labels
+
+    # -- driver --------------------------------------------------------
+    def run(self) -> None:
+        body = self.fn.node.body
+        for _ in range(MAX_LOCAL_PASSES):
+            before = {name: set(labels) for name, labels in self.env.items()}
+            self._walk(body, record=False)
+            if self.env == before:
+                break
+        self.return_labels.clear()
+        self.param_sinks.clear()
+        self.flows.clear()
+        self._flow_keys.clear()
+        self._walk(body, record=True)
+
+    def summary(self) -> Summary:
+        params = set(self.fn.params)
+        if self.fn.vararg:
+            params.add(self.fn.vararg)
+        passthrough = frozenset(
+            p for p in params if _PARAM_PREFIX + p in self.return_labels
+        )
+        sinks = tuple(
+            (name, tuple(sorted(hits, key=lambda h: (h.kind, h.sink, h.via))))
+            for name, hits in sorted(self.param_sinks.items())
+        )
+        return Summary(param_to_return=passthrough,
+                       returns_key=KEY in self.return_labels,
+                       param_sinks=sinks)
+
+    # -- statements ----------------------------------------------------
+    def _walk(self, stmts: Sequence[ast.stmt], record: bool) -> None:
+        for stmt in stmts:
+            self._stmt(stmt, record)
+
+    def _stmt(self, stmt: ast.stmt, record: bool) -> None:
+        if isinstance(stmt, ast.Expr):
+            self._eval(stmt.value, record)
+        elif isinstance(stmt, ast.Assign):
+            labels = self._eval(stmt.value, record)
+            for target in stmt.targets:
+                self._assign(target, labels, record)
+        elif isinstance(stmt, ast.AnnAssign):
+            if stmt.value is not None:
+                self._assign(stmt.target, self._eval(stmt.value, record), record)
+        elif isinstance(stmt, ast.AugAssign):
+            labels = self._eval(stmt.value, record)
+            if isinstance(stmt.target, ast.Name):
+                labels |= self.env.get(stmt.target.id, set())
+            self._assign(stmt.target, labels, record)
+        elif isinstance(stmt, ast.Return):
+            if stmt.value is not None:
+                self.return_labels |= self._eval(stmt.value, record)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            self._assign(stmt.target, self._eval(stmt.iter, record), record)
+            self._walk(stmt.body, record)
+            self._walk(stmt.orelse, record)
+        elif isinstance(stmt, ast.While):
+            self._eval(stmt.test, record)
+            self._walk(stmt.body, record)
+            self._walk(stmt.orelse, record)
+        elif isinstance(stmt, ast.If):
+            self._eval(stmt.test, record)
+            self._walk(stmt.body, record)
+            self._walk(stmt.orelse, record)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                labels = self._eval(item.context_expr, record)
+                if item.optional_vars is not None:
+                    self._assign(item.optional_vars, labels, record)
+            self._walk(stmt.body, record)
+        elif isinstance(stmt, ast.Try):
+            self._walk(stmt.body, record)
+            for handler in stmt.handlers:
+                self._walk(handler.body, record)
+            self._walk(stmt.orelse, record)
+            self._walk(stmt.finalbody, record)
+        elif isinstance(stmt, ast.Raise):
+            if stmt.exc is not None:
+                self._eval(stmt.exc, record)
+        elif isinstance(stmt, ast.Assert):
+            self._eval(stmt.test, record)
+            if stmt.msg is not None:
+                self._eval(stmt.msg, record)
+        # Nested defs, imports, pass, etc.: no dataflow tracked.
+
+    def _assign(self, target: ast.expr, labels: set[str], record: bool) -> None:
+        if isinstance(target, ast.Name):
+            self.env.setdefault(target.id, set()).update(labels)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                self._assign(elt, labels, record)
+        elif isinstance(target, ast.Starred):
+            self._assign(target.value, labels, record)
+        elif isinstance(target, (ast.Attribute, ast.Subscript)):
+            if not module_under(self.fn.module, TRUSTED_PACKAGES):
+                try:
+                    rendered = ast.unparse(target)
+                except Exception:  # pragma: no cover - unparse is total on valid ASTs
+                    rendered = "<store>"
+                self._hit("store", f"assignment to `{rendered}`",
+                          labels, target, record)
+
+    # -- expressions ---------------------------------------------------
+    def _eval(self, node: ast.expr | None, record: bool) -> set[str]:
+        if node is None:
+            return set()
+        if isinstance(node, ast.Name):
+            return set(self.env.get(node.id, ()))
+        if isinstance(node, ast.Constant):
+            return set()
+        if isinstance(node, ast.Attribute):
+            labels = self._eval(node.value, record)
+            if node.attr in KEY_ATTRIBUTES:
+                labels = labels | {KEY}
+            return labels
+        if isinstance(node, ast.Call):
+            return self._call(node, record)
+        if isinstance(node, ast.Compare):
+            self._compare(node, record)
+            return set()
+        if isinstance(node, ast.BinOp):
+            return self._eval(node.left, record) | self._eval(node.right, record)
+        if isinstance(node, ast.BoolOp):
+            out: set[str] = set()
+            for value in node.values:
+                out |= self._eval(value, record)
+            return out
+        if isinstance(node, ast.UnaryOp):
+            return self._eval(node.operand, record)
+        if isinstance(node, ast.IfExp):
+            self._eval(node.test, record)
+            return self._eval(node.body, record) | self._eval(node.orelse, record)
+        if isinstance(node, ast.Subscript):
+            return self._eval(node.value, record) | self._eval(node.slice, record)
+        if isinstance(node, ast.Slice):
+            return (self._eval(node.lower, record)
+                    | self._eval(node.upper, record)
+                    | self._eval(node.step, record))
+        if isinstance(node, ast.JoinedStr):
+            out = set()
+            for value in node.values:
+                out |= self._eval(value, record)
+            return out
+        if isinstance(node, ast.FormattedValue):
+            return self._eval(node.value, record)
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            out = set()
+            for elt in node.elts:
+                out |= self._eval(elt, record)
+            return out
+        if isinstance(node, ast.Dict):
+            out = set()
+            for key in node.keys:
+                if key is not None:
+                    out |= self._eval(key, record)
+            for value in node.values:
+                out |= self._eval(value, record)
+            return out
+        if isinstance(node, ast.Starred):
+            return self._eval(node.value, record)
+        if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
+            return self._eval(node.value, record)
+        if isinstance(node, ast.NamedExpr):
+            labels = self._eval(node.value, record)
+            self._assign(node.target, labels, record)
+            return labels
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            for gen in node.generators:
+                self._assign(gen.target, self._eval(gen.iter, record), record)
+                for cond in gen.ifs:
+                    self._eval(cond, record)
+            return self._eval(node.elt, record)
+        if isinstance(node, ast.DictComp):
+            for gen in node.generators:
+                self._assign(gen.target, self._eval(gen.iter, record), record)
+                for cond in gen.ifs:
+                    self._eval(cond, record)
+            return self._eval(node.key, record) | self._eval(node.value, record)
+        if isinstance(node, ast.Lambda):
+            return set()
+        return set()
+
+    def _compare(self, node: ast.Compare, record: bool) -> None:
+        labels = self._eval(node.left, record)
+        for comparator in node.comparators:
+            labels |= self._eval(comparator, record)
+        if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            self._hit("compare", "`==`/`!=` comparison", labels, node, record)
+
+    def _call(self, node: ast.Call, record: bool) -> set[str]:
+        func = node.func
+        cname = call_name(func)
+        base_labels: set[str] = set()
+        if isinstance(func, ast.Attribute):
+            base_labels = self._eval(func.value, record)
+        elif not isinstance(func, ast.Name):
+            base_labels = self._eval(func, record)
+
+        positional: list[set[str]] = []
+        for arg in node.args:
+            if isinstance(arg, ast.Starred):
+                positional.append(self._eval(arg.value, record))
+            else:
+                positional.append(self._eval(arg, record))
+        keywords: list[tuple[str | None, set[str]]] = [
+            (kw.arg, self._eval(kw.value, record)) for kw in node.keywords
+        ]
+        all_arg_labels = [*positional, *(labels for _, labels in keywords)]
+
+        if cname is not None:
+            if any(pattern_matches(p, cname) for p in SANITIZERS):
+                return set()
+            if any(pattern_matches(p, cname) for p in KEY_CALLS):
+                return {KEY}
+            for kind, pattern in SINKS:
+                if pattern_matches(pattern, cname):
+                    for labels in all_arg_labels:
+                        self._hit(kind, f"{cname}()", labels, node, record)
+
+        result: set[str] = set()
+        candidates = self._resolve(cname)
+        if candidates:
+            attr_call = isinstance(func, ast.Attribute)
+            summaries = self.engine.summaries
+            for cand in candidates:
+                summary = summaries.get(cand, _NO_SUMMARY)
+                for pname, labels in self._map_args(
+                    cand, positional, keywords, attr_call
+                ):
+                    for hit in summary.sinks_for(pname):
+                        via = (f"{cand.display}()",) + hit.via
+                        if len(via) <= 4:
+                            self._hit(hit.kind, hit.sink, labels,
+                                      node, record, via=via)
+                    if pname in summary.param_to_return:
+                        result |= labels
+                if summary.returns_key:
+                    result.add(KEY)
+            if module_under(self.fn.module, TRUSTED_PACKAGES):
+                # By-name resolution is over-approximate, so only flag
+                # when *every* candidate lives outside the TCB — a mixed
+                # set plausibly targets the trusted definition.
+                if not any(
+                    module_under(c.module, TRUSTED_PACKAGES) for c in candidates
+                ):
+                    target = candidates[0].qualname
+                    for labels in all_arg_labels:
+                        self._hit("untrusted-layer", f"{target}()",
+                                  labels, node, record)
+        else:
+            for labels in all_arg_labels:
+                result |= labels
+        return result | base_labels
+
+    def _resolve(self, cname: str | None) -> list[FunctionInfo]:
+        if cname is None:
+            return []
+        final = cname.rsplit(".", 1)[-1]
+        candidates = self.engine.by_name.get(final, [])
+        if 0 < len(candidates) <= MAX_CALL_CANDIDATES:
+            return candidates
+        return []
+
+    @staticmethod
+    def _map_args(
+        cand: FunctionInfo,
+        positional: Sequence[set[str]],
+        keywords: Sequence[tuple[str | None, set[str]]],
+        attr_call: bool,
+    ) -> list[tuple[str, set[str]]]:
+        params = list(cand.params)
+        if attr_call and cand.is_method and params and params[0] in ("self", "cls"):
+            params = params[1:]
+        out: list[tuple[str, set[str]]] = []
+        for index, labels in enumerate(positional):
+            if index < len(params):
+                out.append((params[index], labels))
+            elif cand.vararg is not None:
+                out.append((cand.vararg, labels))
+        names = set(cand.params)
+        for name, labels in keywords:
+            if name is not None and name in names:
+                out.append((name, labels))
+        return out
+
+    # -- recording -----------------------------------------------------
+    def _hit(
+        self,
+        kind: str,
+        sink: str,
+        labels: set[str],
+        node: ast.AST,
+        record: bool,
+        via: tuple[str, ...] = (),
+    ) -> None:
+        for label in labels:
+            if label.startswith(_PARAM_PREFIX):
+                self.param_sinks.setdefault(label[1:], set()).add(
+                    SinkHit(kind=kind, sink=sink, via=via)
+                )
+        if record and KEY in labels:
+            key = (kind, sink, node.lineno, node.col_offset, via)
+            if key not in self._flow_keys:
+                self._flow_keys.add(key)
+                self.flows.append(TaintFlow(
+                    kind=kind, sink=sink, module=self.fn.module,
+                    path=str(self.fn.src.path), line=node.lineno,
+                    col=node.col_offset, via=via,
+                ))
+
+
+# ----------------------------------------------------------------------
+# Engine
+# ----------------------------------------------------------------------
+
+class TaintEngine:
+    """Project-wide key-secrecy analysis over the function index.
+
+    *functions* is the :func:`~repro.analysis.dataflow.index_functions`
+    index; :attr:`summaries` maps each of its functions to the summary
+    the fixpoint has reached (empty until :meth:`run`).
+    """
+
+    def __init__(self, functions: list[FunctionInfo]) -> None:
+        self.functions = functions
+        self.summaries: dict[FunctionInfo, Summary] = {}
+        self.by_name: dict[str, list[FunctionInfo]] = {}
+        for info in functions:
+            self.by_name.setdefault(info.name, []).append(info)
+
+    def run(self) -> list[TaintFlow]:
+        for _ in range(MAX_FIXPOINT_PASSES):
+            changed = False
+            for fn in self.functions:
+                single = _FunctionPass(self, fn)
+                single.run()
+                summary = single.summary()
+                if summary != self.summaries.get(fn, _NO_SUMMARY):
+                    self.summaries[fn] = summary
+                    changed = True
+            if not changed:
+                break
+        flows: list[TaintFlow] = []
+        for fn in self.functions:
+            final = _FunctionPass(self, fn)
+            final.run()
+            flows.extend(final.flows)
+        flows.sort(key=lambda f: (f.path, f.line, f.col, f.kind, f.sink))
+        return flows
+
+
+# ----------------------------------------------------------------------
+# Rules
+# ----------------------------------------------------------------------
+
+def _flow_rule(flow: TaintFlow) -> tuple[str, str]:
+    """``(rule id, message)`` for one engine flow."""
     path = flow.describe_path()
-    if flow.tag == "key" and flow.kind in _SINK_WORDS:
-        return "SEC001", (
-            f"key material reaches {_SINK_WORDS[flow.kind]} sink "
-            f"`{flow.sink}`{path}")
-    if flow.tag == "key" and flow.kind == "compare":
+    if flow.kind == "compare":
         return "SEC002", (
             "key material compared with `==`/`!=` (timing side channel)"
             f"{path}; use hmac.compare_digest")
-    if flow.tag == "key" and flow.kind == "store":
+    if flow.kind == "store":
         return "SEC003", f"key material stored outside the TCB: {flow.sink}{path}"
-    if flow.tag == "wire" and flow.kind == "trusted-state":
-        return "TNT001", (
-            f"unverified wire input reaches trusted state `{flow.sink}`"
-            f"{path}; verify before mutating")
-    return None
+    return "SEC001", f"key material reaches {flow.kind} sink `{flow.sink}`{path}"
 
 
 def flow_findings(
     sources: Sequence[SourceFile], functions: list[FunctionInfo],
 ) -> Iterator[Finding]:
-    """The flow rules' one pass: the taint engine's flows, as findings."""
+    """The SEC family's one pass: the taint engine's flows, as findings."""
     by_path = {str(src.path): src for src in sources}
-    for flow in TaintEngine(functions, TNIC_MANIFEST).run():
-        owner = _flow_rule(flow)
-        if owner is None:
-            continue
+    for flow in TaintEngine(functions).run():
+        rule_id, message = _flow_rule(flow)
         src = by_path.get(flow.path)
         yield Finding(
-            rule=owner[0], module=flow.module, path=flow.path,
-            line=flow.line, col=flow.col, message=owner[1],
+            rule=rule_id, module=flow.module, path=flow.path,
+            line=flow.line, col=flow.col, message=message,
             snippet=src.line_text(flow.line) if src is not None else "",
         )
 
@@ -243,60 +640,4 @@ class KeyEscrowRule(_FlowRule):
     )
 
 
-class UnverifiedIngressRule(_FlowRule):
-    rule_id = "TNT001"
-    description = (
-        "unverified wire bytes reach trusted-state mutation (counter "
-        "advance / keystore write) without a verify sanitizer (§6)"
-    )
-    explanation = (
-        "Algorithm 1 only advances `recv_cnt` after a fully successful\n"
-        "verification; the formal lemmas (§6) lean on that ordering.\n"
-        "This rule follows received packets (the `packet` parameter of\n"
-        "the MAC and RoCE ingress handlers) and fires when they reach\n"
-        "`advance_recv`, `next_send`, `install` or `install_session`\n"
-        "without first passing `verify`/`verify_event`/`verify_encoded`/\n"
-        "`hmac_verify`/`check_transferable` (whose outputs are clean)."
-    )
-
-
-class DiscardedVerifyRule(Rule):
-    rule_id = "TNT002"
-    description = (
-        "attestation/verification result discarded (bare-statement call "
-        "to a verify-family function)"
-    )
-    explanation = (
-        "A verification that nobody reads is a verification that never\n"
-        "happened: `verify_encoded`, `hmac_verify`, `check_transferable`,\n"
-        "`local_verify` and `verify_event` report their outcome through\n"
-        "the return value (a bool or an event), so calling them as a bare\n"
-        "statement means the caller proceeds regardless of the result."
-    )
-
-    def check(self, src: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(src.tree):
-            if not isinstance(node, ast.Expr):
-                continue
-            value = node.value
-            if isinstance(value, (ast.Yield, ast.Await)) and value.value is not None:
-                value = value.value
-            if not isinstance(value, ast.Call):
-                continue
-            cname = call_name(value.func)
-            if cname is None:
-                continue
-            if any(pattern_matches(p, cname) for p in _DISCARD_CHECKED):
-                yield self.finding(
-                    src, value.lineno, value.col_offset,
-                    f"result of `{cname}()` is discarded; bind and check it",
-                )
-
-
-TAINT_RULES = (
-    KeyToSinkRule,
-    KeyCompareRule,
-    KeyEscrowRule,
-    UnverifiedIngressRule,
-    DiscardedVerifyRule,
-)
+TAINT_RULES = (KeyToSinkRule, KeyCompareRule, KeyEscrowRule)

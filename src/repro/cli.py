@@ -10,7 +10,7 @@ capabilities without writing code:
 * ``attack``     — run the adversary campaigns and report the outcome.
 * ``resources``  — the Table-5 / Figure-13 FPGA resource analysis.
 * ``lint``       — the static-analysis passes (determinism, trusted
-  boundaries, key-secrecy/ingress taint, hot-path cost, liveness).
+  boundaries, key-secrecy taint, hot-path cost, liveness).
 * ``sanitize``   — the one check of schedule independence: tier-1
   protocol scenarios under N seeded tie shuffles; final-state digests
   must match.
@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static analysis: determinism, trusted boundaries, "
-             "key-secrecy/ingress taint, hot-path cost, liveness",
+             "key-secrecy taint, hot-path cost, liveness",
     )
     lint.add_argument(
         "paths", nargs="*",

@@ -12,11 +12,8 @@ crypto engines is modelled, in :mod:`repro.sim.latency`.
 * :mod:`~repro.crypto.rsa` — a compact textbook RSA signature scheme
   (Miller–Rabin keygen, hash-then-sign) standing in for the device /
   controller / IP-vendor key pairs of the bootstrapping protocol (§4.3).
-* :mod:`~repro.crypto.certificates` — signed certificates and chain
-  verification used by remote attestation.
-
-The last two serve only the bootstrapping protocol and the clients'
-signatures, so they are imported from their modules, not from here.
+  It serves only the bootstrapping protocol and the clients'
+  signatures, so it is imported from its module, not from here.
 """
 
 from repro.crypto.hashing import sha256, sha256_hex

@@ -111,10 +111,6 @@ DRCT_IO_ATT_COLLAPSE_US = 2000.0
 #: traversed once instead of twice.
 TNIC_ATT_HMAC_SHARE = 0.55
 
-#: MTU handling for the software stacks.
-ETHERNET_MTU_BYTES = 1500
-ETHERNET_METADATA_BYTES = 40
-
 #: 100 Gb wire: 12.5 bytes per nanosecond = 12500 bytes per microsecond.
 WIRE_BANDWIDTH_BYTES_PER_US = 12_500.0
 WIRE_PROPAGATION_US = 1.0

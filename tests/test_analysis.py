@@ -225,7 +225,7 @@ def test_rule_catalog_lists_every_pass():
     catalog = rule_catalog()
     assert {"DET001", "DET002", "DET003", "DET004", "DET005",
             "BND001",
-            "SEC001", "SEC002", "SEC003", "TNT001", "TNT002"} <= set(catalog)
+            "SEC001", "SEC002", "SEC003"} <= set(catalog)
     assert all(catalog.values())
 
 

@@ -11,7 +11,6 @@ from repro.crypto import (
     sha256,
     verification_cache_stats,
 )
-from repro.crypto.certificates import Certificate, CertificateError, verify_chain
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.hashing import canonical_bytes
 from repro.sim import Simulator
@@ -112,57 +111,6 @@ def test_rsa_signature_out_of_range_rejected():
     keys = generate_keypair(seed=1)
     assert not keys.public.verify(b"m", 0)
     assert not keys.public.verify(b"m", keys.public.modulus + 5)
-
-
-def test_certificate_issue_and_verify():
-    issuer = generate_keypair(seed="issuer")
-    subject = generate_keypair(seed="subject")
-    cert = Certificate.issue(
-        "vendor", issuer, "device-1", subject.public, {"measurement": b"abc"}
-    )
-    cert.verify(issuer.public)
-
-
-def test_certificate_tamper_detected():
-    issuer = generate_keypair(seed="issuer")
-    subject = generate_keypair(seed="subject")
-    cert = Certificate.issue(
-        "vendor", issuer, "device-1", subject.public, {"measurement": b"abc"}
-    )
-    forged = Certificate(
-        subject="device-2",
-        subject_key=cert.subject_key,
-        payload=cert.payload,
-        issuer=cert.issuer,
-        signature=cert.signature,
-    )
-    with pytest.raises(CertificateError):
-        forged.verify(issuer.public)
-
-
-def test_certificate_chain():
-    root = generate_keypair(seed="root")
-    mid = generate_keypair(seed="mid")
-    leaf = generate_keypair(seed="leaf")
-    mid_cert = Certificate.issue("root", root, "mid", mid.public, {})
-    leaf_cert = Certificate.issue("mid", mid, "leaf", leaf.public, {})
-    verify_chain([leaf_cert, mid_cert], {"root": root.public})
-
-    with pytest.raises(CertificateError):
-        verify_chain([leaf_cert, mid_cert], {"other": root.public})
-    with pytest.raises(CertificateError):
-        verify_chain([], {"root": root.public})
-
-
-def test_certificate_chain_broken_link():
-    root = generate_keypair(seed="root")
-    mid = generate_keypair(seed="mid")
-    leaf = generate_keypair(seed="leaf")
-    mid_cert = Certificate.issue("root", root, "mid", mid.public, {})
-    # Leaf claims an issuer that doesn't match the next certificate.
-    leaf_cert = Certificate.issue("elsewhere", mid, "leaf", leaf.public, {})
-    with pytest.raises(CertificateError, match="broken chain"):
-        verify_chain([leaf_cert, mid_cert], {"root": root.public})
 
 
 # ----------------------------------------------------------------------

@@ -64,7 +64,7 @@ def _sample(cls: type) -> Record:
 
 def test_every_record_module_is_collected():
     names = {f"{cls.__module__}.{cls.__qualname__}" for cls in RECORDS}
-    assert len(RECORDS) >= 74
+    assert len(RECORDS) >= 70
     assert {"repro.net.packet.Packet", "repro.core.attestation.AttestedMessage",
             "repro.systems.bft.Reply", "repro.systems.raft.AppendEntries"} <= names
 
@@ -178,7 +178,6 @@ UNUSED_BY_RUNS = (
     "repro.api.transform",
     "repro.bench.report",
     "repro.core.resources",
-    "repro.crypto.certificates",
     "repro.crypto.rsa",
     "repro.tee.sgx_memory",
 )

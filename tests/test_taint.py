@@ -1,4 +1,4 @@
-"""Tests for the interprocedural taint engine and the SEC/TNT rules.
+"""Tests for the interprocedural taint engine and the SEC rules.
 
 Two layers: engine-level unit tests (summaries, sanitizers, fixpoint,
 call resolution) against synthetic modules, and corpus tests against
@@ -6,9 +6,10 @@ call resolution) against synthetic modules, and corpus tests against
 be detected (no false negatives) and ``clean/`` must stay silent (the
 false-positive guard).  The real tree's cleanliness is covered by
 ``test_analysis.py::test_shipped_codebase_lints_clean_and_every_waiver_waives``;
-here each SEC/TNT rule additionally proves it can fire on the real tree:
-one mutation of a shipped module per rule (ROADMAP item 5's admission
-price — a rule whose mutation cannot be made to fire is deleted).
+here each SEC rule additionally proves it can fire on the real tree:
+one mutation of a shipped module per rule (ROADMAP item 8's guard rail
+— a rule is retired only when a tier-1 test catches the same real-tree
+mutation, and a rule whose mutation cannot be made to fire is deleted).
 """
 
 from __future__ import annotations
@@ -17,20 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    TNIC_MANIFEST,
-    TaintEngine,
-    TaintManifest,
-    analyze_dataflow,
-    collect_findings,
-    collect_sources,
-)
-from repro.analysis.dataflow import (
-    SinkSpec,
-    SourceSpec,
-    index_functions,
-    pattern_matches,
-)
+from repro.analysis import TaintEngine, collect_findings, collect_sources
+from repro.analysis.dataflow import index_functions, pattern_matches
 from repro.analysis.taint import TAINT_RULES
 from repro.analysis.walker import parse_file
 
@@ -50,9 +39,9 @@ def _write_module(tmp_path: Path, relpath: str, source: str) -> Path:
     return path
 
 
-def _flows(tmp_path, source, manifest=TNIC_MANIFEST, name="repro/sample.py"):
+def _flows(tmp_path, source, name="repro/sample.py"):
     src = parse_file(_write_module(tmp_path, name, source))
-    return analyze_dataflow([src], manifest)
+    return TaintEngine(index_functions([src])).run()
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +61,7 @@ def test_direct_source_to_sink_flow(tmp_path):
         "def leak(store, sid):\n"
         "    print(store._hw_keys[sid])\n"
     ))
-    assert [(f.tag, f.kind, f.line) for f in flows] == [("key", "log", 2)]
+    assert [(f.kind, f.line) for f in flows] == [("log", 2)]
 
 
 def test_assignment_propagates_taint(tmp_path):
@@ -103,8 +92,7 @@ def test_a_keyed_state_is_key_material_and_only_its_macs_are_clean(tmp_path):
         "def safe(store, sid, encoded):\n"
         "    print(store.mac_for(sid).mac(encoded))\n"
     ), name="repro/core/fixture.py")
-    assert [(f.tag, f.kind, f.line) for f in flows] == [
-        ("key", "log", 2), ("key", "log", 4)]
+    assert [(f.kind, f.line) for f in flows] == [("log", 2), ("log", 4)]
 
 
 def test_interprocedural_return_propagation(tmp_path):
@@ -114,7 +102,7 @@ def test_interprocedural_return_propagation(tmp_path):
         "def leak(store, sid):\n"
         "    print(fetch(store, sid))\n"
     ))
-    assert [(f.tag, f.kind, f.line) for f in flows] == [("key", "log", 4)]
+    assert [(f.kind, f.line) for f in flows] == [("log", 4)]
 
 
 def test_interprocedural_param_sink_reports_at_callsite(tmp_path):
@@ -151,11 +139,12 @@ def test_summaries_expose_passthrough_and_tags(tmp_path):
         "def source(store, sid):\n"
         "    return store._hw_keys[sid]\n"
     )))
-    engine = TaintEngine(index_functions([src]), TNIC_MANIFEST)
+    engine = TaintEngine(index_functions([src]))
     engine.run()
-    summaries = engine.summaries()
+    summaries = {fn.qualname: engine.summaries[fn] for fn in engine.functions}
     assert "x" in summaries["repro.sample.ident"].param_to_return
-    assert "key" in summaries["repro.sample.source"].return_tags
+    assert not summaries["repro.sample.ident"].returns_key
+    assert summaries["repro.sample.source"].returns_key
 
 
 def test_compare_results_are_untainted(tmp_path):
@@ -166,25 +155,10 @@ def test_compare_results_are_untainted(tmp_path):
         "    matches = store._hw_keys[sid] == other\n"
         "    print(matches)\n"
     ))
-    assert [(f.tag, f.kind) for f in flows] == [("key", "compare")]
+    assert [f.kind for f in flows] == ["compare"]
 
 
-def test_custom_manifest_is_honoured(tmp_path):
-    manifest = TaintManifest(
-        sources=(SourceSpec(tag="pw", call="get_password"),),
-        sinks=(SinkSpec("pw", "log", "log_line"),),
-        sanitizers=("scrub",),
-    )
-    flows = _flows(tmp_path, (
-        "def a(db):\n"
-        "    log_line(get_password(db))\n"
-        "def b(db):\n"
-        "    log_line(scrub(get_password(db)))\n"
-    ), manifest=manifest)
-    assert [(f.tag, f.line) for f in flows] == [("pw", 2)]
-
-
-def test_wire_param_sources_respect_package_restriction(tmp_path):
+def test_key_param_sources_respect_package_restriction(tmp_path):
     # `key` parameters are only born tainted inside the TCB packages.
     outside = _flows(tmp_path, (
         "def seal(key, payload):\n"
@@ -195,7 +169,7 @@ def test_wire_param_sources_respect_package_restriction(tmp_path):
         "    print(key)\n"
     ), name="repro/core/sample.py")
     assert outside == []
-    assert [(f.tag, f.kind) for f in inside] == [("key", "log")]
+    assert [f.kind for f in inside] == ["log"]
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +184,7 @@ def _corpus_findings(corpus: str):
 def test_broken_corpus_every_rule_fires():
     findings = _corpus_findings("broken")
     fired = {f.rule for f in findings}
-    assert fired == {"SEC001", "SEC002", "SEC003", "TNT001", "TNT002"}
+    assert fired == {"SEC001", "SEC002", "SEC003"}
 
 
 def test_broken_corpus_detects_every_seeded_violation():
@@ -224,9 +198,6 @@ def test_broken_corpus_detects_every_seeded_violation():
         ("SEC001", "repro.stack.leak_capability", 11),  # mac_for() pickled, sent
         ("SEC001", "repro.stack.leak_capability", 16),  # _session_macs read
         ("SEC003", "repro.stack.leak_capability", 27),
-        ("TNT001", "repro.net.unverified", 12),
-        ("TNT002", "repro.net.discard", 7),
-        ("TNT002", "repro.net.discard", 12),
     }
     got = {(f.rule, f.module, f.line) for f in _corpus_findings("broken")}
     assert expected <= got, f"missed: {expected - got}"
@@ -256,34 +227,6 @@ def test_real_tree_has_no_unwaived_taint_findings(real_findings, real_unwaived):
     )
 
 
-def test_real_transport_whose_lane_skips_verification_raises_tnt001(tmp_path):
-    """The TNT family's mutation of the real tree (ROADMAP item 5): a
-    copy of ``roce/transport.py`` whose delivery lane trusts the trailer
-    — advances the session's receive counter itself and delivers —
-    instead of queueing the message on ``verify_event``."""
-    import repro.roce.transport as transport
-
-    real = Path(transport.__file__).read_text()
-    gate = "check = kernel.attestation.verify_event(self.state.qp.session_id, message)"
-    assert real.count(gate) == 1, "the lane's verification call moved"
-    bypass = (
-        "kernel.attestation.counters.advance_recv(message.session_id)\n"
-        "            kernel._deliver(self, packet, payload, message=message,\n"
-        "                            psn_span=segments)\n"
-        "            return False"
-    )
-
-    def findings(source: str, name: str):
-        path = _write_module(tmp_path / name, "repro/roce/transport.py", source)
-        return collect_findings([parse_file(path)], [cls() for cls in TAINT_RULES])
-
-    assert findings(real, "real") == []
-    hits = findings(real.replace(gate, bypass), "mutated")
-    assert [f.rule for f in hits] == ["TNT001"]
-    assert "advance_recv" in hits[0].message
-    assert hits[0].snippet.strip().startswith("kernel.attestation.counters")
-
-
 #: rule -> (module file under src/repro, the one line the mutation
 #: rewrites, what it becomes, a word the finding's message must carry).
 _REAL_TREE_MUTATIONS = {
@@ -309,13 +252,6 @@ _REAL_TREE_MUTATIONS = {
         "  # lint: ignore[SEC003]",
         "",
         "_hw_keys",
-    ),
-    # The lane starts the verification and never looks at the outcome.
-    "TNT002": (
-        "roce/transport.py",
-        "check = kernel.attestation.verify_event(self.state.qp.session_id, message)",
-        "kernel.attestation.verify_event(self.state.qp.session_id, message)",
-        "discarded",
     ),
 }
 
