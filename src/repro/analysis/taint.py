@@ -33,14 +33,16 @@ name, deliberately over-approximate):
   to the return value, whether the return is key material
   unconditionally, and which parameters reach a sink inside the
   function or its callees;
-* a **fixpoint driver** that re-analyses functions until summaries
+* a **worklist fixpoint** that analyses every function once and then
+  only the callers of a function whose summary changed, until summaries
   stabilise, so a secret that crosses three calls before hitting a sink
   is still reported — at the call site where the tainted value entered
   the offending chain, with the hop chain in the message.
 
 The analysis is flow-insensitive inside a function (assignments are
 accumulated to a per-name fixpoint) and field-insensitive (an attribute
-read carries its object's taint).  Both choices over-approximate, which
+read carries its object's taint, and so does an element of a tuple or
+record: never pack a keyed state with values that must stay public).  Both choices over-approximate, which
 is the right failure mode for a secrecy lint: a false positive is a
 waiver away, a false negative is a leaked key.
 """
@@ -48,6 +50,7 @@ waiver away, a false negative is a leaked key.
 from __future__ import annotations
 
 import ast
+from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
 from repro.analysis.boundaries import TRUSTED_PACKAGES
@@ -126,7 +129,9 @@ SANITIZERS = (
 KEY = "key"
 _PARAM_PREFIX = "@"
 
-#: Project-wide summary iterations (call-graph cycles converge fast).
+#: Function analyses per indexed function, on average, that one run may
+#: spend before it stops short of the fixpoint (call-graph cycles
+#: converge fast: the real tree needs 1.2).
 MAX_FIXPOINT_PASSES = 10
 
 #: Per-function env-propagation iterations (loops converge fast too).
@@ -420,7 +425,7 @@ class _FunctionPass:
                         self._hit(kind, f"{cname}()", labels, node, record)
 
         result: set[str] = set()
-        candidates = self._resolve(cname)
+        candidates = self.engine.resolve(cname)
         if candidates:
             attr_call = isinstance(func, ast.Attribute)
             summaries = self.engine.summaries
@@ -453,15 +458,6 @@ class _FunctionPass:
             for labels in all_arg_labels:
                 result |= labels
         return result | base_labels
-
-    def _resolve(self, cname: str | None) -> list[FunctionInfo]:
-        if cname is None:
-            return []
-        final = cname.rsplit(".", 1)[-1]
-        candidates = self.engine.by_name.get(final, [])
-        if 0 < len(candidates) <= MAX_CALL_CANDIDATES:
-            return candidates
-        return []
 
     @staticmethod
     def _map_args(
@@ -530,25 +526,89 @@ class TaintEngine:
         for info in functions:
             self.by_name.setdefault(info.name, []).append(info)
 
+    def resolve(self, cname: str | None) -> list[FunctionInfo]:
+        """The indexed functions a call of *cname* may reach, by its
+        trailing name; none when the name is too common to tell."""
+        if cname is None:
+            return []
+        final = cname.rsplit(".", 1)[-1]
+        candidates = self.by_name.get(final, [])
+        if 0 < len(candidates) <= MAX_CALL_CANDIDATES:
+            return candidates
+        return []
+
     def run(self) -> list[TaintFlow]:
-        for _ in range(MAX_FIXPOINT_PASSES):
-            changed = False
-            for fn in self.functions:
-                single = _FunctionPass(self, fn)
-                single.run()
-                summary = single.summary()
-                if summary != self.summaries.get(fn, _NO_SUMMARY):
-                    self.summaries[fn] = summary
-                    changed = True
-            if not changed:
-                break
-        flows: list[TaintFlow] = []
-        for fn in self.functions:
-            final = _FunctionPass(self, fn)
-            final.run()
-            flows.extend(final.flows)
+        """Summaries to their fixpoint, then every function's flows.
+
+        Each function is analysed once, callees first; after that a
+        function is analysed again only when the summary of a function
+        its body calls changed.  So a function's last analysis saw its
+        callees' final summaries, and its flows are the ones that
+        analysis found.
+        """
+        callees = {fn: self._named_callees(fn) for fn in self.functions}
+        callers: dict[FunctionInfo, list[FunctionInfo]] = {}
+        for fn, named in callees.items():
+            for callee in named:
+                callers.setdefault(callee, []).append(fn)
+        order = _post_order(self.functions, callees)
+        rank = {fn: index for index, fn in enumerate(order)}
+        flows_of: dict[FunctionInfo, list[TaintFlow]] = {}
+        budget = MAX_FIXPOINT_PASSES * len(order)
+        queue = list(range(len(order)))  # ranks: already a heap
+        queued = set(order)
+        while queue and budget:
+            budget -= 1
+            fn = order[heappop(queue)]
+            queued.discard(fn)
+            single = _FunctionPass(self, fn)
+            single.run()
+            flows_of[fn] = single.flows
+            summary = single.summary()
+            if summary != self.summaries.get(fn, _NO_SUMMARY):
+                self.summaries[fn] = summary
+                for caller in callers.get(fn, ()):
+                    if caller not in queued:
+                        heappush(queue, rank[caller])
+                        queued.add(caller)
+        flows = [flow for fn in self.functions for flow in flows_of[fn]]
         flows.sort(key=lambda f: (f.path, f.line, f.col, f.kind, f.sink))
         return flows
+
+    def _named_callees(self, fn: FunctionInfo) -> list[FunctionInfo]:
+        """What the calls anywhere in *fn*'s body may resolve to: every
+        callee whose summary its analysis can read, and maybe more."""
+        named: dict[FunctionInfo, None] = {}
+        for node in ast.walk(fn.node):
+            if isinstance(node, ast.Call):
+                named.update(dict.fromkeys(self.resolve(call_name(node.func))))
+        return list(named)
+
+
+def _post_order(
+    functions: list[FunctionInfo],
+    callees: dict[FunctionInfo, list[FunctionInfo]],
+) -> list[FunctionInfo]:
+    """*functions* in depth-first post-order over *callees*: a callee
+    before its callers, except around a cycle."""
+    order: list[FunctionInfo] = []
+    seen: set[FunctionInfo] = set()
+    for root in functions:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(callees[root]))]
+        while stack:
+            fn, pending = stack[-1]
+            for callee in pending:
+                if callee not in seen:
+                    seen.add(callee)
+                    stack.append((callee, iter(callees[callee])))
+                    break
+            else:
+                stack.pop()
+                order.append(fn)
+    return order
 
 
 # ----------------------------------------------------------------------

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import field
 from hmac import compare_digest
+from struct import Struct
 from typing import TYPE_CHECKING
 
 from repro.core.counters import CounterStore
-from repro.core.keystore import Keystore, KeystoreError
+from repro.core.keystore import Keystore
 from repro.crypto.hashing import canonical_bytes
-from repro.crypto.hmac_engine import HmacEngine, KeyedHmac, verify_encoded
+from repro.crypto.hmac_engine import HmacEngine, verify_encoded
 from repro.sim.instrument import count, emit, flight_trigger, gauge_set
 from repro.sim.record import Record, record
 
@@ -58,6 +59,35 @@ class ContinuityError(AttestationError):
 
 class UnknownSessionError(AttestationError):
     """No key installed for the session."""
+
+    def __init__(self, session_id: int) -> None:
+        super().__init__(f"no key installed for session {session_id}")
+        self.session_id = session_id
+
+
+#: An 8-byte big-endian length prefix, as :func:`canonical_bytes` writes.
+_length = Struct(">Q").pack
+
+
+def session_tail(device_id: int, session_id: int) -> bytes:
+    """The encoded ``(device_id, session_id)`` that ends every MAC input
+    of a message from *device_id* on *session_id*."""
+    return canonical_bytes((device_id, session_id))
+
+
+def encode_mac_input(payload: bytes, counter: int, tail: bytes) -> bytes:
+    """The bytes α is a MAC of: ``len‖payload‖len‖counter‖tail``.
+
+    With *tail* from :func:`session_tail` this is exactly
+    ``canonical_bytes((payload, counter, device_id, session_id))``; a
+    field of any other type (a forger's choice, a memoryview the digest
+    boundary refuses) takes the generic encoding of its part.
+    """
+    if type(payload) is not bytes or type(counter) is not int:
+        return canonical_bytes((payload, counter)) + tail
+    digits = b"%d" % counter
+    return b"".join((_length(len(payload)), payload,
+                     _length(len(digits)), digits, tail))
 
 
 @record
@@ -93,8 +123,10 @@ class AttestedMessage(Record):
         the memo but never fills it."""
         encoded = self._encoded
         if encoded is None:
-            encoded = canonical_bytes(self.mac_inputs())
-            object.__setattr__(self, "_encoded", encoded)
+            encoded = encode_mac_input(
+                self.payload, self.counter,
+                session_tail(self.device_id, self.session_id))
+            _attach_encoding(self, encoded)
         return encoded
 
     @property
@@ -103,8 +135,23 @@ class AttestedMessage(Record):
         return len(self.payload) + 64 + 16
 
 
+#: Writes the ``_encoded`` slot of a built message (its memo).
+_attach_encoding = AttestedMessage._encoded.__set__
+
+
 class AttestationKernel:
-    """The trusted hardware module of Figure 2 (Keystore + Counters + HMAC)."""
+    """The trusted hardware module of Figure 2 (Keystore + Counters + HMAC).
+
+    Per message it does what Algorithm 1 does in one hardware pass: one
+    lookup of the session's state, one encoding, one MAC.  A session's
+    state is split in two on purpose.  Its keyed HMAC state stays in the
+    Keystore's static memory and is read in place (``_session_macs``,
+    a key source of the secrecy lint).  Its counter record and its
+    pre-encoded tail, which hold nothing secret, are kept in
+    ``_sessions`` from the session's first use.  The lint does not track
+    fields separately, so packing the two together would make every
+    counter a secret.
+    """
 
     def __init__(
         self,
@@ -114,6 +161,11 @@ class AttestationKernel:
         self.device_id = device_id
         self.keystore = Keystore(device_id)
         self.counters = CounterStore()
+        #: The Keystore's session -> keyed HMAC state table, read in place.
+        self._session_macs = self.keystore._session_macs
+        #: session -> (its counter record, :func:`session_tail` of this
+        #: device), built by :meth:`_open` for sessions with a key only.
+        self._sessions: dict[int, tuple] = {}
         self.sim = sim
         self.hmac_engine = HmacEngine(sim) if sim is not None else None
         self.attest_count = 0
@@ -132,11 +184,12 @@ class AttestationKernel:
     # ------------------------------------------------------------------
     def attest(self, session_id: int, payload: bytes) -> AttestedMessage:
         """Generate a unique, verifiable attestation for *payload*."""
-        state = self._mac(session_id)
-        counter = self.counters.next_send(session_id)  # Algo 1: L2
-        encoded = canonical_bytes(
-            (payload, counter, self.device_id, session_id))
-        alpha = state.mac(encoded)  # Algo 1: L4
+        counters, tail = (self._sessions.get(session_id)
+                          or self._open(session_id))
+        counter = counters.send_cnt  # Algo 1: L2
+        counters.send_cnt = counter + 1
+        encoded = encode_mac_input(payload, counter, tail)
+        alpha = self._session_macs[session_id].mac(encoded)  # Algo 1: L4
         self.attest_count += 1
         sim = self.sim
         if sim is not None and sim.telemetry is not None:
@@ -147,15 +200,10 @@ class AttestationKernel:
             count(sim, "attest.generate", device=self.device_id)
             gauge_set(sim, "attest.send_cnt", counter + 1,
                       device=self.device_id, session=session_id)
-        message = AttestedMessage(
-            payload=payload,
-            alpha=alpha,
-            session_id=session_id,
-            device_id=self.device_id,
-            counter=counter,
-        )
+        message = AttestedMessage(payload, alpha, session_id,
+                                  self.device_id, counter)
         # The bytes just MACed are the message's encoding by construction.
-        object.__setattr__(message, "_encoded", encoded)
+        _attach_encoding(message, encoded)
         return message
 
     def verify(self, session_id: int, message: AttestedMessage) -> bytes:
@@ -173,10 +221,14 @@ class AttestationKernel:
         # that carries one (from ``attest``) is MACed over it, any other
         # over a transient encoding, so a delivered message holds its
         # payload once.
+        counters = (self._sessions.get(session_id)
+                    or self._open(session_id))[0]
         encoded = message._encoded
         if encoded is None:
-            encoded = canonical_bytes(message.mac_inputs())
-        if not compare_digest(self._mac(session_id).mac(encoded),
+            encoded = encode_mac_input(
+                message.payload, message.counter,
+                session_tail(message.device_id, message.session_id))
+        if not compare_digest(self._session_macs[session_id].mac(encoded),
                               message.alpha):
             self.reject_count += 1
             sim = self.sim
@@ -193,7 +245,7 @@ class AttestationKernel:
                 f"attestation mismatch for session {session_id} "
                 f"counter {message.counter}"
             )
-        expected = self.counters.expected_recv(session_id)
+        expected = counters.recv_cnt
         if message.counter != expected:
             self.reject_count += 1
             sim = self.sim
@@ -208,7 +260,7 @@ class AttestationKernel:
                                counter=message.counter, expected=expected,
                                reason="continuity")
             raise ContinuityError(expected, message.counter)
-        self.counters.advance_recv(session_id)
+        counters.recv_cnt = expected + 1
         self.verify_count += 1
         sim = self.sim
         if sim is not None and sim.telemetry is not None:
@@ -224,11 +276,11 @@ class AttestationKernel:
         for a forwarded message — the transferable-authentication check
         ``verify(m, σ(p_i))`` of §2.1.
         """
-        return verify_encoded(
-            self._mac(session_id),
-            message.alpha,
-            message.encoded(),
-        )
+        try:
+            state = self._session_macs[session_id]
+        except KeyError:
+            raise UnknownSessionError(session_id) from None
+        return verify_encoded(state, message.alpha, message.encoded())
 
     # ------------------------------------------------------------------
     # Pipelined semantics (charge HMAC-pipeline time on the simulator)
@@ -259,7 +311,8 @@ class AttestationKernel:
         :class:`AttestationError` as its exception.
         """
         engine = self._engine()
-        self._mac(session_id)  # fail fast on unknown sessions
+        if session_id not in self._session_macs:  # fail fast
+            raise UnknownSessionError(session_id)
         check = engine.occupy(len(message.payload) + 8, (session_id, message))
         check.callbacks.append(self._settle)
         return check
@@ -273,13 +326,18 @@ class AttestationKernel:
             check._exception = exc
 
     # ------------------------------------------------------------------
-    def _mac(self, session_id: int) -> KeyedHmac:
-        """The session's keyed HMAC state: all the kernel ever holds of
-        a session key."""
-        try:
-            return self.keystore.mac_for(session_id)
-        except KeystoreError as exc:
-            raise UnknownSessionError(str(exc)) from exc
+    def _open(self, session_id: int) -> tuple:
+        """First use of *session_id*: keep its counter record and tail.
+
+        Refused before anything is kept when the session has no key, so
+        the table cannot be grown by session ids a caller makes up.
+        """
+        if session_id not in self._session_macs:
+            raise UnknownSessionError(session_id)
+        session = self._sessions[session_id] = (
+            self.counters.session(session_id),
+            session_tail(self.device_id, session_id))
+        return session
 
     def _engine(self) -> HmacEngine:
         if self.hmac_engine is None:

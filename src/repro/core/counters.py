@@ -25,15 +25,23 @@ class _SessionCounters:
 class CounterStore:
     """Per-session monotonic send/receive counters.
 
-    The *only* mutations are :meth:`next_send` (post-increment on
-    transmission) and :meth:`advance_recv` (increment after a verified
-    reception).  There is deliberately no decrement or reset API — the
+    The *only* mutations are a post-increment of ``send_cnt`` on
+    transmission and an increment of ``recv_cnt`` after a verified
+    reception — :meth:`next_send` and :meth:`advance_recv`, or the
+    attestation kernel's own in-place bump of the record :meth:`session`
+    gave it.  There is deliberately no decrement or reset API — the
     monotonicity of these counters is what non-equivocation rests on.
     """
 
     _sessions: dict[int, _SessionCounters] = field(default_factory=dict)
 
-    def _session(self, session_id: int) -> _SessionCounters:
+    def session(self, session_id: int) -> _SessionCounters:
+        """The counter record of *session_id*, built on its first use.
+
+        The attestation kernel keeps the record it gets here and bumps
+        its fields in place, so each message costs no lookup in this
+        store.
+        """
         counters = self._sessions.get(session_id)
         if counters is None:
             if session_id < 0:
@@ -51,25 +59,25 @@ class CounterStore:
         advances the stored value, so no two messages of a session can
         ever carry the same counter.
         """
-        counters = self._session(session_id)
+        counters = self.session(session_id)
         value = counters.send_cnt
         counters.send_cnt += 1
         return value
 
     def peek_send(self, session_id: int) -> int:
         """Next counter that *would* be assigned (no mutation)."""
-        return self._session(session_id).send_cnt
+        return self.session(session_id).send_cnt
 
     # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
     def expected_recv(self, session_id: int) -> int:
         """Counter value the next in-order message must carry."""
-        return self._session(session_id).recv_cnt
+        return self.session(session_id).recv_cnt
 
     def advance_recv(self, session_id: int) -> None:
         """Record a successful verification of the expected message."""
-        self._session(session_id).recv_cnt += 1
+        self.session(session_id).recv_cnt += 1
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[int, tuple[int, int]]:

@@ -344,8 +344,11 @@ class ChainReplication:
                     continue
                 if reply.request_id != request_id:
                     continue
-                outputs.setdefault(reply.output, set()).add(reply.sender)
-                if any(len(v) >= needed for v in outputs.values()):
+                # Only the voter set this reply extended can newly reach
+                # the quorum.
+                voters = outputs.setdefault(reply.output, set())
+                voters.add(reply.sender)
+                if len(voters) >= needed:
                     committed = True
             if self.aborted:
                 break

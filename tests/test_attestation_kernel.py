@@ -132,11 +132,33 @@ def test_transferable_authentication_third_party():
 
 
 def test_unknown_session_raises():
-    kernel = AttestationKernel(device_id=1)
-    with pytest.raises(UnknownSessionError):
-        kernel.attest(9, b"x")
-    with pytest.raises(UnknownSessionError):
-        kernel.check_transferable(9, AttestedMessage(b"", b"", 9, 1, 0))
+    """Every entry point refuses a session with no key before it keeps
+    anything of it: the kernel's session table and the counter store
+    cannot be grown by session ids a caller makes up."""
+    sender, _ = make_pair(session=1)
+    genuine = sender.attest(1, b"x")
+    kernel = AttestationKernel(device_id=1, sim=Simulator())
+    kernel.install_session(1, KEY)
+    for session in (9, 2**40, -1):
+        message = AttestedMessage(b"x", genuine.alpha, session, 10, 0)
+        for call in (
+            lambda: kernel.attest(session, b"x"),
+            lambda: kernel.verify(session, message),
+            lambda: kernel.check_transferable(session, message),
+            lambda: kernel.attest_event(session, b"x"),
+            lambda: kernel.verify_event(session, message),
+        ):
+            with pytest.raises(UnknownSessionError, match=str(session)):
+                call()
+    assert kernel._sessions == {}
+    assert kernel.counters.snapshot() == {}
+    assert kernel.attest_count == kernel.verify_count == kernel.reject_count == 0
+    assert kernel.hmac_engine.operations == 0
+    # A session with a key gets its state on first use, once.
+    kernel.attest(1, b"x")
+    kernel.attest(1, b"y")
+    assert list(kernel._sessions) == [1]
+    assert kernel.counters.snapshot() == {1: (2, 0)}
 
 
 def test_sessions_are_independent():

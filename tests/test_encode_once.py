@@ -12,6 +12,8 @@ genuine one's encoding or its cached verdict.
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.core.attestation as attestation
 from repro.api import Cluster, auth_send
@@ -24,7 +26,7 @@ from repro.core.attestation import (
     AttestationKernel,
     AttestedMessage,
 )
-from repro.crypto import reset_verification_cache
+from repro.crypto import hmac_verify, reset_verification_cache
 from repro.crypto.hashing import canonical_bytes
 from repro.systems.bft import BftCounter
 
@@ -116,14 +118,78 @@ def test_a_message_rebuilt_from_the_wire_derives_its_own_encoding():
     assert received.encoded() == canonical_bytes(received.mac_inputs())
 
 
+#: Empty, short, and several 4 KiB MTUs long (a repeated chunk).
+PAYLOADS = st.one_of(
+    st.just(b""),
+    st.binary(max_size=80),
+    st.builds(lambda chunk, times: chunk * times,
+              st.binary(min_size=1, max_size=64), st.integers(256, 1024)),
+)
+#: Counters a session reaches, and the top half of the u64 range.
+COUNTERS = st.one_of(st.integers(0, 2**16), st.integers(2**63, 2**64 - 1))
+WIRE_IDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=PAYLOADS, counter=st.one_of(COUNTERS, st.integers()),
+       device_id=st.integers(), session_id=st.integers())
+@example(payload=b"", counter=2**63, device_id=0, session_id=0)
+def test_the_kernel_encoder_is_the_canonical_encoding(
+        payload, counter, device_id, session_id):
+    tail = attestation.session_tail(device_id, session_id)
+    assert attestation.encode_mac_input(payload, counter, tail) == \
+        canonical_bytes((payload, counter, device_id, session_id))
+
+
+@pytest.mark.parametrize("payload, counter", [
+    ("text", 3),          # str parts are UTF-8 encoded
+    (b"bytes", True),     # a bool is one byte, not the digit 1
+])
+def test_a_field_of_another_type_takes_the_generic_encoding(payload, counter):
+    assert attestation.encode_mac_input(
+        payload, counter, attestation.session_tail(1, 2)) == \
+        canonical_bytes((payload, counter, 1, 2))
+
+
+@pytest.mark.parametrize("payload, counter", [
+    (memoryview(b"view"), 0),   # refused at the digest boundary
+    (bytearray(b"ba"), 0),
+    (b"bytes", 1.5),
+])
+def test_a_field_the_generic_encoding_refuses_is_refused(payload, counter):
+    with pytest.raises(TypeError):
+        canonical_bytes((payload, counter))
+    with pytest.raises(TypeError):
+        attestation.encode_mac_input(payload, counter,
+                                     attestation.session_tail(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=PAYLOADS, counter=COUNTERS, device_id=WIRE_IDS,
+       session_id=WIRE_IDS)
+def test_an_attested_message_verifies_generically_and_off_the_wire(
+        payload, counter, device_id, session_id):
+    kernel = AttestationKernel(device_id)
+    kernel.install_session(session_id, KEY)
+    kernel.counters.session(session_id).send_cnt = counter
+    message = kernel.attest(session_id, payload)
+    assert message.counter == counter
+    assert hmac_verify(KEY, message.alpha,
+                       payload, counter, device_id, session_id)
+    rebuilt = decode_attested(encode_attested(message))
+    assert rebuilt == message and rebuilt._encoded is None
+    assert rebuilt.encoded() == message.encoded()
+
+
 def test_bft_run_derives_one_encoding_per_attested_message(monkeypatch):
     derivations = []
+    encoder = attestation.encode_mac_input
 
-    def counting(parts):
-        derivations.append(parts)
-        return canonical_bytes(parts)
+    def counting(payload, counter, tail):
+        derivations.append(counter)
+        return encoder(payload, counter, tail)
 
-    monkeypatch.setattr(attestation, "canonical_bytes", counting)
+    monkeypatch.setattr(attestation, "encode_mac_input", counting)
     system = BftCounter("tnic", f=1, seed=0)
     system.run_workload(50, pipeline_depth=4)
     system.sim.run(until=system.sim.now + 1_000.0)  # straggler checks

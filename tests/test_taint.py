@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import TaintEngine, collect_findings, collect_sources
+from repro.analysis import TaintEngine, collect_findings, collect_sources, taint
 from repro.analysis.dataflow import index_functions, pattern_matches
 from repro.analysis.taint import TAINT_RULES
 from repro.analysis.walker import parse_file
@@ -130,6 +130,43 @@ def test_three_hop_chain_converges(tmp_path):
         "    sink1(store._hw_keys[sid])\n"
     ))
     assert any(f.line == 8 for f in flows)
+
+
+def test_a_call_cycle_converges_and_reports_at_the_entry(tmp_path):
+    # `a` and `b` call each other: whichever is analysed first sees the
+    # other's summary empty, so the worklist must analyse it again.
+    flows = _flows(tmp_path, (
+        "def a(v, n):\n"
+        "    if n:\n"
+        "        return b(v, n - 1)\n"
+        "    print(v)\n"
+        "def b(v, n):\n"
+        "    return a(v, n)\n"
+        "def leak(store, sid):\n"
+        "    b(store._hw_keys[sid], 3)\n"
+    ))
+    # One flow per distinct hop chain of at most four hops.
+    assert [(f.line, f.kind, f.via) for f in flows] == [
+        (8, "log", ("b()", "a()")),
+        (8, "log", ("b()", "a()", "b()", "a()")),
+    ]
+
+
+def test_the_fixpoint_reanalyses_only_callers_of_changed_summaries(
+        real_index, monkeypatch):
+    analysed = []
+    analyse = taint._FunctionPass.run
+
+    def counting(single):
+        analysed.append(single.fn)
+        analyse(single)
+
+    monkeypatch.setattr(taint._FunctionPass, "run", counting)
+    TaintEngine(real_index).run()
+    assert set(analysed) == set(real_index)
+    # Measured 998 analyses of 844 functions.  Re-running every function
+    # on every pass, then once more for its flows, took 6,736.
+    assert len(analysed) < 2 * len(real_index)
 
 
 def test_summaries_expose_passthrough_and_tags(tmp_path):
