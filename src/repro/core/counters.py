@@ -27,10 +27,10 @@ class CounterStore:
 
     The *only* mutations are a post-increment of ``send_cnt`` on
     transmission and an increment of ``recv_cnt`` after a verified
-    reception — :meth:`next_send` and :meth:`advance_recv`, or the
-    attestation kernel's own in-place bump of the record :meth:`session`
-    gave it.  There is deliberately no decrement or reset API — the
-    monotonicity of these counters is what non-equivocation rests on.
+    reception, both made by the attestation kernel in place on the
+    record :meth:`session` gave it.  There is deliberately no decrement
+    or reset API — the monotonicity of these counters is what
+    non-equivocation rests on.
     """
 
     _sessions: dict[int, _SessionCounters] = field(default_factory=dict)
@@ -50,34 +50,11 @@ class CounterStore:
         return counters
 
     # ------------------------------------------------------------------
-    # Send side
-    # ------------------------------------------------------------------
-    def next_send(self, session_id: int) -> int:
-        """Assign the next send counter for *session_id* (Algo 1, L2).
-
-        Returns the counter value bound to the outgoing message and
-        advances the stored value, so no two messages of a session can
-        ever carry the same counter.
-        """
-        counters = self.session(session_id)
-        value = counters.send_cnt
-        counters.send_cnt += 1
-        return value
-
-    def peek_send(self, session_id: int) -> int:
-        """Next counter that *would* be assigned (no mutation)."""
-        return self.session(session_id).send_cnt
-
-    # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
     def expected_recv(self, session_id: int) -> int:
         """Counter value the next in-order message must carry."""
         return self.session(session_id).recv_cnt
-
-    def advance_recv(self, session_id: int) -> None:
-        """Record a successful verification of the expected message."""
-        self.session(session_id).recv_cnt += 1
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[int, tuple[int, int]]:

@@ -18,13 +18,13 @@ log entries, detected faults) and deliberately exclude latency metrics:
 timing legitimately varies with tie order; outcomes must not.
 
 The shuffle also reorders two messages that one
-:class:`~repro.systems.common.EmulatedNetwork` channel delivers at the
-same instant: each send is its own hop of the same latency, so the
-channel is FIFO only under the default tie order.  A scenario's digest
-must therefore not depend on the order of concurrently issued requests
-(a Raft leader fed three pipelined commands at once logs them in
-arrival order, which the shuffle permutes); it may depend on what each
-replica holds once all requests are ordered.
+:class:`~repro.systems.common.EmulatedNetwork` channel delivers to a
+``Store`` inbox at the same instant: each is its own hop of the same
+latency, so the channel is FIFO only under the default tie order, and
+a digest must not depend on the order of concurrent requests to an
+inbox.  A served node's completions (TEEs-Raft, TEEs-CR) are strictly
+increasing, so a Raft leader fed three pipelined commands at once logs
+them in send order under every shuffle.
 
 Everything is derived from one root seed, so a report is reproducible
 byte-for-byte from its command line.

@@ -4,8 +4,7 @@
   the TNIC-OS library's per-REG-page locks (§5.2).
 * :class:`SerialServer` — one FIFO server whose service times are known
   at submission, so completions are computed, not simulated.  Used for
-  the attestation kernel's HMAC pipeline and the stack models'
-  bottleneck stage.
+  the HMAC pipeline, the stack models' bottleneck and served replicas.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``,
   the deadline receive ``get_until`` and ``deliver``, the callback of
   the hop that carries a message: a receive is not an event, the hop
@@ -81,10 +80,11 @@ class SerialServer:
     """One FIFO server with service times known at submission.
 
     The analytic form of ``Resource(capacity=1)`` plus a worker process
-    per job: a job submitted at ``now`` starts at ``max(now,
-    busy_until)`` and the server is busy for ``service_us`` from there,
-    so its completion instant is known on submission and costs a single
-    scheduled event.  Jobs complete in submission order.
+    per job: a job submitted at ``now`` arrives at ``now + after_us``,
+    starts at ``max(arrive, busy_until)`` and the server is busy for
+    ``service_us`` from there, so its completion instant is known on
+    submission and costs a single scheduled event.  Jobs complete in
+    submission order.
     """
 
     __slots__ = ("sim", "_busy_until")
@@ -94,22 +94,24 @@ class SerialServer:
         self._busy_until = 0.0
 
     def serve(self, service_us: float, value: Any = None,
-              tail_us: float = 0.0) -> Event:
-        """Queue a job; the event triggers with *value* once it has been
-        served, plus *tail_us* of latency that does not hold the server.
+              tail_us: float = 0.0, after_us: float = 0.0) -> Event:
+        """Queue a job arriving *after_us* from now; the event triggers
+        with *value* once it has been served, plus *tail_us* of latency
+        that does not hold the server.
 
         The event is filed at the absolute instant ``busy_until +
         tail_us``.  A relative ``timeout(busy_until - now)`` would land
         on ``now + (busy_until - now)``, which can differ from
         ``busy_until`` in the last bit and drift every later timestamp.
+        ``now + after_us`` is the float a ``timeout(after_us)`` lands on.
         """
-        if service_us < 0 or tail_us < 0:
+        if service_us < 0 or tail_us < 0 or after_us < 0:
             raise ValueError(
-                f"negative service time: {service_us} (+{tail_us})")
+                f"negative time: {service_us} (+{tail_us}, after {after_us})")
         sim = self.sim
-        now = sim._now
+        arrive = sim._now + after_us
         busy_until = self._busy_until
-        busy_until = (now if now > busy_until else busy_until) + service_us
+        busy_until = (arrive if arrive > busy_until else busy_until) + service_us
         self._busy_until = busy_until
         done = Event(sim)
         done._state = Event.TRIGGERED

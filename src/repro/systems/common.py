@@ -11,7 +11,8 @@ latency.  Every system here is built from the same four pieces:
 * :func:`authenticators` — a node's per-sender check table, built once
   at construction.
 * :class:`EmulatedNetwork` — FIFO reliable channels with the DRCT-IO
-  per-hop latency, carrying Python message objects between named nodes.
+  per-hop latency, carrying Python message objects between named nodes:
+  to a served node's handler (TEEs-Raft, TEEs-CR) or a ``Store`` inbox.
 * :class:`SystemMetrics` — commit latency and throughput in virtual
   time, filled by the system's client process, whose return value
   ``run_workload`` hands back.
@@ -26,7 +27,7 @@ one continuity rule, :class:`~repro.api.multicast.ContinuityCheck`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.api.multicast import ContinuityCheck, EquivocationDetected
 from repro.core.attestation import AttestedMessage
@@ -35,7 +36,7 @@ from repro.sim.events import Timeout
 from repro.sim.instrument import count, emit, gauge_set, observe, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.record import Record, record
-from repro.sim.resources import Store
+from repro.sim.resources import SerialServer, Store
 from repro.tee.base import AttestationProvider
 from repro.tee.providers import make_provider
 
@@ -60,32 +61,51 @@ class Envelope(Record):
     span: Any
 
     def arrived(self, _event: "Event") -> None:
-        """Hop callback: the envelope reached its inbox."""
+        """Hop callback: the message reached its node."""
         self.span.end()
 
 
+@record
+class ServedNode(Record):
+    """A node that handles each message as one job on its server."""
+
+    server: SerialServer
+    service_us: float
+    handler: Callable[["Event"], None]
+
+
 class EmulatedNetwork:
-    """FIFO reliable message passing with per-hop latency."""
+    """FIFO reliable message passing with per-hop latency, to served
+    nodes (:meth:`serve`) and ``Store`` inboxes (:meth:`register`: the
+    clients, and BFT, chain, A2M and PeerReview until ROADMAP item 10
+    serves them)."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self._inboxes: dict[str, Store] = {}
+        self._nodes: dict[str, Store | ServedNode] = {}
         self.messages_sent = 0
         #: Isolated node -> its mode ("hold" or "drop").
         self._isolated: dict[str, str] = {}
         self._held: list[tuple[str, Any]] = []
         self.dropped_messages = 0
 
+    def _add(self, name: str, node: Any) -> Any:
+        if name in self._nodes:
+            raise ValueError(f"node {name!r} already registered")
+        self._nodes[name] = node
+        return node
+
     def register(self, name: str) -> Store:
         """Create the inbox for node *name*."""
-        if name in self._inboxes:
-            raise ValueError(f"node {name!r} already registered")
-        inbox = Store(self.sim)
-        self._inboxes[name] = inbox
-        return inbox
+        return self._add(name, Store(self.sim))
 
-    def inbox(self, name: str) -> Store:
-        return self._inboxes[name]
+    def serve(self, name: str, handler: Callable[["Event"], None],
+              service_us: float) -> None:
+        """Make *name* a served node: a message to it is a job of
+        *service_us* on its own :class:`SerialServer`, arriving one hop
+        after the send; *handler* gets the job's completion event, whose
+        value is the bare message."""
+        self._add(name, ServedNode(SerialServer(self.sim), service_us, handler))
 
     # ------------------------------------------------------------------
     # Partitions.  The transport below this layer is reliable ("TNIC
@@ -106,7 +126,7 @@ class EmulatedNetwork:
         """
         if mode not in ("hold", "drop"):
             raise ValueError(f"unknown isolation mode {mode!r}")
-        unknown = names - set(self._inboxes)
+        unknown = names - set(self._nodes)
         if unknown:
             raise KeyError(f"unknown nodes: {sorted(unknown)}")
         self._isolated.update(dict.fromkeys(names, mode))
@@ -116,29 +136,43 @@ class EmulatedNetwork:
         self._isolated.clear()
         held, self._held = self._held, []
         for dst, message in held:
-            self._hop(self._inboxes[dst], message)
+            self._hop(self._nodes[dst], message)
 
     @property
     def held_messages(self) -> int:
         return len(self._held)
 
-    def _hop(self, inbox: Store, item: Any) -> Timeout:
-        """Put *item* in flight: one hop-latency timeout that carries it
-        and hands it to *inbox* (:meth:`Store.deliver`) when it fires."""
-        hop = Timeout(self.sim, SYSTEM_NET_HOP_US, item)
-        hop.callbacks.append(inbox.deliver)
-        return hop
+    def _hop(self, node: Store | ServedNode, message: Any,
+             span: Any = None) -> None:
+        """Put *message* in flight to *node*.  With a hop *span*, an
+        inbox gets the message in an :class:`Envelope` that ends the span
+        on arrival; a served node's handler gets it bare, and the span
+        ends on a hop timeout of its own."""
+        if type(node) is Store:
+            if span is not None:
+                message = Envelope(message, span)
+            hop = Timeout(self.sim, SYSTEM_NET_HOP_US, message)
+            hop.callbacks.append(node.deliver)
+            if span is not None:
+                hop.callbacks.append(message.arrived)
+            return
+        if span is not None:
+            hop = Timeout(self.sim, SYSTEM_NET_HOP_US)
+            hop.callbacks.append(Envelope(message, span).arrived)
+        done = node.server.serve(node.service_us, message,
+                                 after_us=SYSTEM_NET_HOP_US)
+        done.callbacks.append(node.handler)
 
     def send(self, dst: str, message: Any, parent: Any = None) -> None:
         """Deliver *message* to *dst* after one hop latency.
 
         With a live trace *parent* span and telemetry attached, the hop
-        itself becomes a ``system.net_hop`` span under *parent* and the
-        message travels inside an :class:`Envelope` carrying that span —
-        the receiver continues the trace under it.  Messages toward
-        isolated nodes travel bare (a partition outlives any hop span).
+        itself becomes a ``system.net_hop`` span under *parent* (see
+        :meth:`_hop`).  Messages toward isolated nodes travel bare (a
+        partition outlives any hop span).
         """
-        if dst not in self._inboxes:
+        node = self._nodes.get(dst)
+        if node is None:
             raise KeyError(f"unknown destination {dst!r}")
         self.messages_sent += 1
         sim = self.sim
@@ -154,13 +188,10 @@ class EmulatedNetwork:
                 self._held.append((dst, message))
                 gauge_set(self.sim, "system.net_held", len(self._held))
             return
-        inbox = self._inboxes[dst]
+        span = None
         if telemetry is not None and parent:
             span = span_begin(sim, "system.net_hop", parent=parent, dst=dst)
-            envelope = Envelope(message, span)
-            self._hop(inbox, envelope).callbacks.append(envelope.arrived)
-            return
-        self._hop(inbox, message)
+        self._hop(node, message, span)
 
 
 class BroadcastAuthenticator(ContinuityCheck):

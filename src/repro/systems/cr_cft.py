@@ -12,6 +12,7 @@ about 2x the TNIC-based CR.
 from __future__ import annotations
 
 from repro.sim.clock import Simulator
+from repro.sim.events import Event
 from repro.sim.record import Record, record
 from repro.systems.chain import KvRequest, role_names
 from repro.systems.common import EmulatedNetwork, SystemMetrics
@@ -33,6 +34,9 @@ class TailReply(Record):
 
 
 class _CftChainNode:
+    """One chain node inside a TEE: a served node whose every message
+    costs ``TEE_IO_OVERHEAD_US``, then runs :meth:`on_message`."""
+
     def __init__(self, name: str, system: "TeeChainReplication",
                  successor: str | None) -> None:
         self.name = name
@@ -40,7 +44,7 @@ class _CftChainNode:
         self.successor = successor
         self.store: dict[str, str] = {}
         self.commit_index = 0
-        self.inbox = system.network.register(name)
+        system.network.serve(name, self.on_message, TEE_IO_OVERHEAD_US)
 
     def execute(self, request: KvRequest) -> str:
         if request.op == "put":
@@ -48,22 +52,19 @@ class _CftChainNode:
             return f"ok:{request.value}"
         return self.store.get(request.key, "<missing>")
 
-    def run(self):
-        system = self.system
-        while True:
-            message = yield self.inbox.get()
-            yield system.sim.timeout(TEE_IO_OVERHEAD_US)
-            if not isinstance(message, ChainCommand):
-                continue
-            output = self.execute(message.request)
-            self.commit_index += 1
-            if self.successor is not None:
-                system.network.send(self.successor, message)
-            else:
-                # The tail is trusted under CFT: it alone replies.
-                system.network.send(
-                    system.client_name, TailReply(message.request_id, output)
-                )
+    def on_message(self, done: Event) -> None:
+        message = done._value
+        if not isinstance(message, ChainCommand):
+            return
+        output = self.execute(message.request)
+        self.commit_index += 1
+        network = self.system.network
+        if self.successor is not None:
+            network.send(self.successor, message)
+        else:
+            # The tail is trusted under CFT: it alone replies.
+            network.send(self.system.client_name,
+                         TailReply(message.request_id, output))
 
 
 class TeeChainReplication:
@@ -83,8 +84,6 @@ class TeeChainReplication:
             self.nodes[name] = _CftChainNode(name, self, successor)
         self.client_inbox = self.network.register(self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="cr_cft")
-        for node in self.nodes.values():
-            self.sim.process(node.run())
 
     def run_workload(self, requests: list[KvRequest]) -> SystemMetrics:
         return self.sim.run(self.sim.process(self._client(requests)))

@@ -16,6 +16,7 @@ behaviour, not just message counts.
 from __future__ import annotations
 
 from repro.sim.clock import Simulator
+from repro.sim.events import Event
 from repro.sim.record import Record, record
 from repro.systems.common import EmulatedNetwork, SystemMetrics
 
@@ -67,7 +68,9 @@ class ClientReply(Record):
 
 
 class _RaftNode:
-    """One Raft participant (leader or follower), inside a TEE."""
+    """One Raft participant inside a TEE: a served node whose every
+    message costs :data:`TEE_IO_OVERHEAD_US`, then runs :meth:`lead`
+    or :meth:`follow`."""
 
     def __init__(self, name: str, system: "TeeRaft") -> None:
         self.name = name
@@ -76,71 +79,64 @@ class _RaftNode:
         self.log: list[LogEntry] = []
         self.commit_index = 0  # count of committed entries
         self.applied: list[str] = []
-        self.inbox = system.network.register(name)
-
-    # ------------------------------------------------------------------
-    def last_log_index(self) -> int:
-        return len(self.log)
-
-    def _tee_cost(self):
-        return self.system.sim.timeout(TEE_IO_OVERHEAD_US)
-
-    # ------------------------------------------------------------------
-    # Leader
-    # ------------------------------------------------------------------
-    def run_leader(self):
-        system = self.system
-        match_index: dict[str, int] = {f: 0 for f in system.followers}
+        if name != system.leader_name:
+            system.network.serve(name, self.follow, TEE_IO_OVERHEAD_US)
+            return
+        # Raft's volatile leader state.
+        self.match_index = dict.fromkeys(system.followers, 0)
         #: Raft's per-follower replication cursor: the next log index to
         #: ship.  Walked backwards on consistency-check failures so a
         #: follower that lost traffic is repaired from the divergence
         #: point.
-        next_index: dict[str, int] = {f: 1 for f in system.followers}
+        self.next_index = dict.fromkeys(system.followers, 1)
         #: Highest index already shipped (avoids re-sending in-flight
         #: suffixes on every acknowledgement under pipelined load).
-        shipped: dict[str, int] = {f: 0 for f in system.followers}
-        pending: dict[int, int] = {}  # log index -> request_id
-        while True:
-            message = yield self.inbox.get()
-            yield self._tee_cost()
-            if isinstance(message, ClientCommand):
-                entry = LogEntry(
-                    term=self.current_term,
-                    index=self.last_log_index() + 1,
-                    command=message.command,
-                )
-                self.log.append(entry)
-                pending[entry.index] = message.request_id
-                for follower in system.followers:
-                    self._ship(follower, next_index, shipped)
-            elif isinstance(message, AppendReply):
-                follower = message.follower
-                if not message.success:
-                    # Log repair: walk the cursor back and retry.
-                    next_index[follower] = max(1, next_index[follower] - 1)
-                    shipped[follower] = 0
-                    self._ship(follower, next_index, shipped)
-                    continue
-                match_index[follower] = max(
-                    match_index[follower], message.match_index
-                )
-                next_index[follower] = max(
-                    next_index[follower], match_index[follower] + 1
-                )
-                # Recovered/behind follower: stream the not-yet-shipped
-                # remainder (no-op when everything in flight).
-                self._ship(follower, next_index, shipped)
-                self._advance_commit(match_index, pending)
+        self.shipped = dict.fromkeys(system.followers, 0)
+        self.pending: dict[int, int] = {}  # log index -> request_id
+        system.network.serve(name, self.lead, TEE_IO_OVERHEAD_US)
 
-    def _ship(self, follower: str, next_index: dict, shipped: dict) -> None:
+    # ------------------------------------------------------------------
+    # Leader
+    # ------------------------------------------------------------------
+    def lead(self, done: Event) -> None:
+        message = done._value
+        if isinstance(message, ClientCommand):
+            entry = LogEntry(
+                term=self.current_term,
+                index=len(self.log) + 1,
+                command=message.command,
+            )
+            self.log.append(entry)
+            self.pending[entry.index] = message.request_id
+            for follower in self.system.followers:
+                self._ship(follower)
+        elif isinstance(message, AppendReply):
+            follower = message.follower
+            next_index = self.next_index
+            if not message.success:
+                # Log repair: walk the cursor back and retry.
+                next_index[follower] = max(1, next_index[follower] - 1)
+                self.shipped[follower] = 0
+                self._ship(follower)
+                return
+            match = max(self.match_index[follower], message.match_index)
+            self.match_index[follower] = match
+            next_index[follower] = max(next_index[follower], match + 1)
+            # Recovered/behind follower: stream the not-yet-shipped
+            # remainder (no-op when everything in flight).
+            self._ship(follower)
+            self._advance_commit()
+
+    def _ship(self, follower: str) -> None:
         """Ship the un-shipped suffix starting at the follower's cursor."""
-        start = max(next_index[follower], shipped[follower] + 1)
-        if start > self.last_log_index():
+        next_index = self.next_index[follower]
+        start = max(next_index, self.shipped[follower] + 1)
+        if start > len(self.log):
             return
-        prev_index = next_index[follower] - 1
+        prev_index = next_index - 1
         prev_term = self.log[prev_index - 1].term if prev_index >= 1 else 0
-        entries = tuple(self.log[next_index[follower] - 1 :])
-        shipped[follower] = self.last_log_index()
+        entries = tuple(self.log[next_index - 1 :])
+        self.shipped[follower] = len(self.log)
         self.system.network.send(
             follower,
             AppendEntries(
@@ -153,19 +149,18 @@ class _RaftNode:
             ),
         )
 
-    def _advance_commit(self, match_index, pending) -> None:
+    def _advance_commit(self) -> None:
         """Commit every index replicated on a majority."""
         system = self.system
-        total = len(system.followers) + 1
-        majority = total // 2 + 1
-        for index in range(self.commit_index + 1, self.last_log_index() + 1):
-            replicas = 1 + sum(1 for m in match_index.values() if m >= index)
+        majority = (len(system.followers) + 1) // 2 + 1
+        for index in range(self.commit_index + 1, len(self.log) + 1):
+            replicas = 1 + sum(1 for m in self.match_index.values() if m >= index)
             if replicas < majority:
                 break
             self.commit_index = index
             entry = self.log[index - 1]
             self.applied.append(entry.command)
-            request_id = pending.pop(index, None)
+            request_id = self.pending.pop(index, None)
             if request_id is not None:
                 system.network.send(
                     system.client_name,
@@ -175,38 +170,35 @@ class _RaftNode:
     # ------------------------------------------------------------------
     # Follower
     # ------------------------------------------------------------------
-    def run_follower(self):
-        system = self.system
-        while True:
-            message = yield self.inbox.get()
-            yield self._tee_cost()
-            if not isinstance(message, AppendEntries):
-                continue
-            success = self._consistency_check(message)
-            if success:
-                for entry in message.entries:
-                    if entry.index > self.last_log_index():
-                        self.log.append(entry)
-                new_commit = min(message.leader_commit, self.last_log_index())
-                while self.commit_index < new_commit:
-                    self.commit_index += 1
-                    self.applied.append(self.log[self.commit_index - 1].command)
-            system.network.send(
-                message.leader,
-                AppendReply(
-                    term=self.current_term,
-                    follower=self.name,
-                    success=success,
-                    match_index=self.last_log_index(),
-                ),
-            )
+    def follow(self, done: Event) -> None:
+        message = done._value
+        if not isinstance(message, AppendEntries):
+            return
+        success = self._consistency_check(message)
+        if success:
+            for entry in message.entries:
+                if entry.index > len(self.log):
+                    self.log.append(entry)
+            new_commit = min(message.leader_commit, len(self.log))
+            while self.commit_index < new_commit:
+                self.commit_index += 1
+                self.applied.append(self.log[self.commit_index - 1].command)
+        self.system.network.send(
+            message.leader,
+            AppendReply(
+                term=self.current_term,
+                follower=self.name,
+                success=success,
+                match_index=len(self.log),
+            ),
+        )
 
     def _consistency_check(self, message: AppendEntries) -> bool:
         if message.term < self.current_term:
             return False
         if message.prev_log_index == 0:
             return True
-        if message.prev_log_index > self.last_log_index():
+        if message.prev_log_index > len(self.log):
             return False
         return self.log[message.prev_log_index - 1].term == message.prev_log_term
 
@@ -229,9 +221,6 @@ class TeeRaft:
         self.nodes = {name: _RaftNode(name, self) for name in names}
         self.client_inbox = self.network.register(self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="raft")
-        self.sim.process(self.nodes[self.leader_name].run_leader())
-        for name in self.followers:
-            self.sim.process(self.nodes[name].run_follower())
 
     def run_workload(self, commands: int) -> SystemMetrics:
         return self.sim.run(self.sim.process(self._client(commands)))

@@ -196,21 +196,26 @@ def test_keystore_unknown_session():
 
 
 def test_counter_store_send_recv_independent():
-    counters = CounterStore()
-    assert counters.next_send(1) == 0
-    assert counters.next_send(1) == 1
+    kernel = AttestationKernel(device_id=10)
+    kernel.install_session(1, KEY)
+    first, second = kernel.attest(1, b"a"), kernel.attest(1, b"b")
+    assert (first.counter, second.counter) == (0, 1)
+    counters = kernel.counters
     assert counters.expected_recv(1) == 0
-    counters.advance_recv(1)
+    assert kernel.verify(1, first) == b"a"
     assert counters.expected_recv(1) == 1
-    assert counters.peek_send(1) == 2
     assert counters.snapshot() == {1: (2, 1)}
 
 
 def test_counter_store_rejects_negative_session():
     counters = CounterStore()
     with pytest.raises(ValueError):
-        counters.next_send(-1)
+        counters.session(-1)
     assert counters.snapshot() == {}
+    kernel = AttestationKernel(device_id=10)
+    with pytest.raises(UnknownSessionError):
+        kernel.attest(-1, b"x")
+    assert kernel.counters.snapshot() == {}
 
 
 def test_counter_store_builds_one_record_per_session(monkeypatch):
@@ -222,15 +227,17 @@ def test_counter_store_builds_one_record_per_session(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(counters_module, "_SessionCounters", counting)
-    counters = CounterStore()
+    sender, receiver = make_pair(session=1)
+    for kernel in (sender, receiver):
+        kernel.install_session(2, KEY)
     for _ in range(3):
         for session in (1, 2):
-            counters.next_send(session)
-            counters.peek_send(session)
-            counters.expected_recv(session)
-            counters.advance_recv(session)
-    assert len(built) == 2
-    assert counters.snapshot() == {1: (3, 3), 2: (3, 3)}
+            message = sender.attest(session, b"m")
+            receiver.counters.expected_recv(session)
+            receiver.verify(session, message)
+    assert len(built) == 4  # one per (kernel, session)
+    assert sender.counters.snapshot() == {1: (3, 0), 2: (3, 0)}
+    assert receiver.counters.snapshot() == {1: (0, 3), 2: (0, 3)}
 
 
 def test_pipelined_attest_verify_charges_time():

@@ -15,6 +15,7 @@ from repro.systems.bft import BftCounter
 from repro.systems.chain import ChainReplication, KvRequest
 from repro.systems.common import EmulatedNetwork
 from repro.sim import Simulator
+from repro.sim.latency import SYSTEM_NET_HOP_US
 
 
 def test_isolate_holds_and_heal_flushes():
@@ -31,6 +32,24 @@ def test_isolate_holds_and_heal_flushes():
     sim.run()
     assert inbox.try_get() == "held-1"
     assert inbox.try_get() == "held-2"
+
+
+def test_a_served_node_is_held_and_flushed_through_its_server():
+    sim = Simulator()
+    net = EmulatedNetwork(sim)
+    served = []
+    net.serve("n", lambda done: served.append((sim.now, done.value)), 3.0)
+    net.isolate({"n"})
+    net.send("n", "held-1")
+    net.send("n", "held-2")
+    sim.run(until=100.0)
+    assert served == [] and net.held_messages == 2
+    net.heal()  # one hop from now, then one service after the other
+    sim.run()
+    arrive = 100.0 + SYSTEM_NET_HOP_US
+    assert served == [(arrive + 3.0, "held-1"), (arrive + 6.0, "held-2")]
+    with pytest.raises(ValueError):
+        net.register("n")
 
 
 def test_isolation_mode_is_per_node_and_heal_clears_it():

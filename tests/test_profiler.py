@@ -8,6 +8,7 @@ import pytest
 from repro.api import Cluster, auth_send
 from repro.cli import _instrumented_workload
 from repro.systems.bft import BftCounter
+from repro.systems.raft import TeeRaft
 from repro.telemetry.exporters import metrics_document
 from repro.telemetry.profiler import Profiler, _callsite
 
@@ -116,6 +117,20 @@ def test_an_inline_receive_is_booked_to_the_receiving_generator():
     # found its receiver busy queued the message and is the store's.
     assert not any(key.startswith("Event:_Replica.") for key in keys)
     assert "Timeout:Store.deliver" in keys
+
+
+def test_a_served_completion_is_booked_to_the_replica_handler():
+    system = TeeRaft(nodes=3)
+    profiler = Profiler.attach(system.sim, clock=FakeClock())
+    system.run_workload(20)
+    keys = set(profiler.events)
+    # The send files the completion and the handler is its callback:
+    # the entry is the replica's protocol step, not the network's.
+    assert {"Event:_RaftNode.lead", "Event:_RaftNode.follow",
+            "Timeout:TeeRaft._client"} <= keys
+    assert profiler.events["Event:_RaftNode.lead"] == 20 * 3
+    assert profiler.events["Event:_RaftNode.follow"] == 20 * 2
+    assert not any("EmulatedNetwork" in key for key in keys)
 
 
 def test_callsite_fallbacks():

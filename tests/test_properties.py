@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AttestationKernel, AttestedMessage, AttestationError
-from repro.core.counters import CounterStore
 from repro.crypto.hashing import canonical_bytes, sha256
 from repro.crypto.hmac_engine import hmac_sha256, hmac_verify
 from repro.stack.memory import HugePageArea
@@ -80,23 +79,40 @@ def test_counter_metadata_mutation_rejected(counter_delta, device_delta):
 @given(st.lists(st.sampled_from(["send", "recv"]), max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_counters_monotone_under_any_op_sequence(ops):
-    """send and recv counters never decrease; send values are unique."""
-    store = CounterStore()
+    """send and recv counters never decrease; send values are unique.
+
+    Driven through the kernel's live path, one session looped back: a
+    send is an ``attest``, a receive ``verify``s the oldest message not
+    yet received, or replays the last one received when none is left
+    (refused, and no counter moves)."""
+    kernel = AttestationKernel(device_id=1)
+    kernel.install_session(1, b"k" * 32)
+    counters = kernel.counters
+    in_flight = []
+    received = None
     seen_send = set()
     last_send = -1
     last_recv = -1
     for op in ops:
         if op == "send":
-            value = store.next_send(1)
+            message = kernel.attest(1, b"m")
+            value = message.counter
             assert value not in seen_send
             assert value > last_send
             seen_send.add(value)
             last_send = value
-        else:
-            expected = store.expected_recv(1)
+            in_flight.append(message)
+        elif in_flight:
+            expected = counters.expected_recv(1)
             assert expected > last_recv
-            store.advance_recv(1)
+            received = in_flight.pop(0)
+            kernel.verify(1, received)
             last_recv = expected
+        elif received is not None:
+            with pytest.raises(AttestationError):
+                kernel.verify(1, received)
+        assert counters.expected_recv(1) == last_recv + 1
+        assert counters.snapshot()[1][0] == last_send + 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ Five contracts of the per-message path:
   reference), minus the timers that idiom left behind;
 * a fault-free run leaves at most one scheduled entry per client once
   its stragglers have drained;
-* the exact scheduler-event budget of a BFT, a chain-KV, a Raft and a
-  PeerReview request: hops, timed checks and attests, nothing else;
+* the exact scheduler-event budget of a BFT, a chain-KV, a Raft, a
+  TEEs-CR and a PeerReview request: hops, timed checks, attests and
+  served completions, nothing else;
 * a 64 B trusted send keeps its scheduler budget and posts with one
   REG burst, no raised lookup and no per-message counter record;
 * the scheduler's pending set stays a few dozen entries deep on the
@@ -29,6 +30,7 @@ from repro.stack.memory import MemoryError_
 from repro.stack.regs import MappedRegsPage
 from repro.systems.bft import BftCounter
 from repro.systems.chain import ChainReplication
+from repro.systems.cr_cft import TeeChainReplication
 from repro.systems.peer_review import PeerReviewSystem
 from repro.systems.raft import TeeRaft
 
@@ -207,15 +209,29 @@ def test_chain_request_costs_at_most_12_scheduler_events(monkeypatch):
     assert per_request <= 12.1
 
 
-def test_raft_request_costs_at_most_11_scheduler_events(monkeypatch):
-    # 6 hops + 5 TEE calls (one per message a replica handles); the
-    # bypass control has no checks or attests.
+# A served replica (TEEs-Raft, TEEs-CR) is one entry per message it
+# handles: the completion of its TEE service, filed at send time, with
+# the hop folded in.  Only the client's inbox still pays a hop.
+def test_raft_request_costs_at_most_6_scheduler_events(monkeypatch):
+    # 5 served completions + the client's hop; the bypass control has
+    # no checks or attests.
     system = TeeRaft(nodes=3)
     per_request = _pushes_per_request(
         monkeypatch, lambda: system.run_workload(200), 200)
     assert system.metrics.committed == 200
     assert system.logs_consistent()
-    assert per_request <= 11.1
+    assert per_request <= 6.1  # measured 6.01
+
+
+def test_cft_chain_request_costs_at_most_4_scheduler_events(monkeypatch):
+    # 3 served completions (head, middle, tail) + the client's hop.
+    system = TeeChainReplication(chain_length=3)
+    requests = kv_workload(200, read_fraction=0.5, seed=0)
+    per_request = _pushes_per_request(
+        monkeypatch, lambda: system.run_workload(requests), len(requests))
+    assert system.metrics.committed == 200
+    assert system.stores_consistent()
+    assert per_request <= 4.1
 
 
 def test_peer_review_chunk_costs_at_most_12_scheduler_events(monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.workload import kv_workload
 from repro.systems.chain import ChainReplication, KvRequest
 from repro.systems.cr_cft import TeeChainReplication
 from repro.systems.bft import BftCounter
@@ -119,3 +120,79 @@ def test_raft_commits_despite_one_lossy_follower():
     metrics = raft.run_workload(commands=4)
     assert metrics.committed == 4
     assert raft.network.dropped_messages > 0
+
+
+# ---------------------------------------------------------------------------
+# Served replicas: the virtual results, and per-channel FIFO
+# ---------------------------------------------------------------------------
+
+# ``metrics.to_dict()`` of each run as the process-per-replica model
+# computed it (all but RAFT_DEPTH_16_500): a served replica completes
+# each message at the instant the process did (hop, then TEE service,
+# in arrival order).
+RAFT_DEPTH_1_200 = {  # the e2e ``raft_cft`` shape
+    "committed": 200, "elapsed_us": 14600.0, "throughput_ops": 13698.630137,
+    "mean_latency_us": 73.0, "p50_latency_us": 73.0, "p99_latency_us": 73.0,
+}
+RAFT_DEPTH_8_40 = {  # the ``raft_vs_bft`` row of BENCH_tab04
+    "committed": 40, "elapsed_us": 459.0, "throughput_ops": 87145.969499,
+    "mean_latency_us": 87.6, "p50_latency_us": 86.0, "p99_latency_us": 115.0,
+}
+RAFT_DEPTH_8_200 = {
+    "committed": 200, "elapsed_us": 2179.0, "throughput_ops": 91785.222579,
+    "mean_latency_us": 86.32, "p50_latency_us": 86.0, "p99_latency_us": 109.0,
+}
+# Deeper pipelines tie a served completion with a client hop at one
+# instant; the served model files the completion at send time, the
+# process model filed the TEE timeout on arrival, so the two run such
+# ties in different orders.  This run is pinned at the served model's
+# own value: the process model ended it one TEE service earlier, at
+# 4552 us (mean latency 143.384), with the same final logs.
+RAFT_DEPTH_16_500 = {
+    "committed": 500, "elapsed_us": 4555.0, "throughput_ops": 109769.484083,
+    "mean_latency_us": 143.408, "p50_latency_us": 144.0, "p99_latency_us": 149.0,
+}
+CR_KV_10 = {  # the ``cr_cft_vs_bft`` row of BENCH_tab04
+    "committed": 10, "elapsed_us": 730.0, "throughput_ops": 13698.630137,
+    "mean_latency_us": 73.0, "p50_latency_us": 73.0, "p99_latency_us": 73.0,
+}
+
+
+@pytest.mark.parametrize("depth, commands, expected", [
+    (1, 200, RAFT_DEPTH_1_200),
+    (8, 40, RAFT_DEPTH_8_40),
+    (8, 200, RAFT_DEPTH_8_200),
+    (16, 500, RAFT_DEPTH_16_500),
+], ids=["depth1", "depth8-tab04", "depth8", "depth16-served"])
+def test_raft_virtual_results_are_pinned(depth, commands, expected):
+    raft = TeeRaft(nodes=3, pipeline_depth=depth)
+    assert raft.run_workload(commands).to_dict() == expected
+    assert raft.logs_consistent()
+
+
+def test_cft_chain_virtual_results_are_pinned():
+    chain = TeeChainReplication(chain_length=3)
+    assert chain.run_workload(kv_workload(10, seed=2)).to_dict() == CR_KV_10
+    assert chain.stores_consistent()
+
+
+def _raft_outcome(perturb_seed):
+    raft = TeeRaft(nodes=3, pipeline_depth=3)
+    if perturb_seed is not None:
+        raft.sim.perturb_ties(perturb_seed)
+    assert raft.run_workload(30).committed == 30
+    return {
+        name: ([entry.command for entry in node.log], node.commit_index)
+        for name, node in raft.nodes.items()
+    }
+
+
+def test_raft_channels_stay_fifo_under_tie_shuffles():
+    """Three pipelined commands leave the client at one instant.  A
+    served node completes its messages at strictly increasing instants,
+    so no tie order can make the leader log them out of send order, and
+    every shuffled run ends where the FIFO run does."""
+    fifo = _raft_outcome(None)
+    assert fifo["n0"] == ([f"cmd{i}" for i in range(30)], 30)
+    for seed in range(1, 9):
+        assert _raft_outcome(seed) == fifo, f"perturb seed {seed}"

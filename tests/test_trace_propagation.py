@@ -10,6 +10,7 @@ from repro.api.ops import recv
 from repro.cli import _instrumented_bft, _instrumented_workload, main
 from repro.sim.clock import Simulator
 from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, span_begin
+from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.systems.bft import BftCounter
 from repro.systems.common import EmulatedNetwork, Envelope
 from repro.telemetry import Telemetry
@@ -43,16 +44,36 @@ def test_detached_every_carrier_stays_untouched(monkeypatch):
     hops = []
     real_hop = EmulatedNetwork._hop
 
-    def hop(self, inbox, item):
-        hops.append(item)
-        return real_hop(self, inbox, item)
+    def hop(self, node, item, span=None):
+        hops.append((item, span))
+        return real_hop(self, node, item, span)
 
     monkeypatch.setattr(EmulatedNetwork, "_hop", hop)
     BftCounter("tnic", f=1, seed=0).run_workload(2)
     assert hops
-    assert not any(type(item) is Envelope for item in hops)
+    # A hop wraps its message in an Envelope only when given a span.
+    assert not any(type(item) is Envelope or span is not None
+                   for item, span in hops)
     _, delivered = _send_one(attach=False)
     assert TRACE_PARENT not in delivered["meta"]
+
+
+def test_a_traced_send_to_a_served_node_ends_its_hop_span():
+    """The handler of a served node gets the bare message at its
+    completion; the hop span under the sender's ends on arrival."""
+    sim = Simulator()
+    hub = Telemetry.attach(sim)
+    network = EmulatedNetwork(sim)
+    seen = []
+    network.serve("n", lambda done: seen.append((sim.now, done.value)), 3.0)
+    parent = span_begin(sim, "request.auth_send")
+    network.send("n", "message", parent=parent)
+    sim.run()
+    assert seen == [(SYSTEM_NET_HOP_US + 3.0, "message")]
+    (hop,) = [span for span in hub.spans.finished
+              if span.name == "system.net_hop"]
+    assert hop.parent_id == parent.span_id
+    assert (hop.start_us, hop.end_us) == (0.0, SYSTEM_NET_HOP_US)
 
 
 class _Lookalike:
