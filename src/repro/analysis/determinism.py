@@ -66,8 +66,6 @@ _GLOBAL_RANDOM_FUNCS = {
     "weibullvariate", "triangular", "randbytes", "seed",
 }
 
-_ENV_READS = {"os.environ", "os.getenv"}
-
 
 def _exempt(src: SourceFile) -> bool:
     return any(

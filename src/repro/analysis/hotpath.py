@@ -195,7 +195,6 @@ TNIC_MANIFEST = HotPathManifest(
         "render",
         "stats",
         "snapshot",
-        "peek_all",
         "to_dict",
         "__repr__",
         "__str__",

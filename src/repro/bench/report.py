@@ -59,9 +59,6 @@ class Series:
     def add(self, x: Any, y: float) -> None:
         self.points.append((x, y))
 
-    def ys(self) -> list[float]:
-        return [y for _, y in self.points]
-
 
 def render_figure(title: str, x_label: str, y_label: str,
                   series: list[Series]) -> str:

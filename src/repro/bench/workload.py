@@ -8,6 +8,9 @@ from repro.systems.chain import KvRequest
 #: The packet-size sweep of Figures 8-9 (64 B to 16 KiB, doubling).
 PACKET_SIZE_SWEEP = [64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384]
 
+#: The Zipf exponent of every key stream (YCSB's default).
+ZIPF_SKEW = 0.99
+
 
 def packet_sweep(start: int = 64, stop: int = 16384) -> list[int]:
     """Doubling packet sizes within [start, stop]."""
@@ -22,13 +25,14 @@ def packet_sweep(start: int = 64, stop: int = 16384) -> list[int]:
 
 
 def zipfian_keys(
-    count: int, key_space: int = 1000, skew: float = 0.99, seed: int = 0
+    count: int, key_space: int = 1000, seed: int = 0
 ) -> list[str]:
-    """A skewed key stream (approximate Zipf by inverse-CDF sampling)."""
+    """A skewed key stream (approximate Zipf by inverse-CDF sampling)
+    with exponent :data:`ZIPF_SKEW`."""
     if count < 0 or key_space < 1:
         raise ValueError("invalid workload parameters")
     rng = DeterministicRng(seed, "zipf")
-    weights = [1.0 / (rank**skew) for rank in range(1, key_space + 1)]
+    weights = [1.0 / (rank**ZIPF_SKEW) for rank in range(1, key_space + 1)]
     total = sum(weights)
     cumulative = []
     acc = 0.0

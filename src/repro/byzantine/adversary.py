@@ -159,22 +159,22 @@ def impersonation_attack(
 # Wire-level campaign (network adversary against a live cluster)
 # ---------------------------------------------------------------------------
 
+#: The wire campaign's drop, duplicate, reorder and replay probability.
+WIRE_FAULT_PROBABILITY = 0.2
+
 
 def run_wire_campaign(
     messages: int = 30,
-    drop: float = 0.2,
-    duplicate: float = 0.2,
-    reorder: float = 0.2,
-    replay: float = 0.2,
     tamper_every: int = 7,
     seed: int = 0,
 ) -> AttackReport:
     """Drive a hostile network under live TNIC traffic.
 
-    Builds a two-node cluster whose fabric drops, duplicates, reorders,
-    replays and periodically tampers with packets, sends *messages*
-    payloads, and verifies exactly-once FIFO delivery of the genuine
-    sequence.
+    Builds a two-node cluster whose fabric drops, duplicates, reorders
+    and replays packets (each with probability
+    :data:`WIRE_FAULT_PROBABILITY`) and tampers with every
+    *tamper_every*-th, sends *messages* payloads, and verifies
+    exactly-once FIFO delivery of the genuine sequence.
     """
     counter = {"seen": 0}
 
@@ -189,10 +189,10 @@ def run_wire_campaign(
         return None
 
     fault = NetworkFault(
-        drop_probability=drop,
-        duplicate_probability=duplicate,
-        reorder_probability=reorder,
-        replay_probability=replay,
+        drop_probability=WIRE_FAULT_PROBABILITY,
+        duplicate_probability=WIRE_FAULT_PROBABILITY,
+        reorder_probability=WIRE_FAULT_PROBABILITY,
+        replay_probability=WIRE_FAULT_PROBABILITY,
         tamper=tamper,
     )
     cluster = Cluster(["attacker-side", "victim"], fault=fault, seed=seed)

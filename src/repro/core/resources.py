@@ -127,10 +127,11 @@ class FpgaModel:
         """Per-resource utilisation fraction for *connections*."""
         return self.design_usage(connections).fraction_of(self.capacity)
 
-    def max_connections(self, limit: int = 4096) -> int:
-        """Largest connection count that still fits on the device."""
+    def max_connections(self) -> int:
+        """Largest connection count (up to 4096) that still fits on the
+        device."""
         best = 0
-        for connections in range(1, limit + 1):
+        for connections in range(1, 4097):
             if self.design_usage(connections).fits_in(self.capacity):
                 best = connections
             else:

@@ -46,8 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
     from repro.sim.events import Event
 
-MAC_SIZE = 32
-
 
 _BLOCK_SIZE = 64  # SHA-256 block, bytes
 _IPAD = bytes(byte ^ 0x36 for byte in range(256))

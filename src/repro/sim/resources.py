@@ -258,12 +258,6 @@ class Store:
         if earliest != inf:
             self._arm(earliest)
 
-    def try_get(self) -> Any | None:
-        """Non-blocking retrieval; None if the store is empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
     def cancel_get(self, event: Event) -> None:
         """Withdraw a pending :meth:`get` so it can no longer consume an
         item.  Call this for the losing ``get`` of a race against
@@ -274,10 +268,6 @@ class Store:
             self._getters.remove(event)
         except ValueError:
             pass  # already fulfilled or never pending
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of queued items (non-destructive)."""
-        return list(self._items)
 
 
 class Pipe:

@@ -44,8 +44,8 @@ class RdmaKey(Record):
 class HugePageArea:
     """The process's huge-page arena from which ibv memory is carved."""
 
-    def __init__(self, base_address: int = 0x7F00_0000_0000) -> None:
-        self._next_address = base_address
+    def __init__(self) -> None:
+        self._next_address = 0x7F00_0000_0000  # the arena's base address
         self._key_counter = itertools.count(0x1000)
         self.allocated_bytes = 0
 

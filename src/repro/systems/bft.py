@@ -8,8 +8,10 @@ per-sender counters), *simulate* the leader's action to validate the
 claimed output, apply it, attest their own PoE and reply to the client.
 The client commits on f+1 identical replies.
 
-Byzantine behaviours (equivocation, wrong output, replay) are injectable
-on any replica; the protocol's checks expose them.
+Each replica runs one loop, :meth:`_Replica.run`; leader and follower
+check a PoE with the same ``_validate_sender`` step.  Byzantine
+behaviours are injectable (a wrong output on any replica, equivocation
+and replay on the leader); the protocol's checks expose them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.systems.common import (
     EquivocationDetected,
     SystemMetrics,
     authenticators,
+    await_quorum,
     provision,
 )
 from repro.tee.base import AttestationProvider
@@ -86,7 +89,9 @@ def _decode_poe(payload: bytes) -> tuple[int, int, int]:
 
 @dataclass
 class ByzantineBehaviour:
-    """Faults a replica can be configured to exhibit."""
+    """Faults a replica can be configured to exhibit.  ``wrong_output``
+    bends any replica's counter (and so its PoE and replies);
+    ``equivocate`` and ``replay`` are leader behaviours."""
 
     equivocate: bool = False
     wrong_output: bool = False
@@ -99,7 +104,7 @@ class ByzantineBehaviour:
 
 
 class _Replica:
-    """One BFT replica (leader or follower)."""
+    """One BFT replica: the leader (``r0``) or a follower."""
 
     def __init__(
         self,
@@ -114,9 +119,10 @@ class _Replica:
         self.behaviour = behaviour or ByzantineBehaviour()
         self.counter = 0
         self.applied_batches: set[int] = set()
-        #: Simulated leader state: the counter value the leader *should*
-        #: have ("each replica maintains copies of counters that
-        #: represent the expected counter values for all other nodes").
+        #: Simulated state of every other replica: the counter value
+        #: each *should* have ("each replica maintains copies of counters
+        #: that represent the expected counter values for all other
+        #: nodes").
         self.simulated: dict[str, int] = {}
         self.detected_faults: list[str] = []
         self.authenticators = authenticators(provider, system.session_ids)
@@ -124,9 +130,41 @@ class _Replica:
         self.acks_per_batch: dict[int, set[str]] = {}
         self._last_attested: AttestedMessage | None = None
 
-    # ------------------------------------------------------------------
-    # Leader role (Algorithm 3, leader())
-    # ------------------------------------------------------------------
+    def run(self):
+        """The replica's one loop: each message goes to its role's step
+        (Algorithm 3, leader() and follower()).  A follower ignores
+        client requests: only the leader orders them."""
+        leader = self.name == self.system.leader_name
+        receive = "bft.leader_ack" if leader else "bft.follower"
+        while True:
+            message = yield self.inbox.get()
+            trace_parent = None
+            if type(message) is Envelope:
+                message, trace_parent = message.message, message.span
+            if isinstance(message, ProofOfExecution):
+                checked = yield from self._validate_sender(
+                    message, receive, trace_parent
+                )
+                if checked is None:
+                    continue
+                span, batch_id, increments = checked
+                if leader:
+                    self._collect_ack(message.sender, batch_id, span)
+                else:
+                    yield from self._follow(batch_id, increments, span)
+            elif isinstance(message, ReadRequest):
+                yield from self._answer_read(message)
+            elif leader and isinstance(message, ClientRequest):
+                yield from self._lead(message, trace_parent)
+
+    def _apply(self, increments: int) -> int:
+        """Execute a batch on the counter and return the new value; a
+        ``wrong_output`` replica deviates from the specification."""
+        self.counter += increments
+        if self.behaviour.wrong_output:
+            self.counter += 7
+        return self.counter
+
     def _answer_read(self, request: "ReadRequest"):
         """Reply to a quorum read, charging one C_priv signature
         (Appendix C.1 — replies to clients are device-signed, not
@@ -137,77 +175,65 @@ class _Replica:
             Reply(self.name, -request.read_id - 1, self.counter),
         )
 
-    def run_leader(self):
+    def _lead(self, request: ClientRequest, trace_parent):
+        """leader(): execute the client's batch, attest the PoE once and
+        multicast it to the followers."""
         sim = self.system.sim
-        while True:
-            request = yield self.inbox.get()
-            trace_parent = None
-            if type(request) is Envelope:
-                request, trace_parent = request.message, request.span
-            if isinstance(request, ProofOfExecution):
-                yield from self._leader_handle_ack(request, trace_parent)
-                continue
-            if isinstance(request, ReadRequest):
-                yield from self._answer_read(request)
-                continue
-            if not isinstance(request, ClientRequest):
-                continue
-            span = NULL_SPAN
-            if sim.telemetry is not None:
-                span = span_begin(sim, "bft.leader", parent=trace_parent,
-                                  node=self.name, batch=request.batch_id)
-            output = self.counter + request.increments
-            if not self.behaviour.wrong_output:
-                self.counter = output
-            else:
-                self.counter = output + 7  # deviate from the specification
-            payload = _encode_poe(
-                request.batch_id, request.increments, self.counter
-            )
-            if self.behaviour.replay and self._last_attested is not None:
-                # Re-send a stale but valid attested message.
-                self.system.broadcast_poe(self.name, self._last_attested,
-                                          parent=span)
-                span.end(status="replay")
-                continue
-            if self.behaviour.equivocate:
-                # Different statements to different followers: each gets
-                # its own attestation, hence its own counter value.
-                followers = list(self.system.followers)
-                for offset, follower in enumerate(followers, 1):
-                    forked = _encode_poe(
-                        request.batch_id, request.increments,
-                        self.counter + offset,
-                    )
-                    attested = yield self.provider.attest(
-                        self.system.session_ids[self.name], forked
-                    )
-                    self.system.network.send(
-                        follower, ProofOfExecution(self.name, attested),
-                        parent=span,
-                    )
-                span.end(status="equivocate")
-                continue
-            if span is not NULL_SPAN:
-                stage = span.child("attest.hmac")
-            attested = yield self.provider.attest(
-                self.system.session_ids[self.name], payload
-            )
-            if span is not NULL_SPAN:
-                stage.end()
-            self._last_attested = attested
-            self.system.broadcast_poe(self.name, attested, parent=span)
-            if span is not NULL_SPAN:
-                span.end(status="ok")
+        span = NULL_SPAN
+        if sim.telemetry is not None:
+            span = span_begin(sim, "bft.leader", parent=trace_parent,
+                              node=self.name, batch=request.batch_id)
+        output = self._apply(request.increments)
+        if self.behaviour.replay and self._last_attested is not None:
+            # Re-send a stale but valid attested message.
+            self.system.broadcast_poe(self.name, self._last_attested,
+                                      parent=span)
+            span.end(status="replay")
+            return
+        if self.behaviour.equivocate:
+            # Different statements to different followers: each gets
+            # its own attestation, hence its own counter value.
+            followers = list(self.system.followers)
+            for offset, follower in enumerate(followers, 1):
+                forked = _encode_poe(
+                    request.batch_id, request.increments, output + offset
+                )
+                attested = yield self.provider.attest(
+                    self.system.session_ids[self.name], forked
+                )
+                self.system.network.send(
+                    follower, ProofOfExecution(self.name, attested),
+                    parent=span,
+                )
+            span.end(status="equivocate")
+            return
+        if span is not NULL_SPAN:
+            stage = span.child("attest.hmac")
+        attested = yield self.provider.attest(
+            self.system.session_ids[self.name],
+            _encode_poe(request.batch_id, request.increments, output),
+        )
+        if span is not NULL_SPAN:
+            stage.end()
+        self._last_attested = attested
+        self.system.broadcast_poe(self.name, attested, parent=span)
+        if span is not NULL_SPAN:
+            span.end(status="ok")
 
-    def _leader_handle_ack(self, message: ProofOfExecution, trace_parent=None):
-        """validate_follower(): verify the follower's PoE and output,
-        then reply to the client (once per batch)."""
+    def _validate_sender(self, message: ProofOfExecution, span_name: str,
+                         trace_parent):
+        """validate_sender() / validate_follower(): the TNIC checks the
+        PoE (transferable authentication, counter continuity), then the
+        sender's state change is simulated and recorded.
+
+        Returns the receive's span and the PoE's ``(batch_id,
+        increments)``, or None once a fault is recorded.
+        """
         sim = self.system.sim
         span = stage = NULL_SPAN
         if sim.telemetry is not None:
-            span = span_begin(sim, "bft.leader_ack",
-                              parent=trace_parent, node=self.name)
+            span = span_begin(sim, span_name, parent=trace_parent,
+                              node=self.name)
             stage = span.child("bft.rx_verify")
         auth = self.authenticators[message.sender]
         try:
@@ -216,24 +242,30 @@ class _Replica:
             stage.end(status="rejected")
             span.end(status="rejected")
             self.detected_faults.append(str(exc))
-            return
+            return None
         if span is not NULL_SPAN:
             stage.end()
         batch_id, increments, output = _decode_poe(payload)
         expected = self.simulated.get(message.sender, 0) + increments
         if output != expected:
             self.detected_faults.append(
-                f"follower {message.sender} output mismatch: "
+                f"output mismatch from {message.sender}: "
                 f"claimed {output}, simulated {expected}"
             )
             span.end(status="mismatch")
-            return
+            return None
         self.simulated[message.sender] = expected
+        return span, batch_id, increments
+
+    def _collect_ack(self, sender: str, batch_id: int, span) -> None:
+        """The rest of the leader's validate_follower(): a valid
+        follower PoE acknowledges its batch, and the first makes the
+        leader reply to the client."""
         acks = self.acks_per_batch.setdefault(batch_id, set())
-        if message.sender in acks:
+        if sender in acks:
             span.end(status="duplicate")
             return
-        acks.add(message.sender)
+        acks.add(sender)
         if len(acks) == 1:  # incr_req_acks_if_not_incr_before + single reply
             self.system.network.send(
                 self.system.client_name,
@@ -243,78 +275,41 @@ class _Replica:
         if span is not NULL_SPAN:
             span.end(status="ok")
 
-    # ------------------------------------------------------------------
-    # Follower role (Algorithm 3, follower())
-    # ------------------------------------------------------------------
-    def run_follower(self):
-        sim = self.system.sim
-        while True:
-            message = yield self.inbox.get()
-            trace_parent = None
-            if type(message) is Envelope:
-                message, trace_parent = message.message, message.span
-            if isinstance(message, ReadRequest):
-                yield from self._answer_read(message)
-                continue
-            if not isinstance(message, ProofOfExecution):
-                continue
-            span = stage = NULL_SPAN
-            if sim.telemetry is not None:
-                span = span_begin(sim, "bft.follower",
-                                  parent=trace_parent, node=self.name)
-                stage = span.child("bft.rx_verify")
-            auth = self.authenticators[message.sender]
-            try:
-                payload = yield auth.verify(message.attested)
-            except EquivocationDetected as exc:
-                stage.end(status="rejected")
-                span.end(status="rejected")
-                self.detected_faults.append(str(exc))
-                continue
+    def _follow(self, batch_id: int, increments: int, span):
+        """The rest of follower(): apply a validated batch once, attest
+        this replica's own PoE to the leader and the other followers,
+        and reply to the client."""
+        if batch_id in self.applied_batches:
+            # Not a fault: every batch reaches a follower twice, from
+            # the leader and forwarded by a peer.
             if span is not NULL_SPAN:
-                stage.end()
-            batch_id, increments, output = _decode_poe(payload)
-            # validate_sender: simulate the sender's state transition.
-            expected = self.simulated.get(message.sender, 0) + increments
-            if output != expected:
-                self.detected_faults.append(
-                    f"output mismatch from {message.sender}: "
-                    f"claimed {output}, simulated {expected}"
-                )
-                span.end(status="mismatch")
-                continue
-            self.simulated[message.sender] = expected
-            if batch_id in self.applied_batches:
-                # Not a fault: every batch reaches a follower twice, from
-                # the leader and forwarded by a peer.
-                if span is not NULL_SPAN:
-                    span.end(status="duplicate")
-                continue  # in_order_not_applied()
-            self.applied_batches.add(batch_id)
-            self.counter += increments
-            own_payload = _encode_poe(batch_id, increments, self.counter)
-            if span is not NULL_SPAN:
-                stage = span.child("attest.hmac")
-            attested = yield self.provider.attest(
-                self.system.session_ids[self.name], own_payload
-            )
-            if span is not NULL_SPAN:
-                stage.end()
-            poe = ProofOfExecution(self.name, attested)
-            self.system.network.send(self.system.leader_name, poe, parent=span)
-            # "it forwards the leader's request to every other replica to
-            # ensure that all correct replicas will eventually receive
-            # and apply the same command."
-            for peer in self.system.followers:
-                if peer != self.name:
-                    self.system.network.send(peer, poe, parent=span)
-            self.system.network.send(
-                self.system.client_name,
-                Reply(self.name, batch_id, self.counter),
-                parent=span,
-            )
-            if span is not NULL_SPAN:
-                span.end(status="ok")
+                span.end(status="duplicate")
+            return  # in_order_not_applied()
+        self.applied_batches.add(batch_id)
+        own_payload = _encode_poe(batch_id, increments,
+                                  self._apply(increments))
+        if span is not NULL_SPAN:
+            stage = span.child("attest.hmac")
+        attested = yield self.provider.attest(
+            self.system.session_ids[self.name], own_payload
+        )
+        if span is not NULL_SPAN:
+            stage.end()
+        poe = ProofOfExecution(self.name, attested)
+        self.system.network.send(self.system.leader_name, poe, parent=span)
+        # "it forwards the leader's request to every other replica to
+        # ensure that all correct replicas will eventually receive
+        # and apply the same command."
+        for peer in self.system.followers:
+            if peer != self.name:
+                self.system.network.send(peer, poe, parent=span)
+        self.system.network.send(
+            self.system.client_name,
+            Reply(self.name, batch_id, self.counter),
+            parent=span,
+        )
+        if span is not NULL_SPAN:
+            span.end(status="ok")
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +327,6 @@ class BftCounter:
         batch: int = 1,
         seed: int = 0,
         behaviours: dict[str, ByzantineBehaviour] | None = None,
-        provider_kwargs: dict | None = None,
         extra_replicas: int = 0,
     ) -> None:
         if f < 1:
@@ -353,7 +347,7 @@ class BftCounter:
         self.followers = names[1:]
         self.client_name = "client"
         self.providers, self.session_ids = provision(
-            self.sim, provider_name, names, seed, provider_kwargs
+            self.sim, provider_name, names, seed
         )
         behaviours = behaviours or {}
         self.replicas = {
@@ -363,9 +357,8 @@ class BftCounter:
         }
         self.client_inbox = self.network.register(self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="bft")
-        self.sim.process(self.replicas[self.leader_name].run_leader())
-        for follower in self.followers:
-            self.sim.process(self.replicas[follower].run_follower())
+        for replica in self.replicas.values():
+            self.sim.process(replica.run())
 
     def broadcast_poe(
         self, sender: str, attested: AttestedMessage, parent=None
@@ -468,25 +461,14 @@ class BftCounter:
         request = ReadRequest(read_id)
         for name in [self.leader_name] + self.followers:
             self.network.send(name, request)
-        quorum = self.f + 1
-        votes: dict[int, set[str]] = {}
-        deadline = self.sim.now + timeout_us
-        while True:
-            item = yield self.client_inbox.get_until(deadline)
-            if item is TIMED_OUT:
-                raise TimeoutError("no read quorum")
-            reply = item
-            if type(item) is Envelope:
-                reply = item.message
-            if (
-                not isinstance(reply, Reply)
-                or reply.batch_id != -read_id - 1
-            ):
-                continue
-            voters = votes.setdefault(reply.output, set())
-            voters.add(reply.sender)
-            if len(voters) >= quorum:
-                return reply.output
+        reply = yield from await_quorum(
+            self.client_inbox, self.sim.now + timeout_us, self.f + 1,
+            lambda reply: (isinstance(reply, Reply)
+                           and reply.batch_id == -read_id - 1),
+        )
+        if reply is None:
+            raise TimeoutError("no read quorum")
+        return reply.output
 
     def detected_faults(self) -> dict[str, list[str]]:
         return {

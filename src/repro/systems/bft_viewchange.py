@@ -24,13 +24,13 @@ from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.clock import Simulator
 from repro.sim.record import Record, record
-from repro.sim.resources import TIMED_OUT
 from repro.systems.bft import ClientRequest, Reply, _decode_poe, _encode_poe
 from repro.systems.common import (
     EmulatedNetwork,
     EquivocationDetected,
     SystemMetrics,
     authenticators,
+    await_quorum,
     provision,
 )
 from repro.tee.base import AttestationProvider
@@ -285,24 +285,16 @@ class ViewChangeBftCounter:
         quorum = self.f + 1
         for batch_id in range(batches):
             sent_at = self.sim.now
-            deadline = self.sim.now + timeout_us
             request = ClientRequest(batch_id, 1)
             for name in self.replica_names:
                 self.network.send(name, request)
-            votes: dict[int, set[str]] = {}
-            committed = False
-            while not committed:
-                reply = yield self.client_inbox.get_until(deadline)
-                if reply is TIMED_OUT:
-                    self.aborted = True
-                    break
-                if not isinstance(reply, Reply) or reply.batch_id != batch_id:
-                    continue
-                voters = votes.setdefault(reply.output, set())
-                voters.add(reply.sender)
-                if len(voters) >= quorum:
-                    committed = True
-            if self.aborted:
+            reply = yield from await_quorum(
+                self.client_inbox, sent_at + timeout_us, quorum,
+                lambda reply: (isinstance(reply, Reply)
+                               and reply.batch_id == batch_id),
+            )
+            if reply is None:
+                self.aborted = True
                 break
             self.metrics.record(self.sim.now - sent_at)
         self.metrics.finished_at = self.sim.now

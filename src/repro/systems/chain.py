@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from repro.core.attestation import AttestedMessage
 from repro.sim.clock import Simulator
 from repro.sim.record import Record, record
-from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
     EmulatedNetwork,
     EquivocationDetected,
     SystemMetrics,
     authenticators,
+    await_quorum,
     provision,
 )
 from repro.tee.base import AttestationProvider
@@ -130,16 +130,11 @@ class _ChainNode:
 
     def execute(self, request: KvRequest) -> str:
         """Deterministic KV application."""
+        output = self._expected_output(request)
         if request.op == "put":
             self.store[request.key] = request.value
-            return f"ok:{request.value}"
-        if request.op == "get":
-            return self.store.get(request.key, "<missing>")
-        raise ValueError(f"unknown op {request.op!r}")
+        return output
 
-    # ------------------------------------------------------------------
-    # head_operation (Algorithm 4)
-    # ------------------------------------------------------------------
     def _answer_quorum_read(self, message: "QuorumRead"):
         """Serve a direct read: execute locally, reply to the client.
 
@@ -160,20 +155,35 @@ class _ChainNode:
             ChainReply(self.name, message.request_id, output),
         )
 
-    def run_head(self):
+    def run(self):
+        """The node's one loop (Algorithm 4).
+
+        The head orders a client's request (head_operation); a later
+        node takes the chained message from its predecessor once
+        validate() passes (middle_tail_operation).  Either then
+        executes the request, attests its output, forwards the chain
+        with its own PoE appended and replies to the client.  Each node
+        ignores the message kinds its role never receives.
+        """
+        head = self.name == self.system.names[0]
         while True:
             message = yield self.inbox.get()
             if isinstance(message, QuorumRead):
                 yield from self._answer_quorum_read(message)
                 continue
-            if isinstance(message, ChainSubmit):
-                request_id = message.request_id
-                message = message.request
-            elif isinstance(message, KvRequest):
-                request_id = self.commit_index
+            if head:
+                if not isinstance(message, ChainSubmit):
+                    continue
+                poes = ()
             else:
-                continue
-            output = self.execute(message)
+                if not isinstance(message, ChainMessage):
+                    continue
+                valid = yield from self._validate_chain(message)
+                if not valid:
+                    continue
+                poes = message.poes
+            request_id, request = message.request_id, message.request
+            output = self.execute(request)
             self.commit_index += 1
             if self.behaviour.corrupt_output:
                 output = "corrupted"
@@ -181,45 +191,13 @@ class _ChainNode:
                 self.system.session_ids[self.name],
                 _encode_output(request_id, output, self.commit_index),
             )
-            chained = ChainMessage(request_id, message, ((self.name, attested),))
-            if not self.behaviour.drop_forward and self.successor:
-                self.system.network.send(self.successor, chained)
-            self.system.network.send(
-                self.system.client_name, ChainReply(self.name, request_id, output)
-            )
-
-    # ------------------------------------------------------------------
-    # middle_tail_operation (Algorithm 4)
-    # ------------------------------------------------------------------
-    def run_middle_or_tail(self):
-        while True:
-            message = yield self.inbox.get()
-            if isinstance(message, QuorumRead):
-                yield from self._answer_quorum_read(message)
-                continue
-            if not isinstance(message, ChainMessage):
-                continue
-            valid = yield from self._validate_chain(message)
-            if not valid:
-                continue
-            output = self.execute(message.request)
-            self.commit_index += 1
-            if self.behaviour.corrupt_output:
-                output = "corrupted"
-            attested = yield self.provider.attest(
-                self.system.session_ids[self.name],
-                _encode_output(message.request_id, output, self.commit_index),
-            )
-            chained = ChainMessage(
-                message.request_id,
-                message.request,
-                message.poes + ((self.name, attested),),
-            )
             if self.successor and not self.behaviour.drop_forward:
-                self.system.network.send(self.successor, chained)
+                self.system.network.send(self.successor, ChainMessage(
+                    request_id, request, poes + ((self.name, attested),)
+                ))
             self.system.network.send(
                 self.system.client_name,
-                ChainReply(self.name, message.request_id, output),
+                ChainReply(self.name, request_id, output),
             )
 
     def _validate_chain(self, message: ChainMessage):
@@ -261,7 +239,9 @@ class _ChainNode:
         """Simulate the request on the local (pre-execution) state."""
         if request.op == "put":
             return f"ok:{request.value}"
-        return self.store.get(request.key, "<missing>")
+        if request.op == "get":
+            return self.store.get(request.key, "<missing>")
+        raise ValueError(f"unknown op {request.op!r}")
 
 
 class ChainReplication:
@@ -273,7 +253,6 @@ class ChainReplication:
         chain_length: int = 3,
         seed: int = 0,
         behaviours: dict[str, ChainBehaviour] | None = None,
-        provider_kwargs: dict | None = None,
     ) -> None:
         if chain_length < 2:
             raise ValueError("chain needs at least head and tail")
@@ -284,7 +263,7 @@ class ChainReplication:
         self.names = names
         self.client_name = "client"
         self.providers, self.session_ids = provision(
-            self.sim, provider_name, names, seed, provider_kwargs
+            self.sim, provider_name, names, seed
         )
         behaviours = behaviours or {}
         self.nodes: dict[str, _ChainNode] = {}
@@ -297,9 +276,8 @@ class ChainReplication:
         self.client_inbox = self.network.register(self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="chain")
         self.aborted = False
-        self.sim.process(self.nodes["head"].run_head())
-        for name in names[1:]:
-            self.sim.process(self.nodes[name].run_middle_or_tail())
+        for node in self.nodes.values():
+            self.sim.process(node.run())
 
     # ------------------------------------------------------------------
     def run_workload(
@@ -326,31 +304,19 @@ class ChainReplication:
         needed = len(self.names)
         for request_id, request in enumerate(requests):
             sent_at = self.sim.now
-            deadline = self.sim.now + timeout_us
             if read_mode == "quorum" and request.op == "get":
                 probe = QuorumRead(request_id, request)
                 for name in self.names:
                     self.network.send(name, probe)
             else:
                 self.network.send("head", ChainSubmit(request_id, request))
-            outputs: dict[str, set[str]] = {}
-            committed = False
-            while not committed:
-                reply = yield self.client_inbox.get_until(deadline)
-                if reply is TIMED_OUT:
-                    self.aborted = True
-                    break
-                if not isinstance(reply, ChainReply):
-                    continue
-                if reply.request_id != request_id:
-                    continue
-                # Only the voter set this reply extended can newly reach
-                # the quorum.
-                voters = outputs.setdefault(reply.output, set())
-                voters.add(reply.sender)
-                if len(voters) >= needed:
-                    committed = True
-            if self.aborted:
+            reply = yield from await_quorum(
+                self.client_inbox, sent_at + timeout_us, needed,
+                lambda reply: (isinstance(reply, ChainReply)
+                               and reply.request_id == request_id),
+            )
+            if reply is None:
+                self.aborted = True
                 break
             self.metrics.record(self.sim.now - sent_at)
         self.metrics.finished_at = self.sim.now

@@ -17,6 +17,9 @@ latency.  Every system here is built from the same four pieces:
   time, filled by the system's client process, whose return value
   ``run_workload`` hands back.
 
+A client that trusts an output once enough replicas vote for it waits
+with :func:`await_quorum`.
+
 :class:`BroadcastAuthenticator` is the receiver side of the §6.1
 equivocation-free multicast: the sender attests a message *once* and
 unicasts the identical attested message; every receiver checks
@@ -36,7 +39,7 @@ from repro.sim.events import Timeout
 from repro.sim.instrument import count, emit, gauge_set, observe, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.record import Record, record
-from repro.sim.resources import SerialServer, Store
+from repro.sim.resources import TIMED_OUT, SerialServer, Store
 from repro.tee.base import AttestationProvider
 from repro.tee.providers import make_provider
 
@@ -302,12 +305,31 @@ class SystemMetrics:
         }
 
 
+def await_quorum(inbox: Store, deadline: float, quorum: int,
+                 wanted: Callable[[Any], bool]):
+    """Wait on a client *inbox* until *quorum* distinct senders of
+    replies that *wanted* accepts agree on one ``output``; return that
+    reply, or None at *deadline*.  Run it with ``yield from``."""
+    votes: dict[Any, set[str]] = {}
+    while True:
+        reply = yield inbox.get_until(deadline)
+        if reply is TIMED_OUT:
+            return None
+        if type(reply) is Envelope:
+            reply = reply.message
+        if not wanted(reply):
+            continue
+        voters = votes.setdefault(reply.output, set())
+        voters.add(reply.sender)
+        if len(voters) >= quorum:
+            return reply
+
+
 def provision(
     sim: "Simulator",
     provider_name: str,
     names: list[str],
     seed: int,
-    provider_kwargs: dict | None = None,
     session_keys: dict[Any, bytes] | None = None,
 ) -> tuple[dict[str, AttestationProvider], dict[Any, int]]:
     """One provider per node and every session installed on all of them.
@@ -320,9 +342,8 @@ def provision(
     authentication requires shared session keys).  Returns
     ``(providers, {label: session_id})``.
     """
-    kwargs = dict(provider_kwargs or {})
-    if provider_name == "amd-sev":
-        kwargs.setdefault("lower_bound", True)  # §8.3 uses the 30us bound
+    # §8.3 runs AMD-sev at its 30 µs lower bound.
+    kwargs = {"lower_bound": True} if provider_name == "amd-sev" else {}
     providers = {
         name: make_provider(provider_name, sim, i + 1, seed=seed, **kwargs)
         for i, name in enumerate(names)

@@ -366,7 +366,6 @@ class PeerReviewSystem:
         children: int = 2,
         seed: int = 0,
         behaviour: PeerReviewBehaviour | None = None,
-        provider_kwargs: dict | None = None,
         audit_children: bool = False,
         ack_timeout_us: float = 100_000.0,
     ) -> None:
@@ -383,8 +382,7 @@ class PeerReviewSystem:
         self.source_name = "source"
         self.children = [f"child{i}" for i in range(children)]
         self.providers, self.session_ids = provision(
-            self.sim, provider_name, [self.source_name] + self.children,
-            seed, provider_kwargs,
+            self.sim, provider_name, [self.source_name] + self.children, seed
         )
         self.metrics = SystemMetrics(sim=self.sim, system="peer_review")
         self.witness = Witness(self, role="source")

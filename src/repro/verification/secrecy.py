@@ -93,9 +93,13 @@ class Pub(Record):
 
 Term = Atom | Pair | SEnc | Mac | Kdf | Pub
 
+#: Rounds of rule application :func:`saturate` runs at most.
+SATURATION_ROUNDS = 10
 
-def saturate(observed: Iterable[Term], max_rounds: int = 10) -> set[Term]:
-    """Dolev–Yao knowledge closure of *observed*.
+
+def saturate(observed: Iterable[Term]) -> set[Term]:
+    """Dolev–Yao knowledge closure of *observed*, over at most
+    :data:`SATURATION_ROUNDS` rounds.
 
     Decomposition rules: unpair; decrypt ``senc(m,k)`` when ``k`` is
     known; take ``pub(x)`` components apart is NOT allowed (one-way).
@@ -106,7 +110,7 @@ def saturate(observed: Iterable[Term], max_rounds: int = 10) -> set[Term]:
     knowledge: set[Term] = set(observed)
     kdf_targets = {t for t in _all_subterms(knowledge) if isinstance(t, Kdf)}
     pub_targets = {t for t in _all_subterms(knowledge) if isinstance(t, Pub)}
-    for _ in range(max_rounds):
+    for _ in range(SATURATION_ROUNDS):
         new: set[Term] = set()
         for term in knowledge:
             if isinstance(term, Pair):
@@ -207,9 +211,9 @@ def protocol_run_observations(
 # ---------------------------------------------------------------------------
 
 
-def hw_key_secret(extra_knowledge: Iterable[Term] = ()) -> bool:
+def hw_key_secret() -> bool:
     """``HW_key_priv_secret``: HW_key not derivable from the run."""
-    knowledge = saturate([*protocol_run_observations(), *extra_knowledge])
+    knowledge = saturate(protocol_run_observations())
     return HW_KEY not in knowledge
 
 

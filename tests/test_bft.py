@@ -101,6 +101,27 @@ def test_replaying_leader_blocks_commit():
     assert system.metrics.committed <= 1 * system.batch
 
 
+def test_wrong_output_follower_is_exposed_and_outvoted():
+    """A follower deviating from the specification fails the leader's
+    validate_follower() and its peer's validate_sender(); the leader and
+    the honest follower still make f+1 identical replies."""
+    system = BftCounter(
+        "tnic",
+        behaviours={"r1": ByzantineBehaviour(wrong_output=True)},
+    )
+    metrics = system.run_workload(batches=4, timeout_us=20_000.0)
+    assert not system.aborted
+    assert metrics.committed == 4
+    faults = system.detected_faults()
+    assert set(faults) == {"r0", "r2"}
+    for name in ("r0", "r2"):
+        assert faults[name]
+        assert all(f.startswith("output mismatch from r1")
+                   for f in faults[name])
+    assert system.replicas["r2"].counter == 4
+    assert system.read_counter() == 4
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         BftCounter(f=0)

@@ -30,8 +30,9 @@ def test_isolate_holds_and_heal_flushes():
     assert net.held_messages == 2
     net.heal()
     sim.run()
-    assert inbox.try_get() == "held-1"
-    assert inbox.try_get() == "held-2"
+    assert len(inbox) == 2
+    assert inbox.get().value == "held-1"
+    assert inbox.get().value == "held-2"
 
 
 def test_a_served_node_is_held_and_flushed_through_its_server():
@@ -66,8 +67,9 @@ def test_isolation_mode_is_per_node_and_heal_clears_it():
     net.heal()
     net.send("b", "after-heal")
     sim.run()
-    assert inbox_a.try_get() == "to-a"
-    assert inbox_b.try_get() == "after-heal"
+    assert (len(inbox_a), len(inbox_b)) == (1, 1)
+    assert inbox_a.get().value == "to-a"
+    assert inbox_b.get().value == "after-heal"
     assert (net.held_messages, net.dropped_messages) == (0, 1)
 
 

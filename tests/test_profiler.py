@@ -111,8 +111,7 @@ def test_an_inline_receive_is_booked_to_the_receiving_generator():
     keys = set(profiler.events)
     # The hop that carries a message runs the receiver's segment in its
     # own entry: the entry is the receiver's, under the hop's type.
-    assert {"Timeout:_Replica.run_leader", "Timeout:_Replica.run_follower",
-            "Timeout:BftCounter._client"} <= keys
+    assert {"Timeout:_Replica.run", "Timeout:BftCounter._client"} <= keys
     # No receiver is woken by an event of its own any more; a hop that
     # found its receiver busy queued the message and is the store's.
     assert not any(key.startswith("Event:_Replica.") for key in keys)

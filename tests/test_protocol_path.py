@@ -140,7 +140,8 @@ def test_served_getters_share_one_timer_and_expired_ones_leave():
     assert timers == [100.0, 160.0]
     assert not store._getters
     store.put("late")
-    assert store.try_get() == "late"
+    assert len(store) == 1
+    assert store.get().value == "late"
 
 
 # ----------------------------------------------------------------------

@@ -169,12 +169,15 @@ def test_store_fifo_and_blocking():
     assert got == [("x", 1.0), ("y", 2.0)]
 
 
-def test_store_try_get():
+def test_store_get_of_a_queued_item_is_ready_at_once():
     sim = Simulator()
     store = Store(sim)
-    assert store.try_get() is None
+    assert len(store) == 0
     store.put(1)
-    assert store.try_get() == 1
+    assert len(store) == 1
+    event = store.get()
+    assert event.processed and event.value == 1
+    assert len(store) == 0
 
 
 def test_pipe_serialises_transfers():
@@ -228,7 +231,8 @@ def test_store_cancel_get_prevents_item_swallowing():
     abandoned = store.get()
     store.cancel_get(abandoned)
     store.put("item")
-    assert store.try_get() == "item"
+    assert len(store) == 1
+    assert store.get().value == "item"
     # Cancelling twice (or a fulfilled get) is a no-op.
     store.cancel_get(abandoned)
 
@@ -240,7 +244,7 @@ def test_store_abandoned_get_would_swallow_without_cancel():
     store.put("item")
     sim.run()
     # The abandoned getter consumed it (documented hazard).
-    assert store.try_get() is None
+    assert len(store) == 0
     assert abandoned.value == "item"
 
 
@@ -584,7 +588,8 @@ def test_a_delivery_with_no_getter_queues_the_message():
     store = Store(sim)
     _hop(sim, store, 1.0, "early")
     sim.run()
-    assert store.peek_all() == ["early"]
+    assert len(store) == 1
+    assert store.get().value == "early"
 
 
 def test_blocked_getters_are_served_fifo_and_a_served_deadline_lapses():

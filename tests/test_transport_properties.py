@@ -142,6 +142,23 @@ def test_a_nak_burst_does_not_exhaust_the_retry_budget():
     assert run_exchange(payloads, fault, 336, window=4) == payloads
 
 
+@pytest.mark.xfail(
+    strict=True, raises=TransportError,
+    reason="open defect: same NAK-burst retry exhaustion as above")
+def test_a_window_16_burst_does_not_exhaust_the_retry_budget():
+    """A second input of the windowed-traffic property that fails the
+    same way, found by a fresh draw: ``send psn=5 failed: retry limit
+    exceeded`` with 16 messages allowed in flight.  It is recorded here
+    and not pinned into the property, which keeps drawing fresh
+    examples."""
+    sizes = [64, 16384, 1024, 16384, 64, 16384]
+    payloads = [index.to_bytes(2, "big") * (size // 2)
+                for index, size in enumerate(sizes)]
+    fault = NetworkFault(drop_probability=0.2, duplicate_probability=0.2,
+                         reorder_probability=0.2)
+    assert run_exchange(payloads, fault, 6652, window=16) == payloads
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=15, deadline=None)
 def test_periodic_tampering_never_corrupts_delivery(seed):
