@@ -16,7 +16,7 @@ turns both into mechanically enforced, CI-gated properties:
 * :mod:`repro.analysis.taint`       — SEC001–SEC003 key secrecy: the
   policy and the interprocedural taint engine (per-function summaries,
   fixpoint propagation) that checks it;
-* :mod:`repro.analysis.hotpath`     — PERF001–PERF006 hot-path cost
+* :mod:`repro.analysis.hotpath`     — PERF001–PERF003 hot-path cost
   lint (interprocedural reachability from the kernel entry points);
 * :mod:`repro.analysis.liveness`    — LIV001 and LIV005 liveness
   lint (leaked acquires, completions pending with no expiry);
@@ -46,9 +46,6 @@ from repro.analysis.hotpath import (
     HotPathEngine,
     HotPathManifest,
     HotSlotsRule,
-    HotTryExceptRule,
-    LoopInvariantLookupRule,
-    RawCryptoRule,
     UngatedEmitRule,
 )
 from repro.analysis.liveness import (
@@ -92,13 +89,10 @@ __all__ = [
     "HotPathEngine",
     "HotPathManifest",
     "HotSlotsRule",
-    "HotTryExceptRule",
     "IndexedRule",
     "LIVENESS_RULES",
     "LivenessEngine",
-    "LoopInvariantLookupRule",
     "ProjectRule",
-    "RawCryptoRule",
     "ResourceLeakRule",
     "Rule",
     "SourceFile",

@@ -1,4 +1,4 @@
-"""Hot-path cost analysis: interprocedural PERF lint (PERF001–PERF006).
+"""Hot-path cost analysis: interprocedural PERF lint (PERF001–PERF003).
 
 The kernel's cost rules — ``__slots__`` everywhere, an allocation-free
 drain loop, instrumentation gated where it is called — are protected
@@ -33,20 +33,12 @@ contract, the same way determinism, taint and races already are:
      span's identity test (``span is not NULL_SPAN``).  Building
      ``packet.describe()`` for a discarded record is the cost this
      rule sees; the call itself is the other (see below).
-   * PERF004 — the same loop-invariant bound-method looked up twice or
-     more inside one loop (``a.b.method(...)`` with no segment of
-     ``a.b`` assigned in the loop): hoist it.
-   * PERF005 — ``try``/``except`` inside a loop in a hot function.
-     ``try``/``finally`` is free on the no-exception path (3.11+), and
-     a ``try`` whose body *yields* is a protocol wait (a replica loop
-     catching the failure of the check it waits on), so both are exempt.
-   * PERF006 — a raw ``hashlib.sha256`` call outside the
-     sanctioned helpers (``KeyedHmac``, which keys the one HMAC the
-     tree has — the only place a bare SHA-256 state is built —
-     ``mac_encoded``, ``verify_encoded``, ``key_id``,
-     ``canonical_bytes`` and their encode-then-call forms) — those
-     carry the per-session keyed state, the verification cache and the
-     key-hygiene the hot path relies on.
+
+   Three rules were retired (ids never reused): PERF004 (a re-looked-up
+   bound method, ~15 ns a call), PERF005 (``try``/``except`` in a loop,
+   free on CPython 3.11) and PERF006 (a raw ``hashlib`` call, a cost
+   that SEC001–SEC003 and the MAC tests leave nothing secret to guard).
+   None ever fired on the tree.
 
 The findings are the whole output: nothing is written down.  An
 allocation on the hot path is a PERF001 finding until it is fixed or
@@ -81,7 +73,6 @@ from repro.sim.record import Record, record
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _CLOSURES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-_LOOPS = (ast.For, ast.AsyncFor, ast.While)
 #: The detached span handle: ``if span is not NULL_SPAN:`` gates like
 #: ``if telemetry is not None:``.
 _NULL_SPAN = "NULL_SPAN"
@@ -114,11 +105,6 @@ class HotPathManifest(Record):
     #: ``if <name> is not None:`` (or truthiness test) on one of these
     #: marks its body as gated.
     gate_names: tuple[str, ...] = ()
-    #: Sanctioned crypto helpers: raw primitive calls are expected
-    #: *inside* these (and only these) hot functions.
-    hmac_helpers: tuple[str, ...] = ()
-    #: Dotted-suffix patterns of raw crypto primitives (PERF006).
-    raw_crypto: tuple[str, ...] = ()
 
 
 #: The TNIC policy.  Entry points follow the paper's Figure 2 datapath:
@@ -147,11 +133,10 @@ TNIC_MANIFEST = HotPathManifest(
         "Store.get_until",
         "Store._expire",
         "Store.deliver",
-        # Host stack: the post, its REG-lock grant and completion
-        # callbacks (callback-registered, hence declared), and the
-        # control-block burst they program.
+        # Host stack: the post, its completion callback
+        # (callback-registered, hence declared), and the control-block
+        # burst it programs.
         "RdmaLibrary.post",
-        "_Post._locked",
         "_Post._completed",
         "MappedRegsPage.write_request",
         # Device datapath (tx/rx).
@@ -214,23 +199,6 @@ TNIC_MANIFEST = HotPathManifest(
         "traced",
         "span",
         "vspan",
-    ),
-    hmac_helpers=(
-        "KeyedHmac.__init__",
-        "mac_encoded",
-        "verify_encoded",
-        "hmac_sha256",
-        "hmac_verify",
-        "VerificationCache.key_id",
-        "canonical_bytes",
-        "sha256",
-        "sha256_hex",
-    ),
-    raw_crypto=(
-        "hashlib.sha256",
-        "_hashlib.sha256",
-        "hashlib.new",
-        "_hashlib.new",
     ),
 )
 
@@ -465,61 +433,8 @@ class HotPathEngine:
                 return True
         return False
 
-    @staticmethod
-    def _receiver_chain(func: ast.expr) -> str | None:
-        """``a.b.method`` -> ``a.b`` (None unless depth >= 2)."""
-        name = call_name(func) if isinstance(func, ast.Attribute) else None
-        if name is None or name.count(".") < 2:
-            return None
-        return name.rsplit(".", 1)[0]
-
     # -- the per-function walk -----------------------------------------
     def _check_function(self, info: FunctionInfo) -> None:
-        in_helper = any(
-            pattern_matches(pattern, info.qualname)
-            for pattern in self.manifest.hmac_helpers
-        )
-        # One state record per lexically-enclosing loop:
-        # {"calls": {dotted -> [nodes]}, "assigned": set[str]}.
-        loop_stack: list[dict] = []
-
-        def note_assigned(target: ast.expr) -> None:
-            if not loop_stack:
-                return
-            assigned = loop_stack[-1]["assigned"]
-            if isinstance(target, ast.Name):
-                assigned.add(target.id)
-            elif isinstance(target, ast.Attribute):
-                name = call_name(target)
-                if name:
-                    assigned.add(name)
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                for element in target.elts:
-                    note_assigned(element)
-            elif isinstance(target, ast.Starred):
-                note_assigned(target.value)
-
-        def close_loop(state: dict) -> None:
-            assigned = state["assigned"]
-            for chain, nodes in sorted(state["calls"].items()):
-                if len(nodes) < 2:
-                    continue
-                receiver = chain.rsplit(".", 1)[0]
-                # Any rebound prefix (`self.mac = ...`, `entry = ...`)
-                # makes the lookup variant, not hoistable.
-                parts = receiver.split(".")
-                prefixes = {".".join(parts[: i + 1]) for i in range(len(parts))}
-                if prefixes & assigned:
-                    continue
-                self._finding(
-                    "PERF004",
-                    info,
-                    nodes[0],
-                    f"bound method {chain}() looked up {len(nodes)}x in a "
-                    f"loop in hot function {info.qualname}; hoist it to a "
-                    "local before the loop",
-                )
-
         def visit(node: ast.AST, gated: bool) -> None:
             if isinstance(node, _CLOSURES):
                 kind = "lambda" if isinstance(node, ast.Lambda) else "closure"
@@ -552,19 +467,8 @@ class HotPathEngine:
                     "precompute it or gate it behind tracing",
                 )
 
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    note_assigned(target)
-            elif isinstance(node, ast.NamedExpr):
-                note_assigned(node.target)
-
             if isinstance(node, ast.Call):
-                self._visit_call(node, info, gated, loop_stack, in_helper)
+                self._visit_call(node, info, gated)
 
             if isinstance(node, ast.If):
                 child_gated = gated or self._is_gate_test(node.test)
@@ -574,40 +478,6 @@ class HotPathEngine:
                     visit(stmt, gated)
                 return
 
-            if isinstance(node, _LOOPS):
-                state: dict = {"calls": {}, "assigned": set()}
-                if isinstance(node, (ast.For, ast.AsyncFor)):
-                    loop_stack.append(state)
-                    note_assigned(node.target)
-                    loop_stack.pop()
-                loop_stack.append(state)
-                for child in ast.iter_child_nodes(node):
-                    visit(child, gated)
-                loop_stack.pop()
-                close_loop(state)
-                return
-
-            if isinstance(node, ast.Try):
-                if node.handlers and loop_stack:
-                    body_yields = any(
-                        isinstance(sub, (ast.Yield, ast.YieldFrom))
-                        for stmt in node.body
-                        for sub in ast.walk(stmt)
-                    )
-                    if not body_yields:
-                        self._finding(
-                            "PERF005",
-                            info,
-                            node,
-                            "try/except inside a loop in hot function "
-                            f"{info.qualname}; move the handler out of the "
-                            "per-event path (try/finally and yielding "
-                            "protocol waits are exempt)",
-                        )
-                for child in ast.iter_child_nodes(node):
-                    visit(child, gated)
-                return
-
             for child in ast.iter_child_nodes(node):
                 visit(child, gated)
 
@@ -615,12 +485,7 @@ class HotPathEngine:
             visit(stmt, False)
 
     def _visit_call(
-        self,
-        node: ast.Call,
-        info: FunctionInfo,
-        gated: bool,
-        loop_stack: list[dict],
-        in_helper: bool,
+        self, node: ast.Call, info: FunctionInfo, gated: bool
     ) -> None:
         manifest = self.manifest
         name = call_name(node.func)
@@ -645,19 +510,6 @@ class HotPathEngine:
                     "`if <hub> is not None:`",
                 )
 
-        # PERF006: raw crypto primitive outside the sanctioned helpers.
-        if not in_helper and any(
-            pattern_matches(pattern, name) for pattern in manifest.raw_crypto
-        ):
-            self._finding(
-                "PERF006",
-                info,
-                node,
-                f"raw crypto call {name}() in hot function "
-                f"{info.qualname}; use the keyed helpers in "
-                "repro.crypto (KeyedHmac.mac/verify_encoded)",
-            )
-
         # PERF002: instantiating a __dict__-carrying class per event.
         for cls in self._classes_by_name.get(tail, ()):
             if cls.has_slots or cls.is_exception:
@@ -670,12 +522,6 @@ class HotPathEngine:
                 "which has no __slots__ (per-instance __dict__ on the "
                 "per-event path)",
             )
-
-        # PERF004 bookkeeping: bound-method lookups inside loops.
-        if loop_stack:
-            chain = self._receiver_chain(node.func)
-            if chain is not None:
-                loop_stack[-1]["calls"].setdefault(name, []).append(node)
 
 
 def hotpath_findings(
@@ -752,67 +598,8 @@ class UngatedEmitRule(_HotPathRule):
     )
 
 
-class LoopInvariantLookupRule(_HotPathRule):
-    rule_id = "PERF004"
-    description = (
-        "Loop-invariant bound method re-looked-up on every iteration "
-        "of a hot loop"
-    )
-    explanation = (
-        "`a.b.method(...)` inside a loop performs two attribute lookups "
-        "plus a bound-method allocation per iteration.  When the same "
-        "chain is called twice or more in one loop and no part of the "
-        "receiver is reassigned inside it, hoist the bound method into "
-        "a local before the loop (`transmit = self.mac.transmit`), the "
-        "same trick the drain loop uses for the profiler lane."
-    )
-
-
-class HotTryExceptRule(_HotPathRule):
-    rule_id = "PERF005"
-    description = (
-        "try/except inside a loop in a hot function (per-iteration "
-        "handler setup on the common path)"
-    )
-    explanation = (
-        "Exception handlers inside the innermost event loop put handler "
-        "dispatch on the common path and defeat several interpreter "
-        "fast paths.  try/finally is free on the no-exception path in "
-        "3.11+ and stays allowed (the drain loop uses it), as does a "
-        "try whose body yields — that is a protocol wait (a replica "
-        "loop catching a failed check), not per-event control flow.  "
-        "Move other handlers out of the loop or pre-validate instead."
-    )
-
-
-class RawCryptoRule(_HotPathRule):
-    rule_id = "PERF006"
-    description = (
-        "Raw hashlib call on the hot path outside the sanctioned "
-        "cached helpers"
-    )
-    explanation = (
-        "Attestation makes crypto repetitive by design: the same "
-        "attested message is re-verified at every receiver it is "
-        "forwarded to.  The sanctioned helpers (KeyedHmac — a session "
-        "key absorbed once into two SHA-256 states, the only place a "
-        "bare hashlib.sha256 state is built — the memoized "
-        "verify_encoded, VerificationCache.key_id, canonical_bytes, and "
-        "mac_encoded/hmac_sha256/hmac_verify over them) work on the "
-        "encoding a message carries, MAC through the session's keyed "
-        "state and keep the verification LRU; a raw "
-        "hashlib.sha256() call in a hot function bypasses all three: it "
-        "re-keys per call and recomputes a large-buffer MAC per event.  "
-        "(The standard library's HMAC needs no entry here: nothing in "
-        "the tree may use it at all, tests/test_keyed_hmac.py.)"
-    )
-
-
 HOTPATH_RULES: tuple[type[_HotPathRule], ...] = (
     HotAllocationRule,
     HotSlotsRule,
     UngatedEmitRule,
-    LoopInvariantLookupRule,
-    HotTryExceptRule,
-    RawCryptoRule,
 )

@@ -5,8 +5,8 @@ NIC: an attested send that never completes or a leaked HMAC-pipeline
 occupancy silently stalls a replica — the failure class
 trusted-component BFT protocols must survive.  This pass
 abstract-interprets every ``repro.sim`` process generator for the
-resource lifecycle: every ``acquire()``/``request()``/
-``exclusive_regs()`` must be matched by a release on *every* path.
+resource lifecycle: every ``acquire()``/``request()`` must be matched
+by a release on *every* path.
 Exceptions are delivered into processes at ``yield`` points, so a
 resource held across a yield must release in a ``try/finally``
 (``LIV001``).
@@ -72,7 +72,6 @@ from repro.analysis.walker import (
 ACQUIRE_VERBS: dict[str, str] = {
     "acquire": "release",
     "request": "release",
-    "exclusive_regs": "release_regs",
 }
 
 #: Occupancy helpers that hold no lock (HmacEngine.occupy computes the
@@ -320,8 +319,8 @@ class ResourceLeakRule(_LivenessRule):
         "never releases it"
     )
     explanation = (
-        "A simulator process acquires a Resource (acquire/request/"
-        "exclusive_regs) but some path never reaches the matching "
+        "A simulator process acquires a Resource (acquire/request) "
+        "but some path never reaches the matching "
         "release.  Exceptions are delivered into processes at yield "
         "points, so a resource held across a yield must release in a "
         "try/finally; a plain release after the yield is skipped when "

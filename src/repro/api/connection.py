@@ -30,7 +30,6 @@ from repro.sim.clock import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.stack.driver import StaticConfig, TnicDriver
 from repro.stack.memory import HugePageArea, IbvMemory
-from repro.stack.process import TnicOsLibrary
 from repro.stack.rdma_lib import RdmaLibrary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,9 +121,7 @@ class TnicNode:
         regs = self.driver.initialise(
             self.device, StaticConfig(mac_address=mac_address, ip=ip)
         )
-        self.os_library = TnicOsLibrary(sim)
-        self.process = self.os_library.open_device(regs)
-        self.rdma = RdmaLibrary(sim, self.device, self.process)
+        self.rdma = RdmaLibrary(sim, self.device, regs)
         self.hugepages = HugePageArea()
         self._next_qp = itertools.count(device_id * 1000 + 1)
         self.connections: list[IbvConnection] = []

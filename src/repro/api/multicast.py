@@ -39,13 +39,17 @@ class EquivocationDetected(Exception):
 class ContinuityCheck:
     """The §6.1 receiver rule for one sender's attested stream.
 
-    α must verify, and the sender's counters must arrive gap-free and
-    in order.  A sender that equivocates (different messages to
-    different peers) is forced by the attestation kernel to bind them
-    to different counters, which this check exposes.
+    α must verify, it must come from the sender's own device, and the
+    sender's counters must arrive gap-free and in order.  A sender that
+    equivocates (different messages to different peers) is forced by
+    the attestation kernel to bind them to different counters, which
+    this check exposes.  Every device holds the session key, but the
+    kernel MACs its own ``device_id`` in: a peer that attests under the
+    sender's session on its own device is exposed by that id.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, device_id: int) -> None:
+        self.device_id = device_id
         self.expected_counter = 0
         self.anomalies: list[str] = []
 
@@ -62,6 +66,15 @@ class ContinuityCheck:
             self.anomalies.append(f"bad-mac@{message.counter}")
             return EquivocationDetected(
                 f"attestation failed for counter {message.counter}"
+            )
+        if message.device_id != self.device_id:
+            self.anomalies.append(
+                f"wrong-device expected={self.device_id} "
+                f"got={message.device_id}"
+            )
+            return EquivocationDetected(
+                f"attested by device {message.device_id}, not the "
+                f"sender's device {self.device_id}"
             )
         if message.counter != self.expected_counter:
             self.anomalies.append(
@@ -109,8 +122,9 @@ def decode_attested(data: bytes) -> AttestedMessage:
 class MulticastReceiver(ContinuityCheck):
     """Receiver-side endpoint: verification + counter continuity."""
 
-    def __init__(self, conn: IbvConnection, broadcast_session: int) -> None:
-        super().__init__()
+    def __init__(self, conn: IbvConnection, broadcast_session: int,
+                 sender_device: int) -> None:
+        super().__init__(sender_device)
         self.conn = conn
         self.broadcast_session = broadcast_session
 
@@ -163,7 +177,8 @@ class MulticastGroup:
             raise ValueError("multicast group needs at least one receiver")
         session_id, _ = cluster.sessions.new_session()
         key = sha256("broadcast", sender, session_id)
-        cluster[sender].device.install_session(session_id, key)
+        sender_device = cluster[sender].device
+        sender_device.install_session(session_id, key)
         sender_conns = []
         receivers = []
         for name in receiver_names:
@@ -171,7 +186,8 @@ class MulticastGroup:
             s_conn, r_conn = cluster.connect(sender, name)
             sender_conns.append(s_conn)
             receivers.append(
-                MulticastReceiver(conn=r_conn, broadcast_session=session_id)
+                MulticastReceiver(conn=r_conn, broadcast_session=session_id,
+                                  sender_device=sender_device.device_id)
             )
         return cls(sender_conns, receivers, session_id)
 

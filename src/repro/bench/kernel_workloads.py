@@ -9,8 +9,8 @@ Three microworkloads exercise the kernel's distinct hot paths:
   yielding a chain of timeouts, so every event dispatch re-enters a
   coroutine that schedules into the same instant as its peers.
 * ``contended_resource`` — wake-up chains through a capacity-1
-  :class:`~repro.sim.resources.Resource`, the pattern behind the HMAC
-  pipeline and per-REG-page locks.
+  :class:`~repro.sim.resources.Resource`: holders that yield while
+  they hold it, so every release wakes a waiter.
 
 The same definitions back ``benchmarks/bench_sim_kernel.py``,
 ``benchmarks/run_all.py`` and the CI perf-smoke gate, so a number

@@ -45,8 +45,6 @@ class EthernetMac:
         self.rx_packets = 0
         self.tx_bytes = 0
         self.rx_bytes = 0
-        #: Optional promiscuous tap for diagnostics / PeerReview witnesses.
-        self.rx_tap: Callable[[Packet], None] | None = None
 
     def attach(self, link: "Link") -> None:
         """Connect this MAC to a fabric link."""
@@ -75,6 +73,4 @@ class EthernetMac:
         packet = hop._value
         self.rx_packets += 1
         self.rx_bytes += packet.wire_size()
-        if self.rx_tap is not None:
-            self.rx_tap(packet)
         self.ingress(packet)

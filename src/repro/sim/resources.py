@@ -1,7 +1,8 @@
 """Shared resources for simulation processes.
 
-* :class:`Resource` — a counted semaphore with FIFO queueing.  Used for
-  the TNIC-OS library's per-REG-page locks (§5.2).
+* :class:`Resource` — a counted semaphore with FIFO queueing, for
+  holders that yield between acquire and release (the datapath has
+  none: a post never yields, so it takes no lock).
 * :class:`SerialServer` — one FIFO server whose service times are known
   at submission, so completions are computed, not simulated.  Used for
   the HMAC pipeline, the stack models' bottleneck and served replicas.
@@ -55,8 +56,7 @@ class Resource:
         :meth:`release` on *every* path.  Exceptions are delivered into
         processes at yield points, so a holder that yields again before
         releasing must release in a ``try/finally``."""
-        # Direct construction: acquire() is on the REG-page-lock hot
-        # path, so skip the sim.event() frame.
+        # Direct construction: skip the sim.event() frame.
         event = Event(self.sim)
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1

@@ -11,15 +11,13 @@ the TNIC hardware (:mod:`repro.core`):
   ``/dev/fpga<ID>`` pseudo-device mapping.
 * :mod:`~repro.stack.memory` — hugepage-backed ibv memory: DMA-eligible
   application buffers registered with the NIC.
-* :mod:`~repro.stack.process` — the TNIC-OS library: TNIC-process
-  handles and REG-page locking for isolated device access.
 * :mod:`~repro.stack.rdma_lib` — the network (RDMA) library executing
-  operations by posting requests to the hardware through the REGs page.
+  operations by posting requests to the hardware through the REGs page;
+  a post never yields, so it holds the page without a TNIC-OS lock.
 """
 
 from repro.stack.driver import TnicDriver
 from repro.stack.memory import HugePageArea, IbvMemory, MemoryError_, RdmaKey
-from repro.stack.process import TnicOsLibrary, TnicProcess
 from repro.stack.rdma_lib import RdmaLibrary, WorkRequest
 from repro.stack.regs import MappedRegsPage, RegField
 
@@ -32,7 +30,5 @@ __all__ = [
     "RdmaLibrary",
     "RegField",
     "TnicDriver",
-    "TnicOsLibrary",
-    "TnicProcess",
     "WorkRequest",
 ]

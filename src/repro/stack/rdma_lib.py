@@ -10,13 +10,14 @@ opcode, remote IP, source/destination addresses, data length, etc.)
 and writes them into specific offsets in the REGs pages to update the
 control registers of the TNIC hardware."
 
-The library holds the TNIC-process lock while programming the control
-registers, rings the doorbell, and the device picks the request up —
-zero payload copies: the hardware DMA-reads straight from ibv memory.
-That read is taken when the request is posted, not when the lock is
-granted: a caller may reuse the staging bytes as soon as ``post``
-returns (``IbvConnection.stage`` is a ring), and a request must carry
-the bytes it was posted with.
+The library programs the control registers, rings the doorbell, and
+the device picks the request up — zero payload copies: the hardware
+DMA-reads straight from ibv memory.  The post is one stage with no
+yield, so it has the REG page to itself without a lock (§5.2's
+TNIC-OS lock guards concurrent posters, which a post that never
+yields cannot have).  The read is taken at the post: a caller may
+reuse the staging bytes as soon as ``post`` returns
+(``IbvConnection.stage`` is a ring).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.net.packet import RdmaOpcode
 from repro.sim.events import Event
 from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, count, span_begin
 from repro.stack.memory import IbvMemory, MemoryError_, RdmaKey
-from repro.stack.process import TnicProcess
+from repro.stack.regs import MappedRegsPage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -91,17 +92,15 @@ class MemoryTable:
 
 
 class _Post:
-    """One posted work request: lock grant → REGs/doorbell → completion.
+    """One posted work request: DMA snapshot → REGs/doorbell → completion.
 
-    A post is a fixed sequence of stages, so it runs as callbacks on
-    the events it waits for (see ``repro.core.device._TxStages``), not
-    as a process.  ``done``, the request's one completion event, is
-    handed down to the device; ``_completed`` is a callback on it.
-    ``payload`` is the DMA snapshot of the request's bytes, taken at
-    the post.
+    The post runs as one call and the completion as a callback on the
+    event it waits for (see ``repro.core.device._TxStages``), not as a
+    process.  ``done``, the request's one completion event, is handed
+    down to the device; ``_completed`` is a callback on it.
     """
 
-    __slots__ = ("lib", "request", "done", "span", "payload")
+    __slots__ = ("lib", "request", "done", "span")
 
     def __init__(self, lib: "RdmaLibrary", request: WorkRequest, done: Event) -> None:
         self.lib = lib
@@ -109,7 +108,7 @@ class _Post:
         self.done = done
 
     def start(self) -> None:
-        # The "post" stage of the send breakdown: lock wait + REGs
+        # The "post" stage of the send breakdown: DMA snapshot + REGs
         # programming + doorbell, ending when the device owns the WR.
         # Joins the caller's trace when the work request carries one
         # (auth_send carries its root span in request.meta).
@@ -123,21 +122,10 @@ class _Post:
         self.span = span
         self.done.callbacks.append(self._completed)
         try:
-            self.payload = lib.region_for_address(
+            payload = lib.region_for_address(
                 request.local_addr, request.length
             ).dma_read(request.local_addr, request.length)
-        except Exception as exc:
-            self._refused(exc)
-            return
-        lib.process.exclusive_regs().callbacks.append(self._locked)
-
-    def _locked(self, _grant: Event) -> None:
-        lib = self.lib
-        request = self.request
-        process = lib.process
-        span = self.span
-        try:
-            process.regs.write_request(
+            lib.regs.write_request(
                 _OPCODE_CODES[request.opcode], request.qp_number,
                 request.local_addr, request.remote_addr, request.length,
                 request.rkey.value if request.rkey else 0,
@@ -151,14 +139,12 @@ class _Post:
                 meta["remote_addr"] = request.remote_addr
                 if request.rkey is not None:
                     meta["rkey"] = request.rkey.value
-            lib.device.send(request.qp_number, self.payload,
+            lib.device.send(request.qp_number, payload,
                             opcode=request.opcode,
                             meta=meta, completion=self.done)
         except Exception as exc:
             self._refused(exc)
             return
-        finally:
-            process.release_regs()
         if span is not NULL_SPAN:
             span.end(status="ok")
         if lib.sim.telemetry is not None:
@@ -172,27 +158,27 @@ class _Post:
 
     def _completed(self, done: Event) -> None:
         if done._exception is None:
-            self.lib.process.regs.post_status(completions=1)
+            self.lib.regs.post_status(completions=1)
         else:
-            self.lib.process.regs.post_status(errors=1)
+            self.lib.regs.post_status(errors=1)
 
 
 class RdmaLibrary:
     """Per-node RDMA software state and the request-posting path.
 
-    ``post`` starts no process: the request runs as callbacks on the
-    REG-lock grant and on the device's completion (:class:`_Post`).
+    ``post`` starts no process: the request is programmed at once and
+    completes as a callback on the device's completion (:class:`_Post`).
     """
 
     def __init__(
         self,
         sim: "Simulator",
         device: TnicDevice,
-        process: TnicProcess,
+        regs: MappedRegsPage,
     ) -> None:
         self.sim = sim
         self.device = device
-        self.process = process
+        self.regs = regs
         self.memory_table = MemoryTable()
         self.device.attach_host_memory(self.memory_table)
 
@@ -215,11 +201,9 @@ class RdmaLibrary:
         completion event for the posted operation.
 
         The request's bytes are read here, so the caller may overwrite
-        them once this returns.  Nothing is programmed before the
-        REG-page lock is granted; a failure at any stage (unregistered
+        them once this returns.  A failure at any stage (unregistered
         address, unknown QP, device or transport error) fails the
-        returned event, counts one in ``STATUS_ERRORS`` and leaves the
-        lock released.
+        returned event and counts one in ``STATUS_ERRORS``.
         """
         done = Event(self.sim)
         _Post(self, request, done).start()

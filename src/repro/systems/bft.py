@@ -125,7 +125,8 @@ class _Replica:
         #: nodes").
         self.simulated: dict[str, int] = {}
         self.detected_faults: list[str] = []
-        self.authenticators = authenticators(provider, system.session_ids)
+        self.authenticators = authenticators(provider, system.session_ids,
+                                             system.providers)
         self.inbox = system.network.register(name)
         self.acks_per_batch: dict[int, set[str]] = {}
         self._last_attested: AttestedMessage | None = None

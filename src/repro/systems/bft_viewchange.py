@@ -82,7 +82,8 @@ class _Replica:
         self.view_changes_seen = 0
         self.inbox = system.network.register(name)
         #: One check table entry per (sender, view) session.
-        self.authenticators = authenticators(provider, system.session_ids)
+        self.authenticators = authenticators(provider, system.session_ids,
+                                             system.providers)
 
     # ------------------------------------------------------------------
     def is_leader(self) -> bool:

@@ -126,7 +126,10 @@ class _ChainNode:
         self.commit_index = 0
         self.detected_faults: list[str] = []
         self.inbox = system.network.register(name)
-        self.authenticators = authenticators(provider, system.session_ids)
+        self.authenticators = authenticators(provider, system.session_ids,
+                                             system.providers)
+        #: The nodes whose PoEs a chained message must carry, in order.
+        self.predecessors = tuple(system.names[:system.names.index(name)])
 
     def execute(self, request: KvRequest) -> str:
         """Deterministic KV application."""
@@ -203,10 +206,19 @@ class _ChainNode:
     def _validate_chain(self, message: ChainMessage):
         """validate(): verify every previous node's PoE and output.
 
-        Checks (Algorithm 4, L15-26): each PoE's attestation and
-        counter, the claimed output against this node's own
-        deterministic execution, and the expected commit index.
+        Checks (Algorithm 4, L15-26): one PoE per predecessor, in chain
+        order (else the predecessor that handed the message on is
+        blamed), each PoE's attestation and counter, the claimed output
+        against this node's own deterministic execution, and the
+        expected commit index.
         """
+        senders = tuple(sender for sender, _ in message.poes)
+        if senders != self.predecessors:
+            self.detected_faults.append(
+                f"{self.predecessors[-1]}: PoEs from {list(senders)} != "
+                f"predecessors {list(self.predecessors)}"
+            )
+            return False
         expected_output = self._expected_output(message.request)
         expected_commit = self.commit_index + 1
         for sender, attested in message.poes:

@@ -80,8 +80,8 @@ class ServedNode(Record):
 class EmulatedNetwork:
     """FIFO reliable message passing with per-hop latency, to served
     nodes (:meth:`serve`) and ``Store`` inboxes (:meth:`register`: the
-    clients, and BFT, chain, A2M and PeerReview until ROADMAP item 10
-    serves them)."""
+    clients, and the BFT, view-change BFT, chain and PeerReview nodes
+    until ROADMAP item 10 serves them; A2M has no network)."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -202,11 +202,13 @@ class BroadcastAuthenticator(ContinuityCheck):
 
     One instance per (receiver, sender) pair: the sender's attestations
     are checked by the receiver's provider (transferable
-    authentication) and judged by the §6.1 continuity rule.
+    authentication) and judged by the §6.1 continuity rule against the
+    sender's *device_id*.
     """
 
-    def __init__(self, provider: AttestationProvider, session_id: int) -> None:
-        super().__init__()
+    def __init__(self, provider: AttestationProvider, session_id: int,
+                 device_id: int) -> None:
+        super().__init__(device_id)
         self.provider = provider
         self.session_id = session_id
 
@@ -360,10 +362,17 @@ def provision(
 
 
 def authenticators(
-    provider: AttestationProvider, session_ids: dict[Any, int]
+    provider: AttestationProvider,
+    session_ids: dict[Any, int],
+    providers: dict[str, AttestationProvider],
 ) -> dict[Any, BroadcastAuthenticator]:
-    """A node's per-sender check table: one authenticator per session."""
+    """A node's per-sender check table: one authenticator per session,
+    bound to the device of the node that owns it.  A session label is
+    that node's name, or a tuple that starts with it."""
     return {
-        label: BroadcastAuthenticator(provider, session_id)
+        label: BroadcastAuthenticator(
+            provider, session_id,
+            providers[label[0] if type(label) is tuple else label].device_id,
+        )
         for label, session_id in session_ids.items()
     }

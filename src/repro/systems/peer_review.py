@@ -149,8 +149,10 @@ class _Child:
         self.provider = system.providers[name]
         self.log = TamperEvidentLog()
         self.inbox = system.network.register(name)
+        source = system.source_name
         self.auth = BroadcastAuthenticator(
-            self.provider, system.session_ids[system.source_name]
+            self.provider, system.session_ids[source],
+            system.providers[source].device_id,
         )
         self.detected_faults: list[str] = []
         self.wrong_execution = False
@@ -194,7 +196,8 @@ class _Source:
         self.inbox = system.network.register(self.name)
         self.child_auths = {
             child: BroadcastAuthenticator(
-                self.provider, system.session_ids[child]
+                self.provider, system.session_ids[child],
+                system.providers[child].device_id,
             )
             for child in system.children
         }

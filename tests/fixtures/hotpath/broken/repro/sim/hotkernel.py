@@ -5,8 +5,6 @@ patterns, so everything below is in the hot set.  The exact findings
 (rule, line) are enumerated in ``tests/test_hotpath.py``.
 """
 
-import hashlib
-
 
 class EventRecord:
     """No __slots__, instantiated per step: the PERF002 shape."""
@@ -32,13 +30,8 @@ class Simulator:
 
     def _drain(self):
         while self.queue:
-            self.mac.port.transmit(self.queue[-1])
-            self.mac.port.transmit(None)
-            try:
-                self.queue.pop()
-            except IndexError:
-                break
-        return hashlib.sha256(b"drained").hexdigest()
+            self.mac.port.transmit(self.queue.pop())
+        return EventRecord(0)
 
 
 def emit(sim, category, message):

@@ -4,14 +4,9 @@ Every seeded PERF violation in ``broken/`` has its idiomatic fix here:
 ``__slots__`` on the per-event record (or ``@record``, which makes a
 slotted class), a gated f-string emit next to an
 ungated-but-cheap counter bump, an f-string emit whose gate is one
-operand of an ``and``, an f-string emit gated on a held span's
-identity (``span is not NULL_SPAN``), a hoisted bound method in the drain
-loop, ``try``/``finally`` instead of ``try``/``except``, a yielding
-``try``/``except`` (a protocol wait, exempt by design), and the raw
-hash call confined to the sanctioned ``sha256`` helper.
+operand of an ``and``, and an f-string emit gated on a held span's
+identity (``span is not NULL_SPAN``).
 """
-
-import hashlib
 
 from repro.sim.record import Record, record
 
@@ -48,27 +43,13 @@ class Simulator:
             emit(self, "sim.head", f"head={self.queue[-1]}")
         if self.span is not NULL_SPAN:
             emit(self, "sim.span", f"open={self.span}")
-        pump = self.wait_loop()
         self._drain()
-        return record, mark, pump
+        return record, mark
 
     def _drain(self):
-        transmit = self.mac.port.transmit
         while self.queue:
-            transmit(self.queue[-1])
-            transmit(None)
-            try:
-                self.queue.pop()
-            finally:
-                pass
-        return sha256(b"drained")
-
-    def wait_loop(self):
-        while True:
-            try:
-                yield self.queue
-            except ValueError:
-                break
+            self.mac.port.transmit(self.queue.pop())
+        return EventRecord(0)
 
 
 def emit(sim, category, message):
@@ -81,7 +62,3 @@ def count(sim, category):
     telemetry = sim.telemetry
     if telemetry is not None:
         telemetry.bump(category)
-
-
-def sha256(data):
-    return hashlib.sha256(data).hexdigest()

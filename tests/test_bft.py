@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.systems.bft import BftCounter, ByzantineBehaviour
+from repro.systems.bft import (
+    BftCounter,
+    ByzantineBehaviour,
+    ProofOfExecution,
+    _encode_poe,
+)
 
 
 def test_happy_path_commits_all_batches():
@@ -160,3 +165,25 @@ def test_quorum_read_times_out_beyond_tolerance():
     import pytest as _pytest
     with _pytest.raises(TimeoutError):
         system.read_counter(timeout_us=5_000.0)
+
+
+def test_a_poe_counts_only_from_its_senders_own_device():
+    """Every provider holds every session key, so r1 can attest under
+    r0's session on its own device.  The kernel MACs r1's device id in,
+    and r2 refuses the PoE: it used to apply batch 99, which the leader
+    never ordered, and later blame the honest r0 for a counter gap."""
+    system = BftCounter(seed=3)
+    r1 = system.replicas["r1"]
+    forged = system.sim.run(r1.provider.attest(
+        system.session_ids["r0"], _encode_poe(99, 5, 5)))
+    system.network.send("r2", ProofOfExecution("r0", forged))
+    system.sim.run(until=system.sim.now + 1_000.0)
+    r2 = system.replicas["r2"]
+    assert r2.counter == 0 and 99 not in r2.applied_batches
+    assert r2.authenticators["r0"].anomalies == [
+        f"wrong-device expected={system.providers['r0'].device_id} "
+        f"got={r1.provider.device_id}"]
+    # The honest leader's stream is untouched: r2 still commits with r0.
+    metrics = system.run_workload(batches=3)
+    assert metrics.committed == 3
+    assert {r.counter for r in system.replicas.values()} == {3}

@@ -4,8 +4,10 @@ import pytest
 
 from repro.systems.chain import (
     ChainBehaviour,
+    ChainMessage,
     ChainReplication,
     KvRequest,
+    _encode_output,
 )
 
 
@@ -153,3 +155,34 @@ def test_invalid_read_mode_rejected():
     system = ChainReplication("tnic", chain_length=2)
     with pytest.raises(ValueError, match="read_mode"):
         system.run_workload([KvRequest("get", "x")], read_mode="wild")
+
+
+def test_a_chained_message_without_poes_is_refused():
+    """validate() over zero PoEs used to pass vacuously: the tail
+    executed, attested and replied to a message no predecessor sent."""
+    system = ChainReplication("tnic", chain_length=3)
+    system.network.send(
+        "tail", ChainMessage(0, KvRequest("put", "k", "forged"), ()))
+    system.sim.run()
+    tail = system.nodes["tail"]
+    assert (tail.store, tail.commit_index) == ({}, 0)
+    [fault] = system.detected_faults()["tail"]
+    assert fault.startswith("mid0: ")
+
+
+def test_a_chained_message_must_carry_every_predecessors_poe():
+    """A chain that carries only mid0's PoE, or both PoEs out of chain
+    order, skips the head's place in validate()."""
+    request = KvRequest("put", "k", "v")
+    for keep in (("mid0",), ("mid0", "head")):
+        system = ChainReplication("tnic", chain_length=3)
+        poes = tuple(
+            (name, system.sim.run(system.providers[name].attest(
+                system.session_ids[name], _encode_output(0, "ok:v", 1))))
+            for name in keep)
+        system.network.send("tail", ChainMessage(0, request, poes))
+        system.sim.run()
+        tail = system.nodes["tail"]
+        assert (tail.store, tail.commit_index) == ({}, 0)
+        [fault] = system.detected_faults()["tail"]
+        assert fault.startswith("mid0: ")

@@ -87,7 +87,7 @@ def test_liv005_points_at_the_sanctioned_deadline_idiom():
 def test_engine_vocabulary_is_consistent():
     # Every acquire verb has a release verb, and the self-releasing
     # helpers are not acquire verbs (their callee owns the span).
-    assert set(ACQUIRE_VERBS) == {"acquire", "request", "exclusive_regs"}
+    assert set(ACQUIRE_VERBS) == {"acquire", "request"}
     assert SELF_RELEASING.isdisjoint(ACQUIRE_VERBS)
 
 

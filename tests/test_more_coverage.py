@@ -60,8 +60,6 @@ def test_post_with_unregistered_address_fails():
     done = cluster["a"].rdma.post(request)
     with pytest.raises(MemoryError_):
         cluster.run(done)
-    # The REG-page lock was released despite the failure.
-    assert not cluster["a"].process.contended
 
 
 # ---------------------------------------------------------------------------

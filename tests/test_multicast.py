@@ -94,6 +94,10 @@ def test_single_attestation_per_multicast():
                  "equivocation or replay", id="replay"),
     pytest.param("tamper-alpha", "bad-mac@1", "attestation failed",
                  id="tamper-alpha"),
+    # A receiver holds the session key too, but its device stamps its
+    # own id into α.
+    pytest.param("foreign-device", "wrong-device expected=1 got=2",
+                 "not the sender's device", id="foreign-device"),
 ])
 def test_receiver_rejects_broken_stream(attack, anomaly, reason):
     """A broken stream raises the one exception at the multicast
@@ -102,6 +106,8 @@ def test_receiver_rejects_broken_stream(attack, anomaly, reason):
     cluster, group = make_group(1)
     device = group.sender_conns[0].node.device
     session = group.broadcast_session
+
+    foreign = group.receivers[0].conn.node.device
 
     def run():
         m0 = yield device.local_attest(session, b"m0")
@@ -112,6 +118,7 @@ def test_receiver_rejects_broken_stream(attack, anomaly, reason):
             "tamper-alpha": [
                 m0, dataclasses.replace(m1, alpha=bytes(len(m1.alpha))),
             ],
+            "foreign-device": [(yield foreign.local_attest(session, b"m0"))],
         }[attack]
         for message in stream:
             yield auth_send(group.sender_conns[0], encode_attested(message))
@@ -129,7 +136,7 @@ def test_receiver_rejects_broken_stream(attack, anomaly, reason):
     sim = Simulator()
     provider = make_provider("tnic", sim, 99)
     provider.install_session(session, sha256("broadcast", "leader", session))
-    auth = BroadcastAuthenticator(provider, session)
+    auth = BroadcastAuthenticator(provider, session, device.device_id)
     for message in stream[:-1]:
         sim.run(auth.verify(message))
     with pytest.raises(EquivocationDetected, match=reason):

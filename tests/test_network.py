@@ -95,7 +95,7 @@ def test_mac_serialises_back_to_back_transmissions():
     b = EthernetMac(sim, "m-b")
     Link(sim, a, b, propagation_us=0.0)
     arrivals = []
-    b.rx_tap = lambda pkt: arrivals.append(sim.now)
+    b.ingress = lambda pkt: arrivals.append(sim.now)
     pkt = make_packet(payload=b"x" * 82)  # 140B wire -> 1.4us each
     a.transmit(pkt)
     a.transmit(pkt)
@@ -217,7 +217,7 @@ def test_link_and_fabric_apply_one_fault_schedule():
             tamper=lambda p: p.with_payload(b"evil") if p.bth.psn % 7 == 0 else None)
         wire = wire_up(sim, a, b, fault, DeterministicRng(11, "wire"))
         arrivals = []
-        b.rx_tap = lambda packet: arrivals.append(
+        b.ingress = lambda packet: arrivals.append(
             (sim.now, packet.bth.psn, packet.payload))
         for psn in range(200):
             a.transmit(Packet(

@@ -98,7 +98,7 @@ def test_callsite_attribution_names_process_generators():
     # A bound-method callback is keyed Owner.method, so every stage of
     # the callback-chained datapath has a row of its own.
     assert {"Event:_Send._fetched", "Event:_Send._attested",
-            "Event:_Send._acked", "Event:_Post._locked",
+            "Event:_Send._acked",
             "Event:AttestationKernel._settle",
             "Timeout:EthernetMac._serialised",
             "Timeout:EthernetMac.deliver"} <= keys

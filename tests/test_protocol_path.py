@@ -301,7 +301,7 @@ def test_a_64b_send_pays_for_its_stages_not_host_plumbing(monkeypatch):
     sessions = sum(len(node.device.attestation.counters._sessions)
                    for node in cluster.nodes.values())
     assert cluster["b"].device.attestation.verify_count == messages
-    assert per_message <= 9.1  # measured 9.035
+    assert per_message <= 8.1  # measured 8.035
     assert built["MemoryError_"] == 0
     assert built["write_u64"] == 0
     assert built["_SessionCounters"] == sessions == 2

@@ -410,12 +410,15 @@ def test_segments_arriving_during_a_verification_wait_their_turn():
     # arrive while the first check is still in flight.
     first, second = bytes(range(256)) * 64, b"s" * 6000
     backlog = []
+    mac = conn_b.node.device.mac
+    ingress = mac.ingress
 
-    def tap(_packet):
+    def tap(packet):
         if _lane(conn_b).verifying is not None:
             backlog.append(len(_lane(conn_b).queue))
+        ingress(packet)
 
-    conn_b.node.device.mac.rx_tap = tap
+    mac.ingress = tap
     auth_send(conn_a, first)
     auth_send(conn_a, second)
     cluster.run()

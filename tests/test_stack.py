@@ -15,7 +15,6 @@ from repro.stack import (
     MappedRegsPage,
     MemoryError_,
     TnicDriver,
-    TnicOsLibrary,
 )
 from repro.stack.driver import StaticConfig
 from repro.stack.memory import HUGE_PAGE_BYTES, RdmaKey
@@ -336,35 +335,3 @@ def test_driver_unknown_mapping():
     driver = TnicDriver(Simulator())
     with pytest.raises(KeyError):
         driver.mapping_for(3)
-
-
-def test_os_library_one_process_per_device():
-    sim = Simulator()
-    library = TnicOsLibrary(sim)
-    regs = MappedRegsPage(0)
-    p1 = library.open_device(regs)
-    p2 = library.open_device(regs)
-    assert p1 is p2
-    assert len(library) == 1
-    assert library.process_for(0) is p1
-    with pytest.raises(KeyError):
-        library.process_for(9)
-
-
-def test_tnic_process_lock_serialises_reg_access():
-    sim = Simulator()
-    library = TnicOsLibrary(sim)
-    process = library.open_device(MappedRegsPage(0))
-    order = []
-
-    def user(name):
-        yield process.exclusive_regs()
-        order.append((name, "in"))
-        yield sim.timeout(5.0)
-        order.append((name, "out"))
-        process.release_regs()
-
-    sim.process(user("a"))
-    sim.process(user("b"))
-    sim.run()
-    assert order == [("a", "in"), ("a", "out"), ("b", "in"), ("b", "out")]
