@@ -6,7 +6,9 @@ the same seeded scenario — one BFT round-trip batch and one
 chain-replication workload — with the telemetry hub attached and
 asserts the canonical dump of its trace ring is byte-identical to the
 recorded golden.  The dump leaves out the hub's ``span.*`` records,
-which the goldens predate.  Any change to
+which the goldens predate.  A third golden holds every span and every
+trace record of pipelined (depth-4) BFT runs, honest and with a faulty
+leader.  Any change to
 event ordering, same-timestamp tiebreaks, or virtual-time arithmetic
 shows up here as a diff; optimisations that only shave wall-clock time
 do not.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import pathlib
 
 from repro.bench import kv_workload
-from repro.systems.bft import BftCounter
+from repro.systems.bft import BftCounter, ByzantineBehaviour
 from repro.systems.chain import ChainReplication
 from repro.telemetry import Telemetry, Tracer
 
@@ -66,9 +68,53 @@ def run_chain_round() -> str:
     return canonical_dump(hub.trace, system.sim.now, metrics.committed)
 
 
+def span_dump(hub, final_now: float, committed: int) -> str:
+    """Every finished span (exact instants) and every trace record,
+    ``span.*`` included."""
+    assert hub.trace.evicted == 0 and hub.spans.evicted == 0
+    lines = [f"# spans={len(hub.spans.finished)} "
+             f"records={len(hub.trace.records())} "
+             f"final_now={final_now!r} committed={committed}"]
+    for span in hub.spans.finished:
+        labels = ",".join(f"{key}={value!r}"
+                          for key, value in sorted(span.labels.items()))
+        lines.append(
+            f"span|{span.span_id}|{span.trace_id}|{span.parent_id}|"
+            f"{span.name}|{span.start_us!r}|{span.end_us!r}|{labels}"
+        )
+    for index, record in enumerate(hub.trace.records()):
+        fields = ",".join(
+            f"{key}={value!r}" for key, value in sorted(record.fields.items())
+        )
+        lines.append(
+            f"{index}|{record.time_us!r}|{record.category}|"
+            f"{record.message}|{fields}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def run_bft_pipelined_spans() -> str:
+    """Depth-4 traced BFT runs, honest and with a faulty leader: the
+    only scenarios where a replica takes a queued message up the
+    instant it finishes the previous one, or before it has arrived."""
+    dumps = []
+    for label, behaviours in (
+        ("honest", {}),
+        ("r0-equivocate", {"r0": ByzantineBehaviour(equivocate=True)}),
+        ("r0-wrong-output", {"r0": ByzantineBehaviour(wrong_output=True)}),
+    ):
+        system = BftCounter("tnic", f=1, seed=3, behaviours=behaviours)
+        hub = Telemetry.attach(system.sim)
+        metrics = system.run_workload(8, pipeline_depth=4, timeout_us=5000)
+        dumps.append(f"## {label} aborted={system.aborted}\n"
+                     + span_dump(hub, system.sim.now, metrics.committed))
+    return "".join(dumps)
+
+
 SCENARIOS = {
     "golden_trace_bft.txt": run_bft_round,
     "golden_trace_chain.txt": run_chain_round,
+    "golden_spans_bft_pipelined.txt": run_bft_pipelined_spans,
 }
 
 
@@ -87,6 +133,10 @@ def test_bft_trace_matches_golden():
 
 def test_chain_trace_matches_golden():
     _compare("golden_trace_chain.txt")
+
+
+def test_pipelined_bft_spans_match_golden():
+    _compare("golden_spans_bft_pipelined.txt")
 
 
 def test_trace_is_run_to_run_deterministic():
