@@ -377,13 +377,9 @@ class RoceKernel:
     def _file_timer(self, state: QueuePairState) -> None:
         """Schedule the QP's one timer entry at the deadline now in force
         (the absolute instant: a relative timeout can land a bit off it)."""
-        timer = Event(self.sim)
-        timer._state = Event.TRIGGERED
-        timer._value = state
-        timer.callbacks.append(self._timer_fired)
         state.timer_filed = True
-        self.sim._push(
-            state.timer_deadline(self.retransmit_timeout_us), timer)
+        self.sim.trigger_at(state.timer_deadline(self.retransmit_timeout_us),
+                            state, self._timer_fired)
 
     def _timer_fired(self, timer: Event) -> None:
         """The timer entry came up: expire if the deadline stands, then

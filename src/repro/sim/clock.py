@@ -45,6 +45,7 @@ from repro.sim.process import Process
 from repro.sim.rng import DeterministicRng
 
 _PROCESSED = Event.PROCESSED
+_TRIGGERED = Event.TRIGGERED
 
 
 class EmptySchedule(Exception):
@@ -114,6 +115,24 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers *delay* µs from now."""
         return Timeout(self, delay, value)
+
+    def trigger_at(self, when: float, value: Any = None,
+                   callback: Callable[[Event], None] | None = None) -> Event:
+        """Create an event that triggers with *value* at the absolute
+        instant *when* (not before now), with *callback* as its first
+        callback when given.
+
+        The one filing path for an instant computed ahead: a relative
+        ``timeout(when - now)`` lands on ``now + (when - now)``, which
+        can differ from *when* in the last bit.
+        """
+        event = Event(self)
+        event._state = _TRIGGERED
+        event._value = value
+        if callback is not None:
+            event.callbacks.append(callback)
+        self._push(when, event)
+        return event
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a new process running *generator* in virtual time."""

@@ -113,11 +113,7 @@ class SerialServer:
         busy_until = self._busy_until
         busy_until = (arrive if arrive > busy_until else busy_until) + service_us
         self._busy_until = busy_until
-        done = Event(sim)
-        done._state = Event.TRIGGERED
-        done._value = value
-        sim._push(busy_until + tail_us, done)
-        return done
+        return sim.trigger_at(busy_until + tail_us, value)
 
 
 class _TimedOut:
@@ -204,7 +200,7 @@ class Store:
 
         A getter that is served schedules nothing for its deadline.
         The store keeps at most one expiry timer in flight, filed at
-        the absolute deadline through ``Simulator._push`` (a relative
+        the absolute deadline through ``Simulator.trigger_at`` (a relative
         ``timeout(deadline - now)`` lands on ``now + (deadline - now)``,
         which can differ from ``deadline`` in the last bit).  A served
         getter leaves the timer behind; the next getter reuses it when
@@ -229,13 +225,8 @@ class Store:
 
     def _arm(self, when: float) -> None:
         """File the expiry timer at the absolute instant *when*."""
-        sim = self.sim
-        timer = Event(sim)
-        timer._state = Event.TRIGGERED
-        timer._value = when
-        timer.callbacks.append(self._expire)
         self._timer_at = when
-        sim._push(when, timer)
+        self.sim.trigger_at(when, when, self._expire)
 
     def _expire(self, timer: Event) -> None:
         """The expiry timer fired: time out every getter that is due,
@@ -315,8 +306,5 @@ class Pipe:
         busy_until = start + size_bytes / self.bandwidth
         self._busy_until = busy_until
         self.bytes_transferred += size_bytes
-        done = Event(sim)
-        done._state = Event.TRIGGERED
-        done._value = size_bytes
-        sim._push(arrive + (busy_until + self.propagation - arrive), done)
-        return done
+        return sim.trigger_at(
+            arrive + (busy_until + self.propagation - arrive), size_bytes)
