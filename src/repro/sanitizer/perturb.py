@@ -19,12 +19,13 @@ timing legitimately varies with tie order; outcomes must not.
 
 The shuffle also reorders two messages that one
 :class:`~repro.systems.common.EmulatedNetwork` channel delivers to a
-``Store`` inbox at the same instant: each is its own hop of the same
-latency, so the channel is FIFO only under the default tie order, and
-a digest must not depend on the order of concurrent requests to an
-inbox.  A served node's completions (TEEs-Raft, TEEs-CR) are strictly
-increasing, so a Raft leader fed three pipelined commands at once logs
-them in send order under every shuffle.
+``Store`` inbox at the same instant (the clients, view-change BFT,
+PeerReview): each is its own hop of the same latency, so the channel is
+FIFO only under the default tie order, and a digest must not depend on
+the order of concurrent requests to an inbox.  A station (the BFT and
+chain replicas) serves its messages in send order, and a served node's
+completions (TEEs-Raft, TEEs-CR) are strictly increasing, so their
+channels stay FIFO under every shuffle.
 
 Everything is derived from one root seed, so a report is reproducible
 byte-for-byte from its command line.

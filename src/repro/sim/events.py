@@ -108,18 +108,22 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers after a fixed virtual-time delay.
+    """An event that triggers a fixed virtual-time delay after *start*
+    (an absolute instant, default now).
 
     A timeout is born already TRIGGERED and schedules itself in the
     constructor, skipping ``Event.__init__`` + ``succeed()`` for the
     dominant plain-delay case.  It draws its tiebreak from the
     simulator's single counter (via ``_push``), so FIFO ordering
-    against every other scheduling path is preserved exactly.
+    against every other scheduling path is preserved exactly.  A
+    *start* ahead of now charges a stage that begins later (a queued
+    job's first step) without an event for the start itself.
     """
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
+                 start: float | None = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.sim = sim
@@ -128,7 +132,7 @@ class Timeout(Event):
         self._value = value
         self._exception = None
         self.delay = delay
-        sim._push(sim._now + delay, self)
+        sim._push((sim._now if start is None else start) + delay, self)
 
 
 class _Condition(Event):

@@ -8,8 +8,10 @@ per-sender counters), *simulate* the leader's action to validate the
 claimed output, apply it, attest their own PoE and reply to the client.
 The client commits on f+1 identical replies.
 
-Each replica runs one loop, :meth:`_Replica.run`; leader and follower
-check a PoE with the same ``_validate_sender`` step.  Byzantine
+Each replica is a station (:class:`~repro.systems.common.Station`): a
+message is a job of timed stages (PoE check, attest), and each stage's
+completion callback is one Algorithm 3 step; leader and follower check
+a PoE with the same ``_validate_sender`` step.  Byzantine
 behaviours are injectable (a wrong output on any replica, equivocation
 and replay on the leader); the protocol's checks expose them.
 """
@@ -26,7 +28,7 @@ from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
     EmulatedNetwork,
     Envelope,
-    EquivocationDetected,
+    Station,
     SystemMetrics,
     authenticators,
     await_quorum,
@@ -103,8 +105,9 @@ class ByzantineBehaviour:
 # ---------------------------------------------------------------------------
 
 
-class _Replica:
-    """One BFT replica: the leader (``r0``) or a follower."""
+class _Replica(Station):
+    """One BFT replica, the leader (``r0``) or a follower: a station
+    whose stages are the steps of Algorithm 3."""
 
     def __init__(
         self,
@@ -113,50 +116,60 @@ class _Replica:
         provider: AttestationProvider,
         behaviour: ByzantineBehaviour | None = None,
     ) -> None:
+        super().__init__(system.network, name)
         self.name = name
         self.system = system
         self.provider = provider
         self.behaviour = behaviour or ByzantineBehaviour()
+        self.leads = name == system.leader_name
         self.counter = 0
         self.applied_batches: set[int] = set()
-        #: Simulated state of every other replica: the counter value
-        #: each *should* have ("each replica maintains copies of counters
-        #: that represent the expected counter values for all other
-        #: nodes").
+        #: Simulated state of every other replica, the counter each
+        #: *should* have ("each replica maintains copies of counters that
+        #: represent the expected counter values for all other nodes").
         self.simulated: dict[str, int] = {}
         self.detected_faults: list[str] = []
         self.authenticators = authenticators(provider, system.session_ids,
                                              system.providers)
-        self.inbox = system.network.register(name)
         self.acks_per_batch: dict[int, set[str]] = {}
         self._last_attested: AttestedMessage | None = None
+        #: The job in service: its message, the leader's path ("ok",
+        #: "replay", "equivocate" with the forked PoEs still to send), a
+        #: follower's batch and, traced, the job's spans.
+        self._message = None
+        self._path = "ok"
+        self._forks: list[tuple[str, bytes]] = []
+        self._batch_id = 0
+        self._span = self._stage = NULL_SPAN
 
-    def run(self):
-        """The replica's one loop: each message goes to its role's step
-        (Algorithm 3, leader() and follower()).  A follower ignores
-        client requests: only the leader orders them."""
-        leader = self.name == self.system.leader_name
-        receive = "bft.leader_ack" if leader else "bft.follower"
-        while True:
-            message = yield self.inbox.get()
-            trace_parent = None
-            if type(message) is Envelope:
-                message, trace_parent = message.message, message.span
-            if isinstance(message, ProofOfExecution):
-                checked = yield from self._validate_sender(
-                    message, receive, trace_parent
-                )
-                if checked is None:
-                    continue
-                span, batch_id, increments = checked
-                if leader:
-                    self._collect_ack(message.sender, batch_id, span)
-                else:
-                    yield from self._follow(batch_id, increments, span)
-            elif isinstance(message, ReadRequest):
-                yield from self._answer_read(message)
-            elif leader and isinstance(message, ClientRequest):
-                yield from self._lead(message, trace_parent)
+    def start(self, message, start: float) -> None:
+        """Each message goes to its role's first step (Algorithm 3,
+        leader() and follower()).  A follower ignores client requests:
+        only the leader orders them."""
+        self._message = message
+        if isinstance(message, ProofOfExecution):
+            self.authenticators[message.sender].verify(
+                message.attested, start).callbacks.append(self._validate_sender)
+        elif isinstance(message, ReadRequest):
+            self.sim.trigger_at(start + self.provider.attest_latency_us(32),
+                                message, self._answer_read)
+        elif self.leads and isinstance(message, ClientRequest):
+            self._lead(message, start)
+        else:
+            self.next()
+
+    def received(self, message, parent) -> None:
+        """Open the spans of a PoE check or of the leader's round."""
+        if isinstance(message, ProofOfExecution):
+            self._span = span_begin(
+                self.sim, "bft.leader_ack" if self.leads else "bft.follower",
+                parent=parent, node=self.name)
+            self._stage = self._span.child("bft.rx_verify")
+        elif self.leads and isinstance(message, ClientRequest):
+            self._span = span_begin(self.sim, "bft.leader", parent=parent,
+                                    node=self.name, batch=message.batch_id)
+            if self._path == "ok":
+                self._stage = self._span.child("attest.hmac")
 
     def _apply(self, increments: int) -> int:
         """Execute a batch on the counter and return the new value; a
@@ -166,87 +179,88 @@ class _Replica:
             self.counter += 7
         return self.counter
 
-    def _answer_read(self, request: "ReadRequest"):
-        """Reply to a quorum read, charging one C_priv signature
-        (Appendix C.1 — replies to clients are device-signed, not
-        session-attested, so no session counter is consumed)."""
-        yield self.system.sim.timeout(self.provider.attest_latency_us(32))
+    def _answer_read(self, signed) -> None:
+        """Reply to a quorum read once signed with C_priv (Appendix C.1:
+        replies to clients are device-signed, not session-attested, so
+        no session counter is consumed)."""
         self.system.network.send(
             self.system.client_name,
-            Reply(self.name, -request.read_id - 1, self.counter),
+            Reply(self.name, -signed._value.read_id - 1, self.counter),
         )
+        self.next()
 
-    def _lead(self, request: ClientRequest, trace_parent):
-        """leader(): execute the client's batch, attest the PoE once and
-        multicast it to the followers."""
-        sim = self.system.sim
-        span = NULL_SPAN
-        if sim.telemetry is not None:
-            span = span_begin(sim, "bft.leader", parent=trace_parent,
-                              node=self.name, batch=request.batch_id)
+    def _lead(self, request: ClientRequest, start: float) -> None:
+        """leader(): execute the client's batch and attest the PoE once.
+        A Byzantine leader instead re-sends a stale PoE on arrival, or
+        attests a forked statement per follower."""
         output = self._apply(request.increments)
         if self.behaviour.replay and self._last_attested is not None:
-            # Re-send a stale but valid attested message.
-            self.system.broadcast_poe(self.name, self._last_attested,
-                                      parent=span)
-            span.end(status="replay")
-            return
-        if self.behaviour.equivocate:
+            self._path = "replay"
+            self.sim.trigger_at(start, None, self._broadcast)
+        elif self.behaviour.equivocate:
             # Different statements to different followers: each gets
             # its own attestation, hence its own counter value.
-            followers = list(self.system.followers)
-            for offset, follower in enumerate(followers, 1):
-                forked = _encode_poe(
-                    request.batch_id, request.increments, output + offset
-                )
-                attested = yield self.provider.attest(
-                    self.system.session_ids[self.name], forked
-                )
-                self.system.network.send(
-                    follower, ProofOfExecution(self.name, attested),
-                    parent=span,
-                )
-            span.end(status="equivocate")
-            return
-        if span is not NULL_SPAN:
-            stage = span.child("attest.hmac")
-        attested = yield self.provider.attest(
-            self.system.session_ids[self.name],
-            _encode_poe(request.batch_id, request.increments, output),
-        )
-        if span is not NULL_SPAN:
-            stage.end()
-        self._last_attested = attested
-        self.system.broadcast_poe(self.name, attested, parent=span)
-        if span is not NULL_SPAN:
-            span.end(status="ok")
+            self._path = "equivocate"
+            self._forks = [
+                (follower, _encode_poe(request.batch_id, request.increments,
+                                       output + offset))
+                for offset, follower in enumerate(self.system.followers, 1)
+            ]
+            self._equivocate(None, start)
+        else:
+            self._path = "ok"
+            self.provider.attest(
+                self.system.session_ids[self.name],
+                _encode_poe(request.batch_id, request.increments, output),
+                start,
+            ).callbacks.append(self._broadcast)
 
-    def _validate_sender(self, message: ProofOfExecution, span_name: str,
-                         trace_parent):
-        """validate_sender() / validate_follower(): the TNIC checks the
-        PoE (transferable authentication, counter continuity), then the
-        sender's state change is simulated and recorded.
+    def _broadcast(self, attested) -> None:
+        """leader(), once the PoE is attested: the equivocation-free
+        multicast, one attested message identical for every follower (a
+        replaying leader multicasts the last one again)."""
+        span = self._span
+        if self._path == "ok":
+            if span is not NULL_SPAN:
+                self._stage.end()
+            self._last_attested = attested._value
+        poe = ProofOfExecution(self.name, self._last_attested)
+        for follower in self.system.followers:
+            self.system.network.send(follower, poe, parent=span)
+        if span is not NULL_SPAN:
+            span.end(status=self._path)
+        self.next()
 
-        Returns the receive's span and the PoE's ``(batch_id,
-        increments)``, or None once a fault is recorded.
-        """
-        sim = self.system.sim
-        span = stage = NULL_SPAN
-        if sim.telemetry is not None:
-            span = span_begin(sim, span_name, parent=trace_parent,
-                              node=self.name)
-            stage = span.child("bft.rx_verify")
-        auth = self.authenticators[message.sender]
-        try:
-            payload = yield auth.verify(message.attested)
-        except EquivocationDetected as exc:
-            stage.end(status="rejected")
+    def _equivocate(self, attested, start: float | None = None) -> None:
+        """An equivocating leader sends each follower its forked PoE
+        once attested, then attests the next."""
+        if attested is not None:
+            self.system.network.send(
+                self._forks.pop(0)[0],
+                ProofOfExecution(self.name, attested._value),
+                parent=self._span)
+        if not self._forks:
+            self._span.end(status="equivocate")
+            return self.next()
+        self.provider.attest(self.system.session_ids[self.name],
+                             self._forks[0][1], start
+                             ).callbacks.append(self._equivocate)
+
+    def _validate_sender(self, check) -> None:
+        """validate_sender() / validate_follower(), once the TNIC has
+        checked the PoE (transferable authentication, counter
+        continuity): simulate and record the sender's state change.
+        The leader then counts the ack, and the first for a batch makes
+        it reply to the client; a follower goes on to :meth:`_follow`."""
+        message, span = self._message, self._span
+        if check._exception is not None:
+            self._stage.end(status="rejected")
             span.end(status="rejected")
-            self.detected_faults.append(str(exc))
-            return None
+            self.detected_faults.append(str(check._exception))
+            return self.next()
         if span is not NULL_SPAN:
-            stage.end()
-        batch_id, increments, output = _decode_poe(payload)
+            self._stage.end()
+        batch_id, increments, output = _decode_poe(check._value)
         expected = self.simulated.get(message.sender, 0) + increments
         if output != expected:
             self.detected_faults.append(
@@ -254,19 +268,15 @@ class _Replica:
                 f"claimed {output}, simulated {expected}"
             )
             span.end(status="mismatch")
-            return None
+            return self.next()
         self.simulated[message.sender] = expected
-        return span, batch_id, increments
-
-    def _collect_ack(self, sender: str, batch_id: int, span) -> None:
-        """The rest of the leader's validate_follower(): a valid
-        follower PoE acknowledges its batch, and the first makes the
-        leader reply to the client."""
+        if not self.leads:
+            return self._follow(batch_id, increments, span)
         acks = self.acks_per_batch.setdefault(batch_id, set())
-        if sender in acks:
+        if message.sender in acks:
             span.end(status="duplicate")
-            return
-        acks.add(sender)
+            return self.next()
+        acks.add(message.sender)
         if len(acks) == 1:  # incr_req_acks_if_not_incr_before + single reply
             self.system.network.send(
                 self.system.client_name,
@@ -275,42 +285,47 @@ class _Replica:
             )
         if span is not NULL_SPAN:
             span.end(status="ok")
+        self.next()
 
-    def _follow(self, batch_id: int, increments: int, span):
-        """The rest of follower(): apply a validated batch once, attest
-        this replica's own PoE to the leader and the other followers,
-        and reply to the client."""
+    def _follow(self, batch_id: int, increments: int, span) -> None:
+        """follower(): apply a validated batch once and attest this
+        replica's own PoE."""
         if batch_id in self.applied_batches:
             # Not a fault: every batch reaches a follower twice, from
             # the leader and forwarded by a peer.
             if span is not NULL_SPAN:
                 span.end(status="duplicate")
-            return  # in_order_not_applied()
+            return self.next()  # in_order_not_applied()
         self.applied_batches.add(batch_id)
         own_payload = _encode_poe(batch_id, increments,
                                   self._apply(increments))
         if span is not NULL_SPAN:
-            stage = span.child("attest.hmac")
-        attested = yield self.provider.attest(
-            self.system.session_ids[self.name], own_payload
-        )
+            self._stage = span.child("attest.hmac")
+        self._batch_id = batch_id
+        self.provider.attest(self.system.session_ids[self.name],
+                             own_payload).callbacks.append(self._followed)
+
+    def _followed(self, attested) -> None:
+        """The rest of follower(): send the own PoE to the leader and
+        the other followers, and reply to the client."""
+        span = self._span
         if span is not NULL_SPAN:
-            stage.end()
-        poe = ProofOfExecution(self.name, attested)
-        self.system.network.send(self.system.leader_name, poe, parent=span)
+            self._stage.end()
+        poe = ProofOfExecution(self.name, attested._value)
+        network = self.system.network
+        network.send(self.system.leader_name, poe, parent=span)
         # "it forwards the leader's request to every other replica to
         # ensure that all correct replicas will eventually receive
         # and apply the same command."
         for peer in self.system.followers:
             if peer != self.name:
-                self.system.network.send(peer, poe, parent=span)
-        self.system.network.send(
-            self.system.client_name,
-            Reply(self.name, batch_id, self.counter),
-            parent=span,
-        )
+                network.send(peer, poe, parent=span)
+        network.send(self.system.client_name,
+                     Reply(self.name, self._batch_id, self.counter),
+                     parent=span)
         if span is not NULL_SPAN:
             span.end(status="ok")
+        self.next()
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +373,6 @@ class BftCounter:
         }
         self.client_inbox = self.network.register(self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="bft")
-        for replica in self.replicas.values():
-            self.sim.process(replica.run())
-
-    def broadcast_poe(
-        self, sender: str, attested: AttestedMessage, parent=None
-    ) -> None:
-        """Equivocation-free multicast: identical attested message to all.
-
-        The *attested message* is identical for every follower (that is
-        the point of the pattern); with tracing on, each destination
-        still gets its own hop span and envelope around it.
-        """
-        poe = ProofOfExecution(sender, attested)
-        for follower in self.followers:
-            self.network.send(follower, poe, parent=parent)
 
     # ------------------------------------------------------------------
     # Client

@@ -20,7 +20,7 @@ from repro.sim.clock import Simulator
 from repro.sim.record import Record, record
 from repro.systems.common import (
     EmulatedNetwork,
-    EquivocationDetected,
+    Station,
     SystemMetrics,
     authenticators,
     await_quorum,
@@ -106,8 +106,9 @@ class ChainBehaviour:
     drop_forward: bool = False
 
 
-class _ChainNode:
-    """One replica in the chain."""
+class _ChainNode(Station):
+    """One replica in the chain: a station whose stages (PoE checks,
+    the attest) end in the steps of Algorithm 4."""
 
     def __init__(
         self,
@@ -117,6 +118,7 @@ class _ChainNode:
         successor: str | None,
         behaviour: ChainBehaviour | None = None,
     ) -> None:
+        super().__init__(system.network, name)
         self.name = name
         self.system = system
         self.provider = provider
@@ -125,11 +127,15 @@ class _ChainNode:
         self.store: dict[str, str] = {}
         self.commit_index = 0
         self.detected_faults: list[str] = []
-        self.inbox = system.network.register(name)
         self.authenticators = authenticators(provider, system.session_ids,
                                              system.providers)
         #: The nodes whose PoEs a chained message must carry, in order.
         self.predecessors = tuple(system.names[:system.names.index(name)])
+        #: The job in service: its message, the PoEs checked so far and
+        #: the output to reply with.
+        self._message = None
+        self._checked = 0
+        self._output = ""
 
     def execute(self, request: KvRequest) -> str:
         """Deterministic KV application."""
@@ -138,7 +144,22 @@ class _ChainNode:
             self.store[request.key] = request.value
         return output
 
-    def _answer_quorum_read(self, message: "QuorumRead"):
+    def start(self, message, start: float) -> None:
+        """Algorithm 4's dispatch: the head orders a client's request
+        (head_operation); a later node validates the chained message
+        from its predecessor (middle_tail_operation).  Each node ignores
+        the message kinds its role never receives."""
+        self._message = message
+        if isinstance(message, QuorumRead):
+            self._answer_quorum_read(message, start)
+        elif not self.predecessors and isinstance(message, ChainSubmit):
+            self._execute(start)
+        elif self.predecessors and isinstance(message, ChainMessage):
+            self._validate(None, start)
+        else:
+            self.next()
+
+    def _answer_quorum_read(self, message: "QuorumRead", start: float) -> None:
         """Serve a direct read: execute locally, reply to the client.
 
         Replies to clients are signed with the device's client key pair
@@ -146,106 +167,85 @@ class _ChainNode:
         so serving a read never consumes a session counter the chain
         verifiers would then miss.  One kernel invocation is charged.
         """
-        output = self.execute(message.request)
-        yield self.system.sim.timeout(
-            self.provider.attest_latency_us(
-                len(_encode_output(message.request_id, output,
-                                   self.commit_index))
-            )
-        )
+        self._output = output = self.execute(message.request)
+        signing = self.provider.attest_latency_us(
+            len(_encode_output(message.request_id, output, self.commit_index)))
+        self.sim.trigger_at(start + signing, None, self._reply)
+
+    def _reply(self, _signed=None) -> None:
+        """Reply to the client, the last step of head_operation,
+        middle_tail_operation and a quorum read."""
         self.system.network.send(
             self.system.client_name,
-            ChainReply(self.name, message.request_id, output),
+            ChainReply(self.name, self._message.request_id, self._output),
         )
+        self.next()
 
-    def run(self):
-        """The node's one loop (Algorithm 4).
+    def _execute(self, start: float | None = None) -> None:
+        """head_operation / middle_tail_operation: execute the request
+        and attest its output."""
+        message = self._message
+        output = self.execute(message.request)
+        self.commit_index += 1
+        if self.behaviour.corrupt_output:
+            output = "corrupted"
+        self._output = output
+        self.provider.attest(
+            self.system.session_ids[self.name],
+            _encode_output(message.request_id, output, self.commit_index),
+            start,
+        ).callbacks.append(self._forward)
 
-        The head orders a client's request (head_operation); a later
-        node takes the chained message from its predecessor once
-        validate() passes (middle_tail_operation).  Either then
-        executes the request, attests its output, forwards the chain
-        with its own PoE appended and replies to the client.  Each node
-        ignores the message kinds its role never receives.
-        """
-        head = self.name == self.system.names[0]
-        while True:
-            message = yield self.inbox.get()
-            if isinstance(message, QuorumRead):
-                yield from self._answer_quorum_read(message)
-                continue
-            if head:
-                if not isinstance(message, ChainSubmit):
-                    continue
-                poes = ()
-            else:
-                if not isinstance(message, ChainMessage):
-                    continue
-                valid = yield from self._validate_chain(message)
-                if not valid:
-                    continue
-                poes = message.poes
-            request_id, request = message.request_id, message.request
-            output = self.execute(request)
-            self.commit_index += 1
-            if self.behaviour.corrupt_output:
-                output = "corrupted"
-            attested = yield self.provider.attest(
-                self.system.session_ids[self.name],
-                _encode_output(request_id, output, self.commit_index),
-            )
-            if self.successor and not self.behaviour.drop_forward:
-                self.system.network.send(self.successor, ChainMessage(
-                    request_id, request, poes + ((self.name, attested),)
-                ))
-            self.system.network.send(
-                self.system.client_name,
-                ChainReply(self.name, request_id, output),
-            )
+    def _forward(self, attested) -> None:
+        """Once the output is attested: forward the chain with this
+        node's PoE appended, and reply."""
+        message = self._message
+        if self.successor and not self.behaviour.drop_forward:
+            poes = message.poes if self.predecessors else ()
+            self.system.network.send(self.successor, ChainMessage(
+                message.request_id, message.request,
+                poes + ((self.name, attested._value),),
+            ))
+        self._reply()
 
-    def _validate_chain(self, message: ChainMessage):
-        """validate(): verify every previous node's PoE and output.
-
-        Checks (Algorithm 4, L15-26): one PoE per predecessor, in chain
-        order (else the predecessor that handed the message on is
-        blamed), each PoE's attestation and counter, the claimed output
-        against this node's own deterministic execution, and the
-        expected commit index.
-        """
-        senders = tuple(sender for sender, _ in message.poes)
-        if senders != self.predecessors:
-            self.detected_faults.append(
-                f"{self.predecessors[-1]}: PoEs from {list(senders)} != "
-                f"predecessors {list(self.predecessors)}"
-            )
-            return False
-        expected_output = self._expected_output(message.request)
-        expected_commit = self.commit_index + 1
-        for sender, attested in message.poes:
-            try:
-                payload = yield self.authenticators[sender].verify(attested)
-            except EquivocationDetected as exc:
-                self.detected_faults.append(f"{sender}: {exc}")
-                return False
-            request_id, output, commit = _decode_output(payload)
+    def _validate(self, check, start: float | None = None) -> None:
+        """validate() (Algorithm 4, L15-26), a step per PoE.  As the job
+        starts (no *check* yet): one PoE per predecessor, in chain order,
+        else the predecessor that handed the message on is blamed.  Then
+        each PoE in turn: its attestation and counter, the claimed output
+        against this node's own deterministic execution, and the expected
+        commit index.  After the last valid PoE the node executes."""
+        message = self._message
+        fault = None
+        if check is None:
+            senders = [sender for sender, _ in message.poes]
+            self._checked = 0
+            if tuple(senders) != self.predecessors:
+                fault = (f"{self.predecessors[-1]}: PoEs from {senders} != "
+                         f"predecessors {list(self.predecessors)}")
+        elif check._exception is not None:
+            fault = f"{message.poes[self._checked][0]}: {check._exception}"
+        else:
+            sender = message.poes[self._checked][0]
+            request_id, output, commit = _decode_output(check._value)
+            expected_output = self._expected_output(message.request)
             if request_id != message.request_id:
-                self.detected_faults.append(
-                    f"{sender}: PoE for wrong request {request_id}"
-                )
-                return False
-            if output != expected_output:
-                self.detected_faults.append(
-                    f"{sender}: output {output!r} != expected "
-                    f"{expected_output!r}"
-                )
-                return False
-            if commit != expected_commit:
-                self.detected_faults.append(
-                    f"{sender}: commit index {commit} != expected "
-                    f"{expected_commit}"
-                )
-                return False
-        return True
+                fault = f"{sender}: PoE for wrong request {request_id}"
+            elif output != expected_output:
+                fault = (f"{sender}: output {output!r} != expected "
+                         f"{expected_output!r}")
+            elif commit != self.commit_index + 1:
+                fault = (f"{sender}: commit index {commit} != expected "
+                         f"{self.commit_index + 1}")
+            self._checked += 1
+        if fault is not None:
+            self.detected_faults.append(fault)
+            return self.next()
+        if self._checked == len(message.poes):
+            return self._execute()
+        sender, attested = message.poes[self._checked]
+        self.authenticators[sender].verify(attested, start).callbacks.append(
+            self._validate)
 
     def _expected_output(self, request: KvRequest) -> str:
         """Simulate the request on the local (pre-execution) state."""
@@ -288,8 +288,6 @@ class ChainReplication:
         self.client_inbox = self.network.register(self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="chain")
         self.aborted = False
-        for node in self.nodes.values():
-            self.sim.process(node.run())
 
     # ------------------------------------------------------------------
     def run_workload(

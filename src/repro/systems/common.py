@@ -12,7 +12,9 @@ latency.  Every system here is built from the same four pieces:
   at construction.
 * :class:`EmulatedNetwork` — FIFO reliable channels with the DRCT-IO
   per-hop latency, carrying Python message objects between named nodes:
-  to a served node's handler (TEEs-Raft, TEEs-CR) or a ``Store`` inbox.
+  to a served node's handler (TEEs-Raft, TEEs-CR), a :class:`Station`
+  (the BFT counter's and the Byzantine chain's replicas) or a ``Store``
+  inbox (the clients, view-change BFT and PeerReview).
 * :class:`SystemMetrics` — commit latency and throughput in virtual
   time, filled by the system's client process, whose return value
   ``run_workload`` hands back.
@@ -29,13 +31,14 @@ one continuity rule, :class:`~repro.api.multicast.ContinuityCheck`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.api.multicast import ContinuityCheck, EquivocationDetected
 from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
-from repro.sim.events import Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.instrument import count, emit, gauge_set, observe, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.record import Record, record
@@ -45,7 +48,8 @@ from repro.tee.providers import make_provider
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
-    from repro.sim.events import Event
+
+_PROCESSED = Event.PROCESSED
 
 
 @record
@@ -77,11 +81,78 @@ class ServedNode(Record):
     handler: Callable[["Event"], None]
 
 
+class Station:
+    """A node that handles its messages one job at a time, in the order
+    they were sent to it.
+
+    A job is a chain of timed stages, and each stage's completion
+    callback is a protocol step; the step that ends the job calls
+    :meth:`next`.  A subclass files a message's first stage in
+    :meth:`start`, charged from the instant the job starts:
+    ``max(arrive, now)``, where a message sent to an idle station starts
+    on arrival, filed from the send itself, so a message's arrival costs
+    no event.  With telemetry attached, :meth:`received` opens the
+    job's spans at ``max(arrive, start)`` — on a hop timeout that runs
+    only then — so span ids and instants are those of a receive.
+    """
+
+    def __init__(self, network: "EmulatedNetwork", name: str) -> None:
+        self.sim = network.sim
+        #: Queued jobs: (message, arrive, traced hop or None).
+        self._jobs: deque[tuple[Any, float, Any]] = deque()
+        self._busy = False
+        network._add(name, self)
+
+    def start(self, message: Any, start: float) -> None:
+        """File the first stage of *message*'s job, charged from the
+        absolute instant *start*; a message the node ignores ends its
+        job here with :meth:`next`."""
+        raise NotImplementedError
+
+    def received(self, message: Any, parent: Any) -> None:
+        """Open the spans of the job in service under *parent*, the
+        hop's span (telemetry attached only)."""
+
+    def _submit(self, message: Any, arrive: float, hop: Any) -> None:
+        """A message is in flight to this node, arriving at *arrive*;
+        *hop* is its traced hop timeout, or None."""
+        if self._busy:
+            self._jobs.append((message, arrive, hop))
+            return
+        self._busy = True
+        self.start(message, arrive)
+        if hop is not None:
+            self._traced(hop)
+
+    def next(self) -> None:
+        """End the job in service and start the next one, if any."""
+        if not self._jobs:
+            self._busy = False
+            return
+        message, arrive, hop = self._jobs.popleft()
+        now = self.sim._now
+        self.start(message, arrive if arrive > now else now)
+        if hop is not None:
+            self._traced(hop)
+
+    def _traced(self, hop: "Event") -> None:
+        """The job just started: open its spans now if its message has
+        arrived, else on arrival, ahead of the hop span's end."""
+        if hop._state == _PROCESSED:
+            self._landed(hop)
+        else:
+            hop.callbacks.insert(0, self._landed)
+
+    def _landed(self, hop: "Event") -> None:
+        self.received(hop._value.message, hop._value.span)
+
+
 class EmulatedNetwork:
     """FIFO reliable message passing with per-hop latency, to served
-    nodes (:meth:`serve`) and ``Store`` inboxes (:meth:`register`: the
-    clients, and the BFT, view-change BFT, chain and PeerReview nodes
-    until ROADMAP item 10 serves them; A2M has no network)."""
+    nodes (:meth:`serve`), stations (:class:`Station`) and ``Store``
+    inboxes (:meth:`register`: the clients, and the view-change BFT and
+    PeerReview nodes until ROADMAP item 10 serves them; A2M has no
+    network)."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -145,13 +216,15 @@ class EmulatedNetwork:
     def held_messages(self) -> int:
         return len(self._held)
 
-    def _hop(self, node: Store | ServedNode, message: Any,
+    def _hop(self, node: Store | ServedNode | Station, message: Any,
              span: Any = None) -> None:
         """Put *message* in flight to *node*.  With a hop *span*, an
         inbox gets the message in an :class:`Envelope` that ends the span
-        on arrival; a served node's handler gets it bare, and the span
-        ends on a hop timeout of its own."""
-        if type(node) is Store:
+        on arrival; a served node's handler and a station get it bare,
+        and the span ends on a hop timeout of its own (a station's runs
+        whenever telemetry is attached: it opens the receive's spans)."""
+        kind = type(node)
+        if kind is Store:
             if span is not None:
                 message = Envelope(message, span)
             hop = Timeout(self.sim, SYSTEM_NET_HOP_US, message)
@@ -159,12 +232,22 @@ class EmulatedNetwork:
             if span is not None:
                 hop.callbacks.append(message.arrived)
             return
-        if span is not None:
-            hop = Timeout(self.sim, SYSTEM_NET_HOP_US)
-            hop.callbacks.append(Envelope(message, span).arrived)
-        done = node.server.serve(node.service_us, message,
-                                 after_us=SYSTEM_NET_HOP_US)
-        done.callbacks.append(node.handler)
+        if kind is ServedNode:
+            if span is not None:
+                hop = Timeout(self.sim, SYSTEM_NET_HOP_US)
+                hop.callbacks.append(Envelope(message, span).arrived)
+            done = node.server.serve(node.service_us, message,
+                                     after_us=SYSTEM_NET_HOP_US)
+            done.callbacks.append(node.handler)
+            return
+        sim = self.sim
+        hop = None
+        if sim.telemetry is not None:
+            envelope = Envelope(message, span)
+            hop = Timeout(sim, SYSTEM_NET_HOP_US, envelope)
+            if span is not None:
+                hop.callbacks.append(envelope.arrived)
+        node._submit(message, sim._now + SYSTEM_NET_HOP_US, hop)
 
     def send(self, dst: str, message: Any, parent: Any = None) -> None:
         """Deliver *message* to *dst* after one hop latency.
@@ -212,16 +295,19 @@ class BroadcastAuthenticator(ContinuityCheck):
         self.provider = provider
         self.session_id = session_id
 
-    def verify(self, message: AttestedMessage) -> "Event":
+    def verify(self, message: AttestedMessage,
+               start: float | None = None) -> "Event":
         """Event resolves with the payload, or fails with
-        :class:`EquivocationDetected`.
+        :class:`EquivocationDetected`; the check is charged from *start*
+        (an absolute instant, default now).
 
         The event is the provider's timed check itself: the message is
         parked beside the check's MAC verdict and :meth:`_settle`, the
         event's first callback, turns the pair into the outcome every
-        later callback (the waiting process) sees.
+        later callback (the protocol step) sees.
         """
-        check = self.provider.check_transferable(self.session_id, message)
+        check = self.provider.check_transferable(self.session_id, message,
+                                                 start)
         check._value = (check._value, message)
         check.callbacks.append(self._settle)
         return check

@@ -74,11 +74,14 @@ class AttestationProvider:
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def attest(self, session_id: int, payload: bytes) -> "Event":
-        """Generate an attested message, charging the sampled latency."""
+    def attest(self, session_id: int, payload: bytes,
+               start: float | None = None) -> "Event":
+        """Generate an attested message, charging the sampled latency
+        from *start* (an absolute instant, default now)."""
         self.attest_count += 1
         message = self.kernel.attest(session_id, payload)
-        return Timeout(self.sim, self.attest_latency_us(len(payload)), message)
+        return Timeout(self.sim, self.attest_latency_us(len(payload)),
+                       message, start)
 
     def verify(self, session_id: int, message: AttestedMessage) -> "Event":
         """Verify continuity + authenticity, charging the latency.
@@ -101,8 +104,10 @@ class AttestationProvider:
         except AttestationError as exc:
             check._exception = exc
 
-    def check_transferable(self, session_id: int, message: AttestedMessage) -> "Event":
-        """Transferable-authentication check (no counter mutation)."""
+    def check_transferable(self, session_id: int, message: AttestedMessage,
+                           start: float | None = None) -> "Event":
+        """Transferable-authentication check (no counter mutation),
+        charged from *start* as :meth:`attest` is."""
         delay = self.attest_latency_us(len(message.payload))
         ok = self.kernel.check_transferable(session_id, message)
-        return Timeout(self.sim, delay, ok)
+        return Timeout(self.sim, delay, ok, start)

@@ -109,13 +109,17 @@ def test_an_inline_receive_is_booked_to_the_receiving_generator():
     profiler = Profiler.attach(system.sim, clock=FakeClock())
     system.run_workload(20, pipeline_depth=4)
     keys = set(profiler.events)
-    # The hop that carries a message runs the receiver's segment in its
-    # own entry: the entry is the receiver's, under the hop's type.
-    assert {"Timeout:_Replica.run", "Timeout:BftCounter._client"} <= keys
-    # No receiver is woken by an event of its own any more; a hop that
-    # found its receiver busy queued the message and is the store's.
-    assert not any(key.startswith("Event:_Replica.") for key in keys)
-    assert "Timeout:Store.deliver" in keys
+    # The hop that carries a reply runs the client's segment in its own
+    # entry: the entry is the client's, under the hop's type.
+    assert "Timeout:BftCounter._client" in keys
+    # A replica is a station: its messages' arrivals are no entries, and
+    # each stage's completion is booked to its protocol step (a PoE
+    # check's first callback is the authenticator's verdict).
+    assert keys - {"Timeout:BftCounter._client", "Process:<idle>"} == {
+        "Timeout:BroadcastAuthenticator._settle",
+        "Timeout:_Replica._broadcast", "Timeout:_Replica._followed"}
+    assert profiler.events["Timeout:_Replica._broadcast"] == 20
+    assert profiler.events["Timeout:_Replica._followed"] == 20 * 2
 
 
 def test_a_served_completion_is_booked_to_the_replica_handler():
