@@ -197,8 +197,8 @@ class _ChainNode(Station):
         ).callbacks.append(self._forward)
 
     def _forward(self, attested) -> None:
-        """Once the output is attested: forward the chain with this
-        node's PoE appended, and reply."""
+        """head_operation / middle_tail_operation, once the output is
+        attested: forward the chain with this node's PoE appended."""
         message = self._message
         if self.successor and not self.behaviour.drop_forward:
             poes = message.poes if self.predecessors else ()
