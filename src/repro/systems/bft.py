@@ -148,8 +148,13 @@ class _Replica(Station):
         only the leader orders them."""
         self._message = message
         if isinstance(message, ProofOfExecution):
-            self.authenticators[message.sender].verify(
-                message.attested, start).callbacks.append(self._validate_sender)
+            auth = self.authenticators.get(message.sender)
+            if auth is None:  # names no replica: nothing can check it
+                self.detected_faults.append(
+                    f"PoE from unknown sender {message.sender!r}")
+                return self.next()
+            auth.verify(message.attested, start).callbacks.append(
+                self._validate_sender)
         elif isinstance(message, ReadRequest):
             self.sim.trigger_at(start + self.provider.attest_latency_us(32),
                                 message, self._answer_read)

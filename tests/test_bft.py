@@ -187,3 +187,17 @@ def test_a_poe_counts_only_from_its_senders_own_device():
     metrics = system.run_workload(batches=3)
     assert metrics.committed == 3
     assert {r.counter for r in system.replicas.values()} == {3}
+
+
+def test_a_poe_from_an_unknown_sender_is_a_fault_not_a_crash():
+    """A PoE naming no replica cannot be checked: the receiver records
+    it and goes on serving."""
+    system = BftCounter("tnic", seed=0)
+    # Made on r2's TNIC under r0's session, which r2 never sends on.
+    forged = system.providers["r2"].kernel.attest(
+        system.session_ids["r0"], _encode_poe(5, 1, 1))
+    system.network.send("r1", ProofOfExecution("mallory", forged))
+    metrics = system.run_workload(batches=3, timeout_us=5_000.0)
+    assert not system.aborted and metrics.committed == 3
+    assert system.detected_faults() == {
+        "r1": ["PoE from unknown sender 'mallory'"]}
