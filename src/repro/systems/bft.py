@@ -109,15 +109,10 @@ class _Replica(Station):
     """One BFT replica, the leader (``r0``) or a follower: a station
     whose stages are the steps of Algorithm 3."""
 
-    def __init__(
-        self,
-        name: str,
-        system: "BftCounter",
-        provider: AttestationProvider,
-        behaviour: ByzantineBehaviour | None = None,
-    ) -> None:
+    def __init__(self, name: str, system: "BftCounter",
+                 provider: AttestationProvider,
+                 behaviour: ByzantineBehaviour | None = None) -> None:
         super().__init__(system.network, name)
-        self.name = name
         self.system = system
         self.provider = provider
         self.behaviour = behaviour or ByzantineBehaviour()
@@ -177,8 +172,7 @@ class _Replica(Station):
                 self._stage = self._span.child("attest.hmac")
 
     def _apply(self, increments: int) -> int:
-        """Execute a batch on the counter and return the new value; a
-        ``wrong_output`` replica deviates from the specification."""
+        """Execute a batch; a ``wrong_output`` replica adds 7 more."""
         self.counter += increments
         if self.behaviour.wrong_output:
             self.counter += 7
@@ -203,8 +197,6 @@ class _Replica(Station):
             self._path = "replay"
             self.sim.trigger_at(start, None, self._broadcast)
         elif self.behaviour.equivocate:
-            # Different statements to different followers: each gets
-            # its own attestation, hence its own counter value.
             self._path = "equivocate"
             self._forks = [
                 (follower, _encode_poe(request.batch_id, request.increments,
@@ -237,8 +229,9 @@ class _Replica(Station):
         self.next()
 
     def _equivocate(self, attested, start: float | None = None) -> None:
-        """An equivocating leader sends each follower its forked PoE
-        once attested, then attests the next."""
+        """An equivocating leader makes different statements to
+        different followers, each with its own attestation, hence its
+        own counter value: it sends each its forked PoE once attested."""
         if attested is not None:
             self.system.network.send(
                 self._forks.pop(0)[0],

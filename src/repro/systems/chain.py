@@ -119,7 +119,6 @@ class _ChainNode(Station):
         behaviour: ChainBehaviour | None = None,
     ) -> None:
         super().__init__(system.network, name)
-        self.name = name
         self.system = system
         self.provider = provider
         self.successor = successor

@@ -97,6 +97,7 @@ class Station:
     """
 
     def __init__(self, network: "EmulatedNetwork", name: str) -> None:
+        self.name = name
         self.sim = network.sim
         #: Queued jobs: (message, arrive, traced hop or None).
         self._jobs: deque[tuple[Any, float, Any]] = deque()
