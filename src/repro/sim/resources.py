@@ -12,7 +12,7 @@
   resumes a blocked receiver inside its own scheduler entry, and a
   receive whose outcome is already known returns a processed event.
   Used for NIC RX/TX queues, host completion queues and the systems'
-  node inboxes.
+  inboxes (clients, view-change BFT and PeerReview replicas).
 * :class:`Pipe` — a bandwidth-limited byte channel with fixed set-up
   and propagation delays.  Used for the PCIe DMA engine.
 """
