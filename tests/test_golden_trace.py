@@ -40,6 +40,11 @@ def canonical_dump(trace: Tracer, final_now: float, committed: int) -> str:
         f"# records={len(records)} final_now={final_now!r} "
         f"committed={committed}"
     ]
+    return "\n".join(lines + _record_lines(records)) + "\n"
+
+
+def _record_lines(records) -> list[str]:
+    lines = []
     for index, record in enumerate(records):
         fields = ",".join(
             f"{key}={value!r}" for key, value in sorted(record.fields.items())
@@ -48,7 +53,7 @@ def canonical_dump(trace: Tracer, final_now: float, committed: int) -> str:
             f"{index}|{record.time_us!r}|{record.category}|"
             f"{record.message}|{fields}"
         )
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def run_bft_round() -> str:
@@ -82,15 +87,7 @@ def span_dump(hub, final_now: float, committed: int) -> str:
             f"span|{span.span_id}|{span.trace_id}|{span.parent_id}|"
             f"{span.name}|{span.start_us!r}|{span.end_us!r}|{labels}"
         )
-    for index, record in enumerate(hub.trace.records()):
-        fields = ",".join(
-            f"{key}={value!r}" for key, value in sorted(record.fields.items())
-        )
-        lines.append(
-            f"{index}|{record.time_us!r}|{record.category}|"
-            f"{record.message}|{fields}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _record_lines(hub.trace.records())) + "\n"
 
 
 def run_bft_pipelined_spans() -> str:
