@@ -127,6 +127,8 @@ class _Replica(Station):
         self.authenticators = authenticators(provider, system.session_ids,
                                              system.providers)
         self.acks_per_batch: dict[int, set[str]] = {}
+        #: The output of each batch the leader ran, until its first ack.
+        self._outputs: dict[int, int] = {}
         self._last_attested: AttestedMessage | None = None
         #: The job in service: its message, the leader's path ("ok",
         #: "replay", "equivocate" with the forked PoEs still to send), a
@@ -193,6 +195,7 @@ class _Replica(Station):
         A Byzantine leader instead re-sends a stale PoE on arrival, or
         attests a forked statement per follower."""
         output = self._apply(request.increments)
+        self._outputs[request.batch_id] = output
         if self.behaviour.replay and self._last_attested is not None:
             self._path = "replay"
             self.sim.trigger_at(start, None, self._broadcast)
@@ -247,9 +250,8 @@ class _Replica(Station):
     def _validate_sender(self, check) -> None:
         """validate_sender() / validate_follower(), once the TNIC has
         checked the PoE (transferable authentication, counter
-        continuity): simulate and record the sender's state change.
-        The leader then counts the ack, and the first for a batch makes
-        it reply to the client; a follower goes on to :meth:`_follow`."""
+        continuity): simulate and record the sender's state change.  The
+        leader then counts the ack; a follower goes on to :meth:`_follow`."""
         message, span = self._message, self._span
         if check._exception is not None:
             self._stage.end(status="rejected")
@@ -275,12 +277,12 @@ class _Replica(Station):
             span.end(status="duplicate")
             return self.next()
         acks.add(message.sender)
-        if len(acks) == 1:  # incr_req_acks_if_not_incr_before + single reply
-            self.system.network.send(
-                self.system.client_name,
-                Reply(self.name, batch_id, self.counter),
-                parent=span,
-            )
+        # incr_req_acks_if_not_incr_before + the first ack's reply.
+        output = self._outputs.pop(batch_id, None)
+        if output is not None:
+            self.system.network.send(self.system.client_name,
+                                     Reply(self.name, batch_id, output),
+                                     parent=span)
         if span is not NULL_SPAN:
             span.end(status="ok")
         self.next()

@@ -127,6 +127,32 @@ def test_wrong_output_follower_is_exposed_and_outvoted():
     assert system.read_counter() == 4
 
 
+@pytest.mark.parametrize("faulty", ["r1", "r2"])
+@pytest.mark.parametrize("depth", [2, 4])
+def test_a_pipelined_leader_replies_with_each_batchs_output(depth, faulty):
+    """Under pipelining the leader has applied later batches by the
+    time a batch's first ack arrives; its reply must carry that batch's
+    output, or one wrong_output follower (within f = 1) leaves the
+    honest leader and follower without f+1 identical replies."""
+    system = BftCounter(
+        "tnic", seed=3,
+        behaviours={faulty: ByzantineBehaviour(wrong_output=True)},
+    )
+    replies = []
+    send = system.network.send
+
+    def recording(dst, message, parent=None):
+        if dst == "client" and message.sender == "r0":
+            replies.append((message.batch_id, message.output))
+        send(dst, message, parent)
+
+    system.network.send = recording
+    metrics = system.run_workload(8, pipeline_depth=depth, timeout_us=50_000)
+    assert not system.aborted
+    assert metrics.committed == 8
+    assert sorted(replies) == [(batch, batch + 1) for batch in range(8)]
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         BftCounter(f=0)
