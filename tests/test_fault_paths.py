@@ -47,8 +47,9 @@ def _chain(node, fault, mode):
                 faults=system.detected_faults(), now=system.sim.now)
 
 
-def _view_change(silent):
-    system = ViewChangeBftCounter(seed=1, silent_replicas=silent)
+def _view_change(silent, provider="tnic", watchdog_us=400.0):
+    system = ViewChangeBftCounter(provider, seed=1, silent_replicas=silent,
+                                  watchdog_us=watchdog_us)
     metrics = system.run_workload(5)
     return dict(metrics=metrics.to_dict(), aborted=system.aborted,
                 views=system.current_views(), now=system.sim.now)
@@ -69,6 +70,10 @@ CASES = {
     },
     "vc-none": (_view_change, None),
     "vc-r0": (_view_change, {"r0"}),
+    # A watchdog that races PoEs in flight: it must join the replica's
+    # queue in the order it would arrive, one hop after its send.
+    "vc-sgx-r0-60": (_view_change, {"r0"}, "sgx", 60.0),
+    "vc-sgx-none-45": (_view_change, None, "sgx", 45.0),
 }
 
 
