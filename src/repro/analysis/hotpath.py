@@ -126,7 +126,7 @@ TNIC_MANIFEST = HotPathManifest(
         "Timeout.__init__",
         # A process wake: one callback that advances the generator.
         "Process._resume",
-        # The systems path's per-message receive: the replicas' get, the
+        # The systems path's per-message receive: the clients' get, the
         # deadline get the client loops wait on, its expiry timer, and
         # the hop callback that resumes the receiver in the hop's entry.
         "Store.get",

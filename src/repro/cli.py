@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sanitize.add_argument(
         "--scenario", action="append", dest="scenarios", metavar="NAME",
-        choices=["bft", "chain", "a2m"],
+        choices=["bft", "chain", "a2m", "view_change", "peer_review"],
         help="run only this scenario (repeatable; default: all)",
     )
     sanitize.add_argument("--json", action="store_true",

@@ -6,10 +6,11 @@ events is a kernel policy, not a semantic guarantee — the paper's
 CFT-to-BFT transformation (§6, Listing 1) requires replica state
 machines to be deterministic functions of their ordered inputs, so
 their *final state* must not depend on how the kernel breaks ties.
-Each tier-1 protocol scenario (BFT counter, chain replication, A2M)
-therefore runs once under exact FIFO and N more times under seeded tie
-shuffles (:meth:`~repro.sim.clock.Simulator.perturb_ties`); the
-canonical digest of final replica state must be identical every time.
+Each tier-1 protocol scenario (BFT counter, chain replication, A2M,
+view-change BFT, PeerReview) therefore runs once under exact FIFO and N
+more times under seeded tie shuffles
+(:meth:`~repro.sim.clock.Simulator.perturb_ties`); the canonical digest
+of final replica state must be identical every time.
 A divergent digest is a found schedule dependence, with the offending
 seed as the reproducer.
 
@@ -19,13 +20,11 @@ timing legitimately varies with tie order; outcomes must not.
 
 The shuffle also reorders two messages that one
 :class:`~repro.systems.common.EmulatedNetwork` channel delivers to a
-``Store`` inbox at the same instant (the clients, view-change BFT,
-PeerReview): each is its own hop of the same latency, so the channel is
-FIFO only under the default tie order, and a digest must not depend on
-the order of concurrent requests to an inbox.  A station (the BFT and
-chain replicas) serves its messages in send order, and a served node's
-completions (TEEs-Raft, TEEs-CR) are strictly increasing, so their
-channels stay FIFO under every shuffle.
+``Store`` inbox at the same instant (the clients): each is its own hop
+of the same latency, so the channel is FIFO only under the default tie
+order.  Every replica is a :class:`~repro.systems.common.Station`, which
+serves its messages in send order, so a replica's channels stay FIFO
+under every shuffle.
 
 Everything is derived from one root seed, so a report is reproducible
 byte-for-byte from its command line.
@@ -40,7 +39,9 @@ from dataclasses import dataclass, field
 from repro.sim import Simulator
 from repro.systems.a2m import A2M
 from repro.systems.bft import BftCounter
+from repro.systems.bft_viewchange import ViewChangeBftCounter
 from repro.systems.chain import ChainReplication
+from repro.systems.peer_review import PeerReviewBehaviour, PeerReviewSystem
 from repro.tee import make_provider
 
 DEFAULT_SEEDS = 8
@@ -157,10 +158,47 @@ def a2m_scenario(perturb_seed: int | None) -> str:
     return _digest(state)
 
 
+def view_change_scenario(perturb_seed: int | None) -> str:
+    """View-change BFT with a silent leader: watchdogs that race the
+    PoEs in flight drive the failover."""
+    system = ViewChangeBftCounter("sgx", seed=1, silent_replicas={"r0"},
+                                  watchdog_us=60.0)
+    if perturb_seed is not None:
+        system.sim.perturb_ties(perturb_seed)
+    system.run_workload(6)
+    return _digest({
+        "aborted": system.aborted,
+        "replicas": {
+            name: [replica.view, replica.counter, sorted(replica.applied),
+                   sorted(replica.pending), sorted(replica.detected_faults)]
+            for name, replica in sorted(system.replicas.items())
+        },
+    })
+
+
+def peer_review_scenario(perturb_seed: int | None) -> str:
+    """PeerReview with a deviating child and every log audited."""
+    system = PeerReviewSystem(
+        "tnic", seed=3, audit_children=True,
+        behaviour=PeerReviewBehaviour(wrong_execution=True))
+    if perturb_seed is not None:
+        system.sim.perturb_ties(perturb_seed)
+    system.run_workload(6)
+    nodes = [system.source, *system.child_nodes.values()]
+    return _digest({
+        "faults": system.detected_faults(),
+        "logs": {node.name: [record.authenticator.hex()
+                             for record in node.log.records]
+                 for node in nodes},
+    })
+
+
 SCENARIOS = {
     "bft": bft_scenario,
     "chain": chain_scenario,
     "a2m": a2m_scenario,
+    "view_change": view_change_scenario,
+    "peer_review": peer_review_scenario,
 }
 
 
@@ -221,7 +259,7 @@ class SanitizeReport:
         for result in self.results:
             status = "ok" if result.ok else "DIVERGENT"
             lines.append(
-                f"{result.name:8s} {status:9s} reference={result.reference[:16]} "
+                f"{result.name:11s} {status:9s} reference={result.reference[:16]} "
                 f"runs={len(result.runs)}"
             )
             for seed in result.divergent_seeds:

@@ -5,14 +5,14 @@
   none: a post never yields, so it takes no lock).
 * :class:`SerialServer` — one FIFO server whose service times are known
   at submission, so completions are computed, not simulated.  Used for
-  the HMAC pipeline, the stack models' bottleneck and served replicas.
+  the HMAC pipeline and the stack models' bottleneck.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``,
   the deadline receive ``get_until`` and ``deliver``, the callback of
   the hop that carries a message: a receive is not an event, the hop
   resumes a blocked receiver inside its own scheduler entry, and a
   receive whose outcome is already known returns a processed event.
   Used for NIC RX/TX queues, host completion queues and the systems'
-  inboxes (clients, view-change BFT and PeerReview replicas).
+  client inboxes (replicas are ``systems.common.Station`` s).
 * :class:`Pipe` — a bandwidth-limited byte channel with fixed set-up
   and propagation delays.  Used for the PCIe DMA engine.
 """
@@ -80,11 +80,10 @@ class SerialServer:
     """One FIFO server with service times known at submission.
 
     The analytic form of ``Resource(capacity=1)`` plus a worker process
-    per job: a job submitted at ``now`` arrives at ``now + after_us``,
-    starts at ``max(arrive, busy_until)`` and the server is busy for
-    ``service_us`` from there, so its completion instant is known on
-    submission and costs a single scheduled event.  Jobs complete in
-    submission order.
+    per job: a job submitted at ``now`` starts at ``max(now,
+    busy_until)`` and the server is busy for ``service_us`` from there,
+    so its completion instant is known on submission and costs a single
+    scheduled event.  Jobs complete in submission order.
     """
 
     __slots__ = ("sim", "_busy_until")
@@ -94,24 +93,22 @@ class SerialServer:
         self._busy_until = 0.0
 
     def serve(self, service_us: float, value: Any = None,
-              tail_us: float = 0.0, after_us: float = 0.0) -> Event:
-        """Queue a job arriving *after_us* from now; the event triggers
-        with *value* once it has been served, plus *tail_us* of latency
-        that does not hold the server.
+              tail_us: float = 0.0) -> Event:
+        """Queue a job; the event triggers with *value* once it has been
+        served, plus *tail_us* of latency that does not hold the server.
 
         The event is filed at the absolute instant ``busy_until +
         tail_us``.  A relative ``timeout(busy_until - now)`` would land
         on ``now + (busy_until - now)``, which can differ from
         ``busy_until`` in the last bit and drift every later timestamp.
-        ``now + after_us`` is the float a ``timeout(after_us)`` lands on.
         """
-        if service_us < 0 or tail_us < 0 or after_us < 0:
+        if service_us < 0 or tail_us < 0:
             raise ValueError(
-                f"negative time: {service_us} (+{tail_us}, after {after_us})")
+                f"negative service time: {service_us} (+{tail_us})")
         sim = self.sim
-        arrive = sim._now + after_us
+        now = sim._now
         busy_until = self._busy_until
-        busy_until = (arrive if arrive > busy_until else busy_until) + service_us
+        busy_until = (now if now > busy_until else busy_until) + service_us
         self._busy_until = busy_until
         return sim.trigger_at(busy_until + tail_us, value)
 

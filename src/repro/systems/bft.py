@@ -126,6 +126,7 @@ class _Replica(Station):
         self.detected_faults: list[str] = []
         self.authenticators = authenticators(provider, system.session_ids,
                                              system.providers)
+        #: Followers that acked each batch, until every one has.
         self.acks_per_batch: dict[int, set[str]] = {}
         #: The output of each batch the leader ran, until its first ack.
         self._outputs: dict[int, int] = {}
@@ -277,6 +278,8 @@ class _Replica(Station):
             span.end(status="duplicate")
             return self.next()
         acks.add(message.sender)
+        if len(acks) == len(self.system.followers):
+            del self.acks_per_batch[batch_id]  # every follower has acked
         # incr_req_acks_if_not_incr_before + the first ack's reply.
         output = self._outputs.pop(batch_id, None)
         if output is not None:

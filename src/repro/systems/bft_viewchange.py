@@ -23,11 +23,12 @@ from __future__ import annotations
 from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.clock import Simulator
+from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.record import Record, record
 from repro.systems.bft import ClientRequest, Reply, _decode_poe, _encode_poe
 from repro.systems.common import (
     EmulatedNetwork,
-    EquivocationDetected,
+    Station,
     SystemMetrics,
     authenticators,
     await_quorum,
@@ -61,12 +62,18 @@ class _WatchdogFired(Record):
     view: int
 
 
-class _Replica:
-    """One replica; acts as leader or follower depending on the view."""
+class _Replica(Station):
+    """One replica; acts as leader or follower depending on the view.
+
+    A station: each message is a job whose stages (a check, an attest)
+    end in the steps below.  A watchdog joins the queue as a message
+    sent one hop before it is due, so the replica takes it in the order
+    it would arrive among the PoEs and votes in flight.
+    """
 
     def __init__(self, name: str, system: "ViewChangeBftCounter",
                  provider: AttestationProvider, silent: bool = False) -> None:
-        self.name = name
+        super().__init__(system.network, name)
         self.system = system
         self.provider = provider
         #: A crash-faulty replica: receives but never responds.
@@ -80,155 +87,173 @@ class _Replica:
         self.voted_for: set[int] = set()
         self.detected_faults: list[str] = []
         self.view_changes_seen = 0
-        self.inbox = system.network.register(name)
         #: One check table entry per (sender, view) session.
         self.authenticators = authenticators(provider, system.session_ids,
                                              system.providers)
+        #: The job in service: its message, and the requests it still
+        #: has to lead with the batch and output of the one in attest.
+        self._message = None
+        self._to_lead: list[ClientRequest] = []
+        self._led = (0, 0)
 
     # ------------------------------------------------------------------
     def is_leader(self) -> bool:
         return self.system.leader_of(self.view) == self.name
 
     # ------------------------------------------------------------------
-    def run(self):
-        while True:
-            message = yield self.inbox.get()
-            if self.silent:
-                continue
-            if isinstance(message, ClientRequest):
-                yield from self._on_request(message)
-            elif isinstance(message, ViewPoe):
-                yield from self._on_poe(message)
-            elif isinstance(message, ViewChangeVote):
-                yield from self._on_vote(message)
-            elif isinstance(message, _WatchdogFired):
-                yield from self._on_watchdog(message)
+    def start(self, message, start: float) -> None:
+        self._message = message
+        if self.silent:
+            self.next()
+        elif isinstance(message, ClientRequest):
+            self._on_request(message, start)
+        elif isinstance(message, ViewPoe):
+            self._on_poe(message, start)
+        elif isinstance(message, ViewChangeVote):
+            self._on_vote(message, start)
+        elif isinstance(message, _WatchdogFired):
+            self._on_watchdog(message, start)
+        else:
+            self.next()
 
     # ------------------------------------------------------------------
-    def _on_request(self, request: ClientRequest):
+    def _on_request(self, request: ClientRequest, start: float) -> None:
         if request.batch_id in self.applied:
-            return
+            return self.next()
         self.pending[request.batch_id] = request
         if self.is_leader():
-            yield from self._lead(request)
-        else:
-            self._arm_watchdog(request.batch_id)
+            self._to_lead = [request]
+            return self._lead_next(start)
+        self._arm_watchdog(request.batch_id, start)
+        self.next()
 
-    def _lead(self, request: ClientRequest):
-        if request.batch_id in self.applied:
-            return
+    def _lead_next(self, start: float | None = None) -> None:
+        """Execute the next request to lead and attest its PoE; end the
+        job once none is left."""
+        if not self._to_lead:
+            return self.next()
+        request = self._to_lead.pop(0)
         output = self.counter + request.increments
         self.counter = output
         self.applied.add(request.batch_id)
-        attested = yield self.provider.attest(
+        self._led = (request.batch_id, output)
+        self.provider.attest(
             self.system.session_ids[self.name, self.view],
             _encode_poe(request.batch_id, request.increments, output),
-        )
-        poe = ViewPoe(self.view, self.name, attested)
+            start,
+        ).callbacks.append(self._broadcast)
+
+    def _broadcast(self, attested) -> None:
+        poe = ViewPoe(self.view, self.name, attested._value)
         for peer in self.system.replica_names:
             if peer != self.name:
                 self.system.network.send(peer, poe)
+        batch_id, output = self._led
         self.system.network.send(
-            self.system.client_name, Reply(self.name, request.batch_id, output)
+            self.system.client_name, Reply(self.name, batch_id, output)
         )
+        self._lead_next()
 
-    def _arm_watchdog(self, batch_id: int) -> None:
-        sim = self.system.sim
-        view_at_arm = self.view
-        trigger = _WatchdogFired(batch_id, view_at_arm)
-        sim.delayed_call(
-            self.system.watchdog_us, lambda: self.inbox.put(trigger)
-        )
+    def _arm_watchdog(self, batch_id: int, armed: float) -> None:
+        """Send this replica a watchdog due ``watchdog_us`` after the
+        instant *armed*, as if over one hop."""
+        sim = self.sim
+        due = armed + self.system.watchdog_us
+        sent = due - SYSTEM_NET_HOP_US
+        sim.trigger_at(sent if sent > sim._now else sim._now,
+                       _WatchdogFired(batch_id, self.view),
+                       lambda timer: self._submit(timer._value, due, None))
 
-    def _on_watchdog(self, fired: _WatchdogFired):
+    def _on_watchdog(self, fired: _WatchdogFired, start: float) -> None:
         if fired.batch_id in self.applied or fired.view != self.view:
-            return
+            return self.next()
         new_view = self.view + 1
         if new_view in self.voted_for or new_view >= MAX_VIEWS:
-            return
+            return self.next()
         self.voted_for.add(new_view)
-        attested = yield self.provider.attest(
+        self.provider.attest(
             self.system.session_ids[self.name, self.view],
             f"VIEW-CHANGE|{new_view}".encode(),
-        )
-        vote = ViewChangeVote(new_view, self.name, attested)
-        self._count_vote(new_view, self.name)
+            start,
+        ).callbacks.append(self._vote)
+
+    def _vote(self, attested) -> None:
+        new_view = self.view + 1
+        vote = ViewChangeVote(new_view, self.name, attested._value)
+        self.votes.setdefault(new_view, set()).add(self.name)
         for peer in self.system.replica_names:
             if peer != self.name:
                 self.system.network.send(peer, vote)
         # Our own vote may complete the quorum (others' arrived first).
-        yield from self._maybe_advance(new_view)
+        self._maybe_advance(new_view)
 
-    def _on_poe(self, poe: ViewPoe):
+    def _on_poe(self, poe: ViewPoe, start: float) -> None:
         if poe.view != self.view:
-            return  # stale view: previous connections cannot block us
+            # Stale view: previous connections cannot block us.
+            return self.next()
         if poe.sender != self.system.leader_of(poe.view):
             self.detected_faults.append(
-                f"PoE from non-leader {poe.sender} in view {poe.view}"
-            )
-            return
-        try:
-            payload = yield self.authenticators[poe.sender, poe.view].verify(
-                poe.attested
-            )
-        except EquivocationDetected as exc:
-            self.detected_faults.append(str(exc))
-            return
-        batch_id, increments, output = _decode_poe(payload)
+                f"PoE from non-leader {poe.sender} in view {poe.view}")
+            return self.next()
+        self.authenticators[poe.sender, poe.view].verify(
+            poe.attested, start).callbacks.append(self._apply)
+
+    def _apply(self, check) -> None:
+        if check._exception is not None:
+            self.detected_faults.append(str(check._exception))
+            return self.next()
+        poe = self._message
+        batch_id, increments, output = _decode_poe(check._value)
         expected = self.simulated.get((poe.sender, poe.view), self.counter)
         expected += increments
         if output != expected:
             self.detected_faults.append(
-                f"leader output {output} != simulated {expected}"
-            )
-            return
+                f"leader output {output} != simulated {expected}")
+            return self.next()
         self.simulated[(poe.sender, poe.view)] = expected
-        if batch_id in self.applied:
-            return
-        self.applied.add(batch_id)
-        self.pending.pop(batch_id, None)
-        self.counter += increments
-        self.system.network.send(
-            self.system.client_name, Reply(self.name, batch_id, self.counter)
-        )
+        if batch_id not in self.applied:
+            self.applied.add(batch_id)
+            self.pending.pop(batch_id, None)
+            self.counter += increments
+            self.system.network.send(self.system.client_name,
+                                     Reply(self.name, batch_id, self.counter))
+        self.next()
 
-    def _on_vote(self, vote: ViewChangeVote):
+    def _on_vote(self, vote: ViewChangeVote, start: float) -> None:
         if vote.new_view <= self.view:
-            return
-        try:
-            payload = yield self.authenticators[
-                vote.sender, vote.new_view - 1
-            ].verify(vote.attested)
-        except EquivocationDetected as exc:
-            self.detected_faults.append(str(exc))
-            return
-        if not payload.startswith(b"VIEW-CHANGE|"):
-            return
-        self._count_vote(vote.new_view, vote.sender)
-        yield from self._maybe_advance(vote.new_view)
+            return self.next()
+        self.authenticators[vote.sender, vote.new_view - 1].verify(
+            vote.attested, start).callbacks.append(self._tally)
 
-    def _count_vote(self, new_view: int, sender: str) -> None:
-        self.votes.setdefault(new_view, set()).add(sender)
+    def _tally(self, check) -> None:
+        if check._exception is not None:
+            self.detected_faults.append(str(check._exception))
+            return self.next()
+        if not check._value.startswith(b"VIEW-CHANGE|"):
+            return self.next()
+        vote = self._message
+        self.votes.setdefault(vote.new_view, set()).add(vote.sender)
+        self._maybe_advance(vote.new_view)
 
-    def _maybe_advance(self, new_view: int):
+    def _maybe_advance(self, new_view: int) -> None:
+        """Enter *new_view* on a quorum of votes, then end the job: a new
+        leader first re-leads every pending request, one attest each."""
         quorum = self.system.f + 1
-        if len(self.votes.get(new_view, ())) < quorum:
-            return
-        if new_view <= self.view:
-            return
+        if len(self.votes.get(new_view, ())) < quorum or new_view <= self.view:
+            return self.next()
         self.view = new_view
         self.view_changes_seen += 1
         # "state transfers, e.g., view-change, can be performed
         # effectively": the new leader re-drives pending requests.
+        unapplied = [self.pending[batch_id]
+                     for batch_id in sorted(self.pending)
+                     if batch_id not in self.applied]
         if self.is_leader():
-            for batch_id in sorted(self.pending):
-                request = self.pending[batch_id]
-                if batch_id not in self.applied:
-                    yield from self._lead(request)
-        else:
-            for batch_id in sorted(self.pending):
-                if batch_id not in self.applied:
-                    self._arm_watchdog(batch_id)
+            self._to_lead = unapplied
+            return self._lead_next()
+        for request in unapplied:
+            self._arm_watchdog(request.batch_id, self.sim._now)
+        self.next()
 
 
 class ViewChangeBftCounter:
@@ -268,8 +293,6 @@ class ViewChangeBftCounter:
         self.client_inbox = self.network.register(self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="bft_viewchange")
         self.aborted = False
-        for replica in self.replicas.values():
-            self.sim.process(replica.run())
 
     # ------------------------------------------------------------------
     def leader_of(self, view: int) -> str:

@@ -12,9 +12,8 @@ latency.  Every system here is built from the same four pieces:
   at construction.
 * :class:`EmulatedNetwork` — FIFO reliable channels with the DRCT-IO
   per-hop latency, carrying Python message objects between named nodes:
-  to a served node's handler (TEEs-Raft, TEEs-CR), a :class:`Station`
-  (the BFT counter's and the Byzantine chain's replicas) or a ``Store``
-  inbox (the clients, view-change BFT and PeerReview).
+  to a :class:`Station` (every replica) or a ``Store`` inbox (every
+  client, PeerReview's source included).
 * :class:`SystemMetrics` — commit latency and throughput in virtual
   time, filled by the system's client process, whose return value
   ``run_workload`` hands back.
@@ -42,7 +41,7 @@ from repro.sim.events import Event, Timeout
 from repro.sim.instrument import count, emit, gauge_set, observe, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.record import Record, record
-from repro.sim.resources import TIMED_OUT, SerialServer, Store
+from repro.sim.resources import TIMED_OUT, Store
 from repro.tee.base import AttestationProvider
 from repro.tee.providers import make_provider
 
@@ -70,15 +69,6 @@ class Envelope(Record):
     def arrived(self, _event: "Event") -> None:
         """Hop callback: the message reached its node."""
         self.span.end()
-
-
-@record
-class ServedNode(Record):
-    """A node that handles each message as one job on its server."""
-
-    server: SerialServer
-    service_us: float
-    handler: Callable[["Event"], None]
 
 
 class Station:
@@ -149,15 +139,13 @@ class Station:
 
 
 class EmulatedNetwork:
-    """FIFO reliable message passing with per-hop latency, to served
-    nodes (:meth:`serve`), stations (:class:`Station`) and ``Store``
-    inboxes (:meth:`register`: the clients, and the view-change BFT and
-    PeerReview nodes until ROADMAP item 10 serves them; A2M has no
-    network)."""
+    """FIFO reliable message passing with per-hop latency, to stations
+    (:class:`Station`: every replica) and ``Store`` inboxes
+    (:meth:`register`: every client; A2M has no network)."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self._nodes: dict[str, Store | ServedNode] = {}
+        self._nodes: dict[str, Store | Station] = {}
         self.messages_sent = 0
         #: Isolated node -> its mode ("hold" or "drop").
         self._isolated: dict[str, str] = {}
@@ -173,14 +161,6 @@ class EmulatedNetwork:
     def register(self, name: str) -> Store:
         """Create the inbox for node *name*."""
         return self._add(name, Store(self.sim))
-
-    def serve(self, name: str, handler: Callable[["Event"], None],
-              service_us: float) -> None:
-        """Make *name* a served node: a message to it is a job of
-        *service_us* on its own :class:`SerialServer`, arriving one hop
-        after the send; *handler* gets the job's completion event, whose
-        value is the bare message."""
-        self._add(name, ServedNode(SerialServer(self.sim), service_us, handler))
 
     # ------------------------------------------------------------------
     # Partitions.  The transport below this layer is reliable ("TNIC
@@ -217,29 +197,20 @@ class EmulatedNetwork:
     def held_messages(self) -> int:
         return len(self._held)
 
-    def _hop(self, node: Store | ServedNode | Station, message: Any,
+    def _hop(self, node: Store | Station, message: Any,
              span: Any = None) -> None:
         """Put *message* in flight to *node*.  With a hop *span*, an
         inbox gets the message in an :class:`Envelope` that ends the span
-        on arrival; a served node's handler and a station get it bare,
-        and the span ends on a hop timeout of its own (a station's runs
-        whenever telemetry is attached: it opens the receive's spans)."""
-        kind = type(node)
-        if kind is Store:
+        on arrival; a station gets it bare, and with telemetry attached
+        a hop timeout of its own opens the receive's spans and ends the
+        hop span."""
+        if type(node) is Store:
             if span is not None:
                 message = Envelope(message, span)
             hop = Timeout(self.sim, SYSTEM_NET_HOP_US, message)
             hop.callbacks.append(node.deliver)
             if span is not None:
                 hop.callbacks.append(message.arrived)
-            return
-        if kind is ServedNode:
-            if span is not None:
-                hop = Timeout(self.sim, SYSTEM_NET_HOP_US)
-                hop.callbacks.append(Envelope(message, span).arrived)
-            done = node.server.serve(node.service_us, message,
-                                     after_us=SYSTEM_NET_HOP_US)
-            done.callbacks.append(node.handler)
             return
         sim = self.sim
         hop = None

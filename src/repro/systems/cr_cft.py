@@ -15,7 +15,7 @@ from repro.sim.clock import Simulator
 from repro.sim.events import Event
 from repro.sim.record import Record, record
 from repro.systems.chain import KvRequest, role_names
-from repro.systems.common import EmulatedNetwork, SystemMetrics
+from repro.systems.common import EmulatedNetwork, Station, SystemMetrics
 from repro.systems.raft import TEE_IO_OVERHEAD_US
 
 
@@ -33,18 +33,21 @@ class TailReply(Record):
     output: str
 
 
-class _CftChainNode:
-    """One chain node inside a TEE: a served node whose every message
-    costs ``TEE_IO_OVERHEAD_US``, then runs :meth:`on_message`."""
+class _CftChainNode(Station):
+    """One chain node inside a TEE: a station whose every message is one
+    stage of ``TEE_IO_OVERHEAD_US`` that ends in :meth:`on_message`."""
 
     def __init__(self, name: str, system: "TeeChainReplication",
                  successor: str | None) -> None:
-        self.name = name
+        super().__init__(system.network, name)
         self.system = system
         self.successor = successor
         self.store: dict[str, str] = {}
         self.commit_index = 0
-        system.network.serve(name, self.on_message, TEE_IO_OVERHEAD_US)
+
+    def start(self, message, start: float) -> None:
+        self.sim.trigger_at(start + TEE_IO_OVERHEAD_US, message,
+                            self.on_message)
 
     def execute(self, request: KvRequest) -> str:
         if request.op == "put":
@@ -55,7 +58,7 @@ class _CftChainNode:
     def on_message(self, done: Event) -> None:
         message = done._value
         if not isinstance(message, ChainCommand):
-            return
+            return self.next()
         output = self.execute(message.request)
         self.commit_index += 1
         network = self.system.network
@@ -65,6 +68,7 @@ class _CftChainNode:
             # The tail is trusted under CFT: it alone replies.
             network.send(self.system.client_name,
                          TailReply(message.request_id, output))
+        self.next()
 
 
 class TeeChainReplication:

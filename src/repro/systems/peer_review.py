@@ -29,6 +29,7 @@ from repro.systems.common import (
     BroadcastAuthenticator,
     EmulatedNetwork,
     EquivocationDetected,
+    Station,
     SystemMetrics,
     provision,
 )
@@ -142,13 +143,15 @@ class PeerReviewBehaviour:
 # ---------------------------------------------------------------------------
 
 
-class _Child:
+class _Child(Station):
+    """A child of the tree: a station whose job per chunk is the check
+    of the source's attestation, then the attest of its own result."""
+
     def __init__(self, name: str, system: "PeerReviewSystem") -> None:
-        self.name = name
+        super().__init__(system.network, name)
         self.system = system
         self.provider = system.providers[name]
         self.log = TamperEvidentLog()
-        self.inbox = system.network.register(name)
         source = system.source_name
         self.auth = BroadcastAuthenticator(
             self.provider, system.session_ids[source],
@@ -158,31 +161,36 @@ class _Child:
         self.wrong_execution = False
         self.silent = False
 
-    def run(self):
-        while True:
-            message = yield self.inbox.get()
-            if not isinstance(message, StreamChunk):
-                continue
-            if self.silent:
-                continue  # crashed / non-responsive node
-            try:
-                payload = yield self.auth.verify(message.attested)
-            except EquivocationDetected as exc:
-                self.detected_faults.append(str(exc))
-                continue
-            seq, content = _decode(payload)
-            self.log.append("recv", payload)
-            result = reference_execute(content)
-            if self.wrong_execution:
-                result = "out:deviated"
-            response_payload = _encode(seq, result)
-            self.log.append("send", response_payload)
-            attested = yield self.provider.attest(
-                self.system.session_ids[self.name], response_payload
-            )
-            self.system.network.send(
-                self.system.source_name, ChunkAck(self.name, attested)
-            )
+    def start(self, message, start: float) -> None:
+        """Check a chunk's attestation; a silent (crashed) child and any
+        other message end the job here."""
+        if self.silent or not isinstance(message, StreamChunk):
+            return self.next()
+        self.auth.verify(message.attested, start).callbacks.append(
+            self._execute)
+
+    def _execute(self, check) -> None:
+        """Log the chunk, run the reference implementation on it and
+        attest the result."""
+        if check._exception is not None:
+            self.detected_faults.append(str(check._exception))
+            return self.next()
+        payload = check._value
+        seq, content = _decode(payload)
+        self.log.append("recv", payload)
+        result = reference_execute(content)
+        if self.wrong_execution:
+            result = "out:deviated"
+        response_payload = _encode(seq, result)
+        self.log.append("send", response_payload)
+        self.provider.attest(self.system.session_ids[self.name],
+                             response_payload).callbacks.append(self._ack)
+
+    def _ack(self, attested) -> None:
+        """Acknowledge the chunk to the source with the attested result."""
+        self.system.network.send(
+            self.system.source_name, ChunkAck(self.name, attested._value))
+        self.next()
 
 
 class _Source:
@@ -401,8 +409,6 @@ class PeerReviewSystem:
         if behaviour and behaviour.silent_child:
             first = self.children[0]
             self.child_nodes[first].silent = True
-        for child in self.child_nodes.values():
-            self.sim.process(child.run())
 
     def run_workload(self, chunks: int) -> SystemMetrics:
         contents = [f"chunk-{i}" for i in range(chunks)]

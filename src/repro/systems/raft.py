@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.sim.clock import Simulator
 from repro.sim.events import Event
 from repro.sim.record import Record, record
-from repro.systems.common import EmulatedNetwork, SystemMetrics
+from repro.systems.common import EmulatedNetwork, Station, SystemMetrics
 
 #: Extra cost a TEE-hosted process pays per network message (enclave
 #: I/O transitions; SEV VM-exit overheads).  Calibrated so TEEs-Raft
@@ -67,21 +67,22 @@ class ClientReply(Record):
     result: str
 
 
-class _RaftNode:
-    """One Raft participant inside a TEE: a served node whose every
-    message costs :data:`TEE_IO_OVERHEAD_US`, then runs :meth:`lead`
+class _RaftNode(Station):
+    """One Raft participant inside a TEE: a station whose every message
+    is one stage of :data:`TEE_IO_OVERHEAD_US` that ends in :meth:`lead`
     or :meth:`follow`."""
 
     def __init__(self, name: str, system: "TeeRaft") -> None:
-        self.name = name
+        super().__init__(system.network, name)
         self.system = system
         self.current_term = 1
         self.log: list[LogEntry] = []
         self.commit_index = 0  # count of committed entries
         self.applied: list[str] = []
         if name != system.leader_name:
-            system.network.serve(name, self.follow, TEE_IO_OVERHEAD_US)
+            self._step = self.follow
             return
+        self._step = self.lead
         # Raft's volatile leader state.
         self.match_index = dict.fromkeys(system.followers, 0)
         #: Raft's per-follower replication cursor: the next log index to
@@ -93,7 +94,9 @@ class _RaftNode:
         #: suffixes on every acknowledgement under pipelined load).
         self.shipped = dict.fromkeys(system.followers, 0)
         self.pending: dict[int, int] = {}  # log index -> request_id
-        system.network.serve(name, self.lead, TEE_IO_OVERHEAD_US)
+
+    def start(self, message, start: float) -> None:
+        self.sim.trigger_at(start + TEE_IO_OVERHEAD_US, message, self._step)
 
     # ------------------------------------------------------------------
     # Leader
@@ -118,7 +121,7 @@ class _RaftNode:
                 next_index[follower] = max(1, next_index[follower] - 1)
                 self.shipped[follower] = 0
                 self._ship(follower)
-                return
+                return self.next()
             match = max(self.match_index[follower], message.match_index)
             self.match_index[follower] = match
             next_index[follower] = max(next_index[follower], match + 1)
@@ -126,6 +129,7 @@ class _RaftNode:
             # remainder (no-op when everything in flight).
             self._ship(follower)
             self._advance_commit()
+        self.next()
 
     def _ship(self, follower: str) -> None:
         """Ship the un-shipped suffix starting at the follower's cursor."""
@@ -173,7 +177,7 @@ class _RaftNode:
     def follow(self, done: Event) -> None:
         message = done._value
         if not isinstance(message, AppendEntries):
-            return
+            return self.next()
         success = self._consistency_check(message)
         if success:
             for entry in message.entries:
@@ -192,6 +196,7 @@ class _RaftNode:
                 match_index=len(self.log),
             ),
         )
+        self.next()
 
     def _consistency_check(self, message: AppendEntries) -> bool:
         if message.term < self.current_term:

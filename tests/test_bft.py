@@ -153,6 +153,16 @@ def test_a_pipelined_leader_replies_with_each_batchs_output(depth, faulty):
     assert sorted(replies) == [(batch, batch + 1) for batch in range(8)]
 
 
+def test_the_leader_forgets_a_batch_once_every_follower_acked():
+    """The leader's per-batch ack sets live only until the last
+    follower's ack: a long pipelined run leaves none behind."""
+    system = BftCounter(seed=0)
+    metrics = system.run_workload(3000, pipeline_depth=4)
+    assert metrics.committed == 3000
+    leader = system.replicas[system.leader_name]
+    assert leader.acks_per_batch == {}
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         BftCounter(f=0)

@@ -69,13 +69,16 @@ def test_stale_view_poe_ignored():
     system = ViewChangeBftCounter("tnic", f=1, silent_replicas={"r0"})
     system.run_workload(batches=1)
     r1 = system.replicas["r1"]
-    # Simulate an old-view PoE arriving late: handled without effect.
+    assert r1.view == 1
+    # An old-view PoE arriving late is dropped before any check (one
+    # with no attestation at all would fail it).
     from repro.systems.bft_viewchange import ViewPoe
 
     counter_before = r1.counter
-    stale = ViewPoe(view=0, sender="r0", attested=None)
-    list(r1._on_poe(stale))  # generator runs to completion, no yield
+    system.network.send("r1", ViewPoe(view=0, sender="r0", attested=None))
+    system.sim.run()
     assert r1.counter == counter_before
+    assert not r1.detected_faults
 
 
 def test_parameter_validation():

@@ -84,7 +84,8 @@ def test_scenarios_are_seed_reproducible():
 def test_run_sanitize_eight_seeds_all_stable():
     report = run_sanitize(seeds=8)
     assert report.ok, report.render()
-    assert {r.name for r in report.results} == {"bft", "chain", "a2m"}
+    assert {r.name for r in report.results} == {
+        "bft", "chain", "a2m", "view_change", "peer_review"}
     for result in report.results:
         assert len(result.runs) == 8
         assert result.divergent_seeds == []

@@ -16,6 +16,7 @@ from repro.systems.chain import ChainReplication, KvRequest
 from repro.systems.common import EmulatedNetwork
 from repro.sim import Simulator
 from repro.sim.latency import SYSTEM_NET_HOP_US
+from tests.test_station import _OneStage
 
 
 def test_isolate_holds_and_heal_flushes():
@@ -35,11 +36,10 @@ def test_isolate_holds_and_heal_flushes():
     assert inbox.get().value == "held-2"
 
 
-def test_a_served_node_is_held_and_flushed_through_its_server():
+def test_a_station_is_held_and_flushed_in_send_order():
     sim = Simulator()
     net = EmulatedNetwork(sim)
-    served = []
-    net.serve("n", lambda done: served.append((sim.now, done.value)), 3.0)
+    served = _OneStage(net, "n", stage_us=3.0).served
     net.isolate({"n"})
     net.send("n", "held-1")
     net.send("n", "held-2")

@@ -127,8 +127,8 @@ def test_a_served_completion_is_booked_to_the_replica_handler():
     profiler = Profiler.attach(system.sim, clock=FakeClock())
     system.run_workload(20)
     keys = set(profiler.events)
-    # The send files the completion and the handler is its callback:
-    # the entry is the replica's protocol step, not the network's.
+    # A station's one stage per message has the protocol step as its
+    # callback: the entry is the replica's, not the network's.
     assert {"Event:_RaftNode.lead", "Event:_RaftNode.follow",
             "Timeout:TeeRaft._client"} <= keys
     assert profiler.events["Event:_RaftNode.lead"] == 20 * 3

@@ -29,6 +29,7 @@ from repro.sim.events import AnyOf
 from repro.stack.memory import MemoryError_
 from repro.stack.regs import MappedRegsPage
 from repro.systems.bft import BftCounter
+from repro.systems.bft_viewchange import ViewChangeBftCounter
 from repro.systems.chain import ChainReplication
 from repro.systems.cr_cft import TeeChainReplication
 from repro.systems.peer_review import PeerReviewSystem
@@ -190,10 +191,10 @@ def _pushes_per_request(monkeypatch, run, requests):
 
 # Every scheduler entry of a request is a physical stage — a network
 # hop, a timed authentication check, an attest.  A receiver woken by an
-# event of its own would show up here as one more entry per hop.  A BFT
-# or chain replica is a station: a message's arrival is no entry, its
-# first stage is filed from the send, and only the client's inbox still
-# pays a hop.
+# event of its own would show up here as one more entry per hop.  Every
+# replica is a station: a message's arrival is no entry, its first
+# stage is filed from the send, and only a client's inbox still pays a
+# hop.
 def test_bft_request_costs_at_most_12_scheduler_events(monkeypatch):
     # 6 checks + 3 attests + the client's 3 hops (measured 12.005).
     system = BftCounter("tnic", f=1, seed=0)
@@ -213,12 +214,11 @@ def test_chain_request_costs_at_most_9_scheduler_events(monkeypatch):
     assert per_request <= 9.1
 
 
-# A served replica (TEEs-Raft, TEEs-CR) is one entry per message it
-# handles: the completion of its TEE service, filed at send time, with
-# the hop folded in.  Only the client's inbox still pays a hop.
+# A TEEs-Raft or TEEs-CR replica is one entry per message it handles:
+# its one stage, the TEE service, with the hop folded in.
 def test_raft_request_costs_at_most_6_scheduler_events(monkeypatch):
-    # 5 served completions + the client's hop; the bypass control has
-    # no checks or attests.
+    # 5 TEE services + the client's hop; the bypass control has no
+    # checks or attests.
     system = TeeRaft(nodes=3)
     per_request = _pushes_per_request(
         monkeypatch, lambda: system.run_workload(200), 200)
@@ -228,7 +228,7 @@ def test_raft_request_costs_at_most_6_scheduler_events(monkeypatch):
 
 
 def test_cft_chain_request_costs_at_most_4_scheduler_events(monkeypatch):
-    # 3 served completions (head, middle, tail) + the client's hop.
+    # 3 TEE services (head, middle, tail) + the client's hop.
     system = TeeChainReplication(chain_length=3)
     requests = kv_workload(200, read_fraction=0.5, seed=0)
     per_request = _pushes_per_request(
@@ -238,14 +238,26 @@ def test_cft_chain_request_costs_at_most_4_scheduler_events(monkeypatch):
     assert per_request <= 4.1
 
 
-def test_peer_review_chunk_costs_at_most_12_scheduler_events(monkeypatch):
-    # 4 hops + 4 checks + 3 attests + 1 audit.
+def test_peer_review_chunk_costs_at_most_10_scheduler_events(monkeypatch):
+    # The 2 acks' hops to the source's inbox + 4 checks + 3 attests +
+    # 1 audit (measured 10.015).
     system = PeerReviewSystem("tnic", audit=True, seed=0)
     per_request = _pushes_per_request(
         monkeypatch, lambda: system.run_workload(200), 200)
     assert system.metrics.committed == 200
     assert not system.detected_faults()
-    assert per_request <= 12.1
+    assert per_request <= 10.1
+
+
+def test_view_change_batch_costs_at_most_8_scheduler_events(monkeypatch):
+    # The leader's attest + 2 follower checks + 2 watchdogs + the
+    # client's 3 hops (measured 8.015).
+    system = ViewChangeBftCounter("tnic", seed=0)
+    per_request = _pushes_per_request(
+        monkeypatch, lambda: system.run_workload(200), 200)
+    assert system.metrics.committed == 200
+    assert set(system.current_views().values()) == {0}
+    assert per_request <= 8.1
 
 
 # ----------------------------------------------------------------------

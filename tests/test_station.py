@@ -1,5 +1,5 @@
-"""Stations: a BFT or chain replica serves its messages one job at a
-time, in the order they were sent to it.
+"""Stations: a replica serves its messages one job at a time, in the
+order they were sent to it.
 
 A station files a job's first stage from the send (or when the job
 before it ends), never from an arrival event, so a tie shuffle cannot
@@ -16,6 +16,7 @@ from repro.sim import Simulator
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.systems import bft as bft_module
 from repro.systems.bft import BftCounter
+from repro.systems.bft_viewchange import ViewChangeBftCounter
 from repro.systems.chain import ChainReplication
 from repro.systems.common import EmulatedNetwork, Station
 
@@ -23,14 +24,17 @@ SEEDS = [None, *range(1, 9)]
 
 
 class _OneStage(Station):
-    """Each message is one stage of 1 µs, recorded when it completes."""
+    """Each message is one stage of *stage_us*, recorded when it
+    completes."""
 
-    def __init__(self, network: EmulatedNetwork, name: str) -> None:
+    def __init__(self, network: EmulatedNetwork, name: str,
+                 stage_us: float = 1.0) -> None:
         super().__init__(network, name)
+        self.stage_us = stage_us
         self.served: list[tuple[float, str]] = []
 
     def start(self, message, start: float) -> None:
-        self.sim.trigger_at(start + 1.0, message, self._served)
+        self.sim.trigger_at(start + self.stage_us, message, self._served)
 
     def _served(self, stage) -> None:
         self.served.append((self.sim.now, stage._value))
@@ -128,3 +132,32 @@ def test_coincident_checks_run_in_the_order_they_were_filed():
         "p50_latency_us": 215.42, "p99_latency_us": 231.42,
     }
     assert [replica.counter for replica in system.replicas.values()] == [10] * 3
+
+
+def test_a_vote_that_arrives_as_a_watchdog_falls_due_goes_first():
+    """Known deviation from the process model, pinned at the station's
+    value.  A view-change watchdog joins its replica's queue as a
+    message sent one hop before it is due, so it takes its place among
+    the PoEs and votes in flight.  AMD-sev's deterministic latencies can
+    make a peer's vote arrive at the very instant a watchdog falls due.
+    The process model's watchdog timeout was filed when armed, before
+    the vote's hop, so it took the watchdog first; the station took the
+    vote first, because the attest whose completion sends it was filed
+    before the watchdog was armed.  Of 432 view-change runs (seeds 0-3,
+    f 1-2, no, r0 or r1 silent, watchdogs 30-400 µs, three providers)
+    12 differ, every one AMD-sev at 45 µs.  In this one the order
+    decides whether the replicas that applied every batch ever vote to
+    leave view 5, whose leader r0 is silent: they do not, and the run
+    aborts; the process model committed all 6 batches in 1367.71 µs,
+    at view 7 everywhere."""
+    system = ViewChangeBftCounter("amd-sev", f=2, seed=0,
+                                  silent_replicas={"r0"}, watchdog_us=45.0)
+    metrics = system.run_workload(6, timeout_us=20_000.0)
+    assert system.aborted
+    assert metrics.to_dict() == {
+        "committed": 5, "elapsed_us": 20896.44,
+        "throughput_ops": 239.275207, "mean_latency_us": 179.288,
+        "p50_latency_us": 166.155, "p99_latency_us": 289.35,
+    }
+    assert system.current_views() == {
+        "r0": 0, "r1": 5, "r2": 5, "r3": 5, "r4": 5}

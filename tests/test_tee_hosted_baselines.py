@@ -123,13 +123,13 @@ def test_raft_commits_despite_one_lossy_follower():
 
 
 # ---------------------------------------------------------------------------
-# Served replicas: the virtual results, and per-channel FIFO
+# Replicas as stations: the virtual results, and per-channel FIFO
 # ---------------------------------------------------------------------------
 
 # ``metrics.to_dict()`` of each run as the process-per-replica model
-# computed it (all but RAFT_DEPTH_16_500): a served replica completes
-# each message at the instant the process did (hop, then TEE service,
-# in arrival order).
+# computed it (all but RAFT_DEPTH_16_500): a station completes each
+# message at the instant the process did (hop, then TEE service, in
+# arrival order).
 RAFT_DEPTH_1_200 = {  # the e2e ``raft_cft`` shape
     "committed": 200, "elapsed_us": 14600.0, "throughput_ops": 13698.630137,
     "mean_latency_us": 73.0, "p50_latency_us": 73.0, "p99_latency_us": 73.0,
@@ -142,15 +142,17 @@ RAFT_DEPTH_8_200 = {
     "committed": 200, "elapsed_us": 2179.0, "throughput_ops": 91785.222579,
     "mean_latency_us": 86.32, "p50_latency_us": 86.0, "p99_latency_us": 109.0,
 }
-# Deeper pipelines tie a served completion with a client hop at one
-# instant; the served model files the completion at send time, the
-# process model filed the TEE timeout on arrival, so the two run such
-# ties in different orders.  This run is pinned at the served model's
-# own value: the process model ended it one TEE service earlier, at
-# 4552 us (mean latency 143.384), with the same final logs.
+# Deeper pipelines tie a TEE-service completion with a client hop at
+# one instant.  A station files a job's stage when the job starts (on
+# the send when it is idle, else when the job before it ends); the
+# process model filed the TEE timeout on arrival, and the earlier
+# served-node model at send time, so the three run such ties in
+# different orders.  This run is pinned at the station's own value:
+# the process model ended it at 4552 us (mean latency 143.384) and the
+# served-node model at 4555 us (143.408), all with the same final logs.
 RAFT_DEPTH_16_500 = {
-    "committed": 500, "elapsed_us": 4555.0, "throughput_ops": 109769.484083,
-    "mean_latency_us": 143.408, "p50_latency_us": 144.0, "p99_latency_us": 149.0,
+    "committed": 500, "elapsed_us": 4529.0, "throughput_ops": 110399.646721,
+    "mean_latency_us": 143.374, "p50_latency_us": 144.0, "p99_latency_us": 149.0,
 }
 CR_KV_10 = {  # the ``cr_cft_vs_bft`` row of BENCH_tab04
     "committed": 10, "elapsed_us": 730.0, "throughput_ops": 13698.630137,
@@ -189,9 +191,9 @@ def _raft_outcome(perturb_seed):
 
 def test_raft_channels_stay_fifo_under_tie_shuffles():
     """Three pipelined commands leave the client at one instant.  A
-    served node completes its messages at strictly increasing instants,
-    so no tie order can make the leader log them out of send order, and
-    every shuffled run ends where the FIFO run does."""
+    station serves its messages in send order, so no tie order can make
+    the leader log them out of send order, and every shuffled run ends
+    where the FIFO run does."""
     fifo = _raft_outcome(None)
     assert fifo["n0"] == ([f"cmd{i}" for i in range(30)], 30)
     for seed in range(1, 9):

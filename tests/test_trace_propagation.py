@@ -20,6 +20,7 @@ from repro.telemetry.critical_path import (
     stage_of,
     summarize,
 )
+from tests.test_station import _OneStage
 
 
 # ----------------------------------------------------------------------
@@ -58,14 +59,13 @@ def test_detached_every_carrier_stays_untouched(monkeypatch):
     assert TRACE_PARENT not in delivered["meta"]
 
 
-def test_a_traced_send_to_a_served_node_ends_its_hop_span():
-    """The handler of a served node gets the bare message at its
-    completion; the hop span under the sender's ends on arrival."""
+def test_a_traced_send_to_a_station_ends_its_hop_span():
+    """A station's stage gets the bare message; the hop span under the
+    sender's ends on arrival."""
     sim = Simulator()
     hub = Telemetry.attach(sim)
     network = EmulatedNetwork(sim)
-    seen = []
-    network.serve("n", lambda done: seen.append((sim.now, done.value)), 3.0)
+    seen = _OneStage(network, "n", stage_us=3.0).served
     parent = span_begin(sim, "request.auth_send")
     network.send("n", "message", parent=parent)
     sim.run()
