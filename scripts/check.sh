@@ -9,8 +9,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-echo "== tier-1 test suite =="
-python -m pytest -q
+echo "== tier-1 test suite (fresh Hypothesis draws) =="
+# Plain pytest draws derandomized examples (tests/conftest.py); the
+# gate draws new ones, so a new counterexample still fails it.
+python -m pytest -q --hypothesis-profile=fresh
 
 echo
 echo "== static analysis (python -m repro lint) =="

@@ -18,8 +18,8 @@ turns both into mechanically enforced, CI-gated properties:
   fixpoint propagation) that checks it;
 * :mod:`repro.analysis.hotpath`     — PERF001–PERF003 hot-path cost
   lint (interprocedural reachability from the kernel entry points);
-* :mod:`repro.analysis.liveness`    — LIV001 and LIV005 liveness
-  lint (leaked acquires, completions pending with no expiry);
+* :mod:`repro.analysis.liveness`    — LIV005 liveness lint
+  (completions pending with no expiry);
 * :mod:`repro.analysis.report`      — text/JSON/SARIF rendering, TCB
   accounting.
 
@@ -51,7 +51,6 @@ from repro.analysis.hotpath import (
 from repro.analysis.liveness import (
     LIVENESS_RULES,
     LivenessEngine,
-    ResourceLeakRule,
     UnboundedNetworkWaitRule,
 )
 from repro.analysis.report import (
@@ -93,7 +92,6 @@ __all__ = [
     "LIVENESS_RULES",
     "LivenessEngine",
     "ProjectRule",
-    "ResourceLeakRule",
     "Rule",
     "SourceFile",
     "TRUSTED_PACKAGES",

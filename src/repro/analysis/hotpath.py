@@ -11,12 +11,14 @@ contract, the same way determinism, taint and races already are:
    paths, the host stack's post, the device tx/rx datapath, the RoCE
    verify path) plus the callback-invoked functions a static call
    graph cannot reach (the
-   fabric ``carry`` hops, ``Process._resume``).  The lint run's one
+   fabric ``carry`` hops, ``Process._resume``, a client's reply
+   arrival).  The lint run's one
    function index (:func:`repro.analysis.dataflow.index_functions`,
    trailing-name call resolution) closes those entries into the *hot
    set*, never leaving the manifest's ``hot_packages`` — so the
-   untrusted telemetry / sanitizer / systems layers are outside the
-   contract by construction.
+   untrusted telemetry / sanitizer layers and the systems' protocol
+   code (all of ``repro.systems`` but the shared client steps of
+   ``systems.common``) are outside the contract by construction.
 
 2. **Rules over the hot set.**
 
@@ -126,13 +128,13 @@ TNIC_MANIFEST = HotPathManifest(
         "Timeout.__init__",
         # A process wake: one callback that advances the generator.
         "Process._resume",
-        # The systems path's per-message receive: the clients' get, the
-        # deadline get the client loops wait on, its expiry timer, and
-        # the hop callback that resumes the receiver in the hop's entry.
-        "Store.get",
-        "Store.get_until",
-        "Store._expire",
-        "Store.deliver",
+        # The systems path's per-reply client steps: a reply's arrival
+        # stage (filed on the send), its quorum count, and the
+        # deadline timer's expiry.
+        "Client.start",
+        "Client._arrived",
+        "Client.received",
+        "Client._expire",
         # Host stack: the post, its completion callback
         # (callback-registered, hence declared), and the control-block
         # burst it programs.
@@ -168,6 +170,7 @@ TNIC_MANIFEST = HotPathManifest(
     ),
     hot_packages=(
         "repro.sim",
+        "repro.systems.common",
         "repro.core",
         "repro.stack",
         "repro.roce",

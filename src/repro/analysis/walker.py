@@ -194,13 +194,6 @@ def walk_own_body(func: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def is_generator(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """True when *func* itself yields (i.e. runs as a simulator process)."""
-    return any(
-        isinstance(node, (ast.Yield, ast.YieldFrom)) for node in walk_own_body(func)
-    )
-
-
 def dotted_name(node: ast.expr) -> str | None:
     """Render an ``a.b.c`` attribute/name chain, or None for anything else."""
     parts: list[str] = []
@@ -232,27 +225,3 @@ def chain_parts(expr: ast.expr) -> list[str] | None:
             return list(reversed(parts))
         else:
             return None
-
-
-def local_aliases(func: ast.FunctionDef) -> dict[str, tuple[str, ...]]:
-    """``name -> self-attr chain`` for locals aliased from ``self`` state.
-
-    ``system = self.system`` makes later ``system.x`` chains resolvable
-    as ``self.system.x`` — peer_review leans on this idiom heavily.
-    """
-    aliases: dict[str, tuple[str, ...]] = {}
-    stmts = sorted(
-        (n for n in walk_own_body(func) if isinstance(n, ast.Assign)),
-        key=lambda n: (n.lineno, n.col_offset),
-    )
-    for stmt in stmts:
-        if len(stmt.targets) != 1 or not isinstance(stmt.targets[0], ast.Name):
-            continue
-        parts = chain_parts(stmt.value)
-        if parts is None or len(parts) < 2:
-            continue
-        if parts[0] in ("self", "cls"):
-            aliases[stmt.targets[0].id] = tuple(parts[1:])
-        elif parts[0] in aliases:
-            aliases[stmt.targets[0].id] = aliases[parts[0]] + tuple(parts[1:])
-    return aliases

@@ -1,6 +1,6 @@
 """Canonical simulator-kernel workloads shared by bench and CI.
 
-Three microworkloads exercise the kernel's distinct hot paths:
+Two microworkloads exercise the kernel's distinct hot paths:
 
 * ``timeout_storm`` — pure scheduling at a depth no paper workload
   reaches: pre-loads N timeouts while the loop is idle, then drains
@@ -8,9 +8,6 @@ Three microworkloads exercise the kernel's distinct hot paths:
 * ``process_chains`` — generator resumption: many processes each
   yielding a chain of timeouts, so every event dispatch re-enters a
   coroutine that schedules into the same instant as its peers.
-* ``contended_resource`` — wake-up chains through a capacity-1
-  :class:`~repro.sim.resources.Resource`: holders that yield while
-  they hold it, so every release wakes a waiter.
 
 The same definitions back ``benchmarks/bench_sim_kernel.py``,
 ``benchmarks/run_all.py`` and the CI perf-smoke gate, so a number
@@ -24,7 +21,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.sim import Simulator
-from repro.sim.resources import Resource, Store
 
 #: Events per workload run — matches the historical bench constant.
 DEFAULT_EVENTS = 20_000
@@ -54,31 +50,8 @@ def process_chains(events: int = DEFAULT_EVENTS) -> int:
     return events
 
 
-def contended_resource(events: int = DEFAULT_EVENTS) -> int:
-    """Workers serialising through one lock (semaphore wake-up chains)."""
-    sim = Simulator()
-    lock = Resource(sim, capacity=1)
-    store = Store(sim)
-
-    def user(n):
-        for _ in range(n):
-            yield lock.acquire()
-            try:
-                yield sim.timeout(0.5)
-            finally:
-                lock.release()
-            store.put(1)
-
-    per_proc = 100
-    for _ in range(events // (per_proc * 3)):
-        sim.process(user(per_proc))
-    sim.run()
-    return events
-
-
 #: ``(workload name, callable)`` in reporting order.
 WORKLOADS: list[tuple[str, Callable[[int], int]]] = [
     ("timeout_storm", timeout_storm),
     ("process_chains", process_chains),
-    ("contended_resource", contended_resource),
 ]

@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--only", default=None, metavar="RULE|PREFIX",
         help="report only findings whose rule id matches the selector "
-             "(exact id like LIV001, or a family prefix like LIV); "
+             "(exact id like LIV005, or a family prefix like LIV); "
              "unknown selectors exit 2 with the valid prefixes",
     )
 

@@ -12,12 +12,12 @@ the RoCE protocol kernel's request decoder, or an Rx queue without one.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.net.packet import Packet
 from repro.sim.events import Event, Timeout
 from repro.sim.latency import WIRE_BANDWIDTH_BYTES_PER_US
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fabric import Link
@@ -36,9 +36,10 @@ class EthernetMac:
         self.sim = sim
         self.address = address
         self.bandwidth = bandwidth_bytes_per_us
-        self.rx_queue: Store = Store(sim)
+        #: Packets received with no ingress handler installed.
+        self.rx_queue: deque[Packet] = deque()
         #: Where :meth:`deliver` hands every packet; a RoCE kernel sets it.
-        self.ingress: Callable[[Packet], None] = self.rx_queue.put
+        self.ingress: Callable[[Packet], None] = self.rx_queue.append
         self._link: "Link | None" = None
         self._tx_busy_until = 0.0
         self.tx_packets = 0

@@ -18,13 +18,13 @@ Digests cover semantic replica state (counters, stores, commit indexes,
 log entries, detected faults) and deliberately exclude latency metrics:
 timing legitimately varies with tie order; outcomes must not.
 
-The shuffle also reorders two messages that one
+The shuffle also reorders two replies that one
 :class:`~repro.systems.common.EmulatedNetwork` channel delivers to a
-``Store`` inbox at the same instant (the clients): each is its own hop
-of the same latency, so the channel is FIFO only under the default tie
-order.  Every replica is a :class:`~repro.systems.common.Station`, which
-serves its messages in send order, so a replica's channels stay FIFO
-under every shuffle.
+client at the same instant: each is its own arrival stage of the same
+latency, so a client's channel is FIFO only under the default tie
+order.  A replica (and PeerReview's source) serves its messages in
+send order as a :class:`~repro.systems.common.Station`, so its
+channels stay FIFO under every shuffle.
 
 Everything is derived from one root seed, so a report is reproducible
 byte-for-byte from its command line.

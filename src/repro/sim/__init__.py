@@ -9,9 +9,10 @@ process simulator in the style of SimPy:
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.Timeout` —
   awaitable occurrences; processes ``yield`` them.
 * :class:`~repro.sim.process.Process` — a generator running in virtual
-  time.
-* :mod:`~repro.sim.resources` — mutexes, FIFO stores, serial servers and
-  bandwidth pipes.
+  time: the programming model of the §6 API's examples and tests.  The
+  replicated systems' nodes are callback-driven stations
+  (``repro.systems.common.Station``), not processes.
+* :mod:`~repro.sim.resources` — serial servers and bandwidth pipes.
 * :mod:`~repro.sim.latency` — the single calibration table holding every
   measured constant from the paper's evaluation (§8).
 """
@@ -19,7 +20,7 @@ process simulator in the style of SimPy:
 from repro.sim.clock import Simulator
 from repro.sim.events import AnyOf, AllOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import TIMED_OUT, Pipe, Resource, SerialServer, Store
+from repro.sim.resources import Pipe, SerialServer
 from repro.sim.rng import DeterministicRng
 
 __all__ = [
@@ -29,10 +30,7 @@ __all__ = [
     "Event",
     "Pipe",
     "Process",
-    "Resource",
     "SerialServer",
     "Simulator",
-    "Store",
-    "TIMED_OUT",
     "Timeout",
 ]

@@ -263,7 +263,7 @@ class Simulator:
                     for callback in callbacks:
                         callback(event)
                 if sentinel is not None and sentinel._state == _PROCESSED:
-                    return  # possibly inside another entry (Store.deliver)
+                    return
         finally:
             self._running = False
 

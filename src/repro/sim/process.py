@@ -53,8 +53,8 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Run the generator from *event*'s outcome until it yields an
         event still to happen, and wait on that one; an event already
-        processed (an item was queued, a deadline had passed, a process
-        had finished) is fed straight back in."""
+        processed (a timeout that has fired, a process that had
+        finished) is fed straight back in."""
         try:
             while True:
                 if event._exception is not None:

@@ -70,7 +70,7 @@ class MappedRegsPage:
     # Raw access (what mmap'd loads/stores would be)
     # ------------------------------------------------------------------
     def write_u64(self, offset: int, value: int) -> None:
-        """Store a 64-bit value at *offset*; the doorbell has side effects."""
+        """Write a 64-bit value at *offset*; the doorbell has side effects."""
         self._check_offset(offset)
         if not 0 <= value < 2**64:
             raise ValueError(f"register value out of range: {value}")

@@ -24,14 +24,12 @@ from repro.core.attestation import AttestedMessage
 from repro.sim.clock import Simulator
 from repro.sim.instrument import NULL_SPAN, span_begin
 from repro.sim.record import Record, record
-from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
+    Client,
     EmulatedNetwork,
-    Envelope,
     Station,
     SystemMetrics,
     authenticators,
-    await_quorum,
     provision,
 )
 from repro.tee.base import AttestationProvider
@@ -332,6 +330,114 @@ class _Replica(Station):
 
 
 # ---------------------------------------------------------------------------
+# The client
+# ---------------------------------------------------------------------------
+
+
+class _Client(Client):
+    """The client: increment batches pipelined up to a depth, each
+    committed on f+1 identical replies, and quorum reads."""
+
+    _reading = False
+    _next_read_id = 0
+
+    def write(self, batches: int, timeout_us: float,
+              depth: int) -> SystemMetrics:
+        self._batches = batches
+        self._timeout_us = timeout_us
+        self._depth = depth
+        self._next_batch = 0
+        self._sent_at: dict[int, float] = {}
+        self._votes: dict[int, dict[int, set[str]]] = {}
+        #: batch_id -> its ``bft.request`` root span: the apex of the
+        #: cross-replica trace, opened at submission and closed at
+        #: quorum commit (straggler replies land after the root ends
+        #: and are excluded from the critical path by the gating rule).
+        self._roots: dict[int, object] = {}
+        return self.run(self.begin)
+
+    def send_next(self) -> None:
+        """Fill the pipeline, then wait *timeout_us* for a reply; end
+        the run once every batch has committed."""
+        system, sim = self.system, self.sim
+        if self._next_batch == self._batches and not self._sent_at:
+            return self.end()
+        while self._next_batch < self._batches and len(self._sent_at) < self._depth:
+            batch_id = self._next_batch
+            self._sent_at[batch_id] = sim.now
+            self._votes[batch_id] = {}
+            root = NULL_SPAN
+            if sim.telemetry is not None:
+                root = span_begin(sim, "bft.request",
+                                  batch=batch_id, system="bft")
+            self._roots[batch_id] = root
+            system.network.send(system.leader_name,
+                                ClientRequest(batch_id, system.batch),
+                                parent=root)
+            self._next_batch += 1
+        self.wait(sim.now + self._timeout_us)
+
+    def received(self, reply, parent) -> None:
+        """Count a reply toward its batch's quorum.  Every reply, wanted
+        or not, restarts the idle deadline."""
+        if self._reading:
+            return super().received(reply, parent)
+        if self.deadline is None:
+            return  # no write in progress
+        batch_id = reply.batch_id if isinstance(reply, Reply) else None
+        if batch_id in self._sent_at:
+            voters = self._votes[batch_id].setdefault(reply.output, set())
+            voters.add(reply.sender)
+            if len(voters) >= self.system.f + 1:
+                latency = self.sim.now - self._sent_at.pop(batch_id)
+                root = self._roots.pop(batch_id)
+                if root is not NULL_SPAN:
+                    root.end(status="committed")
+                for _ in range(self.system.batch):
+                    self.system.metrics.record(latency)
+        self.send_next()
+
+    def expired(self) -> None:
+        if self._reading:
+            return super().expired()
+        self.system.aborted = True
+        self.end()
+
+    def end(self) -> None:
+        for root in self._roots.values():
+            root.end(status="uncommitted")
+        super().end()
+
+    def read(self, timeout_us: float) -> int:
+        self._read_timeout_us = timeout_us
+        self._reading = True
+        try:
+            return self.run(self._read)
+        finally:
+            self._reading = False
+
+    def _read(self, _event) -> None:
+        read_id = self._next_read_id
+        self._next_read_id = read_id + 1
+        request = ReadRequest(read_id)
+        system = self.system
+        for name in [system.leader_name] + system.followers:
+            system.network.send(name, request)
+        self.await_quorum(
+            self.sim.now + self._read_timeout_us, system.f + 1,
+            lambda reply: (isinstance(reply, Reply)
+                           and reply.batch_id == -read_id - 1),
+            self._read_done,
+        )
+
+    def _read_done(self, reply) -> None:
+        if reply is None:
+            self.finish(error=TimeoutError("no read quorum"))
+        else:
+            self.finish(reply.output)
+
+
+# ---------------------------------------------------------------------------
 # The system
 # ---------------------------------------------------------------------------
 
@@ -374,7 +480,7 @@ class BftCounter:
                            behaviours.get(name))
             for name in names
         }
-        self.client_inbox = self.network.register(self.client_name)
+        self.client = _Client(self, self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="bft")
 
     # ------------------------------------------------------------------
@@ -397,82 +503,12 @@ class BftCounter:
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
         self.aborted = False
-        return self.sim.run(self.sim.process(
-            self._client(batches, timeout_us, pipeline_depth)
-        ))
+        return self.client.write(batches, timeout_us, pipeline_depth)
 
-    def _client(self, batches: int, timeout_us: float, depth: int):
-        self.metrics.started_at = self.sim.now
-        quorum = self.f + 1
-        sent_at: dict[int, float] = {}
-        votes: dict[int, dict[int, set[str]]] = {}
-        committed: set[int] = set()
-        #: batch_id -> its ``bft.request`` root span: the apex of the
-        #: cross-replica trace, opened at submission and closed at
-        #: quorum commit (straggler replies land after the root ends
-        #: and are excluded from the critical path by the gating rule).
-        roots: dict[int, object] = {}
-        next_batch = 0
-        while len(committed) < batches and not self.aborted:
-            while next_batch < batches and len(sent_at) < depth:
-                sent_at[next_batch] = self.sim.now
-                votes[next_batch] = {}
-                root = NULL_SPAN
-                if self.sim.telemetry is not None:
-                    root = span_begin(self.sim, "bft.request",
-                                      batch=next_batch, system="bft")
-                roots[next_batch] = root
-                self.network.send(
-                    self.leader_name, ClientRequest(next_batch, self.batch),
-                    parent=root,
-                )
-                next_batch += 1
-            item = yield self.client_inbox.get_until(self.sim.now + timeout_us)
-            if item is TIMED_OUT:
-                self.aborted = True
-                break
-            reply = item
-            if type(item) is Envelope:
-                reply = item.message
-            if not isinstance(reply, Reply) or reply.batch_id not in sent_at:
-                continue
-            voters = votes[reply.batch_id].setdefault(reply.output, set())
-            voters.add(reply.sender)
-            if len(voters) >= quorum:
-                latency = self.sim.now - sent_at.pop(reply.batch_id)
-                committed.add(reply.batch_id)
-                root = roots.pop(reply.batch_id)
-                if root is not NULL_SPAN:
-                    root.end(status="committed")
-                for _ in range(self.batch):
-                    self.metrics.record(latency)
-        for root in roots.values():
-            root.end(status="uncommitted")
-        self.metrics.finished_at = self.sim.now
-        return self.metrics
-
-    # ------------------------------------------------------------------
-    # Quorum reads
-    # ------------------------------------------------------------------
     def read_counter(self, timeout_us: float = 100_000.0) -> int:
         """Read the replicated counter: broadcast, trust f+1 identical
         replies.  Raises TimeoutError when no quorum forms."""
-        return self.sim.run(self.sim.process(self._read_client(timeout_us)))
-
-    def _read_client(self, timeout_us: float):
-        read_id = getattr(self, "_next_read_id", 0)
-        self._next_read_id = read_id + 1
-        request = ReadRequest(read_id)
-        for name in [self.leader_name] + self.followers:
-            self.network.send(name, request)
-        reply = yield from await_quorum(
-            self.client_inbox, self.sim.now + timeout_us, self.f + 1,
-            lambda reply: (isinstance(reply, Reply)
-                           and reply.batch_id == -read_id - 1),
-        )
-        if reply is None:
-            raise TimeoutError("no read quorum")
-        return reply.output
+        return self.client.read(timeout_us)
 
     def detected_faults(self) -> dict[str, list[str]]:
         return {

@@ -27,11 +27,11 @@ from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.record import Record, record
 from repro.systems.bft import ClientRequest, Reply, _decode_poe, _encode_poe
 from repro.systems.common import (
+    Client,
     EmulatedNetwork,
     Station,
     SystemMetrics,
     authenticators,
-    await_quorum,
     provision,
 )
 from repro.tee.base import AttestationProvider
@@ -256,6 +256,33 @@ class _Replica(Station):
         self.next()
 
 
+class _Client(Client):
+    """The client: one batch at a time, broadcast to every replica and
+    committed on f+1 identical replies."""
+
+    def submit(self, batches: int, timeout_us: float) -> SystemMetrics:
+        self._batches = batches
+        self._timeout_us = timeout_us
+        self._batch_id = -1
+        return self.run(self.begin)
+
+    def send_next(self) -> None:
+        system = self.system
+        self._batch_id = batch_id = self._batch_id + 1
+        if batch_id == self._batches:
+            return self.end()
+        self.sent_at = self.sim.now
+        request = ClientRequest(batch_id, 1)
+        for name in system.replica_names:
+            system.network.send(name, request)
+        self.await_quorum(
+            self.sent_at + self._timeout_us, system.f + 1,
+            lambda reply: (isinstance(reply, Reply)
+                           and reply.batch_id == batch_id),
+            self.replied,
+        )
+
+
 class ViewChangeBftCounter:
     """The 2f+1 BFT counter with leader-failover support."""
 
@@ -290,7 +317,7 @@ class ViewChangeBftCounter:
                            silent=name in silent)
             for name in self.replica_names
         }
-        self.client_inbox = self.network.register(self.client_name)
+        self.client = _Client(self, self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="bft_viewchange")
         self.aborted = False
 
@@ -302,27 +329,7 @@ class ViewChangeBftCounter:
     def run_workload(
         self, batches: int, timeout_us: float = 50_000.0
     ) -> SystemMetrics:
-        return self.sim.run(self.sim.process(self._client(batches, timeout_us)))
-
-    def _client(self, batches: int, timeout_us: float):
-        self.metrics.started_at = self.sim.now
-        quorum = self.f + 1
-        for batch_id in range(batches):
-            sent_at = self.sim.now
-            request = ClientRequest(batch_id, 1)
-            for name in self.replica_names:
-                self.network.send(name, request)
-            reply = yield from await_quorum(
-                self.client_inbox, sent_at + timeout_us, quorum,
-                lambda reply: (isinstance(reply, Reply)
-                               and reply.batch_id == batch_id),
-            )
-            if reply is None:
-                self.aborted = True
-                break
-            self.metrics.record(self.sim.now - sent_at)
-        self.metrics.finished_at = self.sim.now
-        return self.metrics
+        return self.client.submit(batches, timeout_us)
 
     # ------------------------------------------------------------------
     def current_views(self) -> dict[str, int]:

@@ -19,11 +19,11 @@ from repro.core.attestation import AttestedMessage
 from repro.sim.clock import Simulator
 from repro.sim.record import Record, record
 from repro.systems.common import (
+    Client,
     EmulatedNetwork,
     Station,
     SystemMetrics,
     authenticators,
-    await_quorum,
     provision,
 )
 from repro.tee.base import AttestationProvider
@@ -255,6 +255,39 @@ class _ChainNode(Station):
         raise ValueError(f"unknown op {request.op!r}")
 
 
+class _Client(Client):
+    """The closed-loop client: a request is committed once every chain
+    node has replied with the same output."""
+
+    def submit(self, requests: list[KvRequest], timeout_us: float,
+               read_mode: str) -> SystemMetrics:
+        self._requests = requests
+        self._timeout_us = timeout_us
+        self._read_mode = read_mode
+        self._request_id = -1
+        return self.run(self.begin)
+
+    def send_next(self) -> None:
+        system = self.system
+        self._request_id = request_id = self._request_id + 1
+        if request_id == len(self._requests):
+            return self.end()
+        request = self._requests[request_id]
+        self.sent_at = self.sim.now
+        if self._read_mode == "quorum" and request.op == "get":
+            probe = QuorumRead(request_id, request)
+            for name in system.names:
+                system.network.send(name, probe)
+        else:
+            system.network.send("head", ChainSubmit(request_id, request))
+        self.await_quorum(
+            self.sent_at + self._timeout_us, len(system.names),
+            lambda reply: (isinstance(reply, ChainReply)
+                           and reply.request_id == request_id),
+            self.replied,
+        )
+
+
 class ChainReplication:
     """The chained system: head, f-1 middles, tail (N = f+1 nodes)."""
 
@@ -284,7 +317,7 @@ class ChainReplication:
                 name, self, self.providers[name], successor,
                 behaviours.get(name),
             )
-        self.client_inbox = self.network.register(self.client_name)
+        self.client = _Client(self, self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="chain")
         self.aborted = False
 
@@ -304,32 +337,7 @@ class ChainReplication:
         """
         if read_mode not in ("chain", "quorum"):
             raise ValueError(f"unknown read_mode {read_mode!r}")
-        return self.sim.run(self.sim.process(
-            self._client(requests, timeout_us, read_mode)
-        ))
-
-    def _client(self, requests, timeout_us, read_mode):
-        self.metrics.started_at = self.sim.now
-        needed = len(self.names)
-        for request_id, request in enumerate(requests):
-            sent_at = self.sim.now
-            if read_mode == "quorum" and request.op == "get":
-                probe = QuorumRead(request_id, request)
-                for name in self.names:
-                    self.network.send(name, probe)
-            else:
-                self.network.send("head", ChainSubmit(request_id, request))
-            reply = yield from await_quorum(
-                self.client_inbox, sent_at + timeout_us, needed,
-                lambda reply: (isinstance(reply, ChainReply)
-                               and reply.request_id == request_id),
-            )
-            if reply is None:
-                self.aborted = True
-                break
-            self.metrics.record(self.sim.now - sent_at)
-        self.metrics.finished_at = self.sim.now
-        return self.metrics
+        return self.client.submit(requests, timeout_us, read_mode)
 
     def detected_faults(self) -> dict[str, list[str]]:
         return {

@@ -11,15 +11,15 @@ latency.  Every system here is built from the same four pieces:
 * :func:`authenticators` — a node's per-sender check table, built once
   at construction.
 * :class:`EmulatedNetwork` — FIFO reliable channels with the DRCT-IO
-  per-hop latency, carrying Python message objects between named nodes:
-  to a :class:`Station` (every replica) or a ``Store`` inbox (every
-  client, PeerReview's source included).
+  per-hop latency, carrying Python message objects between named
+  nodes, each a :class:`Station`: every replica, and every client
+  (:class:`Client`, PeerReview's source included).
 * :class:`SystemMetrics` — commit latency and throughput in virtual
-  time, filled by the system's client process, whose return value
-  ``run_workload`` hands back.
+  time, filled by the system's client, whose run ``run_workload``
+  hands back.
 
 A client that trusts an output once enough replicas vote for it waits
-with :func:`await_quorum`.
+with :meth:`Client.await_quorum`.
 
 :class:`BroadcastAuthenticator` is the receiver side of the §6.1
 equivocation-free multicast: the sender attests a message *once* and
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.api.multicast import ContinuityCheck, EquivocationDetected
@@ -41,7 +42,6 @@ from repro.sim.events import Event, Timeout
 from repro.sim.instrument import count, emit, gauge_set, observe, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.sim.record import Record, record
-from repro.sim.resources import TIMED_OUT, Store
 from repro.tee.base import AttestationProvider
 from repro.tee.providers import make_provider
 
@@ -55,12 +55,13 @@ _PROCESSED = Event.PROCESSED
 class Envelope(Record):
     """A system message plus the ``system.net_hop`` span it travels under.
 
-    :meth:`EmulatedNetwork.send` wraps the message only when the caller
-    supplied a live trace parent *and* telemetry is attached, so
-    untraced runs (including the golden-trace scenarios) move the bare
-    message objects they always did.  Receivers test ``type(item) is
-    Envelope`` and read ``item.message, item.span``: the hop span is the
-    parent of the receiver's own, joining it to the sender's trace.
+    The value of the hop timeout :meth:`EmulatedNetwork._hop` files only
+    with telemetry attached, so untraced runs (including the
+    golden-trace scenarios) move the bare message objects they always
+    did.  On arrival the receiver's :meth:`Station.received` gets
+    ``message`` and ``span`` (None without a live trace parent): the hop
+    span is the parent of the receiver's own, joining it to the
+    sender's trace.
     """
 
     message: Any
@@ -138,29 +139,181 @@ class Station:
         self.received(hop._value.message, hop._value.span)
 
 
+class Client(Station):
+    """A node whose steps answer replies: the client of a replicated
+    system, and PeerReview's source.
+
+    A reply is a job that ends as soon as it is filed, so a client is
+    never busy and every reply costs one scheduler entry, filed from
+    its send at its arrival instant: a stage of its own, or with
+    telemetry attached the hop's entry, where :meth:`received` runs
+    ahead of the hop span's end.  :meth:`received` handles the reply.
+
+    :meth:`run` files the client's first step now and runs the
+    simulator until :meth:`finish` settles :attr:`done`; a workload run
+    starts with :meth:`begin` and ends with :meth:`end`, and a closed
+    loop sends its next request from :meth:`replied`.  :meth:`wait`
+    waits until an absolute deadline, and :meth:`expired` runs if the
+    deadline passes first.  The client keeps at most one deadline timer
+    in flight, filed at its instant through ``trigger_at``: a waiter
+    that is answered leaves the timer behind, a later deadline reuses
+    it, and a timer that fires early re-arms for the deadline still
+    waited on, or lapses with no wait in progress.  Deadlines that never
+    move backwards therefore cost one scheduled entry however many
+    replies they outlive.
+    """
+
+    def __init__(self, system: Any, name: str) -> None:
+        super().__init__(system.network, name)
+        #: The replicated system: its ``network``, ``metrics`` and
+        #: ``aborted`` flag.
+        self.system = system
+        #: Settled by :meth:`finish` with the outcome of the run.
+        self.done: Event | None = None
+        #: Deadline of the wait in progress, None when there is none.
+        self.deadline: float | None = None
+        #: Instant of the deadline timer in flight, ``inf`` when none is.
+        self._timer_at = inf
+        #: The quorum wait in progress: (size, wanted, then, votes).
+        self._collect: tuple | None = None
+
+    def run(self, first_step: Callable[["Event"], None]) -> Any:
+        """File *first_step* now and run the simulator until the run
+        finishes; return its value, or raise its error."""
+        sim = self.sim
+        self.done = Event(sim)
+        sim.trigger_at(sim._now, None, first_step)
+        return sim.run(self.done)
+
+    def finish(self, value: Any = None,
+               error: BaseException | None = None) -> None:
+        """End the run with *value*, or fail it with *error*."""
+        self.deadline = None
+        if error is not None:
+            self.done.fail(error)
+        else:
+            self.done.succeed(value)
+
+    def begin(self, _event: "Event") -> None:
+        """First step of a workload run: start the clock and send."""
+        self.system.metrics.started_at = self.sim._now
+        self.send_next()
+
+    def send_next(self) -> None:
+        """Send what the run sends next, or :meth:`end` it."""
+        raise NotImplementedError
+
+    def replied(self, reply: Any) -> None:
+        """The request in flight (sent at ``sent_at``) is answered:
+        record it and send the next; None aborts the run."""
+        if reply is None:
+            self.system.aborted = True
+            return self.end()
+        self.system.metrics.record(self.sim._now - self.sent_at)
+        self.send_next()
+
+    def end(self) -> None:
+        """Last step of a workload run: stop the clock and finish with
+        the system's metrics."""
+        metrics = self.system.metrics
+        metrics.finished_at = self.sim._now
+        self.finish(metrics)
+
+    def start(self, message: Any, start: float) -> None:
+        """File the reply's arrival and end its job at once."""
+        sim = self.sim
+        if sim.telemetry is None:
+            sim.trigger_at(start, message, self._arrived)
+        self.next()
+
+    def _arrived(self, arrival: "Event") -> None:
+        self.received(arrival._value, None)
+
+    # ------------------------------------------------------------------
+    # Waiting with a deadline
+    # ------------------------------------------------------------------
+    def wait(self, deadline: float) -> None:
+        """Wait for replies until the absolute instant *deadline*;
+        :meth:`expired` runs at once when it has already passed."""
+        if deadline <= self.sim._now:
+            self.deadline = None
+            self.expired()
+            return
+        self.deadline = deadline
+        if deadline < self._timer_at:
+            self._arm(deadline)
+
+    def _arm(self, when: float) -> None:
+        self._timer_at = when
+        self.sim.trigger_at(when, when, self._expire)
+
+    def _expire(self, timer: "Event") -> None:
+        """The deadline timer fired: expire the wait in progress if it
+        is due, else re-arm for its deadline."""
+        if timer._value != self._timer_at:
+            return  # superseded by a timer armed for an earlier deadline
+        self._timer_at = inf
+        deadline = self.deadline
+        if deadline is None:
+            return
+        if deadline <= self.sim._now:
+            self.deadline = None
+            self.expired()
+        else:
+            self._arm(deadline)
+
+    def expired(self) -> None:
+        """The deadline of the wait in progress passed: the quorum wait
+        ends with None."""
+        then = self._collect[2]
+        self._collect = None
+        then(None)
+
+    # ------------------------------------------------------------------
+    # Quorum
+    # ------------------------------------------------------------------
+    def await_quorum(self, deadline: float, size: int,
+                     wanted: Callable[[Any], bool],
+                     then: Callable[[Any], None]) -> None:
+        """Count each reply that *wanted* accepts until *size* distinct
+        senders agree on one ``output``, then call *then* with that
+        reply, or with None at *deadline*."""
+        self._collect = (size, wanted, then, {})
+        self.wait(deadline)
+
+    def received(self, message: Any, parent: Any) -> None:
+        """Count a reply toward the quorum wait in progress, if any."""
+        collect = self._collect
+        if collect is None:
+            return
+        size, wanted, then, votes = collect
+        if wanted(message):
+            voters = votes.setdefault(message.output, set())
+            voters.add(message.sender)
+            if len(voters) >= size:
+                self._collect = self.deadline = None
+                then(message)
+                return
+        self.wait(self.deadline)
+
+
 class EmulatedNetwork:
-    """FIFO reliable message passing with per-hop latency, to stations
-    (:class:`Station`: every replica) and ``Store`` inboxes
-    (:meth:`register`: every client; A2M has no network)."""
+    """FIFO reliable message passing with per-hop latency between
+    stations (every node: replicas and clients; A2M has no network)."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self._nodes: dict[str, Store | Station] = {}
+        self._nodes: dict[str, Station] = {}
         self.messages_sent = 0
         #: Isolated node -> its mode ("hold" or "drop").
         self._isolated: dict[str, str] = {}
         self._held: list[tuple[str, Any]] = []
         self.dropped_messages = 0
 
-    def _add(self, name: str, node: Any) -> Any:
+    def _add(self, name: str, node: Station) -> None:
         if name in self._nodes:
             raise ValueError(f"node {name!r} already registered")
         self._nodes[name] = node
-        return node
-
-    def register(self, name: str) -> Store:
-        """Create the inbox for node *name*."""
-        return self._add(name, Store(self.sim))
 
     # ------------------------------------------------------------------
     # Partitions.  The transport below this layer is reliable ("TNIC
@@ -197,21 +350,10 @@ class EmulatedNetwork:
     def held_messages(self) -> int:
         return len(self._held)
 
-    def _hop(self, node: Store | Station, message: Any,
-             span: Any = None) -> None:
-        """Put *message* in flight to *node*.  With a hop *span*, an
-        inbox gets the message in an :class:`Envelope` that ends the span
-        on arrival; a station gets it bare, and with telemetry attached
-        a hop timeout of its own opens the receive's spans and ends the
-        hop span."""
-        if type(node) is Store:
-            if span is not None:
-                message = Envelope(message, span)
-            hop = Timeout(self.sim, SYSTEM_NET_HOP_US, message)
-            hop.callbacks.append(node.deliver)
-            if span is not None:
-                hop.callbacks.append(message.arrived)
-            return
+    def _hop(self, node: Station, message: Any, span: Any = None) -> None:
+        """Put *message* in flight to *node*: the station gets it bare,
+        and with telemetry attached a hop timeout of its own opens the
+        receive's spans and, given a hop *span*, ends it."""
         sim = self.sim
         hop = None
         if sim.telemetry is not None:
@@ -363,26 +505,6 @@ class SystemMetrics:
             "p50_latency_us": round(self.percentile_latency_us(0.50), 6),
             "p99_latency_us": round(self.percentile_latency_us(0.99), 6),
         }
-
-
-def await_quorum(inbox: Store, deadline: float, quorum: int,
-                 wanted: Callable[[Any], bool]):
-    """Wait on a client *inbox* until *quorum* distinct senders of
-    replies that *wanted* accepts agree on one ``output``; return that
-    reply, or None at *deadline*.  Run it with ``yield from``."""
-    votes: dict[Any, set[str]] = {}
-    while True:
-        reply = yield inbox.get_until(deadline)
-        if reply is TIMED_OUT:
-            return None
-        if type(reply) is Envelope:
-            reply = reply.message
-        if not wanted(reply):
-            continue
-        voters = votes.setdefault(reply.output, set())
-        voters.add(reply.sender)
-        if len(voters) >= quorum:
-            return reply
 
 
 def provision(

@@ -15,7 +15,7 @@ from repro.sim.clock import Simulator
 from repro.sim.events import Event
 from repro.sim.record import Record, record
 from repro.systems.chain import KvRequest, role_names
-from repro.systems.common import EmulatedNetwork, Station, SystemMetrics
+from repro.systems.common import Client, EmulatedNetwork, Station, SystemMetrics
 from repro.systems.raft import TEE_IO_OVERHEAD_US
 
 
@@ -71,6 +71,28 @@ class _CftChainNode(Station):
         self.next()
 
 
+class _Client(Client):
+    """The closed-loop client: a request is done on the tail's reply."""
+
+    def submit(self, requests: list[KvRequest]) -> SystemMetrics:
+        self._requests = requests
+        self._request_id = -1
+        return self.run(self.begin)
+
+    def send_next(self) -> None:
+        self._request_id = request_id = self._request_id + 1
+        if request_id == len(self._requests):
+            return self.end()
+        self.sent_at = self.sim.now
+        self.system.network.send(
+            "head", ChainCommand(request_id, self._requests[request_id]))
+
+    def received(self, reply, parent) -> None:
+        if (isinstance(reply, TailReply)
+                and reply.request_id == self._request_id):
+            self.replied(reply)
+
+
 class TeeChainReplication:
     """f+1-node CFT chain inside TEEs; tail replies to the client."""
 
@@ -86,27 +108,11 @@ class TeeChainReplication:
         for i, name in enumerate(names):
             successor = names[i + 1] if i + 1 < len(names) else None
             self.nodes[name] = _CftChainNode(name, self, successor)
-        self.client_inbox = self.network.register(self.client_name)
+        self.client = _Client(self, self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="cr_cft")
 
     def run_workload(self, requests: list[KvRequest]) -> SystemMetrics:
-        return self.sim.run(self.sim.process(self._client(requests)))
-
-    def _client(self, requests):
-        self.metrics.started_at = self.sim.now
-        for request_id, request in enumerate(requests):
-            sent_at = self.sim.now
-            self.network.send("head", ChainCommand(request_id, request))
-            while True:
-                reply = yield self.client_inbox.get()
-                if (
-                    isinstance(reply, TailReply)
-                    and reply.request_id == request_id
-                ):
-                    break
-            self.metrics.record(self.sim.now - sent_at)
-        self.metrics.finished_at = self.sim.now
-        return self.metrics
+        return self.client.submit(requests)
 
     def stores_consistent(self) -> bool:
         stores = [node.store for node in self.nodes.values()]

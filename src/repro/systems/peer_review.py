@@ -23,12 +23,12 @@ from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
 from repro.sim.clock import Simulator
 from repro.sim.latency import PEER_REVIEW_AUDIT_US
+from repro.sim.events import Timeout
 from repro.sim.record import Record, record
-from repro.sim.resources import TIMED_OUT
 from repro.systems.common import (
     BroadcastAuthenticator,
+    Client,
     EmulatedNetwork,
-    EquivocationDetected,
     Station,
     SystemMetrics,
     provision,
@@ -193,15 +193,18 @@ class _Child(Station):
         self.next()
 
 
-class _Source:
+class _Source(Client):
+    """The root of the tree: a station whose jobs are its children's
+    acks, each the check of the ack's attestation.  Its own steps — a
+    chunk's attest and multicast, then the witness audits — run as the
+    job in service, so acks that arrive meanwhile queue in send order."""
+
     def __init__(self, system: "PeerReviewSystem",
                  behaviour: PeerReviewBehaviour) -> None:
-        self.name = system.source_name
-        self.system = system
+        super().__init__(system, system.source_name)
         self.provider = system.providers[self.name]
         self.behaviour = behaviour
         self.log = TamperEvidentLog()
-        self.inbox = system.network.register(self.name)
         self.child_auths = {
             child: BroadcastAuthenticator(
                 self.provider, system.session_ids[child],
@@ -211,66 +214,113 @@ class _Source:
         }
         self.detected_faults: list[str] = []
 
-    def stream(self, contents: list[str]):
+    def stream(self, contents: list[str]) -> SystemMetrics:
         """root(): multicast each chunk, await both children's acks."""
+        self._contents = contents
+        self._seq = -1
+        return self.run(self.begin)
+
+    def send_next(self) -> None:
+        """Attest the next chunk, or end the run after the last."""
         system = self.system
-        system.metrics.started_at = system.sim.now
-        for seq, content in enumerate(contents):
-            sent_at = system.sim.now
-            payload = _encode(seq, content)
-            attested = yield self.provider.attest(
-                system.session_ids[self.name], payload
+        self._busy = True  # the chunk is the job in service
+        self._seq = seq = self._seq + 1
+        if seq == len(self._contents):
+            return self.end()
+        self.sent_at = self.sim.now
+        self._payload = _encode(seq, self._contents[seq])
+        self.provider.attest(system.session_ids[self.name], self._payload
+                             ).callbacks.append(self._multicast)
+
+    def _multicast(self, attested) -> None:
+        """Log the chunk, send it to every child and wait for the acks."""
+        system, seq = self.system, self._seq
+        self.log.append("send", self._payload)
+        if self.behaviour.tamper_log and seq == 1:
+            self.log.tamper(len(self.log.records) - 1,
+                            _encode(seq, "forged-content"))
+        chunk = StreamChunk(self.name, attested._value)
+        for child in system.children:
+            system.network.send(child, chunk)
+        self._acked: set[str] = set()
+        self._ack_deadline = self.sim.now + system.ack_timeout_us
+        self._await_acks()
+
+    def _await_acks(self) -> None:
+        """End the job in service; with no ack queued, wait for one
+        until the chunk's deadline."""
+        if self._ack_deadline <= self.sim.now:
+            return self.expired()
+        self.next()
+        if not self._busy:
+            self.wait(self._ack_deadline)
+
+    def start(self, message, start: float) -> None:
+        """An ack's job: check its attestation, charged from *start*;
+        the wait for acks pauses meanwhile."""
+        if not isinstance(message, ChunkAck):
+            return self.next()
+        self.deadline = None
+        self._ack = message
+        self.child_auths[message.sender].verify(
+            message.attested, start).callbacks.append(self._checked)
+
+    def _checked(self, check) -> None:
+        """Log an ack of the chunk in flight; once every child has
+        acked, the witness audits."""
+        if check._exception is not None:
+            self.detected_faults.append(str(check._exception))
+            return self._await_acks()
+        ack_payload = check._value
+        ack_seq, _result = _decode(ack_payload)
+        if ack_seq == self._seq:
+            self.log.append("recv", ack_payload)
+            self._acked.add(self._ack.sender)
+            if self._acked == set(self.system.children):
+                return self._audit()
+        self._await_acks()
+
+    def expired(self) -> None:
+        """No ack from some child within ``ack_timeout_us``: "expose
+        non-responsive nodes" — a witness treats a child that stops
+        acknowledging as exposed."""
+        system = self.system
+        for child in set(system.children) - self._acked:
+            system.witness_faults.append(
+                f"{child}: non-responsive (no ack for chunk "
+                f"{self._seq} within {system.ack_timeout_us:.0f}us)"
             )
-            self.log.append("send", payload)
-            if self.behaviour.tamper_log and seq == 1:
-                self.log.tamper(len(self.log.records) - 1,
-                                _encode(seq, "forged-content"))
-            chunk = StreamChunk(self.name, attested)
-            for child in system.children:
-                system.network.send(child, chunk)
-            acked: set[str] = set()
-            deadline = system.sim.now + system.ack_timeout_us
-            while acked < set(system.children):
-                ack = yield self.inbox.get_until(deadline)
-                if ack is TIMED_OUT:
-                    # "expose non-responsive nodes": a witness treats a
-                    # child that stops acknowledging as exposed.
-                    for child in set(system.children) - acked:
-                        system.witness_faults.append(
-                            f"{child}: non-responsive (no ack for chunk "
-                            f"{seq} within {system.ack_timeout_us:.0f}us)"
-                        )
-                    break
-                if not isinstance(ack, ChunkAck):
-                    continue
-                try:
-                    ack_payload = yield self.child_auths[ack.sender].verify(
-                        ack.attested
-                    )
-                except EquivocationDetected as exc:
-                    self.detected_faults.append(str(exc))
-                    continue
-                ack_seq, _result = _decode(ack_payload)
-                if ack_seq != seq:
-                    continue
-                self.log.append("recv", ack_payload)
-                acked.add(ack.sender)
-            if system.audit_enabled:
-                # "the witness audits the log after every send operation
-                # in the source node"
-                faults = yield from system.witness.audit(self.log)
-                system.witness_faults.extend(faults)
-                if system.audit_children:
-                    for child_name, child in system.child_nodes.items():
-                        child_faults = yield from system.child_witnesses[
-                            child_name
-                        ].audit(child.log)
-                        system.witness_faults.extend(
-                            f"{child_name}: {fault}" for fault in child_faults
-                        )
-            system.metrics.record(system.sim.now - sent_at)
-        system.metrics.finished_at = system.sim.now
-        return system.metrics
+        self._busy = True  # the audit is the job in service
+        self._audit()
+
+    def _audit(self) -> None:
+        """The witness audits: "the witness audits the log after every
+        send operation in the source node", one timed stage per witness,
+        the source's first."""
+        system = self.system
+        if not system.audit_enabled:
+            return self._chunk_done()
+        self._audits = [(system.witness, self.log, "")]
+        if system.audit_children:
+            self._audits += [
+                (system.child_witnesses[name], child.log, f"{name}: ")
+                for name, child in system.child_nodes.items()
+            ]
+        Timeout(self.sim, PEER_REVIEW_AUDIT_US).callbacks.append(self._audited)
+
+    def _audited(self, _stage) -> None:
+        witness, log, prefix = self._audits.pop(0)
+        self.system.witness_faults.extend(
+            prefix + fault for fault in witness.audit(log))
+        if self._audits:
+            Timeout(self.sim, PEER_REVIEW_AUDIT_US).callbacks.append(
+                self._audited)
+            return
+        self._chunk_done()
+
+    def _chunk_done(self) -> None:
+        self.system.metrics.record(self.sim.now - self.sent_at)
+        self.send_next()
 
 
 class Witness:
@@ -288,10 +338,9 @@ class Witness:
     prefix, then chain-verifies and replays only the entries beyond it.
     """
 
-    def __init__(self, system: "PeerReviewSystem", role: str = "source") -> None:
+    def __init__(self, role: str = "source") -> None:
         if role not in ("source", "child"):
             raise ValueError(f"unknown witness role {role!r}")
-        self.system = system
         self.role = role
         self.audits_performed = 0
         self._audited: list[LogRecord] = []
@@ -311,7 +360,7 @@ class Witness:
         """Authenticator the next unaudited entry must chain from."""
         return self._audited[-1].authenticator if self._audited else GENESIS
 
-    def audit(self, log: TamperEvidentLog):
+    def audit(self, log: TamperEvidentLog) -> list[str]:
         """log_audit(): replay new entries; returns a list of faults.
 
         Every entry is chain-verified (from :attr:`head`) and replayed
@@ -325,7 +374,6 @@ class Witness:
         audits the history the node now presents from the genesis value,
         returning only the faults it has not returned before.
         """
-        yield self.system.sim.timeout(PEER_REVIEW_AUDIT_US)
         self.audits_performed += 1
         chunk_direction = "send" if self.role == "source" else "recv"
         # Kept apart from the per-entry faults: two rewrites below the
@@ -396,9 +444,9 @@ class PeerReviewSystem:
             self.sim, provider_name, [self.source_name] + self.children, seed
         )
         self.metrics = SystemMetrics(sim=self.sim, system="peer_review")
-        self.witness = Witness(self, role="source")
+        self.witness = Witness(role="source")
         self.child_witnesses = {
-            name: Witness(self, role="child") for name in self.children
+            name: Witness(role="child") for name in self.children
         }
         self.witness_faults: list[str] = []
         self.source = _Source(self, behaviour or PeerReviewBehaviour())
@@ -412,7 +460,7 @@ class PeerReviewSystem:
 
     def run_workload(self, chunks: int) -> SystemMetrics:
         contents = [f"chunk-{i}" for i in range(chunks)]
-        return self.sim.run(self.sim.process(self.source.stream(contents)))
+        return self.source.stream(contents)
 
     def detected_faults(self) -> list[str]:
         """Every fault found so far, witness verdicts first; an audit

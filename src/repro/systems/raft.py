@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.sim.clock import Simulator
 from repro.sim.events import Event
 from repro.sim.record import Record, record
-from repro.systems.common import EmulatedNetwork, Station, SystemMetrics
+from repro.systems.common import Client, EmulatedNetwork, Station, SystemMetrics
 
 #: Extra cost a TEE-hosted process pays per network message (enclave
 #: I/O transitions; SEV VM-exit overheads).  Calibrated so TEEs-Raft
@@ -208,6 +208,38 @@ class _RaftNode(Station):
         return self.log[message.prev_log_index - 1].term == message.prev_log_term
 
 
+class _Client(Client):
+    """The client: commands pipelined up to the deployment's depth, each
+    done on the leader's reply."""
+
+    def submit(self, commands: int) -> SystemMetrics:
+        self._commands = commands
+        self._next_id = 0
+        self._completed = 0
+        self._sent_at: dict[int, float] = {}
+        return self.run(self.begin)
+
+    def send_next(self) -> None:
+        """Fill the pipeline, or end the run once every command is done."""
+        system = self.system
+        if self._completed == self._commands:
+            return self.end()
+        while (self._next_id < self._commands
+               and len(self._sent_at) < system.pipeline_depth):
+            command_id = self._next_id
+            self._sent_at[command_id] = self.sim.now
+            system.network.send(system.leader_name,
+                                ClientCommand(command_id, f"cmd{command_id}"))
+            self._next_id += 1
+
+    def received(self, reply, parent) -> None:
+        if isinstance(reply, ClientReply) and reply.request_id in self._sent_at:
+            self.system.metrics.record(
+                self.sim.now - self._sent_at.pop(reply.request_id))
+            self._completed += 1
+            self.send_next()
+
+
 class TeeRaft:
     """Three-node failure-free Raft deployment inside TEEs."""
 
@@ -224,33 +256,11 @@ class TeeRaft:
         self.client_name = "client"
         self.pipeline_depth = pipeline_depth
         self.nodes = {name: _RaftNode(name, self) for name in names}
-        self.client_inbox = self.network.register(self.client_name)
+        self.client = _Client(self, self.client_name)
         self.metrics = SystemMetrics(sim=self.sim, system="raft")
 
     def run_workload(self, commands: int) -> SystemMetrics:
-        return self.sim.run(self.sim.process(self._client(commands)))
-
-    def _client(self, commands: int):
-        self.metrics.started_at = self.sim.now
-        sent_at: dict[int, float] = {}
-        next_id = 0
-        outstanding = 0
-        completed = 0
-        while completed < commands:
-            while next_id < commands and outstanding < self.pipeline_depth:
-                sent_at[next_id] = self.sim.now
-                self.network.send(
-                    self.leader_name, ClientCommand(next_id, f"cmd{next_id}")
-                )
-                next_id += 1
-                outstanding += 1
-            reply = yield self.client_inbox.get()
-            if isinstance(reply, ClientReply) and reply.request_id in sent_at:
-                self.metrics.record(self.sim.now - sent_at.pop(reply.request_id))
-                outstanding -= 1
-                completed += 1
-        self.metrics.finished_at = self.sim.now
-        return self.metrics
+        return self.client.submit(commands)
 
     # ------------------------------------------------------------------
     def logs_consistent(self) -> bool:

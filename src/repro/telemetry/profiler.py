@@ -9,9 +9,10 @@ same contract as the telemetry hub) and
 accounts every processed event under a stable key:
 
 ``EventType:callsite`` — the event's class plus the qualified name of
-the code its first callback resumes (for a process resumption, the
-*process generator* itself, e.g. ``Timeout:BftCounter._client``), so a
-profile reads like a flame-graph leaf list of the simulation.
+the code its first callback runs (a station's protocol step, e.g.
+``Event:_RaftNode.lead``, or for a process resumption the *process
+generator* itself), so a profile reads like a flame-graph leaf list of
+the simulation.
 
 Two ledgers per key, with very different determinism status:
 
@@ -49,11 +50,7 @@ def _callsite(event: Any, callbacks: list) -> str:
     runs (the interesting frame), everything else to the callback's
     qualified name (``Owner.method`` for a bound method: each stage of
     a callback chain has its key); no callbacks fall back to ``<idle>``.
-    A hop that resumed its receiver inside its own entry adopted the
-    receiver's callbacks (``Store.deliver``) and is attributed to them:
-    the entry's work is the receiving generator's segment.
     """
-    callbacks = getattr(event, "callbacks", None) or callbacks
     if not callbacks:
         return "<idle>"
     callback = callbacks[0]

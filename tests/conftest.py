@@ -1,11 +1,24 @@
-"""Fixtures shared by the lint tests."""
+"""Fixtures shared by the lint tests, and the Hypothesis profiles.
+
+Tier-1 runs the ``derandomized`` profile: every property test draws the
+same examples on every run (seeded from the test itself, no example
+database), so a pass or a failure reproduces.  ``scripts/check.sh``
+selects ``fresh`` (``--hypothesis-profile=fresh``): new random draws
+each run, with failing examples saved and replayed, so the gate still
+finds new counterexamples.
+"""
 
 import pytest
+from hypothesis import settings
 
 from repro.analysis import dataflow, rules
 from repro.analysis.dataflow import index_functions
 from repro.analysis.rules import apply_suppressions, collect_findings
 from repro.analysis.walker import collect_sources, default_package_root
+
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.register_profile("fresh", derandomize=False)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,5 @@
 """Clean liveness corpus: the sanctioned twin of every broken shape.
 
-try/finally-released holds, mutually exclusive or guarded triggers, an
-event handed to the callee that completes it, a single global
-acquisition order, and deadline-composed network waits — none of this
+Deadline-composed network waits and a plain server loop — none of this
 may produce a LIV finding.
 """

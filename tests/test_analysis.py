@@ -33,11 +33,7 @@ from repro.analysis.determinism import (
     WallClockRule,
 )
 from repro.analysis.rules import inline_ignores
-from repro.analysis.walker import (
-    chain_parts,
-    local_aliases,
-    parse_file,
-)
+from repro.analysis.walker import chain_parts, parse_file
 
 
 def _write_module(tmp_path: Path, relpath: str, source: str) -> Path:
@@ -284,14 +280,16 @@ def test_render_sarif_matches_the_2_1_0_schema_shape(tmp_path):
 def test_render_sarif_indexes_project_rules(tmp_path):
     """A whole-project pass's findings carry rule metadata like any other."""
     _findings, document = _sarif_document_for(
-        tmp_path, "repro/leaky.py",
-        "class Node:\n"
-        "    def __init__(self, lock):\n"
-        "        self.lock = lock\n"
+        tmp_path, "repro/roce/unbounded.py",
+        "class Endpoint:\n"
+        "    def __init__(self, sim):\n"
+        "        self.sim = sim\n"
+        "        self._pending = {}\n"
         "\n"
-        "    def run(self, sim):\n"
-        "        yield self.lock.acquire()\n"
-        "        yield sim.timeout(1)\n",
+        "    def call(self, psn):\n"
+        "        done = self.sim.event()\n"
+        "        self._pending[psn] = done\n"
+        "        return done\n",
     )
     run = document["runs"][0]
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
@@ -317,22 +315,6 @@ def test_chain_parts_peels_subscripts_and_rejects_call_roots():
     # A call result is a fresh value: a chain rooted in one is no chain.
     assert chain_parts(_expr("make().b.c")) is None
     assert chain_parts(_expr("a.b().c")) is None
-
-
-def test_local_aliases_resolve_transitively_through_self():
-    func = ast.parse(
-        "def run(self, other):\n"
-        "    system = self.system\n"
-        "    w = system.witness\n"
-        "    nodes = system.nodes[0].peers\n"
-        "    x = other.field\n"
-        "    y = self\n"
-    ).body[0]
-    assert local_aliases(func) == {
-        "system": ("system",),
-        "w": ("system", "witness"),
-        "nodes": ("system", "nodes", "peers"),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -132,18 +132,19 @@ def test_lint_command_explain_known_and_unknown_rule(capsys):
     assert main(["lint", "--explain", "SEC001"]) == 0
     out = capsys.readouterr().out
     assert "SEC001" in out and "key" in out.lower()
-    assert main(["lint", "--explain", "LIV001"]) == 0
-    assert "try/finally" in capsys.readouterr().out
+    assert main(["lint", "--explain", "LIV005"]) == 0
+    assert "deadline" in capsys.readouterr().out
     assert main(["lint", "--explain", "NOPE999"]) == 2
     err = capsys.readouterr().err
     assert "no such rule: NOPE999" in err
     # The usage hint lists every shipped rule-ID prefix.
     for prefix in ("DET", "BND", "SEC", "LIV"):
         assert prefix in err
-    # Retired rules (RACE001-RACE003 and TNT001-TNT002 went whole) no
-    # longer resolve.
+    # Retired rules (RACE001-RACE003 and TNT001-TNT002 went whole, LIV001
+    # with the last simulator lock) no longer resolve.
     assert main(["lint", "--explain", "RACE001"]) == 2
     assert main(["lint", "--explain", "TNT001"]) == 2
+    assert main(["lint", "--explain", "LIV001"]) == 2
 
 
 def test_parser_rejects_unknown_command():

@@ -134,7 +134,7 @@ def test_link_tamper_fault():
     )
     a.transmit(make_packet())
     sim.run()
-    assert sim.run(b.rx_queue.get()) .payload == b"evil"
+    assert b.rx_queue.popleft().payload == b"evil"
     assert link.stats.tampered == 1
 
 

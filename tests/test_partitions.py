@@ -22,18 +22,18 @@ from tests.test_station import _OneStage
 def test_isolate_holds_and_heal_flushes():
     sim = Simulator()
     net = EmulatedNetwork(sim)
-    inbox = net.register("n")
+    served = _OneStage(net, "n", stage_us=0.0).served
     net.isolate({"n"})
     net.send("n", "held-1")
     net.send("n", "held-2")
     sim.run()
-    assert len(inbox) == 0
+    assert len(served) == 0
     assert net.held_messages == 2
     net.heal()
     sim.run()
-    assert len(inbox) == 2
-    assert inbox.get().value == "held-1"
-    assert inbox.get().value == "held-2"
+    assert len(served) == 2
+    assert served[0][1] == "held-1"
+    assert served[1][1] == "held-2"
 
 
 def test_a_station_is_held_and_flushed_in_send_order():
@@ -50,14 +50,14 @@ def test_a_station_is_held_and_flushed_in_send_order():
     arrive = 100.0 + SYSTEM_NET_HOP_US
     assert served == [(arrive + 3.0, "held-1"), (arrive + 6.0, "held-2")]
     with pytest.raises(ValueError):
-        net.register("n")
+        _OneStage(net, "n")
 
 
 def test_isolation_mode_is_per_node_and_heal_clears_it():
     sim = Simulator()
     net = EmulatedNetwork(sim)
-    inbox_a = net.register("a")
-    inbox_b = net.register("b")
+    inbox_a = _OneStage(net, "a", stage_us=0.0).served
+    inbox_b = _OneStage(net, "b", stage_us=0.0).served
     net.isolate({"a"})
     net.isolate({"b"}, mode="drop")  # must not turn a's hold into drop
     net.send("a", "to-a")
@@ -68,8 +68,8 @@ def test_isolation_mode_is_per_node_and_heal_clears_it():
     net.send("b", "after-heal")
     sim.run()
     assert (len(inbox_a), len(inbox_b)) == (1, 1)
-    assert inbox_a.get().value == "to-a"
-    assert inbox_b.get().value == "after-heal"
+    assert inbox_a[0][1] == "to-a"
+    assert inbox_b[0][1] == "after-heal"
     assert (net.held_messages, net.dropped_messages) == (0, 1)
 
 

@@ -148,9 +148,8 @@ def test_child_witness_catches_deviating_child():
 def test_witness_role_validated():
     from repro.systems.peer_review import Witness
 
-    system = PeerReviewSystem("tnic", audit=False)
     with pytest.raises(ValueError, match="role"):
-        Witness(system, role="bystander")
+        Witness(role="bystander")
 
 
 def test_child_audits_add_proportional_overhead():

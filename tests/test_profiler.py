@@ -104,18 +104,23 @@ def test_callsite_attribution_names_process_generators():
             "Timeout:EthernetMac.deliver"} <= keys
 
 
-def test_an_inline_receive_is_booked_to_the_receiving_generator():
+def test_a_reply_is_booked_to_the_client_step():
     system = BftCounter("tnic", f=1, seed=0)
     profiler = Profiler.attach(system.sim, clock=FakeClock())
     system.run_workload(20, pipeline_depth=4)
     keys = set(profiler.events)
-    # The hop that carries a reply runs the client's segment in its own
-    # entry: the entry is the client's, under the hop's type.
-    assert "Timeout:BftCounter._client" in keys
+    # A reply's arrival is the client's own stage, booked to the step
+    # that counts it; the run's first step and its end are one entry
+    # each.
+    client = {"Event:_Client.begin", "Event:_Client._arrived",
+              "Event:<idle>"}
+    assert client <= keys
+    assert profiler.events["Event:_Client.begin"] == 1
+    assert profiler.events["Event:<idle>"] == 1
     # A replica is a station: its messages' arrivals are no entries, and
     # each stage's completion is booked to its protocol step (a PoE
     # check's first callback is the authenticator's verdict).
-    assert keys - {"Timeout:BftCounter._client", "Process:<idle>"} == {
+    assert keys - client == {
         "Timeout:BroadcastAuthenticator._settle",
         "Timeout:_Replica._broadcast", "Timeout:_Replica._followed"}
     assert profiler.events["Timeout:_Replica._broadcast"] == 20
@@ -130,7 +135,7 @@ def test_a_served_completion_is_booked_to_the_replica_handler():
     # A station's one stage per message has the protocol step as its
     # callback: the entry is the replica's, not the network's.
     assert {"Event:_RaftNode.lead", "Event:_RaftNode.follow",
-            "Timeout:TeeRaft._client"} <= keys
+            "Event:_Client._arrived"} <= keys
     assert profiler.events["Event:_RaftNode.lead"] == 20 * 3
     assert profiler.events["Event:_RaftNode.follow"] == 20 * 2
     assert not any("EmulatedNetwork" in key for key in keys)

@@ -1,10 +1,11 @@
 """The protocol path pays for its stages, not its plumbing.
 
-Five contracts of the per-message path:
+Six contracts of the per-message path:
 
-* ``Store.get_until`` is observably the ``get`` / ``any_of`` /
-  ``timeout`` / ``cancel_get`` idiom it replaced (kept below as the
-  reference), minus the timers that idiom left behind;
+* a client waits with at most one deadline timer in flight: served
+  waits share it, and an expired wait leaves nothing behind;
+* no run constructs a process, and a client keeps one deadline timer
+  however many requests it makes;
 * a fault-free run leaves at most one scheduled entry per client once
   its stragglers have drained;
 * the exact scheduler-event budget of a BFT, a chain-KV, a Raft, a
@@ -17,132 +18,157 @@ Five contracts of the per-message path:
 """
 
 from collections import deque
+from types import SimpleNamespace
 
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+import pytest
 
 from repro.api import Cluster, auth_send
 from repro.bench.workload import kv_workload
 from repro.core import counters as counters_module
-from repro.sim import TIMED_OUT, Simulator, Store
+from repro.sim import Process, Simulator
 from repro.sim.events import AnyOf
+from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.stack.memory import MemoryError_
 from repro.stack.regs import MappedRegsPage
-from repro.systems.bft import BftCounter
+from repro.systems.bft import BftCounter, ByzantineBehaviour
 from repro.systems.bft_viewchange import ViewChangeBftCounter
 from repro.systems.chain import ChainReplication
+from repro.systems.common import Client, EmulatedNetwork
 from repro.systems.cr_cft import TeeChainReplication
-from repro.systems.peer_review import PeerReviewSystem
+from repro.systems.peer_review import PeerReviewBehaviour, PeerReviewSystem
 from repro.systems.raft import TeeRaft
 
 
 # ----------------------------------------------------------------------
-# Deadline receive vs. the idiom it replaced
+# A client's deadline: one timer in flight
 # ----------------------------------------------------------------------
-def _reference_receive(sim, store, deadline, deadlines):
-    """The receive-with-timeout idiom as the five call sites had it."""
-    deadlines.append(deadline)
-    remaining = deadline - sim.now
-    if remaining <= 0:
-        return TIMED_OUT
-    get_event = store.get()
-    winner = yield sim.any_of([get_event, sim.timeout(remaining)])
-    if get_event not in winner:
-        store.cancel_get(get_event)
-        return TIMED_OUT
-    return winner[get_event]
+class _Waiter(Client):
+    """Waits for one reply per deadline of *deadlines*, in turn."""
+
+    def __init__(self, network, deadlines):
+        super().__init__(SimpleNamespace(network=network), "client")
+        self.deadlines = list(deadlines)
+        self.seen = []
+
+    def received(self, message, parent):
+        self.seen.append((self.sim.now, message))
+        if self.deadline is not None:
+            self._next()
+
+    def expired(self):
+        self.seen.append((self.sim.now, "expired"))
+        self._next()
+
+    def _next(self, _event=None):
+        if self.deadlines:
+            self.wait(self.deadlines.pop(0))
+        else:
+            self.finish()
 
 
-def _deadline_receive(sim, store, deadline, deadlines):
-    return (yield store.get_until(deadline))
-
-
-def _run_schedule(receive, puts, consumers):
-    """One producer putting ``0, 1, 2...`` after each gap of *puts* and
-    one consumer process per entry of *consumers*, each a list of
-    ``(idle, patience)``: stay idle, then receive with the deadline
-    ``now + patience``.  Returns what every consumer saw as
-    ``[(instant, item | TIMED_OUT)]``, the put instants and the
-    deadlines asked for."""
+def test_served_waits_share_one_timer_and_expired_ones_leave():
     sim = Simulator()
-    store = Store(sim)
-    put_instants, deadlines = [], []
-    seen = [[] for _ in consumers]
-
-    def producer():
-        for item, gap in enumerate(puts):
-            yield sim.timeout(gap)
-            put_instants.append(sim.now)
-            store.put(item)
-
-    def consumer(index, waits):
-        for idle, patience in waits:
-            yield sim.timeout(idle)
-            item = yield from receive(sim, store, sim.now + patience, deadlines)
-            seen[index].append((sim.now, item))
-
-    sim.process(producer())
-    for index, waits in enumerate(consumers):
-        sim.process(consumer(index, waits))
-    sim.run()
-    return seen, put_instants, deadlines, store
-
-
-# Durations on a 1/8 µs grid: every instant is exact, so the reference's
-# relative ``timeout(deadline - now)`` fires on the deadline itself.
-_ticks = st.integers(min_value=0, max_value=96).map(lambda n: n / 8)
-_waits = st.lists(st.tuples(_ticks, _ticks), min_size=1, max_size=12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(puts=st.lists(_ticks, max_size=20),
-       consumers=st.lists(_waits, min_size=1, max_size=3))
-def test_get_until_matches_the_any_of_idiom(puts, consumers):
-    want, put_instants, deadlines, _ = _run_schedule(
-        _reference_receive, puts, consumers)
-    # A put landing exactly on a deadline goes to whichever of the two
-    # events was scheduled first; the lazily filed timer does not keep
-    # that order, and no caller may depend on it.
-    assume(not set(put_instants) & set(deadlines))
-    got, _, _, store = _run_schedule(_deadline_receive, puts, consumers)
-    assert got == want
-    assert not store._getters  # no getter left behind to swallow a put
-
-
-def test_served_getters_share_one_timer_and_expired_ones_leave():
-    sim = Simulator()
-    store = Store(sim)
+    network = EmulatedNetwork(sim)
+    client = _Waiter(network, (100.0, 150.0, 150.0, 160.0, 160.0))
     timers = []
     push = sim._push
 
     def recording(when, event):
-        if event.callbacks == [store._expire]:
+        if event.callbacks == [client._expire]:
             timers.append(when)
         push(when, event)
 
     sim._push = recording
-
-    def consumer():
-        for deadline in (100.0, 150.0, 150.0):
-            assert (yield store.get_until(deadline)) == "item"
-        assert (yield store.get_until(160.0)) is TIMED_OUT
-        assert sim.now == 160.0
-        assert (yield store.get_until(160.0)) is TIMED_OUT  # already past
-
-    def producer():
-        for _ in range(3):
-            yield sim.timeout(10.0)
-            store.put("item")
-
-    done = sim.process(consumer())
-    sim.process(producer())
-    sim.run(done)
+    for instant in (10.0, 20.0, 30.0):
+        sim.delayed_call(instant, lambda: network.send("client", "item"))
+    client.run(client._next)
+    assert client.seen[:3] == [(instant + SYSTEM_NET_HOP_US, "item")
+                               for instant in (10.0, 20.0, 30.0)]
+    # The fourth wait times out on its deadline; the fifth, asked for
+    # once that deadline has passed, expires at once.
+    assert client.seen[3:] == [(160.0, "expired"), (160.0, "expired")]
     # One timer at the first deadline, re-armed when it fires early.
     assert timers == [100.0, 160.0]
-    assert not store._getters
-    store.put("late")
-    assert len(store) == 1
-    assert store.get().value == "late"
+    assert client.deadline is None
+    network.send("client", "late")  # a reply with no wait in progress
+    sim.run()
+    assert client.seen[-1] == (sim.now, "late") and not sim._heap
+
+
+# ----------------------------------------------------------------------
+# No client process; one client timer however long the run
+# ----------------------------------------------------------------------
+def _bft(requests):
+    system = BftCounter("tnic", f=1, seed=0)
+    system.run_workload(requests, pipeline_depth=4)
+    system.read_counter()
+    return system
+
+
+def _bft_byzantine_leader(requests):
+    system = BftCounter("tnic", f=1, seed=0, behaviours={
+        "r0": ByzantineBehaviour(equivocate=True)})
+    system.run_workload(requests, timeout_us=5_000.0)
+    assert system.aborted
+    return system
+
+
+def _chain(read_mode):
+    def run(requests):
+        system = ChainReplication("tnic", seed=0)
+        system.run_workload(kv_workload(requests, read_fraction=0.5, seed=0),
+                            read_mode=read_mode)
+        return system
+    return run
+
+
+def _view_change(requests):
+    system = ViewChangeBftCounter("tnic", seed=0)
+    system.run_workload(requests)
+    return system
+
+
+def _raft(requests):
+    system = TeeRaft(nodes=3, pipeline_depth=4)
+    system.run_workload(requests)
+    return system
+
+
+def _cr(requests):
+    system = TeeChainReplication(chain_length=3)
+    system.run_workload(kv_workload(requests, read_fraction=0.5, seed=0))
+    return system
+
+
+def _peer_review(behaviour):
+    def run(requests):
+        system = PeerReviewSystem("tnic", audit=True, seed=0,
+                                  behaviour=behaviour, ack_timeout_us=2_000.0)
+        system.run_workload(requests)
+        return system
+    return run
+
+
+@pytest.mark.parametrize("run", [
+    _bft, _bft_byzantine_leader, _chain("chain"), _chain("quorum"),
+    _view_change, _raft, _cr, _peer_review(None),
+    _peer_review(PeerReviewBehaviour(silent_child=True)),
+], ids=["bft", "bft-byzantine-leader", "chain", "chain-quorum-reads",
+        "view-change", "raft", "cr", "peer-review", "peer-review-silent-child"])
+def test_no_client_process_and_one_client_timer(monkeypatch, run):
+    constructed = []
+    construct = Process.__init__
+
+    def counting(self, sim, generator):
+        constructed.append(generator)
+        construct(self, sim, generator)
+
+    monkeypatch.setattr(Process, "__init__", counting)
+    short, long = run(50), run(500)
+    assert constructed == []
+    # A timer per request would leave up to one entry per request
+    # behind; the client keeps one in flight however many it made.
+    assert len(short.sim._heap) == len(long.sim._heap)
 
 
 # ----------------------------------------------------------------------
@@ -193,10 +219,10 @@ def _pushes_per_request(monkeypatch, run, requests):
 # hop, a timed authentication check, an attest.  A receiver woken by an
 # event of its own would show up here as one more entry per hop.  Every
 # replica is a station: a message's arrival is no entry, its first
-# stage is filed from the send, and only a client's inbox still pays a
-# hop.
+# stage is filed from the send.  Only a client pays a reply's arrival,
+# a stage of its own filed from the send.
 def test_bft_request_costs_at_most_12_scheduler_events(monkeypatch):
-    # 6 checks + 3 attests + the client's 3 hops (measured 12.005).
+    # 6 checks + 3 attests + the client's 3 replies (measured 12.005).
     system = BftCounter("tnic", f=1, seed=0)
     per_request = _pushes_per_request(
         monkeypatch, lambda: system.run_workload(200, pipeline_depth=4), 200)
@@ -205,7 +231,7 @@ def test_bft_request_costs_at_most_12_scheduler_events(monkeypatch):
 
 
 def test_chain_request_costs_at_most_9_scheduler_events(monkeypatch):
-    # 3 checks + 3 attests + the client's 3 hops (measured 9.015).
+    # 3 checks + 3 attests + the client's 3 replies (measured 9.015).
     system = ChainReplication("tnic", seed=0)
     requests = kv_workload(200, read_fraction=0.5, seed=0)
     per_request = _pushes_per_request(
@@ -217,7 +243,7 @@ def test_chain_request_costs_at_most_9_scheduler_events(monkeypatch):
 # A TEEs-Raft or TEEs-CR replica is one entry per message it handles:
 # its one stage, the TEE service, with the hop folded in.
 def test_raft_request_costs_at_most_6_scheduler_events(monkeypatch):
-    # 5 TEE services + the client's hop; the bypass control has no
+    # 5 TEE services + the client's reply; the bypass control has no
     # checks or attests.
     system = TeeRaft(nodes=3)
     per_request = _pushes_per_request(
@@ -228,7 +254,7 @@ def test_raft_request_costs_at_most_6_scheduler_events(monkeypatch):
 
 
 def test_cft_chain_request_costs_at_most_4_scheduler_events(monkeypatch):
-    # 3 TEE services (head, middle, tail) + the client's hop.
+    # 3 TEE services (head, middle, tail) + the client's reply.
     system = TeeChainReplication(chain_length=3)
     requests = kv_workload(200, read_fraction=0.5, seed=0)
     per_request = _pushes_per_request(
@@ -238,20 +264,21 @@ def test_cft_chain_request_costs_at_most_4_scheduler_events(monkeypatch):
     assert per_request <= 4.1
 
 
-def test_peer_review_chunk_costs_at_most_10_scheduler_events(monkeypatch):
-    # The 2 acks' hops to the source's inbox + 4 checks + 3 attests +
-    # 1 audit (measured 10.015).
+def test_peer_review_chunk_costs_at_most_8_scheduler_events(monkeypatch):
+    # 4 checks + 3 attests + 1 audit (measured 8.015): the source is a
+    # station, so an ack's check is filed from its send and its arrival
+    # is no entry.
     system = PeerReviewSystem("tnic", audit=True, seed=0)
     per_request = _pushes_per_request(
         monkeypatch, lambda: system.run_workload(200), 200)
     assert system.metrics.committed == 200
     assert not system.detected_faults()
-    assert per_request <= 10.1
+    assert per_request <= 8.1
 
 
 def test_view_change_batch_costs_at_most_8_scheduler_events(monkeypatch):
     # The leader's attest + 2 follower checks + 2 watchdogs + the
-    # client's 3 hops (measured 8.015).
+    # client's 3 replies (measured 8.015).
     system = ViewChangeBftCounter("tnic", seed=0)
     per_request = _pushes_per_request(
         monkeypatch, lambda: system.run_workload(200), 200)

@@ -1,9 +1,10 @@
 """The callback receive pipeline: MAC → request decoder → delivery lane.
 
 ``RoceKernel`` used to run its receive side as actors: an ``_rx_loop``
-process draining the MAC's ``rx_queue`` and one ``_delivery_loop``
-process per QP draining a lane ``Store``.  Both loops and the lane
-store survive here as the reference (:class:`_ReferenceKernel`): under
+process draining the MAC's receive queue and one ``_delivery_loop``
+process per QP draining a lane queue.  Both loops and their queues
+(:class:`_Fifo`) survive here as the reference
+(:class:`_ReferenceKernel`): under
 random drop / duplicate / reorder / tamper schedules the callback lane
 must deliver the same messages at the bit-identical instants, ACK them
 at the same instants and count the same anomalies.  One class of
@@ -36,7 +37,7 @@ from repro.net.fabric import NetworkFault
 from repro.net.packet import RdmaOpcode
 from repro.roce.transport import RoceKernel, TransportError
 from repro.sim.instrument import TRACE_PARENT, span_begin
-from repro.sim.resources import Store
+from repro.sim.events import Event
 from repro.telemetry import Telemetry
 from repro.telemetry.profiler import _callsite
 
@@ -44,27 +45,54 @@ from repro.telemetry.profiler import _callsite
 # ----------------------------------------------------------------------
 # The reference: the receive side as the two actors it used to be
 # ----------------------------------------------------------------------
+class _Fifo:
+    """The queue the actors drained: ``put`` wakes the oldest blocked
+    getter by a scheduled event, and ``get`` of a queued item returns an
+    event that is already processed."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._items = deque()
+        self._getters = deque()
+
+    def put(self, item):
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
+
+    def get(self):
+        event = Event(self.sim)
+        if self._items:
+            event._state = Event.PROCESSED
+            event._value = self._items.popleft()
+        else:
+            self._getters.append(event)
+        return event
+
+
 class _ReferenceLane:
     def __init__(self, state, store):
         self.state = state
         self.store = store
         self.queue = deque()  # always empty; the kernel's _reject clears it
         self.next_arrival_psn = 0
-        #: Bumped on rejection: a ``Store`` cannot be emptied, so queued
+        #: Bumped on rejection: a ``_Fifo`` cannot be emptied, so queued
         #: packets carry the epoch they were accepted in.
         self.epoch = 0
         self.partial = []
 
 
 class _ReferenceKernel(RoceKernel):
-    """``RoceKernel`` with ``_rx_loop``, ``_delivery_loop`` and the lane
-    ``Store`` as they were; transmit side, ``_deliver`` and ``_reject``
+    """``RoceKernel`` with ``_rx_loop``, ``_delivery_loop`` and their
+    queues as they were; transmit side, ``_deliver`` and ``_reject``
     are the kernel's own.  The lane replaces the QP record's callback
     lane at the QP's first packet, when the actors used to start."""
 
     def __init__(self, sim, mac, *args, **kwargs):
         super().__init__(sim, mac, *args, **kwargs)
-        mac.ingress = mac.rx_queue.put
+        self.rx_queue = _Fifo(sim)
+        mac.ingress = self.rx_queue.put
         sim.process(self._rx_loop())
 
     def _reject(self, lane):
@@ -73,7 +101,7 @@ class _ReferenceKernel(RoceKernel):
 
     def _rx_loop(self):
         while True:
-            packet = yield self.mac.rx_queue.get()
+            packet = yield self.rx_queue.get()
             if packet.ip.dst_ip != self.ip:
                 continue
             if packet.bth.opcode in (RdmaOpcode.ACK, RdmaOpcode.NAK):
@@ -88,7 +116,7 @@ class _ReferenceKernel(RoceKernel):
         psn = packet.bth.psn
         lane = state.rx_lane
         if not isinstance(lane, _ReferenceLane):
-            lane = state.rx_lane = _ReferenceLane(state, Store(self.sim))
+            lane = state.rx_lane = _ReferenceLane(state, _Fifo(self.sim))
             self.sim.process(self._delivery_loop(lane))
         if psn < lane.next_arrival_psn:
             state.duplicates_dropped += 1

@@ -14,13 +14,10 @@ from heapq import heappop, heappush
 from itertools import count
 from math import inf
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import TIMED_OUT, Store
 from repro.sim.clock import EmptySchedule, Simulator, _perturbed_ties
-from repro.sim.events import Event
-from repro.sim.resources import _DeadlineGet
 
 #: A delay far beyond any round trip (the retransmission-timer range).
 HORIZON = 4096.0
@@ -193,131 +190,3 @@ T, C, S, R = "timeout", "call", "succeed", "raise"
           ("run_event", 1), ("perturb", None), ("run_for", 1.0)])
 def test_random_programs_trace_like_the_reference_heap(program):
     assert trace_of(Simulator(), program) == trace_of(HeapScheduler(), program)
-
-
-# ----------------------------------------------------------------------
-# Differential oracle for message delivery
-# ----------------------------------------------------------------------
-class TwoEventStore(Store):
-    """The reference receive: every wake is a scheduled event.
-
-    The ``Store`` as it stood while a receive cost an event of its own:
-    a delivery is a ``put``, and a getter — blocked, already satisfiable
-    or already expired — is triggered with ``succeed`` and resumes its
-    process from a second, same-instant scheduler entry."""
-
-    def deliver(self, event):
-        self.put(event._value)
-
-    def get(self):
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def get_until(self, deadline):
-        event = _DeadlineGet(self.sim)
-        if deadline <= self.sim._now:
-            event.succeed(TIMED_OUT)
-        elif self._items:
-            event.succeed(self._items.popleft())
-        else:
-            event.deadline = deadline
-            self._getters.append(event)
-            if deadline < self._timer_at:
-                self._arm(deadline)
-        return event
-
-
-def run_topology(store_type, seed, n_stores, producers, consumers):
-    """Producers send numbered messages into stores, consumers receive
-    from one store each and may forward downstream.  Returns every
-    consumer's ``[(instant, item | TIMED_OUT)]`` log, and whether some
-    store saw a same-instant race that the tie order alone decides:
-    two arrivals, an arrival on a deadline, or two consumers asking."""
-    sim = Simulator()
-    sim.perturb_ties(seed)
-    stores = [store_type(sim) for _ in range(n_stores)]
-    logs = [[] for _ in consumers]
-    arrivals = [[] for _ in stores]
-    deadlines = [set() for _ in stores]
-    requests = [{} for _ in stores]
-
-    def send(dst, latency, item):
-        if latency is None:  # a put from inside the sending generator
-            arrivals[dst].append(sim.now)
-            stores[dst].put(item)
-        else:
-            arrivals[dst].append(sim.now + latency)
-            sim.timeout(latency, item).callbacks.append(stores[dst].deliver)
-
-    def producer(index, dst, sends):
-        for seq, (gap, latency) in enumerate(sends):
-            yield sim.timeout(gap)
-            send(dst, latency, (index, seq))
-
-    def consumer(index, src, steps):
-        store = stores[src]
-        for idle, patience, forward in steps:
-            if idle:  # none: the next receive follows in the same segment
-                yield sim.timeout(idle)
-            requests[src].setdefault(sim.now, set()).add(index)
-            if patience is None:
-                item = yield store.get()
-            else:
-                deadlines[src].add(sim.now + patience)
-                item = yield store.get_until(sim.now + patience)
-            logs[index].append((sim.now, item))
-            if forward is not None and item is not TIMED_OUT:
-                hops, latency = forward
-                if src + hops < n_stores:
-                    send(src + hops, latency, item)
-
-    started = [sim.process(producer(index, dst % n_stores, sends))
-               for index, (dst, sends) in enumerate(producers)]
-    started += [sim.process(consumer(index, src % n_stores, steps))
-                for index, (src, steps) in enumerate(consumers)]
-    sim.run()
-    assert all(process.ok for process in started if process.triggered)
-    raced = any(
-        len(set(arrivals[s])) < len(arrivals[s])
-        or deadlines[s] & set(arrivals[s])
-        or any(len(who) > 1 for who in requests[s].values())
-        for s in range(n_stores))
-    return logs, raced
-
-
-# Durations on a 1/8 µs grid: exact floats, plenty of same-instant work.
-_GRID = st.integers(0, 40).map(lambda n: n / 8)
-_LATENCY = st.integers(1, 40).map(lambda n: n / 8)
-_SENDS = st.lists(
-    st.tuples(_GRID, st.one_of(st.none(), _LATENCY)), min_size=1, max_size=8)
-_STEPS = st.lists(
-    st.tuples(_GRID, st.one_of(st.none(), _GRID),
-              st.one_of(st.none(), st.tuples(st.integers(1, 2), _LATENCY))),
-    min_size=1, max_size=10)
-
-
-@given(n_stores=st.integers(1, 3),
-       producers=st.lists(st.tuples(st.integers(0, 2), _SENDS),
-                          min_size=1, max_size=3),
-       consumers=st.lists(st.tuples(st.integers(0, 2), _STEPS),
-                          min_size=1, max_size=4),
-       seed=st.integers(0, 7))
-@settings(max_examples=300, deadline=None)
-def test_inline_delivery_logs_like_the_two_event_store(
-        n_stores, producers, consumers, seed):
-    """A receiver resumed inside the hop's entry — and one that never
-    left, its item already queued — sees what it saw when each wake was
-    an event of its own, under FIFO ties and under shuffled ones."""
-    for ties in (None, seed):
-        want, raced = run_topology(
-            TwoEventStore, ties, n_stores, producers, consumers)
-        # Which message a consumer gets when two land on its store in
-        # one instant was never the kernel's to promise.
-        assume(not raced)
-        got, raced = run_topology(Store, ties, n_stores, producers, consumers)
-        assume(not raced)
-        assert got == want

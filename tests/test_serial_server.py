@@ -1,10 +1,11 @@
 """Differential test: the analytic serial server vs. the process it replaced.
 
 ``HmacEngine`` and ``NetworkStack`` used to model their one-at-a-time
-stage as ``Resource(capacity=1)`` plus a worker process per job.  That
-pipeline survives here as the reference: for random arrival patterns the
-analytic :class:`~repro.sim.resources.SerialServer` must complete every
-job at the bit-identical instant, in the same order.
+stage as a capacity-1 lock plus a worker process per job.  That
+pipeline survives here as the reference (with :class:`_Lock`, the lock
+it held): for random arrival patterns the analytic
+:class:`~repro.sim.resources.SerialServer` must complete every job at
+the bit-identical instant, in the same order.
 
 Likewise ``DmaEngine.transfer``: it used to be a chain of three events
 (set-up timeout → PCIe pipe timeout → ``done``) and is one event filed
@@ -16,8 +17,35 @@ from hypothesis import strategies as st
 
 from repro.core.dma import DmaEngine
 from repro.crypto.hmac_engine import HmacEngine
-from repro.sim import Resource, SerialServer, Simulator
+from collections import deque
+
+from repro.sim import SerialServer, Simulator
 from repro.sim.latency import PCIE_BANDWIDTH_BYTES_PER_US, tnic_hmac_pipeline_us
+
+
+class _Lock:
+    """A capacity-1 lock with FIFO waiters: ``acquire`` returns an event
+    that triggers once the lock is held."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._held = False
+        self._waiters = deque()
+
+    def acquire(self):
+        event = self.sim.event()
+        if self._held:
+            self._waiters.append(event)
+        else:
+            self._held = True
+            event.succeed()
+        return event
+
+    def release(self):
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._held = False
 
 
 class _ReferenceEngine:
@@ -25,7 +53,7 @@ class _ReferenceEngine:
 
     def __init__(self, sim):
         self.sim = sim
-        self._pipeline = Resource(sim, capacity=1)
+        self._pipeline = _Lock(sim)
         self.operations = 0
         self.busy_us = 0.0
 
@@ -118,7 +146,7 @@ _times = st.floats(min_value=0.0, max_value=50.0)
 @given(st.lists(st.tuples(_gaps, _times, _times), min_size=1, max_size=40))
 def test_serve_with_a_tail_matches_hold_release_then_wait(arrivals):
     def reference(sim):
-        lock = Resource(sim, capacity=1)
+        lock = _Lock(sim)
         return (lambda index, service, tail:
                 _reference_serve(sim, lock, service, index, tail)), None
 
@@ -142,6 +170,7 @@ class _ReferenceDma:
         self.sim = sim
         self.setup = DmaEngine(sim, synchronous=synchronous).setup_cost_us()
         self._busy_until = 0.0  # the PCIe pipe's, propagation 0
+        self._moved_at = 0.0  # when the last transfer's move lands
 
     def transfer(self, size_bytes):
         sim = self.sim
@@ -151,7 +180,14 @@ class _ReferenceDma:
             now = sim.now
             begin = now if now > self._busy_until else self._busy_until
             self._busy_until = begin + size_bytes / PCIE_BANDWIDTH_BYTES_PER_US
-            move = sim.timeout(self._busy_until + 0.0 - now, size_bytes)
+            delay = self._busy_until + 0.0 - now
+            if now + delay < self._moved_at:
+                # A zero-byte transfer behind a busy pipe lands with the
+                # transfer ahead of it, not an ulp before.
+                move = sim.trigger_at(self._moved_at, size_bytes)
+            else:
+                move = sim.timeout(delay, size_bytes)
+                self._moved_at = now + delay
             move.callbacks.append(lambda _event: done.succeed(size_bytes))
 
         sim.delayed_call(self.setup, start)
@@ -165,6 +201,11 @@ class _ReferenceDma:
 # ``arrive + (busy_until - arrive)`` is not ``busy_until`` here: filing
 # the event at the shorter expression moves the second completion.
 @example(False, [(0.278, 16380), (0.0, 59880)])
+# A zero-byte transfer queued behind a busy pipe rounds one ulp below
+# the completion ahead of it unless it is filed at that completion.
+@example(False, [(0.0, 11852), (0.0, 160), (0.001, 0)])
+@example(False, [(0.0, 12512), (0.001, 0)])
+@example(False, [(0.99999, 24016), (0.001, 0)])
 def test_dma_transfer_matches_the_three_event_chain(synchronous, arrivals):
     def engine_of(cls):
         def build(sim):

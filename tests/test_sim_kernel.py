@@ -5,9 +5,7 @@ import sys
 
 import pytest
 
-from repro.sim import (
-    TIMED_OUT, DeterministicRng, Pipe, Resource, Simulator, Store,
-)
+from repro.sim import DeterministicRng, Pipe, Simulator
 from repro.sim.clock import EmptySchedule
 
 
@@ -117,69 +115,6 @@ def test_any_of_and_all_of():
     assert sim.now == 5.0
 
 
-def test_resource_mutual_exclusion():
-    sim = Simulator()
-    lock = Resource(sim, capacity=1)
-    order = []
-
-    def user(name, hold):
-        yield lock.acquire()
-        order.append((name, "in", sim.now))
-        yield sim.timeout(hold)
-        order.append((name, "out", sim.now))
-        lock.release()
-
-    sim.process(user("a", 3.0))
-    sim.process(user("b", 2.0))
-    sim.run()
-    assert order == [
-        ("a", "in", 0.0),
-        ("a", "out", 3.0),
-        ("b", "in", 3.0),
-        ("b", "out", 5.0),
-    ]
-
-
-def test_resource_release_without_acquire():
-    sim = Simulator()
-    lock = Resource(sim)
-    with pytest.raises(RuntimeError):
-        lock.release()
-
-
-def test_store_fifo_and_blocking():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(2):
-            item = yield store.get()
-            got.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(1.0)
-        store.put("x")
-        yield sim.timeout(1.0)
-        store.put("y")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [("x", 1.0), ("y", 2.0)]
-
-
-def test_store_get_of_a_queued_item_is_ready_at_once():
-    sim = Simulator()
-    store = Store(sim)
-    assert len(store) == 0
-    store.put(1)
-    assert len(store) == 1
-    event = store.get()
-    assert event.processed and event.value == 1
-    assert len(store) == 0
-
-
 def test_pipe_serialises_transfers():
     sim = Simulator()
     pipe = Pipe(sim, bandwidth_bytes_per_us=100.0, propagation_us=1.0)
@@ -223,29 +158,6 @@ def test_rng_chance_bounds():
         rng.chance(1.5)
     assert rng.chance(0.0) is False
     assert rng.chance(1.0) is True
-
-
-def test_store_cancel_get_prevents_item_swallowing():
-    sim = Simulator()
-    store = Store(sim)
-    abandoned = store.get()
-    store.cancel_get(abandoned)
-    store.put("item")
-    assert len(store) == 1
-    assert store.get().value == "item"
-    # Cancelling twice (or a fulfilled get) is a no-op.
-    store.cancel_get(abandoned)
-
-
-def test_store_abandoned_get_would_swallow_without_cancel():
-    sim = Simulator()
-    store = Store(sim)
-    abandoned = store.get()
-    store.put("item")
-    sim.run()
-    # The abandoned getter consumed it (documented hazard).
-    assert len(store) == 0
-    assert abandoned.value == "item"
 
 
 # ----------------------------------------------------------------------
@@ -543,8 +455,7 @@ def test_step_is_not_reentrant():
 
 
 # ----------------------------------------------------------------------
-# A receive is not an event: the hop resumes its receiver, and a wait
-# that is already over does not go back through the scheduler.
+# A wait that is already over does not go back through the scheduler.
 # ----------------------------------------------------------------------
 def _count_pushes(sim):
     """Count ``sim._push`` calls from here on; returns the live cell."""
@@ -559,85 +470,26 @@ def _count_pushes(sim):
     return pushes
 
 
-def _hop(sim, store, delay, item):
-    """A message in flight, as ``EmulatedNetwork._hop`` files it."""
-    sim.timeout(delay, item).callbacks.append(store.deliver)
-
-
-def test_a_delivery_to_a_blocked_getter_costs_no_extra_scheduler_entry():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            got.append(((yield store.get()), sim.now))
-
-    done = sim.process(consumer())
-    sim.run(until=0.5)  # the consumer is blocked on its first get
-    for n in range(3):
-        _hop(sim, store, 1.0 + n, n)
-    pushes = _count_pushes(sim)
-    sim.run(done)
-    assert got == [(0, 1.5), (1, 2.5), (2, 3.5)]
-    assert pushes[0] == 1  # the process's own completion, nothing per message
-
-
-def test_a_delivery_with_no_getter_queues_the_message():
-    sim = Simulator()
-    store = Store(sim)
-    _hop(sim, store, 1.0, "early")
-    sim.run()
-    assert len(store) == 1
-    assert store.get().value == "early"
-
-
-def test_blocked_getters_are_served_fifo_and_a_served_deadline_lapses():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def patient(name):
-        got.append((name, (yield store.get()), sim.now))
-
-    def impatient(name):
-        got.append((name, (yield store.get_until(50.0)), sim.now))
-
-    sim.process(impatient("first"))
-    sim.process(patient("second"))
-    sim.process(impatient("third"))
-    for n in range(3):
-        _hop(sim, store, 1.0 + n, n)
-    sim.run()
-    assert got == [("first", 0, 1.0), ("second", 1, 2.0), ("third", 2, 3.0)]
-    # The expiry timer of the served deadline getters ran out with
-    # nobody due: nothing timed out, nothing is left behind.
-    assert sim.now == 50.0
-    assert not store._getters and not sim._heap
-
-
 def test_a_wait_that_is_already_over_continues_without_a_scheduler_trip():
     sim = Simulator()
-    store = Store(sim)
-    store.put("queued")
+    queued = sim.timeout(0.0, "queued")
     failed = sim.event().fail(KeyError("boom"))
     finished = sim.timeout(1.0, "old news")
-    sim.run()  # both are processed before the process below yields them
+    sim.run()  # all three are processed before the process yields them
     seen = []
 
     def worker():
-        seen.append((yield store.get()))
+        seen.append((yield queued))
         try:
             yield failed
         except KeyError as exc:
             seen.append(exc.args[0])
         seen.append((yield finished))
-        seen.append((yield store.get_until(sim.now)))  # deadline already past
         return sim.now
 
     pushes = _count_pushes(sim)
     assert sim.run(sim.process(worker())) == 1.0
-    assert seen == ["queued", "boom", "old news", TIMED_OUT]
+    assert seen == ["queued", "boom", "old news"]
     assert pushes[0] == 2  # the process's start and its completion
 
 
@@ -658,61 +510,16 @@ def test_a_process_that_never_blocks_drains_a_long_backlog_in_a_loop():
     # Continue-while-processed is a loop, not recursion: a backlog far
     # deeper than the interpreter's recursion limit drains in one entry.
     sim = Simulator()
-    store = Store(sim)
     backlog = 5 * sys.getrecursionlimit()
-    for n in range(backlog):
-        store.put(n)
+    ready = [sim.timeout(0.0, n) for n in range(backlog)]
+    sim.run()
 
     def consumer():
         total = 0
-        for _ in range(backlog):
-            total += yield store.get()
+        for event in ready:
+            total += yield event
         return total
 
     pushes = _count_pushes(sim)
     assert sim.run(sim.process(consumer())) == sum(range(backlog))
     assert pushes[0] == 2
-
-
-def test_put_does_not_run_the_receiver_inside_the_putting_process():
-    sim = Simulator()
-    store = Store(sim)
-    order = []
-
-    def consumer():
-        order.append(("consumer got", (yield store.get())))
-
-    def producer():
-        yield sim.timeout(1.0)
-        store.put("x")
-        order.append("producer after put")
-        yield sim.timeout(0.0)
-        order.append("producer next segment")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    # The wake is a scheduled event: it runs after the putting segment
-    # has yielded, and (FIFO) before that segment's own zero timeout.
-    assert order == ["producer after put", ("consumer got", "x"),
-                     "producer next segment"]
-
-
-def test_run_until_a_get_on_a_non_empty_store_returns_the_item():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("ready")
-    assert sim.run(until=store.get()) == "ready"
-    assert sim.now == 0.0 and not sim._heap
-
-
-def test_run_until_a_blocked_get_stops_where_the_delivery_resolves_it():
-    sim = Simulator()
-    store = Store(sim)
-    getter = store.get()
-    _hop(sim, store, 1.0, "arrived")
-    later = sim.timeout(5.0)
-    # The getter is processed inside the hop's entry, never popped
-    # itself: run(until=) must still stop there, not drain the schedule.
-    assert sim.run(until=getter) == "arrived"
-    assert sim.now == 1.0 and not later.processed

@@ -2,6 +2,7 @@
 critical paths, and their determinism."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.sim.clock import Simulator
 from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.systems.bft import BftCounter
-from repro.systems.common import EmulatedNetwork, Envelope
+from repro.systems.common import Client, EmulatedNetwork, Envelope
 from repro.telemetry import Telemetry
 from repro.telemetry.critical_path import (
     STAGE_ORDER,
@@ -70,6 +71,37 @@ def test_a_traced_send_to_a_station_ends_its_hop_span():
     network.send("n", "message", parent=parent)
     sim.run()
     assert seen == [(SYSTEM_NET_HOP_US + 3.0, "message")]
+    (hop,) = [span for span in hub.spans.finished
+              if span.name == "system.net_hop"]
+    assert hop.parent_id == parent.span_id
+    assert (hop.start_us, hop.end_us) == (0.0, SYSTEM_NET_HOP_US)
+
+
+class _Recorder(Client):
+    """A client that records each reply with its hop span's state."""
+
+    def __init__(self, network):
+        super().__init__(SimpleNamespace(network=network), "client")
+        self.seen = []
+
+    def received(self, message, parent):
+        self.seen.append((self.sim.now, message, parent.end_us))
+
+
+def test_a_traced_reply_reaches_its_client_in_the_hop_entry_before_the_span_ends():
+    """A client's reply is one entry traced or not: with telemetry the
+    hop's own, whose first callback runs the client's step while the
+    hop span is still open."""
+    sim = Simulator()
+    hub = Telemetry.attach(sim)
+    network = EmulatedNetwork(sim)
+    client = _Recorder(network)
+    parent = span_begin(sim, "request.auth_send")
+    entries = len(sim._heap)
+    network.send("client", "reply", parent=parent)
+    assert len(sim._heap) == entries + 1
+    sim.run()
+    assert client.seen == [(SYSTEM_NET_HOP_US, "reply", None)]
     (hop,) = [span for span in hub.spans.finished
               if span.name == "system.net_hop"]
     assert hop.parent_id == parent.span_id

@@ -2,14 +2,11 @@
 entries not yet vouched for, report each fault once, and still catch
 everything a from-scratch audit of the whole log would."""
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import sha256
-from repro.sim import Simulator
 from repro.systems import peer_review
 from repro.systems.peer_review import (
     PeerReviewBehaviour,
@@ -21,16 +18,6 @@ from repro.systems.peer_review import (
 
 ROLES = {"source": ("send", "recv"), "child": ("recv", "send")}
 REWRITTEN = "log rewritten/truncated below audited entry"
-
-
-def make_witness(role="source"):
-    """A witness on a bare simulator: audit() needs nothing else."""
-    return Witness(SimpleNamespace(sim=Simulator()), role=role)
-
-
-def run_audit(witness, log):
-    sim = witness.system.sim
-    return sim.run(sim.process(witness.audit(log)))
 
 
 def encode(seq, text):
@@ -100,11 +87,11 @@ def test_deviating_results_reported_once_each():
 
 
 def test_checkpoint_advances_with_the_log():
-    witness = make_witness()
+    witness = Witness()
     log = honest_log(3)
     assert witness.audited_until == 0
     assert witness.head == peer_review.GENESIS
-    assert run_audit(witness, log) == []
+    assert witness.audit(log) == []
     assert witness.audited_until == 6
     assert witness.head == log.records[-1].authenticator
 
@@ -114,41 +101,41 @@ def test_checkpoint_advances_with_the_log():
 # ---------------------------------------------------------------------------
 
 def test_truncation_below_checkpoint_reported():
-    witness = make_witness()
+    witness = Witness()
     log = honest_log(3)
-    assert run_audit(witness, log) == []
+    assert witness.audit(log) == []
     del log.records[4:]
     assert log.verify_chain() is None  # a full re-hash sees nothing wrong
-    assert run_audit(witness, log) == [f"{REWRITTEN} 6"]
+    assert witness.audit(log) == [f"{REWRITTEN} 6"]
     # The truncated history is now the audited one; nothing to repeat.
     assert witness.audited_until == 4
-    assert run_audit(witness, log) == []
+    assert witness.audit(log) == []
 
 
 def test_rechained_head_reported():
     """The node replaces the last audited entry and re-chains it, so the
     log verifies from genesis — but not against the head the witness
     holds."""
-    witness = make_witness()
+    witness = Witness()
     log = honest_log(2)
-    assert run_audit(witness, log) == []
+    assert witness.audit(log) == []
     old = log.records.pop()
     data = encode(1, reference_execute("chunk-1") + "-again")
     log.append(old.direction, data)
     assert log.records[-1].authenticator != witness.head
     assert log.verify_chain() is None
-    faults = run_audit(witness, log)
+    faults = witness.audit(log)
     assert faults[0] == f"{REWRITTEN} 4"
     assert any("entry 3: logged result" in fault for fault in faults[1:])
 
 
 def test_tamper_of_audited_entry_reported_at_next_audit():
-    witness = make_witness()
+    witness = Witness()
     log = honest_log(3)
-    assert run_audit(witness, log) == []
+    assert witness.audit(log) == []
     log.tamper(0, encode(0, "forged-content"))
     log.append("send", encode(3, "chunk-3"))
-    faults = run_audit(witness, log)
+    faults = witness.audit(log)
     assert faults == [
         f"{REWRITTEN} 6",
         "hash chain broken at entry 0",
@@ -156,7 +143,7 @@ def test_tamper_of_audited_entry_reported_at_next_audit():
         f"diverges from reference {reference_execute('forged-content')!r}",
     ]
     assert witness.audited_until == 7
-    assert run_audit(witness, log) == []
+    assert witness.audit(log) == []
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +172,7 @@ OPERATIONS = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_checkpointed_audit_matches_from_scratch_audit(role, operations):
     chunk_direction, result_direction = ROLES[role]
-    witness = make_witness(role)
+    witness = Witness(role)
     log = TamperEvidentLog()
     reported = []        # every fault the witness returned, in order
     reference = set()    # union of the from-scratch audits at the same times
@@ -203,7 +190,7 @@ def test_checkpointed_audit_matches_from_scratch_audit(role, operations):
             del log.records[args[0] % (len(log.records) + 1):]
         elif op == "audit":
             rewrites_expected += log.records[:len(vouched)] != vouched
-            reported.extend(run_audit(witness, log))
+            reported.extend(witness.audit(log))
             reference |= reference_audit(log, role)
             vouched = list(log.records)
             assert witness.audited_until == len(vouched)
