@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import field
 from hmac import compare_digest
-from struct import Struct
 from typing import TYPE_CHECKING
 
 from repro.core.counters import CounterStore
 from repro.core.keystore import Keystore
-from repro.crypto.hashing import canonical_bytes
+from repro.crypto.hashing import canonical_bytes, length_prefix
 from repro.crypto.hmac_engine import HmacEngine, verify_encoded
 from repro.sim.instrument import count, emit, flight_trigger, gauge_set
 from repro.sim.record import Record, record
@@ -65,10 +64,6 @@ class UnknownSessionError(AttestationError):
         self.session_id = session_id
 
 
-#: An 8-byte big-endian length prefix, as :func:`canonical_bytes` writes.
-_length = Struct(">Q").pack
-
-
 def session_tail(device_id: int, session_id: int) -> bytes:
     """The encoded ``(device_id, session_id)`` that ends every MAC input
     of a message from *device_id* on *session_id*."""
@@ -86,8 +81,8 @@ def encode_mac_input(payload: bytes, counter: int, tail: bytes) -> bytes:
     if type(payload) is not bytes or type(counter) is not int:
         return canonical_bytes((payload, counter)) + tail
     digits = b"%d" % counter
-    return b"".join((_length(len(payload)), payload,
-                     _length(len(digits)), digits, tail))
+    return b"".join((length_prefix(len(payload)), payload,
+                     length_prefix(len(digits)), digits, tail))
 
 
 @record
@@ -146,11 +141,11 @@ class AttestationKernel:
     lookup of the session's state, one encoding, one MAC.  A session's
     state is split in two on purpose.  Its keyed HMAC state stays in the
     Keystore's static memory and is read in place (``_session_macs``,
-    a key source of the secrecy lint).  Its counter record and its
-    pre-encoded tail, which hold nothing secret, are kept in
-    ``_sessions`` from the session's first use.  The lint does not track
-    fields separately, so packing the two together would make every
-    counter a secret.
+    a key source of the secrecy lint).  Its counter record, its
+    pre-encoded tail and the tail of the session's peer, which hold
+    nothing secret, are kept in ``_sessions`` from the session's first
+    use.  The lint does not track fields separately, so packing the keyed
+    state with them would make every counter a secret.
     """
 
     def __init__(
@@ -164,7 +159,9 @@ class AttestationKernel:
         #: The Keystore's session -> keyed HMAC state table, read in place.
         self._session_macs = self.keystore._session_macs
         #: session -> (its counter record, :func:`session_tail` of this
-        #: device), built by :meth:`_open` for sessions with a key only.
+        #: device, ``[device_id, session_id, tail]`` of the last message
+        #: :meth:`verify` encoded), built by :meth:`_open` for sessions
+        #: with a key only.
         self._sessions: dict[int, tuple] = {}
         self.sim = sim
         self.hmac_engine = HmacEngine(sim) if sim is not None else None
@@ -184,8 +181,8 @@ class AttestationKernel:
     # ------------------------------------------------------------------
     def attest(self, session_id: int, payload: bytes) -> AttestedMessage:
         """Generate a unique, verifiable attestation for *payload*."""
-        counters, tail = (self._sessions.get(session_id)
-                          or self._open(session_id))
+        counters, tail, _ = (self._sessions.get(session_id)
+                             or self._open(session_id))
         counter = counters.send_cnt  # Algo 1: L2
         counters.send_cnt = counter + 1
         encoded = encode_mac_input(payload, counter, tail)
@@ -220,14 +217,22 @@ class AttestationKernel:
         # For the same reason the encoding is not memoized here: a message
         # that carries one (from ``attest``) is MACed over it, any other
         # over a transient encoding, so a delivered message holds its
-        # payload once.
-        counters = (self._sessions.get(session_id)
-                    or self._open(session_id))[0]
+        # payload once.  Only the tail of the ids it claims is kept: a
+        # session has one peer, and a message naming other ids (or ids
+        # of another type) is encoded over its own claim.
+        counters, _, peer = (self._sessions.get(session_id)
+                             or self._open(session_id))
         encoded = message._encoded
         if encoded is None:
-            encoded = encode_mac_input(
-                message.payload, message.counter,
-                session_tail(message.device_id, message.session_id))
+            device_id, claimed = message.device_id, message.session_id
+            if (type(device_id) is int and type(claimed) is int
+                    and device_id == peer[0] and claimed == peer[1]):
+                tail = peer[2]
+            else:
+                tail = session_tail(device_id, claimed)
+                if type(device_id) is int and type(claimed) is int:
+                    peer[:] = device_id, claimed, tail
+            encoded = encode_mac_input(message.payload, message.counter, tail)
         if not compare_digest(self._session_macs[session_id].mac(encoded),
                               message.alpha):
             self.reject_count += 1
@@ -327,7 +332,8 @@ class AttestationKernel:
 
     # ------------------------------------------------------------------
     def _open(self, session_id: int) -> tuple:
-        """First use of *session_id*: keep its counter record and tail.
+        """First use of *session_id*: keep its counter record, its tail
+        and an empty memo of its peer's tail.
 
         Refused before anything is kept when the session has no key, so
         the table cannot be grown by session ids a caller makes up.
@@ -336,7 +342,7 @@ class AttestationKernel:
             raise UnknownSessionError(session_id)
         session = self._sessions[session_id] = (
             self.counters.session(session_id),
-            session_tail(self.device_id, session_id))
+            session_tail(self.device_id, session_id), [None, None, b""])
         return session
 
     def _engine(self) -> HmacEngine:

@@ -16,7 +16,7 @@ crypto engines is modelled, in :mod:`repro.sim.latency`.
   signatures, so it is imported from its module, not from here.
 """
 
-from repro.crypto.hashing import sha256, sha256_hex
+from repro.crypto.hashing import sha256
 from repro.crypto.hmac_engine import (
     HmacEngine,
     KeyedHmac,
@@ -43,7 +43,6 @@ __all__ = [
     "reset_verification_cache",
     "reset_verification_cache_counters",
     "sha256",
-    "sha256_hex",
     "verification_cache",
     "verification_cache_stats",
     "verify_encoded",

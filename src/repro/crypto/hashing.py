@@ -8,9 +8,15 @@ ambiguity (so ``hash(["ab", "c"]) != hash(["a", "bc"])``)."""
 from __future__ import annotations
 
 import hashlib
+from struct import Struct
 from typing import Any, Iterable
 
 DIGEST_SIZE = 32
+
+#: The 8-byte big-endian length prefix of every encoded part, for the
+#: fixed encoders that build one shape of :func:`canonical_bytes` output
+#: from precomputed parts.
+length_prefix = Struct(">Q").pack
 
 
 def _encode(part: Any) -> bytes:
@@ -54,8 +60,3 @@ def canonical_bytes(parts: Iterable[Any]) -> bytes:
 def sha256(*parts: Any) -> bytes:
     """SHA-256 over the canonical encoding of *parts*."""
     return hashlib.sha256(canonical_bytes(parts)).digest()
-
-
-def sha256_hex(*parts: Any) -> str:
-    """Hex form of :func:`sha256`."""
-    return sha256(*parts).hex()

@@ -12,15 +12,26 @@ hardware attestations with monotonic counters, so receivers need not
 forward every message to the sender's witnesses to rule out
 equivocation — the all-to-all communication disappears, and the audit
 reduces to a periodic log replay.
+
+Log entry *i* is authenticated by ``SHA-256(len‖prev‖len‖direction‖
+len‖data)``, each length an 8-byte big-endian prefix, ``prev`` the
+authenticator of entry *i - 1* (:data:`GENESIS` for entry 0) and
+``direction`` the UTF-8 ``"send"`` or ``"recv"``: the canonical
+encoding of :func:`repro.crypto.hashing.sha256`, built by
+:func:`link_authenticator` from precomputed parts.  A chunk's reference
+result is ``"out:"`` and the first 12 hex digits of the SHA-256 of its
+length-prefixed UTF-8 text, built the same way by
+:func:`reference_execute`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from hashlib import sha256 as _sha256
 
 from repro.core.attestation import AttestedMessage
-from repro.crypto.hashing import sha256
+from repro.crypto.hashing import DIGEST_SIZE, length_prefix, sha256
 from repro.sim.clock import Simulator
 from repro.sim.latency import PEER_REVIEW_AUDIT_US
 from repro.sim.events import Timeout
@@ -39,7 +50,28 @@ from repro.systems.common import (
 # ---------------------------------------------------------------------------
 
 #: Authenticator every chain starts from (the "previous" of entry 0).
-GENESIS = b"\x00" * 32
+GENESIS = b"\x00" * DIGEST_SIZE
+
+_PREV_LENGTH = length_prefix(DIGEST_SIZE)
+#: The encoded direction of every entry a node logs.
+_DIRECTIONS = {direction: length_prefix(len(direction)) + direction.encode()
+               for direction in ("send", "recv")}
+
+
+def link_authenticator(prev: bytes, direction: str, data: bytes) -> bytes:
+    """``sha256(prev, direction, data)``: the authenticator of an entry
+    chained from *prev*.
+
+    The one shape a log link has — a 32-byte *prev*, a ``"send"`` or
+    ``"recv"`` direction, ``bytes`` data — is encoded from precomputed
+    parts and hashed once; any other input takes the generic encoding.
+    """
+    tag = _DIRECTIONS.get(direction) if type(direction) is str else None
+    if (tag is None or type(prev) is not bytes or len(prev) != DIGEST_SIZE
+            or type(data) is not bytes):
+        return sha256(prev, direction, data)
+    return _sha256(b"".join((_PREV_LENGTH, prev, tag,
+                             length_prefix(len(data)), data))).digest()
 
 
 @record
@@ -64,7 +96,7 @@ class TamperEvidentLog:
             index=len(self.records),
             direction=direction,
             data=data,
-            authenticator=sha256(prev, direction, data),
+            authenticator=link_authenticator(prev, direction, data),
         )
         self.records.append(record)
         return record
@@ -86,8 +118,8 @@ class TamperEvidentLog:
         """
         prev = head
         for record in self.records[start:]:
-            if record.authenticator != sha256(prev, record.direction,
-                                              record.data):
+            if record.authenticator != link_authenticator(
+                    prev, record.direction, record.data):
                 yield record.index
             prev = record.authenticator
 
@@ -125,8 +157,10 @@ def _decode(payload: bytes) -> tuple[int, str]:
 
 
 def reference_execute(content: str) -> str:
-    """The deterministic specification every participant must follow."""
-    return "out:" + sha256(content).hex()[:12]
+    """The deterministic specification every participant must follow:
+    ``"out:" + sha256(content).hex()[:12]``, the text encoded once."""
+    text = content.encode()
+    return "out:" + _sha256(length_prefix(len(text)) + text).hexdigest()[:12]
 
 
 @dataclass

@@ -25,10 +25,12 @@ from repro.core.attestation import (
     AttestationError,
     AttestationKernel,
     AttestedMessage,
+    MacMismatchError,
 )
-from repro.crypto import hmac_verify, reset_verification_cache
+from repro.crypto import hmac_verify, reset_verification_cache, sha256
 from repro.crypto.hashing import canonical_bytes
 from repro.systems.bft import BftCounter
+from repro.systems.peer_review import link_authenticator, reference_execute
 
 KEY = b"session-key-of-32-bytes-length!!"
 
@@ -201,3 +203,67 @@ def test_bft_run_derives_one_encoding_per_attested_message(monkeypatch):
     assert sum(auth.expected_counter
                for replica in system.replicas.values()
                for auth in replica.authenticators.values()) == 300
+
+
+def _off_the_wire(message):
+    """*message* as a receiver rebuilds it: no carried encoding."""
+    return decode_attested(encode_attested(message))
+
+
+@pytest.mark.parametrize("forged", [
+    {"device_id": 9},
+    {"device_id": True},     # equal to the sender's id 1, encoded apart
+    {"session_id": 6},
+])
+def test_a_warmed_session_rejects_a_message_with_forged_ids(
+        forged, monkeypatch):
+    sender, receiver = _pair()
+    tails = []
+    tail = attestation.session_tail
+
+    def counting(device_id, session_id):
+        tails.append((device_id, session_id))
+        return tail(device_id, session_id)
+
+    monkeypatch.setattr(attestation, "session_tail", counting)
+    for payload in (b"first", b"second"):
+        assert receiver.verify(5, _off_the_wire(
+            sender.attest(5, payload))) == payload
+    # The sender's own tail, the receiver's own, and the peer's, for
+    # the first message only.
+    assert tails == [(1, 5), (2, 5), (1, 5)]
+    genuine = sender.attest(5, b"third")
+    forgery = dataclasses.replace(_off_the_wire(genuine), **forged)
+    with pytest.raises(MacMismatchError):
+        receiver.verify(5, forgery)
+    assert receiver.verify(5, _off_the_wire(genuine)) == b"third"
+    assert receiver.verify_count == 3 and receiver.reject_count == 1
+
+
+LINK_PREVS = st.one_of(st.binary(min_size=32, max_size=32), st.binary())
+DIRECTIONS = st.one_of(st.sampled_from(["send", "recv"]), st.text())
+
+
+@settings(max_examples=200, deadline=None)
+@given(prev=LINK_PREVS, direction=DIRECTIONS, data=st.binary())
+@example(prev=b"\x00" * 32, direction="send", data=b"")
+@example(prev=b"\x00" * 31, direction="recv", data=b"0|chunk-0")
+@example(prev=b"\x00" * 32, direction="sénd", data=b"x")
+# Parts of other types take the generic encoding.
+@example(prev=b"\x00" * 32, direction=("send",), data=b"x")
+@example(prev=b"\x00" * 32, direction="send", data="text data")
+@example(prev=b"\x00" * 32, direction="recv", data=7)
+@example(prev="\x00" * 32, direction="send", data=b"x")
+def test_the_log_link_encoder_is_the_generic_hash(prev, direction, data):
+    assert link_authenticator(prev, direction, data) == \
+        sha256(prev, direction, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=st.text())
+@example(content="")
+@example(content="chunk-0|out:é")
+@example(content="流れ|🙂")
+def test_the_reference_result_is_the_generic_hash(content):
+    assert reference_execute(content) == \
+        "out:" + sha256(content).hex()[:12]

@@ -13,6 +13,7 @@ from repro.systems.peer_review import (
     PeerReviewSystem,
     TamperEvidentLog,
     Witness,
+    link_authenticator,
     reference_execute,
 )
 
@@ -208,20 +209,28 @@ def test_checkpointed_audit_matches_from_scratch_audit(role, operations):
 def test_audit_work_is_linear_in_log_length(chunks, monkeypatch):
     """Over a whole run every log entry is hashed twice — when appended
     and by the one audit that vouches for it — and every chunk entry is
-    replayed once, for all three witnesses."""
-    calls = {"sha256": 0, "replay": 0}
+    replayed once, for all three witnesses.  A link hash and a replay
+    each make one SHA-256 call, and the generic encoder makes none."""
+    calls = {"sha256": 0, "replay": 0, "generic": 0}
 
-    def counting_sha256(*parts):
+    def counting_link_authenticator(prev, direction, data):
         calls["sha256"] += 1
-        return sha256(*parts)
+        return link_authenticator(prev, direction, data)
 
     def counting_reference_execute(content):
+        calls["sha256"] += 1
         calls["replay"] += 1
         return reference_execute(content)
 
-    monkeypatch.setattr(peer_review, "sha256", counting_sha256)
+    def counting_generic_sha256(*parts):
+        calls["generic"] += 1
+        return sha256(*parts)
+
+    monkeypatch.setattr(peer_review, "link_authenticator",
+                        counting_link_authenticator)
     monkeypatch.setattr(peer_review, "reference_execute",
                         counting_reference_execute)
+    monkeypatch.setattr(peer_review, "sha256", counting_generic_sha256)
     system = PeerReviewSystem("tnic", audit=True, audit_children=True)
     system.run_workload(chunks)
     assert system.detected_faults() == []
@@ -232,4 +241,5 @@ def test_audit_work_is_linear_in_log_length(chunks, monkeypatch):
     witnesses_replay = 3 * chunks   # one chunk entry per chunk in each log
     assert calls["replay"] == children_execute + witnesses_replay
     assert calls["sha256"] == 2 * entries + calls["replay"]
+    assert calls["generic"] == 0
 
