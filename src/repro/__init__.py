@@ -13,7 +13,7 @@ Package map (matching the paper's layering, Figure 1):
   FPGA resource model).
 * :mod:`repro.roce` — the RoCE reliable transport kernel.
 * :mod:`repro.net` — packets, ARP, 100Gb MAC, fabric + fault injection.
-* :mod:`repro.stack` — driver, mapped REGs pages, ibv memory, OS library.
+* :mod:`repro.stack` — ibv memory and the RDMA library's post path.
 * :mod:`repro.api` — Table-1 programming APIs + the CFT→BFT transform.
 * :mod:`repro.attest_protocol` — bootstrapping and remote attestation.
 * :mod:`repro.verification` — bounded model checking of the protocols.

@@ -135,12 +135,8 @@ TNIC_MANIFEST = HotPathManifest(
         "Client._arrived",
         "Client.received",
         "Client._expire",
-        # Host stack: the post, its completion callback
-        # (callback-registered, hence declared), and the control-block
-        # burst it programs.
+        # Host stack: the post.
         "RdmaLibrary.post",
-        "_Post._completed",
-        "MappedRegsPage.write_request",
         # Device datapath (tx/rx).
         "TnicDevice.send",
         # The send's stages after the first: registered as callbacks on

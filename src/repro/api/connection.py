@@ -8,7 +8,7 @@ memory to the TNIC hardware [init_lqueue()]. Lastly, the application
 synchronizes with the remote machine using ibv_sync() to exchange
 necessary data (e.g., ibv memory address, queue pair numbers)."
 
-:class:`TnicNode` bundles one machine: device + driver + stack;
+:class:`TnicNode` bundles one machine: device + stack;
 :class:`Cluster` stands up several nodes on one simulated fabric and
 plays the System-designer role of installing per-session shared keys
 (in deployment those keys arrive through the remote-attestation
@@ -28,7 +28,6 @@ from repro.net.fabric import Fabric, NetworkFault
 from repro.roce.queue_pair import QueuePair
 from repro.sim.clock import Simulator
 from repro.sim.rng import DeterministicRng
-from repro.stack.driver import StaticConfig, TnicDriver
 from repro.stack.memory import HugePageArea, IbvMemory
 from repro.stack.rdma_lib import RdmaLibrary
 
@@ -117,11 +116,7 @@ class TnicNode:
         self.device = TnicDevice(
             sim, device_id, ip, mac_address, arp, trusted=trusted
         )
-        self.driver = TnicDriver(sim)
-        regs = self.driver.initialise(
-            self.device, StaticConfig(mac_address=mac_address, ip=ip)
-        )
-        self.rdma = RdmaLibrary(sim, self.device, regs)
+        self.rdma = RdmaLibrary(sim, self.device)
         self.hugepages = HugePageArea()
         self._next_qp = itertools.count(device_id * 1000 + 1)
         self.connections: list[IbvConnection] = []

@@ -235,11 +235,12 @@ class _LocalVerify(_TxStages):
 class TnicDevice:
     """One TNIC SmartNIC: attestation kernel + RoCE kernel + MAC.
 
-    The one long-lived actor of the datapath, the retransmission
-    timer, is a process inside the RoCE kernel.  ``send``,
-    ``local_attest`` and ``local_verify`` start none: each request is a
-    chain of completion callbacks (:class:`_TxStages`) and its returned
-    event is the only way an error is reported.
+    The datapath starts no process.  The retransmission timer is one
+    scheduled deadline per QP, filed and handled by callbacks of the
+    RoCE kernel (``RoceKernel._file_timer`` / ``_timer_fired``).
+    ``send``, ``local_attest`` and ``local_verify`` are each a chain of
+    completion callbacks (:class:`_TxStages`) and their returned event
+    is the only way an error is reported.
     """
 
     def __init__(

@@ -10,14 +10,16 @@ opcode, remote IP, source/destination addresses, data length, etc.)
 and writes them into specific offsets in the REGs pages to update the
 control registers of the TNIC hardware."
 
-The library programs the control registers, rings the doorbell, and
-the device picks the request up — zero payload copies: the hardware
-DMA-reads straight from ibv memory.  The post is one stage with no
-yield, so it has the REG page to itself without a lock (§5.2's
-TNIC-OS lock guards concurrent posters, which a post that never
-yields cannot have).  The read is taken at the post: a caller may
-reuse the staging bytes as soon as ``post`` returns
-(``IbvConnection.stage`` is a ring).
+Here the request reaches the device as the arguments of one
+``TnicDevice.send`` call: nothing in the model reads a register copy,
+and the doorbell and descriptor fetch are timed by the DMA engine's
+per-transfer set-up (:meth:`repro.core.dma.DmaEngine.setup_cost_us`).
+Zero payload copies: the hardware DMA-reads straight from ibv memory.
+The post is one call with no yield, so it needs no lock (§5.2's
+TNIC-OS lock guards concurrent posters, which a post that never yields
+cannot have).  The read is taken at the post: a caller may reuse the
+staging bytes as soon as ``post`` returns (``IbvConnection.stage`` is
+a ring).
 """
 
 from __future__ import annotations
@@ -30,17 +32,9 @@ from repro.net.packet import RdmaOpcode
 from repro.sim.events import Event
 from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, count, span_begin
 from repro.stack.memory import IbvMemory, MemoryError_, RdmaKey
-from repro.stack.regs import MappedRegsPage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
-
-_OPCODE_CODES = {
-    RdmaOpcode.SEND: 1,
-    RdmaOpcode.WRITE: 2,
-    RdmaOpcode.READ_REQUEST: 3,
-}
-
 
 @dataclass
 class WorkRequest:
@@ -92,12 +86,11 @@ class MemoryTable:
 
 
 class _Post:
-    """One posted work request: DMA snapshot → REGs/doorbell → completion.
+    """One posted work request: DMA snapshot → ``TnicDevice.send``.
 
-    The post runs as one call and the completion as a callback on the
-    event it waits for (see ``repro.core.device._TxStages``), not as a
-    process.  ``done``, the request's one completion event, is handed
-    down to the device; ``_completed`` is a callback on it.
+    The post runs as one call, not as a process.  ``done``, the
+    request's one completion event, is handed down to the device; the
+    post adds no callback of its own to it.
     """
 
     __slots__ = ("lib", "request", "done", "span")
@@ -108,8 +101,8 @@ class _Post:
         self.done = done
 
     def start(self) -> None:
-        # The "post" stage of the send breakdown: DMA snapshot + REGs
-        # programming + doorbell, ending when the device owns the WR.
+        # The "post" stage of the send breakdown: DMA snapshot and
+        # hand-off, ending when the device owns the WR.
         # Joins the caller's trace when the work request carries one
         # (auth_send carries its root span in request.meta).
         lib = self.lib
@@ -120,16 +113,10 @@ class _Post:
                               parent=request.meta.get(TRACE_PARENT),
                               qp=request.qp_number, bytes=request.length)
         self.span = span
-        self.done.callbacks.append(self._completed)
         try:
             payload = lib.region_for_address(
                 request.local_addr, request.length
             ).dma_read(request.local_addr, request.length)
-            lib.regs.write_request(
-                _OPCODE_CODES[request.opcode], request.qp_number,
-                request.local_addr, request.remote_addr, request.length,
-                request.rkey.value if request.rkey else 0,
-            )
             meta = dict(request.meta)
             if span is not NULL_SPAN:
                 # Hand the device *this* stage's span so tnic.tx
@@ -156,29 +143,18 @@ class _Post:
         self.span.end(status="error")
         self.done.fail(exc)
 
-    def _completed(self, done: Event) -> None:
-        if done._exception is None:
-            self.lib.regs.post_status(completions=1)
-        else:
-            self.lib.regs.post_status(errors=1)
-
 
 class RdmaLibrary:
     """Per-node RDMA software state and the request-posting path.
 
-    ``post`` starts no process: the request is programmed at once and
-    completes as a callback on the device's completion (:class:`_Post`).
+    ``post`` starts no process: the request is handed to the device at
+    once, and the event it returns is the device's completion
+    (:class:`_Post`).
     """
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        device: TnicDevice,
-        regs: MappedRegsPage,
-    ) -> None:
+    def __init__(self, sim: "Simulator", device: TnicDevice) -> None:
         self.sim = sim
         self.device = device
-        self.regs = regs
         self.memory_table = MemoryTable()
         self.device.attach_host_memory(self.memory_table)
 
@@ -197,13 +173,13 @@ class RdmaLibrary:
     # Posting requests
     # ------------------------------------------------------------------
     def post(self, request: WorkRequest) -> "Event":
-        """Program the REGs page and ring the doorbell; returns the
-        completion event for the posted operation.
+        """Hand *request* to the device; returns the completion event
+        for the posted operation.
 
         The request's bytes are read here, so the caller may overwrite
         them once this returns.  A failure at any stage (unregistered
         address, unknown QP, device or transport error) fails the
-        returned event and counts one in ``STATUS_ERRORS``.
+        returned event exactly once.
         """
         done = Event(self.sim)
         _Post(self, request, done).start()

@@ -63,10 +63,11 @@ class _Log:
         self.tail = 0  # next sequence number to assign
 
     def last_digest(self) -> bytes:
-        if not self.entries:
+        # Entry ``tail - 1`` is always live: truncate's TRNC marker is
+        # appended at or above the new head.
+        if not self.tail:
             return b"\x00" * 32
-        last = max(self.entries)
-        return self.entries[last].cumulative_digest
+        return self.entries[self.tail - 1].cumulative_digest
 
 
 class A2M:

@@ -5,7 +5,7 @@ Attest() into transfer/compute/glue, and §8.2 decomposes a send into
 the RoCE datapath plus two HMAC pipeline traversals.  Spans make the
 same decomposition observable in the simulation: the device opens a
 root ``tnic.tx`` span and the stages underneath it — ``tnic.post``
-(REGs programming), ``tnic.dma`` (PCIe), ``attest.hmac`` (pipeline),
+(host post), ``tnic.dma`` (PCIe), ``attest.hmac`` (pipeline),
 ``roce.tx`` (wire + ACK) and ``roce.rx_verify`` (receiver pipeline) —
 each become a child with exact virtual-time bounds.
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import repro
+from repro.crypto.hashing import sha256
 from repro.sim import Simulator
 from repro.sim.latency import HOST_MEMORY_LOOKUP_US
 from repro.systems.a2m import A2M, A2MError, MANIFEST
@@ -48,8 +49,27 @@ def test_cumulative_digest_chains():
     e1 = run(sim, a2m.append("log", b"b"))
     assert e0.cumulative_digest != e1.cumulative_digest
     # Chain property: e1's digest covers e0's digest.
-    from repro.crypto.hashing import sha256
     assert e1.cumulative_digest == sha256(b"b", 1, e0.cumulative_digest)
+
+
+def test_an_append_does_not_iterate_the_existing_entries():
+    """The previous digest is read at ``tail - 1``, so an append costs
+    the same at any log length, a truncated log's included."""
+
+    class Uniterable(dict):
+        def __iter__(self):
+            raise AssertionError("an append iterated the log's entries")
+
+    sim, a2m = make_a2m()
+    for i in range(8):
+        run(sim, a2m.append("log", f"e{i}".encode()))
+    run(sim, a2m.truncate("log", 5, b"z"))
+    log = a2m._log("log")
+    log.entries = Uniterable(log.entries)
+    previous = log.entries[log.tail - 1].cumulative_digest
+    entry = run(sim, a2m.append("log", b"next"))
+    assert entry.sequence == 9
+    assert entry.cumulative_digest == sha256(b"next", 9, previous)
 
 
 def test_lookup_returns_entry_without_verification():
@@ -154,14 +174,12 @@ def test_enclave_lookup_pays_epc_paging_on_large_logs():
     assert mean_cost > 10 * HOST_MEMORY_LOOKUP_US
 
 
-def test_enclave_costs_and_config_registers_ignore_the_str_hash_seed():
+def test_enclave_costs_ignore_the_str_hash_seed():
     """Builtin ``hash()`` of a ``str`` is salted per interpreter; a log's
     EPC region (virtual time, via the hit/miss pattern of three logs)
-    and the driver's fallback MAC/IP register values must come from the
-    bytes, so two interpreters agree."""
+    must come from the bytes, so two interpreters agree."""
     probe = (
         "from repro.sim import Simulator\n"
-        "from repro.stack.driver import _ip_to_int, _mac_to_int\n"
         "from repro.systems.a2m import A2M\n"
         "from repro.tee import make_provider\n"
         "provider = make_provider('sgx-lib', Simulator(), 1)\n"
@@ -169,8 +187,7 @@ def test_enclave_costs_and_config_registers_ignore_the_str_hash_seed():
         f"a2m = A2M(provider, {SESSION}, storage='enclave')\n"
         "cost = sum(a2m.lookup_cost_us(log, i)\n"
         "           for i in range(50) for log in ('a', 'b', 'c'))\n"
-        "print(round(cost, 6), a2m._enclave.hits,\n"
-        "      _mac_to_int('not-a-mac'), _ip_to_int('fe80::1'))\n"
+        "print(round(cost, 6), a2m._enclave.hits)\n"
     )
     src = os.path.dirname(os.path.dirname(repro.__file__))
     outputs = [

@@ -1,5 +1,5 @@
-"""Additional coverage: driver conversions, rdma_lib failure paths,
-RSA properties, provider verify failure, transform history bounds."""
+"""Additional coverage: rdma_lib failure paths, RSA properties,
+provider verify failure, transform history bounds."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,41 +7,11 @@ from hypothesis import strategies as st
 
 from repro.api import Cluster
 from repro.crypto.rsa import generate_keypair
-from repro.stack.driver import _ip_to_int, _mac_to_int
 from repro.stack.memory import MemoryError_
 from repro.stack.rdma_lib import WorkRequest
 from repro.net.packet import RdmaOpcode
 
 _KEYS = generate_keypair(seed="shared-property-key")
-
-
-# ---------------------------------------------------------------------------
-# Driver address conversions
-# ---------------------------------------------------------------------------
-
-def test_mac_to_int_parses_colon_form():
-    assert _mac_to_int("02:00:00:00:00:0f") == 0x0200_0000_000F
-
-
-def test_mac_to_int_fallback_hash():
-    value = _mac_to_int("not-a-mac")
-    assert 0 <= value < 2**48
-    assert _mac_to_int("not-a-mac") == value
-
-
-def test_mac_to_int_bad_hex_falls_back():
-    value = _mac_to_int("zz:00:00:00:00:01")
-    assert 0 <= value < 2**48
-
-
-def test_ip_to_int_parses_dotted_quad():
-    assert _ip_to_int("10.0.0.1") == (10 << 24) | 1
-    assert _ip_to_int("255.255.255.255") == 0xFFFF_FFFF
-
-
-def test_ip_to_int_fallback():
-    assert 0 <= _ip_to_int("fe80::1") < 2**32
-    assert 0 <= _ip_to_int("300.1.2.3") < 2**32
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Six contracts of the per-message path:
 * the exact scheduler-event budget of a BFT, a chain-KV, a Raft, a
   TEEs-CR and a PeerReview request: hops, timed checks, attests and
   served completions, nothing else;
-* a 64 B trusted send keeps its scheduler budget and posts with one
-  REG burst, no raised lookup and no per-message counter record;
+* a 64 B trusted send keeps its scheduler budget and posts with no
+  raised lookup and no per-message counter record;
 * the scheduler's pending set stays a few dozen entries deep on the
   shapes the paper's systems run.
 """
@@ -29,7 +29,6 @@ from repro.sim import Process, Simulator
 from repro.sim.events import AnyOf
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.stack.memory import MemoryError_
-from repro.stack.regs import MappedRegsPage
 from repro.systems.bft import BftCounter, ByzantineBehaviour
 from repro.systems.bft_viewchange import ViewChangeBftCounter
 from repro.systems.chain import ChainReplication
@@ -308,24 +307,17 @@ def _window_16_send(cluster, conn_a, messages, payload):
 
 def test_a_64b_send_pays_for_its_stages_not_host_plumbing(monkeypatch):
     """Per message of the ``send_small`` shape: the scheduler entries of
-    its physical stages, one REG burst (no single-register store), a
-    lookup that raises nothing and no counter record after a session's
-    first."""
+    its physical stages, a lookup that raises nothing and no counter
+    record after a session's first."""
     messages = 200
-    cluster, conn_a = _send_pair()  # set-up's register stores go uncounted
-    built = {"MemoryError_": 0, "write_u64": 0, "_SessionCounters": 0}
+    cluster, conn_a = _send_pair()
+    built = {"MemoryError_": 0, "_SessionCounters": 0}
 
     raise_init = MemoryError_.__init__
 
     def counting_error(self, *args):
         built["MemoryError_"] += 1
         raise_init(self, *args)
-
-    store = MappedRegsPage.write_u64
-
-    def counting_store(self, offset, value):
-        built["write_u64"] += 1
-        store(self, offset, value)
 
     record = counters_module._SessionCounters
 
@@ -334,7 +326,6 @@ def test_a_64b_send_pays_for_its_stages_not_host_plumbing(monkeypatch):
         return record()
 
     monkeypatch.setattr(MemoryError_, "__init__", counting_error)
-    monkeypatch.setattr(MappedRegsPage, "write_u64", counting_store)
     monkeypatch.setattr(counters_module, "_SessionCounters", counting_record)
     per_message = _pushes_per_request(
         monkeypatch,
@@ -345,7 +336,6 @@ def test_a_64b_send_pays_for_its_stages_not_host_plumbing(monkeypatch):
     assert cluster["b"].device.attestation.verify_count == messages
     assert per_message <= 8.1  # measured 8.035
     assert built["MemoryError_"] == 0
-    assert built["write_u64"] == 0
     assert built["_SessionCounters"] == sessions == 2
 
 

@@ -3,9 +3,8 @@
 Three contracts of the chain in ``repro.core.device`` (``_Send``) and
 ``repro.stack.rdma_lib`` (``_Post``):
 
-* every failure fails the returned event — nothing raises out of
-  ``sim.run()``, nothing deadlocks, the next post goes through and
-  ``STATUS_ERRORS`` counts it;
+* every failure fails the returned event exactly once — nothing raises
+  out of ``sim.run()``, nothing deadlocks, the next post goes through;
 * a request carries the bytes it was posted with, however many posts
   share the staging ring before the simulator runs;
 * a posted send has one completion event, handed down post → device →
@@ -29,7 +28,6 @@ from repro.sim.clock import Simulator
 from repro.sim.events import Event
 from repro.stack.memory import MemoryError_
 from repro.stack.rdma_lib import WorkRequest
-from repro.stack.regs import RegField
 from repro.telemetry import Telemetry
 
 
@@ -92,15 +90,6 @@ def _request_unregistered_address(cluster, conn):
     return WorkRequest(RdmaOpcode.SEND, conn.qp_number, 0x10, 64)
 
 
-def _completions_counted(node) -> int:
-    """The stack layer's part in a completion: the status register."""
-    return node.rdma.regs.read_u64(RegField.STATUS_COMPLETIONS)
-
-
-def _errors_counted(node) -> int:
-    return node.rdma.regs.read_u64(RegField.STATUS_ERRORS)
-
-
 def _count_failures(monkeypatch):
     """``{event: times fail() was called on it}`` from here on."""
     failures: dict = {}
@@ -120,14 +109,9 @@ def _count_failures(monkeypatch):
     (_request_uninstalled_session, UnknownSessionError),
     (_request_unregistered_address, MemoryError_),
 ])
-def test_failed_post_fails_its_event_and_releases_the_reg_lock(
-        build, error, monkeypatch):
-    """(Named for the REG-page lock a post used to take; a post that
-    never yields holds the page without one.)"""
+def test_a_failed_post_fails_its_event_exactly_once(build, error, monkeypatch):
     cluster, conn_a, conn_b = _pair()
     rdma = conn_a.node.rdma
-    completions_before = _completions_counted(conn_a.node)
-    errors_before = _errors_counted(conn_a.node)
     failures = _count_failures(monkeypatch)
     failed = rdma.post(build(cluster, conn_a))
     seen = []
@@ -137,27 +121,25 @@ def test_failed_post_fails_its_event_and_releases_the_reg_lock(
     with pytest.raises(error):
         failed.value
     # One event, failed exactly once, by whichever layer refused the
-    # request; the caller's callback saw it and the stack's counted an
-    # error, not a completion.
+    # request; the caller's callback saw it.
     assert failures == {failed: 1}
     assert len(seen) == 1 and isinstance(seen[0], error)
-    assert _completions_counted(conn_a.node) == completions_before
-    assert _errors_counted(conn_a.node) == errors_before + 1
     # A following post goes through.
-    cluster.run(auth_send(conn_a, b"after the failure"))
+    after = auth_send(conn_a, b"after the failure")
+    assert cluster.run(after).ok
     cluster.run()
     assert recv(conn_b)["payload"] == b"after the failure"
-    assert _completions_counted(conn_a.node) == completions_before + 1
-    assert _errors_counted(conn_a.node) == errors_before + 1
+    assert failures == {failed: 1}
 
 
-def test_every_failed_post_moves_status_errors_by_exactly_one():
+def test_every_failed_post_fails_only_its_own_event_once(monkeypatch):
     cluster, conn_a, _ = _pair()
-    node = conn_a.node
-    for failures in range(1, 4):
-        node.rdma.post(_request_unknown_qp(cluster, conn_a))
+    failures = _count_failures(monkeypatch)
+    posted = []
+    for _ in range(3):
+        posted.append(conn_a.node.rdma.post(_request_unknown_qp(cluster, conn_a)))
         cluster.run()
-        assert (_errors_counted(node), _completions_counted(node)) == (failures, 0)
+        assert failures == {event: 1 for event in posted}
 
 
 # ----------------------------------------------------------------------
@@ -243,8 +225,6 @@ def test_retry_limit_fails_the_one_event_and_every_layer_sees_it(monkeypatch):
         completion.value
     status = {span.name: span.labels.get("status") for span in hub.spans.finished}
     assert status["tnic.tx"] == "error"          # device: span closed as failed
-    assert _completions_counted(conn_a.node) == 0  # stack: no completion,
-    assert _errors_counted(conn_a.node) == 1       # one error
     assert "request.auth_send" in status         # api: root span closed
     # The next post goes through — on a fresh connection: the peer
     # never saw PSN 0, so this one stays broken (an RC QP in error).
@@ -252,7 +232,7 @@ def test_retry_limit_fails_the_one_event_and_every_layer_sees_it(monkeypatch):
     fresh_a, fresh_b = cluster.connect("a", "b")
     assert cluster.run(auth_send(fresh_a, b"healed")).ok
     cluster.run()
-    assert _completions_counted(conn_a.node) == 1
+    assert failures == {completion: 1}
     assert recv(fresh_b)["payload"] == b"healed"
     assert recv(conn_b) is None
 

@@ -1,4 +1,4 @@
-"""Unit tests for the TNIC network stack (§5)."""
+"""Unit tests for the TNIC network stack's ibv memory (§5.2)."""
 
 import tracemalloc
 
@@ -6,130 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TnicDevice
-from repro.net import ArpServer
-from repro.sim import Simulator
-from repro.stack import (
-    HugePageArea,
-    IbvMemory,
-    MappedRegsPage,
-    MemoryError_,
-    TnicDriver,
-)
-from repro.stack.driver import StaticConfig
+from repro.stack import HugePageArea, IbvMemory, MemoryError_
 from repro.stack.memory import HUGE_PAGE_BYTES, RdmaKey
 from repro.stack.rdma_lib import MemoryTable
-from repro.stack.regs import PAGE_SIZE, RegField
-
-
-# ---------------------------------------------------------------------------
-# Mapped REGs pages
-# ---------------------------------------------------------------------------
-
-def test_regs_read_write_roundtrip():
-    regs = MappedRegsPage(0)
-    regs.write_u64(RegField.CTRL_LENGTH, 4096)
-    assert regs.read_u64(RegField.CTRL_LENGTH) == 4096
-    assert regs.pseudo_device_path == "/dev/fpga0"
-
-
-def test_regs_doorbell_triggers_device_handler():
-    regs = MappedRegsPage(1)
-    rings = []
-    regs.on_doorbell(lambda: rings.append(regs.staged_request()))
-    regs.write_u64(RegField.CTRL_OPCODE, 2)
-    regs.write_u64(RegField.CTRL_LENGTH, 128)
-    regs.write_u64(RegField.CTRL_DOORBELL, 1)
-    assert regs.doorbell_rings == 1
-    assert rings[0]["opcode"] == 2
-    assert rings[0]["length"] == 128
-
-
-def test_regs_bounds_and_alignment():
-    regs = MappedRegsPage(0)
-    with pytest.raises(ValueError):
-        regs.write_u64(PAGE_SIZE, 0)
-    with pytest.raises(ValueError):
-        regs.write_u64(0x3, 0)
-    with pytest.raises(ValueError):
-        regs.write_u64(RegField.CTRL_OPCODE, 2**64)
-
-
-def test_regs_status_accumulates():
-    regs = MappedRegsPage(0)
-    regs.post_status(completions=2)
-    regs.post_status(completions=3, errors=1)
-    assert regs.read_u64(RegField.STATUS_COMPLETIONS) == 5
-    assert regs.read_u64(RegField.STATUS_ERRORS) == 1
-
-
-_REQUEST_FIELDS = (
-    ("opcode", RegField.CTRL_OPCODE),
-    ("qp_number", RegField.CTRL_QP_NUMBER),
-    ("local_addr", RegField.CTRL_LOCAL_ADDR),
-    ("remote_addr", RegField.CTRL_REMOTE_ADDR),
-    ("length", RegField.CTRL_LENGTH),
-    ("rkey", RegField.CTRL_RKEY),
-)
-_u64 = st.integers(min_value=0, max_value=2**64 - 1)
-_request = st.tuples(_u64, _u64, _u64, _u64, _u64, _u64)
-
-
-def _post_by_register(regs, fields):
-    """A post as seven single-register stores, doorbell last."""
-    for (_name, offset), value in zip(_REQUEST_FIELDS, fields):
-        regs.write_u64(offset, value)
-    regs.write_u64(RegField.CTRL_DOORBELL, 1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(previous=_request, fields=_request)
-def test_a_request_burst_is_the_seven_register_stores(previous, fields):
-    reference = MappedRegsPage(0)
-    regs = MappedRegsPage(0)
-    for page in (reference, regs):
-        page.write_u64(RegField.STATUS_READY, 1)
-        page.post_status(completions=3, errors=1)
-        _post_by_register(page, previous)
-    _post_by_register(reference, fields)
-    staged = []
-    regs.on_doorbell(lambda: staged.append(regs.staged_request()))
-    regs.write_request(*fields)
-    assert bytes(regs._page) == bytes(reference._page)
-    assert staged == [{name: value
-                       for (name, _offset), value in zip(_REQUEST_FIELDS, fields)}]
-    assert regs.doorbell_rings == reference.doorbell_rings == 2
-
-
-@pytest.mark.parametrize("bad", [-1, 2**64])
-@pytest.mark.parametrize("position", range(6))
-def test_a_burst_with_a_bad_value_writes_nothing(bad, position):
-    regs = MappedRegsPage(0)
-    rings = []
-    regs.on_doorbell(lambda: rings.append(regs.staged_request()))
-    regs.write_request(1, 2, 3, 4, 5, 6)
-    before = bytes(regs._page)
-    fields = [7, 8, 9, 10, 11, 12]
-    fields[position] = bad
-    with pytest.raises(ValueError):
-        regs.write_request(*fields)
-    assert bytes(regs._page) == before
-    assert regs.doorbell_rings == len(rings) == 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)),
-                max_size=12))
-def test_post_status_is_the_read_then_write(updates):
-    regs = MappedRegsPage(0)
-    reference = MappedRegsPage(0)
-    for completions, errors in updates:
-        regs.post_status(completions=completions, errors=errors)
-        for offset, increment in ((RegField.STATUS_COMPLETIONS, completions),
-                                  (RegField.STATUS_ERRORS, errors)):
-            if increment:
-                reference.write_u64(offset, reference.read_u64(offset) + increment)
-    assert bytes(regs._page) == bytes(reference._page)
 
 
 # ---------------------------------------------------------------------------
@@ -292,46 +171,3 @@ def test_remote_access_gated_by_rkey():
     with pytest.raises(MemoryError_, match="rkey"):
         region.remote_write(other.rkey.value, region.base, b"no")
     assert region.remote_read(region.rkey.value, region.base, 2) == b"ok"
-
-
-# ---------------------------------------------------------------------------
-# Driver and OS library
-# ---------------------------------------------------------------------------
-
-def make_device(sim):
-    return TnicDevice(sim, 1, "10.0.0.1", "02:00:00:00:00:01", ArpServer())
-
-
-def test_driver_initialises_and_maps_device():
-    sim = Simulator()
-    driver = TnicDriver(sim)
-    device = make_device(sim)
-    regs = driver.initialise(
-        device, StaticConfig(mac_address="02:00:00:00:00:01", ip="10.0.0.1")
-    )
-    assert regs.read_u64(RegField.STATUS_READY) == 1
-    assert regs.read_u64(RegField.CONFIG_IP) == (10 << 24) | 1
-    assert driver.mapping_for(0) is regs
-
-
-def test_driver_rejects_mismatched_ip():
-    sim = Simulator()
-    driver = TnicDriver(sim)
-    device = make_device(sim)
-    with pytest.raises(ValueError):
-        driver.initialise(
-            device, StaticConfig(mac_address="02:00:00:00:00:01", ip="10.9.9.9")
-        )
-
-
-def test_static_config_validation():
-    with pytest.raises(ValueError):
-        StaticConfig(mac_address="", ip="10.0.0.1")
-    with pytest.raises(ValueError):
-        StaticConfig(mac_address="m", ip="10.0.0.1", qsfp_port=2)
-
-
-def test_driver_unknown_mapping():
-    driver = TnicDriver(Simulator())
-    with pytest.raises(KeyError):
-        driver.mapping_for(3)
