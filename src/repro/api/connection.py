@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.device import TnicDevice
 from repro.crypto.hashing import sha256
@@ -62,7 +62,7 @@ class IbvConnection:
     qp: QueuePair
     #: Filled by ibv_sync(): the peer's registered memory window.
     remote_base: int = 0
-    remote_rkey: Any = None
+    remote_rkey: int | None = None
     remote_size: int = 0
     #: Local staging region for outgoing payloads.
     tx_region: IbvMemory | None = None
@@ -142,8 +142,9 @@ class TnicNode:
         return self.hugepages.allocate(size)
 
     def init_lqueue(self, region: IbvMemory) -> None:
-        """Register local memory to the TNIC hardware."""
-        self.rdma.register_memory(region)
+        """Register local memory to the TNIC hardware: file it in the
+        memory table under its lkey and rkey."""
+        self.rdma.memory_table.add(region)
 
 
 def ibv_sync(

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from repro.api.connection import IbvConnection
 from repro.core.attestation import AttestedMessage
 from repro.net.packet import RdmaOpcode
-from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, span_begin
+from repro.sim.instrument import NULL_SPAN, span_begin
 from repro.stack.rdma_lib import WorkRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,7 +34,7 @@ def auth_send(conn: IbvConnection, payload: bytes) -> "Event":
 
     This is also where a *logical request* is born, so with telemetry
     attached it opens the ``request.auth_send`` root span — the apex of
-    the causal trace — and carries it in the work request's metadata.
+    the causal trace — and names it as the work request's parent.
     Every downstream stage (post/DMA/HMAC/wire/rx-verify, local and on
     the receiving replica) joins this trace; the root
     closes when the peer's ACK triggers the completion event.
@@ -42,18 +42,19 @@ def auth_send(conn: IbvConnection, payload: bytes) -> "Event":
     _require_synced(conn)
     sim = conn.node.sim
     address = conn.stage(payload)
-    request = WorkRequest(
-        opcode=RdmaOpcode.SEND,
-        qp_number=conn.qp_number,
-        local_addr=address,
-        length=len(payload),
-    )
     span = NULL_SPAN
     if sim.telemetry is not None:
         span = span_begin(sim, "request.auth_send",
                           node=conn.node.name, qp=conn.qp_number,
                           bytes=len(payload))
-        request.meta[TRACE_PARENT] = span
+    request = WorkRequest(
+        opcode=RdmaOpcode.SEND,
+        qp_number=conn.qp_number,
+        local_addr=address,
+        length=len(payload),
+        lkey=conn.tx_region.lkey,
+        parent=span,
+    )
     completion = conn.node.rdma.post(request)
     if span is not NULL_SPAN:
         completion.callbacks.append(lambda _event: span.end())
@@ -73,6 +74,7 @@ def rem_write(conn: IbvConnection, remote_offset: int, payload: bytes) -> "Event
         qp_number=conn.qp_number,
         local_addr=address,
         length=len(payload),
+        lkey=conn.tx_region.lkey,
         remote_addr=conn.remote_base + remote_offset,
         rkey=conn.remote_rkey,
     )
@@ -90,7 +92,7 @@ def rem_read(conn: IbvConnection, remote_offset: int, length: int) -> "Event":
         raise ValueError("remote read outside the peer's window")
     return conn.node.device.read_remote(
         conn.qp_number, conn.remote_base + remote_offset, length,
-        rkey=conn.remote_rkey.value,
+        rkey=conn.remote_rkey,
     )
 
 

@@ -15,9 +15,10 @@ The device also services one-sided ``rem_read``/``rem_write``: a WRITE
 carries a remote ibv-memory address and the rkey of the window it
 targets, and is placed there by the *remote* device after verification;
 a READ is a request/response exchange carrying the same two.  The
-responder places or reads nothing its host memory refuses (wrong rkey,
-outside the registered window): it counts the refusal, and a refused
-READ fails the requester's event with :class:`RemoteAccessError`.
+responder places or reads nothing its host memory refuses (an rkey
+that names no registered region, or bytes outside the region it
+names): it counts the refusal, and a refused READ fails the
+requester's event with :class:`RemoteAccessError`.
 """
 
 from __future__ import annotations
@@ -55,14 +56,15 @@ class ReadTimeout(Exception):
 
 class RemoteAccessError(Exception):
     """The responder's host memory refused a one-sided access: the rkey
-    is not the target window's, or the bytes lie outside it."""
+    names no registered region, or the bytes lie outside the region it
+    names."""
 
 
 class HostMemoryPort(Protocol):
     """What the device needs from host memory (implemented by the
-    stack's ``MemoryTable``): the one-sided port, gated by the rkey the
-    peer presented.  Both methods raise :class:`RemoteAccessError` on a
-    refused access."""
+    stack's ``MemoryTable``): the one-sided port, which reaches only the
+    registered region named by the rkey the peer presented.  Both
+    methods raise :class:`RemoteAccessError` on a refused access."""
 
     def dma_write(self, address: int, data: bytes, rkey: int | None) -> None: ...
 

@@ -94,11 +94,12 @@ def emit(sim, category: str, message: str, **fields: Any) -> None:
         telemetry.emit(category, message, **fields)
 
 
-#: Key under which a stage's span rides in a metadata dict that travels
-#: with a work request or packet (``WorkRequest.meta``, ``Packet.meta``):
-#: the sender writes ``meta[TRACE_PARENT] = span`` and the next stage
-#: opens ``span_begin(..., parent=meta.get(TRACE_PARENT))``, so the
-#: receiving replica's spans join the sender's trace tree.  The trusted
+#: Key under which a stage's span rides in the metadata dict that travels
+#: with a device request or packet (``Packet.meta``): the sender writes
+#: ``meta[TRACE_PARENT] = span`` and the next stage opens
+#: ``span_begin(..., parent=meta.get(TRACE_PARENT))``, so the receiving
+#: replica's spans join the sender's trace tree.  A work request carries
+#: its caller's span in its own ``WorkRequest.parent`` field.  The trusted
 #: datapath stores and forwards the value without inspecting it.
 TRACE_PARENT = "trace_parent"
 

@@ -15,6 +15,12 @@ Here the request reaches the device as the arguments of one
 and the doorbell and descriptor fetch are timed by the DMA engine's
 per-transfer set-up (:meth:`repro.core.dma.DmaEngine.setup_cost_us`).
 Zero payload copies: the hardware DMA-reads straight from ibv memory.
+
+The RDMA keys are the library's :class:`MemoryTable`: registering a
+region files it under its lkey, which the host's posts name, and its
+rkey, which a peer's one-sided accesses present.  Each access is one
+lookup and a bounds check inside the region the key names.
+
 The post is one call with no yield, so it needs no lock (§5.2's
 TNIC-OS lock guards concurrent posters, which a post that never yields
 cannot have).  The read is taken at the post: a caller may reuse the
@@ -24,132 +30,86 @@ a ring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.device import RemoteAccessError, TnicDevice
 from repro.net.packet import RdmaOpcode
 from repro.sim.events import Event
 from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, count, span_begin
-from repro.stack.memory import IbvMemory, MemoryError_, RdmaKey
+from repro.stack.memory import IbvMemory, MemoryError_
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
 
+
 @dataclass
 class WorkRequest:
-    """Internal representation of one posted operation."""
+    """Internal representation of one posted operation.
+
+    *lkey* names the registered region that holds the bytes at
+    ``[local_addr, +length)``; *parent* is the caller's span, which the
+    post's span joins (``auth_send`` passes its root span).
+    """
 
     opcode: RdmaOpcode
     qp_number: int
     local_addr: int
     length: int
+    lkey: int
     remote_addr: int = 0
-    rkey: RdmaKey | None = None
-    meta: dict[str, Any] = field(default_factory=dict)
+    rkey: int | None = None
+    parent: Any = None
 
 
 class MemoryTable:
-    """The device-visible view over every registered ibv region.
+    """The registered ibv regions, by the keys that name them.
 
-    Routes DMA accesses to the containing region, exactly like the
-    NIC's memory-translation table does for registered buffers.
+    Like the NIC's memory-translation table: a region is registered
+    exactly when it is filed here, under its lkey for the host's posts
+    and under its rkey for a peer's one-sided accesses.  A peer that
+    presents an lkey names nothing.
     """
 
     def __init__(self) -> None:
-        self._regions: dict[int, IbvMemory] = {}
+        self._by_lkey: dict[int, IbvMemory] = {}
+        self._by_rkey: dict[int, IbvMemory] = {}
 
     def add(self, region: IbvMemory) -> None:
-        self._regions[region.lkey.value] = region
+        self._by_lkey[region.lkey] = region
+        self._by_rkey[region.rkey] = region
 
-    def region_for(self, address: int, length: int) -> IbvMemory:
-        for region in self._regions.values():
-            if region.contains(address, length):
-                return region
-        raise MemoryError_(
-            f"address {address:#x} (+{length}) is not in registered ibv memory"
-        )
+    def local(self, lkey: int) -> IbvMemory:
+        """The registered region *lkey* names (the host's port)."""
+        return _named(self._by_lkey, "lkey", lkey)
 
     # The device's one-sided port: every access is gated by the rkey
     # the peer presented, and a refusal is the device's exception.
     def dma_write(self, address: int, data: bytes, rkey: int | None) -> None:
         try:
-            self.region_for(address, len(data)).remote_write(rkey, address, data)
+            _named(self._by_rkey, "rkey", rkey).write(address, data)
         except MemoryError_ as exc:
             raise RemoteAccessError(str(exc)) from None
 
     def dma_read(self, address: int, length: int, rkey: int | None) -> bytes:
         try:
-            return self.region_for(address, length).remote_read(rkey, address, length)
+            return _named(self._by_rkey, "rkey", rkey).read(address, length)
         except MemoryError_ as exc:
             raise RemoteAccessError(str(exc)) from None
 
 
-class _Post:
-    """One posted work request: DMA snapshot → ``TnicDevice.send``.
-
-    The post runs as one call, not as a process.  ``done``, the
-    request's one completion event, is handed down to the device; the
-    post adds no callback of its own to it.
-    """
-
-    __slots__ = ("lib", "request", "done", "span")
-
-    def __init__(self, lib: "RdmaLibrary", request: WorkRequest, done: Event) -> None:
-        self.lib = lib
-        self.request = request
-        self.done = done
-
-    def start(self) -> None:
-        # The "post" stage of the send breakdown: DMA snapshot and
-        # hand-off, ending when the device owns the WR.
-        # Joins the caller's trace when the work request carries one
-        # (auth_send carries its root span in request.meta).
-        lib = self.lib
-        request = self.request
-        span = NULL_SPAN
-        if lib.sim.telemetry is not None:
-            span = span_begin(lib.sim, "tnic.post",
-                              parent=request.meta.get(TRACE_PARENT),
-                              qp=request.qp_number, bytes=request.length)
-        self.span = span
-        try:
-            payload = lib.region_for_address(
-                request.local_addr, request.length
-            ).dma_read(request.local_addr, request.length)
-            meta = dict(request.meta)
-            if span is not NULL_SPAN:
-                # Hand the device *this* stage's span so tnic.tx
-                # nests under tnic.post in the causal tree.
-                meta[TRACE_PARENT] = span
-            if request.opcode is RdmaOpcode.WRITE:
-                meta["remote_addr"] = request.remote_addr
-                if request.rkey is not None:
-                    meta["rkey"] = request.rkey.value
-            lib.device.send(request.qp_number, payload,
-                            opcode=request.opcode,
-                            meta=meta, completion=self.done)
-        except Exception as exc:
-            self._refused(exc)
-            return
-        if span is not NULL_SPAN:
-            span.end(status="ok")
-        if lib.sim.telemetry is not None:
-            count(lib.sim, "rdma.posted", qp=request.qp_number)
-
-    def _refused(self, exc: Exception) -> None:
-        """The completion event is the error channel: nothing raises
-        into the caller or out of the event loop."""
-        self.span.end(status="error")
-        self.done.fail(exc)
+def _named(regions: dict[int, IbvMemory], kind: str, key: int | None) -> IbvMemory:
+    region = regions.get(key)
+    if region is None:
+        raise MemoryError_(f"{kind} {key!r} names no registered ibv memory")
+    return region
 
 
 class RdmaLibrary:
     """Per-node RDMA software state and the request-posting path.
 
     ``post`` starts no process: the request is handed to the device at
-    once, and the event it returns is the device's completion
-    (:class:`_Post`).
+    once, and the event it returns is the device's completion.
     """
 
     def __init__(self, sim: "Simulator", device: TnicDevice) -> None:
@@ -158,36 +118,47 @@ class RdmaLibrary:
         self.memory_table = MemoryTable()
         self.device.attach_host_memory(self.memory_table)
 
-    # ------------------------------------------------------------------
-    # Memory registration (init_lqueue)
-    # ------------------------------------------------------------------
-    def register_memory(self, region: IbvMemory) -> None:
-        """Register *region* with the TNIC hardware for DMA."""
-        region.register()
-        self.memory_table.add(region)
-
-    def region_for_address(self, address: int, length: int) -> IbvMemory:
-        return self.memory_table.region_for(address, length)
-
-    # ------------------------------------------------------------------
-    # Posting requests
-    # ------------------------------------------------------------------
     def post(self, request: WorkRequest) -> "Event":
         """Hand *request* to the device; returns the completion event
         for the posted operation.
 
         The request's bytes are read here, so the caller may overwrite
-        them once this returns.  A failure at any stage (unregistered
-        address, unknown QP, device or transport error) fails the
-        returned event exactly once.
+        them once this returns.  A failure at any stage (a range outside
+        the region the lkey names, unknown QP, device or transport
+        error) fails the returned event exactly once: nothing raises
+        into the caller or out of the event loop.
         """
-        done = Event(self.sim)
-        _Post(self, request, done).start()
+        sim = self.sim
+        done = Event(sim)
+        # The "post" stage of the send breakdown: DMA snapshot and
+        # hand-off, ending when the device owns the WR.
+        span = NULL_SPAN
+        if sim.telemetry is not None:
+            span = span_begin(sim, "tnic.post", parent=request.parent,
+                              qp=request.qp_number, bytes=request.length)
+        try:
+            payload = self.memory_table.local(request.lkey).read(
+                request.local_addr, request.length)
+            meta: dict[str, Any] = {}
+            if span is not NULL_SPAN:
+                # Hand the device *this* stage's span so tnic.tx
+                # nests under tnic.post in the causal tree.
+                meta[TRACE_PARENT] = span
+            if request.opcode is RdmaOpcode.WRITE:
+                meta["remote_addr"] = request.remote_addr
+                if request.rkey is not None:
+                    meta["rkey"] = request.rkey
+            self.device.send(request.qp_number, payload,
+                             opcode=request.opcode, meta=meta, completion=done)
+        except Exception as exc:
+            span.end(status="error")
+            done.fail(exc)
+            return done
+        if span is not NULL_SPAN:
+            span.end(status="ok")
+            count(sim, "rdma.posted", qp=request.qp_number)
         return done
 
-    # ------------------------------------------------------------------
-    # Receiving
-    # ------------------------------------------------------------------
     def poll(self, qp_number: int, max_entries: int = 16):
         """Pop up to *max_entries* verified deliveries (the poll() API)."""
         return self.device.poll(qp_number, max_entries)

@@ -54,8 +54,8 @@ def test_rem_write_lands_in_remote_window():
     cluster.run(completion)
     cluster.run()
     recv(b_conn)  # consume the delivery notification
-    region = cluster["bob"].rdma.region_for_address(a_conn.remote_base, 1)
-    assert region.read(a_conn.remote_base + 128, 11) == b"remote-data"
+    window = cluster["bob"].rdma.memory_table
+    assert window.dma_read(a_conn.remote_base + 128, 11, a_conn.remote_rkey) == b"remote-data"
 
 
 def test_rem_write_is_placed_without_a_receiver_call():
@@ -65,8 +65,8 @@ def test_rem_write_is_placed_without_a_receiver_call():
     a_conn, b_conn = cluster.connect("alice", "bob")
     cluster.run(rem_write(a_conn, 256, b"one-sided"))
     cluster.run()
-    region = cluster["bob"].rdma.region_for_address(a_conn.remote_base, 1)
-    assert region.read(a_conn.remote_base + 256, 9) == b"one-sided"
+    window = cluster["bob"].rdma.memory_table
+    assert window.dma_read(a_conn.remote_base + 256, 9, a_conn.remote_rkey) == b"one-sided"
     # The notification is still delivered, once.
     [entry] = poll(b_conn)
     assert entry["opcode"] is RdmaOpcode.WRITE
@@ -103,10 +103,20 @@ def test_rem_read_fetches_remote_bytes():
     cluster = make_cluster()
     a_conn, b_conn = cluster.connect("alice", "bob")
     # Bob publishes data in his registered window.
-    region = cluster["bob"].rdma.region_for_address(a_conn.remote_base, 1)
-    region.write(a_conn.remote_base + 64, b"published")
+    window = cluster["bob"].rdma.memory_table
+    window.dma_write(a_conn.remote_base + 64, b"published", a_conn.remote_rkey)
     read_done = rem_read(a_conn, 64, 9)
     assert cluster.run(read_done) == b"published"
+
+
+def test_a_zero_length_read_of_a_later_window_is_granted():
+    # The second connection's window starts where the first connection's
+    # staging region ends, so an empty READ at its base lies in both.
+    cluster = make_cluster()
+    cluster.connect("alice", "bob")
+    a_conn, _ = cluster.connect("alice", "bob")
+    assert cluster.run(rem_read(a_conn, 0, 0)) == b""
+    assert cluster["bob"].device.stats().remote_access_refusals == 0
 
 
 def test_rem_read_bounds_checked():
@@ -131,7 +141,7 @@ def test_a_write_with_a_foreign_rkey_places_nothing():
     cluster = Cluster(["a", "b"])
     a, b = cluster.connect("a", "b")
     target = b.tx_region.base
-    for rkey in (12345, a.remote_rkey.value):
+    for rkey in (12345, a.remote_rkey):
         done = a.node.device.send(a.qp_number, b"PWNED", opcode=RdmaOpcode.WRITE,
                                   meta={"remote_addr": target, "rkey": rkey})
         cluster.run(done)
@@ -141,17 +151,19 @@ def test_a_write_with_a_foreign_rkey_places_nothing():
     assert recv(b) is None  # a refused WRITE notifies nobody
     cluster.run(rem_write(a, 0, b"granted"))  # the window itself still opens
     cluster.run()
-    assert b.node.rdma.region_for_address(a.remote_base, 7).read(
-        a.remote_base, 7) == b"granted"
+    assert b.node.rdma.memory_table.dma_read(
+        a.remote_base, 7, a.remote_rkey) == b"granted"
 
 
-@pytest.mark.parametrize("rkey", [None, "window"])
-def test_a_refused_read_fails_the_requester_and_the_run_goes_on(rkey):
+@pytest.mark.parametrize("rkey, refusal", [(None, "rkey None names no registered"),
+                                           ("window", "outside region")],
+                         ids=["None", "window"])
+def test_a_refused_read_fails_the_requester_and_the_run_goes_on(rkey, refusal):
     cluster = Cluster(["a", "b"])
     a, b = cluster.connect("a", "b")
-    key = a.remote_rkey.value if rkey == "window" else rkey
+    key = a.remote_rkey if rkey == "window" else rkey
     read = a.node.device.read_remote(a.qp_number, 0xDEAD0000, 16, rkey=key)
-    with pytest.raises(RemoteAccessError, match="not in registered"):
+    with pytest.raises(RemoteAccessError, match=refusal):
         cluster.run(read)
     # No rkey at all is refused even inside the window.
     unkeyed = a.node.device.read_remote(a.qp_number, a.remote_base, 4)
@@ -250,6 +262,31 @@ def test_session_directory_unique_sessions():
 def test_cluster_rejects_duplicate_names():
     with pytest.raises(ValueError):
         Cluster(["x", "x"])
+
+
+def test_rem_ops_require_remote_window():
+    cluster = Cluster(["a", "b"])
+    session_id, key = cluster.sessions.new_session()
+    cluster["a"].device.install_session(session_id, key)
+    cluster["b"].device.install_session(session_id, key)
+    conn = cluster["a"].ibv_qp_conn(cluster["b"].ip, session_id)
+    peer = cluster["b"].ibv_qp_conn(cluster["a"].ip, session_id)
+    from repro.api.connection import ibv_sync
+
+    conn.tx_region = cluster["a"].alloc_mem(4096)
+    cluster["a"].init_lqueue(conn.tx_region)
+    ibv_sync(conn, peer)  # no regions exchanged
+    with pytest.raises(RuntimeError, match="remote window"):
+        rem_write(conn, 0, b"x")
+    with pytest.raises(RuntimeError, match="remote window"):
+        rem_read(conn, 0, 4)
+
+
+def test_stage_rejects_oversized_payload():
+    cluster = Cluster(["a", "b"])
+    conn, _ = cluster.connect("a", "b", region_bytes=4096)
+    with pytest.raises(ValueError, match="larger than"):
+        conn.stage(b"x" * (conn.tx_region.size + 1))
 
 
 def test_stage_wraps_cursor():

@@ -181,6 +181,15 @@ def test_real_tree_closure_covers_the_kernel_datapath(real_engine):
     # The stage that calls post_send reaches the RoCE segmentation path
     # interprocedurally.
     assert any(q.endswith("RoceKernel._segment") for q in tx)
+    # The device reaches host memory only through ``_host_memory``,
+    # which the call graph resolves by trailing name: a rename there
+    # would quietly take the one-sided port, and the post's read of the
+    # region its lkey names, out of the hot set.
+    deliver = reachable["repro.core.device.TnicDevice._on_deliver"]
+    assert "repro.stack.rdma_lib.MemoryTable.dma_write" in deliver
+    assert "repro.stack.rdma_lib.MemoryTable.dma_read" in deliver
+    post = reachable["repro.stack.rdma_lib.RdmaLibrary.post"]
+    assert "repro.stack.memory.IbvMemory.read" in post
 
 
 @pytest.mark.lint

@@ -4,7 +4,6 @@ FPGA model bounds, metrics accounting, and API error paths."""
 import pytest
 
 from repro.api import Cluster
-from repro.api.ops import local_verify, rem_read, rem_write
 from repro.core.resources import FpgaModel, ResourceUsage, U280
 from repro.sim import Simulator
 from repro.sim import latency as cal
@@ -161,31 +160,6 @@ def test_metrics_accounting():
 # ---------------------------------------------------------------------------
 # API error paths
 # ---------------------------------------------------------------------------
-
-def test_rem_ops_require_remote_window():
-    cluster = Cluster(["a", "b"])
-    session_id, key = cluster.sessions.new_session()
-    cluster["a"].device.install_session(session_id, key)
-    cluster["b"].device.install_session(session_id, key)
-    conn = cluster["a"].ibv_qp_conn(cluster["b"].ip, session_id)
-    peer = cluster["b"].ibv_qp_conn(cluster["a"].ip, session_id)
-    from repro.api.connection import ibv_sync
-
-    conn.tx_region = cluster["a"].alloc_mem(4096)
-    cluster["a"].init_lqueue(conn.tx_region)
-    ibv_sync(conn, peer)  # no regions exchanged
-    with pytest.raises(RuntimeError, match="remote window"):
-        rem_write(conn, 0, b"x")
-    with pytest.raises(RuntimeError, match="remote window"):
-        rem_read(conn, 0, 4)
-
-
-def test_stage_rejects_oversized_payload():
-    cluster = Cluster(["a", "b"])
-    conn, _ = cluster.connect("a", "b", region_bytes=4096)
-    with pytest.raises(ValueError, match="larger than"):
-        conn.stage(b"x" * (conn.tx_region.size + 1))
-
 
 def test_stage_requires_tx_region():
     from repro.api.connection import IbvConnection

@@ -1,5 +1,5 @@
-"""Additional coverage: rdma_lib failure paths, RSA properties,
-provider verify failure, transform history bounds."""
+"""Additional coverage: RSA properties, provider verify failure,
+transform history bounds."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,29 +7,8 @@ from hypothesis import strategies as st
 
 from repro.api import Cluster
 from repro.crypto.rsa import generate_keypair
-from repro.stack.memory import MemoryError_
-from repro.stack.rdma_lib import WorkRequest
-from repro.net.packet import RdmaOpcode
 
 _KEYS = generate_keypair(seed="shared-property-key")
-
-
-# ---------------------------------------------------------------------------
-# rdma_lib failure path
-# ---------------------------------------------------------------------------
-
-def test_post_with_unregistered_address_fails():
-    cluster = Cluster(["a", "b"])
-    conn, _ = cluster.connect("a", "b")
-    request = WorkRequest(
-        opcode=RdmaOpcode.SEND,
-        qp_number=conn.qp_number,
-        local_addr=0xDEAD_0000,
-        length=16,
-    )
-    done = cluster["a"].rdma.post(request)
-    with pytest.raises(MemoryError_):
-        cluster.run(done)
 
 
 # ---------------------------------------------------------------------------

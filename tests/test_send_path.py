@@ -1,7 +1,7 @@
 """The callback-chained send path: post → DMA → attest → wire → ACK.
 
 Three contracts of the chain in ``repro.core.device`` (``_Send``) and
-``repro.stack.rdma_lib`` (``_Post``):
+``repro.stack.rdma_lib`` (``RdmaLibrary.post``):
 
 * every failure fails the returned event exactly once — nothing raises
   out of ``sim.run()``, nothing deadlocks, the next post goes through;
@@ -69,7 +69,8 @@ def test_device_send_on_unknown_qp_fails_its_completion():
 
 
 def _request_unknown_qp(cluster, conn):
-    return WorkRequest(RdmaOpcode.SEND, 9999, conn.stage(b"x" * 64), 64)
+    return WorkRequest(RdmaOpcode.SEND, 9999, conn.stage(b"x" * 64), 64,
+                       conn.tx_region.lkey)
 
 
 def _request_unconnected_qp(cluster, conn):
@@ -77,17 +78,20 @@ def _request_unconnected_qp(cluster, conn):
     # refuses it, which spends a send counter.
     conn.node.device.install_session(55, b"k" * 32)
     fresh = conn.node.ibv_qp_conn(cluster["b"].ip, session_id=55)
-    return WorkRequest(RdmaOpcode.SEND, fresh.qp_number, conn.stage(b"x" * 64), 64)
+    return WorkRequest(RdmaOpcode.SEND, fresh.qp_number, conn.stage(b"x" * 64), 64,
+                       conn.tx_region.lkey)
 
 
 def _request_uninstalled_session(cluster, conn):
     fresh = conn.node.ibv_qp_conn(cluster["b"].ip, session_id=777)
     conn.node.device.connect_qp(fresh.qp_number, 1)
-    return WorkRequest(RdmaOpcode.SEND, fresh.qp_number, conn.stage(b"x" * 64), 64)
+    return WorkRequest(RdmaOpcode.SEND, fresh.qp_number, conn.stage(b"x" * 64), 64,
+                       conn.tx_region.lkey)
 
 
 def _request_unregistered_address(cluster, conn):
-    return WorkRequest(RdmaOpcode.SEND, conn.qp_number, 0x10, 64)
+    # Outside the registered region its lkey names.
+    return WorkRequest(RdmaOpcode.SEND, conn.qp_number, 0x10, 64, conn.tx_region.lkey)
 
 
 def _count_failures(monkeypatch):
@@ -180,9 +184,9 @@ def test_rem_writes_that_wrap_the_staging_ring_write_the_posted_bytes():
     while (item := recv(conn_b)) is not None:  # places each WRITE
         written.append(item["payload"])
     assert written == payloads
-    window = conn_b.node.rdma.region_for_address(conn_a.remote_base, size)
+    window = conn_b.node.rdma.memory_table
     expected = payloads[slots:] + payloads[44:slots]
-    assert [window.read(conn_a.remote_base + index * size, size)
+    assert [window.dma_read(conn_a.remote_base + index * size, size, conn_a.remote_rkey)
             for index in range(slots)] == expected
 
 
