@@ -7,18 +7,18 @@ cost has been paid.  This pass makes hot-path cost a statically checked
 contract, the same way determinism, taint and races already are:
 
 1. **Reachability.**  A declarative :class:`HotPathManifest` names the
-   kernel entry points (the clock's step/drain loop, the event trigger
-   paths, the host stack's post, the device tx/rx datapath, the RoCE
-   verify path) plus the callback-invoked functions a static call
-   graph cannot reach (the
-   fabric ``carry`` hops, ``Process._resume``, a client's reply
-   arrival).  The lint run's one
-   function index (:func:`repro.analysis.dataflow.index_functions`,
-   trailing-name call resolution) closes those entries into the *hot
-   set*, never leaving the manifest's ``hot_packages`` — so the
-   untrusted telemetry / sanitizer layers and the systems' protocol
-   code (all of ``repro.systems`` but the shared client steps of
-   ``systems.common``) are outside the contract by construction.
+   kernel entry points (the clock's step/drain loop, the call and
+   event trigger paths, the host stack's post, the device tx/rx
+   datapath, the RoCE verify path) plus the callback- and call-invoked
+   functions a static call graph cannot reach (the fabric ``carry``
+   hops, ``Process._resume``, a client's reply arrival, a check's
+   verdict).  The lint run's one function index
+   (:func:`repro.analysis.dataflow.index_functions`, trailing-name call
+   resolution) closes those entries into the *hot set*, never leaving
+   the manifest's ``hot_packages`` — so the untrusted telemetry /
+   sanitizer layers and the systems' protocol code (all of
+   ``repro.systems`` but the shared steps of ``systems.common``) are
+   outside the contract by construction.
 
 2. **Rules over the hot set.**
 
@@ -90,7 +90,7 @@ class HotPathManifest(Record):
 
     *entry_points* are dotted-suffix patterns (``Simulator.step``
     matches ``repro.sim.clock.Simulator.step``).  Callback-dispatched
-    functions (``callbacks.append`` targets, ``deliver_hook``) are
+    functions (``callbacks.append`` targets, ``call_at`` steps) are
     statically unreachable and must be declared here explicitly.
     """
 
@@ -120,21 +120,25 @@ TNIC_MANIFEST = HotPathManifest(
         "Simulator._drain",
         "Simulator.timeout",
         "Simulator.delayed_call",
-        # The one scheduling primitive (called from Event/Timeout).
+        # The scheduling primitives and the step of a delayed call.
+        "Simulator.call_at",
         "Simulator._push",
+        "clock._invoke",
         # Event trigger paths (callback-scheduled, hence declared).
         "Event.succeed",
         "Event.fail",
         "Timeout.__init__",
         # A process wake: one callback that advances the generator.
         "Process._resume",
-        # The systems path's per-reply client steps: a reply's arrival
-        # stage (filed on the send), its quorum count, and the
-        # deadline timer's expiry.
+        # The steps of ``systems.common``, run from call entries: a
+        # client's first step, a reply's arrival (filed on the send),
+        # its quorum count, the deadline timer, a check's verdict.
+        "Client.begin",
         "Client.start",
         "Client._arrived",
         "Client.received",
         "Client._expire",
+        "BroadcastAuthenticator._settle",
         # Host stack: the post.
         "RdmaLibrary.post",
         # Device datapath (tx/rx).
@@ -148,7 +152,7 @@ TNIC_MANIFEST = HotPathManifest(
         "TnicDevice.poll",
         "TnicDevice.drain",
         "TnicDevice._on_deliver",
-        # RoCE transport: tx pump, retransmission-timer callback, rx
+        # RoCE transport: tx pump, retransmission-timer step, rx
         # decode (the MAC's ingress handler), verify-then-deliver
         # (continued from the check's callbacks).
         "RoceKernel._pump_tx",

@@ -378,13 +378,12 @@ class RoceKernel:
         """Schedule the QP's one timer entry at the deadline now in force
         (the absolute instant: a relative timeout can land a bit off it)."""
         state.timer_filed = True
-        self.sim.trigger_at(state.timer_deadline(self.retransmit_timeout_us),
-                            state, self._timer_fired)
+        self.sim.call_at(state.timer_deadline(self.retransmit_timeout_us),
+                         self._timer_fired, state)
 
-    def _timer_fired(self, timer: Event) -> None:
+    def _timer_fired(self, state: QueuePairState) -> None:
         """The timer entry came up: expire if the deadline stands, then
         move to the deadline in force — or lapse with nothing in flight."""
-        state = timer._value
         if state.inflight and state.timer_deadline(
                 self.retransmit_timeout_us) <= self.sim._now:
             if self.sim.telemetry is not None:

@@ -1,12 +1,12 @@
 """The virtual clock and event loop.
 
-:class:`Simulator` owns one binary min-heap of ``(time, tiebreak,
-event)`` entries and advances virtual time by popping the earliest
-entry and running its event's callbacks.  All timing in this
-repository — HMAC pipeline delays, PCIe DMA transfers, wire
-propagation, TEE call overheads — is expressed as
-:class:`~repro.sim.events.Timeout` events on one simulator, so
-measurements are exactly reproducible.
+:class:`Simulator` owns one binary min-heap of ``(time, tiebreak, fn,
+arg)`` entries and advances virtual time by popping the earliest entry
+and running it: a *call* (:meth:`Simulator.call_at`) runs ``fn(arg)``,
+an *event* entry (``fn`` None) the callbacks of the event ``arg``.
+All timing in this repository — HMAC pipeline delays, PCIe DMA
+transfers, wire propagation, TEE call overheads — is filed as such
+entries on one simulator, so measurements are exactly reproducible.
 
 Time unit: **microseconds** throughout the repository, matching the
 paper's reporting unit (µs).
@@ -15,17 +15,16 @@ Why a plain heap: the paper's systems (§8.3) are closed-loop — a
 client keeps 1-16 requests in flight — so the pending set stays at a
 few dozen entries on every ``benchmarks/e2e`` workload
 (``tests/test_protocol_path.py`` pins it), and at that depth one
-``heappush`` + one ``heappop`` per event is the cheapest schedule
+``heappush`` + one ``heappop`` per entry is the cheapest schedule
 there is (docs/performance.md "Layer 1").
 
-Scheduling invariant: every entry is a ``(when, tiebreak, event)``
-tuple built by :meth:`Simulator._push` from the *single* tiebreak
-counter, and the loop pops entries in full ``(when, tiebreak)`` order,
-so same-timestamp events always process in FIFO scheduling order no
-matter which primitive scheduled them.  ``tests/test_golden_trace.py``
-pins event ordering and virtual-time results;
-``tests/test_scheduler_oracle.py`` checks random programs against an
-independently written reference scheduler.
+Scheduling invariant: every entry — an event's, filed by
+:meth:`Simulator._push`, or a call's — draws its tiebreak from the
+*single* counter, and the loop pops entries in full ``(when,
+tiebreak)`` order, so same-timestamp entries always process in FIFO
+scheduling order.  ``tests/test_golden_trace.py`` pins event ordering
+and virtual-time results; ``tests/test_scheduler_oracle.py`` checks
+random programs against an independently written reference.
 
 Observers: two optional hook slots hang off the simulator, the
 ``telemetry`` hub and the ``profiler``.  Each is ``None`` when
@@ -78,8 +77,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: Min-heap of every pending (when, tiebreak, event) entry.
-        self._heap: list[tuple[float, int, Event]] = []
+        #: Min-heap of every pending (when, tiebreak, fn, arg) entry.
+        self._heap: list[tuple[float, int, Any, Any]] = []
         #: Bound ``__next__`` of the one tiebreak counter — one
         #: load+call on the schedule path, no global ``next`` dispatch.
         self._tie_next = count().__next__
@@ -91,8 +90,8 @@ class Simulator:
         self.telemetry = None
         #: Optional deterministic profiler (``Profiler.attach(sim)``,
         #: :mod:`repro.telemetry.profiler`).  The drain loop dispatches
-        #: each processed event through it; detached, the cost is one
-        #: attribute load and one ``is`` check per event.  The kernel
+        #: each processed entry through it; detached, the cost is one
+        #: attribute load and one ``is`` check per entry.  The kernel
         #: never reads a clock itself — the profiler owns its host-time
         #: source — so this file stays DET001-clean.
         self.profiler = None
@@ -116,23 +115,24 @@ class Simulator:
         """Create an event that triggers *delay* µs from now."""
         return Timeout(self, delay, value)
 
-    def trigger_at(self, when: float, value: Any = None,
-                   callback: Callable[[Event], None] | None = None) -> Event:
+    def trigger_at(self, when: float, value: Any = None) -> Event:
         """Create an event that triggers with *value* at the absolute
-        instant *when* (not before now), with *callback* as its first
-        callback when given.
-
-        The one filing path for an instant computed ahead: a relative
-        ``timeout(when - now)`` lands on ``now + (when - now)``, which
-        can differ from *when* in the last bit.
-        """
+        instant *when* (not before now), exactly: a relative
+        ``timeout(when - now)`` can land a bit off it."""
+        if when < self._now:
+            raise ValueError(f"trigger_at({when}) is before now ({self._now})")
         event = Event(self)
         event._state = _TRIGGERED
         event._value = value
-        if callback is not None:
-            event.callbacks.append(callback)
         self._push(when, event)
         return event
+
+    def call_at(self, when: float, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Run ``fn(arg)`` at the absolute instant *when* (not before
+        now): one heap entry and no event, for a stage nothing waits on."""
+        if when < self._now:
+            raise ValueError(f"call_at({when}) is before now ({self._now})")
+        heappush(self._heap, (when, self._tie_next(), fn, arg))
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a new process running *generator* in virtual time."""
@@ -172,22 +172,21 @@ class Simulator:
         self._tie_next = ties.__next__
         entries = sorted(self._heap)  # current (when, tiebreak) order
         del self._heap[:]
-        for when, _tie, event in entries:
-            self._push(when, event)
+        for when, _tie, fn, arg in entries:
+            heappush(self._heap, (when, self._tie_next(), fn, arg))
 
     # ------------------------------------------------------------------
     # Scheduling internals (used by Event/Timeout)
     # ------------------------------------------------------------------
     def _push(self, when: float, event: Event) -> None:
-        """The one scheduling primitive: every entry gets its tuple
-        shape and tiebreak here, so same-timestamp FIFO is global."""
-        heappush(self._heap, (when, self._tie_next(), event))
+        """File *event*'s entry, its tiebreak from the one counter."""
+        heappush(self._heap, (when, self._tie_next(), None, event))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Process the single earliest scheduled event.
+        """Process the single earliest scheduled entry.
 
         Raises :class:`EmptySchedule` when nothing is scheduled.
         """
@@ -195,7 +194,7 @@ class Simulator:
             raise RuntimeError("step() called from inside the event loop")
         if not self._heap:
             raise EmptySchedule()
-        self._drain(self._heap[0][2], inf)
+        self._drain(None, inf, True)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the event loop.
@@ -231,38 +230,49 @@ class Simulator:
             self._now = deadline
         return None
 
-    def _drain(self, sentinel: Event | None, deadline: float) -> None:
+    def _drain(self, sentinel: Event | None, deadline: float,
+               once: bool = False) -> None:
         """The event loop: process entries in ``(when, tiebreak)`` order.
 
         Stops when nothing is scheduled, once *sentinel* has been
-        processed, or before the first entry later than *deadline*
-        (``inf`` for none).  An entry leaves the heap only to be
-        processed, so however the loop exits — a raising callback
-        included — the heap holds exactly the unprocessed events.
+        processed, before the first entry later than *deadline* (``inf``
+        for none), or after one entry if *once*.  An entry leaves the
+        heap only to be processed, so however the loop exits — a raising
+        step included — the heap holds exactly the unprocessed entries.
         """
         heap = self._heap
         self._running = True
         try:
             while heap and heap[0][0] <= deadline:
-                when, _tie, event = heappop(heap)
+                when, _tie, fn, arg = heappop(heap)
                 self._now = when
-                event._state = _PROCESSED
-                callbacks = event.callbacks
                 profiler = self.profiler
-                if profiler is not None:
-                    # Profiled lane: bracket the callbacks with the
-                    # profiler's host clock and attribute the event.
-                    event.callbacks = []
-                    started = profiler.clock()
-                    for callback in callbacks:
-                        callback(event)
-                    profiler.account(event, callbacks, when,
-                                     profiler.clock() - started)
-                elif callbacks:
-                    event.callbacks = []
-                    for callback in callbacks:
-                        callback(event)
-                if sentinel is not None and sentinel._state == _PROCESSED:
+                if fn is not None:  # a call
+                    if profiler is None:
+                        fn(arg)
+                    else:  # profiled: bracketed by the profiler's clock
+                        started = profiler.clock()
+                        fn(arg)
+                        profiler.account("Call", fn, when,
+                                         profiler.clock() - started)
+                else:  # an event: run its callbacks
+                    arg._state = _PROCESSED
+                    callbacks = arg.callbacks
+                    if profiler is not None:
+                        arg.callbacks = []
+                        started = profiler.clock()
+                        for callback in callbacks:
+                            callback(arg)
+                        profiler.account(type(arg).__name__,
+                                         callbacks and callbacks[0], when,
+                                         profiler.clock() - started)
+                    elif callbacks:
+                        arg.callbacks = []
+                        for callback in callbacks:
+                            callback(arg)
+                    if arg is sentinel:
+                        return
+                if once:
                     return
         finally:
             self._running = False
@@ -270,8 +280,11 @@ class Simulator:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def delayed_call(self, delay: float, fn: Callable[[], Any]) -> Timeout:
-        """Invoke *fn* after *delay* µs of virtual time."""
-        timeout = Timeout(self, delay)
-        timeout.callbacks.append(lambda _event: fn())  # lint: ignore[PERF001] adapter dropping the event arg; the zero-arg fn contract predates Timeout callbacks
-        return timeout
+    def delayed_call(self, delay: float, fn: Callable[[], Any]) -> None:
+        """Invoke the zero-argument *fn* after *delay* µs of virtual time."""
+        self.call_at(self._now + delay, _invoke, fn)
+
+
+def _invoke(fn: Callable[[], Any]) -> None:
+    """The step of a :meth:`Simulator.delayed_call`."""
+    fn()

@@ -6,12 +6,13 @@ resumed with the event's value (or the event's exception is thrown into
 it).  This mirrors the SimPy programming model, which keeps protocol code
 (retransmission timers, RPC waits, quorum collection) readable.
 
-Hot path: every message, DMA transfer and HMAC occupancy in the
-repository becomes at least one :class:`Timeout`, so this module is on
-the wall-clock critical path of every reproduced figure.  All event
-classes carry ``__slots__``, and every trigger path (``succeed``,
-``fail``, the :class:`Timeout` constructor) schedules through the
-simulator's one primitive, ``Simulator._push``.
+An event is for what something waits on (a process, ``run(until=...)``,
+an API completion, :class:`AnyOf`/:class:`AllOf`); a stage nothing
+waits on is a scheduled call (``Simulator.call_at``).  The datapath's
+stages are still events, so this module is on the wall-clock critical
+path of the ``send_*`` workloads.  All event classes carry
+``__slots__``, and every trigger path (``succeed``, ``fail``, the
+:class:`Timeout` constructor) files through ``Simulator._push``.
 """
 
 from __future__ import annotations
@@ -108,22 +109,19 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers a fixed virtual-time delay after *start*
-    (an absolute instant, default now).
+    """An event that triggers a fixed virtual-time delay from now.
 
     A timeout is born already TRIGGERED and schedules itself in the
     constructor, skipping ``Event.__init__`` + ``succeed()`` for the
     dominant plain-delay case.  It draws its tiebreak from the
     simulator's single counter (via ``_push``), so FIFO ordering
-    against every other scheduling path is preserved exactly.  A
-    *start* ahead of now charges a stage that begins later (a queued
-    job's first step) without an event for the start itself.
+    against every other scheduling path is preserved exactly.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 start: float | None = None) -> None:
+    def __init__(self, sim: "Simulator", delay: float,
+                 value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.sim = sim
@@ -131,8 +129,7 @@ class Timeout(Event):
         self._state = Event.TRIGGERED
         self._value = value
         self._exception = None
-        self.delay = delay
-        sim._push((sim._now if start is None else start) + delay, self)
+        sim._push(sim._now + delay, self)
 
 
 class _Condition(Event):

@@ -17,7 +17,8 @@ Storage variants:
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING
+from collections.abc import Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import sha256
@@ -99,12 +100,16 @@ class A2M:
     def append(self, log_id: str, context: bytes) -> "Event":
         """append(id, ctx): attest and append; event value is the entry."""
         done = self.sim.event()
+        self._append(log_id, context, done.succeed)
+        return done
+
+    def _append(self, log_id: str, context: bytes,
+                step: Callable[[LogEntry], Any]) -> None:
+        """Attest and append *context*; *step* gets the stored entry."""
         log = self._log(log_id)
         count(self.sim, "a2m.appends", log=log_id)
-        attest = self.provider.attest(self.session_id, context)
 
-        def _finish(event) -> None:
-            message: AttestedMessage = event._value
+        def _finish(message: AttestedMessage) -> None:
             sequence = log.tail
             cumulative = sha256(context, sequence, log.last_digest())
             entry = LogEntry(
@@ -116,10 +121,10 @@ class A2M:
             log.entries[sequence] = entry
             log.tail += 1
             extra = A2M_APPEND_OVERHEAD_US + self._storage_cost(log_id, sequence)
-            self.sim.delayed_call(extra, lambda: done.succeed(entry))
+            sim = self.sim
+            sim.call_at(sim._now + extra, step, entry)
 
-        attest.callbacks.append(_finish)
-        return done
+        self.provider.attest(self.session_id, context, _finish)
 
     # ------------------------------------------------------------------
     # Algorithm 2 — lookup (no verification; local memory access)
@@ -152,15 +157,14 @@ class A2M:
                 f"entry {entry.sequence} outside live window [{head}, {tail})"
             )
         done = self.sim.event()
-        check = self.provider.check_transferable(self.session_id, entry.alpha)
 
-        def _finish(event) -> None:
-            if not event._value:
+        def _finish(ok: bool) -> None:
+            if not ok:
                 done.fail(A2MError("entry attestation failed verification"))
             else:
                 done.succeed(entry)
 
-        check.callbacks.append(_finish)
+        self.provider.check_transferable(self.session_id, entry.alpha, _finish)
         return done
 
     # ------------------------------------------------------------------
@@ -180,10 +184,8 @@ class A2M:
             raise A2MError(f"cannot truncate beyond tail ({head} > {log.tail})")
         done = self.sim.event()
         marker = b"TRNC|" + log_id.encode() + b"|" + nonce + b"|" + str(head).encode()
-        first = self.append(log_id, marker)
 
-        def _after_marker(event) -> None:
-            trnc_entry: LogEntry = event._value
+        def _after_marker(trnc_entry: LogEntry) -> None:
             # Structured MANIFEST record so clients can replay the
             # state changes: log id, new head, the TRNC marker's
             # sequence number, and a digest binding the marker's α.
@@ -196,17 +198,15 @@ class A2M:
                     sha256(trnc_entry.alpha.alpha),
                 ]
             )
-            second = self.append(MANIFEST, manifest_ctx)
+            self._append(MANIFEST, manifest_ctx, _after_manifest)
 
-            def _after_manifest(event2) -> None:
-                for sequence in [s for s in log.entries if s < head]:
-                    del log.entries[sequence]
-                log.head = head
-                done.succeed(event2._value)
+        def _after_manifest(entry: LogEntry) -> None:
+            for sequence in [s for s in log.entries if s < head]:
+                del log.entries[sequence]
+            log.head = head
+            done.succeed(entry)
 
-            second.callbacks.append(_after_manifest)
-
-        first.callbacks.append(_after_marker)
+        self._append(log_id, marker, _after_marker)
         return done
 
     # ------------------------------------------------------------------
@@ -264,28 +264,31 @@ class A2M:
         """
         done = self.sim.event()
         manifest = self._log(MANIFEST)
-        sequence_numbers = sorted(manifest.entries, reverse=True)
-        self.sim.process(
-            self._walk_manifest(log_id, manifest, sequence_numbers, done)
-        )
+        self._read_back(log_id, manifest,
+                        iter(sorted(manifest.entries, reverse=True)), done)
         return done
 
-    def _walk_manifest(self, log_id, manifest, sequence_numbers, done):
-        for sequence in sequence_numbers:
-            entry = manifest.entries[sequence]
-            ok = yield self.provider.check_transferable(
-                self.session_id, entry.alpha
-            )
+    def _read_back(self, log_id: str, manifest: "_Log",
+                   sequences: Iterator[int], done: "Event") -> None:
+        """Check the next of the MANIFEST entries *sequences*; settle
+        *done* at the first TRNC record of *log_id*, or with head 0."""
+        sequence = next(sequences, None)
+        if sequence is None:
+            return done.succeed((0, self._log(log_id).tail))
+        entry = manifest.entries[sequence]
+
+        def _checked(ok: bool) -> None:
+            parts = entry.context.split(b"|")
             if not ok:
                 done.fail(A2MError(
-                    f"MANIFEST entry {sequence} failed verification"
-                ))
-                return
-            parts = entry.context.split(b"|")
-            if parts[0] == b"TRNC-REC" and parts[1].decode() == log_id:
+                    f"MANIFEST entry {sequence} failed verification"))
+            elif parts[0] == b"TRNC-REC" and parts[1].decode() == log_id:
                 done.succeed((int(parts[2]), self._log(log_id).tail))
-                return
-        done.succeed((0, self._log(log_id).tail))
+            else:
+                self._read_back(log_id, manifest, sequences, done)
+
+        self.provider.check_transferable(self.session_id, entry.alpha,
+                                         _checked)
 
     # ------------------------------------------------------------------
     def _storage_cost(self, log_id: str, index: int) -> float:

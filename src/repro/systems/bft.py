@@ -9,8 +9,8 @@ claimed output, apply it, attest their own PoE and reply to the client.
 The client commits on f+1 identical replies.
 
 Each replica is a station (:class:`~repro.systems.common.Station`): a
-message is a job of timed stages (PoE check, attest), and each stage's
-completion callback is one Algorithm 3 step; leader and follower check
+message is a job of timed stages (PoE check, attest), each a scheduled
+call whose step is one Algorithm 3 step; leader and follower check
 a PoE with the same ``_validate_sender`` step.  Byzantine
 behaviours are injectable (a wrong output on any replica, equivocation
 and replay on the leader); the protocol's checks expose them.
@@ -149,11 +149,10 @@ class _Replica(Station):
                 self.detected_faults.append(
                     f"PoE from unknown sender {message.sender!r}")
                 return self.next()
-            auth.verify(message.attested, start).callbacks.append(
-                self._validate_sender)
+            auth.verify(message.attested, self._validate_sender, start)
         elif isinstance(message, ReadRequest):
-            self.sim.trigger_at(start + self.provider.attest_latency_us(32),
-                                message, self._answer_read)
+            self.sim.call_at(start + self.provider.attest_latency_us(32),
+                             self._answer_read, message)
         elif self.leads and isinstance(message, ClientRequest):
             self._lead(message, start)
         else:
@@ -179,13 +178,13 @@ class _Replica(Station):
             self.counter += 7
         return self.counter
 
-    def _answer_read(self, signed) -> None:
+    def _answer_read(self, read: ReadRequest) -> None:
         """Reply to a quorum read once signed with C_priv (Appendix C.1:
         replies to clients are device-signed, not session-attested, so
         no session counter is consumed)."""
         self.system.network.send(
             self.system.client_name,
-            Reply(self.name, -signed._value.read_id - 1, self.counter),
+            Reply(self.name, -read.read_id - 1, self.counter),
         )
         self.next()
 
@@ -197,7 +196,7 @@ class _Replica(Station):
         self._outputs[request.batch_id] = output
         if self.behaviour.replay and self._last_attested is not None:
             self._path = "replay"
-            self.sim.trigger_at(start, None, self._broadcast)
+            self.sim.call_at(start, self._broadcast, None)
         elif self.behaviour.equivocate:
             self._path = "equivocate"
             self._forks = [
@@ -211,10 +210,9 @@ class _Replica(Station):
             self.provider.attest(
                 self.system.session_ids[self.name],
                 _encode_poe(request.batch_id, request.increments, output),
-                start,
-            ).callbacks.append(self._broadcast)
+                self._broadcast, start)
 
-    def _broadcast(self, attested) -> None:
+    def _broadcast(self, attested: AttestedMessage | None) -> None:
         """leader(), once the PoE is attested: the equivocation-free
         multicast, one attested message identical for every follower (a
         replaying leader multicasts the last one again)."""
@@ -222,7 +220,7 @@ class _Replica(Station):
         if self._path == "ok":
             if span is not NULL_SPAN:
                 self._stage.end()
-            self._last_attested = attested._value
+            self._last_attested = attested
         poe = ProofOfExecution(self.name, self._last_attested)
         for follower in self.system.followers:
             self.system.network.send(follower, poe, parent=span)
@@ -230,36 +228,36 @@ class _Replica(Station):
             span.end(status=self._path)
         self.next()
 
-    def _equivocate(self, attested, start: float | None = None) -> None:
+    def _equivocate(self, attested: AttestedMessage | None,
+                    start: float | None = None) -> None:
         """An equivocating leader makes different statements to
         different followers, each with its own attestation, hence its
         own counter value: it sends each its forked PoE once attested."""
         if attested is not None:
             self.system.network.send(
                 self._forks.pop(0)[0],
-                ProofOfExecution(self.name, attested._value),
+                ProofOfExecution(self.name, attested),
                 parent=self._span)
         if not self._forks:
             self._span.end(status="equivocate")
             return self.next()
         self.provider.attest(self.system.session_ids[self.name],
-                             self._forks[0][1], start
-                             ).callbacks.append(self._equivocate)
+                             self._forks[0][1], self._equivocate, start)
 
-    def _validate_sender(self, check) -> None:
+    def _validate_sender(self, payload: bytes | None, violation) -> None:
         """validate_sender() / validate_follower(), once the TNIC has
         checked the PoE (transferable authentication, counter
         continuity): simulate and record the sender's state change.  The
         leader then counts the ack; a follower goes on to :meth:`_follow`."""
         message, span = self._message, self._span
-        if check._exception is not None:
+        if violation is not None:
             self._stage.end(status="rejected")
             span.end(status="rejected")
-            self.detected_faults.append(str(check._exception))
+            self.detected_faults.append(str(violation))
             return self.next()
         if span is not NULL_SPAN:
             self._stage.end()
-        batch_id, increments, output = _decode_poe(check._value)
+        batch_id, increments, output = _decode_poe(payload)
         expected = self.simulated.get(message.sender, 0) + increments
         if output != expected:
             self.detected_faults.append(
@@ -304,15 +302,15 @@ class _Replica(Station):
             self._stage = span.child("attest.hmac")
         self._batch_id = batch_id
         self.provider.attest(self.system.session_ids[self.name],
-                             own_payload).callbacks.append(self._followed)
+                             own_payload, self._followed)
 
-    def _followed(self, attested) -> None:
+    def _followed(self, attested: AttestedMessage) -> None:
         """The rest of follower(): send the own PoE to the leader and
         the other followers, and reply to the client."""
         span = self._span
         if span is not NULL_SPAN:
             self._stage.end()
-        poe = ProofOfExecution(self.name, attested._value)
+        poe = ProofOfExecution(self.name, attested)
         network = self.system.network
         network.send(self.system.leader_name, poe, parent=span)
         # "it forwards the leader's request to every other replica to

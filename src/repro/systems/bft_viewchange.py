@@ -140,11 +140,10 @@ class _Replica(Station):
         self.provider.attest(
             self.system.session_ids[self.name, self.view],
             _encode_poe(request.batch_id, request.increments, output),
-            start,
-        ).callbacks.append(self._broadcast)
+            self._broadcast, start)
 
-    def _broadcast(self, attested) -> None:
-        poe = ViewPoe(self.view, self.name, attested._value)
+    def _broadcast(self, attested: AttestedMessage) -> None:
+        poe = ViewPoe(self.view, self.name, attested)
         for peer in self.system.replica_names:
             if peer != self.name:
                 self.system.network.send(peer, poe)
@@ -160,9 +159,9 @@ class _Replica(Station):
         sim = self.sim
         due = armed + self.system.watchdog_us
         sent = due - SYSTEM_NET_HOP_US
-        sim.trigger_at(sent if sent > sim._now else sim._now,
-                       _WatchdogFired(batch_id, self.view),
-                       lambda timer: self._submit(timer._value, due, None))
+        sim.call_at(sent if sent > sim._now else sim._now,
+                    lambda fired: self._submit(fired, due, None),
+                    _WatchdogFired(batch_id, self.view))
 
     def _on_watchdog(self, fired: _WatchdogFired, start: float) -> None:
         if fired.batch_id in self.applied or fired.view != self.view:
@@ -174,12 +173,11 @@ class _Replica(Station):
         self.provider.attest(
             self.system.session_ids[self.name, self.view],
             f"VIEW-CHANGE|{new_view}".encode(),
-            start,
-        ).callbacks.append(self._vote)
+            self._vote, start)
 
-    def _vote(self, attested) -> None:
+    def _vote(self, attested: AttestedMessage) -> None:
         new_view = self.view + 1
-        vote = ViewChangeVote(new_view, self.name, attested._value)
+        vote = ViewChangeVote(new_view, self.name, attested)
         self.votes.setdefault(new_view, set()).add(self.name)
         for peer in self.system.replica_names:
             if peer != self.name:
@@ -196,14 +194,14 @@ class _Replica(Station):
                 f"PoE from non-leader {poe.sender} in view {poe.view}")
             return self.next()
         self.authenticators[poe.sender, poe.view].verify(
-            poe.attested, start).callbacks.append(self._apply)
+            poe.attested, self._apply, start)
 
-    def _apply(self, check) -> None:
-        if check._exception is not None:
-            self.detected_faults.append(str(check._exception))
+    def _apply(self, payload: bytes | None, violation) -> None:
+        if violation is not None:
+            self.detected_faults.append(str(violation))
             return self.next()
         poe = self._message
-        batch_id, increments, output = _decode_poe(check._value)
+        batch_id, increments, output = _decode_poe(payload)
         expected = self.simulated.get((poe.sender, poe.view), self.counter)
         expected += increments
         if output != expected:
@@ -223,13 +221,13 @@ class _Replica(Station):
         if vote.new_view <= self.view:
             return self.next()
         self.authenticators[vote.sender, vote.new_view - 1].verify(
-            vote.attested, start).callbacks.append(self._tally)
+            vote.attested, self._tally, start)
 
-    def _tally(self, check) -> None:
-        if check._exception is not None:
-            self.detected_faults.append(str(check._exception))
+    def _tally(self, payload: bytes | None, violation) -> None:
+        if violation is not None:
+            self.detected_faults.append(str(violation))
             return self.next()
-        if not check._value.startswith(b"VIEW-CHANGE|"):
+        if not payload.startswith(b"VIEW-CHANGE|"):
             return self.next()
         vote = self._message
         self.votes.setdefault(vote.new_view, set()).add(vote.sender)

@@ -154,7 +154,7 @@ class _ChainNode(Station):
         elif not self.predecessors and isinstance(message, ChainSubmit):
             self._execute(start)
         elif self.predecessors and isinstance(message, ChainMessage):
-            self._validate(None, start)
+            self._validate(None, None, start)
         else:
             self.next()
 
@@ -169,9 +169,9 @@ class _ChainNode(Station):
         self._output = output = self.execute(message.request)
         signing = self.provider.attest_latency_us(
             len(_encode_output(message.request_id, output, self.commit_index)))
-        self.sim.trigger_at(start + signing, None, self._reply)
+        self.sim.call_at(start + signing, self._reply, None)
 
-    def _reply(self, _signed=None) -> None:
+    def _reply(self, _signed: None = None) -> None:
         """Reply to the client, the last step of head_operation,
         middle_tail_operation and a quorum read."""
         self.system.network.send(
@@ -192,10 +192,9 @@ class _ChainNode(Station):
         self.provider.attest(
             self.system.session_ids[self.name],
             _encode_output(message.request_id, output, self.commit_index),
-            start,
-        ).callbacks.append(self._forward)
+            self._forward, start)
 
-    def _forward(self, attested) -> None:
+    def _forward(self, attested: AttestedMessage) -> None:
         """head_operation / middle_tail_operation, once the output is
         attested: forward the chain with this node's PoE appended."""
         message = self._message
@@ -203,30 +202,32 @@ class _ChainNode(Station):
             poes = message.poes if self.predecessors else ()
             self.system.network.send(self.successor, ChainMessage(
                 message.request_id, message.request,
-                poes + ((self.name, attested._value),),
+                poes + ((self.name, attested),),
             ))
         self._reply()
 
-    def _validate(self, check, start: float | None = None) -> None:
+    def _validate(self, payload: bytes | None, violation,
+                  start: float | None = None) -> None:
         """validate() (Algorithm 4, L15-26), a step per PoE.  As the job
-        starts (no *check* yet): one PoE per predecessor, in chain order,
-        else the predecessor that handed the message on is blamed.  Then
-        each PoE in turn: its attestation and counter, the claimed output
-        against this node's own deterministic execution, and the expected
-        commit index.  After the last valid PoE the node executes."""
+        starts (no check yet: *payload* and *violation* None): one PoE
+        per predecessor, in chain order, else the predecessor that handed
+        the message on is blamed.  Then each PoE in turn: its attestation
+        and counter, the claimed output against this node's own
+        deterministic execution, and the expected commit index.  After
+        the last valid PoE the node executes."""
         message = self._message
         fault = None
-        if check is None:
+        if payload is None and violation is None:
             senders = [sender for sender, _ in message.poes]
             self._checked = 0
             if tuple(senders) != self.predecessors:
                 fault = (f"{self.predecessors[-1]}: PoEs from {senders} != "
                          f"predecessors {list(self.predecessors)}")
-        elif check._exception is not None:
-            fault = f"{message.poes[self._checked][0]}: {check._exception}"
+        elif violation is not None:
+            fault = f"{message.poes[self._checked][0]}: {violation}"
         else:
             sender = message.poes[self._checked][0]
-            request_id, output, commit = _decode_output(check._value)
+            request_id, output, commit = _decode_output(payload)
             expected_output = self._expected_output(message.request)
             if request_id != message.request_id:
                 fault = f"{sender}: PoE for wrong request {request_id}"
@@ -243,8 +244,7 @@ class _ChainNode(Station):
         if self._checked == len(message.poes):
             return self._execute()
         sender, attested = message.poes[self._checked]
-        self.authenticators[sender].verify(attested, start).callbacks.append(
-            self._validate)
+        self.authenticators[sender].verify(attested, self._validate, start)
 
     def _expected_output(self, request: KvRequest) -> str:
         """Simulate the request on the local (pre-execution) state."""

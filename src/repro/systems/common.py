@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -76,15 +77,16 @@ class Station:
     """A node that handles its messages one job at a time, in the order
     they were sent to it.
 
-    A job is a chain of timed stages, and each stage's completion
-    callback is a protocol step; the step that ends the job calls
-    :meth:`next`.  A subclass files a message's first stage in
-    :meth:`start`, charged from the instant the job starts:
-    ``max(arrive, now)``, where a message sent to an idle station starts
-    on arrival, filed from the send itself, so a message's arrival costs
-    no event.  With telemetry attached, :meth:`received` opens the
-    job's spans at ``max(arrive, start)`` — on a hop timeout that runs
-    only then — so span ids and instants are those of a receive.
+    A job is a chain of timed stages, each a scheduled call
+    (``Simulator.call_at``) whose step is a protocol step that gets the
+    value it waited for; the step that ends the job calls :meth:`next`.
+    A subclass files a message's first stage in :meth:`start`, charged
+    from the instant the job starts: ``max(arrive, now)``, where a
+    message sent to an idle station starts on arrival, filed from the
+    send itself, so a message's arrival costs no event.  With telemetry
+    attached, :meth:`received` opens the job's spans at ``max(arrive,
+    start)`` — on a hop timeout that runs only then — so span ids and
+    instants are those of a receive.
     """
 
     def __init__(self, network: "EmulatedNetwork", name: str) -> None:
@@ -145,7 +147,7 @@ class Client(Station):
 
     A reply is a job that ends as soon as it is filed, so a client is
     never busy and every reply costs one scheduler entry, filed from
-    its send at its arrival instant: a stage of its own, or with
+    its send at its arrival instant: a call of its own, or with
     telemetry attached the hop's entry, where :meth:`received` runs
     ahead of the hop span's end.  :meth:`received` handles the reply.
 
@@ -155,7 +157,7 @@ class Client(Station):
     loop sends its next request from :meth:`replied`.  :meth:`wait`
     waits until an absolute deadline, and :meth:`expired` runs if the
     deadline passes first.  The client keeps at most one deadline timer
-    in flight, filed at its instant through ``trigger_at``: a waiter
+    in flight, a call filed at its instant: a waiter
     that is answered leaves the timer behind, a later deadline reuses
     it, and a timer that fires early re-arms for the deadline still
     waited on, or lapses with no wait in progress.  Deadlines that never
@@ -177,12 +179,12 @@ class Client(Station):
         #: The quorum wait in progress: (size, wanted, then, votes).
         self._collect: tuple | None = None
 
-    def run(self, first_step: Callable[["Event"], None]) -> Any:
-        """File *first_step* now and run the simulator until the run
-        finishes; return its value, or raise its error."""
+    def run(self, first_step: Callable[[None], None]) -> Any:
+        """File ``first_step(None)`` now and run the simulator until the
+        run finishes; return its value, or raise its error."""
         sim = self.sim
         self.done = Event(sim)
-        sim.trigger_at(sim._now, None, first_step)
+        sim.call_at(sim._now, first_step, None)
         return sim.run(self.done)
 
     def finish(self, value: Any = None,
@@ -194,7 +196,7 @@ class Client(Station):
         else:
             self.done.succeed(value)
 
-    def begin(self, _event: "Event") -> None:
+    def begin(self, _arg: None) -> None:
         """First step of a workload run: start the clock and send."""
         self.system.metrics.started_at = self.sim._now
         self.send_next()
@@ -223,11 +225,11 @@ class Client(Station):
         """File the reply's arrival and end its job at once."""
         sim = self.sim
         if sim.telemetry is None:
-            sim.trigger_at(start, message, self._arrived)
+            sim.call_at(start, self._arrived, message)
         self.next()
 
-    def _arrived(self, arrival: "Event") -> None:
-        self.received(arrival._value, None)
+    def _arrived(self, message: Any) -> None:
+        self.received(message, None)
 
     # ------------------------------------------------------------------
     # Waiting with a deadline
@@ -245,12 +247,12 @@ class Client(Station):
 
     def _arm(self, when: float) -> None:
         self._timer_at = when
-        self.sim.trigger_at(when, when, self._expire)
+        self.sim.call_at(when, self._expire, when)
 
-    def _expire(self, timer: "Event") -> None:
-        """The deadline timer fired: expire the wait in progress if it
-        is due, else re-arm for its deadline."""
-        if timer._value != self._timer_at:
+    def _expire(self, when: float) -> None:
+        """The deadline timer filed for *when* fired: expire the wait in
+        progress if it is due, else re-arm for its deadline."""
+        if when != self._timer_at:
             return  # superseded by a timer armed for an earlier deadline
         self._timer_at = inf
         deadline = self.deadline
@@ -410,36 +412,29 @@ class BroadcastAuthenticator(ContinuityCheck):
         self.session_id = session_id
 
     def verify(self, message: AttestedMessage,
-               start: float | None = None) -> "Event":
-        """Event resolves with the payload, or fails with
-        :class:`EquivocationDetected`; the check is charged from *start*
-        (an absolute instant, default now).
+               step: Callable[[Any, EquivocationDetected | None], None],
+               start: float | None = None) -> None:
+        """Check *message*, charged from *start* (an absolute instant,
+        default now): ``step(payload, None)``, or ``step(None,
+        violation)``.  The provider takes the MAC verdict now and files
+        :meth:`_settle`, which judges the counters when the check fires."""
+        self.provider.check_transferable(
+            self.session_id, message, partial(self._settle, message, step),
+            start)
 
-        The event is the provider's timed check itself: the message is
-        parked beside the check's MAC verdict and :meth:`_settle`, the
-        event's first callback, turns the pair into the outcome every
-        later callback (the protocol step) sees.
-        """
-        check = self.provider.check_transferable(self.session_id, message,
-                                                 start)
-        check._value = (check._value, message)
-        check.callbacks.append(self._settle)
-        return check
-
-    def _settle(self, check: "Event") -> None:
-        """Set *check*'s outcome when it fires: the payload, or the
-        violation :meth:`admit` finds (judged against the counters seen
-        by this instant)."""
-        mac_valid, message = check._value
+    def _settle(self, message: AttestedMessage, step: Callable[..., None],
+                mac_valid: bool) -> None:
+        """The check fired: hand *step* the payload, or the violation
+        :meth:`admit` finds (judged against the counters seen by this
+        instant)."""
         violation = self.admit(mac_valid, message)
         if violation is not None:
-            check._exception = violation
-            return
+            return step(None, violation)
         sim = self.provider.sim
         if sim.telemetry is not None:
             emit(sim, "system.auth_ok",
                  f"session={self.session_id} cnt={message.counter}")
-        check._value = message.payload
+        step(message.payload, None)
 
 
 @dataclass

@@ -12,7 +12,6 @@ about 2x the TNIC-based CR.
 from __future__ import annotations
 
 from repro.sim.clock import Simulator
-from repro.sim.events import Event
 from repro.sim.record import Record, record
 from repro.systems.chain import KvRequest, role_names
 from repro.systems.common import Client, EmulatedNetwork, Station, SystemMetrics
@@ -46,8 +45,8 @@ class _CftChainNode(Station):
         self.commit_index = 0
 
     def start(self, message, start: float) -> None:
-        self.sim.trigger_at(start + TEE_IO_OVERHEAD_US, message,
-                            self.on_message)
+        self.sim.call_at(start + TEE_IO_OVERHEAD_US, self.on_message,
+                         message)
 
     def execute(self, request: KvRequest) -> str:
         if request.op == "put":
@@ -55,8 +54,7 @@ class _CftChainNode(Station):
             return f"ok:{request.value}"
         return self.store.get(request.key, "<missing>")
 
-    def on_message(self, done: Event) -> None:
-        message = done._value
+    def on_message(self, message) -> None:
         if not isinstance(message, ChainCommand):
             return self.next()
         output = self.execute(message.request)

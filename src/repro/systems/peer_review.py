@@ -34,7 +34,6 @@ from repro.core.attestation import AttestedMessage
 from repro.crypto.hashing import DIGEST_SIZE, length_prefix, sha256
 from repro.sim.clock import Simulator
 from repro.sim.latency import PEER_REVIEW_AUDIT_US
-from repro.sim.events import Timeout
 from repro.sim.record import Record, record
 from repro.systems.common import (
     BroadcastAuthenticator,
@@ -200,16 +199,14 @@ class _Child(Station):
         other message end the job here."""
         if self.silent or not isinstance(message, StreamChunk):
             return self.next()
-        self.auth.verify(message.attested, start).callbacks.append(
-            self._execute)
+        self.auth.verify(message.attested, self._execute, start)
 
-    def _execute(self, check) -> None:
+    def _execute(self, payload: bytes | None, violation) -> None:
         """Log the chunk, run the reference implementation on it and
         attest the result."""
-        if check._exception is not None:
-            self.detected_faults.append(str(check._exception))
+        if violation is not None:
+            self.detected_faults.append(str(violation))
             return self.next()
-        payload = check._value
         seq, content = _decode(payload)
         self.log.append("recv", payload)
         result = reference_execute(content)
@@ -218,12 +215,12 @@ class _Child(Station):
         response_payload = _encode(seq, result)
         self.log.append("send", response_payload)
         self.provider.attest(self.system.session_ids[self.name],
-                             response_payload).callbacks.append(self._ack)
+                             response_payload, self._ack)
 
-    def _ack(self, attested) -> None:
+    def _ack(self, attested: AttestedMessage) -> None:
         """Acknowledge the chunk to the source with the attested result."""
         self.system.network.send(
-            self.system.source_name, ChunkAck(self.name, attested._value))
+            self.system.source_name, ChunkAck(self.name, attested))
         self.next()
 
 
@@ -263,17 +260,17 @@ class _Source(Client):
             return self.end()
         self.sent_at = self.sim.now
         self._payload = _encode(seq, self._contents[seq])
-        self.provider.attest(system.session_ids[self.name], self._payload
-                             ).callbacks.append(self._multicast)
+        self.provider.attest(system.session_ids[self.name], self._payload,
+                             self._multicast)
 
-    def _multicast(self, attested) -> None:
+    def _multicast(self, attested: AttestedMessage) -> None:
         """Log the chunk, send it to every child and wait for the acks."""
         system, seq = self.system, self._seq
         self.log.append("send", self._payload)
         if self.behaviour.tamper_log and seq == 1:
             self.log.tamper(len(self.log.records) - 1,
                             _encode(seq, "forged-content"))
-        chunk = StreamChunk(self.name, attested._value)
+        chunk = StreamChunk(self.name, attested)
         for child in system.children:
             system.network.send(child, chunk)
         self._acked: set[str] = set()
@@ -297,15 +294,14 @@ class _Source(Client):
         self.deadline = None
         self._ack = message
         self.child_auths[message.sender].verify(
-            message.attested, start).callbacks.append(self._checked)
+            message.attested, self._checked, start)
 
-    def _checked(self, check) -> None:
+    def _checked(self, ack_payload: bytes | None, violation) -> None:
         """Log an ack of the chunk in flight; once every child has
         acked, the witness audits."""
-        if check._exception is not None:
-            self.detected_faults.append(str(check._exception))
+        if violation is not None:
+            self.detected_faults.append(str(violation))
             return self._await_acks()
-        ack_payload = check._value
         ack_seq, _result = _decode(ack_payload)
         if ack_seq == self._seq:
             self.log.append("recv", ack_payload)
@@ -340,15 +336,16 @@ class _Source(Client):
                 (system.child_witnesses[name], child.log, f"{name}: ")
                 for name, child in system.child_nodes.items()
             ]
-        Timeout(self.sim, PEER_REVIEW_AUDIT_US).callbacks.append(self._audited)
+        sim = self.sim
+        sim.call_at(sim._now + PEER_REVIEW_AUDIT_US, self._audited, None)
 
-    def _audited(self, _stage) -> None:
+    def _audited(self, _stage: None) -> None:
         witness, log, prefix = self._audits.pop(0)
         self.system.witness_faults.extend(
             prefix + fault for fault in witness.audit(log))
         if self._audits:
-            Timeout(self.sim, PEER_REVIEW_AUDIT_US).callbacks.append(
-                self._audited)
+            sim = self.sim
+            sim.call_at(sim._now + PEER_REVIEW_AUDIT_US, self._audited, None)
             return
         self._chunk_done()
 

@@ -16,7 +16,6 @@ behaviour, not just message counts.
 from __future__ import annotations
 
 from repro.sim.clock import Simulator
-from repro.sim.events import Event
 from repro.sim.record import Record, record
 from repro.systems.common import Client, EmulatedNetwork, Station, SystemMetrics
 
@@ -96,13 +95,12 @@ class _RaftNode(Station):
         self.pending: dict[int, int] = {}  # log index -> request_id
 
     def start(self, message, start: float) -> None:
-        self.sim.trigger_at(start + TEE_IO_OVERHEAD_US, message, self._step)
+        self.sim.call_at(start + TEE_IO_OVERHEAD_US, self._step, message)
 
     # ------------------------------------------------------------------
     # Leader
     # ------------------------------------------------------------------
-    def lead(self, done: Event) -> None:
-        message = done._value
+    def lead(self, message) -> None:
         if isinstance(message, ClientCommand):
             entry = LogEntry(
                 term=self.current_term,
@@ -174,8 +172,7 @@ class _RaftNode(Station):
     # ------------------------------------------------------------------
     # Follower
     # ------------------------------------------------------------------
-    def follow(self, done: Event) -> None:
-        message = done._value
+    def follow(self, message) -> None:
         if not isinstance(message, AppendEntries):
             return self.next()
         success = self._consistency_check(message)

@@ -10,16 +10,14 @@ interface and evaluated across all five providers — the methodology of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.attestation import AttestationError, AttestationKernel, AttestedMessage
-from repro.sim.events import Timeout
 from repro.sim.record import Record, record
 from repro.sim.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
-    from repro.sim.events import Event
 
 
 @record
@@ -72,42 +70,44 @@ class AttestationProvider:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Operations
+    # Operations: each files *step* as one call, charged the sampled
+    # latency from *start* (an absolute instant, default now)
     # ------------------------------------------------------------------
     def attest(self, session_id: int, payload: bytes,
-               start: float | None = None) -> "Event":
-        """Generate an attested message, charging the sampled latency
-        from *start* (an absolute instant, default now)."""
+               step: Callable[[AttestedMessage], Any],
+               start: float | None = None) -> None:
+        """Generate an attested message; *step* gets it once charged."""
         self.attest_count += 1
         message = self.kernel.attest(session_id, payload)
-        return Timeout(self.sim, self.attest_latency_us(len(payload)),
-                       message, start)
+        sim = self.sim
+        sim.call_at((sim._now if start is None else start)
+                    + self.attest_latency_us(len(payload)), step, message)
 
-    def verify(self, session_id: int, message: AttestedMessage) -> "Event":
-        """Verify continuity + authenticity, charging the latency.
-
-        The event value is the payload; verification failures fail the
-        event with the underlying :class:`AttestationError`: the event
-        is the latency timeout, its outcome set by :meth:`_settle`.
-        """
+    def verify(self, session_id: int, message: AttestedMessage,
+               step: Callable[[bytes | None, Exception | None], Any]) -> None:
+        """Verify continuity + authenticity once charged, then call
+        ``step(payload, None)``, or ``step(None, error)`` with the
+        :class:`AttestationError` raised."""
         self.verify_count += 1
-        check = Timeout(self.sim, self.attest_latency_us(len(message.payload)),
-                        (session_id, message))
-        check.callbacks.append(self._settle)
-        return check
+        sim = self.sim
+        sim.call_at(sim._now + self.attest_latency_us(len(message.payload)),
+                    self._settle, (session_id, message, step))
 
-    def _settle(self, check: "Event") -> None:
-        """First callback of a :meth:`verify` event: set its outcome."""
-        session_id, message = check._value
+    def _settle(self, pending: tuple) -> None:
+        """The step of a :meth:`verify`: check, then hand on the outcome."""
+        session_id, message, step = pending
         try:
-            check._value = self.kernel.verify(session_id, message)
+            payload = self.kernel.verify(session_id, message)
         except AttestationError as exc:
-            check._exception = exc
+            return step(None, exc)
+        step(payload, None)
 
     def check_transferable(self, session_id: int, message: AttestedMessage,
-                           start: float | None = None) -> "Event":
-        """Transferable-authentication check (no counter mutation),
-        charged from *start* as :meth:`attest` is."""
+                           step: Callable[[bool], Any],
+                           start: float | None = None) -> None:
+        """Transferable-authentication check (no counter mutation):
+        *step* gets the MAC verdict once charged."""
         delay = self.attest_latency_us(len(message.payload))
         ok = self.kernel.check_transferable(session_id, message)
-        return Timeout(self.sim, delay, ok, start)
+        sim = self.sim
+        sim.call_at((sim._now if start is None else start) + delay, step, ok)

@@ -4,19 +4,19 @@ The ROADMAP's hot-path campaign needs attribution, not vibes: *which*
 event types and callsites burn the host CPU, and which ones own the
 virtual time the simulation reports.  This profiler hangs off the
 drain loop in :mod:`repro.sim.clock` (attached as ``sim.profiler``,
-one attribute load + one ``is`` check per event when detached — the
+one attribute load + one ``is`` check per entry when detached — the
 same contract as the telemetry hub) and
-accounts every processed event under a stable key:
+accounts every processed heap entry under a stable key:
 
-``EventType:callsite`` — the event's class plus the qualified name of
-the code its first callback runs (a station's protocol step, e.g.
-``Event:_RaftNode.lead``, or for a process resumption the *process
-generator* itself), so a profile reads like a flame-graph leaf list of
-the simulation.
+``Kind:callsite`` — ``Call`` and the step of a scheduled call (a
+station's protocol step, e.g. ``Call:_RaftNode.lead``), or an event's
+class and the code its first callback runs (for a process resumption
+the *process generator* itself), so a profile reads like a flame-graph
+leaf list of the simulation.
 
 Two ledgers per key, with very different determinism status:
 
-* **sim** — event counts and virtual-time advance (µs): a pure
+* **sim** — entry counts and virtual-time advance (µs): a pure
   function of the seeded simulation, byte-identical across runs, safe
   to assert on and to diff across PRs.
 * **host** — wall CPU nanoseconds from ``time.perf_counter_ns``:
@@ -43,18 +43,19 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_CLOCK: Callable[[], int] = time.perf_counter_ns
 
 
-def _callsite(event: Any, callbacks: list) -> str:
-    """A stable, human-readable attribution for *event*'s work.
+def _callsite(step: Any) -> str:
+    """A stable, human-readable attribution for *step*'s work: a
+    call's step or an event's first callback.
 
     Process resumptions are attributed to the generator the process
-    runs (the interesting frame), everything else to the callback's
-    qualified name (``Owner.method`` for a bound method: each stage of
-    a callback chain has its key); no callbacks fall back to ``<idle>``.
-    """
-    if not callbacks:
+    runs (the interesting frame), a ``partial`` to the function it
+    binds, everything else to the step's qualified name (``Owner.method``
+    for a bound method: each stage of a chain has its key); no step (an
+    event without callbacks) falls back to ``<idle>``."""
+    if not step:
         return "<idle>"
-    callback = callbacks[0]
-    owner = getattr(callback, "__self__", None)
+    step = getattr(step, "func", step)  # a partial: the function it binds
+    owner = getattr(step, "__self__", None)
     if owner is not None:
         generator = getattr(owner, "_generator", None)
         if generator is not None:
@@ -63,12 +64,12 @@ def _callsite(event: Any, callbacks: list) -> str:
                 code = getattr(generator, "gi_code", None)
                 qualname = code.co_qualname if code is not None else repr(owner)
             return qualname
-        return f"{type(owner).__name__}.{callback.__name__}"
-    return getattr(callback, "__qualname__", repr(callback))
+        return f"{type(owner).__name__}.{step.__name__}"
+    return getattr(step, "__qualname__", repr(step))
 
 
 class Profiler:
-    """Per-event-type/callsite accounting over one simulator."""
+    """Per-kind/callsite accounting over one simulator."""
 
     def __init__(
         self,
@@ -77,13 +78,13 @@ class Profiler:
     ) -> None:
         self.sim = sim
         self.clock = clock
-        #: key -> processed-event count (deterministic).
+        #: key -> processed-entry count (deterministic).
         self.events: dict[str, int] = {}
         #: key -> virtual microseconds the clock advanced landing on
-        #: this key's events (deterministic; sums to the final
+        #: this key's entries (deterministic; sums to the final
         #: ``sim.now`` when the profiler saw the whole run).
         self.sim_us: dict[str, float] = {}
-        #: key -> host CPU nanoseconds inside this key's callbacks
+        #: key -> host CPU nanoseconds inside this key's steps
         #: (nondeterministic; never enters the metrics document).
         self.host_ns: dict[str, int] = {}
         #: Virtual-time cursor: the clock value already attributed.
@@ -108,16 +109,16 @@ class Profiler:
     # ------------------------------------------------------------------
     # The kernel-facing hook
     # ------------------------------------------------------------------
-    def account(
-        self, event: Any, callbacks: list, when: float, elapsed_ns: int
-    ) -> None:
-        """Attribute one processed event (called by the drain loop).
+    def account(self, kind: str, step: Any, when: float,
+                elapsed_ns: int) -> None:
+        """Attribute one processed entry (called by the drain loop):
+        *kind* is ``"Call"`` or the event's class, *step* as above.
 
-        *when* is the event's virtual timestamp; the advance since the
-        previously accounted event is attributed to this event, because
-        this event is the one that made the clock move there.
+        *when* is the entry's virtual timestamp; the advance since the
+        previously accounted entry is attributed to this entry, because
+        it is the one that made the clock move there.
         """
-        key = f"{type(event).__name__}:{_callsite(event, callbacks)}"
+        key = f"{kind}:{_callsite(step)}"
         self.events[key] = self.events.get(key, 0) + 1
         advance = when - self._cursor
         if advance > 0.0:

@@ -210,8 +210,10 @@ def test_a_poe_counts_only_from_its_senders_own_device():
     never ordered, and later blame the honest r0 for a counter gap."""
     system = BftCounter(seed=3)
     r1 = system.replicas["r1"]
-    forged = system.sim.run(r1.provider.attest(
-        system.session_ids["r0"], _encode_poe(99, 5, 5)))
+    attested = system.sim.event()
+    r1.provider.attest(system.session_ids["r0"], _encode_poe(99, 5, 5),
+                       attested.succeed)
+    forged = system.sim.run(attested)
     system.network.send("r2", ProofOfExecution("r0", forged))
     system.sim.run(until=system.sim.now + 1_000.0)
     r2 = system.replicas["r2"]

@@ -176,10 +176,14 @@ def test_a_chained_message_must_carry_every_predecessors_poe():
     request = KvRequest("put", "k", "v")
     for keep in (("mid0",), ("mid0", "head")):
         system = ChainReplication("tnic", chain_length=3)
-        poes = tuple(
-            (name, system.sim.run(system.providers[name].attest(
-                system.session_ids[name], _encode_output(0, "ok:v", 1))))
-            for name in keep)
+        poes = []
+        for name in keep:
+            attested = system.sim.event()
+            system.providers[name].attest(
+                system.session_ids[name], _encode_output(0, "ok:v", 1),
+                attested.succeed)
+            poes.append((name, system.sim.run(attested)))
+        poes = tuple(poes)
         system.network.send("tail", ChainMessage(0, request, poes))
         system.sim.run()
         tail = system.nodes["tail"]

@@ -190,6 +190,17 @@ def test_real_tree_closure_covers_the_kernel_datapath(real_engine):
     assert "repro.stack.rdma_lib.MemoryTable.dma_read" in deliver
     post = reachable["repro.stack.rdma_lib.RdmaLibrary.post"]
     assert "repro.stack.memory.IbvMemory.read" in post
+    # A scheduled call's step is run only from its heap entry, so the
+    # policy declares it, and the PERF rules check it.
+    assert {
+        "repro.sim.clock.Simulator.call_at",
+        "repro.sim.clock._invoke",
+        "repro.systems.common.Client.begin",
+        "repro.systems.common.Client._arrived",
+        "repro.systems.common.Client._expire",
+        "repro.systems.common.BroadcastAuthenticator._settle",
+        "repro.roce.transport.RoceKernel._timer_fired",
+    } <= set(reachable)
 
 
 @pytest.mark.lint

@@ -217,11 +217,20 @@ def test_bad_messages_fail_provider_verify(warm):
     for provider in (sender, receiver):
         provider.install_session(1, KEY)
         provider.install_session(2, b"j" * 32)
-    genuine = sim.run(sender.attest(1, b"payload"))
+
+    def run(operation, *args):
+        """Run one provider operation to its step; return what it got."""
+        got = []
+        operation(*args, lambda *outcome: got.append(outcome))
+        sim.run()
+        [outcome] = got
+        return outcome
+
+    [genuine] = run(sender.attest, 1, b"payload")
     for bad in _bad_messages(genuine).values():
         if warm:
-            assert sim.run(receiver.check_transferable(bad.session_id, bad)) is False
-        with pytest.raises(MacMismatchError):
-            sim.run(receiver.verify(bad.session_id, bad))
-        assert sim.run(receiver.check_transferable(bad.session_id, bad)) is False
-    assert sim.run(receiver.verify(1, genuine)) == b"payload"
+            assert run(receiver.check_transferable, bad.session_id, bad) == (False,)
+        payload, error = run(receiver.verify, bad.session_id, bad)
+        assert payload is None and isinstance(error, MacMismatchError)
+        assert run(receiver.check_transferable, bad.session_id, bad) == (False,)
+    assert run(receiver.verify, 1, genuine) == (b"payload", None)

@@ -1,5 +1,4 @@
-"""Additional coverage: RSA properties, provider verify failure,
-transform history bounds."""
+"""Additional coverage: RSA properties, transform history bounds."""
 
 import pytest
 from hypothesis import given, settings
@@ -43,28 +42,6 @@ def test_rsa_minimum_bits_enforced():
 def test_rsa_fingerprint_stable():
     assert _KEYS.public.fingerprint() == _KEYS.public.fingerprint()
     assert len(_KEYS.public.fingerprint()) == 16
-
-
-# ---------------------------------------------------------------------------
-# Provider verify failure propagation
-# ---------------------------------------------------------------------------
-
-def test_provider_verify_failure_fails_event():
-    from repro.core.attestation import AttestedMessage, MacMismatchError
-    from repro.sim import Simulator
-    from repro.tee import make_provider
-
-    sim = Simulator()
-    provider = make_provider("tnic", sim, 1)
-    provider.install_session(1, b"k" * 32)
-    genuine = provider.kernel.attest(1, b"data")
-    forged = AttestedMessage(
-        payload=b"evil", alpha=genuine.alpha, session_id=1,
-        device_id=genuine.device_id, counter=genuine.counter,
-    )
-    event = provider.verify(1, forged)
-    with pytest.raises(MacMismatchError):
-        sim.run(event)
 
 
 # ---------------------------------------------------------------------------

@@ -137,10 +137,16 @@ def test_receiver_rejects_broken_stream(attack, anomaly, reason):
     provider = make_provider("tnic", sim, 99)
     provider.install_session(session, sha256("broadcast", "leader", session))
     auth = BroadcastAuthenticator(provider, session, device.device_id)
-    for message in stream[:-1]:
-        sim.run(auth.verify(message))
+    outcomes = []
+    for message in stream:
+        auth.verify(message, lambda *outcome: outcomes.append(outcome))
+        sim.run()
+    assert outcomes[:-1] == [(message.payload, None)
+                             for message in stream[:-1]]
+    payload, violation = outcomes[-1]
+    assert payload is None
     with pytest.raises(EquivocationDetected, match=reason):
-        sim.run(auth.verify(stream[-1]))
+        raise violation
     assert auth.anomalies == receiver.anomalies
 
 

@@ -2,6 +2,7 @@
 the zero-cost-when-detached contract (mirrors test_instrument_gate.py)."""
 
 import json
+from functools import partial
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_callsite_attribution_names_process_generators():
     profiler = Profiler.attach(cluster.sim, clock=FakeClock())
     _run_auth_round(cluster)
     keys = set(profiler.events)
-    # Every key is EventType:callsite; process resumptions carry the
+    # Every key is Kind:callsite; process resumptions carry the
     # generator's qualified name, not a kernel-internal frame.
     assert all(":" in key for key in keys)
     assert any(key.startswith("Completion:") or key.startswith("Event:")
@@ -109,22 +110,22 @@ def test_a_reply_is_booked_to_the_client_step():
     profiler = Profiler.attach(system.sim, clock=FakeClock())
     system.run_workload(20, pipeline_depth=4)
     keys = set(profiler.events)
-    # A reply's arrival is the client's own stage, booked to the step
+    # A reply's arrival is the client's own call, booked to the step
     # that counts it; the run's first step and its end are one entry
     # each.
-    client = {"Event:_Client.begin", "Event:_Client._arrived",
+    client = {"Call:_Client.begin", "Call:_Client._arrived",
               "Event:<idle>"}
     assert client <= keys
-    assert profiler.events["Event:_Client.begin"] == 1
+    assert profiler.events["Call:_Client.begin"] == 1
     assert profiler.events["Event:<idle>"] == 1
     # A replica is a station: its messages' arrivals are no entries, and
-    # each stage's completion is booked to its protocol step (a PoE
-    # check's first callback is the authenticator's verdict).
+    # each stage is a call booked to its protocol step (a PoE check's
+    # step is the authenticator's verdict).
     assert keys - client == {
-        "Timeout:BroadcastAuthenticator._settle",
-        "Timeout:_Replica._broadcast", "Timeout:_Replica._followed"}
-    assert profiler.events["Timeout:_Replica._broadcast"] == 20
-    assert profiler.events["Timeout:_Replica._followed"] == 20 * 2
+        "Call:BroadcastAuthenticator._settle",
+        "Call:_Replica._broadcast", "Call:_Replica._followed"}
+    assert profiler.events["Call:_Replica._broadcast"] == 20
+    assert profiler.events["Call:_Replica._followed"] == 20 * 2
 
 
 def test_a_served_completion_is_booked_to_the_replica_handler():
@@ -132,22 +133,22 @@ def test_a_served_completion_is_booked_to_the_replica_handler():
     profiler = Profiler.attach(system.sim, clock=FakeClock())
     system.run_workload(20)
     keys = set(profiler.events)
-    # A station's one stage per message has the protocol step as its
-    # callback: the entry is the replica's, not the network's.
-    assert {"Event:_RaftNode.lead", "Event:_RaftNode.follow",
-            "Event:_Client._arrived"} <= keys
-    assert profiler.events["Event:_RaftNode.lead"] == 20 * 3
-    assert profiler.events["Event:_RaftNode.follow"] == 20 * 2
+    # A station's one stage per message is a call to the protocol step:
+    # the entry is the replica's, not the network's.
+    assert {"Call:_RaftNode.lead", "Call:_RaftNode.follow",
+            "Call:_Client._arrived"} <= keys
+    assert profiler.events["Call:_RaftNode.lead"] == 20 * 3
+    assert profiler.events["Call:_RaftNode.follow"] == 20 * 2
     assert not any("EmulatedNetwork" in key for key in keys)
 
 
 def test_callsite_fallbacks():
-    assert _callsite(object(), []) == "<idle>"
+    assert _callsite(None) == "<idle>"
 
     def plain(event):
         pass
 
-    assert _callsite(object(), [plain]) == (
+    assert _callsite(plain) == (
         "test_callsite_fallbacks.<locals>.plain"
     )
 
@@ -155,7 +156,9 @@ def test_callsite_fallbacks():
         def fired(self, event):
             pass
 
-    assert _callsite(object(), [Stage().fired]) == "Stage.fired"
+    assert _callsite(Stage().fired) == "Stage.fired"
+    # A bound partial is booked to the function it binds.
+    assert _callsite(partial(Stage().fired, None)) == "Stage.fired"
 
 
 def test_host_ledger_stays_out_of_the_metrics_document():

@@ -70,14 +70,14 @@ def test_served_waits_share_one_timer_and_expired_ones_leave():
     network = EmulatedNetwork(sim)
     client = _Waiter(network, (100.0, 150.0, 150.0, 160.0, 160.0))
     timers = []
-    push = sim._push
+    call_at = sim.call_at
 
-    def recording(when, event):
-        if event.callbacks == [client._expire]:
+    def recording(when, fn, arg):
+        if fn == client._expire:
             timers.append(when)
-        push(when, event)
+        call_at(when, fn, arg)
 
-    sim._push = recording
+    sim.call_at = recording
     for instant in (10.0, 20.0, 30.0):
         sim.delayed_call(instant, lambda: network.send("client", "item"))
     client.run(client._next)
@@ -193,12 +193,18 @@ def test_a_finished_run_holds_at_most_one_entry_per_client():
 # Event budget: exact and host-independent
 # ----------------------------------------------------------------------
 def _pushes_per_request(monkeypatch, run, requests):
+    """Scheduler entries per request: events filed (``_push``) plus
+    calls (``call_at``)."""
     pushes = [0]
-    push = Simulator._push
+    push, call_at = Simulator._push, Simulator.call_at
 
     def counting(self, when, event):
         pushes[0] += 1
         push(self, when, event)
+
+    def counting_call(self, when, fn, arg):
+        pushes[0] += 1
+        call_at(self, when, fn, arg)
 
     conditions = []
     construct = AnyOf.__init__
@@ -208,6 +214,7 @@ def _pushes_per_request(monkeypatch, run, requests):
         construct(self, sim, events)
 
     monkeypatch.setattr(Simulator, "_push", counting)
+    monkeypatch.setattr(Simulator, "call_at", counting_call)
     monkeypatch.setattr(AnyOf, "__init__", recording)
     run()
     assert not conditions  # a wait with a deadline is one receive
@@ -350,13 +357,18 @@ def test_the_pending_set_stays_shallow_on_the_paper_workloads(monkeypatch):
     workload ever goes deep, this trips and the heap-vs-calendar
     question reopens with data (docs/performance.md "Layer 1")."""
     deepest = [0]
-    push = Simulator._push
+    push, call_at = Simulator._push, Simulator.call_at
 
     def sampling(self, when, event):
         push(self, when, event)
         deepest[0] = max(deepest[0], len(self._heap))
 
+    def sampling_call(self, when, fn, arg):
+        call_at(self, when, fn, arg)
+        deepest[0] = max(deepest[0], len(self._heap))
+
     monkeypatch.setattr(Simulator, "_push", sampling)
+    monkeypatch.setattr(Simulator, "call_at", sampling_call)
     BftCounter("tnic", f=1, seed=0).run_workload(100, pipeline_depth=4)
     ChainReplication("tnic", seed=0).run_workload(
         kv_workload(100, read_fraction=0.5, seed=0))

@@ -229,8 +229,8 @@ class _Ties:
     def clock(self):
         return 0
 
-    def account(self, event, callbacks, when, _elapsed):
-        site = _callsite(event, callbacks)
+    def account(self, _kind, step, when, _elapsed):
+        site = _callsite(step)
         if site == "EthernetMac.deliver":
             self.arrivals.add(when)
         elif site not in ("_Send._acked", "<idle>"):

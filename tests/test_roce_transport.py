@@ -351,8 +351,8 @@ def test_a_go_back_n_resend_transmits_the_very_packet_first_sent():
 
 def _timer_entries(sim, kernel):
     """Instants of *kernel*'s retransmission-timer entries on the heap."""
-    return [when for when, _, event in sim._heap
-            if kernel._timer_fired in event.callbacks]
+    return [when for when, _, step, _arg in sim._heap
+            if step == kernel._timer_fired]
 
 
 def test_an_ack_that_makes_progress_restarts_the_timer():

@@ -1,8 +1,8 @@
 """Differential oracle for the scheduler.
 
-The scheduler's whole contract is *order*: events process in global
-``(when, tiebreak)`` order, however an entry was scheduled and however
-the loop was last left.  ``HeapScheduler`` below is the independent
+The scheduler's whole contract is *order*: entries — events and
+scheduled calls alike — process in global ``(when, tiebreak)`` order,
+however an entry was scheduled and however the loop was last left.  ``HeapScheduler`` below is the independent
 statement of that contract — it shares nothing with
 :class:`repro.sim.Simulator` but the tie perturbation; random programs
 must leave the identical ``(now, label)`` trace on both.
@@ -32,13 +32,17 @@ class HeapEvent:
 
 
 class HeapScheduler:
-    """The reference: one heap of ``(when, tie, event)``."""
+    """The reference: one heap of ``(when, tie, fn, arg)``, where a
+    call runs ``fn(arg)`` and an event's entry has fn None."""
 
     def __init__(self) -> None:
         self.now, self._heap, self._ties = 0.0, [], count()
 
     def _push(self, when: float, event: HeapEvent) -> None:
-        heappush(self._heap, (when, next(self._ties), event))
+        heappush(self._heap, (when, next(self._ties), None, event))
+
+    def call_at(self, when: float, fn, arg) -> None:
+        heappush(self._heap, (when, next(self._ties), fn, arg))
 
     def event(self) -> HeapEvent:
         return HeapEvent(self)
@@ -48,21 +52,30 @@ class HeapScheduler:
         self._push(self.now + delay, event)
         return event
 
-    def delayed_call(self, delay: float, fn) -> HeapEvent:
-        event = self.timeout(delay)
-        event.callbacks.append(lambda _event: fn())
-        return event
+    def delayed_call(self, delay: float, fn) -> None:
+        self.call_at(self.now + delay, lambda _arg: fn(), None)
 
     def perturb_ties(self, seed: int | None) -> None:
         self._ties = count() if seed is None else _perturbed_ties(seed)
         entries, self._heap = sorted(self._heap), []
-        for when, _tie, event in entries:
-            self._push(when, event)
+        for when, _tie, fn, arg in entries:
+            heappush(self._heap, (when, next(self._ties), fn, arg))
+
+    def _process(self) -> tuple:
+        entry = self.now, _tie, fn, arg = heappop(self._heap)
+        if fn is not None:
+            fn(arg)
+            return entry
+        arg.processed = True
+        callbacks, arg.callbacks = arg.callbacks, []
+        for callback in callbacks:
+            callback(arg)
+        return entry
 
     def step(self) -> None:
         if not self._heap:
             raise EmptySchedule()
-        self.run(self._heap[0][2])
+        self._process()
 
     def run(self, until=None) -> None:
         sentinel = until if isinstance(until, HeapEvent) else None
@@ -70,12 +83,8 @@ class HeapScheduler:
         if sentinel is not None and sentinel.processed:
             return
         while self._heap and self._heap[0][0] <= deadline:
-            self.now, _tie, event = heappop(self._heap)
-            event.processed = True
-            callbacks, event.callbacks = event.callbacks, []
-            for callback in callbacks:
-                callback(event)
-            if event is sentinel:
+            _when, _tie, fn, arg = self._process()
+            if fn is None and arg is sentinel:
                 return
         if deadline != inf:
             self.now = deadline
@@ -93,9 +102,12 @@ DELAYS = st.sampled_from(
 )
 SEEDS = st.one_of(st.none(), st.integers(0, 7))
 
-# (kind, delay, children): schedule one event whose callback logs,
-# schedules its children and, for kind "raise", then raises.
-KINDS = st.sampled_from(["timeout", "call", "succeed", "raise"])
+# (kind, delay, children): schedule one entry whose step logs, schedules
+# its children and, for kinds "raise" and "raise_at", then raises.  An
+# "at" or "raise_at" entry is a call filed with ``call_at``, a "call"
+# one with ``delayed_call``; the others are events.
+KINDS = st.sampled_from(
+    ["timeout", "call", "at", "succeed", "raise", "raise_at"])
 ACTIONS = st.recursive(
     st.tuples(KINDS, DELAYS, st.just(())),
     lambda children: st.tuples(
@@ -126,11 +138,13 @@ def trace_of(sched, program) -> list:
             trace.append((sched.now, label))
             for child in children:
                 schedule(child)
-            if kind == "raise":
+            if kind in ("raise", "raise_at"):
                 raise Boom(label)
 
         if kind == "call":
-            created.append(sched.delayed_call(delay, fire))
+            sched.delayed_call(delay, fire)
+        elif kind in ("at", "raise_at"):
+            sched.call_at(sched.now + delay, fire, None)
         else:
             event = sched.event() if kind == "succeed" else sched.timeout(delay)
             event.callbacks.append(fire)
@@ -169,7 +183,7 @@ def trace_of(sched, program) -> list:
     return trace
 
 
-T, C, S, R = "timeout", "call", "succeed", "raise"
+T, C, A, S, R, RA = "timeout", "call", "at", "succeed", "raise", "raise_at"
 
 
 @given(st.lists(COMMANDS, max_size=24))
@@ -188,5 +202,14 @@ T, C, S, R = "timeout", "call", "succeed", "raise"
           ("run", None), ("schedule", (T, 0.0, ())), ("perturb", 3),
           ("schedule", (T, 0.0, ((T, 0.0, ()), (T, 0.0, ())))),
           ("run_event", 1), ("perturb", None), ("run_for", 1.0)])
+# Calls and events filed at one instant, in and out of a running loop,
+# a raising call with entries still queued, single steps through calls,
+# and a re-key with calls queued.
+@example([("schedule", (A, 0.5, ((T, 0.0, ()), (A, 0.0, ()), (S, 0.0, ())))),
+          ("schedule", (T, 0.5, ())), ("schedule", (C, 0.5, ())),
+          ("schedule", (RA, 0.5, ((A, 0.0, ()),))), ("perturb", 5),
+          ("schedule", (A, 0.5, ())), ("step", None), ("step", None),
+          ("run_event", 0), ("perturb", None), ("step", None),
+          ("run_for", 0.25), ("run", None)])
 def test_random_programs_trace_like_the_reference_heap(program):
     assert trace_of(Simulator(), program) == trace_of(HeapScheduler(), program)

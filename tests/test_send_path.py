@@ -255,8 +255,9 @@ def test_local_verify_with_unknown_session_fails_its_completion():
 # ----------------------------------------------------------------------
 def _budget(monkeypatch, payload_bytes, messages, window=16):
     """Post *messages* of *payload_bytes* a → b, *window* outstanding;
-    returns ``Simulator._push`` calls per message and the names of the
-    generators started as processes."""
+    returns scheduler entries (``Simulator._push`` and ``call_at``
+    calls) per message and the names of the generators started as
+    processes."""
     cluster, conn_a, conn_b = _pair()
     # The first data packet of a connection creates its delivery lane.
     cluster.run(auth_send(conn_a, b"connection set-up"))
@@ -270,14 +271,19 @@ def _budget(monkeypatch, payload_bytes, messages, window=16):
         return start_process(self, generator)
 
     pushes = [0]
-    push = Simulator._push
+    push, call_at = Simulator._push, Simulator.call_at
 
     def counting(self, when, event):
         pushes[0] += 1
         push(self, when, event)
 
+    def counting_call(self, when, fn, arg):
+        pushes[0] += 1
+        call_at(self, when, fn, arg)
+
     monkeypatch.setattr(Simulator, "process", recording)
     monkeypatch.setattr(Simulator, "_push", counting)
+    monkeypatch.setattr(Simulator, "call_at", counting_call)
     _send_windowed(cluster, conn_a, messages, payload_bytes, window)
     received = []
     while (item := recv(conn_b)) is not None:

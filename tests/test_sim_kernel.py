@@ -46,6 +46,33 @@ def test_run_until_time_stops_clock_exactly():
     assert sim.now == 4.0
 
 
+def test_an_instant_before_now_is_refused():
+    # Filing an instant in the past used to run the clock backwards: the
+    # second entry ran at 5.0 after the first at 10.0, and the clock
+    # ended at 5.0.
+    sim = Simulator()
+    seen = []
+    sim.trigger_at(10.0).callbacks.append(lambda _e: seen.append(sim.now))
+    sim.run()
+    with pytest.raises(ValueError, match="before now"):
+        sim.trigger_at(5.0)
+    with pytest.raises(ValueError, match="before now"):
+        sim.call_at(5.0, seen.append, "five")
+    sim.call_at(10.0, seen.append, "now")  # the current instant is not past
+    sim.run()
+    assert seen == [10.0, "now"] and sim.now == 10.0
+
+
+def test_a_call_runs_its_step_with_its_argument_and_no_event():
+    sim = Simulator()
+    seen = []
+    assert sim.call_at(2.5, seen.append, "arg") is None
+    [(when, _tie, step, arg)] = sim._heap
+    assert (when, step, arg) == (2.5, seen.append, "arg")
+    sim.run()
+    assert seen == ["arg"] and sim.now == 2.5
+
+
 def test_process_sequencing_and_return_value():
     sim = Simulator()
 

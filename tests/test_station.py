@@ -34,10 +34,10 @@ class _OneStage(Station):
         self.served: list[tuple[float, str]] = []
 
     def start(self, message, start: float) -> None:
-        self.sim.trigger_at(start + self.stage_us, message, self._served)
+        self.sim.call_at(start + self.stage_us, self._served, message)
 
-    def _served(self, stage) -> None:
-        self.served.append((self.sim.now, stage._value))
+    def _served(self, message) -> None:
+        self.served.append((self.sim.now, message))
         self.next()
 
 

@@ -12,6 +12,28 @@ from repro.tee.sgx_memory import EnclaveMemoryModel
 KEY = b"k" * 32
 
 
+def attested(sim, provider, session_id, payload):
+    """*provider*'s attest of *payload* as an event: the step succeeds it."""
+    done = sim.event()
+    provider.attest(session_id, payload, done.succeed)
+    return done
+
+
+def verified(sim, provider, session_id, message):
+    """*provider*'s verify of *message* as an event that succeeds with
+    the payload or fails with the check's error."""
+    done = sim.event()
+
+    def step(payload, error):
+        if error is not None:
+            done.fail(error)
+        else:
+            done.succeed(payload)
+
+    provider.verify(session_id, message, step)
+    return done
+
+
 def paired(name, **kwargs):
     sim = Simulator()
     a = make_provider(name, sim, device_id=1, **kwargs)
@@ -26,8 +48,8 @@ def test_all_providers_attest_and_verify(name):
     sim, a, b = paired(name)
 
     def run():
-        msg = yield a.attest(1, b"payload")
-        payload = yield b.verify(1, msg)
+        msg = yield attested(sim, a, 1, b"payload")
+        payload = yield verified(sim, b, 1, msg)
         return msg, payload
 
     msg, payload = sim.run(sim.process(run()))
@@ -41,13 +63,13 @@ def test_all_providers_reject_forgery(name):
     sim, a, b = paired(name)
 
     def run():
-        msg = yield a.attest(1, b"payload")
+        msg = yield attested(sim, a, 1, b"payload")
         forged = AttestedMessage(
             payload=b"evil", alpha=msg.alpha, session_id=1,
             device_id=msg.device_id, counter=msg.counter,
         )
         try:
-            yield b.verify(1, forged)
+            yield verified(sim, b, 1, forged)
         except MacMismatchError:
             return "rejected"
         return "accepted"
@@ -59,15 +81,31 @@ def test_provider_replay_rejected():
     sim, a, b = paired("tnic")
 
     def run():
-        msg = yield a.attest(1, b"m")
-        yield b.verify(1, msg)
+        msg = yield attested(sim, a, 1, b"m")
+        yield verified(sim, b, 1, msg)
         try:
-            yield b.verify(1, msg)
+            yield verified(sim, b, 1, msg)
         except ContinuityError:
             return "rejected"
         return "accepted"
 
     assert sim.run(sim.process(run())) == "rejected"
+
+
+def test_provider_verify_failure_reaches_the_step():
+    sim = Simulator()
+    provider = make_provider("tnic", sim, 1)
+    provider.install_session(1, b"k" * 32)
+    genuine = provider.kernel.attest(1, b"data")
+    forged = AttestedMessage(
+        payload=b"evil", alpha=genuine.alpha, session_id=1,
+        device_id=genuine.device_id, counter=genuine.counter,
+    )
+    outcomes = []
+    provider.verify(1, forged, lambda *outcome: outcomes.append(outcome))
+    sim.run()
+    [(payload, error)] = outcomes
+    assert payload is None and isinstance(error, MacMismatchError)
 
 
 def test_latency_ordering_matches_paper():
@@ -160,20 +198,28 @@ def test_each_timed_tee_call_draws_exactly_one_sample():
     stream = DeterministicRng(4, "provider/tnic/2")
     payload = b"p" * 100
 
+    def filed_at():
+        """The instant of the one entry the call just filed."""
+        [(when, _tie, _step, _arg)] = sim._heap
+        return when
+
     def charged(event):
         want = _one_line_tnic_sample(stream, False, len(payload))
-        assert event.delay == want
+        assert filed_at() == sim.now + want
         assert b.rng._random.getstate() == stream._random.getstate()
         return sim.run(event)
 
     sender_stream = DeterministicRng(4, "provider/tnic/1")
-    message = a.attest(1, payload)
-    assert message.delay == _one_line_tnic_sample(sender_stream, False, len(payload))
+    message = attested(sim, a, 1, payload)
+    assert filed_at() == sim.now + _one_line_tnic_sample(
+        sender_stream, False, len(payload))
     assert a.rng._random.getstate() == sender_stream._random.getstate()
     message = sim.run(message)
-    assert charged(b.check_transferable(1, message)) is True
-    assert charged(b.verify(1, message)) == payload
-    assert charged(b.attest(1, payload)).counter == 0
+    checked = sim.event()
+    b.check_transferable(1, message, checked.succeed)
+    assert charged(checked) is True
+    assert charged(verified(sim, b, 1, message)) == payload
+    assert charged(attested(sim, b, 1, payload)).counter == 0
 
 
 def test_unknown_provider_rejected():

@@ -48,8 +48,8 @@ def run_exchange(payloads, fault, seed, mtu=4096, window=1):
 
     def filing(state):
         # The entry that just fired is off the heap; no other may be on it.
-        assert not [event for _, _, event in sim._heap
-                    if a.roce._timer_fired in event.callbacks]
+        assert not [step for _, _, step, _arg in sim._heap
+                    if step == a.roce._timer_fired]
         assert state.timer_deadline(a.roce.retransmit_timeout_us) >= sim.now
         file_timer(state)
 
