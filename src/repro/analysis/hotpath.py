@@ -128,7 +128,8 @@ TNIC_MANIFEST = HotPathManifest(
         "Event.succeed",
         "Event.fail",
         "Timeout.__init__",
-        # A process wake: one callback that advances the generator.
+        # A process wake: one callback (a call at its start) that
+        # advances the generator.
         "Process._resume",
         # The steps of ``systems.common``, run from call entries: a
         # client's first step, a reply's arrival (filed on the send),
@@ -143,8 +144,8 @@ TNIC_MANIFEST = HotPathManifest(
         "RdmaLibrary.post",
         # Device datapath (tx/rx).
         "TnicDevice.send",
-        # The send's stages after the first: registered as callbacks on
-        # the DMA / HMAC / ACK events, hence declared.
+        # The send's stages after the first: steps of the DMA and HMAC
+        # calls and the callback on the ACK event, hence declared.
         "_Send._fetched",
         "_Send._attested",
         "_Send._acked",
@@ -154,7 +155,7 @@ TNIC_MANIFEST = HotPathManifest(
         "TnicDevice._on_deliver",
         # RoCE transport: tx pump, retransmission-timer step, rx
         # decode (the MAC's ingress handler), verify-then-deliver
-        # (continued from the check's callbacks).
+        # (the verify call's step, and the lane's step it hands to).
         "RoceKernel._pump_tx",
         "RoceKernel._timer_fired",
         "RoceKernel.ingress",
@@ -162,7 +163,7 @@ TNIC_MANIFEST = HotPathManifest(
         "RoceKernel._handle_data",
         "AttestationKernel._settle",
         "_RxLane._verified",
-        # Link layer: per-hop callbacks the call graph cannot see.
+        # Link layer: per-hop call steps the call graph cannot see.
         "EthernetMac._serialised",
         "EthernetMac.deliver",
         "Link.carry",

@@ -18,14 +18,15 @@ Two call styles are offered: immediate (:meth:`AttestationKernel.attest`
 / :meth:`~AttestationKernel.verify`), used by protocol logic and tests,
 and pipelined (:meth:`~AttestationKernel.attest_event` /
 :meth:`~AttestationKernel.verify_event`), which queue on the hardware
-HMAC pipeline and charge its virtual-time occupancy.
+HMAC pipeline, charge its virtual-time occupancy and hand the outcome
+to the caller's step when the message leaves it.
 """
 
 from __future__ import annotations
 
 from dataclasses import field
 from hmac import compare_digest
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.counters import CounterStore
 from repro.core.keystore import Keystore
@@ -36,7 +37,6 @@ from repro.sim.record import Record, record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
-    from repro.sim.events import Event
 
 
 class AttestationError(Exception):
@@ -290,45 +290,47 @@ class AttestationKernel:
     # ------------------------------------------------------------------
     # Pipelined semantics (charge HMAC-pipeline time on the simulator)
     # ------------------------------------------------------------------
-    def attest_event(self, session_id: int, payload: bytes) -> "Event":
-        """As :meth:`attest`, but queued on the hardware HMAC pipeline.
+    def attest_event(self, session_id: int, payload: bytes,
+                     step: Callable[[AttestedMessage], Any]) -> None:
+        """As :meth:`attest`, but queued on the hardware HMAC pipeline:
+        ``step(message)`` runs when the message leaves it.
 
         The MAC itself is produced synchronously by :meth:`attest`; the
-        returned event is the pipeline occupancy for the payload's
-        canonical encoding (its length plus the 8-byte length prefix)
-        and carries the attested message.
+        pipeline is occupied for the payload's canonical encoding (its
+        length plus the 8-byte length prefix).
         """
         engine = self._engine()
-        message = self.attest(session_id, payload)
-        return engine.occupy(len(payload) + 8, message)
+        engine.occupy(len(payload) + 8, step, self.attest(session_id, payload))
 
-    def verify_event(self, session_id: int, message: AttestedMessage) -> "Event":
+    def verify_event(
+        self, session_id: int, message: AttestedMessage,
+        step: Callable[[bytes | None, AttestationError | None], Any],
+    ) -> None:
         """As :meth:`verify`, but queued on the hardware HMAC pipeline.
 
         Each verification occupies the pipeline for its own message
         span and resolves at its own completion instant, in completion
         order, where :meth:`verify` runs — MAC check, continuity check
-        and counter advance — exactly as in the immediate path.
-
-        The event is the pipeline occupancy itself, carrying
-        ``(session_id, message)``; :meth:`_settle`, its first callback,
-        sets the outcome — the payload, or the
-        :class:`AttestationError` as its exception.
+        and counter advance — exactly as in the immediate path.  Then
+        ``step(payload, None)`` runs, or ``step(None, error)`` with the
+        :class:`AttestationError`.
         """
         engine = self._engine()
         if session_id not in self._session_macs:  # fail fast
             raise UnknownSessionError(session_id)
-        check = engine.occupy(len(message.payload) + 8, (session_id, message))
-        check.callbacks.append(self._settle)
-        return check
+        engine.occupy(len(message.payload) + 8, self._settle,
+                      (session_id, message, step))
 
-    def _settle(self, check: "Event") -> None:
-        """First callback of a :meth:`verify_event` event: set its outcome."""
-        session_id, message = check._value
+    def _settle(self, check: tuple) -> None:
+        """The step of a :meth:`verify_event` occupancy: verify, then
+        hand the outcome to the caller's step."""
+        session_id, message, step = check
+        error = None
         try:
-            check._value = self.verify(session_id, message)
+            payload = self.verify(session_id, message)
         except AttestationError as exc:
-            check._exception = exc
+            payload, error = None, exc
+        step(payload, error)
 
     # ------------------------------------------------------------------
     def _open(self, session_id: int) -> tuple:

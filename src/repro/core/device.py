@@ -75,8 +75,8 @@ class _TxStages:
     """One request in flight on the device's transmit side.
 
     Figure 2's TX datapath is a fixed pipeline per message, so it runs
-    as a chain of completion callbacks, not as a process: each stage is
-    a bound method registered on the event the previous stage waits for
+    as a chain of scheduled calls, not as a process: each stage is a
+    bound method the previous stage's resource files as its step
     (payload DMA → HMAC pipeline → wire), and this record carries the
     request between them.  Subclasses pick the stages after the DMA:
     ``_fetched``, and ``_attested`` when they attest.  ``done`` is the
@@ -100,21 +100,19 @@ class _TxStages:
         """Stage 1: DMA the payload from host (ibv) memory."""
         if self.span is not NULL_SPAN:
             self.stage = self.span.child("tnic.dma")
-        fetched = self.device.dma.transfer(len(self.payload))
-        fetched.callbacks.append(self._fetched)
+        payload = self.payload
+        self.device.dma.transfer(len(payload), self._fetched, payload)
 
     def _attest(self) -> None:
-        """Stage 2: attest inline; ``_attested`` gets the occupancy
-        event, whose value is the attested message."""
+        """Stage 2: attest inline; ``_attested`` gets the attested
+        message when it leaves the HMAC pipeline."""
         if self.span is not NULL_SPAN:
             self.stage = self.span.child("attest.hmac")
         try:
-            attested = self.device.attestation.attest_event(
-                self.session_id, self.payload)
+            self.device.attestation.attest_event(
+                self.session_id, self.payload, self._attested)
         except AttestationError as exc:  # no key for the session
             self._fail(exc)
-            return
-        attested.callbacks.append(self._attested)
 
     def _fail(self, exc: BaseException) -> None:
         self.span.end(status="error")
@@ -150,18 +148,18 @@ class _Send(_TxStages):
             return
         self._fetch()
 
-    def _fetched(self, _event: "Event") -> None:
+    def _fetched(self, payload: bytes) -> None:
         if self.span is not NULL_SPAN:
             self.stage.end()
         if self.device.attestation is not None:
             self._attest()
         else:
-            self._transmit(self.payload)
+            self._transmit(payload)
 
-    def _attested(self, event: "Event") -> None:
+    def _attested(self, message: AttestedMessage) -> None:
         if self.span is not NULL_SPAN:
             self.stage.end()
-        self._transmit(event._value)
+        self._transmit(message)
 
     def _transmit(self, message: AttestedMessage | bytes) -> None:
         """Stage 3: the RoCE kernel triggers ``done`` on the ACK;
@@ -198,16 +196,16 @@ class _LocalAttest(_TxStages):
                                    bytes=len(self.payload))
         self._fetch()
 
-    def _fetched(self, _event: "Event") -> None:
+    def _fetched(self, _payload: bytes) -> None:
         if self.span is not NULL_SPAN:
             self.stage.end()
         self._attest()
 
-    def _attested(self, event: "Event") -> None:
+    def _attested(self, message: AttestedMessage) -> None:
         if self.span is not NULL_SPAN:
             self.stage.end()
             self.span.end()
-        self.done.succeed(event._value)
+        self.done.succeed(message)
 
 
 class _LocalVerify(_TxStages):
@@ -220,14 +218,14 @@ class _LocalVerify(_TxStages):
         self.message = message
         self._fetch()
 
-    def _fetched(self, _event: "Event") -> None:
-        occupied = self.device.attestation.hmac_engine.occupy(len(self.payload))
-        occupied.callbacks.append(self._occupied)
+    def _fetched(self, payload: bytes) -> None:
+        self.device.attestation.hmac_engine.occupy(
+            len(payload), self._occupied, self.message)
 
-    def _occupied(self, _event: "Event") -> None:
+    def _occupied(self, message: AttestedMessage) -> None:
         try:
             verdict = self.device.attestation.check_transferable(
-                self.session_id, self.message)
+                self.session_id, message)
         except AttestationError as exc:  # no key for the session
             self._fail(exc)
             return
@@ -238,11 +236,11 @@ class TnicDevice:
     """One TNIC SmartNIC: attestation kernel + RoCE kernel + MAC.
 
     The datapath starts no process.  The retransmission timer is one
-    scheduled deadline per QP, filed and handled by callbacks of the
-    RoCE kernel (``RoceKernel._file_timer`` / ``_timer_fired``).
-    ``send``, ``local_attest`` and ``local_verify`` are each a chain of
-    completion callbacks (:class:`_TxStages`) and their returned event
-    is the only way an error is reported.
+    scheduled deadline per QP, filed and handled by the RoCE kernel
+    (``RoceKernel._file_timer`` / ``_timer_fired``).  ``send``,
+    ``local_attest`` and ``local_verify`` are each a chain of scheduled
+    calls (:class:`_TxStages`) and their returned event is the only way
+    an error is reported.
     """
 
     def __init__(

@@ -28,7 +28,7 @@ Four layers live here:
   HMAC unit: one byte-serial pipeline whose occupancy creates queueing
   when many messages contend for it (the reason TNIC latency grows with
   message size, §8.2).  An analytic FIFO server: no process, one
-  scheduled completion per occupancy.
+  scheduled call per occupancy.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib as _hashlib
 from collections import OrderedDict
 from hmac import compare_digest
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.crypto.hashing import canonical_bytes
 from repro.sim.latency import tnic_hmac_pipeline_us
@@ -44,7 +44,6 @@ from repro.sim.resources import SerialServer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
-    from repro.sim.events import Event
 
 
 _BLOCK_SIZE = 64  # SHA-256 block, bytes
@@ -233,7 +232,7 @@ class HmacEngine:
     server (:class:`~repro.sim.resources.SerialServer`): the occupancy
     of a message is a function of its size alone, so its completion
     instant is known when it is submitted and each occupancy costs one
-    scheduled event.  ``operations`` and ``busy_us`` are charged at
+    scheduled call.  ``operations`` and ``busy_us`` are charged at
     submission, i.e. they count work accepted, not work finished.
     """
 
@@ -247,17 +246,13 @@ class HmacEngine:
         """Pipeline time for a message of *size_bytes*."""
         return tnic_hmac_pipeline_us(size_bytes)
 
-    def occupy(self, size_bytes: int, value: Any = None) -> "Event":
-        """Charge pipeline time for a *size_bytes* message without
-        computing a MAC (used when the MAC was already produced and only
-        the hardware occupancy matters); the event triggers with *value*
-        when the message leaves the pipeline."""
+    def occupy(self, size_bytes: int, step: Callable[[Any], Any],
+               arg: Any) -> None:
+        """Charge pipeline time for a *size_bytes* message (the MAC
+        itself is computed where it is needed; only the hardware
+        occupancy is timed here); ``step(arg)`` runs when the message
+        leaves the pipeline."""
         delay = self.occupancy_us(size_bytes)
         self.operations += 1
         self.busy_us += delay
-        return self._pipeline.serve(delay, value)
-
-    def compute(self, key: bytes, *parts) -> "Event":
-        """Queue an HMAC computation; event value is the MAC bytes."""
-        message = canonical_bytes(parts)
-        return self.occupy(len(message), mac_encoded(key, message))
+        self._pipeline.serve(delay, step, arg)

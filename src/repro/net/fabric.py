@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.net.mac import EthernetMac
 from repro.net.packet import Packet
-from repro.sim.events import Timeout
 from repro.sim.instrument import count, emit
 from repro.sim.latency import WIRE_PROPAGATION_US
 from repro.sim.rng import DeterministicRng
@@ -141,8 +140,9 @@ class _Wire:
 
     def _deliver_after(self, delay: float, receiver: EthernetMac, packet: Packet) -> None:
         self.stats.delivered += 1
-        # In flight the packet is a timeout's value; the callback is the MAC's.
-        Timeout(self.sim, delay, packet).callbacks.append(receiver.deliver)
+        # In flight the packet is the argument of the receiving MAC's step.
+        sim = self.sim
+        sim.call_at(sim._now + delay, receiver.deliver, packet)
 
 
 class Link(_Wire):

@@ -16,7 +16,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.net.packet import Packet
-from repro.sim.events import Event, Timeout
 from repro.sim.latency import WIRE_BANDWIDTH_BYTES_PER_US
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,20 +57,20 @@ class EthernetMac:
         size = packet.wire_size()
         now = self.sim._now
         start = now if now > self._tx_busy_until else self._tx_busy_until
-        self._tx_busy_until = start + size / self.bandwidth
+        self._tx_busy_until = busy_until = start + size / self.bandwidth
         self.tx_packets += 1
         self.tx_bytes += size
-        # The packet rides the serialisation delay as the timeout's value.
-        Timeout(self.sim, self._tx_busy_until - now, packet).callbacks.append(
-            self._serialised)
+        # Filed at ``now`` plus the serialisation delay, the float a
+        # relative delay lands on (``busy_until`` itself can differ in
+        # the last bit).
+        self.sim.call_at(now + (busy_until - now), self._serialised, packet)
 
-    def _serialised(self, leaving: Event) -> None:
+    def _serialised(self, packet: Packet) -> None:
         """The packet is on the wire: the link draws its fate."""
-        self._link.carry(self, leaving._value)
+        self._link.carry(self, packet)
 
-    def deliver(self, hop: Event) -> None:
-        """Hop callback: the packet *hop* carries reached this MAC."""
-        packet = hop._value
+    def deliver(self, packet: Packet) -> None:
+        """Hop step: *packet* reached this MAC."""
         self.rx_packets += 1
         self.rx_bytes += packet.wire_size()
         self.ingress(packet)

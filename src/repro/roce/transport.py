@@ -165,26 +165,27 @@ class _RxLane:
                                parent=packet.meta.get(TRACE_PARENT),
                                node=kernel.ip, qp=self.state.qp.qp_number)
         try:
-            check = kernel.attestation.verify_event(self.state.qp.session_id, message)
+            kernel.attestation.verify_event(
+                self.state.qp.session_id, message, self._verified)
         except AttestationError:
             kernel._verification_failed(self, vspan)
             return False
         self.verifying = (packet, message, segments, vspan)
-        check.callbacks.append(self._verified)
         return True
 
-    def _verified(self, check: Event) -> None:
+    def _verified(self, payload: bytes | None,
+                  error: AttestationError | None) -> None:
         """The verification in flight left the HMAC pipeline: deliver or
         reject its message, then take up the packets queued behind it."""
         packet, message, segments, vspan = self.verifying
         self.verifying = None
-        if check._exception is not None:
+        if error is not None:
             # Forged/tampered/replayed: do not advance the window.
             self.kernel._verification_failed(self, vspan)
         else:
             if vspan is not NULL_SPAN:
                 vspan.end(status="ok")
-            self.kernel._deliver(self, packet, check._value,
+            self.kernel._deliver(self, packet, payload,
                                  message=message, psn_span=segments)
         self._advance()
 

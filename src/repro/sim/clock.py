@@ -7,6 +7,10 @@ an *event* entry (``fn`` None) the callbacks of the event ``arg``.
 All timing in this repository — HMAC pipeline delays, PCIe DMA
 transfers, wire propagation, TEE call overheads — is filed as such
 entries on one simulator, so measurements are exactly reproducible.
+A timed stage is a call whose step is the code that continues after
+it; an event entry is filed only for something a caller waits on, by
+the event's own trigger paths (``succeed``, ``fail``, the
+:class:`~repro.sim.events.Timeout` constructor).
 
 Time unit: **microseconds** throughout the repository, matching the
 paper's reporting unit (µs).
@@ -44,7 +48,6 @@ from repro.sim.process import Process
 from repro.sim.rng import DeterministicRng
 
 _PROCESSED = Event.PROCESSED
-_TRIGGERED = Event.TRIGGERED
 
 
 class EmptySchedule(Exception):
@@ -115,21 +118,11 @@ class Simulator:
         """Create an event that triggers *delay* µs from now."""
         return Timeout(self, delay, value)
 
-    def trigger_at(self, when: float, value: Any = None) -> Event:
-        """Create an event that triggers with *value* at the absolute
-        instant *when* (not before now), exactly: a relative
-        ``timeout(when - now)`` can land a bit off it."""
-        if when < self._now:
-            raise ValueError(f"trigger_at({when}) is before now ({self._now})")
-        event = Event(self)
-        event._state = _TRIGGERED
-        event._value = value
-        self._push(when, event)
-        return event
-
     def call_at(self, when: float, fn: Callable[[Any], Any], arg: Any) -> None:
         """Run ``fn(arg)`` at the absolute instant *when* (not before
-        now): one heap entry and no event, for a stage nothing waits on."""
+        now): one heap entry and no event, for a stage nothing waits on.
+        An absolute instant is exact where a relative ``timeout(when -
+        now)`` can land a bit off it."""
         if when < self._now:
             raise ValueError(f"call_at({when}) is before now ({self._now})")
         heappush(self._heap, (when, self._tie_next(), fn, arg))
@@ -176,7 +169,7 @@ class Simulator:
             heappush(self._heap, (when, self._tie_next(), fn, arg))
 
     # ------------------------------------------------------------------
-    # Scheduling internals (used by Event/Timeout)
+    # Scheduling internals (the trigger paths of Event/Timeout)
     # ------------------------------------------------------------------
     def _push(self, when: float, event: Event) -> None:
         """File *event*'s entry, its tiebreak from the one counter."""

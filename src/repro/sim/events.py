@@ -8,11 +8,11 @@ it).  This mirrors the SimPy programming model, which keeps protocol code
 
 An event is for what something waits on (a process, ``run(until=...)``,
 an API completion, :class:`AnyOf`/:class:`AllOf`); a stage nothing
-waits on is a scheduled call (``Simulator.call_at``).  The datapath's
-stages are still events, so this module is on the wall-clock critical
-path of the ``send_*`` workloads.  All event classes carry
-``__slots__``, and every trigger path (``succeed``, ``fail``, the
-:class:`Timeout` constructor) files through ``Simulator._push``.
+waits on is a scheduled call (``Simulator.call_at``), on the datapath
+as everywhere else.  All event classes carry ``__slots__``, and every
+trigger path (``succeed``, ``fail``, the :class:`Timeout` constructor)
+files through ``Simulator._push``; nothing outside this module writes
+an event's outcome.
 """
 
 from __future__ import annotations

@@ -27,6 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
 
 _PROCESSED = Event.PROCESSED
+#: The outcome a process starts from: no exception and the value None,
+#: so its first resume is ``send(None)``.
+_START = Event(None)  # type: ignore[arg-type]
 
 
 class Process(Event):
@@ -46,9 +49,9 @@ class Process(Event):
         # segment, and the attribute chain costs more than the call.
         self._send = generator.send
         self._throw = generator.throw
-        # Kick off on a zero-delay event so process start is itself an
+        # Start as a call filed at now, so process start is itself an
         # event-loop step (keeps causality when processes spawn processes).
-        sim.timeout(0.0).callbacks.append(self._resume)
+        sim.call_at(sim._now, self._resume, _START)
 
     def _resume(self, event: Event) -> None:
         """Run the generator from *event*'s outcome until it yields an

@@ -7,17 +7,17 @@
   and propagation delays.  Used for the PCIe DMA engine.
 
 Neither holds a lock or runs a process: a job's completion instant is
-known when it is submitted and costs one scheduled event.  A node that
+known when it is submitted, and the step that continues after it is
+filed there as one scheduled call.  A node that
 handles messages one at a time is a ``systems.common.Station``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
-    from repro.sim.events import Event
 
 
 class SerialServer:
@@ -27,7 +27,7 @@ class SerialServer:
     job: a job submitted at ``now`` starts at ``max(now,
     busy_until)`` and the server is busy for ``service_us`` from there,
     so its completion instant is known on submission and costs a single
-    scheduled event.  Jobs complete in submission order.
+    scheduled call.  Jobs complete in submission order.
     """
 
     __slots__ = ("sim", "_busy_until")
@@ -36,12 +36,12 @@ class SerialServer:
         self.sim = sim
         self._busy_until = 0.0
 
-    def serve(self, service_us: float, value: Any = None,
-              tail_us: float = 0.0) -> "Event":
-        """Queue a job; the event triggers with *value* once it has been
-        served, plus *tail_us* of latency that does not hold the server.
+    def serve(self, service_us: float, step: Callable[[Any], Any], arg: Any,
+              tail_us: float = 0.0) -> None:
+        """Queue a job; ``step(arg)`` runs once it has been served, plus
+        *tail_us* of latency that does not hold the server.
 
-        The event is filed at the absolute instant ``busy_until +
+        The step is filed at the absolute instant ``busy_until +
         tail_us``.  A relative ``timeout(busy_until - now)`` would land
         on ``now + (busy_until - now)``, which can differ from
         ``busy_until`` in the last bit and drift every later timestamp.
@@ -54,7 +54,7 @@ class SerialServer:
         busy_until = self._busy_until
         busy_until = (now if now > busy_until else busy_until) + service_us
         self._busy_until = busy_until
-        return sim.trigger_at(busy_until + tail_us, value)
+        sim.call_at(busy_until + tail_us, step, arg)
 
 
 class Pipe:
@@ -65,7 +65,7 @@ class Pipe:
     time) and arrives ``propagation`` later.  This models the PCIe DMA
     engine, whose occupancy is what creates queueing under load.  One
     set-up constant per pipe keeps entry FIFO, so a delivery instant is
-    known at submission and costs one scheduled event.
+    known at submission and costs one scheduled call.
     """
 
     __slots__ = ("sim", "bandwidth", "propagation", "setup", "_busy_until",
@@ -91,8 +91,9 @@ class Pipe:
         self._done_at = 0.0
         self.bytes_transferred = 0
 
-    def transfer(self, size_bytes: int) -> "Event":
-        """Send *size_bytes*; the event triggers at delivery time:
+    def transfer(self, size_bytes: int, step: Callable[[Any], Any],
+                 arg: Any) -> None:
+        """Send *size_bytes*; ``step(arg)`` runs at delivery time:
         ``arrive + (busy_until + propagation - arrive)``, the float a
         timeout started on entry lands on.  The shorter ``busy_until +
         propagation`` can differ in the last bit.
@@ -113,4 +114,4 @@ class Pipe:
         if done_at < self._done_at:
             done_at = self._done_at
         self._done_at = done_at
-        return sim.trigger_at(done_at, size_bytes)
+        sim.call_at(done_at, step, arg)

@@ -13,7 +13,7 @@ control registers of the TNIC hardware."
 Here the request reaches the device as the arguments of one
 ``TnicDevice.send`` call: nothing in the model reads a register copy,
 and the doorbell and descriptor fetch are timed by the DMA engine's
-per-transfer set-up (:meth:`repro.core.dma.DmaEngine.setup_cost_us`).
+per-transfer set-up (``TNIC_ASYNC_FIXED_US``, :mod:`repro.core.dma`).
 Zero payload copies: the hardware DMA-reads straight from ibv memory.
 
 The RDMA keys are the library's :class:`MemoryTable`: registering a

@@ -16,14 +16,11 @@ client/server simulation and report virtual-time results.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
 
 from repro.sim.clock import Simulator
+from repro.sim.events import Event
 from repro.sim.record import Record, record
 from repro.sim.resources import SerialServer
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.events import Event
 
 
 class NetworkStack:
@@ -36,8 +33,6 @@ class NetworkStack:
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._bottleneck = SerialServer(sim)
-        self.messages_sent = 0
-        self.bytes_sent = 0
 
     # ------------------------------------------------------------------
     # Models (per variant)
@@ -63,13 +58,10 @@ class NetworkStack:
             raise ValueError("size must be >= 0")
         occupancy = self.occupancy_us(size_bytes)
         residual = max(self.send_latency_us(size_bytes) - occupancy, 0.0)
-        done = self._bottleneck.serve(occupancy, size_bytes, tail_us=residual)
-        done.callbacks.append(self._delivered)
+        done = Event(self.sim)
+        self._bottleneck.serve(occupancy, done.succeed, size_bytes,
+                               tail_us=residual)
         return done
-
-    def _delivered(self, done: "Event") -> None:
-        self.messages_sent += 1
-        self.bytes_sent += done._value
 
 
 @record

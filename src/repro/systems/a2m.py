@@ -107,7 +107,8 @@ class A2M:
                 step: Callable[[LogEntry], Any]) -> None:
         """Attest and append *context*; *step* gets the stored entry."""
         log = self._log(log_id)
-        count(self.sim, "a2m.appends", log=log_id)
+        if self.sim.telemetry is not None:
+            count(self.sim, "a2m.appends", log=log_id)
 
         def _finish(message: AttestedMessage) -> None:
             sequence = log.tail
@@ -132,7 +133,8 @@ class A2M:
     def lookup(self, log_id: str, index: int) -> "Event":
         """lookup(id, i): fetch the entry without verifying it."""
         log = self._log(log_id)
-        count(self.sim, "a2m.lookups", log=log_id)
+        if self.sim.telemetry is not None:
+            count(self.sim, "a2m.lookups", log=log_id)
         entry = log.entries.get(index)
         if entry is None:
             raise A2MError(

@@ -145,8 +145,8 @@ def test_unknown_session_raises():
             lambda: kernel.attest(session, b"x"),
             lambda: kernel.verify(session, message),
             lambda: kernel.check_transferable(session, message),
-            lambda: kernel.attest_event(session, b"x"),
-            lambda: kernel.verify_event(session, message),
+            lambda: kernel.attest_event(session, b"x", print),
+            lambda: kernel.verify_event(session, message, print),
         ):
             with pytest.raises(UnknownSessionError, match=str(session)):
                 call()
@@ -248,16 +248,16 @@ def test_pipelined_attest_verify_charges_time():
     receiver.install_session(1, KEY)
     result = {}
 
-    def run():
-        msg = yield sender.attest_event(1, b"p" * 64)
-        t_attest = sim.now
-        payload = yield receiver.verify_event(1, msg)
-        result["payload"] = payload
-        result["t_attest"] = t_attest
-        result["t_total"] = sim.now
+    def attested(msg):
+        result["t_attest"] = sim.now
+        receiver.verify_event(1, msg, verified)
 
-    sim.run(sim.process(run()))
-    assert result["payload"] == b"p" * 64
+    def verified(payload, error):
+        result.update(payload=payload, error=error, t_total=sim.now)
+
+    sender.attest_event(1, b"p" * 64, attested)
+    sim.run()
+    assert result["payload"] == b"p" * 64 and result["error"] is None
     assert 0 < result["t_attest"] < result["t_total"]
 
 
@@ -268,19 +268,20 @@ def test_pipelined_verify_failure_propagates():
     sender.install_session(1, KEY)
     receiver.install_session(1, KEY)
 
-    def run():
-        msg = yield sender.attest_event(1, b"data")
+    outcomes = []
+
+    def attested(msg):
         forged = AttestedMessage(
             payload=b"evil", alpha=msg.alpha, session_id=1,
             device_id=msg.device_id, counter=msg.counter,
         )
-        try:
-            yield receiver.verify_event(1, forged)
-        except MacMismatchError:
-            return "rejected"
-        return "accepted"
+        receiver.verify_event(
+            1, forged, lambda payload, error: outcomes.append((payload, error)))
 
-    assert sim.run(sim.process(run())) == "rejected"
+    sender.attest_event(1, b"data", attested)
+    sim.run()
+    [(payload, error)] = outcomes
+    assert payload is None and isinstance(error, MacMismatchError)
 
 
 def test_pipelined_verify_runs_one_mac_check_per_message(monkeypatch):
@@ -301,13 +302,16 @@ def test_pipelined_verify_runs_one_mac_check_per_message(monkeypatch):
         return mac(state, encoded)
 
     monkeypatch.setattr(KeyedHmac, "mac", counting)
-    checks = [receiver.verify_event(1, message) for message in messages]
+    outcomes = []
+    for message in messages:
+        receiver.verify_event(
+            1, message, lambda payload, error: outcomes.append((payload, error)))
     assert checked == []  # queued, not yet checked
     sim.run()
-    assert [check.value for check in checks] == [m.payload for m in messages]
+    assert outcomes == [(m.payload, None) for m in messages]
     assert len(checked) == 4 and checked == sorted(set(checked))
     with pytest.raises(UnknownSessionError):
-        receiver.verify_event(2, messages[0])  # still fails fast
+        receiver.verify_event(2, messages[0], print)  # still fails fast
 
 
 def test_importing_repro_starts_no_executor_machinery():
@@ -327,4 +331,4 @@ def test_pipelined_requires_simulator():
     kernel = AttestationKernel(1)
     kernel.install_session(1, KEY)
     with pytest.raises(RuntimeError):
-        kernel.attest_event(1, b"x")
+        kernel.attest_event(1, b"x", print)

@@ -7,6 +7,7 @@ from repro.crypto import (
     VerificationCache,
     hmac_sha256,
     hmac_verify,
+    mac_encoded,
     reset_verification_cache,
     sha256,
     verification_cache_stats,
@@ -62,13 +63,14 @@ def test_hmac_engine_charges_pipeline_time():
     sim = Simulator()
     engine = HmacEngine(sim)
     result = {}
+    message = canonical_bytes((b"x" * 100,))
 
-    def run():
-        mac = yield engine.compute(KEY, b"x" * 100)
+    def left(mac):
         result["mac"] = mac
         result["t"] = sim.now
 
-    sim.run(sim.process(run()))
+    engine.occupy(len(message), left, mac_encoded(KEY, message))
+    sim.run()
     assert result["mac"] == hmac_sha256(KEY, b"x" * 100)
     assert result["t"] > 0
     assert engine.operations == 1
@@ -78,13 +80,10 @@ def test_hmac_engine_serialises_concurrent_ops():
     sim = Simulator()
     engine = HmacEngine(sim)
     finish_times = []
+    size = len(canonical_bytes((b"a" * 1000,)))
 
-    def run():
-        yield engine.compute(KEY, b"a" * 1000)
-        finish_times.append(sim.now)
-
-    sim.process(run())
-    sim.process(run())
+    engine.occupy(size, lambda _arg: finish_times.append(sim.now), None)
+    engine.occupy(size, lambda _arg: finish_times.append(sim.now), None)
     sim.run()
     assert len(finish_times) == 2
     # Second op queues behind the first: roughly double the time.

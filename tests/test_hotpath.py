@@ -200,6 +200,15 @@ def test_real_tree_closure_covers_the_kernel_datapath(real_engine):
         "repro.systems.common.Client._expire",
         "repro.systems.common.BroadcastAuthenticator._settle",
         "repro.roce.transport.RoceKernel._timer_fired",
+        # The datapath's stages: the DMA and HMAC steps of a send, the
+        # rx verify and the lane step it hands its outcome to, the MAC's
+        # serialisation and the fabric hop.
+        "repro.core.device._Send._fetched",
+        "repro.core.device._Send._attested",
+        "repro.core.attestation.AttestationKernel._settle",
+        "repro.roce.transport._RxLane._verified",
+        "repro.net.mac.EthernetMac._serialised",
+        "repro.net.mac.EthernetMac.deliver",
     } <= set(reachable)
 
 

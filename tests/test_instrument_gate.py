@@ -5,7 +5,8 @@ What is tested here:
 * With no telemetry hub attached, a run of each of the
   seven benchmarked workload shapes — the BFT counter, the chain, the
   CFT Raft control, the PeerReview audit, 64 B and 16 KiB window-16
-  ``auth_send`` and 1 KiB ``auth_send`` over a lossy fabric — makes
+  ``auth_send`` and 1 KiB ``auth_send`` over a lossy fabric — and of
+  A2M's Table 3 append-and-lookup mix on TNIC makes
   *zero* calls into the instrument hooks, the :class:`NullSpan`
   methods.  A detached hook is not free (a Python call plus its keyword
   dict, ~100 ns), so per-message call sites gate on ``sim.telemetry``
@@ -37,10 +38,12 @@ from repro.net.packet import Packet
 from repro.sim import Simulator
 from repro.sim import instrument
 from repro.sim.instrument import NULL_SPAN, NullSpan, count, span_begin
+from repro.systems.a2m import A2M
 from repro.systems.bft import BftCounter
 from repro.systems.chain import ChainReplication
 from repro.systems.peer_review import PeerReviewSystem
 from repro.systems.raft import TeeRaft
+from repro.tee import make_provider
 from repro.telemetry import Telemetry, Tracer
 from tests.test_send_path import _pair, _send_windowed
 
@@ -202,6 +205,23 @@ def _peer_review():
     return system.sim, run
 
 
+def _a2m():
+    # Table 3 on TNIC: 64 B appends to one log in untrusted storage,
+    # then a lookup of each entry.
+    sim = Simulator()
+    provider = make_provider("tnic", sim, 1, seed=13)
+    provider.install_session(1, b"a2m-gate-key-0123456789abcdef!!!")
+    a2m = A2M(provider, 1)
+
+    def run():
+        entries = [sim.run(a2m.append("log", b"x" * 64)) for _ in range(12)]
+        for index, entry in enumerate(entries):
+            assert sim.run(a2m.lookup("log", index)) is entry
+        assert a2m.verify_range("log", 0, len(entries))
+
+    return sim, run
+
+
 def _send(payload_bytes: int, messages: int, fault: NetworkFault | None = None):
     def shape():
         cluster = Cluster(["a", "b"], fault=fault, seed=0)
@@ -228,6 +248,7 @@ def _send(payload_bytes: int, messages: int, fault: NetworkFault | None = None):
 
 
 SHAPES = {
+    "a2m_tnic": _a2m,
     "bft_counter": _bft,
     "chain_kv": _chain,
     "raft_cft": _raft,

@@ -1,73 +1,12 @@
-"""Unit tests for smaller surfaces: event API edges, latency helpers,
-FPGA model bounds, metrics accounting, and API error paths."""
+"""Unit tests for smaller surfaces: latency helpers, FPGA model bounds,
+metrics accounting, and API error paths."""
 
 import pytest
 
 from repro.api import Cluster
 from repro.core.resources import FpgaModel, ResourceUsage, U280
-from repro.sim import Simulator
 from repro.sim import latency as cal
 from repro.systems.common import SystemMetrics
-
-
-# ---------------------------------------------------------------------------
-# Event API edges
-# ---------------------------------------------------------------------------
-
-def test_event_value_before_trigger_raises():
-    sim = Simulator()
-    event = sim.event()
-    with pytest.raises(RuntimeError, match="before trigger"):
-        _ = event.value
-
-
-def test_event_double_trigger_rejected():
-    sim = Simulator()
-    event = sim.event()
-    event.succeed(1)
-    with pytest.raises(RuntimeError, match="already triggered"):
-        event.succeed(2)
-    with pytest.raises(RuntimeError, match="already triggered"):
-        event.fail(ValueError("x"))
-    # A trigger in a loop that outlives the event: the second pass raises.
-    tick = sim.event()
-    with pytest.raises(RuntimeError, match="already triggered"):
-        for batch in range(2):
-            tick.succeed(batch)
-    assert tick.value == 0
-
-
-def test_a_wait_nothing_triggers_ends_the_run_with_an_error():
-    sim = Simulator()
-
-    def forgotten():
-        yield sim.event()
-
-    with pytest.raises(RuntimeError, match="ran out of events"):
-        sim.run(sim.process(forgotten()))
-
-
-def test_event_fail_requires_exception():
-    sim = Simulator()
-    with pytest.raises(TypeError):
-        sim.event().fail("not an exception")
-
-
-def test_failed_event_value_raises_original():
-    sim = Simulator()
-    event = sim.event()
-    event.fail(KeyError("gone"))
-    sim.run()
-    with pytest.raises(KeyError):
-        _ = event.value
-
-
-def test_run_until_past_raises():
-    sim = Simulator()
-    sim.timeout(10)
-    sim.run(until=5.0)
-    with pytest.raises(ValueError):
-        sim.run(until=1.0)
 
 
 # ---------------------------------------------------------------------------

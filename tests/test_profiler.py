@@ -96,13 +96,14 @@ def test_callsite_attribution_names_process_generators():
     assert all(":" in key for key in keys)
     assert any(key.startswith("Completion:") or key.startswith("Event:")
                for key in keys)
-    # A bound-method callback is keyed Owner.method, so every stage of
-    # the callback-chained datapath has a row of its own.
-    assert {"Event:_Send._fetched", "Event:_Send._attested",
+    # A bound-method step is keyed Owner.method, so every stage of the
+    # call-chained datapath has a row of its own; the send's completion
+    # is the one event its stages leave.
+    assert {"Call:_Send._fetched", "Call:_Send._attested",
             "Event:_Send._acked",
-            "Event:AttestationKernel._settle",
-            "Timeout:EthernetMac._serialised",
-            "Timeout:EthernetMac.deliver"} <= keys
+            "Call:AttestationKernel._settle",
+            "Call:EthernetMac._serialised",
+            "Call:EthernetMac.deliver"} <= keys
 
 
 def test_a_reply_is_booked_to_the_client_step():

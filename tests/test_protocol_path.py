@@ -1,6 +1,6 @@
 """The protocol path pays for its stages, not its plumbing.
 
-Six contracts of the per-message path:
+Seven contracts of the per-message path:
 
 * a client waits with at most one deadline timer in flight: served
   waits share it, and an expired wait leaves nothing behind;
@@ -13,6 +13,8 @@ Six contracts of the per-message path:
   served completions, nothing else;
 * a 64 B trusted send keeps its scheduler budget and posts with no
   raised lookup and no per-message counter record;
+* its datapath stages are calls: the only event a message files is
+  the completion its poster waits on;
 * the scheduler's pending set stays a few dozen entries deep on the
   shapes the paper's systems run.
 """
@@ -36,6 +38,7 @@ from repro.systems.common import Client, EmulatedNetwork
 from repro.systems.cr_cft import TeeChainReplication
 from repro.systems.peer_review import PeerReviewBehaviour, PeerReviewSystem
 from repro.systems.raft import TeeRaft
+from repro.telemetry.profiler import Profiler
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +347,25 @@ def test_a_64b_send_pays_for_its_stages_not_host_plumbing(monkeypatch):
     assert per_message <= 8.1  # measured 8.035
     assert built["MemoryError_"] == 0
     assert built["_SessionCounters"] == sessions == 2
+
+
+def test_a_64b_send_files_one_event_the_completion():
+    """The ``send_small`` shape, profiled: DMA, HMAC, serialisation, the
+    hop and the receiver's verify are scheduled calls, so a message
+    files one event, its API completion, out of the same total."""
+    messages = 200
+    cluster, conn_a = _send_pair()
+    cluster.run()
+    profiler = Profiler.attach(cluster.sim)
+    _window_16_send(cluster, conn_a, messages, b"x" * 64)
+    entries = profiler.events
+    events = {key: n for key, n in entries.items()
+              if not key.startswith("Call:")}
+    assert events == {"Event:_Send._acked": messages}
+    assert sum(events.values()) / messages <= 1.0
+    # 2 MAC serialisations + 2 hops (data and ACK), the DMA, the attest,
+    # the verify, the completion, and 7 retransmission-timer entries.
+    assert sum(entries.values()) == 8 * messages + 7
 
 
 # ----------------------------------------------------------------------

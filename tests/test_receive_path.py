@@ -131,6 +131,20 @@ class _ReferenceKernel(RoceKernel):
         lane.next_arrival_psn += 1
         lane.store.put((lane.epoch, packet))
 
+    def _verify_event(self, session_id, message):
+        """The kernel's verification as the event the loop waited on:
+        the payload, or the :class:`AttestationError` as its failure."""
+        check = Event(self.sim)
+
+        def settled(payload, error):
+            if error is None:
+                check.succeed(payload)
+            else:
+                check.fail(error)
+
+        self.attestation.verify_event(session_id, message, settled)
+        return check
+
     def _delivery_loop(self, lane):
         qp = lane.state.qp
         while True:
@@ -169,8 +183,7 @@ class _ReferenceKernel(RoceKernel):
                                parent=packet.meta.get(TRACE_PARENT),
                                node=self.ip, qp=qp.qp_number)
             try:
-                verified = yield self.attestation.verify_event(
-                    qp.session_id, message)
+                verified = yield self._verify_event(qp.session_id, message)
             except AttestationError:
                 self._verification_failed(lane, vspan)
                 continue

@@ -8,8 +8,11 @@ it held): for random arrival patterns the analytic
 the bit-identical instant, in the same order.
 
 Likewise ``DmaEngine.transfer``: it used to be a chain of three events
-(set-up timeout → PCIe pipe timeout → ``done``) and is one event filed
+(set-up timeout → PCIe pipe timeout → ``done``) and is one call filed
 at the computed completion instant; the chain is the reference.
+
+The subjects take the step to run on completion; the references still
+return events, and :func:`_then` hangs the step on those.
 """
 
 from hypothesis import example, given, settings
@@ -20,7 +23,11 @@ from repro.crypto.hmac_engine import HmacEngine
 from collections import deque
 
 from repro.sim import SerialServer, Simulator
-from repro.sim.latency import PCIE_BANDWIDTH_BYTES_PER_US, tnic_hmac_pipeline_us
+from repro.sim.latency import (
+    PCIE_BANDWIDTH_BYTES_PER_US,
+    TNIC_ASYNC_FIXED_US,
+    tnic_hmac_pipeline_us,
+)
 
 
 class _Lock:
@@ -91,21 +98,28 @@ def _reference_serve(sim, lock, service_us, value, tail_us):
     return done
 
 
+def _then(event, step):
+    """Run ``step(value)`` when a reference's *event* is processed."""
+    event.callbacks.append(lambda done: step(done.value))
+
+
 def _completions(submit_for, arrivals):
     """Run one simulator: job *i* is submitted ``gap`` µs after job
-    *i-1* (0 = same instant); returns ``[(index, completion instant)]``
-    in completion order, plus whatever ``submit_for`` built."""
+    *i-1* (0 = same instant) with a step that records its value; returns
+    ``[(value, completion instant)]`` in completion order, plus whatever
+    ``submit_for`` built."""
     sim = Simulator()
     submit, subject = submit_for(sim)
     finished = []
+
+    def record(value):
+        finished.append((value, sim.now))
 
     def driver():
         for index, (gap, *job) in enumerate(arrivals):
             if gap:
                 yield sim.timeout(gap)
-            done = submit(index, *job)
-            done.callbacks.append(
-                lambda event: finished.append((event._value, sim.now)))
+            submit(record, index, *job)
 
     sim.process(driver())
     sim.run()
@@ -125,14 +139,18 @@ _sizes = st.integers(min_value=0, max_value=64 * 1024)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_gaps, _sizes), min_size=1, max_size=40))
 def test_hmac_engine_matches_the_process_based_pipeline(arrivals):
-    def engine_of(cls):
-        def build(sim):
-            engine = cls(sim)
-            return (lambda index, size: engine.occupy(size, index)), engine
-        return build
+    def reference_engine(sim):
+        engine = _ReferenceEngine(sim)
+        return (lambda step, index, size:
+                _then(engine.occupy(size, index), step)), engine
 
-    expected, reference = _completions(engine_of(_ReferenceEngine), arrivals)
-    observed, engine = _completions(engine_of(HmacEngine), arrivals)
+    def analytic_engine(sim):
+        engine = HmacEngine(sim)
+        return (lambda step, index, size:
+                engine.occupy(size, step, index)), engine
+
+    expected, reference = _completions(reference_engine, arrivals)
+    observed, engine = _completions(analytic_engine, arrivals)
     assert observed == expected  # bit-equal instants, same order
     assert [index for index, _ in observed] == list(range(len(arrivals)))
     assert engine.operations == reference.operations == len(arrivals)
@@ -147,13 +165,13 @@ _times = st.floats(min_value=0.0, max_value=50.0)
 def test_serve_with_a_tail_matches_hold_release_then_wait(arrivals):
     def reference(sim):
         lock = _Lock(sim)
-        return (lambda index, service, tail:
-                _reference_serve(sim, lock, service, index, tail)), None
+        return (lambda step, index, service, tail: _then(
+            _reference_serve(sim, lock, service, index, tail), step)), None
 
     def analytic(sim):
         server = SerialServer(sim)
-        return (lambda index, service, tail:
-                server.serve(service, index, tail_us=tail)), None
+        return (lambda step, index, service, tail:
+                server.serve(service, step, index, tail_us=tail)), None
 
     expected, _ = _completions(reference, arrivals)
     observed, _ = _completions(analytic, arrivals)
@@ -166,9 +184,9 @@ def test_serve_with_a_tail_matches_hold_release_then_wait(arrivals):
 class _ReferenceDma:
     """``DmaEngine.transfer`` as it was: three chained events."""
 
-    def __init__(self, sim, synchronous):
+    def __init__(self, sim):
         self.sim = sim
-        self.setup = DmaEngine(sim, synchronous=synchronous).setup_cost_us()
+        self.setup = TNIC_ASYNC_FIXED_US
         self._busy_until = 0.0  # the PCIe pipe's, propagation 0
         self._moved_at = 0.0  # when the last transfer's move lands
 
@@ -184,37 +202,41 @@ class _ReferenceDma:
             if now + delay < self._moved_at:
                 # A zero-byte transfer behind a busy pipe lands with the
                 # transfer ahead of it, not an ulp before.
-                move = sim.trigger_at(self._moved_at, size_bytes)
+                sim.call_at(self._moved_at, done.succeed, size_bytes)
             else:
                 move = sim.timeout(delay, size_bytes)
                 self._moved_at = now + delay
-            move.callbacks.append(lambda _event: done.succeed(size_bytes))
+                move.callbacks.append(lambda _event: done.succeed(size_bytes))
 
         sim.delayed_call(self.setup, start)
         return done
 
 
 # Overlap needs arrivals closer than a transfer: 64 KiB is ~5.5 µs of
-# PCIe occupancy, the asynchronous set-up 0.5 µs, the synchronous 16 µs.
+# PCIe occupancy, the set-up 0.5 µs.
 @settings(max_examples=200, deadline=None)
-@given(st.booleans(), st.lists(st.tuples(_gaps, _sizes), min_size=1, max_size=40))
+@given(st.lists(st.tuples(_gaps, _sizes), min_size=1, max_size=40))
 # ``arrive + (busy_until - arrive)`` is not ``busy_until`` here: filing
-# the event at the shorter expression moves the second completion.
-@example(False, [(0.278, 16380), (0.0, 59880)])
+# the step at the shorter expression moves the second completion.
+@example([(0.278, 16380), (0.0, 59880)])
 # A zero-byte transfer queued behind a busy pipe rounds one ulp below
 # the completion ahead of it unless it is filed at that completion.
-@example(False, [(0.0, 11852), (0.0, 160), (0.001, 0)])
-@example(False, [(0.0, 12512), (0.001, 0)])
-@example(False, [(0.99999, 24016), (0.001, 0)])
-def test_dma_transfer_matches_the_three_event_chain(synchronous, arrivals):
-    def engine_of(cls):
-        def build(sim):
-            engine = cls(sim, synchronous)
-            return (lambda index, size: engine.transfer(size)), engine
-        return build
+@example([(0.0, 11852), (0.0, 160), (0.001, 0)])
+@example([(0.0, 12512), (0.001, 0)])
+@example([(0.99999, 24016), (0.001, 0)])
+def test_dma_transfer_matches_the_three_event_chain(arrivals):
+    def reference_dma(sim):
+        engine = _ReferenceDma(sim)
+        return (lambda step, _index, size:
+                _then(engine.transfer(size), step)), engine
 
-    expected, _ = _completions(engine_of(_ReferenceDma), arrivals)
-    observed, engine = _completions(engine_of(DmaEngine), arrivals)
+    def analytic_dma(sim):
+        engine = DmaEngine(sim)
+        return (lambda step, _index, size:
+                engine.transfer(size, step, size)), engine
+
+    expected, _ = _completions(reference_dma, arrivals)
+    observed, engine = _completions(analytic_dma, arrivals)
     sizes = [size for _, size in arrivals]
     assert observed == expected  # bit-equal instants, submission order
     assert [size for size, _ in observed] == sizes

@@ -52,10 +52,8 @@ def test_an_instant_before_now_is_refused():
     # ended at 5.0.
     sim = Simulator()
     seen = []
-    sim.trigger_at(10.0).callbacks.append(lambda _e: seen.append(sim.now))
+    sim.call_at(10.0, lambda _arg: seen.append(sim.now), None)
     sim.run()
-    with pytest.raises(ValueError, match="before now"):
-        sim.trigger_at(5.0)
     with pytest.raises(ValueError, match="before now"):
         sim.call_at(5.0, seen.append, "five")
     sim.call_at(10.0, seen.append, "now")  # the current instant is not past
@@ -142,12 +140,71 @@ def test_any_of_and_all_of():
     assert sim.now == 5.0
 
 
+# ----------------------------------------------------------------------
+# Event API edges
+# ----------------------------------------------------------------------
+def test_event_value_before_trigger_raises():
+    sim = Simulator()
+    event = sim.event()
+    with pytest.raises(RuntimeError, match="before trigger"):
+        _ = event.value
+
+
+def test_event_double_trigger_rejected():
+    sim = Simulator()
+    event = sim.event()
+    event.succeed(1)
+    with pytest.raises(RuntimeError, match="already triggered"):
+        event.succeed(2)
+    with pytest.raises(RuntimeError, match="already triggered"):
+        event.fail(ValueError("x"))
+    # A trigger in a loop that outlives the event: the second pass raises.
+    tick = sim.event()
+    with pytest.raises(RuntimeError, match="already triggered"):
+        for batch in range(2):
+            tick.succeed(batch)
+    assert tick.value == 0
+
+
+def test_a_wait_nothing_triggers_ends_the_run_with_an_error():
+    sim = Simulator()
+
+    def forgotten():
+        yield sim.event()
+
+    with pytest.raises(RuntimeError, match="ran out of events"):
+        sim.run(sim.process(forgotten()))
+
+
+def test_event_fail_requires_exception():
+    sim = Simulator()
+    with pytest.raises(TypeError):
+        sim.event().fail("not an exception")
+
+
+def test_failed_event_value_raises_original():
+    sim = Simulator()
+    event = sim.event()
+    event.fail(KeyError("gone"))
+    sim.run()
+    with pytest.raises(KeyError):
+        _ = event.value
+
+
+def test_run_until_past_raises():
+    sim = Simulator()
+    sim.timeout(10)
+    sim.run(until=5.0)
+    with pytest.raises(ValueError):
+        sim.run(until=1.0)
+
+
 def test_pipe_serialises_transfers():
     sim = Simulator()
     pipe = Pipe(sim, bandwidth_bytes_per_us=100.0, propagation_us=1.0)
     done = []
-    pipe.transfer(200).callbacks.append(lambda _e: done.append(sim.now))
-    pipe.transfer(100).callbacks.append(lambda _e: done.append(sim.now))
+    pipe.transfer(200, lambda _arg: done.append(sim.now), None)
+    pipe.transfer(100, lambda _arg: done.append(sim.now), None)
     sim.run()
     # First: 2us serialisation + 1us propagation; second queues behind it.
     assert done == [pytest.approx(3.0), pytest.approx(4.0)]
@@ -485,15 +542,21 @@ def test_step_is_not_reentrant():
 # A wait that is already over does not go back through the scheduler.
 # ----------------------------------------------------------------------
 def _count_pushes(sim):
-    """Count ``sim._push`` calls from here on; returns the live cell."""
+    """Count the scheduler entries filed from here on, ``sim._push``'s
+    and ``sim.call_at``'s; returns the live cell."""
     pushes = [0]
-    push = sim._push
+    push, call_at = sim._push, sim.call_at
 
     def counting(when, event):
         pushes[0] += 1
         push(when, event)
 
+    def counting_call(when, fn, arg):
+        pushes[0] += 1
+        call_at(when, fn, arg)
+
     sim._push = counting
+    sim.call_at = counting_call
     return pushes
 
 
