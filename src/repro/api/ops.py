@@ -47,14 +47,8 @@ def auth_send(conn: IbvConnection, payload: bytes) -> "Event":
         span = span_begin(sim, "request.auth_send",
                           node=conn.node.name, qp=conn.qp_number,
                           bytes=len(payload))
-    request = WorkRequest(
-        opcode=RdmaOpcode.SEND,
-        qp_number=conn.qp_number,
-        local_addr=address,
-        length=len(payload),
-        lkey=conn.tx_region.lkey,
-        parent=span,
-    )
+    request = WorkRequest(RdmaOpcode.SEND, conn.qp_number, address,
+                          len(payload), conn.tx_region.lkey, 0, None, span)
     completion = conn.node.rdma.post(request)
     if span is not NULL_SPAN:
         completion.callbacks.append(lambda _event: span.end())

@@ -149,13 +149,8 @@ class _RxLane:
         False if it was refused on the spot (no key for the session)."""
         kernel = self.kernel
         trailer = packet.trailer
-        message = AttestedMessage(
-            payload=payload,
-            alpha=trailer.alpha,
-            session_id=trailer.session_id,
-            device_id=trailer.device_id,
-            counter=trailer.send_cnt,
-        )
+        message = AttestedMessage(payload, trailer.alpha, trailer.session_id,
+                                  trailer.device_id, trailer.send_cnt)
         # The packet metadata carries the sender's tnic.tx span
         # (written on the transmitting device), so the receiving
         # replica's verification joins the same causal trace.
@@ -324,11 +319,11 @@ class RoceKernel:
                 packet = Packet(
                     *self._headers(state),
                     IbTransportHeader(opcode, state.remote_qp_number,
-                                      psn=state.next_send_psn),
-                    payload=chunk,
+                                      state.next_send_psn),
+                    chunk,
                     # α rides the LAST segment.
-                    trailer=trailer if index == segments - 1 else None,
-                    meta=seg_meta,
+                    trailer if index == segments - 1 else None,
+                    seg_meta,
                 )
                 psn = state.record_send(packet, self.sim.now, ack_delay_us)
                 if self.sim.telemetry is not None:
@@ -366,9 +361,9 @@ class RoceKernel:
         headers = state.peer_headers
         if headers is None or headers[0].dst_mac != dst_mac:
             headers = state.peer_headers = (
-                EthernetHeader(src_mac=self.mac.address, dst_mac=dst_mac),
-                Ipv4Header(src_ip=qp.local_ip, dst_ip=qp.remote_ip),
-                UdpHeader(src_port=qp.local_port, dst_port=qp.remote_port),
+                EthernetHeader(self.mac.address, dst_mac),
+                Ipv4Header(qp.local_ip, qp.remote_ip),
+                UdpHeader(qp.local_port, qp.remote_port),
             )
         return headers
 
@@ -458,11 +453,7 @@ class RoceKernel:
             psn, completion = pending.popleft()
             if not completion.triggered:
                 completion.succeed(CompletionEntry(
-                    qp_number=qp_number,
-                    msn=packet.meta.get("msn", psn),
-                    opcode="send",
-                    ok=True,
-                ))
+                    qp_number, packet.meta.get("msn", psn), "send", True))
 
     def _handle_data(self, packet: Packet) -> None:
         state = self.tables.get(packet.bth.dest_qp)
@@ -547,8 +538,8 @@ class RoceKernel:
                         psn: int, msn: int) -> Packet:
         return Packet(
             *self._headers(state),
-            IbTransportHeader(opcode, state.remote_qp_number, psn, ack_req=False),
-            meta={"msn": msn},
+            IbTransportHeader(opcode, state.remote_qp_number, psn, False),
+            b"", None, {"msn": msn},
         )
 
     def _send_ack(self, state: QueuePairState, psn: int, msn: int) -> None:

@@ -23,7 +23,9 @@ gives::
         retries: list[int] = field(default_factory=list)
 
 A method that memoizes into a field (``compare=False``) writes it with
-``object.__setattr__``, as it would on a frozen dataclass.
+``object.__setattr__``, as it would on a frozen dataclass.  A record
+built once per message is called positionally: a class has no
+vectorcall, so keywords cost a dict that ``__init__`` unpacks again.
 """
 
 from __future__ import annotations

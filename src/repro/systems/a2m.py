@@ -113,12 +113,7 @@ class A2M:
         def _finish(message: AttestedMessage) -> None:
             sequence = log.tail
             cumulative = sha256(context, sequence, log.last_digest())
-            entry = LogEntry(
-                alpha=message,
-                sequence=sequence,
-                context=context,
-                cumulative_digest=cumulative,
-            )
+            entry = LogEntry(message, sequence, context, cumulative)
             log.entries[sequence] = entry
             log.tail += 1
             extra = A2M_APPEND_OVERHEAD_US + self._storage_cost(log_id, sequence)

@@ -56,7 +56,7 @@ _PROCESSED = Event.PROCESSED
 class Envelope(Record):
     """A system message plus the ``system.net_hop`` span it travels under.
 
-    The value of the hop timeout :meth:`EmulatedNetwork._hop` files only
+    The value of the hop timeout :meth:`EmulatedNetwork.send` files only
     with telemetry attached, so untraced runs (including the
     golden-trace scenarios) move the bare message objects they always
     did.  On arrival the receiver's :meth:`Station.received` gets
@@ -342,58 +342,56 @@ class EmulatedNetwork:
         self._isolated.update(dict.fromkeys(names, mode))
 
     def heal(self) -> None:
-        """Restore connectivity and deliver every held message."""
+        """Restore connectivity and send every held message."""
         self._isolated.clear()
         held, self._held = self._held, []
         for dst, message in held:
-            self._hop(self._nodes[dst], message)
+            self.send(dst, message)
 
     @property
     def held_messages(self) -> int:
         return len(self._held)
 
-    def _hop(self, node: Station, message: Any, span: Any = None) -> None:
-        """Put *message* in flight to *node*: the station gets it bare,
-        and with telemetry attached a hop timeout of its own opens the
-        receive's spans and, given a hop *span*, ends it."""
+    def send(self, dst: str, message: Any, parent: Any = None) -> None:
+        """Put *message* in flight to *dst*, arriving one hop from now:
+        the station gets it bare, and with telemetry attached a hop
+        timeout of its own opens the receive's spans.
+
+        With a live trace *parent* span and telemetry attached, the hop
+        itself becomes a ``system.net_hop`` span under *parent*, which
+        the hop timeout ends.  A message toward a node isolated in
+        "hold" mode is sent — counted and traced — when :meth:`heal`
+        releases it, bare (a partition outlives any hop span); one in
+        "drop" mode is sent and lost.
+        """
+        node = self._nodes.get(dst)
+        if node is None:
+            raise KeyError(f"unknown destination {dst!r}")
         sim = self.sim
+        isolated = dst in self._isolated
+        if isolated and self._isolated[dst] == "hold":
+            self._held.append((dst, message))
+            gauge_set(sim, "system.net_held", len(self._held))
+            return
+        self.messages_sent += 1
+        telemetry = sim.telemetry
+        if telemetry is not None:
+            count(sim, "system.net_sent")
+            emit(sim, "system.net_send", dst, kind=type(message).__name__)
+        if isolated:
+            self.dropped_messages += 1
+            count(sim, "system.net_dropped")
+            return
         hop = None
-        if sim.telemetry is not None:
+        if telemetry is not None:
+            span = None
+            if parent:
+                span = span_begin(sim, "system.net_hop", parent=parent, dst=dst)
             envelope = Envelope(message, span)
             hop = Timeout(sim, SYSTEM_NET_HOP_US, envelope)
             if span is not None:
                 hop.callbacks.append(envelope.arrived)
         node._submit(message, sim._now + SYSTEM_NET_HOP_US, hop)
-
-    def send(self, dst: str, message: Any, parent: Any = None) -> None:
-        """Deliver *message* to *dst* after one hop latency.
-
-        With a live trace *parent* span and telemetry attached, the hop
-        itself becomes a ``system.net_hop`` span under *parent* (see
-        :meth:`_hop`).  Messages toward isolated nodes travel bare (a
-        partition outlives any hop span).
-        """
-        node = self._nodes.get(dst)
-        if node is None:
-            raise KeyError(f"unknown destination {dst!r}")
-        self.messages_sent += 1
-        sim = self.sim
-        telemetry = sim.telemetry
-        if telemetry is not None:
-            count(sim, "system.net_sent")
-            emit(sim, "system.net_send", dst, kind=type(message).__name__)
-        if dst in self._isolated:
-            if self._isolated[dst] == "drop":
-                self.dropped_messages += 1
-                count(self.sim, "system.net_dropped")
-            else:
-                self._held.append((dst, message))
-                gauge_set(self.sim, "system.net_held", len(self._held))
-            return
-        span = None
-        if telemetry is not None and parent:
-            span = span_begin(sim, "system.net_hop", parent=parent, dst=dst)
-        self._hop(node, message, span)
 
 
 class BroadcastAuthenticator(ContinuityCheck):

@@ -91,12 +91,8 @@ class TamperEvidentLog:
 
     def append(self, direction: str, data: bytes) -> LogRecord:
         prev = self.records[-1].authenticator if self.records else GENESIS
-        record = LogRecord(
-            index=len(self.records),
-            direction=direction,
-            data=data,
-            authenticator=link_authenticator(prev, direction, data),
-        )
+        record = LogRecord(len(self.records), direction, data,
+                           link_authenticator(prev, direction, data))
         self.records.append(record)
         return record
 

@@ -102,11 +102,8 @@ class _RaftNode(Station):
     # ------------------------------------------------------------------
     def lead(self, message) -> None:
         if isinstance(message, ClientCommand):
-            entry = LogEntry(
-                term=self.current_term,
-                index=len(self.log) + 1,
-                command=message.command,
-            )
+            entry = LogEntry(self.current_term, len(self.log) + 1,
+                             message.command)
             self.log.append(entry)
             self.pending[entry.index] = message.request_id
             for follower in self.system.followers:
@@ -141,22 +138,20 @@ class _RaftNode(Station):
         self.shipped[follower] = len(self.log)
         self.system.network.send(
             follower,
-            AppendEntries(
-                term=self.current_term,
-                leader=self.name,
-                prev_log_index=prev_index,
-                prev_log_term=prev_term,
-                entries=entries,
-                leader_commit=self.commit_index,
-            ),
+            AppendEntries(self.current_term, self.name, prev_index, prev_term,
+                          entries, self.commit_index),
         )
 
     def _advance_commit(self) -> None:
         """Commit every index replicated on a majority."""
         system = self.system
         majority = (len(system.followers) + 1) // 2 + 1
+        matches = self.match_index.values()
         for index in range(self.commit_index + 1, len(self.log) + 1):
-            replicas = 1 + sum(1 for m in self.match_index.values() if m >= index)
+            replicas = 1
+            for match in matches:
+                if match >= index:
+                    replicas += 1
             if replicas < majority:
                 break
             self.commit_index = index
@@ -186,12 +181,7 @@ class _RaftNode(Station):
                 self.applied.append(self.log[self.commit_index - 1].command)
         self.system.network.send(
             message.leader,
-            AppendReply(
-                term=self.current_term,
-                follower=self.name,
-                success=success,
-                match_index=len(self.log),
-            ),
+            AppendReply(self.current_term, self.name, success, len(self.log)),
         )
         self.next()
 
@@ -224,7 +214,7 @@ class _Client(Client):
         while (self._next_id < self._commands
                and len(self._sent_at) < system.pipeline_depth):
             command_id = self._next_id
-            self._sent_at[command_id] = self.sim.now
+            self._sent_at[command_id] = self.sim._now
             system.network.send(system.leader_name,
                                 ClientCommand(command_id, f"cmd{command_id}"))
             self._next_id += 1
@@ -232,7 +222,7 @@ class _Client(Client):
     def received(self, reply, parent) -> None:
         if isinstance(reply, ClientReply) and reply.request_id in self._sent_at:
             self.system.metrics.record(
-                self.sim.now - self._sent_at.pop(reply.request_id))
+                self.sim._now - self._sent_at.pop(reply.request_id))
             self._completed += 1
             self.send_next()
 

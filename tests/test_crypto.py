@@ -1,6 +1,8 @@
 """Unit tests for the cryptographic substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import (
     HmacEngine,
@@ -110,6 +112,39 @@ def test_rsa_signature_out_of_range_rejected():
     keys = generate_keypair(seed=1)
     assert not keys.public.verify(b"m", 0)
     assert not keys.public.verify(b"m", keys.public.modulus + 5)
+
+
+_KEYS = generate_keypair(seed="shared-property-key")
+
+
+@given(st.binary(min_size=0, max_size=128))
+@settings(max_examples=40, deadline=None)
+def test_rsa_sign_verify_any_message(message):
+    signature = _KEYS.sign(message)
+    assert _KEYS.public.verify(message, signature)
+
+
+@given(st.binary(min_size=1, max_size=64), st.binary(min_size=1, max_size=64))
+@settings(max_examples=40, deadline=None)
+def test_rsa_signature_not_transferable_between_messages(m1, m2):
+    signature = _KEYS.sign(m1)
+    assert _KEYS.public.verify(m2, signature) == (m1 == m2)
+
+
+@given(st.integers(min_value=1, max_value=2**64))
+@settings(max_examples=40, deadline=None)
+def test_rsa_random_signatures_rejected(candidate):
+    assert not _KEYS.public.verify(b"target message", candidate)
+
+
+def test_rsa_minimum_bits_enforced():
+    with pytest.raises(ValueError):
+        generate_keypair(bits=128)
+
+
+def test_rsa_fingerprint_stable():
+    assert _KEYS.public.fingerprint() == _KEYS.public.fingerprint()
+    assert len(_KEYS.public.fingerprint()) == 16
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,13 @@
 What is tested here:
 
 * With no telemetry hub attached, a run of each of the
-  seven benchmarked workload shapes — the BFT counter, the chain, the
+  seven benchmarked workload shapes (the BFT counter, the chain, the
   CFT Raft control, the PeerReview audit, 64 B and 16 KiB window-16
-  ``auth_send`` and 1 KiB ``auth_send`` over a lossy fabric — and of
-  A2M's Table 3 append-and-lookup mix on TNIC makes
-  *zero* calls into the instrument hooks, the :class:`NullSpan`
+  ``auth_send`` and 1 KiB ``auth_send`` over a lossy fabric) and of
+  the paper's other systems (A2M's Table 3 append-and-lookup mix on
+  TNIC, TEEs-CR at the chain's request mix, and the BFT counter with
+  its leader silent from the start, so every batch pays a view change)
+  makes *zero* calls into the instrument hooks, the :class:`NullSpan`
   methods.  A detached hook is not free (a Python call plus its keyword
   dict, ~100 ns), so per-message call sites gate on ``sim.telemetry``
   or a held span's identity before they call one.  Set-up and the fault branches
@@ -40,7 +42,9 @@ from repro.sim import instrument
 from repro.sim.instrument import NULL_SPAN, NullSpan, count, span_begin
 from repro.systems.a2m import A2M
 from repro.systems.bft import BftCounter
+from repro.systems.bft_viewchange import ViewChangeBftCounter
 from repro.systems.chain import ChainReplication
+from repro.systems.cr_cft import TeeChainReplication
 from repro.systems.peer_review import PeerReviewSystem
 from repro.systems.raft import TeeRaft
 from repro.tee import make_provider
@@ -185,6 +189,30 @@ def _chain():
     return system.sim, run
 
 
+def _bft_viewchange():
+    # The leader is silent from the start: every batch pays a watchdog,
+    # a view-change vote and a new leader's re-execution.
+    system = ViewChangeBftCounter("tnic", f=1, seed=0, silent_replicas={"r0"})
+
+    def run():
+        assert system.run_workload(3).committed == 3
+        assert not system.aborted
+        assert all(system.replicas[name].view >= 1 for name in ("r1", "r2"))
+
+    return system.sim, run
+
+
+def _cr_cft():
+    system = TeeChainReplication(chain_length=3)
+    requests = kv_workload(20, read_fraction=0.5, seed=0)
+
+    def run():
+        assert system.run_workload(requests).committed == 20
+        assert system.stores_consistent()
+
+    return system.sim, run
+
+
 def _raft():
     system = TeeRaft(nodes=3)
 
@@ -250,7 +278,9 @@ def _send(payload_bytes: int, messages: int, fault: NetworkFault | None = None):
 SHAPES = {
     "a2m_tnic": _a2m,
     "bft_counter": _bft,
+    "bft_viewchange": _bft_viewchange,
     "chain_kv": _chain,
+    "cr_cft": _cr_cft,
     "raft_cft": _raft,
     "peer_review_audit": _peer_review,
     "send_small": _send(64, 40),

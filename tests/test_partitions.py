@@ -28,10 +28,11 @@ def test_isolate_holds_and_heal_flushes():
     net.send("n", "held-2")
     sim.run()
     assert len(served) == 0
-    assert net.held_messages == 2
-    net.heal()
+    assert (net.held_messages, net.messages_sent) == (2, 0)
+    net.heal()  # sends each held message once
     sim.run()
     assert len(served) == 2
+    assert net.messages_sent == 2
     assert served[0][1] == "held-1"
     assert served[1][1] == "held-2"
 

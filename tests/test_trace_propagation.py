@@ -13,7 +13,7 @@ from repro.sim.clock import Simulator
 from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.systems.bft import BftCounter
-from repro.systems.common import Client, EmulatedNetwork, Envelope
+from repro.systems.common import Client, EmulatedNetwork, Envelope, Station
 from repro.telemetry import Telemetry
 from repro.telemetry.critical_path import (
     STAGE_ORDER,
@@ -43,19 +43,20 @@ def test_detached_every_carrier_stays_untouched(monkeypatch):
     message.  The delivered metadata is copied from the packet's, which
     is copied from the device's and the work request's, so a write at
     any stage of the send would show here."""
-    hops = []
-    real_hop = EmulatedNetwork._hop
+    submits = []
+    real_submit = Station._submit
 
-    def hop(self, node, item, span=None):
-        hops.append((item, span))
-        return real_hop(self, node, item, span)
+    def submit(self, item, arrive, hop):
+        submits.append((item, hop))
+        return real_submit(self, item, arrive, hop)
 
-    monkeypatch.setattr(EmulatedNetwork, "_hop", hop)
+    monkeypatch.setattr(Station, "_submit", submit)
     BftCounter("tnic", f=1, seed=0).run_workload(2)
-    assert hops
-    # A hop wraps its message in an Envelope only when given a span.
-    assert not any(type(item) is Envelope or span is not None
-                   for item, span in hops)
+    assert submits
+    # A send files a hop timeout, whose value is an Envelope that may
+    # carry a span, only with telemetry attached.
+    assert not any(type(item) is Envelope or hop is not None
+                   for item, hop in submits)
     _, delivered = _send_one(attach=False)
     assert TRACE_PARENT not in delivered["meta"]
 

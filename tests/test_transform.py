@@ -145,3 +145,26 @@ def test_tampered_wire_message_never_reaches_transform():
     # Retransmission delivered the genuine message; tampered one vanished.
     assert receiver.deliver() == b"incr"
     assert cluster["r"].device.roce.verification_failures >= 1
+
+
+def test_transform_history_is_bounded():
+    cluster = Cluster(["s", "r"])
+    conn, _ = cluster.connect("s", "r")
+    counter = {"n": 0}
+
+    def digest():
+        return sha256("state", counter["n"])
+
+    transform = BftTransform(conn, digest)
+    for i in range(200):
+        counter["n"] = i
+        transform._remember_own_state()
+    assert len(transform._own_history) <= BftTransform.HISTORY
+
+
+def test_observe_peer_state_validates_length():
+    cluster = Cluster(["s", "r"])
+    conn, _ = cluster.connect("s", "r")
+    transform = BftTransform(conn, lambda: sha256("x"))
+    with pytest.raises(ValueError):
+        transform.observe_peer_state(b"short")
