@@ -140,15 +140,21 @@ TNIC_MANIFEST = HotPathManifest(
         "Client.received",
         "Client._expire",
         "BroadcastAuthenticator._settle",
-        # Host stack: the post.
+        # Host API and stack: the send and the post.
+        "auth_send",
         "RdmaLibrary.post",
         # Device datapath (tx/rx).
         "TnicDevice.send",
-        # The send's stages after the first: steps of the DMA and HMAC
-        # calls and the callback on the ACK event, hence declared.
+        # The stages after the first of a send, local_attest and
+        # local_verify: steps of the DMA and HMAC calls and the callback
+        # on the ACK event, hence declared.
         "_Send._fetched",
         "_Send._attested",
         "_Send._acked",
+        "_LocalAttest._fetched",
+        "_LocalAttest._attested",
+        "_LocalVerify._fetched",
+        "_LocalVerify._occupied",
         "TnicDevice.receive",
         "TnicDevice.poll",
         "TnicDevice.drain",
@@ -172,6 +178,7 @@ TNIC_MANIFEST = HotPathManifest(
     hot_packages=(
         "repro.sim",
         "repro.systems.common",
+        "repro.api",
         "repro.core",
         "repro.stack",
         "repro.roce",

@@ -201,7 +201,9 @@ class MulticastGroup:
         # one counter, for every receiver.
         attested = yield device.local_attest(self.broadcast_session, payload)
         frame = encode_attested(attested)
-        completions = [auth_send(conn, frame) for conn in self.sender_conns]
+        completions = []
+        for conn in self.sender_conns:
+            completions.append(auth_send(conn, frame))
         for completion in completions:
             yield completion
         return attested

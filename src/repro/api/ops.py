@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.api.connection import IbvConnection
 from repro.core.attestation import AttestedMessage
-from repro.net.packet import RdmaOpcode
+from repro.net.packet import RdmaExtendedHeader, RdmaOpcode
 from repro.sim.instrument import NULL_SPAN, span_begin
 from repro.stack.rdma_lib import WorkRequest
 
@@ -48,10 +48,10 @@ def auth_send(conn: IbvConnection, payload: bytes) -> "Event":
                           node=conn.node.name, qp=conn.qp_number,
                           bytes=len(payload))
     request = WorkRequest(RdmaOpcode.SEND, conn.qp_number, address,
-                          len(payload), conn.tx_region.lkey, 0, None, span)
+                          len(payload), conn.tx_region.lkey, None, span)
     completion = conn.node.rdma.post(request)
     if span is not NULL_SPAN:
-        completion.callbacks.append(lambda _event: span.end())
+        completion.callbacks.append(span.end_on)
     return completion
 
 
@@ -63,15 +63,9 @@ def rem_write(conn: IbvConnection, remote_offset: int, payload: bytes) -> "Event
     if remote_offset < 0 or remote_offset + len(payload) > conn.remote_size:
         raise ValueError("remote write outside the peer's window")
     address = conn.stage(payload)
-    request = WorkRequest(
-        opcode=RdmaOpcode.WRITE,
-        qp_number=conn.qp_number,
-        local_addr=address,
-        length=len(payload),
-        lkey=conn.tx_region.lkey,
-        remote_addr=conn.remote_base + remote_offset,
-        rkey=conn.remote_rkey,
-    )
+    reth = RdmaExtendedHeader(conn.remote_base + remote_offset, conn.remote_rkey)
+    request = WorkRequest(RdmaOpcode.WRITE, conn.qp_number, address,
+                          len(payload), conn.tx_region.lkey, reth)
     return conn.node.rdma.post(request)
 
 
@@ -100,7 +94,7 @@ def poll(conn: IbvConnection, max_entries: int = 16):
 
 
 def recv(conn: IbvConnection):
-    """Pop the next verified inbound message (payload + metadata)."""
+    """Pop the next verified delivery (payload, message, opcode, msn)."""
     return conn.node.rdma.receive(conn.qp_number)
 
 

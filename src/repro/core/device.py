@@ -33,12 +33,12 @@ from repro.core.attestation import (
 from repro.core.dma import DmaEngine
 from repro.net.arp import ArpServer
 from repro.net.mac import EthernetMac
-from repro.net.packet import RdmaOpcode
+from repro.net.packet import Packet, RdmaExtendedHeader, RdmaOpcode
 from repro.roce.queue_pair import QueuePair
 from repro.roce.state_tables import QueuePairState
 from repro.roce.transport import RoceKernel
 from repro.sim.events import Event
-from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, count, span_begin
+from repro.sim.instrument import NULL_SPAN, count, span_begin
 from repro.sim.record import Record, record
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,24 +123,21 @@ class _TxStages:
 class _Send(_TxStages):
     """``TnicDevice.send``: DMA → attest (trusted devices) → RoCE → ACK."""
 
-    __slots__ = ("qp_number", "opcode", "meta")
+    __slots__ = ("qp_number", "opcode", "reth")
 
-    def start_send(self, qp_number: int, opcode: RdmaOpcode, meta: dict[str, Any]) -> None:
+    def start_send(self, qp_number: int, opcode: RdmaOpcode,
+                   reth: RdmaExtendedHeader | None, parent: Any) -> None:
         device = self.device
         sim = device.sim
         self.qp_number = qp_number
         self.opcode = opcode
-        self.meta = meta
-        # Continue the poster's trace (the carrier is the WR metadata)
-        # and replace the carried span with this one, so the packet
-        # that leaves the MAC points at tnic.tx and the remote
-        # rx-verify stage joins the tree right here.
+        self.reth = reth
+        # Continue the poster's trace; the packets carry this span, so
+        # the remote rx-verify stage joins the tree right here.
         if sim.telemetry is not None:
-            span = self.span = span_begin(sim, "tnic.tx",
-                                          parent=meta.get(TRACE_PARENT),
-                                          device=device.device_id,
-                                          qp=qp_number, bytes=len(self.payload))
-            meta[TRACE_PARENT] = span
+            self.span = span_begin(sim, "tnic.tx", parent=parent,
+                                   device=device.device_id,
+                                   qp=qp_number, bytes=len(self.payload))
         try:
             self.session_id = device.roce.qp_state(qp_number).qp.session_id
         except KeyError as exc:
@@ -164,12 +161,14 @@ class _Send(_TxStages):
     def _transmit(self, message: AttestedMessage | bytes) -> None:
         """Stage 3: the RoCE kernel triggers ``done`` on the ACK;
         ``_acked`` goes ahead of the layers above, already registered."""
-        if self.span is not NULL_SPAN:
-            self.stage = self.span.child("roce.tx")
+        span = self.span if self.span is not NULL_SPAN else None
+        if span is not None:
+            self.stage = span.child("roce.tx")
         self.done.callbacks.insert(0, self._acked)
         try:
             self.device.roce.post_send(
-                self.qp_number, message, self.opcode, self.meta, self.done)
+                self.qp_number, message, self.opcode, self.reth, self.done,
+                span)
         except Exception as exc:  # unconnected QP, no ARP entry, no link:
             self._fail(exc)       # the completion event is the error channel
 
@@ -298,8 +297,9 @@ class TnicDevice:
         qp_number: int,
         payload: bytes,
         opcode: RdmaOpcode = RdmaOpcode.SEND,
-        meta: dict[str, Any] | None = None,
+        reth: RdmaExtendedHeader | None = None,
         completion: "Event | None" = None,
+        parent: Any = None,
     ) -> "Event":
         """Full TX datapath; the event triggers when the peer ACKs.
 
@@ -307,12 +307,13 @@ class TnicDevice:
         device (the RDMA-hw baseline) skips the attestation kernel.
         Every failure along the way — unknown or unconnected QP, no
         session key, transport retry limit — fails the returned event.
-        A caller that already made the send's one completion event
-        (``RdmaLibrary.post``) passes it as *completion*; the RoCE
-        kernel triggers it.
+        A one-sided operation passes its *reth*; *parent* is the poster's
+        span (read only while traced).  A caller that already made the
+        send's one completion event (``RdmaLibrary.post``) passes it as
+        *completion*; the RoCE kernel triggers it.
         """
         done = Event(self.sim) if completion is None else completion
-        _Send(self, payload, done).start_send(qp_number, opcode, meta or {})
+        _Send(self, payload, done).start_send(qp_number, opcode, reth, parent)
         return done
 
     def local_attest(self, session_id: int, payload: bytes) -> "Event":
@@ -379,13 +380,8 @@ class TnicDevice:
         self._next_read_id += 1
         result = self.sim.event()
         self._pending_reads[read_id] = result
-        request = self.send(
-            qp_number,
-            b"",
-            opcode=RdmaOpcode.READ_REQUEST,
-            meta={"remote_addr": remote_addr, "read_len": length,
-                  "read_id": read_id, "rkey": rkey},
-        )
+        request = self.send(qp_number, b"", RdmaOpcode.READ_REQUEST,
+                            RdmaExtendedHeader(remote_addr, rkey, length, read_id))
 
         def _on_request_failure(event) -> None:
             if not event.ok and not result.triggered:
@@ -404,41 +400,42 @@ class TnicDevice:
         self.sim.delayed_call(timeout_us, _expire)
         return result
 
-    def _on_deliver(self, state: QueuePairState, item: dict[str, Any]) -> None:
+    def _on_deliver(self, state: QueuePairState, item: dict[str, Any], packet: Packet) -> None:
         """Route one verified delivery exactly once: READ traffic is
-        serviced here, a WRITE is placed at its address through the
-        rkey-gated port, and the rest (placed WRITEs included, as their
-        notification) goes to the push callback or else to the host's
-        receive queue.  A refused WRITE is counted and dropped; telling
-        its requester needs a remote-access NAK the transport lacks."""
+        serviced here, a WRITE is placed at its *packet*'s RETH address
+        through the rkey-gated port, and the rest (placed WRITEs
+        included, as their notification) goes to the push callback or
+        else to the host's receive queue.  A refused WRITE is counted and
+        dropped; telling its requester needs a remote-access NAK the
+        transport lacks."""
         opcode = item["opcode"]
-        meta = item["meta"]
+        reth = packet.reth
         if opcode is RdmaOpcode.READ_REQUEST:
             if self._host_memory is not None:
-                response = {"read_id": meta["read_id"]}
+                refused = None
                 try:
                     data = self._host_memory.dma_read(
-                        meta["remote_addr"], meta["read_len"], meta.get("rkey"))
+                        reth.remote_addr, reth.read_len, reth.rkey)
                 except RemoteAccessError as exc:
                     self.remote_access_refusals += 1
                     data = b""
-                    response["refused"] = str(exc)
-                self.send(state.qp.qp_number, data,
-                          opcode=RdmaOpcode.READ_RESPONSE, meta=response)
+                    refused = str(exc)
+                self.send(state.qp.qp_number, data, RdmaOpcode.READ_RESPONSE,
+                          RdmaExtendedHeader(0, None, 0, reth.read_id, refused))
             return
         if opcode is RdmaOpcode.READ_RESPONSE:
-            pending = self._pending_reads.pop(meta["read_id"], None)
+            pending = self._pending_reads.pop(reth.read_id, None)
             if pending is not None and not pending.triggered:
-                if "refused" in meta:
-                    pending.fail(RemoteAccessError(meta["refused"]))
+                if reth.refused is not None:
+                    pending.fail(RemoteAccessError(reth.refused))
                 else:
                     pending.succeed(item["payload"])
             return
         if (opcode is RdmaOpcode.WRITE and self._host_memory is not None
-                and "remote_addr" in meta):
+                and reth is not None):
             try:
                 self._host_memory.dma_write(
-                    meta["remote_addr"], item["payload"], meta.get("rkey"))
+                    reth.remote_addr, item["payload"], reth.rkey)
             except RemoteAccessError:
                 self.remote_access_refusals += 1
                 return

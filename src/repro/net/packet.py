@@ -6,9 +6,9 @@ with a 64 B attestation α plus metadata — a 4 B session id, a 4 B device
 id and the sender's ``send_cnt`` ("the attestation kernel extends the
 payload by appending a 64B attestation and the metadata").
 
-Headers are plain dataclasses with a fixed ``size_bytes`` each;
-:meth:`Packet.wire_size` accounts for every header and trailer byte so
-the bandwidth models see realistic sizes.
+The packet and each header are immutable records with typed fields;
+:meth:`Packet.wire_size` charges the four headers and the trailer (not
+yet the RETH or the AETH) so the bandwidth models see realistic sizes.
 """
 
 from __future__ import annotations
@@ -76,14 +76,30 @@ class UdpHeader(Record):
 
 @record
 class IbTransportHeader(Record):
-    """InfiniBand Base Transport Header (the RoCE transport layer)."""
+    """InfiniBand Base Transport Header (the RoCE transport layer), with
+    a multi-MTU message's *segments*/*seg_index* and an ACK's *msn* (AETH)."""
 
     opcode: RdmaOpcode
     dest_qp: int
     psn: int
     ack_req: bool = True
+    segments: int = 1
+    seg_index: int = 0
+    msn: int = 0
 
     size_bytes = BTH_BYTES
+
+
+@record
+class RdmaExtendedHeader(Record):
+    """IB's RETH, on WRITE and READ traffic only; a READ's request and
+    response share *read_id*, and a refused response says why."""
+
+    remote_addr: int
+    rkey: int | None
+    read_len: int = 0
+    read_id: int = 0
+    refused: str | None = None
 
 
 @record
@@ -114,8 +130,10 @@ class Packet(Record):
     #: sender's buffer (multi-MTU segments; see :mod:`repro.net.body`).
     payload: bytes | memoryview = b""
     trailer: AttestationTrailer | None = None
-    #: Free-form annotations (remote address for WRITE, MSN for ACK, ...).
-    meta: dict[str, Any] = field(default_factory=dict)
+    reth: RdmaExtendedHeader | None = None
+    #: Simulation only: the sender's ``tnic.tx`` span, which the
+    #: receiver's ``roce.rx_verify`` continues; None while detached.
+    span: Any = field(default=None, compare=False)
 
     def wire_size(self) -> int:
         """Total bytes the packet occupies on the wire."""

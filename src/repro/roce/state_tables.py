@@ -53,8 +53,7 @@ class QueuePairState:
     next_send_psn: int = 0
     #: PSN the receive side expects next (in-order delivery).
     expected_recv_psn: int = 0
-    #: MSN counters: one per message, whose segments take one PSN each.
-    next_send_msn: int = 0
+    #: MSN of the next message delivered (its segments take a PSN each).
     next_recv_msn: int = 0
     #: Work requests waiting for send-window space.
     tx_backlog: deque = field(default_factory=deque)

@@ -39,6 +39,7 @@ from repro.net.packet import (
     IbTransportHeader,
     Ipv4Header,
     Packet,
+    RdmaExtendedHeader,
     RdmaOpcode,
     UdpHeader,
 )
@@ -47,7 +48,6 @@ from repro.roce.state_tables import CompletionEntry, QueuePairState
 from repro.sim.events import Event
 from repro.sim.instrument import (
     NULL_SPAN,
-    TRACE_PARENT,
     count,
     emit,
     flight_trigger,
@@ -112,9 +112,9 @@ class _RxLane:
         queue = self.queue
         while queue:
             packet = queue.popleft()
-            segments = packet.meta.get("segments", 1)
+            segments = packet.bth.segments
             if segments > 1:
-                seg_index = packet.meta["seg_index"]
+                seg_index = packet.bth.seg_index
                 if seg_index != len(self.partial):
                     # Mid-message corruption of the segment sequence.
                     kernel._reject(self)
@@ -151,13 +151,12 @@ class _RxLane:
         trailer = packet.trailer
         message = AttestedMessage(payload, trailer.alpha, trailer.session_id,
                                   trailer.device_id, trailer.send_cnt)
-        # The packet metadata carries the sender's tnic.tx span
-        # (written on the transmitting device), so the receiving
-        # replica's verification joins the same causal trace.
+        # The packet carries the sender's tnic.tx span, so the
+        # receiving replica's verification joins the same causal trace.
         vspan = NULL_SPAN
         if kernel.sim.telemetry is not None:
             vspan = span_begin(kernel.sim, "roce.rx_verify",
-                               parent=packet.meta.get(TRACE_PARENT),
+                               parent=packet.span,
                                node=kernel.ip, qp=self.state.qp.qp_number)
         try:
             kernel.attestation.verify_event(
@@ -219,9 +218,8 @@ class RoceKernel:
         self.tables: dict[int, QueuePairState] = {}
         #: "the RoCE kernel is configured to hold up to 500 connections".
         self.max_connections = 500
-        #: Optional device hook handed each verified delivery
-        #: (``hook(state, item)``) instead of the record's receive queue;
-        #: lets the device service one-sided operations without host help.
+        #: The device's handler of each verified delivery and its last
+        #: packet (``TnicDevice._on_deliver``), set when it is built.
         self.deliver_hook = None
         self.verification_failures = 0
         mac.ingress = self.ingress
@@ -260,16 +258,18 @@ class RoceKernel:
         qp_number: int,
         message: AttestedMessage | bytes,
         opcode: RdmaOpcode = RdmaOpcode.SEND,
-        meta: dict[str, Any] | None = None,
+        reth: RdmaExtendedHeader | None = None,
         completion: Event | None = None,
+        span: Any = None,
     ) -> Event:
         """Queue a reliable send; the event triggers on ACK (or fails).
 
         *message* is either an :class:`AttestedMessage` (trusted path)
         or raw bytes (the untrusted RDMA-hw baseline uses the same
-        kernel without an attestation kernel attached).  *completion*
-        is the send's completion event when a layer above already made
-        it (``TnicDevice.send``): it is triggered instead of a fresh one.
+        kernel without an attestation kernel attached).  Every packet
+        carries *reth* and *span* (the sender's ``tnic.tx``, or None).
+        A *completion* made by a layer above (``TnicDevice.send``) is
+        triggered instead of a fresh event.
         """
         state = self.qp_state(qp_number)
         if state.remote_qp_number < 0:
@@ -281,7 +281,7 @@ class RoceKernel:
         if completion is None:
             completion = Event(self.sim)
         state.tx_backlog.append(
-            (message, opcode, dict(meta or {}), chunks, completion))
+            (message, opcode, reth, span, chunks, completion))
         self._pump_tx(state)
         return completion
 
@@ -294,7 +294,7 @@ class RoceKernel:
         qp_number = state.qp.qp_number
         backlog = state.tx_backlog
         while backlog:
-            message, opcode, meta, chunks, completion = backlog[0]
+            message, opcode, reth, span, chunks, completion = backlog[0]
             fits = len(state.inflight) + len(chunks) <= self.send_window
             if not fits and state.inflight:
                 break
@@ -311,21 +311,18 @@ class RoceKernel:
                     len(message.payload) + 8)
             segments = len(chunks)
             for index, chunk in enumerate(chunks):
-                seg_meta = dict(meta)
-                if segments > 1:
-                    seg_meta["segments"] = segments
-                    seg_meta["seg_index"] = index
-                seg_meta["src_qp"] = qp_number
                 packet = Packet(
                     *self._headers(state),
                     IbTransportHeader(opcode, state.remote_qp_number,
-                                      state.next_send_psn),
+                                      state.next_send_psn, True,
+                                      segments, index),
                     chunk,
                     # α rides the LAST segment.
                     trailer if index == segments - 1 else None,
-                    seg_meta,
+                    reth,
+                    span,
                 )
-                psn = state.record_send(packet, self.sim.now, ack_delay_us)
+                psn = state.record_send(packet, self.sim._now, ack_delay_us)
                 if self.sim.telemetry is not None:
                     # Gate at the call site: packet.describe() is too
                     # expensive to build for a discarded record.
@@ -333,7 +330,6 @@ class RoceKernel:
                     count(self.sim, "roce.tx_packets", node=self.ip)
                 self.mac.transmit(packet)
                 last_psn = psn
-            state.next_send_msn += 1
             if self.sim.telemetry is not None:
                 gauge_set(self.sim, "roce.inflight", len(state.inflight),
                           node=self.ip, qp=qp_number)
@@ -453,7 +449,7 @@ class RoceKernel:
             psn, completion = pending.popleft()
             if not completion.triggered:
                 completion.succeed(CompletionEntry(
-                    qp_number, packet.meta.get("msn", psn), "send", True))
+                    qp_number, packet.bth.msn, "send", True))
 
     def _handle_data(self, packet: Packet) -> None:
         state = self.tables.get(packet.bth.dest_qp)
@@ -506,9 +502,8 @@ class RoceKernel:
         message: AttestedMessage | None = None,
         psn_span: int = 1,
     ) -> None:
-        """Advance the receive window over a verified message and hand it
-        on once: to the device hook, or, with no device attached, to the
-        record's receive queue."""
+        """Advance the receive window over a verified message and hand it,
+        with *packet* (its last), to the device once."""
         state = lane.state
         state.expected_recv_psn += psn_span
         msn = state.next_recv_msn
@@ -517,7 +512,6 @@ class RoceKernel:
             "payload": payload,
             "message": message,
             "opcode": packet.bth.opcode,
-            "meta": dict(packet.meta),
             "msn": msn,
         }
         if self.sim.telemetry is not None:
@@ -526,10 +520,7 @@ class RoceKernel:
                  node=self.ip)
             count(self.sim, "roce.rx_delivered", node=self.ip)
         self._send_ack(state, packet.bth.psn, msn)
-        if self.deliver_hook is not None:
-            self.deliver_hook(state, item)
-        else:
-            state.receive_queue.append(item)
+        self.deliver_hook(state, item, packet)
 
     # ------------------------------------------------------------------
     # Control packets
@@ -538,8 +529,8 @@ class RoceKernel:
                         psn: int, msn: int) -> Packet:
         return Packet(
             *self._headers(state),
-            IbTransportHeader(opcode, state.remote_qp_number, psn, False),
-            b"", None, {"msn": msn},
+            IbTransportHeader(opcode, state.remote_qp_number, psn, False,
+                              1, 0, msn),
         )
 
     def _send_ack(self, state: QueuePairState, psn: int, msn: int) -> None:

@@ -94,16 +94,6 @@ def emit(sim, category: str, message: str, **fields: Any) -> None:
         telemetry.emit(category, message, **fields)
 
 
-#: Key under which a stage's span rides in the metadata dict that travels
-#: with a device request or packet (``Packet.meta``): the sender writes
-#: ``meta[TRACE_PARENT] = span`` and the next stage opens
-#: ``span_begin(..., parent=meta.get(TRACE_PARENT))``, so the receiving
-#: replica's spans join the sender's trace tree.  A work request carries
-#: its caller's span in its own ``WorkRequest.parent`` field.  The trusted
-#: datapath stores and forwards the value without inspecting it.
-TRACE_PARENT = "trace_parent"
-
-
 def span_begin(sim, name: str, parent: Any = None, **labels: Any):
     """Open a span at the current virtual time.
 
@@ -111,6 +101,11 @@ def span_begin(sim, name: str, parent: Any = None, **labels: Any):
     attached, else :data:`NULL_SPAN`.  Callers end it with
     ``span.end()``; nesting uses ``span.child(...)``.  A *parent* that
     is not a live span roots a fresh trace (the hub decides).
+
+    A span reaches the next stage as an argument or a typed field (a
+    packet's simulation-only ``span``, None while detached), so the
+    receiving replica's spans join the sender's trace tree; the trusted
+    datapath forwards it without inspecting it.
     """
     telemetry = sim.telemetry
     if telemetry is None:

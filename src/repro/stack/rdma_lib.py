@@ -30,26 +30,27 @@ a ring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.device import RemoteAccessError, TnicDevice
-from repro.net.packet import RdmaOpcode
+from repro.net.packet import RdmaExtendedHeader, RdmaOpcode
 from repro.sim.events import Event
-from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, count, span_begin
+from repro.sim.instrument import NULL_SPAN, count, span_begin
+from repro.sim.record import Record, record
 from repro.stack.memory import IbvMemory, MemoryError_
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
 
 
-@dataclass
-class WorkRequest:
+@record
+class WorkRequest(Record):
     """Internal representation of one posted operation.
 
     *lkey* names the registered region that holds the bytes at
-    ``[local_addr, +length)``; *parent* is the caller's span, which the
-    post's span joins (``auth_send`` passes its root span).
+    ``[local_addr, +length)``; a WRITE's *reth* names the peer's window;
+    *parent* is the caller's span, which the post's span joins
+    (``auth_send`` passes its root span).
     """
 
     opcode: RdmaOpcode
@@ -57,8 +58,7 @@ class WorkRequest:
     local_addr: int
     length: int
     lkey: int
-    remote_addr: int = 0
-    rkey: int | None = None
+    reth: RdmaExtendedHeader | None = None
     parent: Any = None
 
 
@@ -131,7 +131,8 @@ class RdmaLibrary:
         sim = self.sim
         done = Event(sim)
         # The "post" stage of the send breakdown: DMA snapshot and
-        # hand-off, ending when the device owns the WR.
+        # hand-off, ending when the device owns the WR.  The device gets
+        # *this* stage's span, so tnic.tx nests under tnic.post.
         span = NULL_SPAN
         if sim.telemetry is not None:
             span = span_begin(sim, "tnic.post", parent=request.parent,
@@ -139,17 +140,8 @@ class RdmaLibrary:
         try:
             payload = self.memory_table.local(request.lkey).read(
                 request.local_addr, request.length)
-            meta: dict[str, Any] = {}
-            if span is not NULL_SPAN:
-                # Hand the device *this* stage's span so tnic.tx
-                # nests under tnic.post in the causal tree.
-                meta[TRACE_PARENT] = span
-            if request.opcode is RdmaOpcode.WRITE:
-                meta["remote_addr"] = request.remote_addr
-                if request.rkey is not None:
-                    meta["rkey"] = request.rkey
-            self.device.send(request.qp_number, payload,
-                             opcode=request.opcode, meta=meta, completion=done)
+            self.device.send(request.qp_number, payload, request.opcode,
+                             request.reth, done, span)
         except Exception as exc:
             span.end(status="error")
             done.fail(exc)

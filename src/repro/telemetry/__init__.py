@@ -121,8 +121,8 @@ class Telemetry:
 
         Anything that is not a live :class:`Span` — None, the detached
         :data:`~repro.sim.instrument.NULL_SPAN`, or whatever a faulty
-        wire left under ``TRACE_PARENT`` in a carrier — roots a fresh
-        trace, so a corrupt carrier never fails the datapath.
+        wire left in a packet's ``span`` — roots a fresh trace, so a
+        corrupt carrier never fails the datapath.
         """
         if not isinstance(parent, Span):
             parent = None

@@ -70,6 +70,10 @@ class Span:
             self.labels.update(labels)
         self.tracker.finish(self)
 
+    def end_on(self, _event: Any) -> None:
+        """Event callback: close the span when the event it times occurs."""
+        self.end()
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "id": self.span_id,

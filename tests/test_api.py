@@ -9,7 +9,7 @@ from repro.api.connection import SessionDirectory, ibv_sync
 from repro.api.ops import recv
 from repro.core.attestation import AttestedMessage
 from repro.core.device import RemoteAccessError
-from repro.net.packet import RdmaOpcode
+from repro.net.packet import RdmaExtendedHeader, RdmaOpcode
 from repro.stack import MemoryError_
 
 
@@ -143,7 +143,7 @@ def test_a_write_with_a_foreign_rkey_places_nothing():
     target = b.tx_region.base
     for rkey in (12345, a.remote_rkey):
         done = a.node.device.send(a.qp_number, b"PWNED", opcode=RdmaOpcode.WRITE,
-                                  meta={"remote_addr": target, "rkey": rkey})
+                                  reth=RdmaExtendedHeader(target, rkey))
         cluster.run(done)
     cluster.run()
     assert b.tx_region.read(target, 5) == bytes(5)
@@ -338,3 +338,22 @@ def test_connect_rejects_a_nonpositive_region_size(size):
     cluster = Cluster(["a", "b"])
     with pytest.raises(MemoryError_, match="must be positive"):
         cluster.connect("a", "b", region_bytes=size)
+
+
+# ---------------------------------------------------------------------------
+# API error paths
+# ---------------------------------------------------------------------------
+
+def test_stage_requires_tx_region():
+    from repro.api.connection import IbvConnection
+    from repro.roce.queue_pair import QueuePair
+
+    cluster = Cluster(["a", "b"])
+    session_id, _ = cluster.sessions.new_session()
+    conn = IbvConnection(
+        node=cluster["a"],
+        qp=QueuePair(qp_number=1, session_id=session_id,
+                     local_ip="10.0.0.1", remote_ip="10.0.0.2"),
+    )
+    with pytest.raises(RuntimeError, match="no tx region"):
+        conn.stage(b"x")

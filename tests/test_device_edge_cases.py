@@ -1,10 +1,12 @@
-"""Edge-case tests for the device datapath, DMA and transport limits."""
+"""Edge-case tests for the device datapath, DMA and transport limits,
+and the FPGA resource model."""
 
 import pytest
 
 from repro.core import TnicDevice
 from repro.core.device import ReadTimeout
 from repro.core.dma import DmaEngine
+from repro.core.resources import FpgaModel, ResourceUsage, U280
 from repro.net import ArpServer, Link, NetworkFault
 from repro.roce import QueuePair
 from repro.roce.transport import TransportError
@@ -245,3 +247,41 @@ def test_untrusted_device_stats_zero_attest():
     stats = device.stats()
     assert stats.attestations == 0
     assert stats.verifications == 0
+
+
+# ---------------------------------------------------------------------------
+# FPGA resources (Table 5)
+# ---------------------------------------------------------------------------
+
+def test_resource_usage_arithmetic():
+    a = ResourceUsage(10, 20, 2)
+    b = ResourceUsage(1, 2, 1)
+    assert a + b == ResourceUsage(11, 22, 3)
+    assert b.scaled(3) == ResourceUsage(3, 6, 3)
+    with pytest.raises(ValueError):
+        b.scaled(-1)
+    assert b.fits_in(a)
+    assert not a.fits_in(b)
+
+
+def test_fpga_model_rejects_zero_connections():
+    with pytest.raises(ValueError):
+        FpgaModel().design_usage(0)
+
+
+def test_fpga_model_second_roce_kernel_beyond_500():
+    model = FpgaModel(capacity=ResourceUsage(10**9, 10**9, 10**9))
+    low = model.design_usage(500)
+    high = model.design_usage(501)
+    from repro.core.resources import ROCE_KERNEL, ATTESTATION_REPLICA_INCREMENT
+
+    extra = high.lut - low.lut
+    assert extra == ROCE_KERNEL.lut + ATTESTATION_REPLICA_INCREMENT.lut
+
+
+def test_single_connection_matches_table5_total():
+    usage = FpgaModel().design_usage(1)
+    assert usage.lut == 216_905
+    assert usage.ff == 423_891
+    assert usage.ramb36 == 335
+    assert usage.fits_in(U280)

@@ -190,6 +190,9 @@ def test_real_tree_closure_covers_the_kernel_datapath(real_engine):
     assert "repro.stack.rdma_lib.MemoryTable.dma_read" in deliver
     post = reachable["repro.stack.rdma_lib.RdmaLibrary.post"]
     assert "repro.stack.memory.IbvMemory.read" in post
+    # The host API's send is a root too, so PERF002 sees the work
+    # request it builds.
+    assert "repro.stack.rdma_lib.RdmaLibrary.post" in reachable["repro.api.ops.auth_send"]
     # A scheduled call's step is run only from its heap entry, so the
     # policy declares it, and the PERF rules check it.
     assert {
@@ -205,6 +208,10 @@ def test_real_tree_closure_covers_the_kernel_datapath(real_engine):
         # serialisation and the fabric hop.
         "repro.core.device._Send._fetched",
         "repro.core.device._Send._attested",
+        "repro.core.device._LocalAttest._fetched",
+        "repro.core.device._LocalAttest._attested",
+        "repro.core.device._LocalVerify._fetched",
+        "repro.core.device._LocalVerify._occupied",
         "repro.core.attestation.AttestationKernel._settle",
         "repro.roce.transport._RxLane._verified",
         "repro.net.mac.EthernetMac._serialised",

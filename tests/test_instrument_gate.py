@@ -7,9 +7,9 @@ What is tested here:
   CFT Raft control, the PeerReview audit, 64 B and 16 KiB window-16
   ``auth_send`` and 1 KiB ``auth_send`` over a lossy fabric) and of
   the paper's other systems (A2M's Table 3 append-and-lookup mix on
-  TNIC, TEEs-CR at the chain's request mix, and the BFT counter with
-  its leader silent from the start, so every batch pays a view change)
-  makes *zero* calls into the instrument hooks, the :class:`NullSpan`
+  TNIC, TEEs-CR at the chain's request mix, the BFT counter with its
+  leader silent from the start, so every batch pays a view change, and
+  one-sided ``rem_write``/``rem_read`` pairs) makes *zero* calls into the instrument hooks, the :class:`NullSpan`
   methods.  A detached hook is not free (a Python call plus its keyword
   dict, ~100 ns), so per-message call sites gate on ``sim.telemetry``
   or a held span's identity before they call one.  Set-up and the fault branches
@@ -275,12 +275,26 @@ def _send(payload_bytes: int, messages: int, fault: NetworkFault | None = None):
     return shape
 
 
+def _one_sided():
+    cluster, conn_a, _ = _pair()
+
+    def run():
+        for index in range(8):
+            payload = index.to_bytes(8, "big")
+            cluster.run(ops.rem_write(conn_a, 8 * index, payload))
+            assert cluster.run(ops.rem_read(conn_a, 8 * index, 8)) == payload
+        cluster.run()
+
+    return cluster.sim, run
+
+
 SHAPES = {
     "a2m_tnic": _a2m,
     "bft_counter": _bft,
     "bft_viewchange": _bft_viewchange,
     "chain_kv": _chain,
     "cr_cft": _cr_cft,
+    "one_sided": _one_sided,
     "raft_cft": _raft,
     "peer_review_audit": _peer_review,
     "send_small": _send(64, 40),

@@ -1,7 +1,11 @@
 """Unit tests for the network substrate (packets, ARP, MAC, fabric)."""
 
+import enum
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
+from repro.api import Cluster, rem_read, rem_write
 from repro.net import (
     ArpServer,
     AttestationTrailer,
@@ -18,6 +22,8 @@ from repro.net import (
 )
 from repro.net.arp import ArpError
 from repro.sim import DeterministicRng, Simulator
+from repro.sim.record import Record
+from tests.test_send_path import _send_windowed
 
 
 def make_packet(src="m-a", dst="m-b", payload=b"hello", trailer=None):
@@ -241,3 +247,80 @@ def test_link_and_fabric_apply_one_fault_schedule():
     stats = on_link[1]
     assert min(stats.dropped, stats.duplicated, stats.reordered,
                stats.replayed, stats.tampered) > 0
+
+
+# ---------------------------------------------------------------------------
+# Nothing on the wire is mutable
+# ---------------------------------------------------------------------------
+
+def _fields_of(packet):
+    """``(holder, name, value)`` of every field, through the headers."""
+    stack = [packet]
+    while stack:
+        holder = stack.pop()
+        for f in fields(holder):
+            value = getattr(holder, f.name)
+            yield holder, f.name, value
+            if isinstance(value, Record):
+                stack.append(value)
+
+
+@pytest.fixture(scope="module")
+def carried():
+    """Every packet the fabric carries on a lossy 64 B and 16 KiB window
+    run, one one-sided WRITE and one READ; and every field assignment a
+    tamper hook tried that did not raise ``FrozenInstanceError``."""
+    packets, assigned = [], []
+
+    def tamper(packet):
+        packets.append(packet)
+        for holder, name, value in _fields_of(packet):
+            try:
+                setattr(holder, name, value)
+            except FrozenInstanceError:
+                continue
+            assigned.append((type(holder).__name__, name))
+
+    cluster = Cluster(["a", "b"], seed=0, fault=NetworkFault(
+        drop_probability=0.05, duplicate_probability=0.05,
+        reorder_probability=0.05, tamper=tamper))
+    conn_a, conn_b = cluster.connect("a", "b")
+    cluster.run()
+    for size in (64, 16 * 1024):
+        _send_windowed(cluster, conn_a, 24, size)
+    cluster.run(rem_write(conn_a, 0, b"written"))
+    assert cluster.run(rem_read(conn_a, 0, 7)) == b"written"
+    cluster.run()
+    stats = cluster.fabric.stats
+    assert stats.dropped and stats.duplicated and stats.reordered
+    assert stats.tampered == 0  # the hook returned None every time
+    return packets, assigned
+
+
+def test_the_wire_run_carries_every_kind_of_packet(carried):
+    packets, _ = carried
+    opcodes = {packet.bth.opcode for packet in packets}
+    assert {RdmaOpcode.SEND, RdmaOpcode.WRITE, RdmaOpcode.READ_REQUEST,
+            RdmaOpcode.READ_RESPONSE, RdmaOpcode.ACK, RdmaOpcode.NAK} <= opcodes
+    assert any(packet.bth.segments > 1 for packet in packets)
+    assert any(type(packet.payload) is memoryview for packet in packets)
+    assert all((packet.reth is not None) == (packet.bth.opcode in (
+        RdmaOpcode.WRITE, RdmaOpcode.READ_REQUEST, RdmaOpcode.READ_RESPONSE))
+        for packet in packets)
+
+
+def test_every_field_on_the_wire_is_immutable(carried):
+    packets, _ = carried
+    for packet in packets:
+        for holder, name, value in _fields_of(packet):
+            where = f"{type(holder).__name__}.{name}"
+            if type(value) is memoryview:
+                assert value.readonly, where
+            else:
+                assert value is None or isinstance(
+                    value, (Record, int, str, enum.Enum, bytes)), (where, value)
+
+
+def test_a_tamper_hook_cannot_assign_any_field(carried):
+    _, assigned = carried
+    assert assigned == []

@@ -36,7 +36,7 @@ from repro.net.body import materialize
 from repro.net.fabric import NetworkFault
 from repro.net.packet import RdmaOpcode
 from repro.roce.transport import RoceKernel, TransportError
-from repro.sim.instrument import TRACE_PARENT, span_begin
+from repro.sim.instrument import span_begin
 from repro.sim.events import Event
 from repro.telemetry import Telemetry
 from repro.telemetry.profiler import _callsite
@@ -151,9 +151,9 @@ class _ReferenceKernel(RoceKernel):
             epoch, packet = yield lane.store.get()
             if epoch != lane.epoch:
                 continue
-            segments = packet.meta.get("segments", 1)
+            segments = packet.bth.segments
             if segments > 1:
-                seg_index = packet.meta["seg_index"]
+                seg_index = packet.bth.seg_index
                 if seg_index != len(lane.partial):
                     self._reject(lane)
                     continue
@@ -180,7 +180,7 @@ class _ReferenceKernel(RoceKernel):
                 session_id=trailer.session_id, device_id=trailer.device_id,
                 counter=trailer.send_cnt)
             vspan = span_begin(self.sim, "roce.rx_verify",
-                               parent=packet.meta.get(TRACE_PARENT),
+                               parent=packet.span,
                                node=self.ip, qp=qp.qp_number)
             try:
                 verified = yield self._verify_event(qp.session_id, message)
@@ -220,13 +220,11 @@ class _Tamperer:
         if action == "strip" and packet.trailer is not None:
             return replace(packet, trailer=None,
                            payload=b"evil" * (len(packet.payload) // 4))
-        if action == "segment" and "seg_index" in packet.meta:
-            return replace(packet, meta=dict(
-                packet.meta, seg_index=packet.meta["seg_index"] + 1))
-        if action == "single" and packet.meta.get("seg_index", 0) > 0:
-            meta = dict(packet.meta)
-            del meta["segments"], meta["seg_index"]
-            return replace(packet, meta=meta)
+        bth = packet.bth
+        if action == "segment" and bth.segments > 1:
+            return replace(packet, bth=replace(bth, seg_index=bth.seg_index + 1))
+        if action == "single" and bth.seg_index > 0:
+            return replace(packet, bth=replace(bth, segments=1, seg_index=0))
         return None
 
 

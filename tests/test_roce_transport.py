@@ -8,7 +8,7 @@ from repro.api import Cluster, auth_send
 from repro.bench import PACKET_SIZE_SWEEP
 from repro.core import TnicDevice
 from repro.net import ArpServer, Link, NetworkFault
-from repro.net.packet import RdmaOpcode
+from repro.net.packet import RdmaExtendedHeader, RdmaOpcode
 from repro.roce import QueuePair
 from repro.sim import DeterministicRng, Simulator
 from repro.telemetry import Telemetry
@@ -184,7 +184,7 @@ def test_rdma_write_places_payload_in_remote_memory():
     memory = FakeMemory()
     b.attach_host_memory(memory)
     completion = a.send(1, b"written", opcode=RdmaOpcode.WRITE,
-                        meta={"remote_addr": 0x1000, "rkey": 7})
+                        reth=RdmaExtendedHeader(0x1000, 7))
     sim.run(completion)
     sim.run()
     b.drain(2)

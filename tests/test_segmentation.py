@@ -80,7 +80,7 @@ def test_tampered_middle_segment_recovered():
     state = {"count": 0}
 
     def tamper_second_data_packet(pkt):
-        if pkt.payload and pkt.meta.get("segments"):
+        if pkt.payload and pkt.bth.segments > 1:
             state["count"] += 1
             if state["count"] == 2:  # the first MIDDLE segment
                 return pkt.with_payload(b"\xff" * len(pkt.payload))

@@ -206,7 +206,7 @@ class _Wire:
     def attach_host_memory(self, table):
         self.table = table
 
-    def send(self, qp_number, payload, opcode, meta, completion):
+    def send(self, qp_number, payload, opcode, reth, completion, parent):
         self.sent.append(payload)
 
 

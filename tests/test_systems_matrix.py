@@ -7,6 +7,7 @@ from repro.bench import kv_workload
 from repro.systems.bft import BftCounter
 from repro.systems.bft_viewchange import ViewChangeBftCounter
 from repro.systems.chain import ChainReplication
+from repro.systems.common import SystemMetrics
 from repro.systems.peer_review import PeerReviewSystem
 
 PROVIDERS = ["ssl-lib", "ssl-server", "sgx", "amd-sev", "tnic"]
@@ -65,3 +66,27 @@ def test_amd_sev_systems_use_the_30us_lower_bound(build):
     """§8.3 runs every system on AMD-sev's deterministic 30 us bound."""
     system = build("amd-sev")
     assert all(p.lower_bound for p in system.providers.values())
+
+
+# ---------------------------------------------------------------------------
+# SystemMetrics accounting
+# ---------------------------------------------------------------------------
+
+def test_metrics_empty_defaults():
+    metrics = SystemMetrics()
+    assert metrics.throughput_ops == 0.0
+    assert metrics.mean_latency_us == 0.0
+    assert metrics.percentile_latency_us(0.99) == 0.0
+
+
+def test_metrics_accounting():
+    metrics = SystemMetrics()
+    metrics.started_at = 0.0
+    for latency in (10.0, 20.0, 30.0):
+        metrics.record(latency)
+    metrics.finished_at = 60.0
+    assert metrics.committed == 3
+    assert metrics.mean_latency_us == 20.0
+    assert metrics.throughput_ops == pytest.approx(3 / 60e-6)
+    assert metrics.percentile_latency_us(0.0) == 10.0
+    assert metrics.percentile_latency_us(0.99) == 30.0

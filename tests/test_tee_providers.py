@@ -278,3 +278,28 @@ def test_epc_validation():
         EnclaveMemoryModel(epc_bytes=100)
     with pytest.raises(ValueError):
         EnclaveMemoryModel().access(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Latency helpers
+# ---------------------------------------------------------------------------
+
+def test_latency_functions_reject_negative_sizes():
+    with pytest.raises(ValueError):
+        cal.tnic_hmac_pipeline_us(-1)
+    with pytest.raises(ValueError):
+        cal.tnic_path_hmac_us(-1)
+
+
+def test_attest_breakdown_unknown_system():
+    with pytest.raises(ValueError):
+        cal.attest_breakdown("mystery")
+
+
+def test_breakdown_shares_sum_to_one():
+    for system in ("tnic", "sgx", "ssl-server", "amd-sev"):
+        b = cal.attest_breakdown(system)
+        total_share = (
+            b.share("transfer") + b.share("compute") + b.share("other")
+        )
+        assert total_share == pytest.approx(1.0)

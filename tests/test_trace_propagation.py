@@ -10,7 +10,9 @@ from repro.api import Cluster, auth_send
 from repro.api.ops import recv
 from repro.cli import _instrumented_bft, _instrumented_workload, main
 from repro.sim.clock import Simulator
-from repro.sim.instrument import NULL_SPAN, TRACE_PARENT, span_begin
+from repro.net.fabric import NetworkFault
+from repro.net.packet import RdmaOpcode
+from repro.sim.instrument import NULL_SPAN, span_begin
 from repro.sim.latency import SYSTEM_NET_HOP_US
 from repro.systems.bft import BftCounter
 from repro.systems.common import Client, EmulatedNetwork, Envelope, Station
@@ -25,24 +27,26 @@ from tests.test_station import _OneStage
 
 
 # ----------------------------------------------------------------------
-# The carried span: one metadata key, one parent rule
+# The carried span: one packet field, one parent rule
 # ----------------------------------------------------------------------
 def _send_one(attach: bool):
-    """One 64 B ``auth_send`` a -> b; the hub (or None) and what b
-    received."""
-    cluster = Cluster(["a", "b"], seed=0)
+    """One 64 B ``auth_send`` a -> b; the hub (or None), what b
+    received and every packet the fabric carried."""
+    carried = []
+    cluster = Cluster(["a", "b"], fault=NetworkFault(tamper=carried.append),
+                      seed=0)
     hub = Telemetry.attach(cluster.sim) if attach else None
     conn_a, conn_b = cluster.connect("a", "b")
     cluster.run(auth_send(conn_a, b"x" * 64))
     cluster.run()
-    return hub, recv(conn_b)
+    return hub, recv(conn_b), carried
 
 
 def test_detached_every_carrier_stays_untouched(monkeypatch):
-    """No hub: nothing rides in a work request, a packet or a system
-    message.  The delivered metadata is copied from the packet's, which
-    is copied from the device's and the work request's, so a write at
-    any stage of the send would show here."""
+    """No hub: nothing rides in a work request, a packet, a delivery or
+    a system message.  A packet carries the span the device handed the
+    transport, which the device opened under the work request's, so a
+    span at any stage of the send would show on the wire."""
     submits = []
     real_submit = Station._submit
 
@@ -57,8 +61,10 @@ def test_detached_every_carrier_stays_untouched(monkeypatch):
     # carry a span, only with telemetry attached.
     assert not any(type(item) is Envelope or hop is not None
                    for item, hop in submits)
-    _, delivered = _send_one(attach=False)
-    assert TRACE_PARENT not in delivered["meta"]
+    _, delivered, packets = _send_one(attach=False)
+    assert packets and all(packet.span is None for packet in packets)
+    # A delivery has no field a span could ride in.
+    assert set(delivered) == {"payload", "message", "opcode", "msn"}
 
 
 def test_a_traced_send_to_a_station_ends_its_hop_span():
@@ -122,16 +128,19 @@ def test_a_carried_value_that_is_not_a_span_roots_a_fresh_trace(carried):
     sim = Simulator()
     Telemetry.attach(sim)
     earlier = span_begin(sim, "request.auth_send")
-    meta = {TRACE_PARENT: carried}
-    span = span_begin(sim, "roce.rx_verify", parent=meta.get(TRACE_PARENT))
+    span = span_begin(sim, "roce.rx_verify", parent=carried)
     assert span.parent_id is None
     assert span.trace_id != earlier.trace_id
 
 
 def test_a_carried_span_is_the_parent_of_the_next_stage():
-    hub, delivered = _send_one(attach=True)
-    carried = delivered["meta"][TRACE_PARENT]
+    hub, delivered, packets = _send_one(attach=True)
+    spans = [packet.span for packet in packets
+             if packet.bth.opcode is RdmaOpcode.SEND]
+    carried = spans[0]
+    assert all(span is carried for span in spans)
     assert carried.name == "tnic.tx"
+    assert delivered["payload"] == b"x" * 64
     verifies = [span for span in hub.spans.spans("roce.rx_verify")
                 if span.trace_id == carried.trace_id]
     assert [span.parent_id for span in verifies] == [carried.span_id]

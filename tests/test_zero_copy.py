@@ -102,7 +102,7 @@ def test_wire_segments_equal_payload_slices_at_every_boundary():
     taps: list = []
 
     def wire_tap(pkt):
-        if pkt.payload and pkt.meta.get("segments"):
+        if pkt.payload and pkt.bth.segments > 1:
             taps.append(pkt.payload)
         return None
 
@@ -155,7 +155,7 @@ def _run_tampered(mtu, payload, flip_packet_index):
         # The trailer rides only the LAST segment; count every
         # data-carrying packet so middle segments are reachable.
         if pkt.payload and (pkt.trailer is not None
-                            or pkt.meta.get("segments")):
+                            or pkt.bth.segments > 1):
             state["seen"] += 1
             if state["seen"] == flip_packet_index:
                 body = materialize(pkt.payload)
